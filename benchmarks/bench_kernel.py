@@ -22,7 +22,7 @@ suite's ``mutable_32p_trace_off`` is the 32p rung) and prints the
 must stay under 4x — the timeseries sampling overhead (acceptance:
 <= 3%), and the sharded-kernel throughput ratio against its 8-cell
 sequential control (single-core inline backend: a window-overhead
-number, expected <= 1x; see docs/DESIGN.md).
+number, expected <= 1x; see docs/SCALING.md).
 
 Every run (except ``--trend``) also appends a machine-normalized,
 git-sha-stamped record to ``BENCH_history.jsonl`` at the repo root;
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
                 f"1024p shards={n_shards} throughput vs sequential 8-cell: "
                 f"{sharded['rate'] / control['rate']:.2f}x "
                 "(inline single-core backend — window overhead, "
-                "not parallel speedup; see docs/DESIGN.md)"
+                "not parallel speedup; see docs/SCALING.md)"
             )
 
     if not args.no_history:

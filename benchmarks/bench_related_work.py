@@ -50,7 +50,7 @@ def run_timer_based():
     workload.stop()
     system.run_until_quiescent()
     blocked = sum(p.total_blocked_time for p in system.processes.values())
-    return _row(system, system.monitor.counters(), ROUNDS - 1, blocked)
+    return _row(system, system.metrics.counters(), ROUNDS - 1, blocked)
 
 
 def _row(system, counters, rounds, blocked):

@@ -113,7 +113,7 @@ def act4_distributed_recovery() -> None:
     system.run_until_quiescent()
     print(f"act 4 (distributed): incarnation {round_.incarnation} recovered in "
           f"{round_.duration * 1000:.1f} ms of protocol time; "
-          f"{system.monitor.counter('stale_incarnation_dropped'):.0f} ghost "
+          f"{system.metrics.value('stale_incarnation_dropped'):.0f} ghost "
           f"message(s) filtered; computation resumed")
 
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.checkpointing.types import Trigger
 from repro.sim.trace import TraceLog
 
@@ -107,6 +105,18 @@ def _capture_positions(trace: TraceLog) -> Dict[int, List[Tuple[int, Optional[Tr
     return captures
 
 
+def _reachable(adjacency: Dict[int, Set[int]], root: int) -> Set[int]:
+    """Every node reachable from ``root`` (``root`` included)."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def must_checkpoint_set(trace: TraceLog, trigger: Trigger) -> MinimalityReport:
     """Compute the z-dependency closure for ``trigger`` and compare it
     with the actual participant set."""
@@ -144,32 +154,27 @@ def must_checkpoint_set(trace: TraceLog, trigger: Trigger) -> MinimalityReport:
     # previous checkpoint (so Q is dragged in). The justified graph
     # keeps the edge even when the send is already covered — that is
     # the information the protocol's R bit actually carries.
-    graph = nx.DiGraph()
-    graph.add_node(trigger.pid)
-    justified_graph = nx.DiGraph()
-    justified_graph.add_node(trigger.pid)
+    graph: Dict[int, Set[int]] = {}
+    justified_graph: Dict[int, Set[int]] = {}
     must_edges: List[Tuple[int, int]] = []
     for src, dst, send_pos, recv_pos in edges:
         cut = ckpt_pos.get(dst)
         if cut is None or recv_pos >= cut:
             continue  # receive not recorded in dst's trigger checkpoint
         if recv_pos > prev_pos.get(dst, -1):
-            justified_graph.add_edge(dst, src)
+            justified_graph.setdefault(dst, set()).add(src)
         if send_pos <= prev_pos.get(src, -1):
             continue  # send already covered by src's previous checkpoint
-        graph.add_edge(dst, src)
+        graph.setdefault(dst, set()).add(src)
         must_edges.append((src, dst))
 
-    required = {trigger.pid}
-    if graph.has_node(trigger.pid):
-        required |= nx.descendants(graph, trigger.pid)
-    justified = {trigger.pid} | nx.descendants(justified_graph, trigger.pid)
+    required = _reachable(graph, trigger.pid)
     return MinimalityReport(
         trigger=trigger,
         participants=participants,
         required=required,
         dependency_edges=must_edges,
-        justified=justified | required,
+        justified=_reachable(justified_graph, trigger.pid) | required,
     )
 
 

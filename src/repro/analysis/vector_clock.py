@@ -50,12 +50,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-try:  # vectorized componentwise max — ~100x the pure-Python merge at
-    # 1024 entries. Optional: the container bakes it in, but the module
-    # must import (with the list-backed fallback) without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np  # vectorized max: ~100x a pure-Python merge at 1024 entries
 
 #: shared all-zero snapshots by population size — at build time every
 #: process checkpoints an all-zero clock, and N distinct N-tuples of
@@ -112,10 +107,9 @@ class VectorClock:
 
     def __init__(self, pid: int, n: int, delta: bool = False) -> None:
         self.pid = pid
-        #: int64 ndarray when numpy is present, else a plain list — all
-        #: external observation goes through :meth:`snapshot` (plain-int
-        #: tuples) either way
-        self.clock = _np.zeros(n, dtype=_np.int64) if _np is not None else [0] * n
+        #: int64 ndarray; all external observation goes through
+        #: :meth:`snapshot` (plain-int tuples)
+        self.clock = _np.zeros(n, dtype=_np.int64)
         self._delta = delta
         #: monotone op counter; stamps in _changed/_ls refer to it
         self._ticks = 0
@@ -142,14 +136,9 @@ class VectorClock:
     def merge(self, other: Sequence[int]) -> None:
         """Componentwise max with a received full timestamp."""
         clock = self.clock
-        if _np is not None:
-            if type(other) is not _np.ndarray:
-                other = _np.asarray(other, dtype=_np.int64)
-            _np.maximum(clock, other, out=clock)
-        else:
-            for i, value in enumerate(other):
-                if value > clock[i]:
-                    clock[i] = value
+        if type(other) is not _np.ndarray:
+            other = _np.asarray(other, dtype=_np.int64)
+        _np.maximum(clock, other, out=clock)
         if self._delta:
             # One watermark instead of per-entry stamps: channels whose
             # last send predates it get a full stamp next time.
@@ -208,21 +197,16 @@ class VectorClock:
         return VCDelta(tuple(pairs))
 
     def _full_stamp(self):
-        """A full stamp: an immutable-by-convention array copy (numpy;
-        one C memcpy, merged with one vectorized max) or a tuple."""
-        clock = self.clock
-        return clock.copy() if _np is not None else tuple(clock)
+        """A full stamp: an immutable-by-convention array copy (one C
+        memcpy, merged with one vectorized max)."""
+        return self.clock.copy()
 
     def snapshot(self) -> Tuple[int, ...]:
         """An immutable plain-int tuple copy of the current clock."""
         clock = self.clock
-        if _np is not None:
-            if not clock.any():
-                return self._zero_snapshot(len(clock))
-            return tuple(clock.tolist())
-        if not any(clock):
+        if not clock.any():
             return self._zero_snapshot(len(clock))
-        return tuple(clock)
+        return tuple(clock.tolist())
 
     @staticmethod
     def _zero_snapshot(n: int) -> Tuple[int, ...]:
@@ -239,9 +223,7 @@ class VectorClock:
         stamp, so no receiver depends on deltas whose base predates the
         rollback (or was dropped by the incarnation ghost-check).
         """
-        self.clock = (
-            _np.array(snap, dtype=_np.int64) if _np is not None else list(snap)
-        )
+        self.clock = _np.array(snap, dtype=_np.int64)
         if self._delta:
             self._ticks += 1
             self._full_at = self._ticks

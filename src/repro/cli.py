@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--processes", "--hosts", dest="processes",
                      type=int, default=16,
                      help="number of mobile hosts / processes (the "
-                     "protocol scales to thousands; see docs/DESIGN.md)")
+                     "protocol scales to thousands; see docs/SCALING.md)")
     run.add_argument("--seed", type=int, default=42)
     run.add_argument("--cells", type=int, default=1, metavar="M",
                      help="number of cells / support stations "
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="partition the simulation by cell across N "
                      "shards on the conservative windowed kernel; "
                      "results are bit-identical to --shards 1 "
-                     "(see docs/DESIGN.md)")
+                     "(see docs/SCALING.md)")
     run.add_argument("--rate", type=float, default=0.01,
                      help="messages per second per process")
     run.add_argument("--initiations", type=int, default=10)

@@ -65,16 +65,16 @@ class SystemConfig:
         (:class:`repro.obs.timeseries.TimeseriesSampler`): selected
         metric series are snapshotted once per window into a bounded
         ring carried on the RunResult. ``None`` (the default) disables
-        sampling entirely — no sampler is built and the kernel runs the
-        plain fast loop.
+        sampling entirely — no sampler is built and no kernel hook is
+        armed.
     shards:
         Partition the simulation by cell/MSS into this many shards and
         run it on the conservative windowed kernel
         (:class:`repro.sim.shard.ShardedSimulator`). ``1`` (the
-        default) keeps the plain fused-loop kernel — the sequential
-        fast path is untouched. Any ``shards >= 2`` must produce
-        bit-identical results to ``shards=1``; the windowed kernel
-        only adds barrier/envelope accounting (see docs/DESIGN.md).
+        default) keeps the plain sequential kernel. Any ``shards >= 2``
+        must produce bit-identical results to ``shards=1``; the
+        windowed kernel only adds barrier/envelope accounting (see
+        docs/SCALING.md).
     """
 
     n_processes: int = 16

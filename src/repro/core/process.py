@@ -156,7 +156,7 @@ class AppProcess:
 
     def _deliver(self, message: ComputationMessage) -> None:
         """Hand a computation message to the application."""
-        vc_stamp = message.vc_stamp()
+        vc_stamp = message.vc
         if vc_stamp is not None:
             self.vc.merge_stamp(vc_stamp)
         self.vc.tick()

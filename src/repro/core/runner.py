@@ -205,7 +205,7 @@ class ExperimentRunner:
         sim = self.system.sim
         limit = self.run_config.time_limit
         if limit is None:
-            # Hot path: hand the whole run to the kernel's fused loop;
+            # Hot path: hand the whole run to the kernel's loop;
             # _finish() stops it from inside the final commit callback.
             if not self._done:
                 sim.run(max_events=max_events)

@@ -78,7 +78,7 @@ class MobileSystem:
         if config.shards > 1:
             # Conservative windowed kernel (repro.sim.shard): per-shard
             # heaps merged in canonical order, so results stay
-            # bit-identical to the sequential fused loop while window/
+            # bit-identical to the sequential loop while window/
             # envelope accounting becomes observable. The lookahead is
             # the minimum cross-cell (wired) link delay.
             from repro.sim.shard import ShardedSimulator
@@ -147,17 +147,11 @@ class MobileSystem:
         # Windowed telemetry sampler (repro.obs.timeseries). Built last —
         # its wave-lifecycle instruments must only exist when sampling is
         # on, so a default run's metrics snapshot is unchanged. When
-        # disabled no hook is armed and the kernel runs the plain fused
-        # loop.
+        # disabled no hook is armed.
         self.timeseries: Optional[TimeseriesSampler] = None
         if config.timeseries_window is not None:
             self.timeseries = TimeseriesSampler(self, config.timeseries_window)
             self.timeseries.install()
-
-    @property
-    def monitor(self) -> MetricsRegistry:
-        """Back-compat alias for :attr:`metrics` (the old Monitor slot)."""
-        return self.metrics
 
     # -- lookups ---------------------------------------------------------
     def process(self, pid: int) -> AppProcess:

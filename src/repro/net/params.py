@@ -71,7 +71,7 @@ class NetworkParams:
         and contention (``model_contention=True``) only pushes arrivals
         *later* — neither can undercut the propagation floor. This makes
         ``wired_latency`` a safe static lookahead for the conservative
-        windowed kernel (:mod:`repro.sim.shard`); see docs/DESIGN.md.
+        windowed kernel (:mod:`repro.sim.shard`); see docs/SCALING.md.
         """
         return self.wired_latency
 

@@ -17,9 +17,11 @@ rate drops more than ``threshold`` (default 25%) below the baseline's.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpointing.mutable import MutableCheckpointProtocol
@@ -36,12 +38,13 @@ from repro.workload.point_to_point import PointToPointWorkload
 __all__ = [
     "BenchCase",
     "BenchResult",
-    "MicroBenchCase",
     "append_history",
     "calibrate",
     "compare",
     "default_cases",
+    "experiment_case",
     "format_trends",
+    "ladder_case",
     "ladder_cases",
     "load_history",
     "run_bench_suite",
@@ -73,58 +76,24 @@ def calibrate() -> float:
     return best
 
 
+#: a planted per-operation slowdown (regression-detection self-test)
+Burn = Optional[Callable[[], None]]
+
+
 @dataclass
 class BenchCase:
-    """One benchmark scenario: a builder plus how long to run it."""
+    """One benchmark scenario.
 
-    name: str
-    build: Callable[[], Tuple[MobileSystem, ExperimentRunner]]
-    description: str = ""
-
-    def run(self, burn: Optional[Callable[[], None]] = None) -> Tuple[int, float]:
-        """Execute once; returns (events_processed, wall_seconds).
-
-        ``burn`` (testing hook) is invoked once per kernel event to
-        plant an artificial slowdown for regression-detection tests; it
-        rides the kernel's :meth:`~repro.sim.kernel.Simulator.set_burn`
-        hook, so it slows the fast loop the runner actually uses.
-        """
-        system, runner = self.build()
-        sim = system.sim
-        if burn is not None:
-            sim.set_burn(burn)
-        start = time.perf_counter()
-        runner.run()
-        elapsed = time.perf_counter() - start
-        return sim.events_processed, elapsed
-
-
-@dataclass
-class MicroBenchCase:
-    """A kernel-free micro-benchmark: times ``op(i)`` over a fixed loop.
-
-    Duck-compatible with :class:`BenchCase` (same ``name``/``run``
-    surface), so it slots into :func:`run_bench_suite` and
-    :func:`compare` unchanged. The reported "events" are iterations.
+    ``run(burn)`` executes it once and returns ``(operations,
+    wall_seconds)``; operations are kernel events, loop iterations or
+    store calls, whatever the case counts. ``burn``, when given, is
+    invoked once per operation to plant an artificial slowdown. The
+    builders below make every case the suite runs.
     """
 
     name: str
-    op: Callable[[int], Any]
-    iterations: int = 200_000
+    run: Callable[..., Tuple[int, float]]
     description: str = ""
-
-    def run(self, burn: Optional[Callable[[], None]] = None) -> Tuple[int, float]:
-        op = self.op
-        start = time.perf_counter()
-        if burn is None:
-            for i in range(self.iterations):
-                op(i)
-        else:
-            for i in range(self.iterations):
-                burn()
-                op(i)
-        elapsed = time.perf_counter() - start
-        return self.iterations, elapsed
 
 
 @dataclass
@@ -147,42 +116,70 @@ class BenchResult:
         }
 
 
-def _experiment_case(
+def _mutable_p2p(
+    max_initiations: int, **system_params: Any
+) -> Tuple[MobileSystem, ExperimentRunner]:
+    """The system every kernel case drives: seed 7, mutable checkpoints,
+    point-to-point traffic at one send per second."""
+    system = MobileSystem(
+        SystemConfig(seed=7, **system_params), MutableCheckpointProtocol()
+    )
+    workload = PointToPointWorkload(
+        system, PointToPointWorkloadConfig(mean_send_interval=1.0)
+    )
+    runner = ExperimentRunner(
+        system, workload, RunConfig(max_initiations=max_initiations)
+    )
+    return system, runner
+
+
+def experiment_case(
     name: str,
-    description: str,
-    trace_messages: bool,
-    n_processes: int = 16,
-    max_initiations: int = 12,
+    build: Callable[[], Tuple[MobileSystem, ExperimentRunner]],
+    description: str = "",
 ) -> BenchCase:
-    def build() -> Tuple[MobileSystem, ExperimentRunner]:
-        config = SystemConfig(
-            n_processes=n_processes, seed=7, trace_messages=trace_messages
-        )
-        system = MobileSystem(config, MutableCheckpointProtocol())
-        workload = PointToPointWorkload(
-            system, PointToPointWorkloadConfig(mean_send_interval=1.0)
-        )
-        runner = ExperimentRunner(
-            system, workload, RunConfig(max_initiations=max_initiations)
-        )
-        return system, runner
+    """A completion-driven case: build a runner, time ``runner.run()``.
 
-    return BenchCase(name=name, build=build, description=description)
+    ``burn`` rides the kernel's
+    :meth:`~repro.sim.kernel.Simulator.set_burn` hook, so it slows the
+    loop the runner actually uses.
+    """
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        system, runner = build()
+        system.sim.set_burn(burn)
+        start = time.perf_counter()
+        runner.run()
+        elapsed = time.perf_counter() - start
+        return system.sim.events_processed, elapsed
+
+    return BenchCase(name, run, description)
 
 
-def _message_alloc_case() -> MicroBenchCase:
+def _message_alloc_case(iterations: int = 200_000) -> BenchCase:
     """Message construction + tagging micro-bench (tracks the slotted
-    message classes and the zero-alloc piggyback fast lane)."""
+    message classes and the zero-alloc piggyback fast lane); kernel-free,
+    the reported "events" are iterations."""
 
     def op(i: int) -> Any:
         message = ComputationMessage(src_pid=0, dst_pid=1, payload=i, msg_id=i)
         message.pb = (i, None)
         return message
 
-    return MicroBenchCase(
-        name="message_alloc",
-        op=op,
-        description="construct one slotted ComputationMessage and tag its csn pair",
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        start = time.perf_counter()
+        if burn is None:
+            for i in range(iterations):
+                op(i)
+        else:
+            for i in range(iterations):
+                burn()
+                op(i)
+        return iterations, time.perf_counter() - start
+
+    return BenchCase(
+        "message_alloc", run,
+        "construct one slotted ComputationMessage and tag its csn pair",
     )
 
 
@@ -191,43 +188,33 @@ def _snapshot_overhead_case() -> BenchCase:
 
     Pairs with ``mutable_16p_trace_off`` (identical run, snapshotting
     disabled): their rate ratio is the whole-state capture cost, and the
-    25% :func:`compare` gate keeps both the hooked loop and the pickle
-    path honest.
+    25% :func:`compare` gate keeps both the hook and the pickle path
+    honest.
     """
 
     def build() -> Tuple[MobileSystem, ExperimentRunner]:
         from repro.snapshot import SnapshotPolicy, Snapshotter
 
-        config = SystemConfig(n_processes=16, seed=7, trace_messages=False)
-        system = MobileSystem(config, MutableCheckpointProtocol())
-        workload = PointToPointWorkload(
-            system, PointToPointWorkloadConfig(mean_send_interval=1.0)
-        )
-        runner = ExperimentRunner(
-            system, workload, RunConfig(max_initiations=12)
-        )
-        snapshotter = Snapshotter(runner, SnapshotPolicy(every_events=1000))
-        snapshotter.install()
+        system, runner = _mutable_p2p(12, n_processes=16, trace_messages=False)
+        Snapshotter(runner, SnapshotPolicy(every_events=1000)).install()
         return system, runner
 
-    return BenchCase(
-        name="snapshot_overhead",
-        build=build,
-        description=(
-            "16-process trace-off run snapshotting whole state in memory "
-            "every 1000 events"
-        ),
+    return experiment_case(
+        "snapshot_overhead", build,
+        "16-process trace-off run snapshotting whole state in memory "
+        "every 1000 events",
     )
 
 
-@dataclass
-class _StoreBenchCase:
+def _store_case(
+    name: str, backend: str, description: str, points: int = 10_000
+) -> BenchCase:
     """Result-store backend throughput: N appends then N hash lookups.
 
-    Duck-compatible with :class:`BenchCase`. Each run writes into a
-    fresh temporary directory (deleted afterwards), so the measurement
-    is the backend's steady-state append+lookup path, not filesystem
-    reuse artifacts. Reported "events" are operations (2 × points).
+    Each run writes into a fresh temporary directory (deleted
+    afterwards), so the measurement is the backend's steady-state
+    append+lookup path, not filesystem reuse artifacts. Reported
+    "events" are operations (2 × points).
 
     The JSONL backend fsyncs every append (its durability contract), so
     its rate is partly disk-bound; the SQLite backend commits in WAL
@@ -236,39 +223,29 @@ class _StoreBenchCase:
     SQLite — and the 25% gate keeps both append paths honest.
     """
 
-    name: str
-    backend: str  # "jsonl" | "sqlite"
-    points: int = 10_000
-    description: str = ""
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        from repro.campaign.store import PointRecord, ResultStore
+        from repro.service.db import ResultDB
 
-    def _make_record(self, i: int):
-        from repro.campaign.store import PointRecord
-
-        return PointRecord(
-            point_hash=f"{i:032x}",
-            status="ok",
-            point={"protocol": "mutable", "seed": i},
-            result={"protocol": "mutable", "n_processes": 2, "seed": i,
-                    "initiations": [], "counters": {},
-                    "total_blocked_time": 0.0, "sim_time": 1.0,
-                    "wall_events": 10},
-        )
-
-    def run(self, burn: Optional[Callable[[], None]] = None) -> Tuple[int, float]:
-        import shutil
-        import tempfile
-
-        from repro.campaign.store import ResultStore
-
-        records = [self._make_record(i) for i in range(self.points)]
+        records = [
+            PointRecord(
+                point_hash=f"{i:032x}",
+                status="ok",
+                point={"protocol": "mutable", "seed": i},
+                result={"protocol": "mutable", "n_processes": 2, "seed": i,
+                        "initiations": [], "counters": {},
+                        "total_blocked_time": 0.0, "sim_time": 1.0,
+                        "wall_events": 10},
+            )
+            for i in range(points)
+        ]
         workdir = tempfile.mkdtemp(prefix="bench-store-")
         try:
-            if self.backend == "jsonl":
-                store: Any = ResultStore(workdir + "/results.jsonl")
-            else:
-                from repro.service.db import ResultDB
-
-                store = ResultDB(workdir + "/results.sqlite")
+            store: Any = (
+                ResultStore(workdir + "/results.jsonl")
+                if backend == "jsonl"
+                else ResultDB(workdir + "/results.sqlite")
+            )
             start = time.perf_counter()
             for record in records:
                 if burn is not None:
@@ -283,79 +260,47 @@ class _StoreBenchCase:
             store.close()
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
-        return 2 * self.points, elapsed
+        return 2 * points, elapsed
+
+    return BenchCase(name, run, description)
 
 
-def _store_backend_cases() -> List[_StoreBenchCase]:
-    return [
-        _StoreBenchCase(
-            name="store_jsonl_10k",
-            backend="jsonl",
-            description=(
-                "10k PointRecord appends (fsync each) + 10k hash lookups "
-                "on the JSONL ResultStore"
-            ),
-        ),
-        _StoreBenchCase(
-            name="store_sqlite_10k",
-            backend="sqlite",
-            description=(
-                "10k PointRecord appends + 10k hash lookups on the "
-                "SQLite ResultDB (WAL, synchronous=NORMAL)"
-            ),
-        ),
-    ]
-
-
-@dataclass
-class _LadderBenchCase:
-    """A population rung: a fixed event budget at ``n`` processes.
+def ladder_case(
+    name: str, description: str = "", max_events: int = 150_000,
+    **system_params: Any,
+) -> BenchCase:
+    """A population rung: a fixed event budget on one system shape.
 
     Completion-driven cases (the default suite) are intractable at 1k+
     processes, so ladder rungs drive the kernel for a fixed number of
-    events through the same fused loop the runner uses and report the
-    same events/second. Duck-compatible with :class:`BenchCase`.
+    events through the same loop the runner uses and report the same
+    events/second. ``system_params`` are :class:`SystemConfig` fields
+    (``n_processes``, ``n_mss``, ``shards``, ``timeseries_window``).
     """
 
-    name: str
-    n_processes: int
-    max_events: int = 150_000
-    timeseries_window: Optional[float] = None
-    n_mss: int = 1
-    shards: int = 1
-    description: str = ""
-
-    def run(self, burn: Optional[Callable[[], None]] = None) -> Tuple[int, float]:
+    def run(burn: Burn = None) -> Tuple[int, float]:
         from repro.errors import SimulationError
 
-        config = SystemConfig(
-            n_processes=self.n_processes, seed=7, trace_messages=False,
-            timeseries_window=self.timeseries_window,
-            n_mss=self.n_mss, shards=self.shards,
-        )
-        system = MobileSystem(config, MutableCheckpointProtocol())
-        workload = PointToPointWorkload(
-            system, PointToPointWorkloadConfig(mean_send_interval=1.0)
-        )
-        runner = ExperimentRunner(
-            system, workload, RunConfig(max_initiations=2)
-        )
+        system, runner = _mutable_p2p(2, trace_messages=False, **system_params)
         sim = system.sim
-        if burn is not None:
-            sim.set_burn(burn)
-        workload.start()
+        sim.set_burn(burn)
+        runner.workload.start()
         runner._schedule_first_initiations()
         start = time.perf_counter()
         try:
-            sim.run(max_events=self.max_events)
+            sim.run(max_events=max_events)
         except SimulationError:
             # budget reached — the measurement, not an error
             pass
         elapsed = time.perf_counter() - start
         return sim.events_processed, elapsed
 
+    return BenchCase(name, run, description)
 
-def ladder_cases(populations: Tuple[int, ...] = (256, 1024, 4096)) -> List[Any]:
+
+def ladder_cases(
+    populations: Tuple[int, ...] = (256, 1024, 4096), max_events: int = 150_000
+) -> List[BenchCase]:
     """The population ladder: per-event rates at growing system sizes.
 
     Together with the default suite's ``mutable_32p_trace_off`` rung
@@ -364,14 +309,12 @@ def ladder_cases(populations: Tuple[int, ...] = (256, 1024, 4096)) -> List[Any]:
     of the 32p rate is the scaling acceptance criterion (per-message
     work must not grow linearly with the population).
     """
-    cases: List[Any] = [
-        _LadderBenchCase(
-            name=f"mutable_{n}p_trace_off",
-            n_processes=n,
-            description=(
-                f"{n}-process mutable-checkpoint run, tracing off, "
-                "fixed 150k-event budget"
-            ),
+    cases = [
+        ladder_case(
+            f"mutable_{n}p_trace_off",
+            f"{n}-process mutable-checkpoint run, tracing off, "
+            f"fixed {max_events // 1000}k-event budget",
+            max_events, n_processes=n,
         )
         for n in populations
     ]
@@ -379,85 +322,67 @@ def ladder_cases(populations: Tuple[int, ...] = (256, 1024, 4096)) -> List[Any]:
         # Sampler-on twin of the 1024p rung: its rate ratio against
         # mutable_1024p_trace_off is the telemetry sampling overhead
         # (acceptance: <= 3% events/s regression).
-        cases.append(
-            _LadderBenchCase(
-                name="mutable_1024p_timeseries_1s",
-                n_processes=1024,
-                timeseries_window=1.0,
-                description=(
-                    "the 1024p rung with the timeseries sampler on "
-                    "(1 sim-second windows)"
-                ),
-            )
-        )
+        cases.append(ladder_case(
+            "mutable_1024p_timeseries_1s",
+            "the 1024p rung with the timeseries sampler on "
+            "(1 sim-second windows)",
+            max_events, n_processes=1024, timeseries_window=1.0,
+        ))
         # Sharded-kernel rungs: an 8-cell sequential control plus the
         # same topology on the windowed kernel at 2 and 4 shards. Their
         # rate ratios are the barrier/window overhead of the inline
         # canonical-merge backend (single-core: expect <= 1x, see
-        # docs/DESIGN.md); the 25% gate keeps that overhead honest.
-        cases.append(
-            _LadderBenchCase(
-                name="mutable_1024p_mss8",
-                n_processes=1024,
-                n_mss=8,
-                description=(
-                    "the 1024p rung over 8 cells on the sequential "
-                    "kernel (control for the shards rungs)"
-                ),
-            )
-        )
+        # docs/SCALING.md); the 25% gate keeps that overhead honest.
+        cases.append(ladder_case(
+            "mutable_1024p_mss8",
+            "the 1024p rung over 8 cells on the sequential kernel "
+            "(control for the shards rungs)",
+            max_events, n_processes=1024, n_mss=8,
+        ))
         for n_shards in (2, 4):
-            cases.append(
-                _LadderBenchCase(
-                    name=f"mutable_1024p_shards{n_shards}",
-                    n_processes=1024,
-                    n_mss=8,
-                    shards=n_shards,
-                    description=(
-                        f"the 1024p 8-cell rung on the windowed sharded "
-                        f"kernel with {n_shards} shards"
-                    ),
-                )
-            )
+            cases.append(ladder_case(
+                f"mutable_1024p_shards{n_shards}",
+                f"the 1024p 8-cell rung on the windowed sharded kernel "
+                f"with {n_shards} shards",
+                max_events, n_processes=1024, n_mss=8, shards=n_shards,
+            ))
     return cases
 
 
-def default_cases() -> List[Any]:
+def default_cases() -> List[BenchCase]:
     """The standing kernel benchmark suite.
 
-    The trace-on/trace-off pair measures the leveled-tracing fast path:
+    The trace-on/trace-off pairs measure the leveled-tracing fast path:
     identical runs except for the trace level, so their rate ratio is
     the hot-path cost of message tracing. ``snapshot_overhead`` re-runs
-    the trace-off case with every-1000-events in-memory snapshots.
+    the 16p trace-off case with every-1000-events in-memory snapshots.
     """
+
+    def mutable(n: int, initiations: int, trace: bool, description: str) -> BenchCase:
+        return experiment_case(
+            f"mutable_{n}p_trace_{'on' if trace else 'off'}",
+            lambda: _mutable_p2p(initiations, n_processes=n, trace_messages=trace),
+            description,
+        )
+
     return [
-        _experiment_case(
-            "mutable_16p_trace_off",
-            "16-process mutable-checkpoint run, message tracing off (INFO)",
-            trace_messages=False,
-        ),
-        _experiment_case(
-            "mutable_16p_trace_on",
-            "same run with full message tracing (DEBUG)",
-            trace_messages=True,
-        ),
-        _experiment_case(
-            "mutable_32p_trace_off",
-            "32-process run, message tracing off",
-            trace_messages=False,
-            n_processes=32,
-            max_initiations=8,
-        ),
-        _experiment_case(
-            "mutable_32p_trace_on",
-            "32-process run with full message tracing (DEBUG)",
-            trace_messages=True,
-            n_processes=32,
-            max_initiations=8,
-        ),
+        mutable(16, 12, False,
+                "16-process mutable-checkpoint run, message tracing off (INFO)"),
+        mutable(16, 12, True, "same run with full message tracing (DEBUG)"),
+        mutable(32, 8, False, "32-process run, message tracing off"),
+        mutable(32, 8, True, "32-process run with full message tracing (DEBUG)"),
         _message_alloc_case(),
         _snapshot_overhead_case(),
-        *_store_backend_cases(),
+        _store_case(
+            "store_jsonl_10k", "jsonl",
+            "10k PointRecord appends (fsync each) + 10k hash lookups "
+            "on the JSONL ResultStore",
+        ),
+        _store_case(
+            "store_sqlite_10k", "sqlite",
+            "10k PointRecord appends + 10k hash lookups on the "
+            "SQLite ResultDB (WAL, synchronous=NORMAL)",
+        ),
     ]
 
 
@@ -475,7 +400,7 @@ def run_bench_suite(
         best_rate = 0.0
         best: Tuple[int, float] = (0, 0.0)
         for _ in range(repeats):
-            events, seconds = case.run(burn=burn)
+            events, seconds = case.run(burn)
             rate = events / seconds if seconds > 0 else 0.0
             if rate > best_rate:
                 best_rate = rate

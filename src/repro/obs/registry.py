@@ -15,10 +15,6 @@ Design constraints, in order:
   aggregation independent of worker count (workers merge in grid order
   regardless of completion order; see
   :meth:`repro.campaign.engine.CampaignReport.merged_metrics`).
-
-The registry also speaks the legacy :class:`repro.sim.monitor.Monitor`
-vocabulary (``increment``/``observe``/``counters``) so protocol code and
-results collection migrate without a flag day.
 """
 
 from __future__ import annotations
@@ -253,15 +249,6 @@ class MetricsRegistry:
         return tuple(
             sorted({*self._counters, *self._gauges, *self._histograms})
         )
-
-    # -- legacy Monitor vocabulary ----------------------------------------
-    def increment(self, name: str, amount: float = 1.0) -> None:
-        """Legacy shim: add to counter ``name``."""
-        self.counter(name).inc(amount)
-
-    def observe(self, name: str, value: float) -> None:
-        """Legacy shim: record one sample into histogram ``name``."""
-        self.histogram(name).observe(value)
 
     # -- snapshot / merge --------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -17,8 +17,8 @@ the trace. Consequences, both pinned by
 ``tests/integration/test_timeseries_determinism.py``:
 
 * disabled (``SystemConfig.timeseries_window is None``) it does not even
-  exist, and the kernel runs the plain fused loop — bit-identical golden
-  hashes, zero overhead;
+  exist and no hook is armed — bit-identical golden hashes, one local
+  test per event in the kernel loop;
 * enabled, the simulation's trace and event sequence are unchanged, and
   because the event sequence is deterministic the emitted rows are
   byte-identical for a given (config, seed).

@@ -244,7 +244,7 @@ class ScenarioHarness:
     def _consume(self, flight: InFlight) -> None:
         message = flight.message
         dst = flight.dst
-        vc = message.vc_stamp()
+        vc = message.vc
         if vc is not None:
             self.clocks[dst].merge(vc)
         self.clocks[dst].tick()

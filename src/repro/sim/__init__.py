@@ -9,12 +9,13 @@ Public surface:
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timer`.
 * :class:`~repro.sim.rng.RandomStreams` — named seeded randomness.
 * :class:`~repro.sim.trace.TraceLog` — structured ground-truth log.
-* :class:`~repro.sim.monitor.Monitor` — counters and tallies.
+
+Counters, gauges and histograms live in
+:class:`repro.obs.registry.MetricsRegistry` (``sim.metrics``).
 """
 
 from repro.sim.events import Event, Timer
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Monitor, Tally
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import Envelope, ShardPlan, ShardedSimulator
 from repro.sim.trace import TraceLog, TraceRecord
@@ -22,12 +23,10 @@ from repro.sim.trace import TraceLog, TraceRecord
 __all__ = [
     "Envelope",
     "Event",
-    "Monitor",
     "RandomStreams",
     "ShardPlan",
     "ShardedSimulator",
     "Simulator",
-    "Tally",
     "Timer",
     "TraceLog",
     "TraceRecord",

@@ -17,7 +17,17 @@ from __future__ import annotations
 import heapq
 from sys import getrefcount
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ScheduleInPastError, SimulationError
 from repro.obs.registry import MetricsRegistry
@@ -218,7 +228,7 @@ class Simulator:
         self.metrics.gauge("kernel.events_processed").set(
             float(self._events_processed)
         )
-        self.metrics.gauge("kernel.pending_events").set(float(len(self._queue)))
+        self.metrics.gauge("kernel.pending_events").set(float(self.pending_events))
         self.metrics.gauge("kernel.now").set(self._now)
 
     @property
@@ -240,29 +250,12 @@ class Simulator:
     def set_burn(self, burn: Optional[Callable[[], None]]) -> None:
         """Install a per-event burn hook (benchmark self-test only).
 
-        While set, :meth:`run` uses the instrumented loop and invokes
-        ``burn()`` before every dispatched event — the supported way for
-        the bench harness to plant an artificial slowdown.
+        While set, ``burn()`` is invoked before every dispatched event —
+        the supported way for the bench harness to plant an artificial
+        slowdown. Unset, it costs one local ``is not None`` test per
+        event.
         """
         self._burn = burn
-
-    def set_snapshot_hook(
-        self, hook: Optional[Callable[[], None]], check_every: int = 1
-    ) -> None:
-        """Install (or clear) the between-events snapshot hook.
-
-        While set, ``hook()`` is invoked every ``check_every`` dispatched
-        events, *between* event callbacks — never re-entrantly inside
-        one — so the kernel is always at a consistent point when the
-        hook observes it. The hook must not schedule events or mutate
-        kernel state; :class:`repro.snapshot.Snapshotter` uses it to
-        evaluate trigger conditions and serialize the simulation.
-
-        Runs without a hook use the fused fast loop untouched (the
-        branch is taken once per :meth:`run` call, not per event), so a
-        disabled hook costs nothing.
-        """
-        self.set_between_events_hook("snapshot", hook, check_every)
 
     def set_between_events_hook(
         self, key: str, hook: Optional[Callable[[], None]], check_every: int = 1
@@ -274,10 +267,16 @@ class Simulator:
         ``"timeseries"``); with more than one, the kernel dispatches a
         composed :class:`_MultiHook` every gcd-of-cadences events and
         each hook still fires at its own ``check_every``. With exactly
-        one, it is installed directly — identical to the historical
-        single-slot behaviour. The same contract applies to every hook:
-        it fires *between* event callbacks and must not schedule events
-        or mutate kernel state, so hooks are invisible to the simulation.
+        one, it is installed directly. The same contract applies to
+        every hook: it fires *between* event callbacks — never
+        re-entrantly inside one, and after the dispatched handle has
+        been recycled — so the heap, clock and counters are consistent
+        whenever it observes them, and it must not schedule events or
+        mutate kernel state, so hooks are invisible to the simulation.
+        The loop notices a hook installed from inside an event callback
+        on the next :meth:`run`/:meth:`step` call; a hook may clear or
+        re-key itself while it runs. Without any hook the loop pays one
+        local test per event.
         """
         if hook is not None and check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every!r}")
@@ -340,36 +339,41 @@ class Simulator:
         self._stop_requested = True
 
     # -- cancelled-event accounting (called from Event.cancel) ----------
+    def _heaps(self) -> Sequence[List[Tuple[float, int, int, Event]]]:
+        """Every heap this kernel pops from (one here, one per shard in
+        :class:`~repro.sim.shard.ShardedSimulator`)."""
+        return (self._queue,)
+
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
         if (
             self._cancelled_pending > _COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > len(self._queue)
+            and self._cancelled_pending * 2 > self.pending_events
         ):
             self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place.
 
-        In-place (slice assignment) so a loop that bound ``self._queue``
-        to a local keeps operating on the live heap. Pop order is fully
+        In-place (slice assignment) so a loop that bound a heap to a
+        local keeps operating on the live one. Pop order is fully
         determined by the (time, priority, seq) keys, so a rebuild never
         changes the dispatch sequence.
         """
-        queue = self._queue
-        dead = [entry[3] for entry in queue if entry[3]._cancelled]
-        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
-        heapq.heapify(queue)
-        self._cancelled_pending = 0
         free = self._free
-        for event in dead:
-            event.owner = None
-            # dead list + loop variable + getrefcount argument == 3:
-            # nobody else holds the handle, so it is safe to recycle.
-            if len(free) < _FREELIST_MAX and getrefcount(event) == 3:
-                event.callback = None
-                event.args = ()
-                free.append(event)
+        for queue in self._heaps():
+            dead = [entry[3] for entry in queue if entry[3]._cancelled]
+            queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+            heapq.heapify(queue)
+            for event in dead:
+                event.owner = None
+                # dead list + loop variable + getrefcount argument == 3:
+                # nobody else holds the handle, so it is safe to recycle.
+                if len(free) < _FREELIST_MAX and getrefcount(event) == 3:
+                    event.callback = None
+                    event.args = ()
+                    free.append(event)
+        self._cancelled_pending = 0
 
     def schedule(
         self,
@@ -398,6 +402,17 @@ class Simulator:
         stream: Optional[Hashable] = None,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
+        return self._push(self._queue, when, callback, args, stream)
+
+    def _push(
+        self,
+        heap: List[Tuple[float, int, int, Event]],
+        when: float,
+        callback: Callable[..., Any],
+        args: Tuple[Any, ...],
+        stream: Optional[Hashable],
+    ) -> Event:
+        """Build (or recycle) the event handle and push it onto ``heap``."""
         if when < self._now:
             raise ScheduleInPastError(self._now, when)
         priority = 0
@@ -426,9 +441,9 @@ class Simulator:
         else:
             event = Event(when, seq, callback, args, priority=priority)
         event.owner = self
-        _heappush(self._queue, (when, priority, seq, event))
+        _heappush(heap, (when, priority, seq, event))
         if self._profiler is not None:
-            self._profiler.on_push(len(self._queue))
+            self._profiler.on_push(self.pending_events)
         return event
 
     def timer(self, callback: Callable[[], Any]) -> Timer:
@@ -440,33 +455,9 @@ class Simulator:
 
         Returns ``False`` when the queue is exhausted, ``True`` otherwise.
         """
-        queue = self._queue
-        while queue:
-            event = _heappop(queue)[3]
-            if event._cancelled:
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
-                event.owner = None
-                if self._profiler is not None:
-                    self._profiler.on_cancelled_pop()
-                continue
-            self._now = event.time
-            self._events_processed += 1
-            if self._profiler is not None:
-                started = perf_counter()
-                event.callback(*event.args)
-                self._profiler.on_event(
-                    event.callback, perf_counter() - started, len(self._queue)
-                )
-            else:
-                event.callback(*event.args)
-            if self._snap_hook is not None:
-                self._snap_countdown -= 1
-                if self._snap_countdown <= 0:
-                    self._snap_countdown = self._snap_every
-                    self._snap_hook()
-            return True
-        return False
+        before = self._events_processed
+        self._dispatch(None, None, one=True)
+        return self._events_processed > before
 
     def run(
         self,
@@ -486,35 +477,39 @@ class Simulator:
             Safety valve: raise :class:`SimulationError` if more than this
             many events are processed (catches runaway feedback loops in
             protocol code).
-
-        Detached runs (no profiler, no burn hook) use a fused fast loop
-        with ``heappop``, the queue, and the freelist bound to locals;
-        :meth:`set_profiler`/:meth:`set_burn` swap in the instrumented
-        loop, so profiled behavior is unchanged.
         """
         if self._running:
             raise SimulationError("run() called reentrantly")
         self._running = True
         self._stop_requested = False
         try:
-            if self._profiler is not None or self._burn is not None:
-                self._run_instrumented(until, max_events)
-            elif self._snap_hook is not None:
-                self._run_fast_hooked(until, max_events)
-            else:
-                self._run_fast(until, max_events)
+            self._dispatch(until, max_events)
             if until is not None and self._now < until and not self._stop_requested:
                 self._now = until
         finally:
             self._running = False
 
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The detached-mode event loop (everything bound to locals)."""
+    def _dispatch(
+        self, until: Optional[float], max_events: Optional[int], one: bool = False
+    ) -> None:
+        """The event loop — the only place that pops the heap.
+
+        :meth:`run` and :meth:`step` (``one=True``: return after a
+        single live event) both come through here, so every way of
+        driving the kernel shares one dispatch order and one set of
+        books (freelist, cancelled count, hook countdown). The queue,
+        freelist, profiler, burn hook and "is a hook armed" flag are
+        bound to locals; each optional feature costs one local test per
+        event when unused.
+        """
         queue = self._queue
         pop = _heappop
         free = self._free
         free_append = free.append
         refcount = getrefcount
+        profiler = self._profiler
+        burn = self._burn
+        hooked = self._snap_hook is not None
         budget = (
             None if max_events is None else self._events_processed + max_events
         )
@@ -525,6 +520,8 @@ class Simulator:
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
                 event.owner = None
+                if profiler is not None:
+                    profiler.on_cancelled_pop()
                 continue
             when = entry[0]
             if until is not None and when > until:
@@ -538,7 +535,17 @@ class Simulator:
             self._now = when
             entry = None  # release the heap tuple: makes the refcount check exact
             self._events_processed += 1
-            event.callback(*event.args)
+            if burn is not None:
+                burn()
+            if profiler is None:
+                event.callback(*event.args)
+            else:
+                # captured first, so the profiler is never handed a
+                # field of a recycled handle
+                callback = event.callback
+                started = perf_counter()
+                callback(*event.args)
+                profiler.on_event(callback, perf_counter() - started, len(queue))
             # Recycle the handle iff nobody else holds it (local binding
             # + getrefcount argument == 2). Timer clears its handle
             # before invoking the callback, so timer events recycle too.
@@ -547,124 +554,14 @@ class Simulator:
                 event.args = ()
                 event.owner = None
                 free_append(event)
-            if self._stop_requested:
-                break
-
-    def _run_fast_hooked(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The fast loop plus the snapshot-hook countdown.
-
-        A separate copy of :meth:`_run_fast` so hookless runs never pay
-        for the countdown. The hook fires *between* events (after the
-        callback and handle recycling), so the heap, clock, and counters
-        are consistent whenever it observes them. Dispatch order, seq
-        numbers, and ``events_processed`` are identical to the unhooked
-        loop — the hook is invisible to the simulation.
-        """
-        queue = self._queue
-        pop = _heappop
-        free = self._free
-        free_append = free.append
-        refcount = getrefcount
-        budget = (
-            None if max_events is None else self._events_processed + max_events
-        )
-        countdown = self._snap_countdown
-        try:
-            while queue:
-                entry = pop(queue)
-                event = entry[3]
-                if event._cancelled:
-                    if self._cancelled_pending > 0:
-                        self._cancelled_pending -= 1
-                    event.owner = None
-                    continue
-                when = entry[0]
-                if until is not None and when > until:
-                    _heappush(queue, entry)
-                    break
-                if budget is not None and self._events_processed >= budget:
-                    _heappush(queue, entry)
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (runaway simulation?)"
-                    )
-                self._now = when
-                entry = None  # release the heap tuple: makes the refcount check exact
-                self._events_processed += 1
-                event.callback(*event.args)
-                if refcount(event) == 2 and len(free) < _FREELIST_MAX:
-                    event.callback = None
-                    event.args = ()
-                    event.owner = None
-                    free_append(event)
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = self._snap_every
-                    self._snap_hook()
-                    if self._snap_hook is None:
-                        # hook uninstalled itself: fall back to the plain
-                        # loop with the remaining event budget
-                        self._snap_countdown = 0
-                        remaining = (
-                            None
-                            if budget is None
-                            else budget - self._events_processed
-                        )
-                        self._run_fast(until, remaining)
-                        return
-                if self._stop_requested:
-                    break
-        finally:
-            self._snap_countdown = countdown
-
-    def _run_instrumented(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The profiled/burn-hooked event loop (per-event instrumentation)."""
-        profiler = self._profiler
-        burn = self._burn
-        processed_at_start = self._events_processed
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            event = entry[3]
-            if event._cancelled:
-                _heappop(queue)
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
-                event.owner = None
-                if profiler is not None:
-                    profiler.on_cancelled_pop()
-                continue
-            if until is not None and entry[0] > until:
-                break
-            if (
-                max_events is not None
-                and self._events_processed - processed_at_start >= max_events
-            ):
-                raise SimulationError(
-                    f"exceeded max_events={max_events} (runaway simulation?)"
-                )
-            _heappop(queue)
-            self._now = entry[0]
-            self._events_processed += 1
-            if burn is not None:
-                burn()
-            if profiler is not None:
-                started = perf_counter()
-                event.callback(*event.args)
-                profiler.on_event(
-                    event.callback, perf_counter() - started, len(queue)
-                )
-            else:
-                event.callback(*event.args)
-            if self._snap_hook is not None:
+            if hooked:
                 self._snap_countdown -= 1
                 if self._snap_countdown <= 0:
                     self._snap_countdown = self._snap_every
                     self._snap_hook()
-            if self._stop_requested:
+                    # the hook may have cleared (or re-composed) the slot
+                    hooked = self._snap_hook is not None
+            if one or self._stop_requested:
                 break
 
     def run_until_idle(self, max_events: Optional[int] = None) -> None:

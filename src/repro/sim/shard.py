@@ -10,7 +10,7 @@ computes the safe horizon
 where ``lookahead`` is the minimum cross-shard link delay (every
 cross-cell path traverses a wired MSS↔MSS hop, whose latency is a
 static lower bound — contention and transmission time only push
-arrivals later; see docs/DESIGN.md). Events strictly before the
+arrivals later; see docs/SCALING.md). Events strictly before the
 horizon are safe to execute without any shard observing a message
 from its future; cross-shard schedules are counted as timestamped
 *envelopes*, and any envelope landing inside the open window is a
@@ -26,13 +26,13 @@ real partition, horizon, envelope, and stall machinery. Crucially, a
 mis-attributed shard tag can never corrupt a result: shard membership
 only feeds the window accounting, never the dispatch order. The
 multiprocess backend this was built to host is future work
-(docs/DESIGN.md discusses why it cannot pay for itself on a
+(docs/SCALING.md discusses why it cannot pay for itself on a
 single-core box); the window/horizon layer is the part whose
 correctness is hard, and it is fully observable here via
 :meth:`ShardedSimulator.shard_report`.
 
 ``SystemConfig(shards=1)`` never touches this module — the sequential
-fused loop in :mod:`repro.sim.kernel` runs unchanged.
+loop in :mod:`repro.sim.kernel` runs unchanged.
 """
 
 from __future__ import annotations
@@ -52,15 +52,10 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ScheduleInPastError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Event
-from repro.sim.kernel import (
-    _COMPACT_MIN_CANCELLED,
-    _FREELIST_MAX,
-    SchedulePolicy,
-    Simulator,
-)
+from repro.sim.kernel import _FREELIST_MAX, SchedulePolicy, Simulator
 from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -278,13 +273,10 @@ class ShardedSimulator(Simulator):
         return report
 
     def flush_metrics(self) -> None:
-        self.metrics.gauge("kernel.events_processed").set(
-            float(self._events_processed)
-        )
-        self.metrics.gauge("kernel.pending_events").set(
-            float(self.pending_events)
-        )
-        self.metrics.gauge("kernel.now").set(self._now)
+        # Same gauges as the base class (which reads ``pending_events``);
+        # defined here because ``benchmarks/e2e/spans.py`` wraps this
+        # name on this class to attribute a sharded run's flushes.
+        super().flush_metrics()
 
     # -- shard resolution ------------------------------------------------
     def _resolve_shard(self, callback: Callable[..., Any], args: Tuple) -> int:
@@ -319,75 +311,26 @@ class ShardedSimulator(Simulator):
         *args: Any,
         stream: Optional[Hashable] = None,
     ) -> Event:
-        if when < self._now:
-            raise ScheduleInPastError(self._now, when)
-        priority = 0
-        if self._policy is not None:
-            when, priority = self._policy.on_schedule(self._now, when, stream)
-            if when < self._now:
-                when = self._now
-            if stream is not None:
-                floor = self._stream_floors.get(stream)
-                if floor is not None and (when, priority) < floor:
-                    when, priority = floor
-                self._stream_floors[stream] = (when, priority)
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = when
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event._cancelled = False
-        else:
-            event = Event(when, seq, callback, args, priority=priority)
-        event.owner = self
-        shard = self._resolve_shard(callback, args)
-        if shard < 0 or shard >= self._n_shards:
-            shard = shard % self._n_shards
+        shard = self._resolve_shard(callback, args) % self._n_shards
+        event = self._push(self._shard_queues[shard], when, callback, args, stream)
         if self._dispatching and shard != self._current_shard:
             # Cross-shard schedule: in a distributed engine this is an
             # envelope shipped at the window boundary. One that lands
             # inside the currently open window is a lookahead violation
             # (the destination may already have executed past it).
             self.envelopes += 1
-            violation = when < self._window_end
+            violation = event.time < self._window_end
             if violation:
                 self.lookahead_violations += 1
             if self.envelope_log is not None:
                 self.envelope_log.append(Envelope(
-                    when, priority, seq, self._current_shard, shard, violation
+                    event.time, event.priority, event.seq,
+                    self._current_shard, shard, violation,
                 ))
-        _heappush(self._shard_queues[shard], (when, priority, seq, event))
-        if self._profiler is not None:
-            self._profiler.on_push(self.pending_events)
         return event
 
-    # -- cancelled-event accounting --------------------------------------
-    def _note_cancelled(self) -> None:
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending > _COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > self.pending_events
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        free = self._free
-        for queue in self._shard_queues:
-            dead = [entry[3] for entry in queue if entry[3]._cancelled]
-            queue[:] = [entry for entry in queue if not entry[3]._cancelled]
-            heapq.heapify(queue)
-            for event in dead:
-                event.owner = None
-                if len(free) < _FREELIST_MAX and getrefcount(event) == 3:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
-        self._cancelled_pending = 0
+    def _heaps(self) -> List[List[Tuple[float, int, int, Event]]]:
+        return self._shard_queues
 
     # -- dispatch --------------------------------------------------------
     def _pop_min_shard(self) -> int:
@@ -420,52 +363,10 @@ class ShardedSimulator(Simulator):
                 break
         return best_i
 
-    def step(self) -> bool:
-        shard = self._pop_min_shard()
-        if shard < 0:
-            return False
-        event = _heappop(self._shard_queues[shard])[3]
-        self._now = event.time
-        self._events_processed += 1
-        self.shard_events[shard] += 1
-        self._current_shard = shard
-        self._dispatching = True
-        try:
-            if self._profiler is not None:
-                started = perf_counter()
-                event.callback(*event.args)
-                self._profiler.on_event(
-                    event.callback, perf_counter() - started,
-                    self.pending_events,
-                )
-            else:
-                event.callback(*event.args)
-        finally:
-            self._dispatching = False
-        if self._snap_hook is not None:
-            self._snap_countdown -= 1
-            if self._snap_countdown <= 0:
-                self._snap_countdown = self._snap_every
-                self._snap_hook()
-        return True
-
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> None:
-        self._run_windowed(until, max_events)
-
-    def _run_fast_hooked(
-        self, until: Optional[float], max_events: Optional[int]
+    def _dispatch(
+        self, until: Optional[float], max_events: Optional[int], one: bool = False
     ) -> None:
-        self._run_windowed(until, max_events)
-
-    def _run_instrumented(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        self._run_windowed(until, max_events)
-
-    def _run_windowed(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """The barrier-window event loop.
+        """The barrier-window event loop (overrides the sequential one).
 
         Outer loop: one iteration per window. The barrier computes the
         horizon from the global minimum; stall time is charged to every
@@ -473,10 +374,10 @@ class ShardedSimulator(Simulator):
         (it would block for the whole window in a distributed engine).
         Inner loop: merged canonical dispatch of every event strictly
         below the horizon — identical order, clock, budget, ``until``,
-        stop, hook, and freelist semantics to the sequential fused
-        loop. With ``lookahead == 0`` the window degenerates to "all
-        events at the minimum timestamp" (inclusive bound, so progress
-        is still guaranteed).
+        stop, hook, and freelist semantics to the sequential loop.
+        With ``lookahead == 0`` the window degenerates to "all events at
+        the minimum timestamp" (inclusive bound, so progress is still
+        guaranteed). A :meth:`step` (``one=True``) is a one-event window.
         """
         queues = self._shard_queues
         n = self._n_shards
@@ -488,6 +389,7 @@ class ShardedSimulator(Simulator):
         refcount = getrefcount
         burn = self._burn
         profiler = self._profiler
+        hooked = self._snap_hook is not None
         budget = (
             None if max_events is None else self._events_processed + max_events
         )
@@ -533,26 +435,28 @@ class ShardedSimulator(Simulator):
                     self._current_shard = shard
                     if burn is not None:
                         burn()
-                    if profiler is not None:
-                        started = perf_counter()
+                    if profiler is None:
                         event.callback(*event.args)
+                    else:
+                        callback = event.callback
+                        started = perf_counter()
+                        callback(*event.args)
                         profiler.on_event(
-                            event.callback, perf_counter() - started,
+                            callback, perf_counter() - started,
                             self.pending_events,
                         )
-                    else:
-                        event.callback(*event.args)
                     if refcount(event) == 2 and len(free) < _FREELIST_MAX:
                         event.callback = None
                         event.args = ()
                         event.owner = None
                         free_append(event)
-                    if self._snap_hook is not None:
+                    if hooked:
                         self._snap_countdown -= 1
                         if self._snap_countdown <= 0:
                             self._snap_countdown = self._snap_every
                             self._snap_hook()
-                    if self._stop_requested:
+                            hooked = self._snap_hook is not None
+                    if one or self._stop_requested:
                         return
         finally:
             self._dispatching = False

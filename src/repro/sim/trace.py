@@ -98,13 +98,9 @@ class TraceLog:
 
     Parameters
     ----------
-    enabled:
-        Back-compat master switch; ``False`` is equivalent to
-        ``level=TraceLevel.OFF``.
     level:
         Records below this level are skipped. The default ``DEBUG``
-        keeps everything (the historical behaviour of a bare
-        ``TraceLog()``).
+        keeps everything; ``TraceLevel.OFF`` records nothing.
     sample_every:
         Keep only every N-th DEBUG record (deterministic counter-based
         sampling; INFO records are never sampled out). ``1`` keeps all.
@@ -116,7 +112,6 @@ class TraceLog:
 
     def __init__(
         self,
-        enabled: bool = True,
         level: int = TraceLevel.DEBUG,
         sample_every: int = 1,
         debug_capacity: Optional[int] = None,
@@ -144,8 +139,7 @@ class TraceLog:
         self.debug_capacity = debug_capacity
         #: DEBUG records dropped from the ring so far (0 in normal mode)
         self.debug_evicted = 0
-        self._level = TraceLevel.OFF  # set_level below fixes the flags
-        self.set_level(level if enabled else TraceLevel.OFF)
+        self.set_level(level)
 
     # -- level management --------------------------------------------------
     @property
@@ -160,15 +154,6 @@ class TraceLog:
         # a single attribute load.
         self.debug_on = level <= TraceLevel.DEBUG
         self.info_on = level <= TraceLevel.INFO
-
-    @property
-    def enabled(self) -> bool:
-        """Back-compat view: is anything being recorded?"""
-        return self._level < TraceLevel.OFF
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.set_level(TraceLevel.DEBUG if value else TraceLevel.OFF)
 
     @property
     def debug_held(self) -> int:

@@ -9,7 +9,7 @@ A :class:`SnapshotPolicy` says *when* the snapshotter fires, not *how*:
   snapshot (crash-protection for long campaigns).
 
 All three are evaluated by one between-events kernel hook (see
-``Simulator.set_snapshot_hook``): no trigger ever schedules an event,
+``Simulator.set_between_events_hook``): no trigger ever schedules an event,
 consumes a seq number, or consults the schedule policy, so a run with
 snapshotting enabled is byte-identical — trace hash, metrics, event
 count — to the same run without it. Time-based triggers therefore fire

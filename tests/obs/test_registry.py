@@ -46,15 +46,6 @@ def test_registry_rejects_bounds_change():
         reg.histogram("h", bounds=(1.0, 4.0))
 
 
-def test_legacy_monitor_vocabulary():
-    reg = MetricsRegistry()
-    reg.increment("msgs")
-    reg.increment("msgs", 2)
-    reg.observe("lat", 0.5)
-    assert reg.counters() == {"msgs": 3.0}
-    assert reg.histogram("lat").count == 1
-
-
 # -- histogram edge cases ----------------------------------------------
 def test_histogram_empty_percentile_is_zero():
     h = Histogram("h")

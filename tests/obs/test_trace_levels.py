@@ -32,16 +32,6 @@ def test_off_level_records_nothing():
     assert not log.info_on
 
 
-def test_enabled_back_compat_switch():
-    log = TraceLog(enabled=False)
-    assert log.level == TraceLevel.OFF
-    assert not log.enabled
-    log.enabled = True
-    assert log.level == TraceLevel.DEBUG
-    log.enabled = False
-    assert log.level == TraceLevel.OFF
-
-
 def test_set_level_refreshes_fast_flags():
     log = TraceLog()
     log.set_level(TraceLevel.INFO)

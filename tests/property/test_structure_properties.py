@@ -14,7 +14,6 @@ from repro.checkpointing.weights import ONE, ZERO, split
 from repro.net.channel import FifoChannel
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Tally
 
 
 # ---------------------------------------------------------------------------
@@ -159,24 +158,8 @@ def test_channel_arrival_never_before_transmission_time(sizes):
 
 
 # ---------------------------------------------------------------------------
-# Statistics: streaming tally agrees with batch summarize.
+# Statistics
 # ---------------------------------------------------------------------------
-@given(
-    st.lists(
-        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-        min_size=2,
-        max_size=200,
-    )
-)
-def test_tally_matches_summarize(samples):
-    tally = Tally()
-    for x in samples:
-        tally.observe(x)
-    summary = summarize(samples)
-    assert abs(tally.mean - summary.mean) <= 1e-6 * max(1.0, abs(summary.mean))
-    assert abs(tally.stdev - summary.stdev) <= 1e-5 * max(1.0, summary.stdev)
-
-
 @given(
     st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=50)
 )

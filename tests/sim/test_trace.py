@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLevel, TraceLog
 
 
 def make_log() -> TraceLog:
@@ -59,7 +59,7 @@ def test_kinds_first_seen_order():
 
 
 def test_disabled_log_records_nothing():
-    log = TraceLog(enabled=False)
+    log = TraceLog(level=TraceLevel.OFF)
     log.record(0.0, "send")
     assert len(log) == 0
 
