@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_util import build_bench
+from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.simple_schemes import BasicCsnProtocol, RevisedCsnProtocol
-from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.point_to_point import PointToPointWorkload
 
 PROTOCOLS = {
     "csn-basic": BasicCsnProtocol,
@@ -33,14 +31,13 @@ MEAN_INTERVAL = 20.0
 
 
 def run_scheme(protocol_cls):
-    config = SystemConfig(n_processes=8, seed=3, checkpoint_interval=900.0)
-    system = MobileSystem(config, protocol_cls())
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=10_000, time_limit=HORIZON)
+    system, _, runner = build_bench(
+        protocol_cls(), workload_params={"mean_send_interval": MEAN_INTERVAL},
+        seed=3, n_processes=8, trace_messages=True,
+        initiations=10_000, warmup=1, time_limit=HORIZON,
     )
     try:
-        runner.run(max_events=20_000_000)
+        runner.run(max_events=DEFAULT_MAX_EVENTS)
     except Exception:
         pass  # time_limit path; metrics below read the trace directly
     comp = system.sim.trace.count("comp_recv")

@@ -12,48 +12,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.core.config import (
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.bursty import BurstyWorkload, BurstyWorkloadConfig
-from repro.workload.point_to_point import PointToPointWorkload
+from benchmarks.bench_util import run_bench, run_point_to_point
 
 AVERAGE_RATE = 0.01  # msgs/s/process, the lively region of Fig. 5
 
 
 def run_poisson(seed):
-    system = MobileSystem(
-        SystemConfig(n_processes=16, seed=seed, trace_messages=False),
-        MutableCheckpointProtocol(),
+    return run_point_to_point(
+        "mutable", 1.0 / AVERAGE_RATE, seed=seed, initiations=20
     )
-    workload = PointToPointWorkload(
-        system, PointToPointWorkloadConfig(1.0 / AVERAGE_RATE)
-    )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=20, warmup_initiations=2)
-    )
-    return runner.run(max_events=50_000_000)
 
 
 def run_bursty(seed):
-    system = MobileSystem(
-        SystemConfig(n_processes=16, seed=seed, trace_messages=False),
-        MutableCheckpointProtocol(),
-    )
     # duty cycle 5 s ON / 95 s OFF at 0.5 s inter-send -> same 0.01 avg
-    workload = BurstyWorkload(
-        system,
-        BurstyWorkloadConfig(burst_send_interval=0.5, mean_on=5.0, mean_off=95.0),
+    return run_bench(
+        workload="bursty",
+        workload_params={
+            "burst_send_interval": 0.5, "mean_on": 5.0, "mean_off": 95.0
+        },
+        seed=seed,
+        initiations=20,
     )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=20, warmup_initiations=2)
-    )
-    return runner.run(max_events=50_000_000)
 
 
 def test_bursty_vs_poisson(benchmark):

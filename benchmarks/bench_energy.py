@@ -8,24 +8,19 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_util import build_bench, build_system
 from repro.analysis.energy import DozeManager, EnergyModel
+from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.point_to_point import PointToPointWorkload
 
 
 def run_with_energy(protocol, mean_interval=200.0, seed=5, initiations=8):
-    system = MobileSystem(
-        SystemConfig(n_processes=16, seed=seed, trace_messages=False), protocol
+    system, _, runner = build_bench(
+        protocol, workload_params={"mean_send_interval": mean_interval},
+        seed=seed, initiations=initiations, warmup=1,
     )
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(mean_interval))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=initiations, warmup_initiations=1)
-    )
-    result = runner.run(max_events=20_000_000)
+    result = runner.run(max_events=DEFAULT_MAX_EVENTS)
     return system, result, EnergyModel(system).totals()
 
 
@@ -69,10 +64,7 @@ def test_update_commit_spares_dozing_hosts(benchmark):
     """§5.3.2's broadcast-vs-update energy argument with real dozing."""
 
     def run(mode):
-        system = MobileSystem(
-            SystemConfig(n_processes=16, seed=3, trace_messages=False),
-            MutableCheckpointProtocol(commit_mode=mode),
-        )
+        system = build_system(MutableCheckpointProtocol(commit_mode=mode), seed=3)
         # a sparse clique: only 0..3 talk, the rest doze
         for src, dst in [(1, 0), (2, 0), (3, 1)]:
             system.processes[src].send_computation(dst)

@@ -8,43 +8,32 @@ Paper shape to reproduce:
 * redundant mutable checkpoints rise and then fall, always a small
   fraction (< 4 %) of the tentative count.
 
-The sweep runs as a campaign: each rate is one
-:class:`~repro.campaign.spec.RunPoint` and the whole figure executes
-through :class:`~repro.campaign.engine.CampaignEngine` — the same
-substrate as ``repro-sim campaign --preset fig5`` — so the printed rows
-line up with EXPERIMENTS.md and with the CLI output.
+The sweep is the ``fig5`` preset — the very points ``repro-sim campaign
+--preset fig5`` and ``repro-sim report`` run — so the printed rows line
+up with EXPERIMENTS.md and with the CLI output.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_util import describe, p2p_point, run_point_to_point, run_points
+from repro.campaign.engine import run_point, run_preset
+from repro.campaign.spec import preset_spec
 
-#: the swept x axis: messages per second per process
-RATES = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
-
-
-def fig5_points(initiations=None, rates=RATES):
-    """The Fig. 5 sweep as campaign run points, one per rate."""
-    kwargs = {} if initiations is None else {"initiations": initiations}
-    return [
-        p2p_point(protocol="mutable", mean_send_interval=1.0 / rate, **kwargs)
-        for rate in rates
-    ]
+POINTS = preset_spec("fig5").expand()
 
 
-@pytest.mark.parametrize("rate", RATES)
-def test_fig5_point_to_point(benchmark, rate):
-    mean_interval = 1.0 / rate
+def rate_of(point):
+    """The swept x axis: messages per second per process."""
+    return 1.0 / point.workload_params["mean_send_interval"]
 
-    def run():
-        return run_point_to_point("mutable", mean_send_interval=mean_interval)
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    row = describe(result)
-    benchmark.extra_info.update({"rate": rate, **row})
-    print(f"\nFig5 rate={rate:6.3f} msg/s: {row}")
+@pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{rate_of(p):g}")
+def test_fig5_point_to_point(benchmark, point):
+    result = benchmark.pedantic(lambda: run_point(point), rounds=1, iterations=1)
+    row = result.paper_row()
+    benchmark.extra_info.update({"rate": rate_of(point), **row})
+    print(f"\nFig5 rate={rate_of(point):6.3f} msg/s: {row}")
     # shape guards (paper): tentative bounded by N, redundant far below
     assert row["tentative_mean"] <= 16.0
     assert row["redundant_ratio"] <= 0.04 + 1e-9
@@ -55,8 +44,11 @@ def test_fig5_shape_summary(benchmark):
     tentative count is (weakly) increasing in the send rate."""
 
     def sweep():
-        results = run_points(fig5_points(initiations=12), workers=2)
-        return [(rate, describe(r)) for rate, r in zip(RATES, results)]
+        report = run_preset("fig5", max_initiations=12, workers=2)
+        return [
+            (rate_of(point), result.paper_row())
+            for point, result in zip(report.points, report.results())
+        ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\nFig5 sweep:")

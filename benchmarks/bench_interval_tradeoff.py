@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpointing.mutable import MutableCheckpointProtocol
+from benchmarks.bench_util import build_bench
+from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.recovery import RecoveryManager
-from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.point_to_point import PointToPointWorkload
 
 INTERVALS = [120.0, 450.0, 1800.0]
 HORIZON = 3600.0
@@ -29,13 +26,12 @@ FAIL_AT = 3300.0
 
 
 def run_interval(interval: float, seed: int = 5):
-    config = SystemConfig(n_processes=8, seed=seed, checkpoint_interval=interval)
-    system = MobileSystem(config, MutableCheckpointProtocol())
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(10.0))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=10_000, time_limit=HORIZON)
+    system, workload, runner = build_bench(
+        workload_params={"mean_send_interval": 10.0}, seed=seed,
+        n_processes=8, checkpoint_interval=interval, trace_messages=True,
+        initiations=10_000, warmup=1, time_limit=HORIZON,
     )
-    runner.run(max_events=50_000_000)
+    runner.run(max_events=DEFAULT_MAX_EVENTS)
     workload.stop()
     system.run_until_quiescent()
     # overhead: checkpoint bytes shipped per simulated hour

@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_util import build_system
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.core.config import PointToPointWorkloadConfig, SystemConfig
+from repro.core.config import PointToPointWorkloadConfig
 from repro.core.output_commit import OutputCommitManager
-from repro.core.system import MobileSystem
 from repro.workload.point_to_point import PointToPointWorkload
 
 
 def measure_delays(protocol, seed=5, outputs=4, mean_interval=200.0):
-    system = MobileSystem(
-        SystemConfig(n_processes=16, seed=seed, trace_messages=False), protocol
-    )
+    system = build_system(protocol, seed=seed)
     manager = OutputCommitManager(system)
     workload = PointToPointWorkload(system, PointToPointWorkloadConfig(mean_interval))
     workload.start()

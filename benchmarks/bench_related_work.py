@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_util import build_bench, build_system
+from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.chandy_lamport import ChandyLamportProtocol
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.koo_toueg import KooTouegProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.timer_based import TimerBasedProtocol
-from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
+from repro.core.config import PointToPointWorkloadConfig
 from repro.workload.point_to_point import PointToPointWorkload
 
 N = 16
@@ -28,21 +28,18 @@ ROUNDS = 8
 
 
 def run_runner_protocol(protocol):
-    config = SystemConfig(n_processes=N, seed=SEED, trace_messages=False)
-    system = MobileSystem(config, protocol)
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=ROUNDS, warmup_initiations=1)
+    system, _, runner = build_bench(
+        protocol, workload_params={"mean_send_interval": MEAN_INTERVAL},
+        seed=SEED, n_processes=N, initiations=ROUNDS, warmup=1,
     )
-    result = runner.run(max_events=50_000_000)
+    result = runner.run(max_events=DEFAULT_MAX_EVENTS)
     # counters and trace cover every committed round, warmup included
     return _row(system, result.counters, runner.committed, result.total_blocked_time)
 
 
 def run_timer_based():
     protocol = TimerBasedProtocol(interval=400.0, max_skew=1.0, detection_time=2.0)
-    config = SystemConfig(n_processes=N, seed=SEED, trace_messages=False)
-    system = MobileSystem(config, protocol)
+    system = build_system(protocol, seed=SEED, n_processes=N)
     workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
     workload.start()
     protocol.start(rounds=ROUNDS - 1)

@@ -13,25 +13,21 @@ import math
 
 import pytest
 
+from benchmarks.bench_util import build_bench
+from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.koo_toueg import KooTouegProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.point_to_point import PointToPointWorkload
 
 SIZES = [8, 16, 32]
 
 
 def messages_per_initiation(protocol_cls, n, seed=5):
-    config = SystemConfig(n_processes=n, seed=seed, trace_messages=False)
-    system = MobileSystem(config, protocol_cls())
     # dense: mean interval scaled so everyone stays a participant
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(30.0))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
+    _, _, runner = build_bench(
+        protocol_cls(), workload_params={"mean_send_interval": 30.0},
+        seed=seed, n_processes=n, initiations=6, warmup=1,
     )
-    result = runner.run(max_events=80_000_000)
+    result = runner.run(max_events=DEFAULT_MAX_EVENTS)
     unicast = result.counters.get("system_messages", 0.0)
     broadcast = result.counters.get("broadcasts", 0.0) * (n - 1)
     return (unicast + broadcast) / max(runner.committed, 1)

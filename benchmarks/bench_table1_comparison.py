@@ -1,8 +1,9 @@
 """Table 1: Koo-Toueg vs Elnozahy et al. vs the mutable algorithm.
 
 Prints the analytic rows (the paper's closed forms evaluated with the
-measured N_min) next to the rows measured from identical simulation
-runs, and asserts the qualitative relationships:
+measured N_min) next to the rows measured from the ``table1`` preset —
+the points ``repro-sim table1`` and the report run — and asserts the
+qualitative relationships:
 
 * checkpoints: KT = mutable = N_min; EJZ = N;
 * blocking: only KT > 0;
@@ -14,56 +15,35 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.bench_util import run_point_to_point
 from repro.analysis.comparison import (
     CostParameters,
     analytic_table,
     format_table,
     measured_row,
 )
-from repro.checkpointing.elnozahy import ElnozahyProtocol
-from repro.checkpointing.koo_toueg import KooTouegProtocol
-from repro.checkpointing.mutable import MutableCheckpointProtocol
-
-MEAN_INTERVAL = 60.0  # moderate rate: N_min strictly between 1 and N
-SEED = 21
-
-PROTOCOLS = {
-    "koo-toueg": KooTouegProtocol,
-    "elnozahy": ElnozahyProtocol,
-    "mutable": MutableCheckpointProtocol,
-}
+from repro.campaign.engine import run_point, run_preset
+from repro.campaign.spec import preset_spec
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_table1_protocol(benchmark, name):
+@pytest.mark.parametrize(
+    "point", preset_spec("table1").expand(), ids=lambda p: p.protocol
+)
+def test_table1_protocol(benchmark, point):
     """Measured Table 1 row for one protocol."""
-
-    def run():
-        return run_point_to_point(
-            PROTOCOLS[name](), mean_send_interval=MEAN_INTERVAL, seed=SEED
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_point(point), rounds=1, iterations=1)
     row = measured_row(result)
     benchmark.extra_info.update(
         {k: (round(v, 3) if isinstance(v, float) else v) for k, v in row.as_dict().items()}
     )
-    print(f"\nTable1 {name}: {row.as_dict()}")
+    print(f"\nTable1 {point.protocol}: {row.as_dict()}")
 
 
 def test_table1_full_comparison(benchmark):
     """All three protocols on the same workload + the analytic table."""
 
     def run_all():
-        return {
-            name: measured_row(
-                run_point_to_point(
-                    cls(), mean_send_interval=MEAN_INTERVAL, seed=SEED, initiations=14
-                )
-            )
-            for name, cls in PROTOCOLS.items()
-        }
+        report = run_preset("table1", max_initiations=14)
+        return {r.protocol: measured_row(r) for r in report.results()}
 
     measured = benchmark.pedantic(run_all, rounds=1, iterations=1)
     kt, ejz, mu = measured["koo-toueg"], measured["elnozahy"], measured["mutable"]

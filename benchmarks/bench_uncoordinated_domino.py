@@ -17,26 +17,30 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_util import build_bench
 from repro.analysis.recovery_line import checkpoint_histories, maximal_consistent_line
-from repro.checkpointing.mutable import MutableCheckpointProtocol
+from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.uncoordinated import UncoordinatedProtocol
-from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.point_to_point import PointToPointWorkload
 
 HORIZON = 900.0
 MEAN_INTERVAL = 10.0
 
 
-def run_regime(protocol, interval=120.0, seed=13):
-    config = SystemConfig(n_processes=8, seed=seed, checkpoint_interval=interval)
-    system = MobileSystem(config, protocol)
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=10_000, time_limit=HORIZON)
+def run_system(protocol="mutable", seed=13, **kwargs):
+    """8 traced processes on the study's workload, run to completion."""
+    system, workload, runner = build_bench(
+        protocol, workload_params={"mean_send_interval": MEAN_INTERVAL},
+        seed=seed, n_processes=8, trace_messages=True, warmup=1, **kwargs,
     )
-    runner.run(max_events=20_000_000)
+    runner.run(max_events=DEFAULT_MAX_EVENTS)
+    return system, workload
+
+
+def run_regime(protocol, interval=120.0, seed=13):
+    system, workload = run_system(
+        protocol, seed, checkpoint_interval=interval,
+        initiations=10_000, time_limit=HORIZON,
+    )
     workload.stop()
     system.run_until_quiescent()
     histories = checkpoint_histories(system.all_stable_storages(), system.processes)
@@ -89,13 +93,7 @@ def test_ab_rule_keeps_rollback_shallow(benchmark):
 
 def test_coordinated_needs_no_search(benchmark):
     def run():
-        config = SystemConfig(n_processes=8, seed=13)
-        system = MobileSystem(config, MutableCheckpointProtocol())
-        workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
-        runner = ExperimentRunner(
-            system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
-        )
-        runner.run(max_events=20_000_000)
+        system, _ = run_system(initiations=6)
         histories = checkpoint_histories(
             system.all_stable_storages(), system.processes
         )
@@ -111,12 +109,7 @@ def test_storage_cost_ordering(benchmark):
 
     def run():
         ab = run_regime(UncoordinatedProtocol(ab_rule=True), seed=13)
-        config = SystemConfig(n_processes=8, seed=13)
-        system = MobileSystem(config, MutableCheckpointProtocol())
-        workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
-        ExperimentRunner(
-            system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
-        ).run(max_events=20_000_000)
+        system, _ = run_system(initiations=6)
         coordinated = sum(len(s) for s in system.all_stable_storages())
         return ab["stable_checkpoints"], coordinated
 

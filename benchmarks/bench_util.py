@@ -6,163 +6,100 @@ testbed; the *shape* assertions (who wins, monotonicity, crossovers) are
 checked by the test suite — benches print the rows so the results can be
 compared with the paper side by side (see EXPERIMENTS.md).
 
-All execution flows through the campaign engine's point runtime: a
-bench data point is a :class:`~repro.campaign.spec.RunPoint`, and the
-sweep benches (Figs. 5/6) run whole :class:`CampaignSpec` grids through
-:class:`CampaignEngine`. ``run_point_to_point``/``run_group`` remain
-for benches that vary protocol *constructor arguments*: they accept a
-protocol instance and inject it into the same point runtime.
+Every run is a :class:`~repro.campaign.spec.RunPoint` assembled by the
+campaign engine's one builder. The paper-experiment benches (Figs. 5/6,
+Table 1) expand the preset catalogue; the ablations describe their own
+point with :func:`bench_point` and either run it (:func:`run_bench`) or
+take the pieces (:func:`build_bench`, :func:`build_system`). ``protocol``
+is a registry name or — for variants that only exist as constructor
+arguments — a pre-built instance injected into the same builder.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.campaign.engine import CampaignEngine, run_point
-from repro.campaign.spec import CampaignSpec, RunPoint
+from repro.campaign.engine import (
+    build_point_runtime,
+    build_point_system,
+    run_point,
+)
+from repro.campaign.spec import RunPoint
 from repro.checkpointing.protocol import CheckpointProtocol
 from repro.core.results import RunResult
+from repro.core.runner import ExperimentRunner
+from repro.core.system import MobileSystem
+from repro.workload.base import Workload
 
 #: initiations measured per data point (paper: "a large number of
 #: samples"; enough here for stable means at bench runtimes)
 DEFAULT_INITIATIONS = 22
 DEFAULT_WARMUP = 2
 
-#: runaway guard shared by every bench point
-BENCH_MAX_EVENTS = 50_000_000
+Protocol = Union[str, CheckpointProtocol]
 
 
-def _resolve_protocol(
-    protocol: Union[str, CheckpointProtocol],
-) -> Tuple[str, Optional[CheckpointProtocol]]:
-    """A registry name plus an optional pre-built instance to inject."""
-    if isinstance(protocol, str):
-        return protocol, None
-    return protocol.name, protocol
-
-
-def p2p_point(
-    protocol: str = "mutable",
-    mean_send_interval: float = 100.0,
+def bench_point(
+    protocol: Protocol = "mutable",
+    workload: str = "p2p",
+    workload_params: Optional[Dict[str, Any]] = None,
     seed: int = 11,
-    n_processes: int = 16,
     initiations: int = DEFAULT_INITIATIONS,
-    trace_messages: bool = False,
-    **config_kwargs,
-) -> RunPoint:
-    """One Fig. 5-style data point as a campaign run point."""
-    return RunPoint(
-        protocol=protocol,
-        workload="p2p",
-        workload_params={"mean_send_interval": mean_send_interval},
+    warmup: int = DEFAULT_WARMUP,
+    time_limit: Optional[float] = None,
+    **system_params: Any,
+) -> Tuple[RunPoint, Optional[CheckpointProtocol]]:
+    """One bench run as a campaign point (+ the instance to inject).
+
+    Defaults are the §5.1 system — 16 processes, one cell — with message
+    tracing off; ``system_params`` override :class:`SystemConfig` fields.
+    """
+    instance = None if isinstance(protocol, str) else protocol
+    point = RunPoint(
+        protocol=protocol if instance is None else instance.name,
+        workload=workload,
+        workload_params=workload_params or {},
         system_params={
-            "n_processes": n_processes,
-            "trace_messages": trace_messages,
-            **config_kwargs,
+            "n_processes": 16, "trace_messages": False, **system_params
         },
         run_params={
             "max_initiations": initiations,
-            "warmup_initiations": DEFAULT_WARMUP,
+            "warmup_initiations": warmup,
+            "time_limit": time_limit,
         },
         seed=seed,
-        max_events=BENCH_MAX_EVENTS,
     )
+    return point, instance
 
 
-def group_point(
-    protocol: str = "mutable",
-    mean_send_interval: float = 100.0,
-    intra_inter_ratio: float = 1000.0,
-    seed: int = 11,
-    n_processes: int = 16,
-    initiations: int = DEFAULT_INITIATIONS,
-) -> RunPoint:
-    """One Fig. 6-style data point as a campaign run point."""
-    return RunPoint(
-        protocol=protocol,
-        workload="group",
-        workload_params={
-            "mean_send_interval": mean_send_interval,
-            "n_groups": 4,
-            "intra_inter_ratio": intra_inter_ratio,
-        },
-        system_params={"n_processes": n_processes, "trace_messages": False},
-        run_params={
-            "max_initiations": initiations,
-            "warmup_initiations": DEFAULT_WARMUP,
-        },
-        seed=seed,
-        max_events=BENCH_MAX_EVENTS,
-    )
+def run_bench(protocol: Protocol = "mutable", **kwargs: Any) -> RunResult:
+    """Run one :func:`bench_point` to completion."""
+    point, instance = bench_point(protocol, **kwargs)
+    return run_point(point, protocol=instance)
 
 
-def run_points(
-    points: List[RunPoint], workers: int = 1
-) -> List[RunResult]:
-    """Run bench points through the campaign engine, in point order."""
-    report = CampaignEngine(points, workers=workers).run()
-    for record in report.failed:
-        raise RuntimeError(
-            f"bench point {record.point_hash} failed: {record.error}"
-        )
-    return report.results()
+def build_bench(
+    protocol: Protocol = "mutable", **kwargs: Any
+) -> Tuple[MobileSystem, Workload, ExperimentRunner]:
+    """System, workload and runner of one :func:`bench_point`, for benches
+    that read the system after ``runner.run(max_events=DEFAULT_MAX_EVENTS)``
+    (the campaign runaway guard, :mod:`repro.campaign.spec`)."""
+    point, instance = bench_point(protocol, **kwargs)
+    return build_point_runtime(point, protocol=instance)
+
+
+def build_system(protocol: Protocol = "mutable", **kwargs: Any) -> MobileSystem:
+    """The bare system of one :func:`bench_point`, for hand-driven scripts."""
+    point, instance = bench_point(protocol, **kwargs)
+    return build_point_system(point, protocol=instance)
 
 
 def run_point_to_point(
-    protocol: Union[str, CheckpointProtocol],
-    mean_send_interval: float,
-    seed: int = 11,
-    n_processes: int = 16,
-    initiations: int = DEFAULT_INITIATIONS,
-    trace_messages: bool = False,
-    **config_kwargs,
+    protocol: Protocol, mean_send_interval: float, **kwargs: Any
 ) -> RunResult:
-    """One Fig. 5-style data point.
-
-    ``protocol`` may be a registry name (preferred; the point is then
-    fully declarative) or a pre-built instance for variants that only
-    exist as constructor arguments.
-    """
-    name, instance = _resolve_protocol(protocol)
-    point = p2p_point(
-        protocol=name,
-        mean_send_interval=mean_send_interval,
-        seed=seed,
-        n_processes=n_processes,
-        initiations=initiations,
-        trace_messages=trace_messages,
-        **config_kwargs,
+    """One Fig. 5-style data point (uniform point-to-point traffic)."""
+    return run_bench(
+        protocol,
+        workload_params={"mean_send_interval": mean_send_interval},
+        **kwargs,
     )
-    return run_point(point, protocol=instance)
-
-
-def run_group(
-    protocol: Union[str, CheckpointProtocol],
-    mean_send_interval: float,
-    intra_inter_ratio: float,
-    seed: int = 11,
-    n_processes: int = 16,
-    initiations: int = DEFAULT_INITIATIONS,
-) -> RunResult:
-    """One Fig. 6-style data point (see ``run_point_to_point``)."""
-    name, instance = _resolve_protocol(protocol)
-    point = group_point(
-        protocol=name,
-        mean_send_interval=mean_send_interval,
-        intra_inter_ratio=intra_inter_ratio,
-        seed=seed,
-        n_processes=n_processes,
-        initiations=initiations,
-    )
-    return run_point(point, protocol=instance)
-
-
-def describe(result: RunResult) -> Dict[str, float]:
-    """The quantities the paper plots, as one flat row."""
-    return {
-        "tentative_mean": round(result.tentative_summary().mean, 3),
-        "redundant_mutable_mean": round(result.redundant_mutable_summary().mean, 4),
-        "redundant_ratio": round(result.redundant_ratio, 4),
-        "duration_s": round(result.duration_summary().mean, 3),
-        "initiations": result.n_initiations,
-    }

@@ -9,37 +9,18 @@ formulas evaluated with the measured N_min.
 Run:  python examples/algorithm_comparison.py
 """
 
-from repro import (
-    ExperimentRunner,
-    MobileSystem,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
 from repro.analysis.comparison import (
     CostParameters,
     analytic_table,
     format_table,
     measured_row,
 )
-from repro.core.registry import build_protocol
-from repro.workload import PointToPointWorkload
-
-
-def run_protocol(name: str):
-    config = SystemConfig(n_processes=16, seed=21, trace_messages=False)
-    system = MobileSystem(config, build_protocol(name))
-    # moderate rate: N_min strictly between 1 and N, so the min-process
-    # advantage over the all-process baseline is visible
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(220.0))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=14, warmup_initiations=2)
-    )
-    return runner.run()
+from repro.campaign import run_preset
 
 
 def main() -> None:
-    rows = [measured_row(run_protocol(n)) for n in ("koo-toueg", "elnozahy", "mutable")]
+    # the three runs `repro-sim table1` makes: one workload, one seed
+    rows = [measured_row(result) for result in run_preset("table1").results()]
     n_min = rows[2].checkpoints
     print(format_table(rows, "Table 1 — measured (per initiation)"))
     print()

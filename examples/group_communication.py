@@ -12,50 +12,31 @@ Run:  python examples/group_communication.py [--fast]
 
 import sys
 
-from repro import (
-    ExperimentRunner,
-    GroupWorkloadConfig,
-    MobileSystem,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
-from repro.checkpointing import MutableCheckpointProtocol
-from repro.workload import GroupWorkload, PointToPointWorkload
-
-RATES = [0.005, 0.01, 0.02, 0.05]
+from repro.campaign import run_preset
 
 
-def run_one(rate: float, ratio, initiations: int):
-    config = SystemConfig(n_processes=16, seed=11, trace_messages=False)
-    system = MobileSystem(config, MutableCheckpointProtocol())
-    if ratio is None:
-        workload = PointToPointWorkload(
-            system, PointToPointWorkloadConfig(mean_send_interval=1.0 / rate)
-        )
-    else:
-        workload = GroupWorkload(
-            system,
-            GroupWorkloadConfig(
-                mean_send_interval=1.0 / rate, n_groups=4, intra_inter_ratio=ratio
-            ),
-        )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=initiations, warmup_initiations=2)
-    )
-    return runner.run()
+def by_rate(report, ratio=None):
+    """{rate: result} of a preset report (one intra:inter ratio of fig6)."""
+    return {
+        1.0 / point.workload_params["mean_send_interval"]: result
+        for point, result in zip(report.points, report.results())
+        if point.workload_params.get("intra_inter_ratio") == ratio
+    }
 
 
 def main() -> None:
     initiations = 12 if "--fast" in sys.argv else 32
+    # the grid `repro-sim campaign --preset fig6` runs, next to the fig5
+    # preset's point-to-point runs at the same rates
+    group = run_preset("fig6", max_initiations=initiations)
+    baseline = by_rate(run_preset("fig5", max_initiations=initiations))
+    lefts, rights = by_rate(group, 1_000.0), by_rate(group, 10_000.0)
     print("Figure 6 — group communication, 4 groups x 4, N = 16")
     header = f"{'rate':>8} | {'1000x tent':>10} {'red':>6} | {'10000x tent':>11} {'red':>6} | {'p2p tent':>8}"
     print(header)
     print("-" * len(header))
-    for rate in RATES:
-        left = run_one(rate, 1_000.0, initiations)
-        right = run_one(rate, 10_000.0, initiations)
-        p2p = run_one(rate, None, initiations)
+    for rate, left in lefts.items():
+        right, p2p = rights[rate], baseline[rate]
         print(
             f"{rate:>8.3f} | {left.tentative_summary().mean:>10.2f} "
             f"{left.redundant_mutable_summary().mean:>6.3f} | "

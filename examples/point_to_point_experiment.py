@@ -12,40 +12,21 @@ Run:  python examples/point_to_point_experiment.py [--fast]
 import sys
 
 from repro.analysis.ascii_chart import render_chart
-from repro import (
-    ExperimentRunner,
-    MobileSystem,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
-from repro.checkpointing import MutableCheckpointProtocol
-from repro.workload import PointToPointWorkload
-
-RATES = [0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
-
-
-def one_point(rate: float, initiations: int, seed: int = 11):
-    config = SystemConfig(n_processes=16, seed=seed, trace_messages=False)
-    system = MobileSystem(config, MutableCheckpointProtocol())
-    workload = PointToPointWorkload(
-        system, PointToPointWorkloadConfig(mean_send_interval=1.0 / rate)
-    )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=initiations, warmup_initiations=2)
-    )
-    return runner.run()
+from repro.campaign import run_preset
 
 
 def main() -> None:
     initiations = 12 if "--fast" in sys.argv else 42
+    # the sweep `repro-sim campaign --preset fig5` runs, rescaled
+    report = run_preset("fig5", max_initiations=initiations)
     print("Figure 5 — point-to-point communication, N = 16, 900 s intervals")
     print(f"{'rate msg/s':>10} {'tentative':>10} {'redundant':>10} {'ratio':>8} {'ci<=10%':>8}")
-    tentative_curve, redundant_curve = [], []
-    for rate in RATES:
-        result = one_point(rate, initiations)
+    rates, tentative_curve, redundant_curve = [], [], []
+    for point, result in zip(report.points, report.results()):
+        rate = 1.0 / point.workload_params["mean_send_interval"]
         tent = result.tentative_summary()
         red = result.redundant_mutable_summary()
+        rates.append(rate)
         tentative_curve.append(tent.mean)
         redundant_curve.append(red.mean)
         print(
@@ -54,7 +35,7 @@ def main() -> None:
         )
     print()
     print(render_chart(
-        RATES,
+        rates,
         {"tentative": tentative_curve, "redundant mutable": redundant_curve},
         title="Fig. 5: checkpoints per initiation vs message sending rate",
         x_label="rate (msg/s, log)",

@@ -9,25 +9,20 @@ then verifies the final recovery line with the independent checkers.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    ExperimentRunner,
-    MobileSystem,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
 from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
-from repro.checkpointing import MutableCheckpointProtocol
-from repro.workload import PointToPointWorkload
+from repro.campaign import RunPoint, build_point_runtime
 
 
 def main() -> None:
-    config = SystemConfig(n_processes=16, seed=2026)
-    system = MobileSystem(config, MutableCheckpointProtocol())
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(mean_send_interval=60.0))
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=8, warmup_initiations=1)
+    # One plain-data description of the run (everything not named keeps
+    # its §5.1 default), assembled by the builder every entry point uses.
+    point = RunPoint(
+        protocol="mutable",
+        workload_params={"mean_send_interval": 60.0},
+        run_params={"max_initiations": 8, "warmup_initiations": 1},
+        seed=2026,
     )
+    system, _, runner = build_point_runtime(point)
 
     result = runner.run()
 

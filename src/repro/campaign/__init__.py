@@ -29,8 +29,10 @@ from repro.campaign.engine import (
     CampaignEngine,
     CampaignReport,
     build_point_runtime,
+    build_point_system,
     execute_point,
     run_point,
+    run_preset,
 )
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import (
@@ -53,10 +55,12 @@ __all__ = [
     "ResultStore",
     "RunPoint",
     "build_point_runtime",
+    "build_point_system",
     "canonical_json",
     "derive_seed",
     "execute_point",
     "preset_spec",
     "run_point",
+    "run_preset",
     "spec_hash",
 ]

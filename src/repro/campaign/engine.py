@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.cache import spec_hash
 from repro.campaign.progress import ProgressReporter
-from repro.campaign.spec import WORKLOAD_KINDS, CampaignSpec, RunPoint
+from repro.campaign.spec import WORKLOAD_KINDS, CampaignSpec, RunPoint, preset_spec
 from repro.campaign.store import PointRecord, ResultStore
 from repro.checkpointing.protocol import CheckpointProtocol
 from repro.core.config import RunConfig, SystemConfig
@@ -39,19 +39,35 @@ from repro.sim.trace import TraceLevel
 from repro.workload.base import Workload
 
 
+def build_point_system(
+    point: RunPoint, protocol: Optional[CheckpointProtocol] = None
+) -> MobileSystem:
+    """The bare system of a point, for callers that drive it by hand.
+
+    An :class:`ExperimentRunner` hooks the protocol's commit listeners
+    and re-arms initiation timers from the moment it is built, so
+    scripted scenarios (scheduled output commits, timer-based rounds)
+    take the system without one.
+    """
+    if protocol is None:
+        protocol = build_protocol(point.protocol, **point.protocol_params)
+    config = SystemConfig.from_params(point.system_params, seed=point.seed)
+    return MobileSystem(config, protocol)
+
+
 def build_point_runtime(
     point: RunPoint, protocol: Optional[CheckpointProtocol] = None
 ) -> Tuple[MobileSystem, Workload, ExperimentRunner]:
     """Rebuild system + workload + runner from a point's plain-data spec.
 
-    ``protocol`` overrides the registry lookup with an already-built
-    instance — the in-process escape hatch benches use for protocol
-    variants that only exist as constructor arguments.
+    The only place a run is assembled: the CLI, the report, the
+    explorer, the benches and the campaign workers all come through
+    here. ``protocol`` overrides the registry lookup with an
+    already-built instance — the in-process escape hatch for protocol
+    variants that only exist as constructor arguments (bench ablations,
+    planted mutations).
     """
-    if protocol is None:
-        protocol = build_protocol(point.protocol, **point.protocol_params)
-    config = SystemConfig.from_params(point.system_params, seed=point.seed)
-    system = MobileSystem(config, protocol)
+    system = build_point_system(point, protocol)
     workload_config_cls, workload_cls = WORKLOAD_KINDS[point.workload]
     workload = workload_cls(system, workload_config_cls(**point.workload_params))
     runner = ExperimentRunner(system, workload, RunConfig(**point.run_params))
@@ -239,20 +255,7 @@ class CampaignReport:
                 "wall_time": round(record.wall_time, 3),
             }
             if record.ok:
-                result = record.run_result()
-                row.update(
-                    {
-                        "tentative_mean": round(
-                            result.tentative_summary().mean, 3
-                        ),
-                        "redundant_mutable_mean": round(
-                            result.redundant_mutable_summary().mean, 4
-                        ),
-                        "redundant_ratio": round(result.redundant_ratio, 4),
-                        "duration_s": round(result.duration_summary().mean, 3),
-                        "initiations": result.n_initiations,
-                    }
-                )
+                row.update(record.run_result().paper_row())
             else:
                 row["error"] = record.error
             rows.append(row)
@@ -405,3 +408,19 @@ class CampaignEngine:
         record = self._record_outcome(raw, attempts=failed.attempts + 1)
         record.wall_time += failed.wall_time
         return record
+
+
+def run_preset(
+    name: str, max_initiations: Optional[int] = None, workers: int = 1
+) -> CampaignReport:
+    """Run a paper experiment from the preset catalogue, in memory.
+
+    How ``repro-sim table1``, the report, the figure benches and the
+    examples get their numbers: the same points ``repro-sim campaign
+    --preset`` runs, so they all agree. Raises if any point failed, so
+    ``report.points`` and ``report.results()`` line up one to one.
+    """
+    report = CampaignEngine(preset_spec(name, max_initiations), workers=workers).run()
+    for record in report.failed:
+        raise RuntimeError(f"{name} point {record.point_hash} failed: {record.error}")
+    return report

@@ -38,7 +38,7 @@ WORKLOAD_KINDS: Dict[str, Tuple[Type, Type[Workload]]] = {
     "bursty": (BurstyWorkloadConfig, BurstyWorkload),
 }
 
-#: default runaway guard for campaign points (same bound the benches use)
+#: default runaway guard for campaign points (the benches import it)
 DEFAULT_MAX_EVENTS = 50_000_000
 
 
@@ -135,9 +135,13 @@ class CampaignSpec:
 
     ``protocols`` entries are either a registry name (``"mutable"``) or
     ``{"name": ..., "params": {...}}``. ``workloads`` entries are
-    ``{"kind": "p2p"|"group"|"bursty", **config}``. ``configs`` is an
-    axis of :class:`SystemConfig` override dicts (default: one empty
-    override). ``replicates`` repeats every cell with independent seeds.
+    ``{"kind": "p2p"|"group"|"bursty", **config}``; an entry may pin
+    ``"seed"``, and then every protocol and config runs that workload on
+    the same random streams — a paired comparison, what Table 1's "same
+    workload" means (unpinned cells get independent content-derived
+    seeds). ``configs`` is an axis of :class:`SystemConfig` override
+    dicts (default: one empty override). ``replicates`` repeats every
+    cell with independent seeds.
     """
 
     name: str
@@ -197,6 +201,7 @@ class CampaignSpec:
                 for workload in self.workloads:
                     workload = dict(workload)
                     kind = workload.pop("kind", "p2p")
+                    pinned_seed = workload.pop("seed", None)
                     for config in self.configs:
                         identity = {
                             "protocol": proto_name,
@@ -215,7 +220,11 @@ class CampaignSpec:
                                 workload_params=dict(workload),
                                 system_params=dict(config),
                                 run_params=dict(self.run),
-                                seed=derive_seed(self.seed, identity),
+                                seed=(
+                                    derive_seed(self.seed, identity)
+                                    if pinned_seed is None
+                                    else pinned_seed + replicate
+                                ),
                                 max_events=self.max_events,
                                 replicate=replicate,
                             )
@@ -256,6 +265,23 @@ def _fig6_spec() -> CampaignSpec:
     )
 
 
+def _table1_spec() -> CampaignSpec:
+    """Table 1: Koo-Toueg vs Elnozahy et al. vs mutable on one workload.
+
+    220 s between sends is a moderate rate: N_min lands strictly
+    between 1 and N, so the min-process advantage over the all-process
+    baseline is visible. The seed is pinned so all three see the same
+    traffic; N_min at this rate varies too much between histories for
+    independently seeded runs to be comparable row by row.
+    """
+    return CampaignSpec(
+        name="table1",
+        protocols=["koo-toueg", "elnozahy", "mutable"],
+        workloads=[{"kind": "p2p", "mean_send_interval": 220.0, "seed": 21}],
+        run={"max_initiations": 22, "warmup_initiations": 2},
+    )
+
+
 def _smoke_spec() -> CampaignSpec:
     """4 fast points (2 protocols × 2 rates) for CI smoke runs."""
     return CampaignSpec(
@@ -273,15 +299,24 @@ def _smoke_spec() -> CampaignSpec:
 PRESETS = {
     "fig5": _fig5_spec,
     "fig6": _fig6_spec,
+    "table1": _table1_spec,
     "smoke": _smoke_spec,
 }
 
 
-def preset_spec(name: str) -> CampaignSpec:
-    """A built-in campaign by name (``fig5``, ``fig6``, ``smoke``)."""
+def preset_spec(name: str, max_initiations: Optional[int] = None) -> CampaignSpec:
+    """A built-in campaign by name (``fig5``, ``fig6``, ``table1``, ``smoke``).
+
+    ``max_initiations`` rescales every point's run length — the one knob
+    the report, the benches and the examples turn; everything else about
+    a paper experiment is defined here and nowhere else.
+    """
     try:
-        return PRESETS[name]()
+        spec = PRESETS[name]()
     except KeyError:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
+    if max_initiations is not None:
+        spec.run["max_initiations"] = max_initiations
+    return spec

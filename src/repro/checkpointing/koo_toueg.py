@@ -56,6 +56,8 @@ class KooTouegProcess(ProtocolProcess):
         self._replied = False
         self._children: List[int] = []
         self._is_initiator = False
+        #: initiations this process has already seen aborted (see _on_request)
+        self._aborted: Set[Trigger] = set()
         # Guards _maybe_finish until requests have been issued, so a
         # synchronously completing stable save cannot commit early.
         self._setup_done = False
@@ -145,9 +147,14 @@ class KooTouegProcess(ProtocolProcess):
                 from_pid, "reply", {"trigger": trigger, "ok": True, "from_pid": self.pid}
             )
             return
-        if self.current is not None:
+        if self.current is not None or trigger in self._aborted:
             # Concurrent initiation: refuse, aborting the other tree
-            # (Koo-Toueg's simple concurrency rule).
+            # (Koo-Toueg's simple concurrency rule). A late request of a
+            # tree already aborted here (a second parent's, still in
+            # flight when the abort came down the first) is refused the
+            # same way: re-joining would re-request our restored
+            # dependencies, and on a dependency cycle those requests and
+            # the aborts chasing them circulate forever.
             self.env.send_system(
                 from_pid, "reply", {"trigger": trigger, "ok": False, "from_pid": self.pid}
             )
@@ -261,6 +268,7 @@ class KooTouegProcess(ProtocolProcess):
                 self.old_csn, prev_r, prev_sent = self._prev_context
                 self.r.or_with(prev_r)
                 self.sent = self.sent or prev_sent
+                self._aborted.add(trigger)
                 self.env.discard_stable(record)
                 self.env.trace(
                     "tentative_discarded", pid=self.pid, trigger=trigger, ckpt_id=record.ckpt_id

@@ -31,17 +31,71 @@ from repro.analysis.comparison import (
     measured_row,
 )
 from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
-from repro.core.config import (
-    GroupWorkloadConfig,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
+from repro.campaign.engine import build_point_runtime, run_preset
+from repro.campaign.spec import PRESETS, WORKLOAD_KINDS, RunPoint
 from repro.core.registry import available_protocols, build_protocol
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.group import GroupWorkload
-from repro.workload.point_to_point import PointToPointWorkload
+from repro.explore.fuzz import EXPLORE_PRESETS
+from repro.workload.bursty import BurstyWorkloadConfig
+
+
+def _point_flags() -> argparse.ArgumentParser:
+    """The flags that describe one run, shared by ``run`` and ``profile``."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--protocol", default="mutable",
+                       choices=available_protocols())
+    flags.add_argument("--processes", "--hosts", dest="processes",
+                       type=int, default=16,
+                       help="number of mobile hosts / processes (the "
+                       "protocol scales to thousands; see docs/SCALING.md)")
+    flags.add_argument("--seed", type=int, default=42)
+    flags.add_argument("--cells", type=int, default=1, metavar="M",
+                       help="number of cells / support stations "
+                       "(SystemConfig.n_mss; default 1, the paper's "
+                       "single-LAN model)")
+    flags.add_argument("--shards", type=int, default=1, metavar="N",
+                       help="partition the simulation by cell across N "
+                       "shards on the conservative windowed kernel; "
+                       "results are bit-identical to --shards 1 "
+                       "(see docs/SCALING.md)")
+    flags.add_argument("--rate", type=float, default=0.01,
+                       help="messages per second per process (bursty: "
+                       "the long-run average)")
+    flags.add_argument("--initiations", type=int, default=10)
+    flags.add_argument("--workload", choices=sorted(WORKLOAD_KINDS),
+                       default="p2p")
+    flags.add_argument("--group-ratio", type=float, default=1000.0)
+    flags.add_argument("--interval", type=float, default=900.0,
+                       help="checkpoint interval in seconds")
+    return flags
+
+
+def _point_from_args(args: argparse.Namespace, **system_params: Any) -> RunPoint:
+    """The :class:`RunPoint` a ``run`` / ``profile`` command line describes."""
+    if args.workload == "bursty":
+        # Keep the default ON/OFF duty cycle; scale the in-burst interval
+        # so the long-run average comes out at --rate.
+        shape = BurstyWorkloadConfig()
+        burst = shape.burst_send_interval * shape.average_rate / args.rate
+        workload_params = {"burst_send_interval": burst}
+    else:
+        workload_params = {"mean_send_interval": 1.0 / args.rate}
+        if args.workload == "group":
+            workload_params["intra_inter_ratio"] = args.group_ratio
+    return RunPoint(
+        protocol=args.protocol,
+        workload=args.workload,
+        workload_params=workload_params,
+        system_params={
+            "n_processes": args.processes,
+            "n_mss": args.cells,
+            "checkpoint_interval": args.interval,
+            "shards": args.shards,
+            **system_params,
+        },
+        run_params={"max_initiations": args.initiations},
+        seed=args.seed,
+        max_events=None,  # a hand-launched run is unbounded
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,32 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mutable-checkpoints reproduction (Cao & Singhal)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    point_flags = _point_flags()
 
     sub.add_parser("protocols", help="list available checkpointing protocols")
 
-    run = sub.add_parser("run", help="run one experiment and print the summary")
-    run.add_argument("--protocol", default="mutable", choices=available_protocols())
-    run.add_argument("--processes", "--hosts", dest="processes",
-                     type=int, default=16,
-                     help="number of mobile hosts / processes (the "
-                     "protocol scales to thousands; see docs/SCALING.md)")
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--cells", type=int, default=1, metavar="M",
-                     help="number of cells / support stations "
-                     "(SystemConfig.n_mss; default 1, the paper's "
-                     "single-LAN model)")
-    run.add_argument("--shards", type=int, default=1, metavar="N",
-                     help="partition the simulation by cell across N "
-                     "shards on the conservative windowed kernel; "
-                     "results are bit-identical to --shards 1 "
-                     "(see docs/SCALING.md)")
-    run.add_argument("--rate", type=float, default=0.01,
-                     help="messages per second per process")
-    run.add_argument("--initiations", type=int, default=10)
-    run.add_argument("--workload", choices=["p2p", "group"], default="p2p")
-    run.add_argument("--group-ratio", type=float, default=1000.0)
-    run.add_argument("--interval", type=float, default=900.0,
-                     help="checkpoint interval in seconds")
+    run = sub.add_parser("run", parents=[point_flags],
+                         help="run one experiment and print the summary")
     run.add_argument("--export-trace", "--trace-out", dest="export_trace",
                      metavar="PATH",
                      help="write the run's trace as JSON lines")
@@ -134,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = campaign.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec", metavar="PATH",
                         help="campaign spec as a JSON file")
-    source.add_argument("--preset", choices=sorted(_campaign_presets()),
+    source.add_argument("--preset", choices=sorted(PRESETS),
                         help="a built-in campaign")
     campaign.add_argument("--store", metavar="PATH",
                           help="JSONL result store (default: "
@@ -166,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adversarial schedule exploration: seeded fuzz batches with "
         "invariant checking and counterexample shrinking",
     )
-    explore.add_argument("--preset", choices=sorted(_explore_presets()),
+    explore.add_argument("--preset", choices=sorted(EXPLORE_PRESETS),
                          default="quick", help="a built-in explore batch")
     explore.add_argument("--seeds", type=int, default=None,
                          help="number of seeds (overrides the preset)")
@@ -191,16 +225,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
+        parents=[point_flags],
         help="run one experiment under the kernel profiler and print "
         "per-event-kind timing, heap stats, and the metrics snapshot",
     )
-    profile.add_argument("--protocol", default="mutable",
-                         choices=available_protocols())
-    profile.add_argument("--processes", type=int, default=16)
-    profile.add_argument("--seed", type=int, default=42)
-    profile.add_argument("--rate", type=float, default=0.01,
-                         help="messages per second per process")
-    profile.add_argument("--initiations", type=int, default=10)
     profile.add_argument("--trace-messages", action="store_true",
                          help="profile with DEBUG message tracing on "
                          "(default: off, the throughput configuration)")
@@ -281,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "default) wait for the results",
     )
     what = submit.add_mutually_exclusive_group(required=True)
-    what.add_argument("--preset", choices=sorted(_campaign_presets()),
+    what.add_argument("--preset", choices=sorted(PRESETS),
                       help="a built-in campaign")
     what.add_argument("--spec", metavar="PATH",
                       help="campaign spec as a JSON file")
@@ -334,12 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="read each payload, check its hash, and "
                            "test that it restores to a live simulation")
     return parser
-
-
-def _explore_presets() -> List[str]:
-    from repro.explore.fuzz import EXPLORE_PRESETS
-
-    return list(EXPLORE_PRESETS)
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -415,10 +437,19 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _campaign_presets() -> List[str]:
-    from repro.campaign.spec import PRESETS
-
-    return list(PRESETS)
+def _print_rows(rows: List[dict]) -> None:
+    """One line per campaign point: identity, then the paper's numbers."""
+    for row in rows:
+        ident = f"{row['hash']}  {row['label']:40s}"
+        if row["status"] == "ok":
+            metrics = "  ".join(
+                f"{key}={row[key]}"
+                for key in ("tentative_mean", "redundant_mutable_mean",
+                            "redundant_ratio", "duration_s", "initiations")
+            )
+            print(f"{ident} {metrics}")
+        else:
+            print(f"{ident} FAILED: {row['error']}")
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -470,17 +501,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         report = engine.run()
 
-    for row in report.rows():
-        ident = f"{row['hash']}  {row['label']:40s}"
-        if row["status"] == "ok":
-            metrics = "  ".join(
-                f"{key}={row[key]}"
-                for key in ("tentative_mean", "redundant_mutable_mean",
-                            "redundant_ratio", "duration_s", "initiations")
-            )
-            print(f"{ident} {metrics}")
-        else:
-            print(f"{ident} FAILED: {row['error']}")
+    _print_rows(report.rows())
     print(
         f"campaign {report.name}: {report.total} points "
         f"({report.executed} run, {report.skipped} resumed, "
@@ -520,6 +541,60 @@ def _write_run_artifacts(args: argparse.Namespace, result: Any) -> None:
         )
 
 
+def _print_run_report(
+    args: argparse.Namespace,
+    system: Any,
+    result: Any,
+    snapshotter: Any = None,
+    sink: Any = None,
+) -> None:
+    """The summary a finished ``run`` prints, fresh or resumed."""
+    print(f"protocol                : {result.protocol}")
+    print(f"initiations (measured)  : {result.n_initiations}")
+    print(f"tentative / initiation  : {result.tentative_summary()}")
+    print(f"redundant mutable       : {result.redundant_mutable_summary()}")
+    print(f"checkpointing time      : {result.duration_summary()} s")
+    print(f"blocked process-seconds : {result.total_blocked_time:.1f}")
+    print(f"system messages         : {result.counters.get('system_messages', 0):.0f}")
+    if result.shard_stats:
+        stats = result.shard_stats
+        print(
+            f"shards                  : {stats['shards']} "
+            f"({stats.get('effective_shards', stats['shards'])} effective, "
+            f"{stats['windows']} windows, {stats['envelopes']} envelopes, "
+            f"{stats['lookahead_violations']} violations, "
+            f"{stats['stall_seconds']:.1f} stall-s)"
+        )
+    trace = system.sim.trace
+    if trace.debug_capacity is not None:
+        print(
+            f"flight recorder         : {trace.debug_held} DEBUG records "
+            f"held (cap {trace.debug_capacity}), "
+            f"{trace.debug_evicted} evicted"
+        )
+    if args.verify:
+        line = latest_permanent_line(system.all_stable_storages(), system.processes)
+        assert_line_consistent(trace, line)
+        print("recovery line           : consistent")
+    if sink is not None:
+        sink.close()
+        print(
+            f"trace exported          : {sink.records_written} records "
+            f"-> {args.export_trace} (streamed, full fidelity)"
+        )
+    elif args.export_trace:
+        from repro.sim.export import save_trace
+
+        count = save_trace(trace, args.export_trace)
+        print(f"trace exported          : {count} records -> {args.export_trace}")
+    if snapshotter is not None:
+        print(
+            f"snapshots written       : {len(snapshotter.taken)} "
+            f"-> {snapshotter.directory}/"
+        )
+    _write_run_artifacts(args, result)
+
+
 def _cmd_run_resume(args: argparse.Namespace) -> int:
     import os
 
@@ -544,26 +619,7 @@ def _cmd_run_resume(args: argparse.Namespace) -> int:
         f"(event {meta.events_processed}, t={meta.sim_time:.1f}s)"
     )
     result = image.runner.resume()
-    system = image.system
-    print(f"protocol                : {result.protocol}")
-    print(f"initiations (measured)  : {result.n_initiations}")
-    print(f"tentative / initiation  : {result.tentative_summary()}")
-    print(f"redundant mutable       : {result.redundant_mutable_summary()}")
-    print(f"checkpointing time      : {result.duration_summary()} s")
-    print(f"blocked process-seconds : {result.total_blocked_time:.1f}")
-    print(f"system messages         : {result.counters.get('system_messages', 0):.0f}")
-    if image.snapshotter is not None and image.snapshotter.taken:
-        print(f"snapshots written       : {len(image.snapshotter.taken)}")
-    if args.verify:
-        line = latest_permanent_line(system.all_stable_storages(), system.processes)
-        assert_line_consistent(system.sim.trace, line)
-        print("recovery line           : consistent")
-    if args.export_trace:
-        from repro.sim.export import save_trace
-
-        count = save_trace(system.sim.trace, args.export_trace)
-        print(f"trace exported          : {count} records -> {args.export_trace}")
-    _write_run_artifacts(args, result)
+    _print_run_report(args, image.system, result, image.snapshotter)
     return 0
 
 
@@ -574,17 +630,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --timeseries-out needs --timeseries-window",
               file=sys.stderr)
         return 2
-    config = SystemConfig(
-        n_processes=args.processes,
-        n_mss=args.cells,
-        seed=args.seed,
-        checkpoint_interval=args.interval,
+    point = _point_from_args(
+        args,
         trace_messages=bool(args.verify or args.export_trace),
         trace_debug_capacity=args.flight_recorder,
         timeseries_window=args.timeseries_window,
-        shards=args.shards,
     )
-    system = MobileSystem(config, build_protocol(args.protocol))
+    system, _, runner = build_point_runtime(point)
     sink = None
     if args.export_trace and args.flight_recorder is not None:
         # A bounded ring would lose early DEBUG records from an offline
@@ -596,21 +648,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for record in system.sim.trace:
             sink(record)
         sink.attach(system.sim.trace)
-    if args.workload == "p2p":
-        workload = PointToPointWorkload(
-            system, PointToPointWorkloadConfig(1.0 / args.rate)
-        )
-    else:
-        workload = GroupWorkload(
-            system,
-            GroupWorkloadConfig(
-                mean_send_interval=1.0 / args.rate,
-                intra_inter_ratio=args.group_ratio,
-            ),
-        )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=args.initiations)
-    )
     snapshotter = None
     if args.snapshot_every is not None or args.snapshot_interval is not None:
         from repro.snapshot import SnapshotPolicy, Snapshotter
@@ -625,51 +662,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.snapshot_dir,
         )
         snapshotter.install()
-    result = runner.run()
-    print(f"protocol                : {result.protocol}")
-    print(f"initiations (measured)  : {result.n_initiations}")
-    print(f"tentative / initiation  : {result.tentative_summary()}")
-    print(f"redundant mutable       : {result.redundant_mutable_summary()}")
-    print(f"checkpointing time      : {result.duration_summary()} s")
-    print(f"blocked process-seconds : {result.total_blocked_time:.1f}")
-    print(f"system messages         : {result.counters.get('system_messages', 0):.0f}")
-    if result.shard_stats:
-        stats = result.shard_stats
-        print(
-            f"shards                  : {stats['shards']} "
-            f"({stats.get('effective_shards', stats['shards'])} effective, "
-            f"{stats['windows']} windows, {stats['envelopes']} envelopes, "
-            f"{stats['lookahead_violations']} violations, "
-            f"{stats['stall_seconds']:.1f} stall-s)"
-        )
-    if args.flight_recorder is not None:
-        trace = system.sim.trace
-        print(
-            f"flight recorder         : {trace.debug_held} DEBUG records "
-            f"held (cap {trace.debug_capacity}), "
-            f"{trace.debug_evicted} evicted"
-        )
-    if args.verify:
-        line = latest_permanent_line(system.all_stable_storages(), system.processes)
-        assert_line_consistent(system.sim.trace, line)
-        print("recovery line           : consistent")
-    if sink is not None:
-        sink.close()
-        print(
-            f"trace exported          : {sink.records_written} records "
-            f"-> {args.export_trace} (streamed, full fidelity)"
-        )
-    elif args.export_trace:
-        from repro.sim.export import save_trace
-
-        count = save_trace(system.sim.trace, args.export_trace)
-        print(f"trace exported          : {count} records -> {args.export_trace}")
-    if snapshotter is not None:
-        print(
-            f"snapshots written       : {len(snapshotter.taken)} "
-            f"-> {args.snapshot_dir}/"
-        )
-    _write_run_artifacts(args, result)
+    result = runner.run(max_events=point.max_events)
+    _print_run_report(args, system, result, snapshotter, sink)
     return 0
 
 
@@ -751,22 +745,12 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profiler import KernelProfiler
 
-    config = SystemConfig(
-        n_processes=args.processes,
-        seed=args.seed,
-        trace_messages=args.trace_messages,
-    )
-    system = MobileSystem(config, build_protocol(args.protocol))
-    workload = PointToPointWorkload(
-        system, PointToPointWorkloadConfig(1.0 / args.rate)
-    )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=args.initiations)
-    )
+    point = _point_from_args(args, trace_messages=args.trace_messages)
+    system, _, runner = build_point_runtime(point)
     profiler = KernelProfiler()
     system.sim.set_profiler(profiler)
     with profiler.span("run"):
-        runner.run()
+        runner.run(max_events=point.max_events)
     system.sim.flush_metrics()
     print(profiler.table(limit=args.top))
     print()
@@ -902,18 +886,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
 
     if not args.quiet:
-        for row in results["rows"]:
-            ident = f"{row['hash']}  {row['label']:40s}"
-            if row["status"] == "ok":
-                metrics = "  ".join(
-                    f"{key}={row[key]}"
-                    for key in ("tentative_mean", "redundant_mutable_mean",
-                                "redundant_ratio", "duration_s",
-                                "initiations")
-                )
-                print(f"{ident} {metrics}")
-            else:
-                print(f"{ident} FAILED: {row['error']}")
+        _print_rows(results["rows"])
     print(
         f"job {job_id} {status['status']}: {status['executed']} executed, "
         f"{status['cache_hits']} cache hits, "
@@ -1024,15 +997,7 @@ def _cmd_figures() -> int:
 
 
 def _cmd_table1() -> int:
-    rows = []
-    for name in ("koo-toueg", "elnozahy", "mutable"):
-        config = SystemConfig(n_processes=16, seed=21, trace_messages=False)
-        system = MobileSystem(config, build_protocol(name))
-        workload = PointToPointWorkload(system, PointToPointWorkloadConfig(220.0))
-        runner = ExperimentRunner(
-            system, workload, RunConfig(max_initiations=12, warmup_initiations=2)
-        )
-        rows.append(measured_row(runner.run()))
+    rows = [measured_row(result) for result in run_preset("table1").results()]
     print(format_table(rows, "Table 1 (measured)"))
     n_min = rows[-1].checkpoints
     print()

@@ -112,6 +112,22 @@ class RunResult:
             shard_stats=data.get("shard_stats", {}),
         )
 
+    def paper_row(self) -> Dict[str, float]:
+        """The five quantities the paper plots, rounded for display.
+
+        The one definition behind campaign rows, ``/results`` documents
+        and the figure benches' printed rows.
+        """
+        return {
+            "tentative_mean": round(self.tentative_summary().mean, 3),
+            "redundant_mutable_mean": round(
+                self.redundant_mutable_summary().mean, 4
+            ),
+            "redundant_ratio": round(self.redundant_ratio, 4),
+            "duration_s": round(self.duration_summary().mean, 3),
+            "initiations": self.n_initiations,
+        }
+
     def row(self) -> Dict[str, float]:
         """A flat dict suitable for tabulation."""
         return {

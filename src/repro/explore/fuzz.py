@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import derive_seed, spec_hash
-from repro.campaign.engine import CampaignEngine, CampaignReport
+from repro.campaign.engine import CampaignEngine, CampaignReport, build_point_runtime
 from repro.campaign.spec import WORKLOAD_KINDS, RunPoint
 from repro.campaign.store import PointRecord, ResultStore
-from repro.core.config import RunConfig, SystemConfig
-from repro.core.runner import ExperimentRunner
+from repro.core.config import RunConfig
 from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
 from repro.explore.injections import INJECTION_KINDS, InjectionDriver, draw_injections
@@ -245,8 +244,7 @@ def run_explore_once(
     protocol = build_explore_protocol(
         explore.get("mutation"), point.protocol, point.protocol_params
     )
-    config = SystemConfig.from_params(point.system_params, seed=point.seed)
-    system = MobileSystem(config, protocol)
+    system, _, runner = build_point_runtime(point, protocol=protocol)
     if decisions is None:
         policy = RecordingPolicy(
             explore["perturb_seed"],
@@ -254,10 +252,9 @@ def run_explore_once(
         )
     else:
         policy = ReplayPolicy(decisions)
+    # Nothing is scheduled until runner.run(), so a policy installed
+    # after the build still sees every event.
     system.sim.set_policy(policy)
-    workload_config_cls, workload_cls = WORKLOAD_KINDS[point.workload]
-    workload = workload_cls(system, workload_config_cls(**point.workload_params))
-    runner = ExperimentRunner(system, workload, RunConfig(**point.run_params))
     driver = InjectionDriver(
         system,
         runner,

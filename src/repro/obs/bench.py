@@ -24,16 +24,11 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.core.config import (
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
+from repro.campaign.engine import build_point_runtime
+from repro.campaign.spec import RunPoint
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
 from repro.net.message import ComputationMessage
-from repro.workload.point_to_point import PointToPointWorkload
 
 __all__ = [
     "BenchCase",
@@ -121,15 +116,13 @@ def _mutable_p2p(
 ) -> Tuple[MobileSystem, ExperimentRunner]:
     """The system every kernel case drives: seed 7, mutable checkpoints,
     point-to-point traffic at one send per second."""
-    system = MobileSystem(
-        SystemConfig(seed=7, **system_params), MutableCheckpointProtocol()
-    )
-    workload = PointToPointWorkload(
-        system, PointToPointWorkloadConfig(mean_send_interval=1.0)
-    )
-    runner = ExperimentRunner(
-        system, workload, RunConfig(max_initiations=max_initiations)
-    )
+    system, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable",
+        workload_params={"mean_send_interval": 1.0},
+        system_params=system_params,
+        run_params={"max_initiations": max_initiations},
+        seed=7,
+    ))
     return system, runner
 
 
@@ -282,18 +275,15 @@ def ladder_case(
         from repro.errors import SimulationError
 
         system, runner = _mutable_p2p(2, trace_messages=False, **system_params)
-        sim = system.sim
-        sim.set_burn(burn)
-        runner.workload.start()
-        runner._schedule_first_initiations()
+        system.sim.set_burn(burn)
         start = time.perf_counter()
         try:
-            sim.run(max_events=max_events)
+            runner.run(max_events=max_events)
         except SimulationError:
             # budget reached — the measurement, not an error
             pass
         elapsed = time.perf_counter() - start
-        return sim.events_processed, elapsed
+        return system.sim.events_processed, elapsed
 
     return BenchCase(name, run, description)
 

@@ -5,16 +5,19 @@
 document in the same shape as ``EXPERIMENTS.md``, so the repository's
 results can be refreshed after any change with a single command.
 
-Scale is controlled by ``ReportScale``: ``quick`` finishes in well under
-a minute; ``full`` uses the sample sizes the committed EXPERIMENTS.md
-was produced with.
+Figs. 5/6 and Table 1 are the preset catalogue's campaigns
+(``repro-sim campaign --preset fig5|fig6|table1`` runs the same points);
+``ReportScale`` only sets how many initiations each point runs for:
+``quick`` finishes in seconds, ``full`` is the sample size the committed
+EXPERIMENTS.md was produced with.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.ascii_chart import render_histogram
 from repro.analysis.comparison import (
@@ -23,68 +26,46 @@ from repro.analysis.comparison import (
     measured_row,
 )
 from repro.analysis.minimality import check_minimality
-from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.core.config import (
-    GroupWorkloadConfig,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
-from repro.core.registry import build_protocol
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
-from repro.workload.group import GroupWorkload
-from repro.workload.point_to_point import PointToPointWorkload
+from repro.campaign.engine import build_point_runtime, run_point, run_preset
+from repro.campaign.spec import RunPoint, preset_spec
 
 
 @dataclass(frozen=True)
 class ReportScale:
-    """Sample sizes for one report run."""
+    """Sample size for one report run: initiations per data point.
+
+    What is run — rates, ratios, protocols, seeds — is the preset
+    catalogue's business (:data:`repro.campaign.spec.PRESETS`).
+    """
 
     initiations: int = 12
-    seed: int = 11
-    fig5_rates: tuple = (0.002, 0.005, 0.01, 0.02, 0.05)
-    fig6_rates: tuple = (0.005, 0.01, 0.02)
-    table1_interval: float = 220.0
 
     @classmethod
     def quick(cls) -> "ReportScale":
-        return cls(initiations=8, fig5_rates=(0.005, 0.02), fig6_rates=(0.01,))
+        return cls(initiations=8)
 
     @classmethod
     def full(cls) -> "ReportScale":
         return cls(initiations=42)
 
 
-def _run(protocol, workload_factory, scale: ReportScale, **config_kwargs):
-    config = SystemConfig(
-        n_processes=16, seed=scale.seed, trace_messages=False, **config_kwargs
-    )
-    system = MobileSystem(config, protocol)
-    workload = workload_factory(system)
-    runner = ExperimentRunner(
-        system,
-        workload,
-        RunConfig(max_initiations=scale.initiations, warmup_initiations=2),
-    )
-    result = runner.run(max_events=50_000_000)
-    return system, result
+def _preset_results(name: str, scale: ReportScale):
+    """(point, result) pairs of a paper preset at the report's scale."""
+    report = run_preset(name, max_initiations=scale.initiations)
+    return list(zip(report.points, report.results()))
+
+
+def _rate(point: RunPoint) -> float:
+    return 1.0 / point.workload_params["mean_send_interval"]
 
 
 def _fig5_section(scale: ReportScale) -> List[str]:
     lines = ["## Figure 5 — point-to-point communication", ""]
     lines.append("| rate (msg/s) | tentative | redundant mutable | ratio |")
     lines.append("|---:|---:|---:|---:|")
-    for rate in scale.fig5_rates:
-        _, result = _run(
-            MutableCheckpointProtocol(),
-            lambda s, r=rate: PointToPointWorkload(
-                s, PointToPointWorkloadConfig(1.0 / r)
-            ),
-            scale,
-        )
+    for point, result in _preset_results("fig5", scale):
         lines.append(
-            f"| {rate:g} | {result.tentative_summary().mean:.2f} "
+            f"| {_rate(point):g} | {result.tentative_summary().mean:.2f} "
             f"| {result.redundant_mutable_summary().mean:.3f} "
             f"| {result.redundant_ratio:.4f} |"
         )
@@ -94,23 +75,24 @@ def _fig5_section(scale: ReportScale) -> List[str]:
 
 def _fig6_section(scale: ReportScale) -> List[str]:
     lines = ["## Figure 6 — group communication", ""]
-    lines.append("| rate | 1000x tentative | 10000x tentative |")
-    lines.append("|---:|---:|---:|")
-    for rate in scale.fig6_rates:
-        row = []
-        for ratio in (1_000.0, 10_000.0):
-            _, result = _run(
-                MutableCheckpointProtocol(),
-                lambda s, r=rate, q=ratio: GroupWorkload(
-                    s,
-                    GroupWorkloadConfig(
-                        mean_send_interval=1.0 / r, intra_inter_ratio=q
-                    ),
-                ),
-                scale,
-            )
-            row.append(result.tentative_summary().mean)
-        lines.append(f"| {rate:g} | {row[0]:.2f} | {row[1]:.2f} |")
+    by_rate: dict = {}
+    for point, result in _preset_results("fig6", scale):
+        ratio = point.workload_params["intra_inter_ratio"]
+        by_rate.setdefault(_rate(point), {})[ratio] = result
+    ratios = sorted({ratio for row in by_rate.values() for ratio in row})
+    lines.append(
+        "| rate | "
+        + " | ".join(f"{r:g}x tentative | {r:g}x redundant" for r in ratios)
+        + " |"
+    )
+    lines.append("|---:|" + "---:|---:|" * len(ratios))
+    for rate, row in sorted(by_rate.items()):
+        cells = " | ".join(
+            f"{row[r].tentative_summary().mean:.2f} "
+            f"| {row[r].redundant_mutable_summary().mean:.3f}"
+            for r in ratios
+        )
+        lines.append(f"| {rate:g} | {cells} |")
     lines.append("")
     return lines
 
@@ -123,16 +105,8 @@ def _table1_section(scale: ReportScale) -> List[str]:
     )
     lines.append("|---|---:|---:|---:|---:|---|")
     rows = {}
-    for name in ("koo-toueg", "elnozahy", "mutable"):
-        _, result = _run(
-            build_protocol(name),
-            lambda s: PointToPointWorkload(
-                s, PointToPointWorkloadConfig(scale.table1_interval)
-            ),
-            scale,
-        )
-        row = measured_row(result)
-        rows[name] = row
+    for _, result in _preset_results("table1", scale):
+        row = rows[result.protocol] = measured_row(result)
         lines.append(
             f"| {row.algorithm} | {row.checkpoints:.2f} | {row.blocking_time:.1f} "
             f"| {row.output_commit_delay:.2f} | {row.messages:.1f} "
@@ -167,15 +141,17 @@ def _figures_section() -> List[str]:
 
 
 def _minimality_section(scale: ReportScale) -> List[str]:
-    config = SystemConfig(n_processes=16, seed=scale.seed)
-    system = MobileSystem(config, MutableCheckpointProtocol())
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(100.0))
-    runner = ExperimentRunner(
-        system,
-        workload,
-        RunConfig(max_initiations=min(scale.initiations, 8), warmup_initiations=1),
+    point = RunPoint(
+        protocol="mutable",
+        workload_params={"mean_send_interval": 100.0},
+        run_params={
+            "max_initiations": min(scale.initiations, 8),
+            "warmup_initiations": 1,
+        },
+        seed=11,
     )
-    runner.run(max_events=50_000_000)
+    system, _, runner = build_point_runtime(point)
+    runner.run(max_events=point.max_events)
     reports = check_minimality(system.sim.trace)
     minimal = sum(1 for r in reports if r.minimal)
     return [
@@ -195,16 +171,13 @@ def _observability_section(scale: ReportScale) -> List[str]:
     protocol or network internals — the same numbers a campaign or a
     JSON consumer would see.
     """
-    # Sampling on: the run also carries windowed telemetry and the
-    # wave-lifecycle instruments (latency/blocked-time histograms).
-    _, result = _run(
-        MutableCheckpointProtocol(),
-        lambda s: PointToPointWorkload(
-            s, PointToPointWorkloadConfig(scale.table1_interval)
-        ),
-        scale,
-        timeseries_window=60.0,
-    )
+    # Table 1's mutable run with sampling on (observably invisible, so
+    # the counters are that row's): the result also carries windowed
+    # telemetry and the wave-lifecycle latency/blocked-time histograms.
+    point = preset_spec("table1", scale.initiations).expand()[-1]
+    result = run_point(dataclasses.replace(
+        point, system_params={**point.system_params, "timeseries_window": 60.0}
+    ))
     snapshot = result.metrics
     lines = ["## Observability — metrics registry snapshot", ""]
     lines.append("| counter | value |")
@@ -249,7 +222,7 @@ def generate_report(scale: Optional[ReportScale] = None) -> str:
     sections: List[str] = [
         "# Mutable Checkpoints — regenerated experiment report",
         "",
-        f"Scale: {scale.initiations} initiations/point, seed {scale.seed}.",
+        f"Scale: {scale.initiations} initiations/point.",
         "",
     ]
     sections += _fig5_section(scale)

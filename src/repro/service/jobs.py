@@ -34,7 +34,11 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.campaign.engine import CampaignEngine, CampaignReport
+from repro.campaign.engine import (
+    DEFAULT_SNAPSHOT_EVERY,
+    CampaignEngine,
+    CampaignReport,
+)
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, RunPoint
 from repro.obs.prom import render_prometheus
@@ -48,10 +52,6 @@ QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
 )
 _LIVE = (QUEUED, RUNNING)
 _TERMINAL = (DONE, FAILED, CANCELLED)
-
-#: default event period for in-progress point snapshots (matches the
-#: campaign engine's crash-resume default)
-DEFAULT_SNAPSHOT_EVERY = 2000
 
 
 class _LineBuffer(io.TextIOBase):

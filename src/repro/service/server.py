@@ -41,10 +41,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.ascii_chart import sparkline
+from repro.campaign.engine import DEFAULT_SNAPSHOT_EVERY
 from repro.campaign.spec import CampaignSpec, preset_spec
 from repro.errors import ReproError
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
-from repro.service.jobs import DEFAULT_SNAPSHOT_EVERY, CampaignService
+from repro.service.jobs import CampaignService
+
+#: largest request body accepted (a 10k-point grid is ~5 MB of JSON)
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 def _json_bytes(document: Any) -> bytes:
@@ -82,11 +86,24 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, code=code)
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # Refuse without reading: rfile.read(-1) blocks until the
+            # client hangs up, and whatever body is left unread would be
+            # parsed as this connection's next request.
+            self.close_connection = True
+            if length < 0:
+                self._error(400, "bad Content-Length")
+            else:
+                self._error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            return None
         raw = self.rfile.read(length) if length else b"{}"
         try:
             document = json.loads(raw.decode("utf-8") or "{}")
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._error(400, f"bad JSON body: {exc}")
             return None
         if not isinstance(document, dict):

@@ -132,5 +132,37 @@ def test_presets_expand():
     assert len(preset_spec("smoke").expand()) == 4
     assert len(preset_spec("fig5").expand()) == 6
     assert len(preset_spec("fig6").expand()) == 8
+    assert [p.protocol for p in preset_spec("table1").expand()] == [
+        "koo-toueg", "elnozahy", "mutable"
+    ]
     with pytest.raises(ConfigurationError):
         preset_spec("nope")
+
+
+def test_preset_scale_override_touches_only_the_run_length():
+    default, scaled = preset_spec("fig5"), preset_spec("fig5", max_initiations=9)
+    assert scaled.run == {**default.run, "max_initiations": 9}
+    assert scaled.workloads == default.workloads
+    assert all(p.run_params["max_initiations"] == 9 for p in scaled.expand())
+
+
+def test_pinned_workload_seed_is_shared_across_protocols():
+    """Table 1 compares algorithms on the *same* traffic: a workload
+    entry's ``seed`` reaches every protocol that runs it (replicates
+    still differ) and is not part of the workload config."""
+    spec = CampaignSpec(
+        name="paired",
+        protocols=["mutable", "koo-toueg"],
+        workloads=[
+            {"kind": "p2p", "mean_send_interval": 50.0, "seed": 21},
+            {"kind": "p2p", "mean_send_interval": 25.0},
+        ],
+        replicates=2,
+    )
+    points = spec.expand()
+    pinned = [p for p in points if p.workload_params["mean_send_interval"] == 50.0]
+    assert [p.seed for p in pinned] == [21, 21, 22, 22]
+    assert all("seed" not in p.workload_params for p in points)
+    free = [p for p in points if p not in pinned]
+    assert len({p.seed for p in free}) == len(free)
+    assert {p.seed for p in preset_spec("table1").expand()} == {21}

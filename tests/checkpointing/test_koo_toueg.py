@@ -76,6 +76,26 @@ class TestProtocolLogic:
         assert all(rec.csn == 0 for rec in line.values())
         assert not h.blocked[0]
 
+    def test_late_request_of_an_aborted_tree_is_refused(self):
+        """A second parent's request arriving after the abort must not
+        re-enlist the process: on a dependency cycle (1 <-> 2 here) the
+        re-issued requests and the aborts chasing them never die out."""
+        h = ScenarioHarness(4, KooTouegProtocol(willing=lambda pid: pid != 3))
+        for src, dst in [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2)]:
+            h.deliver(h.send(src, dst))
+        h.initiate(0)
+        request = {f.dst: f for f in h.pending_system("request")}
+        h.deliver(request[2])                       # 2 joins under 0, asks 1
+        h.deliver(request[3])                       # 3 refuses
+        h.deliver(h.pending_system("reply")[0])     # 0 aborts the tree
+        h.deliver(next(f for f in h.pending_system("abort") if f.dst == 2))
+        h.deliver(request[1])                       # 1 joins late, asks 2
+        h.deliver_all_system()
+        assert h.trace.count("abort") == 1
+        # each of 0, 1, 2 joined the tree exactly once
+        assert h.trace.count("tentative") == h.trace.count("tentative_discarded") == 3
+        assert not any(h.blocked[pid] for pid in range(4))
+
     def test_unwilling_initiator_refuses_to_start(self):
         protocol = KooTouegProtocol(willing=lambda pid: pid != 0)
         h = ScenarioHarness(3, protocol)

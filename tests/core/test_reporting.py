@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.comparison import format_table, measured_row
+from repro.campaign import CampaignEngine, preset_spec
+from repro.cli import main
 from repro.reporting import ReportScale, generate_report, write_report
 
 
@@ -46,3 +49,34 @@ def test_write_report(tmp_path):
 
 def test_scales_differ():
     assert ReportScale.quick().initiations < ReportScale.full().initiations
+
+
+def _table1_rows(max_initiations=None):
+    report = CampaignEngine(preset_spec("table1", max_initiations)).run()
+    return [measured_row(result) for result in report.results()]
+
+
+def test_table1_has_one_source(quick_report, capsys):
+    """``repro-sim table1``, the report's Table 1 section and the
+    ``table1`` campaign preset print the same measured numbers."""
+    assert main(["table1"]) == 0
+    printed = capsys.readouterr().out
+    assert format_table(_table1_rows(), "Table 1 (measured)") in printed
+    for row in _table1_rows(ReportScale.quick().initiations):
+        assert (
+            f"| {row.algorithm} | {row.checkpoints:.2f} | {row.blocking_time:.1f} "
+            f"| {row.output_commit_delay:.2f} | {row.messages:.1f} |"
+        ) in quick_report
+
+
+def test_fig5_section_sweeps_the_preset_rates(quick_report):
+    section = quick_report.split("## Figure 5")[1].split("## Figure 6")[0]
+    rates = [
+        float(line.split("|")[1])
+        for line in section.splitlines()
+        if line.startswith("| 0")
+    ]
+    assert rates == pytest.approx([
+        1.0 / point.workload_params["mean_send_interval"]
+        for point in preset_spec("fig5").expand()
+    ])

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.service import CampaignService, ServiceClient, ServiceError, make_server
+from repro.service.server import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -70,6 +73,39 @@ def test_submit_validation(service_client):
         client.submit(points=[{"protocol": "mutable", "workload": "nope"}])
     with pytest.raises(ServiceError, match="empty grid"):
         client.submit(points=[])
+
+
+@pytest.mark.parametrize(
+    "content_length, body, expected",
+    [
+        ("many", b"{}", 400),  # int() raised ValueError in the handler
+        ("-1", b"{}", 400),  # rfile.read(-1) blocked until hang-up
+        (None, b"\xff\xfe{}", 400),  # UnicodeDecodeError killed the thread
+        (str(MAX_BODY_BYTES + 1), b"", 413),
+        (None, b'{"preset": "table1"}', 202),
+    ],
+)
+def test_submit_body_handling(service_client, content_length, body, expected):
+    """Hostile bodies get a 4xx, never a hang or a dead handler thread."""
+    service, client = service_client
+    address = urlsplit(client.base_url)
+    conn = http.client.HTTPConnection(address.hostname, address.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/submit")
+        conn.putheader("Content-Length", content_length or str(len(body)))
+        conn.endheaders()
+        conn.send(body)
+        response = conn.getresponse()
+        document = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == expected, document
+    if expected == 202:
+        assert document["total"] == 3
+        service.manager.cancel(document["job_id"])
+    else:
+        assert "error" in document
+        assert client.healthy()  # the server is still answering
 
 
 def test_unknown_job_is_404(service_client):
