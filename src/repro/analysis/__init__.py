@@ -22,7 +22,6 @@ from repro.analysis.energy import DozeManager, EnergyModel, EnergyParams, HostEn
 from repro.analysis.metrics import InitiationStats, committed_stats, per_initiation_stats
 from repro.analysis.minimality import (
     MinimalityReport,
-    assert_minimal,
     check_minimality,
     must_checkpoint_set,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "HostEnergy",
     "InitiationStats",
     "MinimalityReport",
-    "assert_minimal",
     "check_minimality",
     "must_checkpoint_set",
     "Orphan",

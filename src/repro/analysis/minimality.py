@@ -184,9 +184,3 @@ def check_minimality(trace: TraceLog) -> List[MinimalityReport]:
     for record in trace.of_kind("commit"):
         reports.append(must_checkpoint_set(trace, record["trigger"]))
     return reports
-
-
-def assert_minimal(trace: TraceLog) -> None:
-    """Raise AssertionError if any committed initiation is non-minimal."""
-    for report in check_minimality(trace):
-        assert report.minimal, str(report)

@@ -43,10 +43,6 @@ class RecoveryLineSearch:
         """Whether any process had to discard more than one checkpoint."""
         return any(depth > 1 for depth in self.rollback_depth.values())
 
-    @property
-    def line_times(self) -> Dict[int, float]:
-        return {pid: rec.time_taken for pid, rec in self.line.items()}
-
 
 def checkpoint_histories(
     storages: Iterable[StableStorage], pids: Iterable[int]
@@ -107,10 +103,3 @@ def maximal_consistent_line(
                 f"p{violator} exhausted its history without reaching consistency"
             )
         index[violator] -= 1
-
-
-def search_recovery_line(
-    storages: Iterable[StableStorage], pids: Iterable[int]
-) -> RecoveryLineSearch:
-    """Convenience: histories from storage, then the fixed-point search."""
-    return maximal_consistent_line(checkpoint_histories(storages, pids))

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
+#: the paper's confidence level (§5.2); the only one any caller uses
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -23,7 +25,6 @@ class Summary:
     mean: float
     stdev: float
     ci_halfwidth: float
-    confidence: float
 
     @property
     def ci_low(self) -> float:
@@ -48,19 +49,60 @@ class Summary:
         return f"{self.mean:.4g} ± {self.ci_halfwidth:.2g} (n={self.n})"
 
 
-def summarize(samples: Sequence[float], confidence: float = 0.95) -> Summary:
-    """Mean and Student-t confidence interval of ``samples``."""
+def _t_central_mass(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer ``df``, exactly.
+
+    The closed-form finite series in theta = atan(t / sqrt(df))
+    (Abramowitz & Stegun 26.7.3/26.7.4): every term is positive, so the
+    sum loses no digits to cancellation.
+
+    odd df:  2/pi * (theta + sin * (cos + 2/3 cos^3 + 2*4/(3*5) cos^5 + ...))
+    even df: sin * (1 + 1/2 cos^2 + 1*3/(2*4) cos^4 + ...)
+    """
+    theta = math.atan(t / math.sqrt(df))
+    sin, cos = math.sin(theta), math.cos(theta)
+    odd = df % 2
+    term, total = (cos if odd else 1.0), 0.0
+    for k in range(1 + odd, df, 2):
+        total += term
+        term *= cos * cos * k / (k + 1)
+    if odd:
+        return (theta + sin * total) * 2.0 / math.pi
+    return sin * total
+
+
+@lru_cache(maxsize=64)
+def t_critical(df: int) -> float:
+    """Two-sided Student-t critical value at :data:`CONFIDENCE`.
+
+    Bisection on the exact CDF to the last float; the root lies between
+    the normal quantile (df -> inf) and the df = 1 value 12.706. Cached:
+    the series is O(df) per step and a campaign summarizes every point
+    at the same sample size.
+    """
+    lo, hi = 1.9, 12.8
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _t_central_mass(mid, df) < CONFIDENCE:
+            lo = mid
+        else:
+            hi = mid
+
+
+def summarize(samples: Sequence[float]) -> Summary:
+    """Mean and 95 % Student-t confidence interval of ``samples``."""
     n = len(samples)
     if n == 0:
-        return Summary(0, 0.0, 0.0, 0.0, confidence)
+        return Summary(0, 0.0, 0.0, 0.0)
     mean = sum(samples) / n
     if n == 1:
-        return Summary(1, mean, 0.0, math.inf, confidence)
+        return Summary(1, mean, 0.0, math.inf)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     stdev = math.sqrt(variance)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
-    halfwidth = t_crit * stdev / math.sqrt(n)
-    return Summary(n, mean, stdev, halfwidth, confidence)
+    halfwidth = t_critical(n - 1) * stdev / math.sqrt(n)
+    return Summary(n, mean, stdev, halfwidth)
 
 
 def required_samples(summary: Summary, target_relative_ci: float = 0.10) -> int:

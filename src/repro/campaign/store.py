@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.core.results import RunResult
+from repro.errors import StoreFormatError
 
 
 @dataclass
@@ -69,6 +70,36 @@ class PointRecord:
         return cls(**data)
 
 
+def load_jsonl(path: str) -> Tuple[Dict[str, PointRecord], bool]:
+    """Replay a JSONL store file: ``(records by hash, torn tail?)``.
+
+    The one reader of the format (:class:`ResultStore` and
+    ``ResultDB.import_jsonl`` both load through it). A line that does not
+    parse is a torn write from a crash — the point it described simply
+    reruns on resume — and is skipped; a line that parses but is not a
+    :class:`PointRecord` means the file is not a result store, and is
+    refused with its ``path:line``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        content = fh.read()
+    records: Dict[str, PointRecord] = {}
+    for number, line in enumerate(content.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        try:
+            record = PointRecord.from_dict(data)
+        except TypeError:
+            # not a JSON object, or an object with a missing/unknown key
+            raise StoreFormatError(f"{path}:{number}: not a point record") from None
+        records[record.point_hash] = record
+    return records, bool(content) and not content.endswith("\n")
+
+
 class ResultStore:
     """JSONL-backed store of :class:`PointRecord`; ``path=None`` keeps
     everything in memory (useful for tests and one-shot benches)."""
@@ -77,35 +108,16 @@ class ResultStore:
         self.path = path
         self._records: Dict[str, PointRecord] = {}
         self._fh = None
-        self._torn_tail = False
         if path is not None:
-            self._load(path)
+            torn_tail = False
+            if os.path.exists(path):
+                self._records, torn_tail = load_jsonl(path)
             self._fh = open(path, "a", encoding="utf-8")
-            if self._torn_tail:
+            if torn_tail:
                 # Terminate the torn line so the next record starts on a
                 # fresh one instead of concatenating with the fragment.
                 self._fh.write("\n")
                 self._fh.flush()
-
-    def _load(self, path: str) -> None:
-        self._torn_tail = False
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-        self._torn_tail = bool(content) and not content.endswith("\n")
-        for line in content.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn line from a crash mid-write: the point it
-                # described simply reruns on resume.
-                continue
-            record = PointRecord.from_dict(data)
-            self._records[record.point_hash] = record
 
     # -- writing ---------------------------------------------------------
     def append(self, record: PointRecord) -> None:
@@ -128,53 +140,11 @@ class ResultStore:
         self.close()
 
     # -- reading ---------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, point_hash: str) -> bool:
-        """True when the point has a *successful* result.
-
-        Membership is the cache-hit question ("can this point's compute
-        be reused?"), so failed records do not count — they are visible
-        via :meth:`get` and :meth:`failed_records`, but a cache keyed on
-        ``in`` must re-run them.
-        """
-        record = self._records.get(point_hash)
-        return record is not None and record.ok
-
     def get(self, point_hash: str) -> Optional[PointRecord]:
+        """The latest record for the hash, successful or failed."""
         return self._records.get(point_hash)
 
-    def records(self) -> Iterator[PointRecord]:
-        return iter(self._records.values())
-
     def completed_hashes(self) -> Set[str]:
-        """Hashes with a successful result (what resume skips)."""
+        """Hashes with a successful result (what resume skips; a failed
+        record is visible via :meth:`get` but must be re-run)."""
         return {h for h, r in self._records.items() if r.ok}
-
-    def failed_records(self) -> List[PointRecord]:
-        return [r for r in self._records.values() if not r.ok]
-
-    def snapshot_paths(self) -> Dict[str, List[str]]:
-        """Snapshot files recorded per point, keyed by point hash.
-
-        Populated by snapshot-enabled campaigns (the executor stamps
-        ``meta["snapshots"]``); points run without snapshotting are
-        absent. The crash-resume path does not need this index — workers
-        look in ``<snapshot_dir>/<point_hash>/`` directly — but reports
-        and cleanup tooling do.
-
-        Only files that still exist are reported: a completed point's
-        snapshots are dead state and cleanup tooling deletes them, but
-        the records listing them are immutable history — without the
-        existence guard every later call would keep reporting orphaned
-        ``.rsnap`` paths for points that long since completed.
-        """
-        paths: Dict[str, List[str]] = {}
-        for point_hash, record in self._records.items():
-            snapshots = (record.meta or {}).get("snapshots")
-            if snapshots:
-                live = [p for p in snapshots if os.path.exists(p)]
-                if live:
-                    paths[point_hash] = live
-        return paths

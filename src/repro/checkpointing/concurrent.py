@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
 
 from repro.analysis.consistency import (
     check_vector_clocks,
@@ -114,10 +113,3 @@ def concurrent_initiation_hazard(
         orphan_count=len(orphans),
         vector_clock_consistent=check_vector_clocks(line),
     )
-
-
-def hazard_sweep(
-    seeds: List[int], policy: ConcurrencyPolicy, **kwargs
-) -> List[HazardReport]:
-    """Run the hazard check over several seeds."""
-    return [concurrent_initiation_hazard(seed, policy, **kwargs) for seed in seeds]

@@ -56,14 +56,14 @@ class StableStorage:
         except (KeyError, ValueError):
             raise StorageError(f"checkpoint {record.ckpt_id} not in {self.name}") from None
 
-    def garbage_collect(self, pid: int, keep_latest_permanent: int = 1) -> int:
-        """Drop all but the newest ``keep_latest_permanent`` permanent
-        checkpoints of ``pid`` (older ones can never be part of the most
-        recent recovery line). Returns the number removed.
+    def garbage_collect(self, pid: int) -> int:
+        """Drop all but the newest permanent checkpoint of ``pid`` (older
+        ones can never be part of the most recent recovery line).
+        Returns the number removed.
         """
         records = self._checkpoints.get(pid, [])
         permanents = [r for r in records if r.kind is CheckpointKind.PERMANENT]
-        to_drop = permanents[:-keep_latest_permanent] if keep_latest_permanent else permanents
+        to_drop = permanents[:-1]
         for record in to_drop:
             records.remove(record)
         return len(to_drop)
@@ -87,20 +87,7 @@ class LocalStore:
         self.name = name
         self._records: Dict[int, CheckpointRecord] = {}
         self.saves = 0
-        self.discards = 0
         self.removals = 0
-
-    @property
-    def records(self) -> List[CheckpointRecord]:
-        """All mutable checkpoints currently held."""
-        return list(self._records.values())
-
-    @property
-    def current(self) -> Optional[CheckpointRecord]:
-        """The most recently saved checkpoint still held, if any."""
-        if not self._records:
-            return None
-        return self._records[max(self._records)]
 
     def save(self, record: CheckpointRecord) -> None:
         """Store a mutable checkpoint."""
@@ -113,14 +100,6 @@ class LocalStore:
         """Drop a held checkpoint (promoted to stable, or discarded)."""
         if self._records.pop(record.ckpt_id, None) is not None:
             self.removals += 1
-
-    def discard(self) -> Optional[CheckpointRecord]:
-        """Drop the most recent checkpoint; returns it if one was held."""
-        record = self.current
-        if record is not None:
-            del self._records[record.ckpt_id]
-            self.discards += 1
-        return record
 
     def wipe(self) -> None:
         """Simulate MH failure: volatile contents are lost."""

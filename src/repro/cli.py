@@ -34,8 +34,16 @@ from repro.analysis.consistency import assert_line_consistent, latest_permanent_
 from repro.campaign.engine import build_point_runtime, run_preset
 from repro.campaign.spec import PRESETS, WORKLOAD_KINDS, RunPoint
 from repro.core.registry import available_protocols, build_protocol
+from repro.errors import ConfigurationError, SnapshotError, StoreFormatError
 from repro.explore.fuzz import EXPLORE_PRESETS
 from repro.workload.bursty import BurstyWorkloadConfig
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _point_flags() -> argparse.ArgumentParser:
@@ -57,7 +65,7 @@ def _point_flags() -> argparse.ArgumentParser:
                        "shards on the conservative windowed kernel; "
                        "results are bit-identical to --shards 1 "
                        "(see docs/SCALING.md)")
-    flags.add_argument("--rate", type=float, default=0.01,
+    flags.add_argument("--rate", type=_positive_float, default=0.01,
                        help="messages per second per process (bursty: "
                        "the long-run average)")
     flags.add_argument("--initiations", type=int, default=10)
@@ -364,12 +372,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_workers(args: argparse.Namespace) -> None:
+    if args.workers < 1:
+        raise ConfigurationError("--workers must be at least 1")
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
     import json
     import os
 
     from repro.campaign.store import ResultStore
-    from repro.errors import ReproError
     from repro.explore import (
         explore_preset,
         replay_counterexample,
@@ -377,24 +389,19 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
     from repro.sim.export import save_trace
 
-    try:
-        spec = explore_preset(args.preset)
-        overrides = {}
-        if args.seeds is not None:
-            overrides["n_seeds"] = args.seeds
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.mutation is not None:
-            overrides["mutation"] = args.mutation
-        if args.no_shrink:
-            overrides["shrink"] = False
-        if overrides:
-            spec = type(spec).from_dict({**spec.to_dict(), **overrides})
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = explore_preset(args.preset)
+    overrides = {}
+    if args.seeds is not None:
+        overrides["n_seeds"] = args.seeds
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.mutation is not None:
+        overrides["mutation"] = args.mutation
+    if args.no_shrink:
+        overrides["shrink"] = False
+    if overrides:
+        spec = type(spec).from_dict({**spec.to_dict(), **overrides})
+    _check_workers(args)
 
     store = ResultStore(args.store)
     with store:
@@ -455,21 +462,17 @@ def _print_rows(rows: List[dict]) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignEngine, CampaignSpec, ResultStore, preset_spec
 
-    import json
-
-    from repro.errors import ReproError
-
     try:
         if args.spec:
             spec = CampaignSpec.from_json_file(args.spec)
         else:
             spec = preset_spec(args.preset)
         points = spec.expand()
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-    except (ReproError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
+        # a spec file that is not JSON, or JSON of the wrong shape
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _check_workers(args)
 
     if args.list:
         for point in points:
@@ -598,7 +601,6 @@ def _print_run_report(
 def _cmd_run_resume(args: argparse.Namespace) -> int:
     import os
 
-    from repro.errors import SnapshotError
     from repro.snapshot import SnapshotStore, read_meta, resume_run
 
     path = args.resume_from
@@ -608,12 +610,8 @@ def _cmd_run_resume(args: argparse.Namespace) -> int:
             print(f"error: no snapshots in {path}", file=sys.stderr)
             return 2
         path = latest.path
-    try:
-        meta = read_meta(path)
-        image = resume_run(path)
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    meta = read_meta(path)
+    image = resume_run(path)
     print(
         f"resumed from            : {path} "
         f"(event {meta.events_processed}, t={meta.sim_time:.1f}s)"
@@ -671,7 +669,6 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from repro.errors import SnapshotError
     from repro.snapshot import (
         SnapshotStore,
         read_meta,
@@ -707,11 +704,7 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
                 print(json.dumps(meta.to_dict(), indent=2, sort_keys=True))
         return 0
 
-    try:
-        meta = read_meta(args.target)
-    except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    meta = read_meta(args.target)
     print(json.dumps(meta.to_dict(), indent=2, sort_keys=True))
     if args.verify:
         print(f"integrity: {verify(args.target)}")
@@ -779,14 +772,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.sim.export import read_trace
 
     if args.from_snapshot is not None:
-        from repro.errors import SnapshotError
         from repro.snapshot import replay_window
 
-        try:
-            replayed = replay_window(args.from_snapshot, args.window_start)
-        except SnapshotError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        replayed = replay_window(args.from_snapshot, args.window_start)
         trace = replayed.trace
         print(
             f"# time-travel: resumed {replayed.snapshot.path} "
@@ -827,12 +815,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.service import serve
 
+    _check_workers(args)
     try:
-        if args.workers < 1:
-            raise ValueError("--workers must be at least 1")
         serve(
             data_dir=args.data_dir,
             host=args.host,
@@ -842,9 +828,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             import_jsonl=args.import_jsonl,
             verbose=args.verbose,
         )
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         pass
     return 0
@@ -1011,7 +994,22 @@ def _cmd_table1() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; bad input ends in ``error: ...`` and exit code 2.
+
+    Bad input is a configuration the system refuses, an unreadable or
+    corrupt snapshot or store, or a file that cannot be opened.
+    ``ProtocolError`` / ``SimulationError`` mean a bug in the simulated
+    system and keep their traceback.
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ConfigurationError, SnapshotError, StoreFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "protocols":
         return _cmd_protocols()
     if args.command == "run":

@@ -8,7 +8,7 @@ checkpoint interval per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -50,9 +50,6 @@ class SystemConfig:
         trace memory for long runs while the final waves stay fully
         explainable; implies DEBUG-level tracing regardless of
         ``trace_messages``.
-    track_weight_invariant:
-        Attach a weight ledger asserting Lemma 2 continuously (protocols
-        that support it).
     piggyback_mode:
         How computation messages carry the sender's vector clock:
         ``"delta"`` (default) sends only the entries changed since the
@@ -88,7 +85,6 @@ class SystemConfig:
     network: NetworkParams = field(default_factory=NetworkParams)
     trace_messages: bool = True
     trace_debug_capacity: Optional[int] = None
-    track_weight_invariant: bool = False
     piggyback_mode: str = "delta"
     timeseries_window: Optional[float] = None
     shards: int = 1
@@ -120,10 +116,6 @@ class SystemConfig:
             )
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
-
-    def with_changes(self, **kwargs) -> "SystemConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
     @classmethod
     def from_params(cls, params: dict, seed: Optional[int] = None) -> "SystemConfig":

@@ -330,7 +330,7 @@ class RuntimeEnv(ProcessEnv):
         record.kind = CheckpointKind.PERMANENT
         if self.system.protocol.gc_permanents:
             storage = self.system.stable_storage_for(self.pid)
-            storage.garbage_collect(self.pid, keep_latest_permanent=1)
+            storage.garbage_collect(self.pid)
 
     def discard_stable(self, record: CheckpointRecord) -> None:
         storage = self.system.stable_storage_for(self.pid)

@@ -48,10 +48,3 @@ def build_protocol(name: str, **kwargs) -> CheckpointProtocol:
             f"unknown protocol {name!r}; available: {', '.join(available_protocols())}"
         )
     return factory(**kwargs)
-
-
-def register_protocol(name: str, factory: Callable[[], CheckpointProtocol]) -> None:
-    """Register a custom protocol (for downstream extensions)."""
-    if name in _FACTORIES:
-        raise ConfigurationError(f"protocol {name!r} already registered")
-    _FACTORIES[name] = factory

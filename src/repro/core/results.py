@@ -53,10 +53,6 @@ class RunResult:
         """Redundant mutable checkpoints per initiation (lower curves)."""
         return summarize([s.redundant_mutables for s in self.initiations])
 
-    def mutable_summary(self) -> Summary:
-        """All mutable checkpoints taken per initiation."""
-        return summarize([s.mutable_count for s in self.initiations])
-
     def duration_summary(self) -> Summary:
         """Checkpointing time per initiation (initiation -> commit)."""
         return summarize([s.duration for s in self.initiations if s.duration is not None])
@@ -126,19 +122,4 @@ class RunResult:
             "redundant_ratio": round(self.redundant_ratio, 4),
             "duration_s": round(self.duration_summary().mean, 3),
             "initiations": self.n_initiations,
-        }
-
-    def row(self) -> Dict[str, float]:
-        """A flat dict suitable for tabulation."""
-        return {
-            "initiations": self.n_initiations,
-            "tentative_mean": self.tentative_summary().mean,
-            "redundant_mutable_mean": self.redundant_mutable_summary().mean,
-            "mutable_mean": self.mutable_summary().mean,
-            "redundant_ratio": self.redundant_ratio,
-            "duration_mean": self.duration_summary().mean,
-            "system_messages": self.counters.get("system_messages", 0.0),
-            "broadcasts": self.counters.get("broadcasts", 0.0),
-            "computation_messages": self.counters.get("computation_messages", 0.0),
-            "blocked_time": self.total_blocked_time,
         }

@@ -25,7 +25,6 @@ from itertools import count
 
 from repro.core.config import SystemConfig
 from repro.core.process import AppProcess
-from repro.errors import ConfigurationError
 from repro.net.message import ComputationMessage
 from repro.net.mh import MobileHost
 from repro.net.mss import MobileSupportStation
@@ -154,13 +153,6 @@ class MobileSystem:
             self.timeseries.install()
 
     # -- lookups ---------------------------------------------------------
-    def process(self, pid: int) -> AppProcess:
-        """The application process with id ``pid``."""
-        try:
-            return self.processes[pid]
-        except KeyError:
-            raise ConfigurationError(f"no process with pid {pid}") from None
-
     def mss_for(self, pid: int) -> MobileSupportStation:
         """The MSS currently serving ``pid``'s host."""
         host = self.network.host_of_process(pid)
@@ -204,11 +196,9 @@ class MobileSystem:
             hook(process, message)
 
     # -- convenience -------------------------------------------------------------
-    def run_until_quiescent(self, extra_time: float = 0.0, max_events: Optional[int] = None) -> None:
-        """Drain the event queue (plus ``extra_time`` margin)."""
+    def run_until_quiescent(self, max_events: Optional[int] = None) -> None:
+        """Drain the event queue."""
         self.sim.run_until_idle(max_events=max_events)
-        if extra_time:
-            self.sim.run(until=self.sim.now + extra_time, max_events=max_events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -54,3 +54,7 @@ class StorageError(ReproError):
 
 class SnapshotError(ReproError):
     """A simulator snapshot could not be written, read, or restored."""
+
+
+class StoreFormatError(ReproError):
+    """A result-store file holds a line that parses but is no point record."""

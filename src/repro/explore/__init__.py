@@ -58,7 +58,6 @@ from repro.explore.policy import (
     decisions_to_jsonable,
 )
 from repro.explore.shrink import (
-    counterexample_ratio,
     ddmin,
     replay_counterexample,
     shrink_counterexample,
@@ -93,7 +92,6 @@ __all__ = [
     "ReplayPolicy",
     "decisions_from_jsonable",
     "decisions_to_jsonable",
-    "counterexample_ratio",
     "ddmin",
     "replay_counterexample",
     "shrink_counterexample",

@@ -156,16 +156,12 @@ class MinProcessMinimality(Invariant):
 class NoAvalanche(Invariant):
     """At most one new checkpoint per process per initiation.
 
-    ``allow_untriggered`` admits protocols that legitimately take
-    unilateral checkpoints (timer-based, uncoordinated, csn schemes);
-    the default rejects them, which is the right setting for the
-    min-process protocols explore targets.
+    A checkpoint with no trigger (a unilateral one, as the timer-based,
+    uncoordinated and csn schemes take) is itself a violation: the
+    min-process protocols explore targets never take one.
     """
 
     name = "no-avalanche"
-
-    def __init__(self, allow_untriggered: bool = False) -> None:
-        self.allow_untriggered = allow_untriggered
 
     def check(self, trace: TraceLog) -> List[Violation]:
         per_trigger: Dict[Tuple[Any, int], Set[int]] = {}
@@ -174,15 +170,14 @@ class NoAvalanche(Invariant):
             trigger = record.get("trigger")
             pid = record["pid"]
             if trigger is None:
-                if not self.allow_untriggered:
-                    violations.append(
-                        self.violation(
-                            f"process {pid} took an uncoordinated (induced) "
-                            "checkpoint — avalanche engine",
-                            pid=pid,
-                            ckpt_id=record.get("ckpt_id"),
-                        )
+                violations.append(
+                    self.violation(
+                        f"process {pid} took an uncoordinated (induced) "
+                        "checkpoint — avalanche engine",
+                        pid=pid,
+                        ckpt_id=record.get("ckpt_id"),
                     )
+                )
                 continue
             ids = per_trigger.setdefault((trigger, pid), set())
             ckpt_id = record.get("ckpt_id")
@@ -408,21 +403,9 @@ def build_invariants(names: Optional[Sequence[str]] = None) -> Tuple[Invariant, 
 def check_invariants(
     trace: TraceLog,
     invariants: Optional[Sequence[Invariant]] = None,
-    dump_path: Optional[str] = None,
 ) -> List[Violation]:
-    """Run the suite against ``trace`` and collect every violation.
-
-    ``dump_path`` arms the flight recorder's dump-on-violation: when any
-    invariant fails, the trace (merged INFO + retained-DEBUG view for a
-    ring-buffered log) is written there as JSON lines before returning,
-    so the evidence window survives even if the run continues and the
-    ring rolls past it.
-    """
+    """Run the suite against ``trace`` and collect every violation."""
     violations: List[Violation] = []
     for invariant in invariants if invariants is not None else DEFAULT_INVARIANTS:
         violations.extend(invariant.check(trace))
-    if violations and dump_path is not None:
-        from repro.sim.export import save_trace
-
-        save_trace(trace, dump_path)
     return violations

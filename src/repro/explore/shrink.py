@@ -17,7 +17,7 @@ reproduces the violation bit-identically.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.campaign.spec import RunPoint
 from repro.explore.policy import (
@@ -171,15 +171,3 @@ def replay_counterexample(counterexample: Dict[str, Any]) -> Any:
     point = RunPoint.from_dict(dict(counterexample["point"]))
     decisions = decisions_from_jsonable(counterexample["decisions"])
     return run_explore_once(point, decisions=decisions)
-
-
-def counterexample_ratio(counterexample: Dict[str, Any]) -> Optional[float]:
-    """Shrunk size over original size for the perturbation set.
-
-    None when the original run had no recorded perturbations (the bug
-    reproduced with zero schedule noise — already minimal).
-    """
-    original = counterexample.get("original_decisions", 0)
-    if not original:
-        return None
-    return counterexample["shrunk_decisions"] / original

@@ -10,7 +10,7 @@ Public surface:
 * :func:`~repro.net.disconnect.disconnect`, :func:`~repro.net.disconnect.reconnect`.
 """
 
-from repro.net.channel import FifoChannel, InstantChannel
+from repro.net.channel import FifoChannel
 from repro.net.disconnect import (
     BufferRecord,
     DisconnectProxy,
@@ -37,7 +37,6 @@ __all__ = [
     "DisconnectProxy",
     "DisconnectRecord",
     "FifoChannel",
-    "InstantChannel",
     "Message",
     "MobileHost",
     "MobileNetwork",

@@ -202,42 +202,3 @@ class FifoChannel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "paused" if self._paused else "up"
         return f"<FifoChannel {self.name} {state} busy_until={self._busy_until:.6f}>"
-
-
-class InstantChannel:
-    """A zero-delay channel used by scripted scenarios and unit tests.
-
-    Delivery still goes through the event queue (delay 0) so that the
-    relative order of sends is preserved and handlers never reenter.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        deliver: DeliverFn,
-        name: str = "instant",
-        link_class: Optional[str] = None,
-    ) -> None:
-        self.sim = sim
-        self.deliver = deliver
-        self.name = name
-        self.bytes_sent = 0
-        self.messages_sent = 0
-        if link_class is not None:
-            self._c_bytes = sim.metrics.counter(f"net.{link_class}.bytes")
-            self._c_msgs = sim.metrics.counter(f"net.{link_class}.msgs")
-        else:
-            self._c_bytes = Counter(f"{name}.bytes")
-            self._c_msgs = Counter(f"{name}.msgs")
-
-    @property
-    def min_delay(self) -> float:
-        """Per-link lookahead: an instant link offers none."""
-        return 0.0
-
-    def send(self, message: Message) -> None:
-        self.bytes_sent += message.size_bytes
-        self.messages_sent += 1
-        self._c_bytes.inc(message.size_bytes)
-        self._c_msgs.inc()
-        self.sim.schedule(0.0, self.deliver, message, stream=self)

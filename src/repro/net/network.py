@@ -49,20 +49,9 @@ class MobileNetwork:
         #: msg_id allocator for messages the net layer itself constructs;
         #: a MobileSystem replaces this with its own counter at build time
         self.message_ids = count()
-        # System-wide routing counters, published to the run's registry
-        # (the old `wired_messages`/`wireless_messages` int fields).
+        # System-wide routing counters, published to the run's registry.
         self._c_wired_routed = sim.metrics.counter("net.wired.routed")
         self._c_wireless_sends = sim.metrics.counter("net.wireless.sends")
-
-    @property
-    def wired_messages(self) -> int:
-        """Messages routed over the backbone (registry-backed)."""
-        return int(self._c_wired_routed.value)
-
-    @property
-    def wireless_messages(self) -> int:
-        """Process sends that crossed a wireless uplink (registry-backed)."""
-        return int(self._c_wireless_sends.value)
 
     # -- topology construction ------------------------------------------------
     def add_mss(self, name: Optional[str] = None) -> MobileSupportStation:
@@ -200,9 +189,8 @@ class MobileNetwork:
         self,
         src_pid: int,
         make_message: Callable[[int], SystemMessage],
-        include_self: bool = False,
     ) -> int:
-        """Broadcast a system message to every process in the system.
+        """Broadcast a system message to every other process in the system.
 
         ``make_message(pid)`` builds the per-destination copy (broadcast
         flag set by this method). Returns the number of copies sent.
@@ -212,7 +200,7 @@ class MobileNetwork:
         """
         sent = 0
         for pid in self.process_ids:
-            if pid == src_pid and not include_self:
+            if pid == src_pid:
                 continue
             message = make_message(pid)
             message.broadcast = True

@@ -43,13 +43,6 @@ class Host:
         self._process_handlers[pid] = handler
         self.network.register_process(pid, self)
 
-    def detach_process(self, pid: int) -> ProcessHandler:
-        """Remove and return the handler for ``pid`` (used by migration)."""
-        try:
-            return self._process_handlers.pop(pid)
-        except KeyError:
-            raise UnknownHostError(f"pid {pid} not attached to {self.name}") from None
-
     def deliver_to_process(self, message: Message) -> None:
         """Hand an arrived message to the destination process's handler."""
         handler = self._process_handlers.get(message.dst_pid)

@@ -41,7 +41,6 @@ therefore its ``metrics_sha256`` golden — is unchanged.
 
 from __future__ import annotations
 
-import io
 import json
 from collections import deque
 from typing import IO, Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -53,7 +52,6 @@ __all__ = [
     "TimeseriesSampler",
     "dump_timeseries_jsonl",
     "dump_timeseries_tsv",
-    "dumps_timeseries",
     "merge_timeseries",
     "save_timeseries",
 ]
@@ -320,18 +318,6 @@ def dump_timeseries_tsv(timeseries: Dict[str, Any], stream: IO[str]) -> int:
         cells.extend(repr(float(series.get(name, 0.0))) for name in names)
         stream.write("\t".join(cells) + "\n")
     return len(rows)
-
-
-def dumps_timeseries(timeseries: Dict[str, Any], fmt: str = "jsonl") -> str:
-    """The timeseries as one string, ``fmt`` in ``{"jsonl", "tsv"}``."""
-    buffer = io.StringIO()
-    if fmt == "jsonl":
-        dump_timeseries_jsonl(timeseries, buffer)
-    elif fmt == "tsv":
-        dump_timeseries_tsv(timeseries, buffer)
-    else:
-        raise ValueError(f"unknown timeseries format {fmt!r}")
-    return buffer.getvalue()
 
 
 def save_timeseries(timeseries: Dict[str, Any], path: str) -> int:

@@ -97,7 +97,7 @@ class HarnessEnv(ProcessEnv):
     def make_permanent(self, record: CheckpointRecord) -> None:
         record.kind = CheckpointKind.PERMANENT
         if self.harness.protocol.gc_permanents:
-            self.harness.storage.garbage_collect(self.pid, keep_latest_permanent=1)
+            self.harness.storage.garbage_collect(self.pid)
 
     def discard_stable(self, record: CheckpointRecord) -> None:
         try:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.campaign.spec import RunPoint
-from repro.campaign.store import PointRecord
 from repro.obs.registry import MetricsRegistry
 
 
@@ -36,16 +35,6 @@ class CachePartition:
 
     hits: List[RunPoint] = field(default_factory=list)
     misses: List[RunPoint] = field(default_factory=list)
-    #: cached records for ``hits``, index-aligned with it
-    hit_records: List[PointRecord] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.hits) + len(self.misses)
-
-    @property
-    def all_hit(self) -> bool:
-        return not self.misses
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CachePartition {len(self.hits)} hit / {len(self.misses)} miss>"
@@ -62,15 +51,6 @@ class ResultCache:
         self._hits = self.metrics.counter("service.cache.hits")
         self._misses = self.metrics.counter("service.cache.misses")
 
-    def lookup(self, point: RunPoint) -> Optional[PointRecord]:
-        """The cached record for one point, or ``None`` (counted)."""
-        record = self.store.get(point.point_hash)
-        if record is not None and record.ok:
-            self._hits.inc()
-            return record
-        self._misses.inc()
-        return None
-
     def partition(self, points: Sequence[RunPoint]) -> CachePartition:
         """Split a grid into cache hits and misses, counting both.
 
@@ -85,7 +65,6 @@ class ResultCache:
             record = self.store.get(point.point_hash)
             if record is not None and record.ok:
                 part.hits.append(point)
-                part.hit_records.append(record)
                 self._hits.inc()
             else:
                 if point.point_hash not in seen:

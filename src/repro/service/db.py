@@ -1,13 +1,13 @@
 """SQLite result backend: the service's durable, indexed store.
 
-:class:`ResultDB` speaks the exact :class:`~repro.campaign.store.ResultStore`
-surface (``append`` / ``get`` / ``in`` / ``completed_hashes`` / ...), so
+:class:`ResultDB` speaks the :class:`~repro.campaign.store.ResultStore`
+surface (``append`` / ``get`` / ``completed_hashes`` / ``close``), so
 :class:`~repro.campaign.engine.CampaignEngine` and the cache layer use
 either interchangeably. What SQLite adds over append-only JSONL:
 
-* **indexed queries** — by point hash (primary key), campaign, and
-  status, so a service holding millions of points answers "is this hash
-  cached?" and "what failed in campaign X?" without scanning a file;
+* **indexed queries** — by point hash (primary key) and status, so a
+  service holding millions of points answers "is this hash cached?"
+  and the dashboard's status counts without scanning a file;
 * **WAL mode** — concurrent readers (status/results endpoints) never
   block the writer appending results;
 * **associative import/export** — :meth:`import_jsonl` folds an
@@ -22,21 +22,19 @@ serve-smoke kill/restart) loses nothing; only an OS-level power cut can
 drop the very last commits, and the database stays consistent even
 then.
 
-The same cache-hit semantics as the JSONL store apply: ``in`` and
-:meth:`completed_hashes` see only successful records; failed records
-are visible via :meth:`get` / :meth:`failed_records` and must be
-re-run, never served from cache.
+The same cache-hit semantics as the JSONL store apply:
+:meth:`completed_hashes` sees only successful records; failed records
+are visible via :meth:`get` and must be re-run, never served from cache.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, Optional, Set
 
-from repro.campaign.store import PointRecord, ResultStore
+from repro.campaign.store import PointRecord, ResultStore, load_jsonl
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS points (
@@ -77,7 +75,7 @@ class ResultDB:
     def append(self, record: PointRecord, campaign: str = "") -> None:
         """Record one outcome durably; a same-hash record supersedes.
 
-        ``campaign`` tags the row for indexed per-campaign queries; the
+        ``campaign`` fills the row's indexed ``campaign`` column; the
         engine calls the two-argument :class:`ResultStore` signature, so
         untagged rows are simply the empty campaign.
         """
@@ -112,29 +110,6 @@ class ResultDB:
         self.close()
 
     # -- reading (the ResultStore surface) -------------------------------
-    def _rows(self, where: str = "", args: tuple = ()) -> List[str]:
-        with self._lock:
-            cur = self._conn.execute(
-                f"SELECT record FROM points {where} ORDER BY point_hash", args
-            )
-            return [row[0] for row in cur.fetchall()]
-
-    def __len__(self) -> int:
-        with self._lock:
-            (count,) = self._conn.execute(
-                "SELECT COUNT(*) FROM points"
-            ).fetchone()
-        return int(count)
-
-    def __contains__(self, point_hash: str) -> bool:
-        """True when the point has a *successful* result (cache-hit rule)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM points WHERE point_hash = ? AND status = 'ok'",
-                (point_hash,),
-            ).fetchone()
-        return row is not None
-
     def get(self, point_hash: str) -> Optional[PointRecord]:
         with self._lock:
             row = self._conn.execute(
@@ -146,7 +121,13 @@ class ResultDB:
         return PointRecord.from_dict(json.loads(row[0]))
 
     def records(self) -> Iterator[PointRecord]:
-        for blob in self._rows():
+        """Every record, in point-hash order."""
+        with self._lock:
+            cur = self._conn.execute(
+                "SELECT record FROM points ORDER BY point_hash"
+            )
+            blobs = [row[0] for row in cur.fetchall()]
+        for blob in blobs:
             yield PointRecord.from_dict(json.loads(blob))
 
     def completed_hashes(self) -> Set[str]:
@@ -157,19 +138,6 @@ class ResultDB:
             )
             return {row[0] for row in cur.fetchall()}
 
-    def failed_records(self) -> List[PointRecord]:
-        return [
-            PointRecord.from_dict(json.loads(blob))
-            for blob in self._rows("WHERE status != 'ok'")
-        ]
-
-    def campaign_records(self, campaign: str) -> List[PointRecord]:
-        """Records tagged with one campaign name (indexed)."""
-        return [
-            PointRecord.from_dict(json.loads(blob))
-            for blob in self._rows("WHERE campaign = ?", (campaign,))
-        ]
-
     def status_counts(self) -> Dict[str, int]:
         """``{status: row count}`` — the dashboard's one-query summary."""
         with self._lock:
@@ -177,17 +145,6 @@ class ResultDB:
                 "SELECT status, COUNT(*) FROM points GROUP BY status"
             )
             return {status: int(count) for status, count in cur.fetchall()}
-
-    def snapshot_paths(self) -> Dict[str, List[str]]:
-        """Live snapshot files per point (same orphan guard as JSONL)."""
-        paths: Dict[str, List[str]] = {}
-        for record in self.records():
-            snapshots = (record.meta or {}).get("snapshots")
-            if snapshots:
-                live = [p for p in snapshots if os.path.exists(p)]
-                if live:
-                    paths[record.point_hash] = live
-        return paths
 
     # -- migration -------------------------------------------------------
     def import_jsonl(self, path: str, campaign: str = "") -> int:
@@ -199,18 +156,7 @@ class ResultDB:
         overlapping stores in, in any interleaving, leaves the same
         database as appending all their records in file order.
         """
-        merged: Dict[str, PointRecord] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh.read().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line from a crash mid-write
-                record = PointRecord.from_dict(data)
-                merged[record.point_hash] = record
+        merged, _ = load_jsonl(path)
         for record in merged.values():
             self.append(record, campaign=campaign)
         return len(merged)

@@ -6,7 +6,7 @@ Public surface:
 * :class:`~repro.sim.shard.ShardedSimulator` — the barrier-window
   sharded kernel (``SystemConfig.shards > 1``), bit-identical to
   :class:`Simulator` by construction.
-* :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timer`.
+* :class:`~repro.sim.events.Event` — the cancellable handle ``schedule`` returns.
 * :class:`~repro.sim.rng.RandomStreams` — named seeded randomness.
 * :class:`~repro.sim.trace.TraceLog` — structured ground-truth log.
 
@@ -14,7 +14,7 @@ Counters, gauges and histograms live in
 :class:`repro.obs.registry.MetricsRegistry` (``sim.metrics``).
 """
 
-from repro.sim.events import Event, Timer
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.shard import Envelope, ShardPlan, ShardedSimulator
@@ -27,7 +27,6 @@ __all__ = [
     "ShardPlan",
     "ShardedSimulator",
     "Simulator",
-    "Timer",
     "TraceLog",
     "TraceRecord",
 ]

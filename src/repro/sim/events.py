@@ -11,7 +11,7 @@ FIFO-within-a-timestamp order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class Event:
@@ -74,46 +74,3 @@ class Event:
         state = " cancelled" if self._cancelled else ""
         name = getattr(self.callback, "__qualname__", repr(self.callback))
         return f"<Event t={self.time:.6f} seq={self.seq} {name}{state}>"
-
-
-class Timer:
-    """A restartable one-shot timer built on kernel events.
-
-    Wraps the schedule/cancel dance needed for timeouts: :meth:`restart`
-    cancels any pending expiry and schedules a new one.
-    """
-
-    def __init__(self, sim: "Simulator", callback: Callable[[], Any]) -> None:  # noqa: F821
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def pending(self) -> bool:
-        """Whether the timer is armed and has not yet fired."""
-        return self._event is not None and not self._event.cancelled
-
-    def start(self, delay: float) -> None:
-        """Arm the timer to fire ``delay`` simulated seconds from now.
-
-        Raises if the timer is already pending; use :meth:`restart` to
-        rearm unconditionally.
-        """
-        if self.pending:
-            raise RuntimeError("timer already pending; use restart()")
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def restart(self, delay: float) -> None:
-        """Cancel any pending expiry and arm the timer afresh."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer if pending."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._callback()

@@ -31,7 +31,7 @@ from typing import (
 
 from repro.errors import ScheduleInPastError, SimulationError
 from repro.obs.registry import MetricsRegistry
-from repro.sim.events import Event, Timer
+from repro.sim.events import Event
 from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -446,10 +446,6 @@ class Simulator:
             self._profiler.on_push(self.pending_events)
         return event
 
-    def timer(self, callback: Callable[[], Any]) -> Timer:
-        """Create a restartable :class:`~repro.sim.events.Timer`."""
-        return Timer(self, callback)
-
     def step(self) -> bool:
         """Process the next non-cancelled event.
 
@@ -547,8 +543,7 @@ class Simulator:
                 callback(*event.args)
                 profiler.on_event(callback, perf_counter() - started, len(queue))
             # Recycle the handle iff nobody else holds it (local binding
-            # + getrefcount argument == 2). Timer clears its handle
-            # before invoking the callback, so timer events recycle too.
+            # + getrefcount argument == 2).
             if refcount(event) == 2 and len(free) < _FREELIST_MAX:
                 event.callback = None
                 event.args = ()

@@ -66,8 +66,3 @@ class RandomStreams:
         if not options:
             raise ValueError("cannot choose from an empty sequence")
         return self.stream(name).choice(options)
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """A child factory whose streams are independent of the parent's."""
-        digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))

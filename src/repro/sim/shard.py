@@ -75,6 +75,9 @@ _INF = float("inf")
 #: ``process``-first order breaks that cycle towards the host chain.
 _ENTITY_HOPS = ("process", "host", "mss", "env")
 
+#: bound on the walk, so a reference cycle among entities cannot spin it
+_MAX_HOPS = 6
+
 
 class Envelope(NamedTuple):
     """A cross-shard event, as a distributed engine would ship it."""
@@ -87,24 +90,22 @@ class Envelope(NamedTuple):
     violation: bool
 
 
-def resolve_entity_shard(obj: Any, max_hops: int = 6) -> Optional[int]:
+def resolve_entity_shard(obj: Any) -> Optional[int]:
     """Walk ``obj``'s reference chain to a ``shard_id`` tag, if any.
 
     Follows bound-callback owners (channels store their destination's
-    delivery method in ``.deliver``, timers in ``._callback``) and the
-    entity attributes in :data:`_ENTITY_HOPS`. Returns ``None`` when no
-    tagged entity is reachable (the caller falls back to shard 0, the
-    coordinator shard that owns the runner, mobility manager, and other
-    global closures).
+    delivery method in ``.deliver``) and the entity attributes in
+    :data:`_ENTITY_HOPS`, at most :data:`_MAX_HOPS` links deep. Returns
+    ``None`` when no tagged entity is reachable (the caller falls back
+    to shard 0, the coordinator shard that owns the runner, mobility
+    manager, and other global closures).
     """
     hops = 0
-    while obj is not None and hops < max_hops:
+    while obj is not None and hops < _MAX_HOPS:
         shard = getattr(obj, "shard_id", None)
         if shard is not None:
             return shard
         bound = getattr(obj, "deliver", None)
-        if bound is None:
-            bound = getattr(obj, "_callback", None)
         if bound is not None:
             obj = getattr(bound, "__self__", None)
             hops += 1
@@ -172,14 +173,6 @@ class ShardPlan:
         if isinstance(sim, ShardedSimulator):
             sim._pid_entities = dict(system.processes)
             sim._plan = self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_shards": self.n_shards,
-            "effective_shards": self.effective_shards,
-            "mss_shard": dict(self.mss_shard),
-            "pid_shard": dict(self.pid_shard),
-        }
 
 
 class ShardedSimulator(Simulator):

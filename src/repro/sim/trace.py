@@ -60,12 +60,6 @@ class TraceLevel:
     INFO = 20
     OFF = 100
 
-    _NAMES = {DEBUG: "DEBUG", INFO: "INFO", OFF: "OFF"}
-
-    @classmethod
-    def name(cls, level: int) -> str:
-        return cls._NAMES.get(level, str(level))
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -101,9 +95,6 @@ class TraceLog:
     level:
         Records below this level are skipped. The default ``DEBUG``
         keeps everything; ``TraceLevel.OFF`` records nothing.
-    sample_every:
-        Keep only every N-th DEBUG record (deterministic counter-based
-        sampling; INFO records are never sampled out). ``1`` keeps all.
     debug_capacity:
         Flight-recorder mode: retain at most this many DEBUG records (a
         ring buffer of the most recent ones). INFO records are always
@@ -113,19 +104,14 @@ class TraceLog:
     def __init__(
         self,
         level: int = TraceLevel.DEBUG,
-        sample_every: int = 1,
         debug_capacity: Optional[int] = None,
     ) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         if debug_capacity is not None and debug_capacity < 1:
             raise ValueError(
                 f"debug_capacity must be >= 1 (or None), got {debug_capacity}"
             )
         self._records: List[TraceRecord] = []
         self._subscribers: List[Callable[[TraceRecord], None]] = []
-        self.sample_every = sample_every
-        self._debug_seen = 0
         # Flight-recorder state. In normal mode (_debug_ring is None)
         # everything lives in _records and the sequence bookkeeping is
         # dormant; in flight mode _records holds INFO only, the ring
@@ -196,7 +182,7 @@ class TraceLog:
             subscriber(rec)
 
     def debug(self, time: float, kind: str, **fields: Any) -> None:
-        """Append a DEBUG-level record (subject to sampling).
+        """Append a DEBUG-level record.
 
         Hot-path emitters should guard the *call itself* with
         :attr:`debug_on` so the record kwargs are never even built when
@@ -204,9 +190,6 @@ class TraceLog:
         net for unguarded callers.
         """
         if not self.debug_on:
-            return
-        self._debug_seen += 1
-        if self.sample_every > 1 and self._debug_seen % self.sample_every:
             return
         rec = TraceRecord(time, kind, fields)
         ring = self._debug_ring
@@ -284,27 +267,6 @@ class TraceLog:
             if r.kind == kind:
                 return r
         return None
-
-    def between(self, start: float, end: float) -> List[TraceRecord]:
-        """Records with ``start <= time <= end``."""
-        return [r for r in self if start <= r.time <= end]
-
-    def clear(self) -> None:
-        """Drop all records (subscribers are retained)."""
-        self._records.clear()
-        self._debug_seen = 0
-        self._seq = 0
-        self._info_seq.clear()
-        if self._debug_ring is not None:
-            self._debug_ring.clear()
-        self.debug_evicted = 0
-
-    def kinds(self) -> Tuple[str, ...]:
-        """The distinct record kinds present, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for r in self:
-            seen.setdefault(r.kind, None)
-        return tuple(seen)
 
     def content_hash(self) -> str:
         """SHA-256 over a canonical rendering of every record.

@@ -29,8 +29,8 @@ at the between-events point where it was captured, and
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.checkpointing.types import checkpoint_ids_state, restore_checkpoint_ids
 from repro.errors import SnapshotError
@@ -53,7 +53,6 @@ class SimulationImage:
     snapshotter: Optional["Snapshotter"] = None
     checkpoint_ids: int = 0
     message_ids: int = 0
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def system(self) -> "MobileSystem":
@@ -68,7 +67,6 @@ def capture(
     runner: "ExperimentRunner",
     driver: Optional["InjectionDriver"] = None,
     snapshotter: Optional["Snapshotter"] = None,
-    extras: Optional[Dict[str, Any]] = None,
 ) -> bytes:
     """Serialize the full simulation state to bytes.
 
@@ -83,7 +81,6 @@ def capture(
         snapshotter=snapshotter,
         checkpoint_ids=checkpoint_ids_state(),
         message_ids=message_ids_state(),
-        extras=dict(extras or {}),
     )
     try:
         return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)

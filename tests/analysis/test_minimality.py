@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.minimality import (
-    assert_minimal,
     check_minimality,
     must_checkpoint_set,
 )
@@ -67,7 +66,8 @@ class TestClosureOnScriptedScenarios:
         h.deliver(h.send(1, 0))
         h.initiate(0)
         h.deliver_all_system()
-        assert_minimal(h.trace)
+        for report in check_minimality(h.trace):
+            assert report.minimal, str(report)
 
 
 class TestSimulationMinimality:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.stats import required_samples, summarize
+from repro.analysis.stats import required_samples, summarize, t_critical
 
 
 def test_empty_samples():
@@ -53,11 +53,21 @@ def test_paper_precision_threshold():
     assert not loose.meets_paper_precision()
 
 
-def test_confidence_level_configurable():
-    samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-    wide = summarize(samples, confidence=0.99)
-    narrow = summarize(samples, confidence=0.90)
-    assert wide.ci_halfwidth > narrow.ci_halfwidth
+@pytest.mark.parametrize(
+    "df, expected",
+    [
+        (1, 12.706204736174694),
+        (2, 4.302652729749462),
+        (5, 2.5705818356363146),
+        (10, 2.228138851986274),
+        (30, 2.0422724563012378),
+        (120, 1.9799304050824402),
+        (1000, 1.9623390808264083),
+    ],
+)
+def test_t_critical_matches_reference_table(df, expected):
+    """0.975 quantiles of Student's t as published (no scipy needed)."""
+    assert t_critical(df) == pytest.approx(expected, rel=1e-9)
 
 
 def test_required_samples_grows_with_variance():

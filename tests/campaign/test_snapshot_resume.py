@@ -95,9 +95,8 @@ def test_engine_snapshot_dir_wires_executor_and_store(tmp_path):
         snapshot_root, point.point_hash
     )
     assert record.meta["snapshots"], "no snapshot paths recorded"
-    paths = store.snapshot_paths()
-    assert paths == {point.point_hash: record.meta["snapshots"]}
-    for path in paths[point.point_hash]:
+    assert store.get(point.point_hash).meta["snapshots"] == record.meta["snapshots"]
+    for path in record.meta["snapshots"]:
         assert os.path.exists(path)
 
 

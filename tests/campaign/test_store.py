@@ -27,16 +27,14 @@ def make_record(h="abc", status="ok", **kwargs):
 
 def test_in_memory_store():
     store = ResultStore()
-    assert len(store) == 0
+    assert store.completed_hashes() == set()
     store.append(make_record("a"))
     store.append(make_record("b", status="failed"))
-    assert len(store) == 2
-    assert "a" in store
-    # membership is the cache-hit question: failed records don't count
-    assert "b" not in store
-    assert store.get("b") is not None
+    assert store.get("a").ok
+    # completion is the cache-hit question: failed records don't count
+    assert store.get("b").error == "boom"
     assert store.completed_hashes() == {"a"}
-    assert [r.point_hash for r in store.failed_records()] == ["b"]
+    assert store.get("missing") is None
 
 
 def test_durable_round_trip(tmp_path):
@@ -72,7 +70,7 @@ def test_torn_final_line_is_ignored(tmp_path):
         fh.write(json.dumps(make_record("c").to_dict())[:37])
     with ResultStore(path) as store:
         assert store.completed_hashes() == {"a", "b"}
-        assert "c" not in store
+        assert store.get("c") is None
         # the store stays appendable after recovery
         store.append(make_record("d"))
     with ResultStore(path) as store:
@@ -84,18 +82,3 @@ def test_record_rehydrates_run_result():
     result = record.run_result()
     assert isinstance(result, RunResult)
     assert result.sim_time == 1.0
-
-
-def test_snapshot_paths_orphan_guard(tmp_path):
-    """Deleted .rsnap files for completed points are not reported."""
-    live = tmp_path / "live.rsnap"
-    live.write_bytes(b"x")
-    gone = tmp_path / "gone.rsnap"
-    store = ResultStore()
-    store.append(make_record("a", meta={"snapshots": [str(live), str(gone)]}))
-    store.append(make_record("b", meta={"snapshots": [str(gone)]}))
-    store.append(make_record("c"))
-    assert store.snapshot_paths() == {"a": [str(live)]}
-    # cleanup deletes the last live file -> the point drops out entirely
-    live.unlink()
-    assert store.snapshot_paths() == {}

@@ -202,7 +202,7 @@ def test_state_dict_round_trips_mid_wave_at_1024p():
 
     touched = 0
     for pid in range(1024):
-        process = system.process(pid).protocol_process
+        process = system.processes[pid].protocol_process
         if not (process.r.any() or process.sent):
             continue
         before = process.state_dict()

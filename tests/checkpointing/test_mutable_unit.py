@@ -122,7 +122,7 @@ class TestComputationMessages:
         p0 = h.processes[0]
         assert p0.r[1]
         assert h.app_state[0]["messages_received"] == 1
-        assert not h.local_stores[0].records
+        assert len(h.local_stores[0]) == 0
 
     def test_tagged_message_with_sent_takes_mutable(self):
         h = harness()

@@ -75,10 +75,10 @@ class TestLocalStore:
         store = LocalStore()
         r = record(kind=CheckpointKind.MUTABLE)
         store.save(r)
-        assert store.current is r
         assert len(store) == 1
         store.remove(r)
-        assert store.current is None
+        assert len(store) == 0
+        assert store.removals == 1
 
     def test_rejects_non_mutable(self):
         store = LocalStore()
@@ -92,15 +92,8 @@ class TestLocalStore:
         store.save(a)
         store.save(b)
         assert len(store) == 2
-        assert store.current is b
-
-    def test_discard_most_recent(self):
-        store = LocalStore()
-        a = record(kind=CheckpointKind.MUTABLE)
-        store.save(a)
-        assert store.discard() is a
-        assert store.discard() is None
-        assert store.discards == 1
+        store.remove(a)
+        assert len(store) == 1
 
     def test_wipe_models_volatility(self):
         store = LocalStore()

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.recovery_line import (
     checkpoint_histories,
     maximal_consistent_line,
-    search_recovery_line,
 )
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord
@@ -154,7 +153,9 @@ class TestEndToEnd:
         from repro.analysis.consistency import find_orphans
 
         system = run_uncoordinated(seed=7)
-        search = search_recovery_line(system.all_stable_storages(), system.processes)
+        search = maximal_consistent_line(
+            checkpoint_histories(system.all_stable_storages(), system.processes)
+        )
         assert find_orphans(system.sim.trace, search.line) == []
 
     def test_coordinated_never_needs_rollback_search(self):

@@ -143,6 +143,51 @@ def test_no_command_rejected():
         main([])
 
 
+BAD_STORE = '{"point_hash":"a","status":"ok","point":{}}\n123\n{"foo":1}\n'
+
+
+NOT_A_RECORD = "bad.jsonl:2: not a point record"
+
+BAD_INPUT = {
+    "run-processes-0": ("run --processes 0", "at least one process"),
+    "run-cells-0": ("run --cells 0", "at least one MSS"),
+    "run-initiations-1": ("run --initiations 1", "measured initiation"),
+    "profile-initiations-1": ("profile --initiations 1", "measured initiation"),
+    "run-rate-0": ("run --rate 0", "--rate: must be positive"),
+    "verify-trace-missing": ("verify-trace missing.jsonl", "missing.jsonl"),
+    "resume-missing": ("run --resume-from missing.rsnap", "missing.rsnap"),
+    "snapshots-missing": ("snapshots missing.rsnap", "missing.rsnap"),
+    "campaign-spec-missing": ("campaign --spec missing.json", "missing.json"),
+    "campaign-workers-0": (
+        "campaign --preset smoke --no-store --workers 0", "--workers"),
+    "explore-workers-0": ("explore --workers 0", "--workers"),
+    "serve-workers-0": ("serve --workers 0", "--workers"),
+    "campaign-bad-store": (
+        "campaign --preset smoke --store bad.jsonl", NOT_A_RECORD),
+    "explore-bad-store": ("explore --seeds 2 --store bad.jsonl", NOT_A_RECORD),
+    "serve-bad-import": (
+        "serve --data-dir data --port 0 --import bad.jsonl", NOT_A_RECORD),
+}
+
+
+@pytest.mark.parametrize("command, complaint", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_bad_input_is_an_error_line_and_exit_2(
+    command, complaint, tmp_path, monkeypatch, capsys
+):
+    """One boundary: bad input never ends in a Python traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text(BAD_STORE)
+    try:
+        code = main(command.split())
+    except SystemExit as exc:  # rejected at parse time
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err and complaint in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _exported_trace(tmp_path, extra=()):
     path = str(tmp_path / "trace.jsonl")
     code = main(

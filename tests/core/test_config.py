@@ -22,12 +22,6 @@ class TestSystemConfig:
         assert c.checkpoint_interval == 900.0
         assert c.checkpoint_size_bytes == 512 * 1024
 
-    def test_with_changes(self):
-        c = SystemConfig().with_changes(n_processes=4, seed=7)
-        assert c.n_processes == 4
-        assert c.seed == 7
-        assert c.checkpoint_interval == 900.0
-
     def test_from_params_rebuilds_nested_network(self):
         c = SystemConfig.from_params(
             {"n_processes": 4, "network": {"shared_cell_medium": False}},

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpointing.protocol import CheckpointProtocol
-from repro.core.registry import available_protocols, build_protocol, register_protocol
+from repro.core.registry import available_protocols, build_protocol
 from repro.errors import ConfigurationError
 
 
@@ -29,21 +28,3 @@ def test_build_with_kwargs():
 def test_unknown_name_rejected():
     with pytest.raises(ConfigurationError):
         build_protocol("does-not-exist")
-
-
-def test_register_custom_and_duplicate_rejected():
-    class Custom(CheckpointProtocol):
-        name = "custom-test"
-
-        def _build_process(self, env):
-            raise NotImplementedError
-
-    register_protocol("custom-test", Custom)
-    try:
-        assert build_protocol("custom-test").name == "custom-test"
-        with pytest.raises(ConfigurationError):
-            register_protocol("custom-test", Custom)
-    finally:
-        from repro.core import registry
-
-        registry._FACTORIES.pop("custom-test", None)

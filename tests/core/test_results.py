@@ -36,7 +36,6 @@ def make_result():
 def test_summaries():
     r = make_result()
     assert r.tentative_summary().mean == pytest.approx(5.0)
-    assert r.mutable_summary().mean == pytest.approx(1.0)
     assert r.redundant_mutable_summary().mean == pytest.approx(1 / 3)
     assert r.duration_summary().mean == pytest.approx(2.0)
 
@@ -92,11 +91,11 @@ def test_dict_round_trip_from_real_run():
     result = runner.run(max_events=2_000_000)
     restored = RunResult.from_dict(result.to_dict())
     assert restored == result
-    assert restored.row() == result.row()
+    assert restored.paper_row() == result.paper_row()
 
 
 def test_row_flattens():
-    row = make_result().row()
+    row = make_result().paper_row()
     assert row["initiations"] == 3
     assert row["tentative_mean"] == pytest.approx(5.0)
-    assert row["system_messages"] == 30.0
+    assert row["duration_s"] == pytest.approx(2.0)

@@ -65,8 +65,7 @@ def test_result_contains_counters_and_times():
     assert result.counters["computation_messages"] > 0
     assert result.sim_time > 0
     assert result.wall_events > 0
-    row = result.row()
-    assert row["initiations"] == result.n_initiations
+    assert result.paper_row()["initiations"] == result.n_initiations
 
 
 def test_same_seed_reproducible():

@@ -8,7 +8,6 @@ from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.types import CheckpointKind
 from repro.core.config import SystemConfig
 from repro.core.system import MobileSystem
-from repro.errors import ConfigurationError
 
 
 def test_builds_paper_topology():
@@ -37,13 +36,6 @@ def test_initial_permanent_checkpoints_exist():
     assert system.sim.trace.count("permanent") == 4
 
 
-def test_process_lookup_and_errors():
-    system = MobileSystem(SystemConfig(n_processes=2), MutableCheckpointProtocol())
-    assert system.process(0).pid == 0
-    with pytest.raises(ConfigurationError):
-        system.process(5)
-
-
 def test_deliver_hook_invoked():
     system = MobileSystem(SystemConfig(n_processes=2), MutableCheckpointProtocol())
     seen = []
@@ -64,7 +56,7 @@ def test_all_stable_storages():
 def test_run_until_quiescent():
     system = MobileSystem(SystemConfig(n_processes=2), MutableCheckpointProtocol())
     system.processes[0].send_computation(1)
-    system.run_until_quiescent(extra_time=1.0)
+    system.run_until_quiescent()
     assert system.processes[1].app_state["messages_received"] == 1
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.explore.shrink import counterexample_ratio, ddmin
+from repro.explore.shrink import ddmin
 
 
 def test_ddmin_single_culprit():
@@ -55,12 +55,3 @@ def test_ddmin_1_minimality():
     minimal, _ = ddmin(list(range(16)), predicate)
     for drop in minimal:
         assert not predicate([x for x in minimal if x != drop])
-
-
-def test_counterexample_ratio():
-    assert counterexample_ratio(
-        {"original_decisions": 100, "shrunk_decisions": 10}
-    ) == 0.1
-    assert counterexample_ratio(
-        {"original_decisions": 0, "shrunk_decisions": 0}
-    ) is None

@@ -80,7 +80,7 @@ def _observables(system, n: int):
         # traced), so compare the final clocks directly: this is the
         # state the delta encoding could silently corrupt
         "final_vcs": tuple(
-            system.process(pid).vc.snapshot() for pid in range(n)
+            system.processes[pid].vc.snapshot() for pid in range(n)
         ),
     }
 

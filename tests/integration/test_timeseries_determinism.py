@@ -9,6 +9,7 @@ golden values of ``tests/integration/test_fastpath_determinism.py``.
 
 from __future__ import annotations
 
+import io
 import json
 
 from repro.campaign.engine import CampaignEngine
@@ -17,7 +18,7 @@ from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
-from repro.obs.timeseries import dumps_timeseries
+from repro.obs.timeseries import dump_timeseries_jsonl, dump_timeseries_tsv
 from repro.workload.point_to_point import PointToPointWorkload
 
 #: golden trace/clock values from test_fastpath_determinism.py — the
@@ -93,12 +94,11 @@ def test_sampler_off_has_no_wave_instruments():
 def test_same_seed_exports_are_byte_identical():
     _, first = _run(8, 20260806, True, 4, window=60.0)
     _, second = _run(8, 20260806, True, 4, window=60.0)
-    assert dumps_timeseries(first.timeseries) == dumps_timeseries(
-        second.timeseries
-    )
-    assert dumps_timeseries(first.timeseries, "tsv") == dumps_timeseries(
-        second.timeseries, "tsv"
-    )
+    for dump in (dump_timeseries_jsonl, dump_timeseries_tsv):
+        exports = [io.StringIO(), io.StringIO()]
+        assert dump(first.timeseries, exports[0]) > 0
+        dump(second.timeseries, exports[1])
+        assert exports[0].getvalue() == exports[1].getvalue()
 
 
 def test_window_events_sum_to_wall_events():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.channel import FifoChannel, InstantChannel
+from repro.net.channel import FifoChannel
 from repro.net.message import ComputationMessage, SystemMessage
 from repro.sim.kernel import Simulator
 
@@ -135,14 +135,3 @@ def test_invalid_parameters_rejected():
         FifoChannel(sim, 0.0, 0.0, lambda m: None)
     with pytest.raises(ValueError):
         FifoChannel(sim, 1.0, -1.0, lambda m: None)
-
-
-def test_instant_channel_preserves_order():
-    sim = Simulator()
-    arrived = []
-    ch = InstantChannel(sim, lambda m: arrived.append(m.msg_id))
-    a, b = sysmsg(), sysmsg()
-    ch.send(a)
-    ch.send(b)
-    sim.run_until_idle()
-    assert arrived == [a.msg_id, b.msg_id]

@@ -30,12 +30,6 @@ def test_attach_duplicate_pid_rejected():
         mh.attach_process(0, lambda m: None)
 
 
-def test_detach_unknown_pid_rejected():
-    sim, net, mss, mh, _ = build()
-    with pytest.raises(UnknownHostError):
-        mh.detach_process(99)
-
-
 def test_deliver_to_unknown_process_rejected():
     sim, net, mss, mh, _ = build()
     with pytest.raises(UnknownHostError):

@@ -1,31 +1,29 @@
-"""Dict round-trips for the slotted message classes.
+"""Pickle round-trips for the slotted message classes.
 
-Every subclass must survive ``to_dict`` → ``message_from_dict`` with
-identical fields — including the lazily-absent piggyback/fields dicts
-(absent stays absent, never materialized by the trip) and the fast
-``pb``/``vc`` tuple slots. The export/import trace layers depend on
-this being lossless.
+A snapshot pickles every in-flight message along with the event heap
+(``repro.snapshot.state.capture``), so every subclass must survive
+``pickle.dumps`` → ``pickle.loads`` with identical fields — including
+the lazily-absent piggyback/fields dicts (absent stays absent, never
+materialized by the trip) and the fast ``pb``/``vc`` slots.
 """
 
 from __future__ import annotations
 
-import json
+import pickle
 
 import pytest
 
+from repro.analysis.vector_clock import VCDelta
 from repro.net.message import (
     CheckpointDataMessage,
     ComputationMessage,
     Message,
     SystemMessage,
-    message_from_dict,
 )
 
 
 def roundtrip(message):
-    data = message.to_dict()
-    json.dumps(data)  # export path needs JSON-safe dicts
-    return message_from_dict(data), data
+    return pickle.loads(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def assert_base_fields_equal(a, b):
@@ -40,28 +38,25 @@ def assert_base_fields_equal(a, b):
 
 def test_base_message_roundtrip():
     m = Message(src_pid=2, dst_pid=5, size_bytes=99, broadcast=False, msg_id=7)
-    back, data = roundtrip(m)
+    back = roundtrip(m)
     assert_base_fields_equal(m, back)
-    assert data["kind"] == "message"
 
 
 def test_computation_message_roundtrip_with_fast_slots():
     m = ComputationMessage(src_pid=0, dst_pid=3, payload=42, msg_id=11)
     m.pb = (5, ("t", 1))
-    m.vc = (1, 0, 2, 0)
-    back, data = roundtrip(m)
+    m.vc = VCDelta(((0, 1), (2, 2)))
+    back = roundtrip(m)
     assert_base_fields_equal(m, back)
     assert back.payload == 42
     assert back.pb == (5, ("t", 1))
-    assert back.vc == (1, 0, 2, 0)
+    assert isinstance(back.vc, VCDelta) and back.vc.pairs == ((0, 1), (2, 2))
     assert back.protocol_tags() == (5, ("t", 1))
 
 
 def test_computation_message_lazy_piggyback_stays_absent():
     m = ComputationMessage(src_pid=0, dst_pid=1, msg_id=1)
-    back, data = roundtrip(m)
-    assert "piggyback" not in data
-    assert "pb" not in data
+    back = roundtrip(m)
     assert back._piggyback is None
     assert back.pb is None
     assert back.protocol_tags() == (0, None)
@@ -72,8 +67,7 @@ def test_computation_message_dict_piggyback_roundtrip():
     m = ComputationMessage(src_pid=1, dst_pid=2, msg_id=9)
     m.piggyback["csn"] = 3
     m.piggyback["inc"] = 1
-    back, data = roundtrip(m)
-    assert data["piggyback"] == {"csn": 3, "inc": 1}
+    back = roundtrip(m)
     assert back.piggyback == {"csn": 3, "inc": 1}
     assert back.piggyback_get("inc") == 1
     # the tags reader only knows the fast slot
@@ -91,7 +85,7 @@ def test_system_message_roundtrip():
     m = SystemMessage(src_pid=4, dst_pid=0, subkind="request", msg_id=13)
     m.fields["mr"] = [1, 2, 3]
     m.fields["trigger"] = ("t", 2)
-    back, data = roundtrip(m)
+    back = roundtrip(m)
     assert_base_fields_equal(m, back)
     assert back.subkind == "request"
     assert back.fields == {"mr": [1, 2, 3], "trigger": ("t", 2)}
@@ -102,15 +96,14 @@ def test_system_message_roundtrip():
 
 def test_system_message_lazy_fields_stay_absent():
     m = SystemMessage(src_pid=0, dst_pid=1, subkind="commit", msg_id=3)
-    back, data = roundtrip(m)
-    assert "fields" not in data
+    back = roundtrip(m)
     assert back._fields is None
     assert back.fields == {}  # materializes empty on first read
 
 
 def test_checkpoint_data_message_roundtrip():
     m = CheckpointDataMessage(src_pid=6, dst_pid=None, msg_id=17, checkpoint_ref="c6")
-    back, data = roundtrip(m)
+    back = roundtrip(m)
     assert_base_fields_equal(m, back)
     assert back.checkpoint_ref == "c6"
     assert back.on_stored is None
@@ -120,14 +113,9 @@ def test_broadcast_flag_roundtrip():
     m = SystemMessage(
         src_pid=0, dst_pid=None, subkind="commit", broadcast=True, msg_id=21
     )
-    back, _ = roundtrip(m)
+    back = roundtrip(m)
     assert back.broadcast is True
     assert back.dst_pid is None
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown message kind"):
-        message_from_dict({"kind": "carrier-pigeon", "src_pid": 0, "dst_pid": 1})
 
 
 def test_slots_reject_stray_attributes():

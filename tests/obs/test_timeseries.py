@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import (
     TimeseriesSampler,
     dump_timeseries_jsonl,
-    dumps_timeseries,
+    dump_timeseries_tsv,
     merge_timeseries,
     save_timeseries,
 )
@@ -148,7 +149,9 @@ def test_jsonl_export_is_canonical():
     doc = {"window": 1.0, "dropped": 0, "rows": [
         {"w": 0, "t": 0.0, "dt": 1.0, "events": 2, "series": {"b": 1.0, "a": 2.0}},
     ]}
-    text = dumps_timeseries(doc, "jsonl")
+    buffer = io.StringIO()
+    assert dump_timeseries_jsonl(doc, buffer) == 1
+    text = buffer.getvalue()
     assert text == (
         '{"dt":1.0,"events":2,"series":{"a":2.0,"b":1.0},"t":0.0,"w":0}\n'
     )
@@ -160,16 +163,13 @@ def test_tsv_export_round_trips_values():
         {"w": 3, "t": 3.0, "dt": 1.0, "events": 7,
          "series": {"x": 0.1, "y": 2.0}},
     ]}
-    header, row = dumps_timeseries(doc, "tsv").splitlines()
+    buffer = io.StringIO()
+    assert dump_timeseries_tsv(doc, buffer) == 1
+    header, row = buffer.getvalue().splitlines()
     assert header.split("\t") == ["w", "t", "dt", "events", "x", "y"]
     cells = row.split("\t")
     assert cells[0] == "3" and cells[3] == "7"
     assert float(cells[4]) == 0.1  # repr round-trips exactly
-
-
-def test_dumps_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        dumps_timeseries({}, "xml")
 
 
 def test_save_timeseries_picks_format_by_extension(tmp_path):

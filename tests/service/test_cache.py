@@ -28,8 +28,8 @@ def test_lookup_counts_hits_and_misses():
     cache = ResultCache(db, metrics=metrics)
     a, b, _ = points()
     seed_store(db, a)
-    assert cache.lookup(a) is not None
-    assert cache.lookup(b) is None
+    cache.partition([a])
+    cache.partition([b])
     assert metrics.value("service.cache.hits") == 1
     assert metrics.value("service.cache.misses") == 1
     assert cache.stats() == {"hits": 1, "misses": 1}
@@ -40,8 +40,9 @@ def test_failed_record_is_not_a_hit():
     cache = ResultCache(db)
     (a,) = points(1)
     db.append(make_record(a.point_hash, status="failed"))
-    assert cache.lookup(a) is None
-    assert cache.stats()["misses"] == 1
+    part = cache.partition([a])
+    assert part.hits == [] and part.misses == [a]
+    assert cache.stats() == {"hits": 0, "misses": 1}
 
 
 def test_partition_splits_and_aligns():
@@ -52,10 +53,7 @@ def test_partition_splits_and_aligns():
     part = cache.partition([a, b, c])
     assert [p.point_hash for p in part.hits] == [b.point_hash]
     assert [p.point_hash for p in part.misses] == [a.point_hash, c.point_hash]
-    assert part.hit_records[0].point_hash == b.point_hash
-    assert part.total == 3
-    assert not part.all_hit
-    assert cache.partition([b]).all_hit
+    assert cache.partition([b]).misses == []
 
 
 def test_partition_dedupes_within_submission():

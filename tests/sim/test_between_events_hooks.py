@@ -146,10 +146,11 @@ def test_self_uninstalling_hook_keeps_the_callers_budget(make_sim):
 
 def _churn(sim: Simulator) -> None:
     """Plain events, restarted timers and a burst of cancellations."""
-    timer = sim.timer(lambda: None)
+    timer = [sim.schedule(0.5, lambda: None)]
 
     def rearm() -> None:
-        timer.restart(0.5)
+        timer[0].cancel()
+        timer[0] = sim.schedule(0.5, lambda: None)
 
     for i in range(40):
         sim.schedule(float(i), rearm)

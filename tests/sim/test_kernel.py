@@ -157,28 +157,21 @@ def test_determinism_across_instances():
 
 
 def test_timer_restart_and_cancel(sim):
+    """A timeout is a scheduled event; rearming is cancel + schedule."""
     fired = []
-    timer = sim.timer(lambda: fired.append(sim.now))
-    timer.start(5.0)
-    assert timer.pending
-    timer.restart(2.0)
+    pending = sim.schedule(5.0, lambda: fired.append(sim.now))
+    assert not pending.cancelled
+    pending.cancel()
+    sim.schedule(2.0, lambda: fired.append(sim.now))
     sim.run_until_idle()
     assert fired == [2.0]
-    assert not timer.pending
-
-
-def test_timer_double_start_rejected(sim):
-    timer = sim.timer(lambda: None)
-    timer.start(1.0)
-    with pytest.raises(RuntimeError):
-        timer.start(2.0)
+    assert pending.cancelled
 
 
 def test_timer_cancel_prevents_firing(sim):
     fired = []
-    timer = sim.timer(lambda: fired.append(1))
-    timer.start(1.0)
-    timer.cancel()
+    pending = sim.schedule(1.0, lambda: fired.append(1))
+    pending.cancel()
     sim.run_until_idle()
     assert fired == []
 

@@ -2,7 +2,7 @@
 accounting, heap compaction, and the burn/stop hooks.
 
 These lock in the hot-path overhaul's safety properties: cancelled
-events no longer accumulate in the heap without bound (the Timer
+events no longer accumulate in the heap without bound (the timer
 restart leak), recycled Event objects are never handed back while a
 caller still holds a reference, and the instrumented loop (burn hook
 attached) dispatches identically to the fast loop.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Timer
 from repro.sim.kernel import Simulator
 
 
@@ -51,14 +50,13 @@ def test_timer_restart_churn_is_bounded():
     reached. Compaction must keep both the dead count and the heap size
     bounded while restarts vastly outnumber live events."""
     sim = Simulator()
-    timer = Timer(sim, lambda: None)
-    timer.start(1e9)
+    pending = sim.schedule(1e9, lambda: None)
     for _ in range(5000):
-        timer.restart(1e9)
+        pending.cancel()
+        pending = sim.schedule(1e9, lambda: None)
     assert sim.cancelled_pending < 5000  # compaction ran
     assert sim.cancelled_pending <= max(32, len(sim._queue))
     assert len(sim._queue) <= 64  # one live timer + bounded debris
-    timer.cancel()
 
 
 def test_compaction_preserves_dispatch_order():

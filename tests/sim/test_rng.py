@@ -67,12 +67,3 @@ def test_choice_uniformity_and_errors():
     assert set(draws) == set(options)
     with pytest.raises(ValueError):
         streams.choice("c", [])
-
-
-def test_spawn_independent_of_parent():
-    parent = RandomStreams(7)
-    child = parent.spawn("child")
-    assert child.stream("x").random() != parent.stream("x").random()
-    # and deterministic
-    again = RandomStreams(7).spawn("child")
-    assert again.stream("y").random() == RandomStreams(7).spawn("child").stream("y").random()

@@ -295,9 +295,7 @@ def test_shard_plan_round_robin_and_tagging():
     # every pid homes on its host cell's shard
     for pid, process in system.processes.items():
         assert plan.pid_shard[pid] == plan.mss_shard[process.host.mss.name]
-    doc = plan.to_dict()
-    assert doc["n_shards"] == 2
-    assert doc["mss_shard"] == plan.mss_shard
+    assert plan.n_shards == 2
     assert system.sim._plan is plan
     assert system.sim._pid_entities == dict(system.processes)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -73,3 +74,17 @@ def test_top_level_imports_are_declared():
         "third-party imports missing from pyproject.toml [project] "
         f"dependencies (declare them, or import inside the function): {offenders}"
     )
+
+
+def test_cold_start_imports_no_scipy():
+    """A fresh ``import repro.cli`` — what every CLI call, campaign worker
+    and benchmark child pays — stays clear of scipy: importing it costs
+    ~0.65 s and 65-130 MB per interpreter, even from inside a function."""
+    src = os.path.join(_package_root(), "..")
+    probe = "import sys, repro.cli; print(int('scipy' in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "0"
