@@ -14,7 +14,6 @@ from repro.analysis.consistency import (
     Orphan,
     assert_line_consistent,
     check_vector_clocks,
-    checkpoint_positions,
     find_orphans,
     latest_permanent_line,
 )
@@ -26,6 +25,7 @@ from repro.analysis.minimality import (
     must_checkpoint_set,
 )
 from repro.analysis.stats import Summary, required_samples, summarize
+from repro.analysis.trace_index import TraceIndex
 from repro.analysis.vector_clock import (
     VectorClock,
     concurrent,
@@ -46,11 +46,11 @@ __all__ = [
     "must_checkpoint_set",
     "Orphan",
     "Summary",
+    "TraceIndex",
     "VectorClock",
     "analytic_table",
     "assert_line_consistent",
     "check_vector_clocks",
-    "checkpoint_positions",
     "committed_stats",
     "concurrent",
     "elnozahy_costs",

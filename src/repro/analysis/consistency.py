@@ -9,7 +9,8 @@ Two independent witnesses, sharing no code with the protocols:
    in" is decided by trace-log position: the trace is a single total
    order consistent with causality (the simulator's event order), and a
    checkpoint record appears in the trace exactly when the state was
-   captured.
+   captured. Positions and send/receive pairs come from
+   :class:`~repro.analysis.trace_index.TraceIndex`.
 
 2. **Vector-clock test** (:func:`check_vector_clocks`): uses the clock
    snapshots embedded in the checkpoint records
@@ -23,13 +24,13 @@ latest permanent checkpoints after a committed initiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
+from repro.analysis.trace_index import TraceIndex, TraceSource
 from repro.analysis.vector_clock import snapshot_consistent
 from repro.checkpointing.storage import StableStorage
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord
 from repro.errors import InconsistentCheckpointError
-from repro.sim.trace import TraceLog
 
 
 @dataclass(frozen=True)
@@ -50,25 +51,32 @@ class Orphan:
         )
 
 
-def checkpoint_positions(trace: TraceLog) -> Dict[int, int]:
-    """Map checkpoint ``ckpt_id`` to its position in the trace.
+def orphans_across(index: TraceIndex, ckpt_ids: Dict[int, int]) -> List[Orphan]:
+    """The orphan scan for a line given as pid -> ``ckpt_id``.
 
-    A checkpoint's position is where its state was captured: the
-    ``tentative``/``mutable``/``permanent`` record emitted at capture
-    time. Promotion re-emits ``tentative`` for the same ckpt_id; the
-    *first* occurrence is the capture point and wins.
+    On a truncated log a receive whose send record was evicted is left
+    unjudged; on a complete log it is an orphan.
     """
-    positions: Dict[int, int] = {}
-    for index, record in enumerate(trace):
-        if record.kind in ("tentative", "mutable", "permanent"):
-            ckpt_id = record.get("ckpt_id")
-            if ckpt_id is not None and ckpt_id not in positions:
-                positions[ckpt_id] = index
-    return positions
+    cut = index.cut(ckpt_ids)
+    for pid, ckpt_id in ckpt_ids.items():
+        if pid not in cut:
+            # Initial checkpoints are traced at t=0; they must be there.
+            raise InconsistentCheckpointError(
+                f"checkpoint {ckpt_id} of p{pid} not found in trace"
+            )
+    orphans: List[Orphan] = []
+    for msg_id, src, dst, send, recv in index.messages.received:
+        if dst not in cut or recv >= cut[dst] or src not in cut:
+            continue  # receive not recorded in dst's checkpoint
+        if send is None and index.evicted:
+            continue  # the send may well be in src's checkpoint
+        if send is None or send >= cut[src]:
+            orphans.append(Orphan(msg_id, src, dst, send, recv))
+    return orphans
 
 
 def find_orphans(
-    trace: TraceLog,
+    trace: TraceSource,
     line: Dict[int, CheckpointRecord],
 ) -> List[Orphan]:
     """All orphan messages of the global checkpoint ``line``.
@@ -76,42 +84,10 @@ def find_orphans(
     ``line`` maps pid -> the checkpoint record chosen for that process.
     Requires the run to have ``trace_messages`` enabled.
     """
-    positions = checkpoint_positions(trace)
-    cut: Dict[int, int] = {}
-    for pid, record in line.items():
-        position = positions.get(record.ckpt_id)
-        if position is None:
-            # Initial checkpoints are traced at t=0; they must be there.
-            raise InconsistentCheckpointError(
-                f"checkpoint {record.ckpt_id} of p{pid} not found in trace"
-            )
-        cut[pid] = position
-
-    send_positions: Dict[int, Tuple[int, int]] = {}
-    orphans: List[Orphan] = []
-    for index, record in enumerate(trace):
-        if record.kind == "comp_send":
-            send_positions[record["msg_id"]] = (index, record["src"])
-        elif record.kind == "comp_recv":
-            dst = record["dst"]
-            if dst not in cut or index >= cut[dst]:
-                continue  # receive not recorded in dst's checkpoint
-            msg_id = record["msg_id"]
-            sent = send_positions.get(msg_id)
-            src = record["src"]
-            if src not in cut:
-                continue
-            if sent is None or sent[0] >= cut[src]:
-                orphans.append(
-                    Orphan(
-                        msg_id=msg_id,
-                        src=src,
-                        dst=dst,
-                        send_position=None if sent is None else sent[0],
-                        recv_position=index,
-                    )
-                )
-    return orphans
+    return orphans_across(
+        TraceIndex.of(trace),
+        {pid: record.ckpt_id for pid, record in line.items()},
+    )
 
 
 def check_vector_clocks(line: Dict[int, CheckpointRecord]) -> bool:
@@ -146,10 +122,11 @@ def latest_permanent_line(
 
 
 def assert_line_consistent(
-    trace: TraceLog, line: Dict[int, CheckpointRecord]
+    trace: TraceSource, line: Dict[int, CheckpointRecord]
 ) -> None:
     """Raise :class:`InconsistentCheckpointError` unless ``line`` passes
-    both the orphan scan and the vector-clock test."""
+    both the orphan scan and the vector-clock test (the latter needs no
+    message records, so it is complete on a truncated log too)."""
     orphans = find_orphans(trace, line)
     if orphans:
         raise InconsistentCheckpointError(

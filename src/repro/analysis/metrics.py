@@ -1,8 +1,9 @@
 """Per-initiation metric extraction from the trace log.
 
 The protocols emit structured trace records (see
-:mod:`repro.checkpointing.protocol`); this module folds them into
-per-initiation statistics — the quantities plotted in the paper's
+:mod:`repro.checkpointing.protocol`); this module turns the waves of
+:class:`~repro.analysis.trace_index.TraceIndex` into per-initiation
+statistics — the quantities plotted in the paper's
 Figs. 5 and 6 and tabulated in Table 1.
 """
 
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.analysis.trace_index import TraceIndex, TraceSource
 from repro.checkpointing.types import Trigger
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -71,56 +72,26 @@ class InitiationStats:
         return cls(**fields_)
 
 
-def per_initiation_stats(trace: TraceLog) -> Dict[Trigger, InitiationStats]:
-    """Fold the trace into one :class:`InitiationStats` per initiation."""
-    stats: Dict[Trigger, InitiationStats] = {}
-
-    def entry(trigger: Optional[Trigger]) -> Optional[InitiationStats]:
-        if trigger is None:
-            return None
-        if trigger not in stats:
-            stats[trigger] = InitiationStats(trigger=trigger)
-        return stats[trigger]
-
-    for record in trace:
-        kind = record.kind
-        if kind == "initiation":
-            s = entry(record["trigger"])
-            assert s is not None
-            s.initiation_time = record.time
-        elif kind == "tentative":
-            s = entry(record["trigger"])
-            if s is not None:
-                s.tentative_count += 1
-                s.participants.append(record["pid"])
-        elif kind == "mutable":
-            s = entry(record["trigger"])
-            if s is not None:
-                s.mutable_count += 1
-        elif kind == "mutable_promoted":
-            s = entry(record["trigger"])
-            if s is not None:
-                s.promoted_mutables += 1
-        elif kind == "mutable_discarded":
-            s = entry(record["trigger"])
-            if s is not None:
-                s.redundant_mutables += 1
-        elif kind == "permanent":
-            s = entry(record.get("trigger"))
-            if s is not None:
-                s.permanent_count += 1
-        elif kind == "commit":
-            s = entry(record["trigger"])
-            if s is not None:
-                s.commit_time = record.time
-        elif kind == "abort":
-            s = entry(record["trigger"])
-            if s is not None:
-                s.abort_time = record.time
-    return stats
+def per_initiation_stats(trace: TraceSource) -> Dict[Trigger, InitiationStats]:
+    """One :class:`InitiationStats` per wave of the trace."""
+    return {
+        trigger: InitiationStats(
+            trigger=trigger,
+            initiation_time=wave.start_time,
+            commit_time=wave.last_time("commit"),
+            abort_time=wave.last_time("abort"),
+            tentative_count=len(wave.tentative_records),
+            mutable_count=len(wave.mutables),
+            promoted_mutables=len(wave.promoted),
+            redundant_mutables=len(wave.discarded_mutables),
+            permanent_count=len(wave.permanents),
+            participants=[record["pid"] for _, record in wave.tentative_records],
+        )
+        for trigger, wave in TraceIndex.of(trace).waves.by_trigger.items()
+    }
 
 
-def committed_stats(trace: TraceLog) -> List[InitiationStats]:
+def committed_stats(trace: TraceSource) -> List[InitiationStats]:
     """Stats for committed initiations, in commit order."""
     stats = [s for s in per_initiation_stats(trace).values() if s.committed]
     stats.sort(key=lambda s: s.commit_time)

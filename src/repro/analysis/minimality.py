@@ -8,8 +8,10 @@ checkpoint) the receipt of a message that Q sent after Q's previous
 stable checkpoint — otherwise that message would be an orphan.
 
 :func:`must_checkpoint_set` computes this closure purely from the trace
-log (no protocol state), and :func:`check_minimality` compares it with
-the processes that actually took tentative checkpoints:
+log (no protocol state; positions and message pairs come from
+:class:`~repro.analysis.trace_index.TraceIndex`), and
+:func:`check_minimality` compares it with the processes that actually
+took tentative checkpoints:
 
 * a member of the closure missing from the participants ⇒ the algorithm
   took *too few* checkpoints (consistency is in danger);
@@ -24,10 +26,10 @@ capture points, so the comparison is exact rather than approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
+from repro.analysis.trace_index import TraceIndex, TraceSource
 from repro.checkpointing.types import Trigger
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -37,8 +39,14 @@ class MinimalityReport:
     trigger: Trigger
     participants: Set[int]
     required: Set[int]
+    justified: Set[int]
     dependency_edges: List[Tuple[int, int]] = field(default_factory=list)
-    justified: Optional[Set[int]] = None
+    #: False when some participant has no dependency basis in a
+    #: truncated log whose evicted message records reach into the wave's
+    #: dependency window: the basis may have been evicted, so
+    #: ``unjustified`` is empty. ``required`` and ``justified`` are then
+    #: lower bounds (``missing`` stays a verdict: its edges are real).
+    judged: bool = True
 
     @property
     def missing(self) -> Set[int]:
@@ -65,8 +73,7 @@ class MinimalityReport:
         justified closure indicates a protocol bug (avalanche, planted
         mutation), not the known over-approximation.
         """
-        basis = self.justified if self.justified is not None else self.required
-        return self.participants - basis
+        return self.participants - self.justified if self.judged else set()
 
     @property
     def minimal(self) -> bool:
@@ -78,31 +85,6 @@ class MinimalityReport:
             f"required={sorted(self.required)} missing={sorted(self.missing)} "
             f"excess={sorted(self.excess)}"
         )
-
-
-def _capture_positions(trace: TraceLog) -> Dict[int, List[Tuple[int, Optional[Trigger], int]]]:
-    """Per pid: (position, trigger, ckpt_id) of every stable capture,
-    in trace order. Mutable records are excluded (they are not stable
-    unless promoted, and promotion re-emits 'tentative' whose *capture*
-    point is the mutable record — handled below)."""
-    captures: Dict[int, List[Tuple[int, Optional[Trigger], int]]] = {}
-    seen_ids: Set[int] = set()
-    mutable_pos: Dict[int, int] = {}
-    for index, record in enumerate(trace):
-        if record.kind == "mutable":
-            mutable_pos[record["ckpt_id"]] = index
-        elif record.kind in ("tentative", "permanent"):
-            ckpt_id = record.get("ckpt_id")
-            if ckpt_id is None or ckpt_id in seen_ids:
-                continue
-            seen_ids.add(ckpt_id)
-            position = mutable_pos.get(ckpt_id, index)
-            captures.setdefault(record["pid"], []).append(
-                (position, record.get("trigger"), ckpt_id)
-            )
-    for entries in captures.values():
-        entries.sort()
-    return captures
 
 
 def _reachable(adjacency: Dict[int, Set[int]], root: int) -> Set[int]:
@@ -117,14 +99,14 @@ def _reachable(adjacency: Dict[int, Set[int]], root: int) -> Set[int]:
     return seen
 
 
-def must_checkpoint_set(trace: TraceLog, trigger: Trigger) -> MinimalityReport:
+def must_checkpoint_set(trace: TraceSource, trigger: Trigger) -> MinimalityReport:
     """Compute the z-dependency closure for ``trigger`` and compare it
     with the actual participant set."""
-    captures = _capture_positions(trace)
+    index = TraceIndex.of(trace)
     participants: Set[int] = set()
     ckpt_pos: Dict[int, int] = {}
     prev_pos: Dict[int, int] = {}
-    for pid, entries in captures.items():
+    for pid, entries in index.captures.stable.items():
         for position, trig, _ in entries:
             if trig == trigger:
                 participants.add(pid)
@@ -139,16 +121,6 @@ def must_checkpoint_set(trace: TraceLog, trigger: Trigger) -> MinimalityReport:
         ]
         prev_pos[pid] = max(candidates) if candidates else -1
 
-    sends: Dict[int, Tuple[int, int]] = {}
-    edges: List[Tuple[int, int, int, int]] = []  # (src, dst, send_pos, recv_pos)
-    for index, record in enumerate(trace):
-        if record.kind == "comp_send":
-            sends[record["msg_id"]] = (index, record["src"])
-        elif record.kind == "comp_recv":
-            sent = sends.get(record["msg_id"])
-            if sent is not None:
-                edges.append((record["src"], record["dst"], sent[0], index))
-
     # Build the z-dependency graph: edge Q -> P when P, if it checkpoints
     # for this trigger, records a receive whose send is after Q's
     # previous checkpoint (so Q is dragged in). The justified graph
@@ -157,30 +129,38 @@ def must_checkpoint_set(trace: TraceLog, trigger: Trigger) -> MinimalityReport:
     graph: Dict[int, Set[int]] = {}
     justified_graph: Dict[int, Set[int]] = {}
     must_edges: List[Tuple[int, int]] = []
-    for src, dst, send_pos, recv_pos in edges:
+    horizon = max(ckpt_pos.values(), default=0)
+    for _, src, dst, send, recv in index.messages.received:
+        if recv >= horizon:
+            break  # in receive order: nothing later is in any checkpoint
         cut = ckpt_pos.get(dst)
-        if cut is None or recv_pos >= cut:
+        if cut is None or recv >= cut:
             continue  # receive not recorded in dst's trigger checkpoint
-        if recv_pos > prev_pos.get(dst, -1):
+        if send is None and not index.evicted:
+            continue  # no send record on a complete log: find_orphans' case
+        if recv > prev_pos.get(dst, -1):
             justified_graph.setdefault(dst, set()).add(src)
-        if send_pos <= prev_pos.get(src, -1):
-            continue  # send already covered by src's previous checkpoint
+        if send is None or send <= prev_pos.get(src, -1):
+            continue  # send evicted, or covered by src's previous checkpoint
         graph.setdefault(dst, set()).add(src)
         must_edges.append((src, dst))
 
     required = _reachable(graph, trigger.pid)
+    justified = _reachable(justified_graph, trigger.pid) | required
     return MinimalityReport(
         trigger=trigger,
         participants=participants,
         required=required,
         dependency_edges=must_edges,
-        justified=_reachable(justified_graph, trigger.pid) | required,
+        justified=justified,
+        # Evicted records can only add edges: a closure that already
+        # covers the participants stands, one that does not is open.
+        judged=participants <= justified
+        or all(index.retained_since(prev_pos[pid]) for pid in participants),
     )
 
 
-def check_minimality(trace: TraceLog) -> List[MinimalityReport]:
+def check_minimality(trace: TraceSource) -> List[MinimalityReport]:
     """Reports for every committed initiation in the trace."""
-    reports = []
-    for record in trace.of_kind("commit"):
-        reports.append(must_checkpoint_set(trace, record["trigger"]))
-    return reports
+    index = TraceIndex.of(trace)
+    return [must_checkpoint_set(index, trigger) for _, trigger in index.commits()]

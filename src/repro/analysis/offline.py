@@ -3,20 +3,19 @@
 A trace exported with :mod:`repro.sim.export` is self-contained for the
 position-based orphan scan: the recovery line is the last ``permanent``
 record per process, and "recorded in a checkpoint" is decided by trace
-position. This module reconstructs the line from the records alone and
-runs the scan — so any archived run can be re-verified years later,
+position. This module takes the line from the records alone (the
+index's ``captures.line``) and runs the scan — so any archived run can be re-verified years later,
 without the simulation objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.consistency import Orphan, find_orphans
-from repro.checkpointing.types import CheckpointKind, CheckpointRecord
+from repro.analysis.consistency import Orphan, orphans_across
+from repro.analysis.trace_index import TraceIndex, TraceSource
 from repro.errors import InconsistentCheckpointError
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -43,40 +42,18 @@ class OfflineVerdict:
         )
 
 
-def reconstruct_line(trace: TraceLog) -> Dict[int, int]:
-    """The newest permanent checkpoint id per process, from records."""
-    line: Dict[int, int] = {}
-    for record in trace:
-        if record.kind == "permanent" and "pid" in record.fields:
-            ckpt_id = record.get("ckpt_id")
-            if ckpt_id is not None:
-                line[record["pid"]] = ckpt_id
-    if not line:
-        raise InconsistentCheckpointError("trace has no permanent checkpoints")
-    return line
-
-
-def verify_archived_trace(trace: TraceLog) -> OfflineVerdict:
+def verify_archived_trace(trace: TraceSource) -> OfflineVerdict:
     """Run the position-based orphan scan against a bare trace."""
-    line_ids = reconstruct_line(trace)
-    # find_orphans keys checkpoints by ckpt_id; synthesize carrier records
-    line: Dict[int, CheckpointRecord] = {
-        pid: CheckpointRecord(
-            pid=pid,
-            csn=-1,
-            kind=CheckpointKind.PERMANENT,
-            time_taken=0.0,
-            ckpt_id=ckpt_id,
-        )
-        for pid, ckpt_id in line_ids.items()
-    }
-    orphans = find_orphans(trace, line)
+    index = TraceIndex.of(trace)
+    line_ids = index.captures.line
+    if not line_ids:
+        raise InconsistentCheckpointError("trace has no permanent checkpoints")
     return OfflineVerdict(
         processes=len(line_ids),
-        messages=trace.count("comp_send"),
-        commits=trace.count("commit"),
+        messages=sum(m.send is not None for m in index.messages.by_id.values()),
+        commits=len(index.commits()),
         line_ckpt_ids=line_ids,
-        orphans=orphans,
+        orphans=orphans_across(index, line_ids),
     )
 
 

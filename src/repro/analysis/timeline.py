@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.trace import TraceLog, TraceRecord
+from repro.analysis.trace_index import owner_pid
+from repro.sim.trace import TraceLog
 
 #: glyphs per event kind (one lane cell each)
 _GLYPHS = {
@@ -44,21 +45,6 @@ def _fallback_glyph(kind: str) -> str:
     return "?"
 
 
-def _pid_of(record: TraceRecord) -> Optional[int]:
-    if "pid" in record.fields:
-        return record["pid"]
-    if record.kind == "comp_send" or record.kind == "sys_send":
-        return record.get("src")
-    if record.kind == "comp_recv":
-        return record.get("dst")
-    # Mobility-layer records identify the process by its mobile host,
-    # named "mh<pid>" by the system builder (one process per MH).
-    mh = record.get("mh")
-    if isinstance(mh, str) and mh.startswith("mh") and mh[2:].isdigit():
-        return int(mh[2:])
-    return None
-
-
 def render_timeline(
     trace: TraceLog,
     n_processes: int,
@@ -78,7 +64,7 @@ def render_timeline(
     for record in trace:
         if wanted is not None and record.kind not in wanted:
             continue
-        pid = _pid_of(record)
+        pid = owner_pid(record)
         if pid is None or pid >= n_processes:
             continue
         if record.kind == "comp_send":

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.analysis.consistency import checkpoint_positions
+from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.types import CheckpointRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,29 +66,22 @@ class SenderMessageLog:
     ) -> List[LoggedMessage]:
         """Messages in transit across ``line``: send recorded in the
         sender's checkpoint, receive not recorded in the receiver's."""
-        trace = self.system.sim.trace
-        positions = checkpoint_positions(trace)
-        cut = {
-            pid: positions[rec.ckpt_id]
-            for pid, rec in line.items()
-            if rec.ckpt_id in positions
-        }
-        send_pos: Dict[int, int] = {}
-        recv_pos: Dict[int, int] = {}
-        for index, record in enumerate(trace):
-            if record.kind == "comp_send":
-                send_pos[record["msg_id"]] = index
-            elif record.kind == "comp_recv":
-                recv_pos[record["msg_id"]] = index
+        index = TraceIndex(self.system.sim.trace)
+        cut = index.cut({pid: rec.ckpt_id for pid, rec in line.items()})
+        traced = index.messages.by_id
         lost: List[LoggedMessage] = []
         for msg_id, entry in self._log.items():
-            sent_at = send_pos.get(msg_id)
-            if sent_at is None or entry.src not in cut or entry.dst not in cut:
+            message = traced.get(msg_id)
+            if (
+                message is None
+                or message.send is None
+                or entry.src not in cut
+                or entry.dst not in cut
+            ):
                 continue
-            if sent_at >= cut[entry.src]:
+            if message.send >= cut[entry.src]:
                 continue  # send not in the line: rolled back, not lost
-            received_at = recv_pos.get(msg_id)
-            if received_at is not None and received_at < cut[entry.dst]:
+            if message.recv is not None and message.recv < cut[entry.dst]:
                 continue  # receive already in the line
             lost.append(entry)
         lost.sort(key=lambda e: e.msg_id)
@@ -119,23 +112,16 @@ class SenderMessageLog:
     def prune(self, line: Dict[int, CheckpointRecord]) -> int:
         """Drop entries whose send predates the sender's line checkpoint
         and whose receive is inside the receiver's; returns count."""
-        trace = self.system.sim.trace
-        positions = checkpoint_positions(trace)
-        cut = {
-            pid: positions[rec.ckpt_id]
-            for pid, rec in line.items()
-            if rec.ckpt_id in positions
-        }
-        recv_pos: Dict[int, int] = {}
-        for index, record in enumerate(trace):
-            if record.kind == "comp_recv":
-                recv_pos[record["msg_id"]] = index
+        index = TraceIndex(self.system.sim.trace)
+        cut = index.cut({pid: rec.ckpt_id for pid, rec in line.items()})
+        traced = index.messages.by_id
         droppable = [
             msg_id
             for msg_id, entry in self._log.items()
             if entry.dst in cut
-            and recv_pos.get(msg_id) is not None
-            and recv_pos[msg_id] < cut[entry.dst]
+            and msg_id in traced
+            and traced[msg_id].recv is not None
+            and traced[msg_id].recv < cut[entry.dst]
         ]
         for msg_id in droppable:
             del self._log[msg_id]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
+from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.types import CheckpointRecord
 from repro.errors import ProtocolError
 
@@ -58,10 +59,6 @@ class RecoveryManager:
             self.system.all_stable_storages(), self.system.processes
         )
 
-    def verify_line(self, line: Dict[int, CheckpointRecord]) -> None:
-        """Independent consistency check of a candidate line."""
-        assert_line_consistent(self.system.sim.trace, line)
-
     def rollback(self, verify: bool = True) -> RollbackReport:
         """Roll every process back to the current recovery line.
 
@@ -71,8 +68,9 @@ class RecoveryManager:
         line; channel state is empty after a coordinated rollback).
         """
         line = self.recovery_line()
+        index = TraceIndex(self.system.sim.trace)
         if verify:
-            self.verify_line(line)
+            assert_line_consistent(index, line)
         rolled_back: List[int] = []
         for pid, record in line.items():
             process = self.system.processes.get(pid)
@@ -80,7 +78,7 @@ class RecoveryManager:
                 raise ProtocolError(f"recovery line names unknown pid {pid}")
             process.restore_state(record.state, record.vector_clock)
             rolled_back.append(pid)
-        lost = self._count_lost_messages(line)
+        lost = self._count_lost_messages(index, line)
         report = RollbackReport(
             line=line,
             rolled_back_pids=sorted(rolled_back),
@@ -95,21 +93,13 @@ class RecoveryManager:
         )
         return report
 
-    def _count_lost_messages(self, line: Dict[int, CheckpointRecord]) -> int:
+    def _count_lost_messages(
+        self, index: TraceIndex, line: Dict[int, CheckpointRecord]
+    ) -> int:
         """Deliveries after the recovery line, undone by the rollback."""
-        from repro.analysis.consistency import checkpoint_positions
-
-        positions = checkpoint_positions(self.system.sim.trace)
-        cut = {
-            pid: positions[rec.ckpt_id]
-            for pid, rec in line.items()
-            if rec.ckpt_id in positions
-        }
-        lost = 0
-        for index, record in enumerate(self.system.sim.trace):
-            if record.kind != "comp_recv":
-                continue
-            dst = record["dst"]
-            if dst in cut and index > cut[dst]:
-                lost += 1
-        return lost
+        cut = index.cut({pid: rec.ckpt_id for pid, rec in line.items()})
+        return sum(
+            1
+            for message in index.messages.received
+            if message.dst in cut and message.recv > cut[message.dst]
+        )

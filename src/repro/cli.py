@@ -34,7 +34,13 @@ from repro.analysis.consistency import assert_line_consistent, latest_permanent_
 from repro.campaign.engine import build_point_runtime, run_preset
 from repro.campaign.spec import PRESETS, WORKLOAD_KINDS, RunPoint
 from repro.core.registry import available_protocols, build_protocol
-from repro.errors import ConfigurationError, SnapshotError, StoreFormatError
+from repro.errors import (
+    ConfigurationError,
+    InconsistentCheckpointError,
+    SnapshotError,
+    StoreFormatError,
+    TraceFormatError,
+)
 from repro.explore.fuzz import EXPLORE_PRESETS
 from repro.workload.bursty import BurstyWorkloadConfig
 
@@ -578,7 +584,12 @@ def _print_run_report(
     if args.verify:
         line = latest_permanent_line(system.all_stable_storages(), system.processes)
         assert_line_consistent(trace, line)
-        print("recovery line           : consistent")
+        coverage = (
+            f" (vector clocks in full; orphan scan on the retained window "
+            f"only, {trace.debug_evicted} message records evicted)"
+            if trace.debug_evicted else ""
+        )
+        print(f"recovery line           : consistent{coverage}")
     if sink is not None:
         sink.close()
         print(
@@ -785,11 +796,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print("error: need a trace file or --from-snapshot", file=sys.stderr)
         return 2
     else:
-        try:
-            trace = read_trace(args.path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-            return 2
+        trace = read_trace(args.path)
     if (args.mermaid or args.dot) and args.wave is None:
         print("error: --mermaid/--dot need --wave", file=sys.stderr)
         return 2
@@ -997,14 +1004,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; bad input ends in ``error: ...`` and exit code 2.
 
     Bad input is a configuration the system refuses, an unreadable or
-    corrupt snapshot or store, or a file that cannot be opened.
+    corrupt snapshot, store or trace, or a file that cannot be opened.
     ``ProtocolError`` / ``SimulationError`` mean a bug in the simulated
     system and keep their traceback.
     """
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigurationError, SnapshotError, StoreFormatError, OSError) as exc:
+    except (
+        ConfigurationError, SnapshotError, StoreFormatError, TraceFormatError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -1048,7 +1058,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify-trace":
         from repro.analysis.offline import verify_trace_file
 
-        verdict = verify_trace_file(args.path)
+        try:
+            verdict = verify_trace_file(args.path)
+        except InconsistentCheckpointError as exc:
+            print(f"nothing to verify: {exc}")
+            return 1
         print(verdict)
         for orphan in verdict.orphans[:10]:
             print(f"  {orphan}")

@@ -58,3 +58,7 @@ class SnapshotError(ReproError):
 
 class StoreFormatError(ReproError):
     """A result-store file holds a line that parses but is no point record."""
+
+
+class TraceFormatError(ReproError):
+    """A trace file holds a line that is not a ``{"t", "k", "f"}`` record."""

@@ -48,12 +48,8 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.minimality import must_checkpoint_set
 from repro.analysis.offline import verify_archived_trace
+from repro.analysis.trace_index import TraceIndex, TraceSource, owner_pid
 from repro.errors import ConfigurationError, InconsistentCheckpointError
-from repro.sim.trace import TraceLog
-
-#: trace kinds that mark the run as "disturbed" from this position on,
-#: invalidating the exact minimality comparison
-_DISTURBANCES = ("failure", "partial_commit", "recovery_started", "disconnect")
 
 
 @dataclass
@@ -80,7 +76,7 @@ class Invariant:
 
     name = "invariant"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
+    def check(self, trace: TraceSource) -> List[Violation]:
         raise NotImplementedError
 
     def violation(self, message: str, **details: Any) -> Violation:
@@ -92,7 +88,7 @@ class RecoveryLineConsistency(Invariant):
 
     name = "recovery-line-consistency"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
+    def check(self, trace: TraceSource) -> List[Violation]:
         try:
             verdict = verify_archived_trace(trace)
         except InconsistentCheckpointError:
@@ -114,25 +110,20 @@ class MinProcessMinimality(Invariant):
 
     name = "min-process-minimality"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
-        disturbed_at = None
-        for index, record in enumerate(trace):
-            if record.kind in _DISTURBANCES:
-                disturbed_at = index
-                break
+    def check(self, trace: TraceSource) -> List[Violation]:
+        index = TraceIndex.of(trace)
+        disturbed_at = index.waves.disturbed_at
         violations: List[Violation] = []
-        for index, record in enumerate(trace):
-            if record.kind != "commit":
-                continue
-            if disturbed_at is not None and index > disturbed_at:
+        for position, trigger in index.commits():
+            if disturbed_at is not None and position > disturbed_at:
                 continue  # §3.6/§2.2 paths legitimately alter the set
-            report = must_checkpoint_set(trace, record["trigger"])
+            report = must_checkpoint_set(index, trigger)
             if report.missing:
                 violations.append(
                     self.violation(
-                        f"initiation {record['trigger']} committed without "
+                        f"initiation {trigger} committed without "
                         f"required processes {sorted(report.missing)}",
-                        trigger=record["trigger"],
+                        trigger=trigger,
                         missing=sorted(report.missing),
                     )
                 )
@@ -143,10 +134,10 @@ class MinProcessMinimality(Invariant):
                 # a participant with no dependency basis at all is not.
                 violations.append(
                     self.violation(
-                        f"initiation {record['trigger']} checkpointed "
+                        f"initiation {trigger} checkpointed "
                         f"processes {sorted(report.unjustified)} with no "
                         "dependency basis",
-                        trigger=record["trigger"],
+                        trigger=trigger,
                         unjustified=sorted(report.unjustified),
                     )
                 )
@@ -163,26 +154,24 @@ class NoAvalanche(Invariant):
 
     name = "no-avalanche"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
+    def check(self, trace: TraceSource) -> List[Violation]:
+        waves = TraceIndex.of(trace).waves
+        violations = [
+            self.violation(
+                f"process {record['pid']} took an uncoordinated (induced) "
+                "checkpoint — avalanche engine",
+                pid=record["pid"],
+                ckpt_id=record.get("ckpt_id"),
+            )
+            for record in waves.untriggered
+        ]
         per_trigger: Dict[Tuple[Any, int], Set[int]] = {}
-        violations: List[Violation] = []
-        for record in trace.of_kind("tentative"):
-            trigger = record.get("trigger")
-            pid = record["pid"]
-            if trigger is None:
-                violations.append(
-                    self.violation(
-                        f"process {pid} took an uncoordinated (induced) "
-                        "checkpoint — avalanche engine",
-                        pid=pid,
-                        ckpt_id=record.get("ckpt_id"),
-                    )
-                )
-                continue
-            ids = per_trigger.setdefault((trigger, pid), set())
-            ckpt_id = record.get("ckpt_id")
-            if ckpt_id is not None:
-                ids.add(ckpt_id)
+        for trigger, wave in waves.by_trigger.items():
+            for _, record in wave.tentative_records:
+                ids = per_trigger.setdefault((trigger, record["pid"]), set())
+                ckpt_id = record.get("ckpt_id")
+                if ckpt_id is not None:
+                    ids.add(ckpt_id)
         for (trigger, pid), ids in sorted(
             per_trigger.items(), key=lambda item: (repr(item[0][0]), item[0][1])
         ):
@@ -199,57 +188,50 @@ class NoAvalanche(Invariant):
         return violations
 
 
-def _rerouted_pids(trace: TraceLog) -> Set[int]:
-    """Pids whose host left its original route (handoff/disconnect)."""
-    pids: Set[int] = set()
-    for record in trace:
-        if record.kind in ("handoff_start", "disconnect"):
-            name = record.get("mh", "")
-            if isinstance(name, str) and name.startswith("mh"):
-                try:
-                    pids.add(int(name[2:]))
-                except ValueError:
-                    pass
-    return pids
-
-
 class FifoChannelOrder(Invariant):
     """Receives per (src, dst) pair happen in send order (§2.1)."""
 
     name = "fifo-channel-order"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
-        rerouted = _rerouted_pids(trace)
-        send_order: Dict[Tuple[int, int], Dict[int, int]] = {}
+    def check(self, trace: TraceSource) -> List[Violation]:
+        index = TraceIndex.of(trace)
+        # Pids whose host left its original route: the reroute path is a
+        # different physical route, end-to-end FIFO is not modeled there.
+        rerouted = {
+            owner_pid(record)
+            for record in index.records
+            if record.kind in ("handoff_start", "disconnect")
+        }
+        sent: Dict[Tuple[int, int], int] = {}
+        send_order: Dict[int, int] = {}  # msg_id -> ordinal on its channel
+        for message in index.messages.by_id.values():
+            if message.send is not None:
+                pair = (message.src, message.dst)
+                send_order[message.msg_id] = sent[pair] = sent.get(pair, -1) + 1
         last_received: Dict[Tuple[int, int], Tuple[int, int]] = {}
         violations: List[Violation] = []
-        for record in trace:
-            if record.kind == "comp_send":
-                pair = (record["src"], record["dst"])
-                order = send_order.setdefault(pair, {})
-                order[record["msg_id"]] = len(order)
-            elif record.kind == "comp_recv":
-                pair = (record["src"], record["dst"])
-                if pair[0] in rerouted or pair[1] in rerouted:
-                    continue  # reroute path: end-to-end FIFO not modeled
-                position = send_order.get(pair, {}).get(record["msg_id"])
-                if position is None:
-                    continue  # send not traced (pre-trace or system path)
-                previous = last_received.get(pair)
-                if previous is not None and position < previous[0]:
-                    violations.append(
-                        self.violation(
-                            f"channel {pair[0]}->{pair[1]} delivered message "
-                            f"{record['msg_id']} (send #{position}) after "
-                            f"message {previous[1]} (send #{previous[0]})",
-                            src=pair[0],
-                            dst=pair[1],
-                            msg_id=record["msg_id"],
-                            after_msg_id=previous[1],
-                        )
+        for message in index.messages.received:
+            pair = (message.src, message.dst)
+            if pair[0] in rerouted or pair[1] in rerouted:
+                continue
+            position = send_order.get(message.msg_id)
+            if position is None:
+                continue  # send not traced (pre-trace or system path)
+            previous = last_received.get(pair)
+            if previous is not None and position < previous[0]:
+                violations.append(
+                    self.violation(
+                        f"channel {pair[0]}->{pair[1]} delivered message "
+                        f"{message.msg_id} (send #{position}) after "
+                        f"message {previous[1]} (send #{previous[0]})",
+                        src=pair[0],
+                        dst=pair[1],
+                        msg_id=message.msg_id,
+                        after_msg_id=previous[1],
                     )
-                if previous is None or position > previous[0]:
-                    last_received[pair] = (position, record["msg_id"])
+                )
+            if previous is None or position > previous[0]:
+                last_received[pair] = (position, message.msg_id)
         return violations
 
 
@@ -258,27 +240,16 @@ class CoordinationTermination(Invariant):
 
     name = "coordination-termination"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
-        started: Dict[Any, int] = {}
-        resolved: Set[Any] = set()
-        for record in trace:
-            if record.kind == "initiation":
-                trigger = record.get("trigger")
-                if trigger is not None and trigger not in started:
-                    started[trigger] = record["pid"]
-            elif record.kind in ("commit", "abort", "partial_commit"):
-                trigger = record.get("trigger")
-                if trigger is not None:
-                    resolved.add(trigger)
+    def check(self, trace: TraceSource) -> List[Violation]:
         return [
             self.violation(
-                f"initiation {trigger} by process {pid} never terminated "
-                "(no commit/abort after quiescence)",
+                f"initiation {trigger} by process {wave.initiator} never "
+                "terminated (no commit/abort after quiescence)",
                 trigger=trigger,
-                pid=pid,
+                pid=wave.initiator,
             )
-            for trigger, pid in started.items()
-            if trigger not in resolved
+            for trigger, wave in TraceIndex.of(trace).waves.by_trigger.items()
+            if wave.initiator is not None and not wave.outcomes
         ]
 
 
@@ -287,38 +258,10 @@ class IncarnationHygiene(Invariant):
 
     name = "incarnation-hygiene"
 
-    def check(self, trace: TraceLog) -> List[Violation]:
+    def check(self, trace: TraceSource) -> List[Violation]:
+        index = TraceIndex.of(trace)
         violations: List[Violation] = []
         last_incarnation: Dict[int, int] = {}
-        # capture position of every checkpoint id (first record wins —
-        # for promoted mutables that *is* the mutable capture point)
-        capture_pos: Dict[int, int] = {}
-        rolled_back: List[Tuple[int, int, int, Optional[int]]] = []
-        for index, record in enumerate(trace):
-            if record.kind in ("mutable", "tentative", "permanent"):
-                ckpt_id = record.get("ckpt_id")
-                if ckpt_id is not None and ckpt_id not in capture_pos:
-                    capture_pos[ckpt_id] = index
-            elif record.kind == "rolled_back":
-                pid = record["pid"]
-                incarnation = record["incarnation"]
-                previous = last_incarnation.get(pid, 0)
-                if incarnation <= previous:
-                    violations.append(
-                        self.violation(
-                            f"process {pid} adopted incarnation {incarnation} "
-                            f"after already being at {previous}",
-                            pid=pid,
-                            incarnation=incarnation,
-                        )
-                    )
-                last_incarnation[pid] = incarnation
-                rolled_back.append(
-                    (index, pid, incarnation, record.get("ckpt_id"))
-                )
-        if not rolled_back:
-            return violations
-
         # Dead-send windows: for each rollback of pid to ckpt_id, sends
         # by pid between the restored checkpoint's capture and the
         # rollback are undone. A receiver that records such a message
@@ -326,40 +269,49 @@ class IncarnationHygiene(Invariant):
         # ghost the incarnation check should have dropped.
         dead_windows: List[Tuple[int, int, int, int]] = []  # (pid, lo, hi, inc)
         rollback_pos: Dict[Tuple[int, int], int] = {}
-        for index, pid, incarnation, ckpt_id in rolled_back:
-            rollback_pos[(pid, incarnation)] = index
-            lo = capture_pos.get(ckpt_id) if ckpt_id is not None else None
-            if lo is not None:
-                dead_windows.append((pid, lo, index, incarnation))
-
-        sends: Dict[int, Tuple[int, int]] = {}  # msg_id -> (pos, src)
-        for index, record in enumerate(trace):
-            if record.kind == "comp_send":
-                sends[record["msg_id"]] = (index, record["src"])
-            elif record.kind == "comp_recv":
-                sent = sends.get(record["msg_id"])
-                if sent is None:
-                    continue
-                send_pos, src = sent
-                for pid, lo, hi, incarnation in dead_windows:
-                    if src != pid or not (lo < send_pos < hi):
-                        continue
-                    receiver_rolled = rollback_pos.get(
-                        (record["dst"], incarnation)
+        for position, record in enumerate(index.records):
+            if record.kind != "rolled_back":
+                continue
+            pid = record["pid"]
+            incarnation = record["incarnation"]
+            previous = last_incarnation.get(pid, 0)
+            if incarnation <= previous:
+                violations.append(
+                    self.violation(
+                        f"process {pid} adopted incarnation {incarnation} "
+                        f"after already being at {previous}",
+                        pid=pid,
+                        incarnation=incarnation,
                     )
-                    if receiver_rolled is not None and index > receiver_rolled:
-                        violations.append(
-                            self.violation(
-                                f"process {record['dst']} accepted ghost "
-                                f"message {record['msg_id']} from rolled-back "
-                                f"incarnation {incarnation - 1} of process "
-                                f"{src}",
-                                msg_id=record["msg_id"],
-                                src=src,
-                                dst=record["dst"],
-                                incarnation=incarnation,
-                            )
+                )
+            last_incarnation[pid] = incarnation
+            rollback_pos[(pid, incarnation)] = position
+            lo = index.captures.position.get(record.get("ckpt_id"))
+            if lo is not None:
+                dead_windows.append((pid, lo, position, incarnation))
+        if not dead_windows:
+            return violations
+
+        for message in index.messages.received:
+            if message.send is None:
+                continue
+            for pid, lo, hi, incarnation in dead_windows:
+                if message.src != pid or not (lo < message.send < hi):
+                    continue
+                receiver_rolled = rollback_pos.get((message.dst, incarnation))
+                if receiver_rolled is not None and message.recv > receiver_rolled:
+                    violations.append(
+                        self.violation(
+                            f"process {message.dst} accepted ghost "
+                            f"message {message.msg_id} from rolled-back "
+                            f"incarnation {incarnation - 1} of process "
+                            f"{message.src}",
+                            msg_id=message.msg_id,
+                            src=message.src,
+                            dst=message.dst,
+                            incarnation=incarnation,
                         )
+                    )
         return violations
 
 
@@ -401,11 +353,17 @@ def build_invariants(names: Optional[Sequence[str]] = None) -> Tuple[Invariant, 
 
 
 def check_invariants(
-    trace: TraceLog,
+    trace: TraceSource,
     invariants: Optional[Sequence[Invariant]] = None,
 ) -> List[Violation]:
-    """Run the suite against ``trace`` and collect every violation."""
+    """Run the suite against ``trace`` and collect every violation.
+
+    One :class:`~repro.analysis.trace_index.TraceIndex` serves the whole
+    suite, so the cost is one reading of the trace however many
+    initiations it holds.
+    """
+    index = TraceIndex.of(trace)
     violations: List[Violation] = []
     for invariant in invariants if invariants is not None else DEFAULT_INVARIANTS:
-        violations.extend(invariant.check(trace))
+        violations.extend(invariant.check(index))
     return violations

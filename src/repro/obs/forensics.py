@@ -13,31 +13,30 @@ P1's tentative, triggered by initiator P0").
 Everything is computed from the :class:`~repro.sim.trace.TraceLog`
 alone — never from protocol state — so the same forensics run on live
 logs, archived JSONL exports (``repro-sim inspect``), explore
-counterexamples, and flight-recorder dumps. Message-level detail
-(request attribution, control-message accounting, happened-before
-verification) needs DEBUG records; on an INFO-only trace the report
-degrades gracefully to the lifecycle skeleton.
-
-The happened-before layer reuses :mod:`repro.analysis.vector_clock`:
-an :class:`EventGraph` replays a fresh vector clock per process over the
-trace (ticking on every owned record, merging across message edges
-matched by ``msg_id`` and across request→checkpoint edges matched by
-``from_pid``/``trigger``) and answers ``happened_before(a, b)`` between
-any two trace positions. Every rendered chain step is checked against
-it; a step whose causal edge cannot be verified is flagged rather than
-silently asserted.
+counterexamples, and flight-recorder dumps. Waves and message pairs come
+from :class:`~repro.analysis.trace_index.TraceIndex`; this module adds
+the happened-before graph (:class:`EventGraph`, which every rendered
+chain step is checked against) and the renderings. Message-level detail
+needs DEBUG records; on an INFO-only trace the report degrades
+gracefully to the lifecycle skeleton.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.minimality import MinimalityReport, must_checkpoint_set
+from repro.analysis.trace_index import (
+    TraceIndex,
+    TraceSource,
+    Wave,
+    owner_pid,
+)
 from repro.analysis.vector_clock import VectorClock, happened_before
 from repro.checkpointing.types import Trigger
-from repro.sim.trace import TraceLog, TraceRecord
+from repro.sim.trace import TraceRecord
 
 __all__ = [
     "CausalStep",
@@ -46,35 +45,6 @@ __all__ = [
     "WaveReport",
     "build_forensics",
 ]
-
-#: record kinds that mark a process's participation in a wave
-_WAVE_KINDS = (
-    "initiation",
-    "tentative",
-    "mutable",
-    "mutable_promoted",
-    "mutable_discarded",
-    "tentative_discarded",
-    "permanent",
-)
-
-#: wave outcomes, in trace-kind form
-_OUTCOME_KINDS = ("commit", "abort", "partial_commit")
-
-
-def _owner_pid(record: TraceRecord) -> Optional[int]:
-    """The process a record belongs to, for clock replay purposes."""
-    if "pid" in record.fields:
-        return record["pid"]
-    kind = record.kind
-    if kind in ("comp_send", "sys_send", "sys_broadcast"):
-        return record.get("src")
-    if kind == "comp_recv":
-        return record.get("dst")
-    if kind in _OUTCOME_KINDS:
-        trigger = record.get("trigger")
-        return trigger.pid if isinstance(trigger, Trigger) else None
-    return None
 
 
 class EventGraph:
@@ -85,36 +55,29 @@ class EventGraph:
     timestamp: tick the owner's clock, merging first across the record's
     incoming causal edges —
 
-    * ``comp_recv`` / ``mutable`` ← the ``comp_send`` with the same
-      ``msg_id``;
+    * ``comp_recv`` / ``mutable`` ← the ``comp_send`` the index pairs
+      with its ``msg_id``;
     * ``tentative`` (via request or promotion) ← the latest ``sys_send``
       request from its ``from_pid`` for the same trigger.
 
     ``happened_before(a, b)`` then delegates to
     :func:`repro.analysis.vector_clock.happened_before` on the stored
     snapshots. Positions without an owner (network-layer records keyed
-    by host name) carry no clock and are never ordered.
+    by a host name that names no process) carry no clock and are never
+    ordered.
     """
 
-    def __init__(self, trace: TraceLog, n_processes: int) -> None:
+    def __init__(self, trace: TraceSource, n_processes: int) -> None:
+        index = TraceIndex.of(trace)
         self.n = n_processes
         self.clock_at: Dict[int, Tuple[int, ...]] = {}
-        # There is no request-receive record, so the merge point for an
-        # incoming checkpoint request is the handler's *first* record
-        # tagged with the wave trigger (a propagated request, a reply, or
-        # the tentative itself — all emitted while handling). The exact
-        # requester comes from the tentative's from_pid attribution.
-        handler_src: Dict[Tuple[int, Trigger], int] = {}
-        for record in trace:
-            if record.kind == "tentative" and record.get("from_pid") is not None:
-                key = (record["pid"], record.get("trigger"))
-                handler_src.setdefault(key, record["from_pid"])
+        messages = index.messages.by_id
+        waves = index.waves.by_trigger
         clocks: Dict[int, VectorClock] = {}
-        send_clock: Dict[int, Tuple[int, ...]] = {}  # msg_id -> send stamp
         request_clock: Dict[Tuple[int, int, Any], Tuple[int, ...]] = {}
         merged_request: Set[Tuple[int, Any]] = set()
-        for position, record in enumerate(trace):
-            pid = _owner_pid(record)
+        for position, record in enumerate(index.records):
+            pid = owner_pid(record)
             if pid is None or pid >= self.n:
                 continue
             vc = clocks.get(pid)
@@ -122,31 +85,35 @@ class EventGraph:
                 vc = clocks[pid] = VectorClock(pid, self.n)
             kind = record.kind
             trigger = record.get("trigger")
-            if kind in ("comp_recv", "mutable"):
-                stamp = send_clock.get(record.get("msg_id"))
-                if stamp is not None:
-                    vc.merge(stamp)
+            # A record naming a message (its receive, the mutable it
+            # forced) is after that message's send; the send itself finds
+            # no earlier clock here.
+            message = messages.get(record.get("msg_id"))
+            if message is not None and message.send in self.clock_at:
+                vc.merge(self.clock_at[message.send])
             if (
                 kind in ("sys_send", "tentative")
                 and isinstance(trigger, Trigger)
                 and pid != trigger.pid
                 and (pid, trigger) not in merged_request
             ):
-                src = handler_src.get((pid, trigger))
-                stamp = (
-                    request_clock.get((src, pid, trigger))
-                    if src is not None
-                    else None
-                )
+                # There is no request-receive record, so the merge point
+                # for an incoming checkpoint request is the handler's
+                # *first* record tagged with the wave trigger (a
+                # propagated request, a reply, or the tentative itself —
+                # all emitted while handling). The exact requester comes
+                # from the tentative's from_pid attribution.
+                wave = waves.get(trigger)
+                tentative = wave.tentatives.get(pid) if wave is not None else None
+                src = tentative[1].get("from_pid") if tentative else None
+                stamp = request_clock.get((src, pid, trigger))
                 if stamp is not None:
                     vc.merge(stamp)
                     merged_request.add((pid, trigger))
             vc.tick()
             snapshot = vc.snapshot()
             self.clock_at[position] = snapshot
-            if kind == "comp_send":
-                send_clock[record["msg_id"]] = snapshot
-            elif kind == "sys_send" and record.get("subkind") == "request":
+            if kind == "sys_send" and record.get("subkind") == "request":
                 request_clock[
                     (pid, record.get("dst"), trigger)
                 ] = snapshot
@@ -179,30 +146,20 @@ class CausalStep:
 
 
 @dataclass
-class WaveReport:
-    """Everything forensics reconstructed about one checkpoint wave."""
+class WaveReport(Wave):
+    """One checkpoint wave of the index, numbered, with its verdict."""
 
-    index: int
-    trigger: Trigger
-    initiator: int
-    start_time: float
-    start_position: int
-    outcome: str = "unresolved"  # commit | abort | partial_commit | unresolved
-    end_time: Optional[float] = None
-    #: pid -> (position, tentative record); the wave's forced set
-    tentatives: Dict[int, Tuple[int, TraceRecord]] = field(default_factory=dict)
-    #: pid -> (position, mutable record)
-    mutables: Dict[int, Tuple[int, TraceRecord]] = field(default_factory=dict)
-    promoted: Set[int] = field(default_factory=set)
-    discarded_mutables: Set[int] = field(default_factory=set)
-    permanents: Set[int] = field(default_factory=set)
-    #: control messages (sys_send) tagged with this trigger, by subkind
-    control_messages: Dict[str, int] = field(default_factory=dict)
-    #: broadcasts (sys_broadcast) tagged with this trigger, by subkind
-    broadcasts: Dict[str, int] = field(default_factory=dict)
-    #: (position, record) of every tagged sys_send, for diagram rendering
-    control_records: List[Tuple[int, TraceRecord]] = field(default_factory=list)
+    index: int = 0
     minimality: Optional[MinimalityReport] = None
+
+    @property
+    def outcome(self) -> str:
+        """commit | abort | partial_commit | unresolved (first recorded)."""
+        return self.outcomes[0][1] if self.outcomes else "unresolved"
+
+    @property
+    def end_time(self) -> Optional[float]:
+        return self.outcomes[0][2] if self.outcomes else None
 
     @property
     def forced(self) -> Set[int]:
@@ -210,16 +167,17 @@ class WaveReport:
         return set(self.tentatives)
 
     @property
+    def judged(self) -> bool:
+        """Whether the closure comparison could be made at all."""
+        return self.minimality is not None and self.minimality.judged
+
+    @property
     def justified(self) -> Optional[Set[int]]:
-        if self.minimality is None:
-            return None
-        return self.minimality.justified
+        return self.minimality.justified if self.judged else None
 
     @property
     def required(self) -> Optional[Set[int]]:
-        if self.minimality is None:
-            return None
-        return self.minimality.required
+        return self.minimality.required if self.judged else None
 
     def label(self) -> str:
         return f"P{self.trigger.pid}#{self.trigger.inum}"
@@ -351,12 +309,10 @@ class WaveReport:
             elif via == "initiator":
                 pass  # covered by the initiation step
             else:
-                request = self._request_position(from_pid, child, position)
+                request = self._request_record(from_pid, child, position)
                 sent = ""
                 if request is not None:
-                    sent = (
-                        f" (request sent t={self.control_records_at(request).time:.3f})"
-                    )
+                    sent = f" (request sent t={request.time:.3f})"
                 steps.append(
                     CausalStep(
                         f"P{from_pid} sent a checkpoint request to "
@@ -368,16 +324,10 @@ class WaveReport:
                 )
         return steps
 
-    def control_records_at(self, position: int) -> TraceRecord:
-        for pos, record in self.control_records:
-            if pos == position:
-                return record
-        raise KeyError(position)
-
-    def _request_position(
+    def _request_record(
         self, from_pid: Optional[int], dst: int, before: int
-    ) -> Optional[int]:
-        """Position of the latest tagged request from_pid->dst before ``before``."""
+    ) -> Optional[TraceRecord]:
+        """The latest tagged request from_pid->dst before position ``before``."""
         found = None
         for position, record in self.control_records:
             if position >= before:
@@ -387,7 +337,7 @@ class WaveReport:
                 and record.get("src") == from_pid
                 and record.get("dst") == dst
             ):
-                found = position
+                found = record
         return found
 
     def _verify(self, steps: List[CausalStep], graph: EventGraph) -> None:
@@ -428,7 +378,11 @@ class WaveReport:
         ]
         forced = sorted(self.forced)
         lines.append(f"  forced (stable writes) : {forced}")
-        if self.minimality is not None:
+        if self.minimality is not None and not self.judged:
+            lines.append(
+                "  justified closure      : not judged: message records evicted"
+            )
+        elif self.minimality is not None:
             justified = sorted(self.justified or ())
             required = sorted(self.required or ())
             if set(forced) == set(justified):
@@ -523,6 +477,8 @@ class ForensicReport:
     graph: EventGraph
     n_processes: int
     has_debug: bool
+    #: message records a flight recorder dropped before this reading
+    evicted: int = 0
 
     def wave(self, index: int) -> WaveReport:
         for wave in self.waves:
@@ -571,6 +527,13 @@ class ForensicReport:
             lines.append(
                 "(INFO-only trace: message-level attribution and control-"
                 "message accounting are unavailable)"
+            )
+        if self.evicted and waves:
+            judged = sum(1 for wave in waves if wave.judged)
+            committed = sum(1 for wave in waves if wave.minimality is not None)
+            lines.append(
+                f"(truncated trace: {self.evicted} message records evicted; "
+                f"closure judged for {judged} of {committed} committed waves)"
             )
         for wave in waves:
             lines.extend(wave.summary_lines())
@@ -699,10 +662,10 @@ class ForensicReport:
         return "\n".join(lines) + "\n"
 
 
-def _infer_n_processes(trace: TraceLog) -> int:
+def _infer_n_processes(index: TraceIndex) -> int:
     highest = -1
-    for record in trace:
-        pid = _owner_pid(record)
+    for record in index.records:
+        pid = owner_pid(record)
         if pid is not None and pid > highest:
             highest = pid
         trigger = record.get("trigger")
@@ -712,7 +675,7 @@ def _infer_n_processes(trace: TraceLog) -> int:
 
 
 def build_forensics(
-    trace: TraceLog, n_processes: Optional[int] = None
+    trace: TraceSource, n_processes: Optional[int] = None
 ) -> ForensicReport:
     """Reconstruct every checkpoint wave of ``trace``.
 
@@ -720,67 +683,22 @@ def build_forensics(
     views alike. ``n_processes`` is inferred from the records when not
     given.
     """
+    index = TraceIndex.of(trace)
     if n_processes is None:
-        n_processes = _infer_n_processes(trace)
-    graph = EventGraph(trace, n_processes)
-    waves: Dict[Trigger, WaveReport] = {}
-    order: List[Trigger] = []
-    has_debug = False
-    for position, record in enumerate(trace):
-        kind = record.kind
-        trigger = record.get("trigger")
-        if kind in ("comp_send", "comp_recv", "sys_send", "sys_broadcast"):
-            has_debug = True
-        if kind == "initiation" and isinstance(trigger, Trigger):
-            if trigger not in waves:
-                waves[trigger] = WaveReport(
-                    index=len(order),
-                    trigger=trigger,
-                    initiator=record["pid"],
-                    start_time=record.time,
-                    start_position=position,
-                )
-                order.append(trigger)
+        n_processes = _infer_n_processes(index)
+    has_debug = index.first_message is not None
+    waves: List[WaveReport] = []
+    for wave in index.waves.by_trigger.values():
+        if wave.initiator is None or not isinstance(wave.trigger, Trigger):
             continue
-        if not isinstance(trigger, Trigger):
-            continue
-        wave = waves.get(trigger)
-        if wave is None:
-            continue
-        if kind == "tentative":
-            wave.tentatives.setdefault(record["pid"], (position, record))
-        elif kind == "mutable":
-            wave.mutables.setdefault(record["pid"], (position, record))
-        elif kind == "mutable_promoted":
-            wave.promoted.add(record["pid"])
-        elif kind == "mutable_discarded":
-            wave.discarded_mutables.add(record["pid"])
-        elif kind == "permanent":
-            wave.permanents.add(record["pid"])
-        elif kind in _OUTCOME_KINDS:
-            if wave.outcome == "unresolved":
-                wave.outcome = kind
-                wave.end_time = record.time
-        elif kind == "sys_send":
-            subkind = record.get("subkind", "?")
-            wave.control_messages[subkind] = (
-                wave.control_messages.get(subkind, 0) + 1
-            )
-            wave.control_records.append((position, record))
-        elif kind == "sys_broadcast":
-            subkind = record.get("subkind", "?")
-            wave.broadcasts[subkind] = wave.broadcasts.get(subkind, 0) + 1
-    committed = {
-        record.get("trigger")
-        for record in trace.of_kind("commit")
-        if isinstance(record.get("trigger"), Trigger)
-    }
-    for trigger, wave in waves.items():
-        if trigger in committed and has_debug:
-            wave.minimality = must_checkpoint_set(trace, trigger)
+        report = WaveReport(**vars(wave), index=len(waves))
+        if has_debug and wave.last_time("commit") is not None:
+            report.minimality = must_checkpoint_set(index, wave.trigger)
+        waves.append(report)
     return ForensicReport(
-        waves=[waves[trigger] for trigger in order],
-        graph=graph,
+        waves=waves,
+        graph=EventGraph(index, n_processes),
         n_processes=n_processes,
         has_debug=has_debug,
+        evicted=index.evicted,
     )

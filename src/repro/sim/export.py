@@ -28,6 +28,7 @@ import json
 from typing import IO, Any, Iterable, Optional, Union
 
 from repro.checkpointing.types import Trigger
+from repro.errors import TraceFormatError
 from repro.sim.trace import TraceLog, TraceRecord
 
 
@@ -108,17 +109,26 @@ def dumps_trace(trace: Iterable[TraceRecord]) -> str:
 
 
 def load_trace(stream: Union[IO[str], str]) -> TraceLog:
-    """Read a JSON-lines trace back into a :class:`TraceLog`."""
+    """Read a JSON-lines trace back into a :class:`TraceLog`.
+
+    Raises :class:`~repro.errors.TraceFormatError` naming ``file:line``
+    for a line that is not a ``{"t", "k", "f"}`` record.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    name = getattr(stream, "name", "<trace>")
     log = TraceLog()
-    for line in stream:
+    for number, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
-        fields = {key: _decode_value(val) for key, val in data["f"].items()}
-        log.record(data["t"], data["k"], **fields)
+        try:
+            data = json.loads(line)
+            fields = {key: _decode_value(val) for key, val in data["f"].items()}
+            log.record(data["t"], data["k"], **fields)
+        except (ValueError, LookupError, TypeError, AttributeError):
+            # not JSON, not an object, a key missing, or a malformed tag
+            raise TraceFormatError(f"{name}:{number}: not a trace record") from None
     return log
 
 

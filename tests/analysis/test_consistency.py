@@ -8,10 +8,10 @@ from repro.analysis.consistency import (
     Orphan,
     assert_line_consistent,
     check_vector_clocks,
-    checkpoint_positions,
     find_orphans,
     latest_permanent_line,
 )
+from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.storage import StableStorage
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord
 from repro.errors import InconsistentCheckpointError
@@ -40,7 +40,7 @@ class TestCheckpointPositions:
                 (1.0, "tentative", {"pid": 0, "ckpt_id": 7}),
             ]
         )
-        assert checkpoint_positions(log) == {7: 0}
+        assert TraceIndex(log).captures.position == {7: 0}
 
     def test_ignores_other_kinds(self):
         log = trace_with(
@@ -49,7 +49,7 @@ class TestCheckpointPositions:
                 (1.0, "permanent", {"pid": 0, "ckpt_id": 3}),
             ]
         )
-        assert checkpoint_positions(log) == {3: 1}
+        assert TraceIndex(log).captures.position == {3: 1}
 
 
 class TestFindOrphans:

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.offline import (
-    reconstruct_line,
-    verify_archived_trace,
-    verify_trace_file,
-)
+from repro.analysis.offline import verify_archived_trace, verify_trace_file
+from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.errors import InconsistentCheckpointError
 from repro.scenarios.figures import figure1
@@ -58,7 +55,7 @@ def test_inconsistent_scenario_flagged_offline():
 
 def test_reconstruct_line_uses_newest_permanent():
     h = consistent_harness()
-    line = reconstruct_line(h.trace)
+    line = TraceIndex(h.trace).captures.line
     assert set(line) == {0, 1, 2}
     # P0 and P1 have post-initiation permanents (higher ckpt ids)
     assert line[0] > line[2]
@@ -66,7 +63,7 @@ def test_reconstruct_line_uses_newest_permanent():
 
 def test_empty_trace_rejected():
     with pytest.raises(InconsistentCheckpointError):
-        reconstruct_line(TraceLog())
+        verify_archived_trace(TraceLog())
 
 
 def test_verify_trace_file(tmp_path):

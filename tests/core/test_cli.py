@@ -147,6 +147,7 @@ BAD_STORE = '{"point_hash":"a","status":"ok","point":{}}\n123\n{"foo":1}\n'
 
 
 NOT_A_RECORD = "bad.jsonl:2: not a point record"
+NOT_A_TRACE = "bad.jsonl:1: not a trace record"
 
 BAD_INPUT = {
     "run-processes-0": ("run --processes 0", "at least one process"),
@@ -167,6 +168,10 @@ BAD_INPUT = {
     "explore-bad-store": ("explore --seeds 2 --store bad.jsonl", NOT_A_RECORD),
     "serve-bad-import": (
         "serve --data-dir data --port 0 --import bad.jsonl", NOT_A_RECORD),
+    "verify-trace-not-a-trace": ("verify-trace bad.jsonl", NOT_A_TRACE),
+    "inspect-not-a-trace": ("inspect bad.jsonl", NOT_A_TRACE),
+    "verify-trace-not-json": (
+        "verify-trace garbage.jsonl", "garbage.jsonl:1: not a trace record"),
 }
 
 
@@ -177,6 +182,7 @@ def test_bad_input_is_an_error_line_and_exit_2(
     """One boundary: bad input never ends in a Python traceback."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.jsonl").write_text(BAD_STORE)
+    (tmp_path / "garbage.jsonl").write_text("not json\n")
     try:
         code = main(command.split())
     except SystemExit as exc:  # rejected at parse time
@@ -186,6 +192,17 @@ def test_bad_input_is_an_error_line_and_exit_2(
     assert captured.out == ""
     assert "error: " in captured.err and complaint in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_verify_trace_with_nothing_to_verify_is_one_line_and_exit_1(
+    tmp_path, capsys
+):
+    """A readable trace with no permanent checkpoint: not a traceback."""
+    path = tmp_path / "empty.jsonl"
+    path.write_text('{"t":0.0,"k":"initiation","f":{"pid":0}}\n')
+    assert main(["verify-trace", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out == "nothing to verify: trace has no permanent checkpoints\n"
 
 
 def _exported_trace(tmp_path, extra=()):

@@ -108,3 +108,57 @@ def test_allowlist_is_small_and_live():
     assert not stale, f"ALLOWED names no longer defined in src/repro: {stale}"
     needless = sorted(set(ALLOWED) & _non_test_references())
     assert not needless, f"ALLOWED names that now have a caller: {needless}"
+
+
+# -- vocabulary census ---------------------------------------------------
+
+#: files besides ``analysis/trace_index.py`` that may compare a record
+#: kind against "comp_recv", each with its reason (at most two)
+KIND_READERS = {
+    os.path.join("analysis", "timeline.py"): "renderer: draws one glyph "
+    "per record kind; it pairs nothing",
+}
+
+MAX_KIND_READERS = 2
+
+
+def _kind_comparisons(path: str, kind: str):
+    """Lines comparing something against ``kind`` (``==``, ``in (...)``)."""
+    for node in ast.walk(_parse(path)):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left, *node.comparators]:
+            members = (
+                operand.elts
+                if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                else [operand]
+            )
+            if any(
+                isinstance(m, ast.Constant) and m.value == kind for m in members
+            ):
+                yield node.lineno
+
+
+def test_the_trace_vocabulary_is_read_in_one_place():
+    """Which receive belongs to which send is decided by TraceIndex only:
+    a second ``kind == "comp_recv"`` is a second private trace walk."""
+    index = os.path.join("analysis", "trace_index.py")
+    readers = {
+        rel: lines
+        for rel, path in _python_files()
+        if (lines := list(_kind_comparisons(path, "comp_recv")))
+    }
+    assert index in readers
+    offenders = {
+        rel: lines
+        for rel, lines in readers.items()
+        if rel != index and rel not in KIND_READERS
+    }
+    assert not offenders, (
+        "take message pairs from repro.analysis.trace_index.TraceIndex "
+        f"instead of reading comp_recv records: {offenders}"
+    )
+    assert len(KIND_READERS) <= MAX_KIND_READERS
+    assert all(reason.strip() for reason in KIND_READERS.values())
+    stale = sorted(set(KIND_READERS) - set(readers))
+    assert not stale, f"KIND_READERS entries that no longer read it: {stale}"
