@@ -48,7 +48,7 @@ incarnation ghost-check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as _np  # vectorized max: ~100x a pure-Python merge at 1024 entries
 
@@ -56,6 +56,42 @@ import numpy as _np  # vectorized max: ~100x a pure-Python merge at 1024 entries
 #: process checkpoints an all-zero clock, and N distinct N-tuples of
 #: zeros is O(N^2) memory for nothing.
 _ZERO_SNAPSHOTS: Dict[int, Tuple[int, ...]] = {}
+
+
+class PackedInts(NamedTuple):
+    """An int64 vector as bytes: what a snapshot stores for one.
+
+    With ``indices`` ``None``, ``data`` is the whole vector
+    (little-endian int64). Otherwise ``data`` holds the non-zero entries
+    only and ``indices`` (little-endian int32) says where they go -
+    :meth:`of` picks that form when under half the entries are non-zero,
+    which at 1k+ processes is nearly every clock and csn vector: pickled
+    element by element they were the bulk of a snapshot.
+    """
+
+    n: int
+    indices: Optional[bytes]
+    data: bytes
+
+    @classmethod
+    def of(cls, values: "_np.ndarray") -> "PackedInts":
+        nonzero = _np.flatnonzero(values)
+        if 2 * len(nonzero) < len(values):
+            return cls(
+                len(values),
+                nonzero.astype("<i4").tobytes(),
+                values[nonzero].astype("<i8", copy=False).tobytes(),
+            )
+        return cls(len(values), None, values.astype("<i8", copy=False).tobytes())
+
+    def unpack(self) -> "_np.ndarray":
+        """A fresh, writable int64 array holding the vector."""
+        data = _np.frombuffer(self.data, dtype="<i8")
+        if self.indices is None:
+            return data.astype(_np.int64)
+        values = _np.zeros(self.n, dtype=_np.int64)
+        values[_np.frombuffer(self.indices, dtype="<i4")] = data
+        return values
 
 
 class VCDelta:
@@ -101,15 +137,16 @@ class VectorClock:
     """
 
     __slots__ = (
-        "pid", "clock", "_delta", "_ticks", "_changed", "_ls",
+        "pid", "clock", "_cells", "_delta", "_ticks", "_changed", "_ls",
         "_full_at", "_cap",
     )
 
     def __init__(self, pid: int, n: int, delta: bool = False) -> None:
         self.pid = pid
-        #: int64 ndarray; all external observation goes through
-        #: :meth:`snapshot` (plain-int tuples)
-        self.clock = _np.zeros(n, dtype=_np.int64)
+        # np.zeros, not an eagerly filled buffer: the pages of entries
+        # that never change are never touched, which at 4096 processes
+        # is most of 134 MB
+        self._attach(_np.zeros(n, dtype=_np.int64))
         self._delta = delta
         #: monotone op counter; stamps in _changed/_ls refer to it
         self._ticks = 0
@@ -124,9 +161,34 @@ class VectorClock:
         #: deltas longer than this ride as full tuple stamps instead
         self._cap = max(8, n // 8)
 
+    def _attach(self, clock: "_np.ndarray") -> None:
+        #: int64 ndarray, for the whole-vector operations; all external
+        #: observation goes through :meth:`snapshot` (plain-int tuples)
+        self.clock = clock
+        #: the same buffer as a memoryview, for the one-entry reads and
+        #: writes: it hands out plain ints where indexing the array
+        #: boxes a numpy scalar first (several times the cost per read)
+        self._cells = memoryview(clock)
+
+    def __getstate__(self):
+        slots = {
+            name: getattr(self, name) for name in self.__slots__ if name != "_cells"
+        }
+        slots["clock"] = PackedInts.of(self.clock)
+        return None, slots
+
+    def __setstate__(self, state) -> None:
+        # ``(None, {slot: value})`` is also what pickle writes for a
+        # ``__slots__`` class by default, so a format-1 snapshot (whose
+        # ``clock`` is the array itself) restores through here too.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        clock = self.clock
+        self._attach(clock.unpack() if isinstance(clock, PackedInts) else clock)
+
     def tick(self) -> None:
         """Advance the local component (one local event)."""
-        self.clock[self.pid] += 1
+        self._cells[self.pid] += 1
         if self._delta:
             self._ticks += 1
             changed = self._changed
@@ -148,13 +210,13 @@ class VectorClock:
 
     def merge_delta(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Componentwise max with a sparse (index, value) stamp."""
-        clock = self.clock
+        cells = self._cells
         self._ticks += 1
         ticks = self._ticks
         changed = self._changed
         for i, value in pairs:
-            if value > clock[i]:
-                clock[i] = value
+            if value > cells[i]:
+                cells[i] = value
                 changed.pop(i, None)
                 changed[i] = ticks
 
@@ -181,7 +243,7 @@ class VectorClock:
         self._ls[dst] = self._ticks
         if self._full_at > ls:
             return self._full_stamp()
-        clock = self.clock
+        cells = self._cells
         changed = self._changed
         pairs = []
         append = pairs.append
@@ -193,7 +255,7 @@ class VectorClock:
                 break
             if len(pairs) >= cap:
                 return self._full_stamp()
-            append((i, int(clock[i])))
+            append((i, cells[i]))
         return VCDelta(tuple(pairs))
 
     def _full_stamp(self):
@@ -223,7 +285,7 @@ class VectorClock:
         stamp, so no receiver depends on deltas whose base predates the
         rollback (or was dropped by the incarnation ghost-check).
         """
-        self.clock = _np.array(snap, dtype=_np.int64)
+        self._attach(_np.array(snap, dtype=_np.int64))
         if self._delta:
             self._ticks += 1
             self._full_at = self._ticks

@@ -31,6 +31,9 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, List, Sequence, Union
 
+import numpy as _np
+
+from repro.analysis.vector_clock import PackedInts
 from repro.checkpointing.types import MREntry
 
 __all__ = ["BitVector", "IntVector", "MRVector", "true_indices"]
@@ -39,7 +42,8 @@ __all__ = ["BitVector", "IntVector", "MRVector", "true_indices"]
 class IntVector:
     """A dense int vector with a list-like surface, backed by ``array``.
 
-    Accepts either a size (zero-filled) or an iterable of ints.
+    Accepts a size (zero-filled), an iterable of ints, or the
+    :class:`~repro.analysis.vector_clock.PackedInts` it pickles as.
     """
 
     __slots__ = ("_a",)
@@ -49,9 +53,11 @@ class IntVector:
     typecode = "q"
     _itemsize = array(typecode).itemsize
 
-    def __init__(self, init: Union[int, Iterable[int]] = 0) -> None:
+    def __init__(self, init: Union[int, Iterable[int], PackedInts] = 0) -> None:
         if isinstance(init, int):
             self._a = array(self.typecode, bytes(self._itemsize * init))
+        elif isinstance(init, PackedInts):
+            self._a = array(self.typecode, init.unpack().tobytes())
         else:
             self._a = array(self.typecode, init)
 
@@ -77,7 +83,7 @@ class IntVector:
         return NotImplemented
 
     def __reduce__(self):
-        return (type(self), (self._a.tolist(),))
+        return (type(self), (PackedInts.of(_np.frombuffer(self._a, dtype=_np.int64)),))
 
     def copy(self) -> "IntVector":
         dup = type(self).__new__(type(self))
@@ -106,8 +112,9 @@ class BitVector:
 
     __slots__ = ("_b",)
 
-    def __init__(self, init: Union[int, Iterable[bool]] = 0) -> None:
-        if isinstance(init, int):
+    def __init__(self, init: Union[int, bytes, Iterable[bool]] = 0) -> None:
+        if isinstance(init, (int, bytes)):
+            # a size, or the one-0/1-byte-per-entry image __reduce__ writes
             self._b = bytearray(init)
         else:
             self._b = bytearray(1 if v else 0 for v in init)

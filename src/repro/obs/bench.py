@@ -288,6 +288,41 @@ def ladder_case(
     return BenchCase(name, run, description)
 
 
+def _snapshot_roundtrip_case(n: int) -> BenchCase:
+    """A crash-resume at population ``n``: the 8-cell rung is driven for
+    10 000 events (untimed), then its whole state goes to disk and
+    comes back (capture + ``write_snapshot`` + ``read_snapshot`` +
+    restore). Reported "events" are process states round-tripped, so
+    the rate does not reward a fatter file.
+    """
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        from repro.errors import SimulationError
+        from repro.snapshot import Snapshotter, resume_run
+
+        _, runner = _mutable_p2p(2, trace_messages=False, n_processes=n, n_mss=8)
+        try:
+            runner.run(max_events=10_000)
+        except SimulationError:
+            pass  # budget reached: the state to snapshot
+        workdir = tempfile.mkdtemp(prefix="bench-snapshot-")
+        try:
+            start = time.perf_counter()
+            if burn is not None:
+                for _ in range(n):
+                    burn()
+            resume_run(Snapshotter(runner, directory=workdir).take())
+            elapsed = time.perf_counter() - start
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+        return n, elapsed
+
+    return BenchCase(
+        f"snapshot_roundtrip_{n}p", run,
+        f"write the {n}p 8-cell rung to disk after 10k events and resume it",
+    )
+
+
 def ladder_cases(
     populations: Tuple[int, ...] = (256, 1024, 4096), max_events: int = 150_000
 ) -> List[BenchCase]:
@@ -336,6 +371,7 @@ def ladder_cases(
                 f"with {n_shards} shards",
                 max_events, n_processes=1024, n_mss=8, shards=n_shards,
             ))
+        cases.append(_snapshot_roundtrip_case(1024))
     return cases
 
 

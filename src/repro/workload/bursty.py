@@ -56,6 +56,18 @@ class BurstyWorkload(Workload):
         """Whether ``pid`` is currently in a burst."""
         return self._on[pid]
 
+    def _bind(self, pid: int):
+        # The (off, on, send, dst) streams of ``pid``; names and the draw
+        # order on each are those of per-call
+        # ``streams.exponential(name, mean)`` / ``streams.choice``.
+        stream = self.system.streams.stream
+        return (
+            stream(f"bursty.off.{pid}"),
+            stream(f"bursty.on.{pid}"),
+            stream(f"bursty.send.{pid}"),
+            stream(f"bursty.dst.{pid}"),
+        )
+
     def _schedule_initial(self) -> None:
         for pid in self.system.processes:
             # stagger: start everyone in an OFF period
@@ -63,18 +75,16 @@ class BurstyWorkload(Workload):
 
     # -- period machinery ------------------------------------------------
     def _schedule_burst_start(self, pid: int) -> None:
-        delay = self.system.streams.exponential(
-            f"bursty.off.{pid}", self.config.mean_off
-        )
+        off, _, _, _ = self._bindings(pid)
+        delay = off.expovariate(1.0 / self.config.mean_off)
         self.system.sim.schedule(delay, self._burst_start, pid)
 
     def _burst_start(self, pid: int) -> None:
         if not self.running:
             return
         self._on[pid] = True
-        duration = self.system.streams.exponential(
-            f"bursty.on.{pid}", self.config.mean_on
-        )
+        _, on, _, _ = self._bindings(pid)
+        duration = on.expovariate(1.0 / self.config.mean_on)
         self.system.sim.schedule(duration, self._burst_end, pid)
         self._schedule_send(pid)
 
@@ -85,16 +95,15 @@ class BurstyWorkload(Workload):
 
     # -- sends within a burst ------------------------------------------------
     def _schedule_send(self, pid: int) -> None:
-        delay = self.system.streams.exponential(
-            f"bursty.send.{pid}", self.config.burst_send_interval
-        )
+        _, _, send, _ = self._bindings(pid)
+        delay = send.expovariate(1.0 / self.config.burst_send_interval)
         self.system.sim.schedule(delay, self._fire, pid)
 
     def _fire(self, pid: int) -> None:
         if not self.running or not self._on[pid]:
             return
-        others = [p for p in self.system.processes if p != pid]
+        others = self._everyone_but(pid)
         if others:
-            dst = self.system.streams.choice(f"bursty.dst.{pid}", others)
-            self._send(pid, dst)
+            _, _, _, dst = self._bindings(pid)
+            self._send(pid, dst.choice(others))
         self._schedule_send(pid)

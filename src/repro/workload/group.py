@@ -14,7 +14,7 @@ from typing import Dict, List
 from repro.core.config import GroupWorkloadConfig
 from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
-from repro.workload.base import Workload
+from repro.workload.base import Workload, _Others, _others_by_pid
 
 
 class GroupWorkload(Workload):
@@ -43,6 +43,29 @@ class GroupWorkload(Workload):
         """Whether ``pid`` is its group's leader."""
         return pid in self.leaders
 
+    def _bind(self, pid: int):
+        # (delay stream, destination stream, candidates) for intragroup
+        # traffic and, when ``pid`` leads its group, for intergroup.
+        # Names and per-stream draw order are those of per-call
+        # ``streams.exponential(name, mean)`` / ``streams.choice``.
+        stream = self.system.streams.stream
+        group = self.group_of[pid]
+        if pid not in self._views:
+            self._views.update(_others_by_pid(self.groups[group]))
+        intra = (
+            stream(f"workload.group.intra.{pid}"),
+            stream(f"workload.group.intra.dst.{pid}"),
+            self._views[pid],
+        )
+        if self.leaders[group] != pid:
+            return intra, None
+        inter = (
+            stream(f"workload.group.inter.{pid}"),
+            stream(f"workload.group.inter.dst.{pid}"),
+            _Others(self.leaders, group),
+        )
+        return intra, inter
+
     def _schedule_initial(self) -> None:
         for pid in self.system.processes:
             self._schedule_intra(pid)
@@ -51,31 +74,30 @@ class GroupWorkload(Workload):
 
     # -- intragroup ---------------------------------------------------------
     def _schedule_intra(self, pid: int) -> None:
-        delay = self.system.streams.exponential(
-            f"workload.group.intra.{pid}", self.config.mean_send_interval
-        )
+        stream, _, _ = self._bindings(pid)[0]
+        delay = stream.expovariate(1.0 / self.config.mean_send_interval)
         self.system.sim.schedule(delay, self._fire_intra, pid)
 
     def _fire_intra(self, pid: int) -> None:
         if not self.running:
             return
-        members = [p for p in self.groups[self.group_of[pid]] if p != pid]
+        _, dst, members = self._bindings(pid)[0]
         if members:
-            dst = self.system.streams.choice(f"workload.group.intra.dst.{pid}", members)
-            self._send(pid, dst)
+            self._send(pid, dst.choice(members))
         self._schedule_intra(pid)
 
     # -- intergroup (leaders only) ---------------------------------------------
     def _schedule_inter(self, leader: int) -> None:
+        stream, _, _ = self._bindings(leader)[1]
         mean = self.config.mean_send_interval * self.config.intra_inter_ratio
-        delay = self.system.streams.exponential(f"workload.group.inter.{leader}", mean)
-        self.system.sim.schedule(delay, self._fire_inter, leader)
+        self.system.sim.schedule(
+            stream.expovariate(1.0 / mean), self._fire_inter, leader
+        )
 
     def _fire_inter(self, leader: int) -> None:
         if not self.running:
             return
-        others = [l for l in self.leaders if l != leader]
+        _, dst, others = self._bindings(leader)[1]
         if others:
-            dst = self.system.streams.choice(f"workload.group.inter.dst.{leader}", others)
-            self._send(leader, dst)
+            self._send(leader, dst.choice(others))
         self._schedule_inter(leader)

@@ -25,38 +25,29 @@ class PointToPointWorkload(Workload):
                 f"exponential mean must be positive, got {config.mean_send_interval!r}"
             )
         self._lambd = 1.0 / config.mean_send_interval
-        # Per-pid bound stream methods and peer lists, resolved once:
-        # the draws come from the same named streams in the same order as
-        # the per-call lookups they replace, so sequences are identical.
-        self._expo = {}
-        self._choice = {}
-        self._peers = {}
 
-    def _bindings(self, pid: int):
-        expo = self._expo.get(pid)
-        if expo is None:
-            streams = self.system.streams
-            expo = self._expo[pid] = streams.stream(f"workload.p2p.{pid}").expovariate
-            self._choice[pid] = streams.stream(f"workload.p2p.dst.{pid}").choice
-        peers = self._peers.get(pid)
-        if peers is None or len(peers) != len(self.system.processes) - 1:
-            peers = self._peers[pid] = [
-                p for p in self.system.processes if p != pid
-            ]
-        return expo, self._choice[pid], peers
+    def _bind(self, pid: int):
+        # The draws come from the same named streams in the same order as
+        # per-call lookups would make them, so sequences are identical.
+        stream = self.system.streams.stream
+        return (
+            stream(f"workload.p2p.{pid}").expovariate,
+            stream(f"workload.p2p.dst.{pid}").choice,
+        )
 
     def _schedule_initial(self) -> None:
         for pid in self.system.processes:
             self._schedule_next(pid)
 
     def _schedule_next(self, pid: int) -> None:
-        expo, _, _ = self._bindings(pid)
+        expo, _ = self._bindings(pid)
         self.system.sim.schedule(expo(self._lambd), self._fire, pid)
 
     def _fire(self, pid: int) -> None:
         if not self.running:
             return
-        expo, choice, peers = self._bindings(pid)
+        expo, choice = self._bindings(pid)
+        peers = self._everyone_but(pid)
         if peers:
             self._send(pid, choice(peers))
         self.system.sim.schedule(expo(self._lambd), self._fire, pid)

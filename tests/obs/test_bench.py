@@ -185,6 +185,7 @@ def test_ladder_cases_cover_the_population_rungs():
         "mutable_1024p_mss8",
         "mutable_1024p_shards2",
         "mutable_1024p_shards4",
+        "snapshot_roundtrip_1024p",
     ]
     # the 1024p-coupled rungs exist only when their partner does
     assert [c.name for c in ladder_cases(populations=(256,))] == [

@@ -4,6 +4,7 @@ A 1024-process run must complete its coordination waves, pass the full
 six-invariant suite unchanged, and keep its per-event cost within a
 constant factor of a small population's — the quadratic per-message
 blowup the scaling work removed would show up here as a ~16x ratio.
+Its snapshot image must stay a constant number of kB per process.
 
 Excluded from the default suite by the ``-m "not scale"`` addopts;
 exercised by the ``scale-smoke`` CI job alongside the benchmark
@@ -16,11 +17,14 @@ import time
 
 import pytest
 
+from repro.campaign import RunPoint, build_point_runtime
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
+from repro.errors import SimulationError
 from repro.explore.invariants import check_invariants
+from repro.snapshot import capture, restore
 from repro.workload.point_to_point import PointToPointWorkload
 
 pytestmark = pytest.mark.scale
@@ -67,3 +71,31 @@ def test_1024p_run_completes_with_invariants_and_rate_floor():
         f"1024p rate {rate:,.0f} ev/s is more than {MAX_RATE_RATIO}x below "
         f"32p rate {small_rate:,.0f} ev/s"
     )
+
+
+#: a 1024p crash-resume image, cut where ``benchmarks/e2e`` cuts it. As
+#: pickled ints, ndarrays and peer lists it was 29.8 MB; as packed bytes
+#: with shared peer views it is 10.7 MB, nearly all of it the 3 072
+#: Mersenne states at 2.5 kB each
+MAX_IMAGE_MB = 15.0
+
+
+def test_1024p_snapshot_image_stays_compact():
+    point = RunPoint(
+        protocol="mutable", workload="p2p",
+        workload_params={"mean_send_interval": 1.0},
+        system_params={"n_processes": 1024, "n_mss": 8, "trace_messages": False},
+        run_params={"max_initiations": 10**6, "warmup_initiations": 1},
+        seed=11,
+    )
+    system, _, runner = build_point_runtime(point)
+    with pytest.raises(SimulationError, match="max_events"):
+        runner.run(max_events=10_000)
+    payload = capture(runner)
+    assert len(payload) / 1e6 <= MAX_IMAGE_MB
+
+    image = restore(payload)
+    assert image.system.sim.events_processed == 10_000
+    assert [p.vc.snapshot() for p in image.system.processes.values()] == [
+        p.vc.snapshot() for p in system.processes.values()
+    ]

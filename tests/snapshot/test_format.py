@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
+import threading
 
 import pytest
 
 from repro.errors import SnapshotError
+from repro.snapshot import format as snapshot_format
 from repro.snapshot import (
     FORMAT_VERSION,
     SnapshotMeta,
@@ -120,3 +123,91 @@ def test_empty_file_rejected(tmp_path):
     open(path, "wb").close()
     with pytest.raises(SnapshotError):
         read_meta(path)
+
+
+# -- failed writes ---------------------------------------------------------------
+
+def _enospc(*_args, **_kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDisk:
+    """A binary file whose second ``write`` finds the disk full."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            _enospc()
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("failing", ["write", "fsync", "replace"])
+def test_failed_write_cleans_up_and_keeps_the_old_snapshot(
+    tmp_path, monkeypatch, failing
+):
+    path = str(tmp_path / "a.rsnap")
+    write_snapshot(path, _meta(seq=1), b"the good one")
+    if failing == "write":
+        monkeypatch.setattr(
+            snapshot_format, "open",
+            lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)), raising=False,
+        )
+    else:
+        monkeypatch.setattr(os, failing, _enospc)
+    with pytest.raises(SnapshotError, match=r"a\.rsnap.*Errno 28") as raised:
+        write_snapshot(path, _meta(seq=2), b"never lands" * 1000)
+    assert raised.value.__cause__.errno == errno.ENOSPC
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["a.rsnap"]
+    meta, payload = read_snapshot(path)
+    assert (meta.seq, payload) == (1, b"the good one")
+
+
+def test_unwritable_directory_is_a_snapshot_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    with pytest.raises(SnapshotError, match="cannot write snapshot"):
+        write_snapshot(str(blocker / "a.rsnap"), _meta(), b"payload")
+
+
+def test_two_writers_at_one_path_use_separate_tmp_files(tmp_path, monkeypatch):
+    path = str(tmp_path / "a.rsnap")
+    both_mid_write = threading.Barrier(2, timeout=10)
+    seen = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        real_fsync(fd)
+        both_mid_write.wait()
+        seen.append(sorted(n for n in os.listdir(tmp_path) if n.endswith(".tmp")))
+        both_mid_write.wait()
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    payloads = [b"first writer " * 500, b"second writer " * 900]
+    writers = [
+        threading.Thread(target=write_snapshot, args=(path, _meta(seq=i), payload))
+        for i, payload in enumerate(payloads)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=20)
+        assert not writer.is_alive()
+    monkeypatch.undo()
+    assert len(seen) == 2 and len(seen[0]) == 2  # two tmp files at once
+    assert os.listdir(tmp_path) == ["a.rsnap"]
+    meta, payload = read_snapshot(path)  # one writer's file, whole
+    assert payload == payloads[meta.seq]
