@@ -15,19 +15,18 @@ Usage::
 
 ``--ladder`` appends the fixed-budget population rungs
 (``mutable_{256,1024,4096}p_trace_off`` plus the sampler-on
-``mutable_1024p_timeseries_1s`` twin and the sharded-kernel trio
-``mutable_1024p_mss8`` / ``mutable_1024p_shards{2,4}``; the default
-suite's ``mutable_32p_trace_off`` is the 32p rung) and prints the
-1024p-vs-32p per-event ratio — the scaling acceptance number, which
-must stay under 4x — the timeseries sampling overhead (acceptance:
-<= 3%), and the sharded-kernel throughput ratio against its 8-cell
-sequential control (single-core inline backend: a window-overhead
-number, expected <= 1x; see docs/SCALING.md).
+``mutable_1024p_timeseries_1s`` twin, the 8-cell ``mutable_1024p_mss8``
+and the snapshot round trip; the default suite's
+``mutable_32p_trace_off`` is the 32p rung) and prints the 1024p-vs-32p
+per-event ratio — the scaling acceptance number, which must stay under
+4x — and the timeseries sampling overhead (acceptance: <= 3%).
 
 Every run (except ``--trend``) also appends a machine-normalized,
-git-sha-stamped record to ``BENCH_history.jsonl`` at the repo root;
-``--trend`` reads that file back and prints one normalized-rate
-trajectory per case.
+git-sha-stamped record to ``BENCH_history.jsonl`` at the repo root
+(``"dirty": true`` when ``src`` or ``benchmarks`` had uncommitted
+changes, i.e. the sha is the parent of what was measured); ``--trend``
+reads that file back and prints one normalized-rate trajectory per
+case.
 
 ``--check`` is what CI's perf-smoke job runs. The comparison uses
 normalized rates (events/s divided by a same-machine calibration-loop
@@ -41,6 +40,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -64,19 +64,28 @@ HISTORY_PATH = os.path.join(
 )
 
 
-def _git_sha() -> str:
+def _git(*command: str) -> Optional[str]:
+    """Stripped stdout of ``git <command>`` at the repo root; None if it failed."""
     import subprocess
 
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            ["git", *command],
+            cwd=os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."),
             capture_output=True, text=True, timeout=10,
         )
-        sha = out.stdout.strip()
-        return sha if out.returncode == 0 and sha else "unknown"
-    except OSError:
-        return "unknown"
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_sha() -> str:
+    return _git("rev-parse", "HEAD") or "unknown"
+
+
+def _git_dirty() -> bool:
+    """Whether the measured code differs from the stamped commit."""
+    return bool(_git("status", "--porcelain", "--", "src", "benchmarks"))
 
 
 def main(argv=None) -> int:
@@ -108,8 +117,10 @@ def main(argv=None) -> int:
         if not history:
             print(f"no history at {args.history}; run the bench to start one")
             return 1
+        dirty = sum(1 for record in history if record.get("dirty"))
         print(f"{len(history)} runs in {args.history} "
-              f"(oldest left, newest right):")
+              f"(oldest left, newest right; {dirty} measured on an "
+              f"uncommitted tree):")
         print(format_trends(history))
         return 0
 
@@ -141,19 +152,10 @@ def main(argv=None) -> int:
             "1024p timeseries sampling overhead: "
             f"{overhead * 100:.1f}% (acceptance: <= 3%)"
         )
-    control = by_name.get("mutable_1024p_mss8")
-    for n_shards in (2, 4):
-        sharded = by_name.get(f"mutable_1024p_shards{n_shards}")
-        if control and sharded and control["rate"] > 0:
-            print(
-                f"1024p shards={n_shards} throughput vs sequential 8-cell: "
-                f"{sharded['rate'] / control['rate']:.2f}x "
-                "(inline single-core backend — window overhead, "
-                "not parallel speedup; see docs/SCALING.md)"
-            )
 
     if not args.no_history:
-        append_history(args.history, report, git_sha=_git_sha())
+        append_history(args.history, report, git_sha=_git_sha(),
+                       dirty=_git_dirty())
         print(f"history appended to {args.history}")
 
     if args.write:

@@ -67,10 +67,9 @@ def _point_flags() -> argparse.ArgumentParser:
                        "(SystemConfig.n_mss; default 1, the paper's "
                        "single-LAN model)")
     flags.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="partition the simulation by cell across N "
-                       "shards on the conservative windowed kernel; "
-                       "results are bit-identical to --shards 1 "
-                       "(see docs/SCALING.md)")
+                       help="assign cells to N shards and report the "
+                       "traffic that crosses them; the run itself is the "
+                       "--shards 1 run (see docs/SCALING.md)")
     flags.add_argument("--rate", type=_positive_float, default=0.01,
                        help="messages per second per process (bursty: "
                        "the long-run average)")
@@ -570,9 +569,9 @@ def _print_run_report(
         print(
             f"shards                  : {stats['shards']} "
             f"({stats.get('effective_shards', stats['shards'])} effective, "
-            f"{stats['windows']} windows, {stats['envelopes']} envelopes, "
-            f"{stats['lookahead_violations']} violations, "
-            f"{stats['stall_seconds']:.1f} stall-s)"
+            f"{stats['envelopes']} envelopes, "
+            f"{stats['lookahead_violations']} lookahead violations at "
+            f"{stats['lookahead'] * 1e3:g} ms)"
         )
     trace = system.sim.trace
     if trace.debug_capacity is not None:
@@ -934,8 +933,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             + rate,
             "",
             f"{'job':12s} {'name':20s} {'status':9s} {'points':>9s} "
-            f"{'eta':>7s} {'shards':>6s} {'stall':>8s}  "
-            "activity (events/window)",
+            f"{'eta':>7s}  activity (events/window)",
         ]
         for job in status["jobs"]:
             try:
@@ -946,14 +944,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
             eta = (f"{job['eta_seconds']:.0f}s"
                    if job["status"] == "running" else "-")
             points = f"{job['done']}/{job['total']}"
-            n_shards = job.get("shards", 1)
-            shards = str(n_shards) if n_shards > 1 else "-"
-            stall = (f"{job.get('shard_stall_seconds', 0.0):.1f}s"
-                     if n_shards > 1 else "-")
             lines.append(
                 f"{job['job_id']:12s} {job['name'][:20]:20s} "
-                f"{job['status']:9s} {points:>9s} {eta:>7s} "
-                f"{shards:>6s} {stall:>8s}  {spark}"
+                f"{job['status']:9s} {points:>9s} {eta:>7s}  {spark}"
             )
         if not status["jobs"]:
             lines.append("(no jobs yet)")

@@ -65,13 +65,13 @@ class SystemConfig:
         sampling entirely — no sampler is built and no kernel hook is
         armed.
     shards:
-        Partition the simulation by cell/MSS into this many shards and
-        run it on the conservative windowed kernel
-        (:class:`repro.sim.shard.ShardedSimulator`). ``1`` (the
-        default) keeps the plain sequential kernel. Any ``shards >= 2``
-        must produce bit-identical results to ``shards=1``; the
-        windowed kernel only adds barrier/envelope accounting (see
-        docs/SCALING.md).
+        Assign the cells round-robin to this many shards and report, in
+        ``RunResult.shard_stats``, the traffic that crossed them
+        (:meth:`repro.sim.shard.ShardedSimulator.shard_report`). The
+        run itself is the ``shards=1`` run — same loop, same heap — so
+        every other result is identical; ``1`` (the default) reports
+        nothing. The windowed execution mode this once selected was
+        deleted (docs/SCALING.md, "Sharded kernel").
     """
 
     n_processes: int = 16

@@ -34,7 +34,7 @@ class RunResult:
     #: sampling was disabled (``SystemConfig.timeseries_window`` unset)
     #: or for results recorded before the timeseries layer.
     timeseries: Dict = field(default_factory=dict)
-    #: window/envelope/stall accounting from
+    #: cross-shard traffic report from
     #: :meth:`repro.sim.shard.ShardedSimulator.shard_report`. Empty on
     #: sequential (``shards=1``) runs; omitted from :meth:`to_dict` when
     #: empty so sequential result documents are byte-identical to those

@@ -34,11 +34,6 @@ _RETRY_DELAY = 0.1
 class ExperimentRunner:
     """Drives one simulation run to a target number of initiations."""
 
-    #: tells the sharded kernel that events scheduled on this object
-    #: carry the acting pid as their first argument, so they can be
-    #: attributed to that process's shard instead of coordinator shard 0
-    shard_by_pid = True
-
     def __init__(
         self,
         system: MobileSystem,
@@ -245,8 +240,8 @@ class ExperimentRunner:
         if sampler is not None:
             sampler.flush()
             timeseries = sampler.export()
-        # Window/envelope accounting from the sharded kernel; {} on the
-        # sequential kernel, so sequential result documents are unchanged.
+        # Cross-shard traffic report of a ``shards > 1`` run; {} on the
+        # plain kernel, so sequential result documents are unchanged.
         report = getattr(self.system.sim, "shard_report", None)
         shard_stats = report() if report is not None else {}
         return RunResult(

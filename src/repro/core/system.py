@@ -75,10 +75,9 @@ class MobileSystem:
                 level=TraceLevel.DEBUG if config.trace_messages else TraceLevel.INFO
             )
         if config.shards > 1:
-            # Conservative windowed kernel (repro.sim.shard): per-shard
-            # heaps merged in canonical order, so results stay
-            # bit-identical to the sequential loop while window/
-            # envelope accounting becomes observable. The lookahead is
+            # The same loop on the same heap, plus a report of the
+            # traffic that crossed the cell -> shard partition
+            # (repro.sim.shard). The lookahead it is judged against is
             # the minimum cross-cell (wired) link delay.
             from repro.sim.shard import ShardedSimulator
 
@@ -133,15 +132,14 @@ class MobileSystem:
             self.stable_storage_for(pid).store(initial)
             self.sim.trace.record(0.0, "permanent", pid=pid, trigger=None, ckpt_id=initial.ckpt_id)
 
-        # Cell → shard partition (repro.sim.shard). Applied after the
-        # topology exists so every MSS gets its shard tag; the plan is
-        # None on sequential runs, which never import the shard module.
+        # Cell → shard partition (repro.sim.shard); None on sequential
+        # runs, which never import the shard module.
         self.shard_plan = None
         if config.shards > 1:
             from repro.sim.shard import ShardPlan
 
             self.shard_plan = ShardPlan.build(self, config.shards)
-            self.shard_plan.apply(self)
+            self.sim.partition(self.shard_plan, self.network)
 
         # Windowed telemetry sampler (repro.obs.timeseries). Built last —
         # its wave-lifecycle instruments must only exist when sampling is

@@ -112,11 +112,13 @@ class FifoChannel:
     def min_delay(self) -> float:
         """Per-link lookahead: a static lower bound on send→arrival time.
 
-        Propagation latency alone — transmission time (``size > 0``)
-        and contention queueing only delay arrivals further, under both
-        the constant-delay and serialized link models. The conservative
-        windowed kernel (:mod:`repro.sim.shard`) uses the wired links'
-        minimum as its horizon slack.
+        Propagation latency alone — transmission time (``size > 0``),
+        contention queueing, a pause and a schedule policy's jitter only
+        delay arrivals further, under both the constant-delay and
+        serialized link models (``tests/net/test_channel.py`` holds the
+        bound). :meth:`repro.sim.shard.ShardedSimulator.shard_report`
+        counts the cross-shard wired links where it is below the
+        reported lookahead.
         """
         return self.latency
 

@@ -82,12 +82,6 @@ def handoff(
             forwarded=len(buffer.buffered),
         )
 
-    # The reattach conceptually happens in the destination cell: tag the
-    # closure so the sharded kernel attributes it (and the outbox flush
-    # it triggers) to new_mss's shard instead of coordinator shard 0.
-    shard = getattr(new_mss, "shard_id", None)
-    if shard is not None:
-        complete.shard_id = shard
     network.sim.schedule(gap, complete)
 
 

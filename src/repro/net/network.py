@@ -16,7 +16,7 @@ details are orthogonal to checkpointing.
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, ItemsView, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, UnknownHostError
 from repro.net.channel import FifoChannel
@@ -124,6 +124,10 @@ class MobileNetwork:
             )
             self._wired[key] = channel
         return channel
+
+    def wired_links(self) -> ItemsView[Tuple[str, str], FifoChannel]:
+        """Every backbone link built so far, keyed ``(src name, dst name)``."""
+        return self._wired.items()
 
     # -- routing ---------------------------------------------------------------------
     def route_from_mss(self, mss: MobileSupportStation, message: Message) -> None:

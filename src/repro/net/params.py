@@ -69,9 +69,11 @@ class NetworkParams:
         a wired MSS↔MSS hop, so its arrival is at least ``wired_latency``
         after the send: transmission time adds ``size/bandwidth > 0``
         and contention (``model_contention=True``) only pushes arrivals
-        *later* — neither can undercut the propagation floor. This makes
-        ``wired_latency`` a safe static lookahead for the conservative
-        windowed kernel (:mod:`repro.sim.shard`); see docs/SCALING.md.
+        *later* — neither can undercut the propagation floor. It is the
+        lookahead a ``shards > 1`` run reports and checks every
+        cross-shard link's :attr:`~repro.net.channel.FifoChannel.min_delay`
+        against; it bounds *messages*, not the experiment driver's
+        zero-delay actions (docs/SCALING.md, "Sharded kernel").
         """
         return self.wired_latency
 

@@ -268,7 +268,7 @@ def ladder_case(
     processes, so ladder rungs drive the kernel for a fixed number of
     events through the same loop the runner uses and report the same
     events/second. ``system_params`` are :class:`SystemConfig` fields
-    (``n_processes``, ``n_mss``, ``shards``, ``timeseries_window``).
+    (``n_processes``, ``n_mss``, ``timeseries_window``).
     """
 
     def run(burn: Burn = None) -> Tuple[int, float]:
@@ -353,24 +353,13 @@ def ladder_cases(
             "(1 sim-second windows)",
             max_events, n_processes=1024, timeseries_window=1.0,
         ))
-        # Sharded-kernel rungs: an 8-cell sequential control plus the
-        # same topology on the windowed kernel at 2 and 4 shards. Their
-        # rate ratios are the barrier/window overhead of the inline
-        # canonical-merge backend (single-core: expect <= 1x, see
-        # docs/SCALING.md); the 25% gate keeps that overhead honest.
+        # The only multi-cell rung: cross-cell traffic takes the wired
+        # MSS -> MSS hop the single-cell rungs never enter.
         cases.append(ladder_case(
             "mutable_1024p_mss8",
-            "the 1024p rung over 8 cells on the sequential kernel "
-            "(control for the shards rungs)",
+            "the 1024p rung over 8 cells (wired backbone in the path)",
             max_events, n_processes=1024, n_mss=8,
         ))
-        for n_shards in (2, 4):
-            cases.append(ladder_case(
-                f"mutable_1024p_shards{n_shards}",
-                f"the 1024p 8-cell rung on the windowed sharded kernel "
-                f"with {n_shards} shards",
-                max_events, n_processes=1024, n_mss=8, shards=n_shards,
-            ))
         cases.append(_snapshot_roundtrip_case(1024))
     return cases
 
@@ -538,17 +527,22 @@ def append_history(
     report: Dict[str, Any],
     git_sha: Optional[str] = None,
     timestamp: Optional[float] = None,
+    dirty: bool = False,
 ) -> Dict[str, Any]:
     """Append one run to the bench history (JSONL); returns the record.
 
     Records carry only *normalized* rates, so a history accumulated
     across different machines still traces one comparable trajectory
     per case — the raw calibration rate rides along for context.
+    ``dirty`` says the tree had uncommitted changes, so ``git_sha`` is
+    the parent of the code that ran (rows written before the field
+    existed lack it; read it with ``.get``).
     """
     record = {
         "schema": 1,
         "timestamp": time.time() if timestamp is None else timestamp,
         "git_sha": git_sha or "unknown",
+        "dirty": dirty,
         "python": report.get("python"),
         "calibration_rate": report.get("calibration_rate"),
         "normalized_rates": {

@@ -95,14 +95,6 @@ class Job:
         self.failed_points = 0
         self.wall_time = 0.0
         self.resumed = False
-        #: largest SystemConfig.shards over the job's points (1 = all
-        #: sequential); lets operators spot sharded-kernel jobs at a glance
-        self.shards = max(
-            (int(p.system_params.get("shards", 1)) for p in points),
-            default=1,
-        )
-        #: summed shard_stats.stall_seconds over stored point results
-        self.shard_stall_seconds = 0.0
         self.submitted_at = time.time()
         self.log = _LineBuffer()
         self.progress = ProgressReporter(
@@ -130,8 +122,6 @@ class Job:
             "eta_seconds": round(self.progress.eta_seconds(), 3),
             "wall_time": round(self.wall_time, 3),
             "resumed": self.resumed,
-            "shards": self.shards,
-            "shard_stall_seconds": round(self.shard_stall_seconds, 6),
             "error": self.error,
             "progress": self.log.tail(),
         }
@@ -285,7 +275,6 @@ class JobManager:
                 self._update_status(job)
             else:
                 job.status = status
-                job.shard_stall_seconds = self._shard_stall(job)
                 job.done_event.set()
         self._wake.set()
 
@@ -416,7 +405,6 @@ class JobManager:
             self.metrics.gauge("service.jobs.active").set(0)
         job.executed = report.executed
         job.failed_points = len(report.failed)
-        job.shard_stall_seconds = self._shard_stall(job)
         self.metrics.counter("service.points.executed").inc(report.executed)
         self.metrics.counter("service.points.failed").inc(len(report.failed))
         self.metrics.histogram("service.job.wall_seconds").observe(job.wall_time)
@@ -435,22 +423,6 @@ class JobManager:
             self._update_status(job)
         else:
             self._finish(job, DONE)
-
-    def _shard_stall(self, job: Job) -> float:
-        """Summed window-stall seconds over the job's stored results.
-
-        Sequential points carry no ``shard_stats`` and contribute 0, so
-        the gauge is exactly the sharded-kernel synchronization cost of
-        the job as recorded by
-        :meth:`repro.sim.shard.ShardedSimulator.shard_report`.
-        """
-        total = 0.0
-        for point in job.points:
-            record = self.db.get(point.point_hash)
-            if record is not None and record.ok:
-                stats = record.result.get("shard_stats") or {}
-                total += float(stats.get("stall_seconds", 0.0))
-        return total
 
     def _ensure_pool(self):
         if self.workers > 1 and self._pool is None:
@@ -567,11 +539,6 @@ class CampaignService:
             )
             extra.append(
                 ("service.job.cache_hits", labels, float(job.cache_hits))
-            )
-            extra.append(("service.job.shards", labels, float(job.shards)))
-            extra.append(
-                ("service.job.shard_stall_seconds", labels,
-                 job.shard_stall_seconds)
             )
         return render_prometheus(self.metrics.snapshot(), extra_gauges=extra)
 

@@ -221,11 +221,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 spark = sparkline([row["events"] for row in series]) or "-"
             except Exception:  # noqa: BLE001 — dashboard must render regardless
                 spark = "-"
-            shards = job.get("shards", 1)
             rows.append(
                 "<tr><td>{id}</td><td>{name}</td><td class={st}>{st}</td>"
                 "<td>{done}/{total}</td><td>{hits}</td><td>{eta}</td>"
-                "<td>{shards}</td><td>{stall}</td>"
                 "<td>{spark}</td></tr>".format(
                     id=esc(job["job_id"]),
                     name=esc(job["name"]),
@@ -235,10 +233,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                     hits=job["cache_hits"],
                     eta=f'{job["eta_seconds"]:.1f}s'
                     if job["status"] == "running"
-                    else "-",
-                    shards=shards if shards > 1 else "-",
-                    stall=f'{job.get("shard_stall_seconds", 0.0):.1f}s'
-                    if shards > 1
                     else "-",
                     spark=esc(spark),
                 )
@@ -269,9 +263,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
  ({hit_pct:.1f}% hit rate)</p>
 <h2>jobs</h2>
 <table><tr><th>job</th><th>name</th><th>status</th><th>points</th>
-<th>cache hits</th><th>eta</th><th>shards</th><th>shard stall</th>
-<th>events/window</th></tr>
-{"".join(rows) or '<tr><td colspan="9">none yet</td></tr>'}
+<th>cache hits</th><th>eta</th><th>events/window</th></tr>
+{"".join(rows) or '<tr><td colspan="7">none yet</td></tr>'}
 </table>
 <h2>service metrics</h2>
 <table><tr><th>counter</th><th>value</th></tr>{counter_rows}</table>

@@ -25,7 +25,6 @@ from typing import (
     Hashable,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -339,11 +338,6 @@ class Simulator:
         self._stop_requested = True
 
     # -- cancelled-event accounting (called from Event.cancel) ----------
-    def _heaps(self) -> Sequence[List[Tuple[float, int, int, Event]]]:
-        """Every heap this kernel pops from (one here, one per shard in
-        :class:`~repro.sim.shard.ShardedSimulator`)."""
-        return (self._queue,)
-
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
         if (
@@ -355,24 +349,24 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place.
 
-        In-place (slice assignment) so a loop that bound a heap to a
-        local keeps operating on the live one. Pop order is fully
+        In-place (slice assignment) so the loop, which bound the heap to
+        a local, keeps operating on the live one. Pop order is fully
         determined by the (time, priority, seq) keys, so a rebuild never
         changes the dispatch sequence.
         """
         free = self._free
-        for queue in self._heaps():
-            dead = [entry[3] for entry in queue if entry[3]._cancelled]
-            queue[:] = [entry for entry in queue if not entry[3]._cancelled]
-            heapq.heapify(queue)
-            for event in dead:
-                event.owner = None
-                # dead list + loop variable + getrefcount argument == 3:
-                # nobody else holds the handle, so it is safe to recycle.
-                if len(free) < _FREELIST_MAX and getrefcount(event) == 3:
-                    event.callback = None
-                    event.args = ()
-                    free.append(event)
+        queue = self._queue
+        dead = [entry[3] for entry in queue if entry[3]._cancelled]
+        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+        heapq.heapify(queue)
+        for event in dead:
+            event.owner = None
+            # dead list + loop variable + getrefcount argument == 3:
+            # nobody else holds the handle, so it is safe to recycle.
+            if len(free) < _FREELIST_MAX and getrefcount(event) == 3:
+                event.callback = None
+                event.args = ()
+                free.append(event)
         self._cancelled_pending = 0
 
     def schedule(
@@ -402,17 +396,6 @@ class Simulator:
         stream: Optional[Hashable] = None,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
-        return self._push(self._queue, when, callback, args, stream)
-
-    def _push(
-        self,
-        heap: List[Tuple[float, int, int, Event]],
-        when: float,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...],
-        stream: Optional[Hashable],
-    ) -> Event:
-        """Build (or recycle) the event handle and push it onto ``heap``."""
         if when < self._now:
             raise ScheduleInPastError(self._now, when)
         priority = 0
@@ -441,9 +424,10 @@ class Simulator:
         else:
             event = Event(when, seq, callback, args, priority=priority)
         event.owner = self
-        _heappush(heap, (when, priority, seq, event))
+        queue = self._queue
+        _heappush(queue, (when, priority, seq, event))
         if self._profiler is not None:
-            self._profiler.on_push(self.pending_events)
+            self._profiler.on_push(len(queue))
         return event
 
     def step(self) -> bool:

@@ -111,6 +111,11 @@ def restore(payload: bytes) -> SimulationImage:
         process._reattach()
         process.env._reattach()
     image.runner._reattach()
+    system = image.system
+    if system.shard_plan is not None:
+        # only a snapshot written by the windowed sharded kernel (deleted
+        # in PR 22) lacks the network handle its partition report reads
+        system.sim.partition(system.shard_plan, system.network)
     if image.driver is not None:
         image.driver._reattach()
     if image.snapshotter is not None:

@@ -47,11 +47,6 @@ def _others_by_pid(pids: List[int]) -> Dict[int, _Others]:
 class Workload(ABC):
     """Base class for traffic generators."""
 
-    #: tells the sharded kernel that events scheduled on a workload
-    #: carry the sending pid as their first argument, so per-process
-    #: send timers land in that process's shard
-    shard_by_pid = True
-
     def __init__(self, system: MobileSystem) -> None:
         self.system = system
         self._running = False

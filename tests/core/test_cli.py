@@ -55,6 +55,29 @@ def test_run_export_trace(tmp_path, capsys):
     assert trace.count("commit") >= 2
 
 
+def test_sharded_run_exports_the_sequential_trace_byte_for_byte(tmp_path, capsys):
+    """What CI's ``shard-smoke`` job compared with ``cmp``: ``--shards 4``
+    changes the summary (one ``shards`` line) and nothing in the trace."""
+    outputs = {}
+    for shards in ("1", "4"):
+        path = tmp_path / f"shards{shards}.jsonl"
+        code = main(
+            ["run", "--protocol", "mutable", "--processes", "64", "--cells", "8",
+             "--shards", shards, "--seed", "11", "--rate", "0.05",
+             "--initiations", "2", "--export-trace", str(path)]
+        )
+        assert code == 0
+        summary = capsys.readouterr().out.replace(str(path), "PATH")
+        outputs[shards] = (path.read_bytes(), summary.splitlines())
+    assert outputs["4"][0] == outputs["1"][0]
+    assert outputs["1"][0].count(b"\n") > 100
+    extra = [line for line in outputs["4"][1] if line not in outputs["1"][1]]
+    assert extra == [
+        "shards                  : 4 (4 effective, 110 envelopes, "
+        "0 lookahead violations at 0.5 ms)"
+    ]
+
+
 def test_figures_command(capsys):
     assert main(["figures"]) == 0
     out = capsys.readouterr().out

@@ -21,7 +21,6 @@ from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfi
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
 from repro.net.mobility import handoff
-from repro.sim.shard import resolve_entity_shard
 from repro.snapshot import SnapshotPolicy, SnapshotStore, Snapshotter, resume_run
 from repro.workload.point_to_point import PointToPointWorkload
 
@@ -100,8 +99,8 @@ def test_handoff_across_shard_boundary_bit_identical():
 
 
 def test_handoff_rehomes_mh_to_destination_shard():
-    """Shard membership is dynamic: after reattaching, the MH (and the
-    whole entity chain hanging off it) resolves to the new cell's shard."""
+    """Shard membership follows the serving cell: after reattaching,
+    the MH (and the process on it) belongs to the new cell's shard."""
     system, _ = _build(
         2, n_mss=2, n_processes=4, seed=9, trace_messages=False
     )
@@ -109,20 +108,20 @@ def test_handoff_rehomes_mh_to_destination_shard():
     pid = next(
         pid for pid, p in system.processes.items() if p.host is mh
     )
-    assert resolve_entity_shard(mh) == 0
-    assert resolve_entity_shard(system.protocol.processes[pid]) == 0
+    plan = system.shard_plan
+    assert plan.mss_shard[mh.mss.name] == 0
+    assert plan.mss_shard[system.processes[pid].host.mss.name] == 0
     handoff(system.network, mh, system.mss_list[1])
     system.sim.run(until=system.sim.now + 1.0)
     assert mh.mss is system.mss_list[1]
-    assert resolve_entity_shard(mh) == 1
-    assert resolve_entity_shard(system.processes[pid]) == 1
-    assert resolve_entity_shard(system.protocol.processes[pid]) == 1
+    assert plan.mss_shard[mh.mss.name] == 1
+    assert plan.mss_shard[system.processes[pid].host.mss.name] == 1
 
 
 def test_broadcast_fans_out_to_every_shard():
     """A commit broadcast from one initiator reaches processes homed on
-    all four shards; the envelope log shows traffic into every foreign
-    shard, and the run is still bit-identical to sequential."""
+    all four shards; the report shows traffic into every shard, and the
+    run is still bit-identical to sequential."""
     control_system, control_runner = _build(
         1, n_mss=4, n_processes=16, seed=13, trace_messages=True
     )
@@ -130,16 +129,15 @@ def test_broadcast_fans_out_to_every_shard():
     system, runner = _build(
         4, n_mss=4, n_processes=16, seed=13, trace_messages=True
     )
-    system.sim.envelope_log = []
     result = runner.run(max_events=10_000_000)
     assert _signature(system, result) == _signature(
         control_system, control_result
     )
     assert result.counters.get("broadcasts", 0) > 0
-    destinations = {env.dst_shard for env in system.sim.envelope_log}
-    assert destinations == {0, 1, 2, 3}
-    # per-envelope records agree with the aggregate counters
-    assert len(system.sim.envelope_log) == result.shard_stats["envelopes"]
+    into = [s["envelopes"] for s in result.shard_stats["per_shard"]]
+    assert len(into) == 4 and all(count > 0 for count in into)
+    # per-destination counts agree with the aggregate
+    assert sum(into) == result.shard_stats["envelopes"]
 
 
 def test_sharded_snapshot_resume_matches_sequential_control(tmp_path):

@@ -1,13 +1,15 @@
-"""Sharded-kernel equivalence matrix (PR-10 acceptance).
+"""``shards=N`` equivalence matrix (PR-10 acceptance, kept as a fence).
 
 ``SystemConfig(shards=N)`` must be *observably invisible*: same trace
 content hash, same metrics snapshot, same wall-event count and final
 sim time, and same final per-process vector clocks as the sequential
 ``shards=1`` kernel — for the PR-5 golden configs (pinned byte-exact in
 ``test_fastpath_determinism.GOLDEN``) and for a multi-cell 256-process
-case where the partition is real (events actually spread across
-shards, cross-shard envelopes flow). The windowed engine may only show
-up in ``RunResult.shard_stats``.
+case where the partition is real (cross-shard envelopes flow into every
+shard). Since the windowed execution mode was deleted the sharded
+kernel *is* the sequential loop, so these hold by construction; the
+partition may only show up in ``RunResult.shard_stats``, whose counts
+are pinned at the bottom.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 
 import pytest
 
+from repro.campaign import RunPoint, build_point_runtime
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.results import RunResult
@@ -72,8 +75,8 @@ def _signature(system, result):
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_golden_a_bit_identical_under_shards(shards):
-    """Config A (8p, DEBUG trace) on the windowed kernel still lands on
-    the pre-overhaul golden values byte for byte."""
+    """Config A (8p, DEBUG trace) with ``shards=N`` still lands on the
+    pre-overhaul golden values byte for byte."""
     system, result = _run(8, 20260806, True, 4, shards=shards)
     golden = GOLDEN["A"]
     assert system.sim.trace.content_hash() == golden["trace_hash"]
@@ -83,16 +86,15 @@ def test_golden_a_bit_identical_under_shards(shards):
         json.dumps(result.metrics, sort_keys=True).encode()
     ).hexdigest()
     assert metrics_sha == golden["metrics_sha256"]
-    # Single-cell topology: the partition is degenerate (every event in
-    # shard 0) but the windowed engine still ran — and recorded it.
+    # Single-cell topology: the partition is degenerate (no wired link,
+    # so nothing can cross it) but the report is still there.
     assert result.shard_stats["shards"] == shards
-    assert result.shard_stats["windows"] > 0
     assert result.shard_stats["envelopes"] == 0
 
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_golden_b_bit_identical_under_shards(shards):
-    """Config B (16p, trace off) exercises the windowed loop end to end."""
+    """Config B (16p, trace off), end to end."""
     system, result = _run(16, 7, False, 6, shards=shards)
     golden = GOLDEN["B"]
     assert system.sim.trace.content_hash() == golden["trace_hash"]
@@ -102,8 +104,8 @@ def test_golden_b_bit_identical_under_shards(shards):
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_256p_multicell_bit_identical_under_shards(shards):
-    """256 processes over 8 cells: a real partition (work on every
-    shard, envelopes across shards) changes no observable."""
+    """256 processes over 8 cells: a real partition (envelopes into
+    every shard) changes no observable."""
     control_system, control_result = _run(
         256, 11, False, 3, n_mss=8, mean_send_interval=10.0
     )
@@ -116,17 +118,18 @@ def test_256p_multicell_bit_identical_under_shards(shards):
     stats = result.shard_stats
     assert stats["shards"] == stats["effective_shards"] == shards
     assert stats["envelopes"] > 0
-    # Every shard owned real work.
-    assert all(s["events"] > 0 for s in stats["per_shard"])
-    # The min-wired-delay lookahead is sound for this workload: no
-    # cross-shard event ever landed inside an open window.
+    # Every shard received cross-shard traffic.
+    assert all(s["envelopes"] > 0 for s in stats["per_shard"])
+    assert sum(s["envelopes"] for s in stats["per_shard"]) == stats["envelopes"]
+    # The min-wired-delay lookahead is sound for this network: no
+    # cross-shard link can deliver sooner.
     assert stats["lookahead_violations"] == 0
     assert control_result.shard_stats == {}
 
 
 def test_sharded_runs_are_self_identical():
     """Two fresh sharded systems, same seed: identical signatures and
-    identical window accounting (the engine itself is deterministic)."""
+    identical partition reports."""
     a_system, a_result = _run(32, 3, True, 3, n_mss=4, shards=4)
     b_system, b_result = _run(32, 3, True, 3, n_mss=4, shards=4)
     assert _signature(a_system, a_result) == _signature(b_system, b_result)
@@ -142,3 +145,42 @@ def test_shard_stats_roundtrip_and_sequential_docs_unchanged():
     assert doc["shard_stats"]["shards"] == 2
     assert RunResult.from_dict(doc).shard_stats == sharded.shard_stats
     assert "shard_stats" not in sequential.to_dict()
+
+
+def _cli_shaped_stats(n_processes, n_mss, shards, seed, interval, initiations):
+    """``shard_stats`` of the run ``repro-sim run --protocol mutable
+    --processes .. --cells .. --shards .. --seed .. --rate 1/interval
+    --initiations ..`` describes."""
+    _, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable", workload="p2p",
+        workload_params={"mean_send_interval": interval},
+        system_params={"n_processes": n_processes, "n_mss": n_mss,
+                       "checkpoint_interval": 900.0, "shards": shards},
+        run_params={"max_initiations": initiations}, seed=seed,
+        max_events=None,
+    ))
+    return runner.run().shard_stats
+
+
+def test_envelope_counts_pinned_against_the_windowed_kernel():
+    """Counts recorded at 68a371c, the last commit with the windowed
+    kernel, from its per-event audit and from the wired links' counters.
+
+    On the 2-shard config the two agreed exactly. On the CI ``shard-smoke``
+    config (256p / 8 cells / 4 shards) the audit read 435 and the links
+    433. The two extra were the experiment driver acting across shards
+    inside one event, not messages: an ``_initiation_due`` timer armed
+    at a commit for a process of another shard, and the uplink send of a
+    deferred initiator that ``ExperimentRunner._on_commit`` started from
+    the committing event. What the network carried is 433.
+    """
+    stats = _cli_shaped_stats(16, 4, 2, 7, 15.0, 4)
+    assert stats["envelopes"] == 1175
+    assert [s["envelopes"] for s in stats["per_shard"]] == [583, 592]
+    assert stats["lookahead_violations"] == 0
+
+    stats = _cli_shaped_stats(256, 8, 4, 11, 20.0, 2)
+    assert stats["envelopes"] == 433
+    assert [s["envelopes"] for s in stats["per_shard"]] == [78, 141, 75, 139]
+    assert stats["lookahead_violations"] == 0
+    assert (stats["windows"], stats["stall_seconds"]) == (0, 0.0)

@@ -135,3 +135,63 @@ def test_invalid_parameters_rejected():
         FifoChannel(sim, 0.0, 0.0, lambda m: None)
     with pytest.raises(ValueError):
         FifoChannel(sim, 1.0, -1.0, lambda m: None)
+
+
+# ---------------------------------------------------------------------------
+# the per-link lookahead bound (FifoChannel.min_delay)
+
+
+class _RecordingSimulator(Simulator):
+    """Notes, for every channel delivery, when it was asked for and for
+    when: (now, the ``when`` the channel handed over, the event's time)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.deliveries = []
+
+    def schedule_at(self, when, callback, *args, stream=None):
+        event = super().schedule_at(when, callback, *args, stream=stream)
+        if stream is not None:  # channels tag their deliveries, timers do not
+            self.deliveries.append((self.now, when, event.time))
+        return event
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["plain", "explore-jitter"])
+@pytest.mark.parametrize("contention", [False, True], ids=["constant", "contention"])
+@pytest.mark.parametrize("size", [0, 50, 1_024, 524_288])
+def test_no_delivery_undercuts_min_delay(size, contention, jitter):
+    """``min_delay`` is the bound a ``shards > 1`` run reports links
+    against: whatever the size, the link model, a pause or a schedule
+    policy do, a message sent at ``now`` arrives at ``now + min_delay``
+    or later."""
+    from repro.explore.policy import PerturbationConfig, RecordingPolicy
+
+    policy = (
+        RecordingPolicy(7, PerturbationConfig(p_perturb=1.0, max_jitter=0.002))
+        if jitter else None
+    )
+    sim = _RecordingSimulator(policy=policy)
+    ch = FifoChannel(
+        sim, 100_000_000.0, 0.0005, lambda m: None, contention=contention
+    )
+    assert ch.min_delay == 0.0005
+
+    def send():
+        ch.send(ComputationMessage(src_pid=0, dst_pid=1, size_bytes=size))
+
+    for when in (0.0, 0.0, 0.0001, 0.01):
+        sim.schedule_at(when, send)
+    # down at 0.02 with two sends queued behind it, back up at 0.3
+    sim.schedule_at(0.02, ch.pause)
+    sim.schedule_at(0.03, send)
+    sim.schedule_at(0.04, send)
+    sim.schedule_at(0.3, ch.resume)
+    sim.schedule_at(0.3, send)
+    sim.run_until_idle()
+
+    assert len(sim.deliveries) == 7
+    # the queued pair went out at the resume, not when it was sent
+    assert all(now >= 0.3 for now, _, _ in sim.deliveries[4:])
+    for now, handed, fires in sim.deliveries:
+        assert handed >= now + ch.min_delay
+        assert fires >= handed  # a policy only ever adds delay

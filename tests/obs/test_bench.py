@@ -183,8 +183,6 @@ def test_ladder_cases_cover_the_population_rungs():
         "mutable_4096p_trace_off",
         "mutable_1024p_timeseries_1s",
         "mutable_1024p_mss8",
-        "mutable_1024p_shards2",
-        "mutable_1024p_shards4",
         "snapshot_roundtrip_1024p",
     ]
     # the 1024p-coupled rungs exist only when their partner does
@@ -201,9 +199,9 @@ def test_ladder_case_runs_within_its_event_budget():
     events, seconds = case.run()
     assert 0 < events <= 5_000
     assert seconds > 0.0
-    # the shards rungs' shape: same builder, SystemConfig fields passed through
-    sharded = ladder_case("s", max_events=2_000, n_processes=64, n_mss=8, shards=2)
-    assert 0 < sharded.run()[0] <= 2_000
+    # the 8-cell rung's shape: same builder, SystemConfig fields passed through
+    multicell = ladder_case("m", max_events=2_000, n_processes=64, n_mss=8)
+    assert 0 < multicell.run()[0] <= 2_000
 
 
 def test_calibrate_is_positive():
@@ -259,6 +257,20 @@ def test_history_append_and_load_round_trip(tmp_path):
     assert history[0]["normalized_rates"] == {"a": 0.5}
     assert history[1]["normalized_rates"] == {"a": 0.6, "b": 0.1}
     assert history[0]["timestamp"] == 100.0
+
+
+def test_history_marks_rows_measured_on_an_uncommitted_tree(tmp_path):
+    """A bench run before the commit stamps the parent's sha; ``dirty``
+    says so. Rows from before the field existed simply lack it."""
+    path = tmp_path / "history.jsonl"
+    old_row = {"schema": 1, "timestamp": 1.0, "git_sha": "parent",
+               "normalized_rates": {"a": 0.5}}
+    path.write_text(json.dumps(old_row) + "\n")
+    append_history(str(path), _report(a=0.6), git_sha="parent", dirty=True)
+    append_history(str(path), _report(a=0.7), git_sha="child")
+    history = load_history(str(path))
+    assert [rec.get("dirty") for rec in history] == [None, True, False]
+    assert "+40.0% over 3 runs" in format_trends(history)
 
 
 def test_history_survives_a_torn_line(tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.campaign.spec import CampaignSpec
+from repro.campaign import RunPoint
 from repro.service.db import ResultDB
 from repro.service.jobs import CANCELLED, DONE, QUEUED, CampaignService, JobManager
 
@@ -131,39 +131,44 @@ def test_interrupted_job_completes_identically(tmp_path, slow_spec):
         svc2.close()
 
 
-def test_sharded_job_reports_shards_and_stall(tiny_spec):
-    """A job with sharded points carries the shard count and the summed
-    window-stall seconds; sequential jobs show the neutral values."""
-    sharded_spec = CampaignSpec(
-        name="sharded",
-        protocols=["mutable"],
-        workloads=[{"kind": "p2p", "mean_send_interval": 60.0}],
-        configs=[{"n_processes": 8, "n_mss": 2, "shards": 2}],
-        run={"max_initiations": 2},
-    )
+def test_sharded_job_matches_sequential_job():
+    """A job of ``shards=2`` points completes, and its results equal the
+    sequential job's but for the ``shard_stats`` block; no status or
+    metrics surface mentions shards."""
+
+    def points(shards):
+        return [
+            RunPoint(
+                protocol="mutable",
+                workload_params={"mean_send_interval": interval},
+                system_params={"n_processes": 8, "n_mss": 2, "shards": shards},
+                run_params={"max_initiations": 2},
+                seed=5,
+            )
+            for interval in (40.0, 60.0)
+        ]
+
+    def results(svc, job):
+        return [svc.db.get(p.point_hash).result for p in job.points]
+
     with CampaignService() as svc:
-        sequential = svc.submit(tiny_spec)
-        svc.wait(sequential.job_id, timeout=60)
-        assert sequential.shards == 1
-        assert sequential.shard_stall_seconds == 0.0
+        sharded = svc.submit(points(2), name="sharded")
+        assert svc.wait(sharded.job_id, timeout=60).ok
+        sequential = svc.submit(points(1), name="sequential")
+        assert svc.wait(sequential.job_id, timeout=60).ok
+        assert sharded.status == sequential.status == DONE
+        assert sequential.cache_hits == 0  # shards is part of the point hash
 
-        job = svc.submit(sharded_spec)
-        svc.wait(job.job_id, timeout=60)
-        assert job.shards == 2
-        doc = job.to_dict()
-        assert doc["shards"] == 2
-        expected = sum(
-            svc.db.get(p.point_hash).result["shard_stats"]["stall_seconds"]
-            for p in job.points
-        )
-        assert doc["shard_stall_seconds"] == round(expected, 6)
+        for with_shards, without in zip(
+            results(svc, sharded), results(svc, sequential)
+        ):
+            stats = with_shards.pop("shard_stats")
+            assert stats["shards"] == 2 and stats["envelopes"] > 0
+            assert with_shards == without
 
-        text = svc.prometheus_text()
-        assert (
-            f'service_job_shards{{job_id="{job.job_id}",name="sharded"}} 2'
-            in text
-        )
-        assert "service_job_shard_stall_seconds" in text
+        surfaces = json.dumps(svc.status()) + svc.prometheus_text()
+        assert "shard" not in surfaces.replace('"sharded"', "")
+        assert "stall" not in surfaces
 
 
 def test_status_document(tiny_spec):

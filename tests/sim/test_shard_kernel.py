@@ -1,10 +1,10 @@
-"""Unit tests for the barrier-window sharded kernel (repro.sim.shard).
+"""Unit tests for what is left of repro.sim.shard: the cell → shard
+plan, the partition report computed from the wired links' counters, and
+the migration of snapshots written by the deleted windowed kernel.
 
-These drive a bare :class:`ShardedSimulator` with hand-tagged callbacks
-so every mechanism — shard resolution, envelope/violation counting,
-stall accounting, windows, cancellation, pickling — is exercised in
-isolation from the mobile-system topology (the integration suite proves
-topology-level bit-identity separately).
+That a ``shards=N`` run *is* the sequential run is structural (the class
+inherits the loop; ``tests/snapshot/test_one_loop_lint.py`` keeps it
+so); the integration suite still compares every observable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ import pickle
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.shard import ShardPlan, ShardedSimulator, resolve_entity_shard
+from repro.net.channel import FifoChannel
+from repro.net.message import SystemMessage
+from repro.sim.events import Event
+from repro.sim.kernel import Simulator
+from repro.sim.shard import ShardedSimulator
 
 
 # Module-level so events holding them survive a pickle round-trip.
@@ -25,51 +29,20 @@ def _pickle_probe(tag):
     _PICKLE_ORDER.append(tag)
 
 
-def _tagged(fn, shard):
-    fn.shard_id = shard
-    return fn
+def _tiny_system(n_mss, shards):
+    from repro.checkpointing.mutable import MutableCheckpointProtocol
+    from repro.core.config import SystemConfig
+    from repro.core.system import MobileSystem
+
+    config = SystemConfig(
+        n_processes=6, n_mss=n_mss, seed=1, trace_messages=False,
+        shards=shards,
+    )
+    return MobileSystem(config, MutableCheckpointProtocol())
 
 
 # ---------------------------------------------------------------------------
-# resolve_entity_shard
-
-
-class _Thing:
-    def __init__(self, **attrs):
-        for name, value in attrs.items():
-            setattr(self, name, value)
-
-
-def test_resolve_walks_host_mss_chain():
-    mss = _Thing(shard_id=3)
-    host = _Thing(mss=mss)
-    process = _Thing(host=host)
-    assert resolve_entity_shard(process) == 3
-    assert resolve_entity_shard(host) == 3
-    assert resolve_entity_shard(mss) == 3
-
-
-def test_resolve_follows_deliver_owner():
-    class Sink:
-        shard_id = 2
-
-        def deliver(self):  # pragma: no cover - never called
-            pass
-
-    thunk = _Thing(deliver=Sink().deliver)
-    assert resolve_entity_shard(thunk) == 2
-
-
-def test_resolve_gives_up_on_untagged_cycle():
-    a = _Thing()
-    b = _Thing(process=a)
-    a.env = b
-    assert resolve_entity_shard(a) is None
-    assert resolve_entity_shard(_Thing()) is None
-
-
-# ---------------------------------------------------------------------------
-# construction / validation
+# construction, and run() semantics shared with the sequential kernel
 
 
 def test_constructor_validation():
@@ -79,116 +52,9 @@ def test_constructor_validation():
         ShardedSimulator(n_shards=2, lookahead=-0.1)
 
 
-def test_untagged_callbacks_land_on_coordinator_shard():
-    sim = ShardedSimulator(n_shards=3)
-    sim.schedule_at(1.0, lambda: None)
-    assert len(sim._shard_queues[0]) == 1
-    assert sim.pending_events == 1
-
-
-def test_out_of_range_tag_wraps_modulo():
-    sim = ShardedSimulator(n_shards=2)
-    sim.schedule_at(1.0, _tagged(lambda: None, 7))
-    assert len(sim._shard_queues[1]) == 1
-
-
-def test_shard_by_pid_resolution():
-    class Runner:
-        shard_by_pid = True
-
-        def kick(self, pid):  # pragma: no cover - never called
-            pass
-
-    sim = ShardedSimulator(n_shards=4)
-    sim._pid_entities = {5: _Thing(shard_id=3)}
-    sim.schedule_at(1.0, Runner().kick, 5)
-    assert len(sim._shard_queues[3]) == 1
-
-
-# ---------------------------------------------------------------------------
-# envelopes, violations, windows, stalls
-
-
-def test_cross_shard_schedule_during_dispatch_is_an_envelope():
-    sim = ShardedSimulator(n_shards=2, lookahead=1.0)
-    sim.envelope_log = []
-
-    def from_shard_zero():
-        # Inside the open window [0, 1): a violation.
-        sim.schedule_at(0.5, _tagged(lambda: None, 1))
-        # Beyond the horizon: a well-behaved envelope.
-        sim.schedule_at(2.0, _tagged(lambda: None, 1))
-        # Same shard: not an envelope at all.
-        sim.schedule_at(0.6, _tagged(lambda: None, 0))
-
-    sim.schedule_at(0.0, _tagged(from_shard_zero, 0))
-    sim.run()
-    assert sim.envelopes == 2
-    assert sim.lookahead_violations == 1
-    assert [(e.time, e.src_shard, e.dst_shard, e.violation)
-            for e in sim.envelope_log] == [
-        (0.5, 0, 1, True),
-        (2.0, 0, 1, False),
-    ]
-
-
-def test_top_level_schedule_is_never_an_envelope():
-    sim = ShardedSimulator(n_shards=2, lookahead=1.0)
-    sim.schedule_at(1.0, _tagged(lambda: None, 1))
-    sim.run()
-    assert sim.envelopes == 0
-
-
-def test_windows_and_stall_accounting():
-    sim = ShardedSimulator(n_shards=2, lookahead=1.0)
-    sim.schedule_at(0.0, _tagged(lambda: None, 0))
-    # Head of shard 1 sits far past the first horizon: it stalls for
-    # the whole window (cutoff - earliest == lookahead).
-    sim.schedule_at(10.0, _tagged(lambda: None, 1))
-    sim.run()
-    assert sim.windows == 2
-    assert sim.shard_stall_time[1] == pytest.approx(1.0)
-    assert sim.shard_stall_time[0] == 0.0
-    assert sim.shard_events == [1, 1]
-    report = sim.shard_report()
-    assert report["stall_seconds"] == pytest.approx(1.0)
-    assert report["per_shard"][1]["events"] == 1
-    assert report["lookahead_violations"] == 0
-
-
-def test_zero_lookahead_makes_progress():
-    """lookahead == 0 degenerates to one window per timestamp — the
-    inclusive bound must still drain the queue rather than spin."""
-    fired = []
-    sim = ShardedSimulator(n_shards=2, lookahead=0.0)
-    for i, when in enumerate((0.0, 0.0, 1.5, 3.0)):
-        sim.schedule_at(when, _tagged(lambda i=i: fired.append(i), i % 2))
-    sim.run()
-    assert fired == [0, 1, 2, 3]
-    assert sim.windows == 3  # one per distinct timestamp
-
-
-def test_events_in_one_window_merge_canonically():
-    fired = []
-    sim = ShardedSimulator(n_shards=3, lookahead=100.0)
-    # All inside one window; dispatch must interleave heaps in global
-    # (time, seq) order, not shard-by-shard.
-    for i, (when, shard) in enumerate(
-        [(1.0, 2), (2.0, 0), (1.5, 1), (0.5, 2), (1.0, 0)]
-    ):
-        sim.schedule_at(when, _tagged(lambda i=i: fired.append(i), shard))
-    sim.run()
-    assert fired == [3, 0, 4, 2, 1]
-    assert sim.windows == 1
-
-
-# ---------------------------------------------------------------------------
-# run() semantics shared with the sequential kernel
-
-
 def test_until_clamps_clock_and_keeps_future_events():
     sim = ShardedSimulator(n_shards=2)
-    sim.schedule_at(10.0, _tagged(lambda: None, 1))
+    sim.schedule_at(10.0, lambda: None)
     sim.run(until=5.0)
     assert sim.now == 5.0
     assert sim.pending_events == 1
@@ -207,41 +73,18 @@ def test_max_events_raises_and_leaves_event_queued():
     assert sim.pending_events == 1  # the unaffordable event stays queued
 
 
-def test_stop_requested_exits_mid_window():
-    fired = []
-    sim = ShardedSimulator(n_shards=2, lookahead=100.0)
-    sim.schedule_at(0.0, _tagged(lambda: (fired.append(0), sim.stop()), 0))
-    sim.schedule_at(1.0, _tagged(lambda: fired.append(1), 1))
+def test_top_level_schedule_is_never_an_envelope():
+    """Envelopes are messages on wired links, never kernel schedules: a
+    bare kernel (no plan, no network) runs its events and reports none."""
+    sim = ShardedSimulator(n_shards=2, lookahead=1.0)
+    sim.schedule_at(1.0, lambda: None)
     sim.run()
-    assert fired == [0]
-    assert sim.pending_events == 1
-
-
-def test_step_attributes_event_to_its_shard():
-    sim = ShardedSimulator(n_shards=2)
-    sim.schedule_at(1.0, _tagged(lambda: None, 1))
-    assert sim.step() is True
-    assert sim.shard_events == [0, 1]
-    assert sim.step() is False
-
-
-def test_cancel_and_compact_across_shard_heaps():
-    sim = ShardedSimulator(n_shards=2)
-    keep = []
-    events = [
-        sim.schedule_at(float(i), _tagged(lambda i=i: keep.append(i), i % 2))
-        for i in range(100)
-    ]
-    for event in events[:80]:
-        event.cancel()
-    # The >50%-dead threshold was crossed mid-cancellation, so at least
-    # one compaction swept dead entries out of both heaps; stragglers
-    # cancelled after the sweep are dropped lazily at pop time.
-    assert 20 <= sim.pending_events < 80
-    sim.run()
-    assert keep == list(range(80, 100))
-    assert sim.pending_events == 0
-    assert sim.events_processed == 20
+    assert sim.events_processed == 1
+    assert sim.shard_report() == {
+        "shards": 2, "lookahead": 1.0, "windows": 0, "envelopes": 0,
+        "lookahead_violations": 0, "stall_seconds": 0.0,
+        "per_shard": [{"envelopes": 0}, {"envelopes": 0}],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +94,12 @@ def test_cancel_and_compact_across_shard_heaps():
 def test_pickle_roundtrip_preserves_state_and_order():
     _PICKLE_ORDER.clear()
     sim = ShardedSimulator(n_shards=2, lookahead=0.5)
-    sim.envelope_log = []
     for i, when in enumerate((1.0, 2.0, 3.0)):
         sim.schedule_at(when, _pickle_probe, (i, i % 2))
     clone = pickle.loads(pickle.dumps(sim))
-    assert clone.n_shards == 2
-    assert clone.lookahead == 0.5
+    assert clone.shard_report()["shards"] == 2
+    assert clone.shard_report()["lookahead"] == 0.5
     assert clone.pending_events == 3
-    assert clone._dispatching is False
-    assert clone._window_end == float("inf")
-    assert clone.envelope_log is None  # observer hooks don't travel
     clone.run()
     assert _PICKLE_ORDER == [(0, 0), (1, 1), (2, 0)]
     assert clone.events_processed == 3
@@ -269,35 +108,64 @@ def test_pickle_roundtrip_preserves_state_and_order():
     assert sim.events_processed == 0
 
 
+def test_windowed_kernel_snapshot_resumes_into_the_one_heap():
+    """A ``.rsnap`` written with ``shards >= 2`` before the windowed
+    kernel was deleted pickled ``_queue == []`` and its events in
+    ``_shard_queues``. Restored as-is, ``run()`` would find nothing to
+    pop and the run would end early with a plausible partial result."""
+    _PICKLE_ORDER.clear()
+    # (time, priority, seq) as the windowed kernel would have filed them:
+    # shard 1 holds the earliest event and a same-time lower-priority one
+    keys = [[(2.0, 0, 0), (5.0, 0, 3), (3.0, 0, 4)],
+            [(1.0, 0, 1), (2.0, -1, 2), (4.0, 0, 5)]]
+    heaps, cancelled_seq = [], 3
+    for shard_keys in keys:
+        heap = []
+        for when, priority, seq in shard_keys:
+            event = Event(when, seq, _pickle_probe, (seq,), priority=priority)
+            event._cancelled = seq == cancelled_seq
+            heap.append((when, priority, seq, event))
+        heaps.append(sorted(heap))
+    state = Simulator().__getstate__()  # every key the base kernel pickles
+    state.update(
+        _seq=6, _cancelled_pending=1, _queue=[],
+        # ... and every key the windowed ShardedSimulator added
+        _n_shards=2, _lookahead=0.0005, _shard_queues=heaps,
+        _pid_entities={}, _plan=None, _current_shard=1, _dispatching=False,
+        _window_end=float("inf"), windows=17, envelopes=4,
+        lookahead_violations=0, shard_events=[9, 8],
+        shard_stall_time=[0.1, 0.2], envelope_log=None,
+    )
+    sim = ShardedSimulator.__new__(ShardedSimulator)
+    sim.__setstate__(state)
+
+    assert sim.pending_events == 6
+    assert sim.cancelled_pending == 1
+    assert vars(sim).keys() == vars(ShardedSimulator()).keys()  # dead keys gone
+    sim.run()
+    assert _PICKLE_ORDER == [1, 2, 0, 4, 5]  # (time, priority, seq) order
+    assert sim.events_processed == 5
+    assert sim.pending_events == 0
+    assert sim.cancelled_pending == 0
+    report = sim.shard_report()
+    assert (report["shards"], report["lookahead"]) == (2, 0.0005)
+    assert (report["windows"], report["envelopes"]) == (0, 0)
+    # later schedules continue the restored sequence
+    assert sim.schedule_at(9.0, _pickle_probe, 6).seq == 6
+
+
 # ---------------------------------------------------------------------------
 # ShardPlan
 
 
-def _tiny_system(n_mss, shards):
-    from repro.checkpointing.mutable import MutableCheckpointProtocol
-    from repro.core.config import SystemConfig
-    from repro.core.system import MobileSystem
-
-    config = SystemConfig(
-        n_processes=6, n_mss=n_mss, seed=1, trace_messages=False,
-        shards=shards,
-    )
-    return MobileSystem(config, MutableCheckpointProtocol())
-
-
-def test_shard_plan_round_robin_and_tagging():
+def test_shard_plan_round_robin():
     system = _tiny_system(n_mss=3, shards=2)
     plan = system.shard_plan
     assert plan.mss_shard == {"mss0": 0, "mss1": 1, "mss2": 0}
-    assert plan.effective_shards == 2
-    for mss in system.mss_list:
-        assert mss.shard_id == plan.mss_shard[mss.name]
-    # every pid homes on its host cell's shard
-    for pid, process in system.processes.items():
-        assert plan.pid_shard[pid] == plan.mss_shard[process.host.mss.name]
     assert plan.n_shards == 2
-    assert system.sim._plan is plan
-    assert system.sim._pid_entities == dict(system.processes)
+    assert plan.effective_shards == 2
+    assert type(system.sim) is ShardedSimulator
+    assert system.sim.shard_report()["effective_shards"] == 2
 
 
 def test_more_shards_than_cells_caps_effective_shards():
@@ -310,8 +178,64 @@ def test_more_shards_than_cells_caps_effective_shards():
 
 
 def test_sequential_config_builds_plain_simulator():
-    from repro.sim.kernel import Simulator
-
     system = _tiny_system(n_mss=2, shards=1)
     assert type(system.sim) is Simulator
     assert system.shard_plan is None
+    assert not hasattr(system.sim, "shard_report")
+
+
+# ---------------------------------------------------------------------------
+# the report: arithmetic over the wired links' own counters
+
+
+def _send(system, src, dst, count):
+    link = system.network.wired_channel(
+        system.mss_list[src], system.mss_list[dst]
+    )
+    for _ in range(count):
+        link.send(SystemMessage(src_pid=0, dst_pid=1))
+
+
+def test_report_counts_sends_on_links_that_cross_the_partition():
+    system = _tiny_system(n_mss=4, shards=2)
+    assert system.shard_plan.mss_shard == {
+        "mss0": 0, "mss1": 1, "mss2": 0, "mss3": 1,
+    }
+    assert system.sim.shard_report()["envelopes"] == 0  # no link built yet
+    _send(system, 0, 1, 3)  # shard 0 -> 1: counts
+    _send(system, 0, 2, 5)  # shard 0 -> 0: does not
+    _send(system, 3, 1, 7)  # shard 1 -> 1: does not
+    _send(system, 3, 2, 2)  # shard 1 -> 0: counts
+    _send(system, 2, 3, 1)  # shard 0 -> 1: counts
+    report = system.sim.shard_report()
+    assert report["envelopes"] == 6
+    assert report["per_shard"] == [{"envelopes": 2}, {"envelopes": 4}]
+    assert sum(s["envelopes"] for s in report["per_shard"]) == report["envelopes"]
+    assert report["lookahead"] == system.config.network.min_cross_shard_delay()
+    assert report["lookahead_violations"] == 0
+    assert (report["windows"], report["stall_seconds"]) == (0, 0.0)
+    # computed on demand: the counters moved, so does the report
+    _send(system, 0, 1, 1)
+    assert system.sim.shard_report()["envelopes"] == 7
+
+
+def test_link_faster_than_the_lookahead_is_reported():
+    system = _tiny_system(n_mss=4, shards=2)
+    lookahead = system.sim.shard_report()["lookahead"]
+    params = system.network.params
+
+    def fast_link(dst):
+        return FifoChannel(
+            system.sim, params.wired_bandwidth_bps, lookahead / 2,
+            dst.on_wired_arrival, link_class="wired",
+        )
+
+    # hand-built in place of the links wired_channel() would create
+    system.network._wired[("mss0", "mss1")] = fast_link(system.mss_list[1])
+    system.network._wired[("mss0", "mss2")] = fast_link(system.mss_list[2])
+    _send(system, 1, 0, 1)  # an ordinary cross-shard link beside them
+    report = system.sim.shard_report()
+    # one per offending cross-shard link, sent on or not; mss0 -> mss2
+    # stays inside shard 0 and is nobody's lookahead
+    assert report["lookahead_violations"] == 1
+    assert report["envelopes"] == 1
