@@ -143,9 +143,9 @@ class VectorClock:
 
     def __init__(self, pid: int, n: int, delta: bool = False) -> None:
         self.pid = pid
-        # np.zeros, not an eagerly filled buffer: the pages of entries
-        # that never change are never touched, which at 4096 processes
-        # is most of 134 MB
+        # np.zeros is a calloc; below malloc's mmap threshold (8 n bytes is,
+        # at every n run here) it comes off the heap and is resident, not
+        # lazily mapped: docs/SCALING.md, "Zero clocks are resident"
         self._attach(_np.zeros(n, dtype=_np.int64))
         self._delta = delta
         #: monotone op counter; stamps in _changed/_ls refer to it

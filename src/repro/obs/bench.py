@@ -258,6 +258,34 @@ def _store_case(
     return BenchCase(name, run, description)
 
 
+def _trace_codec_case() -> BenchCase:
+    """The trace codec on one 16p DEBUG trace (built untimed): save,
+    re-read, hash. Reported "events" are records x 3, one per step."""
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        from repro.sim.export import read_trace, save_trace
+
+        system, runner = _mutable_p2p(2, n_processes=16, trace_messages=True)
+        runner.run()
+        trace = system.sim.trace
+        with tempfile.TemporaryDirectory(prefix="bench-codec-") as workdir:
+            start = time.perf_counter()
+            for _ in range(3 * len(trace) if burn is not None else 0):
+                burn()
+            save_trace(trace, workdir + "/trace.jsonl")
+            reread = read_trace(workdir + "/trace.jsonl")
+            trace.content_hash()
+            elapsed = time.perf_counter() - start
+        if len(reread) != len(trace):
+            raise AssertionError("the re-read trace lost records")
+        return 3 * len(trace), elapsed
+
+    return BenchCase(
+        "trace_codec_16p", run,
+        "save + re-read + content_hash of one 16-process DEBUG trace",
+    )
+
+
 def ladder_case(
     name: str, description: str = "", max_events: int = 150_000,
     **system_params: Any,
@@ -388,6 +416,7 @@ def default_cases() -> List[BenchCase]:
         mutable(32, 8, True, "32-process run with full message tracing (DEBUG)"),
         _message_alloc_case(),
         _snapshot_overhead_case(),
+        _trace_codec_case(),
         _store_case(
             "store_jsonl_10k", "jsonl",
             "10k PointRecord appends (fsync each) + 10k hash lookups "

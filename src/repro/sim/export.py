@@ -9,7 +9,11 @@ trip preserves the types the checkers rely on. Long integer tuples
 (rollback pid sets and other per-process vectors, which grow with the
 population) are stored as ``[start, count]`` runs when that is smaller;
 decoding reconstructs the exact tuple, so archived traces hash the same
-regardless of population size.
+regardless of population size. What does not come back as it went (and
+no emitter records: every container one records is a tuple): a
+``frozenset`` returns a ``set``, an int-keyed ``dict`` str-keyed and a
+``set`` in whatever iteration order, so that log re-reads with another
+``content_hash``.
 
 Two export paths exist:
 
@@ -19,13 +23,18 @@ Two export paths exist:
   :class:`~repro.sim.trace.TraceLog`, it streams every record to a file
   as it is recorded, so a bounded flight-recorder log can still leave a
   full-fidelity archive on disk.
+
+The bytes are a pinned format (``explore`` digests them). Encoding and
+decoding work on blocks of lines; a bad line is still named by number.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import IO, Any, Iterable, Optional, Union
+from itertools import islice
+from math import isfinite
+from typing import IO, Any, Iterable, List, Optional, Union
 
 from repro.checkpointing.types import Trigger
 from repro.errors import TraceFormatError
@@ -34,6 +43,8 @@ from repro.sim.trace import TraceLog, TraceRecord
 
 #: int tuples at least this long are considered for run-length encoding
 _COMPACT_MIN = 16
+#: records encoded per write, lines parsed per ``json.loads``
+_BLOCK = 2048
 
 
 def _int_runs(values: tuple) -> list:
@@ -64,7 +75,11 @@ def _encode_value(value: Any) -> Any:
                 return {"__iruns__": runs}
         return {"__tuple__": [_encode_value(v) for v in value]}
     if isinstance(value, (set, frozenset)):
-        return {"__set__": sorted(_encode_value(v) for v in value)}
+        members = [_encode_value(v) for v in value]
+        try:
+            return {"__set__": sorted(members)}
+        except TypeError:  # tagged members are dicts: order them by their text
+            return {"__set__": sorted(members, key=_encode)}
     if isinstance(value, dict):
         return {str(k): _encode_value(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -92,12 +107,37 @@ def _decode_value(value: Any) -> Any:
     return value
 
 
+_quote = json.encoder.encode_basestring_ascii
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: The JSON text of a scalar, as ``_encode`` writes it. Nearly every
+#: field value is one, and ``_encode`` builds an encoder per call.
+_SCALAR_TEXT = {
+    int: int.__repr__,
+    str: _quote,
+    float: lambda value: repr(value) if isfinite(value) else _encode(value),
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _text(value: Any) -> str:
+    scalar = _SCALAR_TEXT.get(type(value))
+    return scalar(value) if scalar else _encode(_encode_value(value))
+
+
+def _record_line(record: TraceRecord) -> str:
+    fields = ",".join([_quote(k) + ":" + _text(v) for k, v in record.fields.items()])
+    head = '{"t":' + _text(record.time) + ',"k":' + _text(record.kind)
+    return head + ',"f":{' + fields + "}}"
+
+
 def dump_trace(trace: Iterable[TraceRecord], stream: IO[str]) -> int:
     """Write the trace as JSON lines; returns the record count."""
     count = 0
-    for record in trace:
-        stream.write(_record_line(record) + "\n")
-        count += 1
+    records = iter(trace)
+    while block := list(map(_record_line, islice(records, _BLOCK))):
+        stream.write("\n".join(block) + "\n")
+        count += len(block)
     return count
 
 
@@ -106,6 +146,43 @@ def dumps_trace(trace: Iterable[TraceRecord]) -> str:
     buffer = io.StringIO()
     dump_trace(trace, buffer)
     return buffer.getvalue()
+
+
+#: what a line that is not a record raises: not JSON, not an object, a
+#: key missing, or a malformed tag
+_NOT_A_RECORD = (ValueError, LookupError, TypeError, AttributeError)
+_CONTAINERS = frozenset((dict, list))
+#: ``TraceLog.record``'s own parameters, which no field can be named after
+_RECORD_ARGS = frozenset(("self", "time", "kind"))
+
+
+def _record(row: Any) -> TraceRecord:
+    fields = row["f"]
+    if not _RECORD_ARGS.isdisjoint(fields):
+        raise TypeError("a field named like a parameter of TraceLog.record")
+    if not _CONTAINERS.isdisjoint(map(type, fields.values())):
+        fields = {key: _decode_value(val) for key, val in fields.items()}
+    return TraceRecord(row["t"], row["k"], fields)
+
+
+def _parse_block(lines: List[str]) -> List[TraceRecord]:
+    """The records of ``lines`` from one ``json.loads``; raises unless
+    every line is provably a JSON value of its own.
+
+    One row per line is not proof: a record cut in two by a line break
+    can hide behind a line holding two. The joint's raw newline ends any
+    string, a line starting with ``{`` cannot resume an object, and the
+    few lines with a ``[`` in them (a tuple, a set) parse alone as well,
+    so no array is left open across a break either.
+    """
+    text = ",\n".join(lines)
+    rows = json.loads(f"[{text}]")
+    if len(rows) != len(lines) or text.count("\n{") + text.startswith("{") != len(rows):
+        raise ValueError("lines and values do not pair up")
+    for line in lines:
+        if "[" in line:
+            json.loads(line)
+    return list(map(_record, rows))
 
 
 def load_trace(stream: Union[IO[str], str]) -> TraceLog:
@@ -117,28 +194,27 @@ def load_trace(stream: Union[IO[str], str]) -> TraceLog:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     name = getattr(stream, "name", "<trace>")
-    log = TraceLog()
-    for number, line in enumerate(stream, 1):
-        line = line.strip()
-        if not line:
-            continue
+    records: List[TraceRecord] = []
+    source = iter(stream)
+    read = 0
+    while raw := list(islice(source, _BLOCK)):
         try:
-            data = json.loads(line)
-            fields = {key: _decode_value(val) for key, val in data["f"].items()}
-            log.record(data["t"], data["k"], **fields)
-        except (ValueError, LookupError, TypeError, AttributeError):
-            # not JSON, not an object, a key missing, or a malformed tag
-            raise TraceFormatError(f"{name}:{number}: not a trace record") from None
+            records.extend(_parse_block([line for line in map(str.strip, raw) if line]))
+        except _NOT_A_RECORD:
+            # one line at a time, to name the first bad one (or find none)
+            for number, line in enumerate(raw, read + 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    records.append(_record(json.loads(line)))
+                except _NOT_A_RECORD:
+                    where = f"{name}:{number}"
+                    raise TraceFormatError(f"{where}: not a trace record") from None
+        read += len(raw)
+    log = TraceLog()
+    log.extend(records)
     return log
-
-
-def _record_line(record: TraceRecord) -> str:
-    line = {
-        "t": record.time,
-        "k": record.kind,
-        "f": {key: _encode_value(val) for key, val in record.fields.items()},
-    }
-    return json.dumps(line, separators=(",", ":"))
 
 
 class JsonlTraceSink:

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -61,7 +61,6 @@ class TraceLevel:
     OFF = 100
 
 
-@dataclass(frozen=True)
 class TraceRecord:
     """One trace entry.
 
@@ -76,15 +75,36 @@ class TraceRecord:
         Event-specific payload. Keys are defined per kind by the emitter.
     """
 
-    time: float
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(
+        self, time: float, kind: str, fields: Optional[Dict[str, Any]] = None
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.fields = {} if fields is None else fields
 
     def __getitem__(self, key: str) -> Any:
         return self.fields[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.fields.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return (self.time, self.kind, self.fields) == (
+            other.time, other.kind, other.fields
+        )
+
+    def __repr__(self) -> str:
+        time, kind, fields = self.time, self.kind, self.fields
+        return f"TraceRecord({time=!r}, {kind=!r}, {fields=!r})"
+
+    def __setstate__(self, state: Any) -> None:
+        # (None, slots) from this class; the __dict__ of the dataclass this
+        # was, from a snapshot written then
+        TraceRecord.__init__(self, **(state[1] if isinstance(state, tuple) else state))
 
 
 class TraceLog:
@@ -203,6 +223,11 @@ class TraceLog:
         for subscriber in self._subscribers:
             subscriber(rec)
 
+    def extend(self, records: Iterable[TraceRecord]) -> None:
+        """Append built records (an archive re-read into a full log): no
+        level check, no subscriber call."""
+        self._records.extend(records)
+
     def release_flight_recorder(self) -> None:
         """Leave flight-recorder mode: retain every record from now on.
 
@@ -241,11 +266,6 @@ class TraceLog:
         self._subscribers.append(callback)
 
     # -- queries -----------------------------------------------------------
-    def of_kind(self, *kinds: str) -> List[TraceRecord]:
-        """All records whose kind is one of ``kinds``, in time order."""
-        wanted = set(kinds)
-        return [r for r in self if r.kind in wanted]
-
     def where(self, kind: Optional[str] = None, **conditions: Any) -> List[TraceRecord]:
         """Records matching a kind and exact field values."""
         out = []
@@ -276,9 +296,16 @@ class TraceLog:
         byte-level witness that two runs traced identically.
         """
         digest = hashlib.sha256()
+        orders: Dict[Tuple[str, ...], List[str]] = {}  # a key tuple, sorted once
+        lines: List[str] = []
         for r in self:
-            fields = ",".join(
-                f"{k}={r.fields[k]!r}" for k in sorted(r.fields)
-            )
-            digest.update(f"{r.time!r}|{r.kind}|{fields}\n".encode())
+            fields = r.fields
+            keys = tuple(fields)
+            order = orders.get(keys) or orders.setdefault(keys, sorted(keys))
+            body = ",".join([f"{k}={fields[k]!r}" for k in order])
+            lines.append(f"{r.time!r}|{r.kind}|{body}\n")
+            if len(lines) == 4096:  # one digest update per chunk, not per record
+                digest.update("".join(lines).encode())
+                lines.clear()
+        digest.update("".join(lines).encode())
         return digest.hexdigest()

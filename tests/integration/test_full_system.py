@@ -70,8 +70,8 @@ def test_all_sent_messages_eventually_delivered(name):
     system, _ = run_experiment(
         ALL_PROTOCOLS[name](), seed=23, initiations=3, mean_send_interval=20.0
     )
-    sends = {r["msg_id"] for r in system.sim.trace.of_kind("comp_send")}
-    recvs = {r["msg_id"] for r in system.sim.trace.of_kind("comp_recv")}
+    sends = {r["msg_id"] for r in system.sim.trace.where("comp_send")}
+    recvs = {r["msg_id"] for r in system.sim.trace.where("comp_recv")}
     assert recvs <= sends
     # at quiescence nothing is in flight
     assert sends == recvs

@@ -88,7 +88,7 @@ def test_elnozahy_consistent_and_all_process(data, steps):
     h = ScenarioHarness(N, ElnozahyProtocol(coordinator=0))
     drive(h, data, steps, fifo=False, initiator_pool=[0])
     h.assert_consistent()
-    for record in h.trace.of_kind("commit"):
+    for record in h.trace.where("commit"):
         trigger = record["trigger"]
         assert h.trace.count("tentative", trigger=trigger) == N
 
@@ -99,7 +99,7 @@ def test_chandy_lamport_consistent_under_fifo(data, steps):
     h = ScenarioHarness(N, ChandyLamportProtocol())
     drive(h, data, steps, fifo=True, initiator_pool=list(range(N)))
     h.assert_consistent()
-    for record in h.trace.of_kind("commit"):
+    for record in h.trace.where("commit"):
         trigger = record["trigger"]
         assert h.trace.count("tentative", trigger=trigger) == N
 

@@ -79,7 +79,7 @@ def test_mutable_every_initiation_terminates(data, steps):
 def test_mutable_lemma1_at_most_one_tentative_per_initiation(data, steps):
     h = ScenarioHarness(N, MutableCheckpointProtocol())
     drive(h, data, steps)
-    triggers = {r["trigger"] for r in h.trace.of_kind("initiation")}
+    triggers = {r["trigger"] for r in h.trace.where("initiation")}
     for trigger in triggers:
         for pid in range(N):
             count = h.trace.count("tentative", trigger=trigger, pid=pid)

@@ -173,7 +173,7 @@ def test_flight_recorder_dump_round_trips(tmp_path):
     assert [r.kind for r in restored] == [
         "initiation", "comp_send", "comp_send", "comp_send", "commit"
     ]
-    assert [r["msg_id"] for r in restored.of_kind("comp_send")] == [7, 8, 9]
+    assert [r["msg_id"] for r in restored.where("comp_send")] == [7, 8, 9]
 
 
 def test_streaming_sink_keeps_full_fidelity_under_flight_recorder(tmp_path):
@@ -191,4 +191,4 @@ def test_streaming_sink_keeps_full_fidelity_under_flight_recorder(tmp_path):
     restored = read_trace(path)
     assert len(restored) == 10  # every record, despite the tiny ring
     assert sink.records_written == 10
-    assert [r["msg_id"] for r in restored.of_kind("comp_send")] == list(range(8))
+    assert [r["msg_id"] for r in restored.where("comp_send")] == list(range(8))

@@ -19,10 +19,10 @@ def test_append_and_len():
     assert len(log) == 4
 
 
-def test_of_kind():
+def test_where_kind_and_a_two_kind_comprehension():
     log = make_log()
-    assert len(log.of_kind("send")) == 2
-    assert len(log.of_kind("send", "recv")) == 3
+    assert len(log.where("send")) == 2
+    assert len([r for r in log if r.kind in ("send", "recv")]) == 3
 
 
 def test_where_with_conditions():
@@ -65,7 +65,7 @@ def test_subscriber_sees_records():
 
 def test_record_getitem_and_get():
     log = make_log()
-    rec = log.of_kind("checkpoint")[0]
+    rec = log.where("checkpoint")[0]
     assert rec["pid"] == 1
     assert rec.get("missing") is None
     assert rec.get("missing", 7) == 7
@@ -86,7 +86,7 @@ class TestFlightRecorder:
         for i in range(6):
             log.record(float(i), "tentative", pid=i)
             log.debug(float(i), "comp_send", src=i, dst=0, msg_id=i)
-        assert len(log.of_kind("tentative")) == 6
+        assert len(log.where("tentative")) == 6
         assert log.debug_held == 2
 
     def test_merged_iteration_preserves_recording_order(self):
