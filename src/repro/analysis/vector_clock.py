@@ -31,9 +31,9 @@ bookkeeping — measured slower than full mode):
 * the changed-entry map is kept in change order (dict insertion order,
   move-to-end on change), so building a delta walks only the suffix
   newer than the channel's last send and stops;
-* a delta larger than ``n // 8`` entries falls back to a full tuple
-  stamp — cheaper to build (one C-level ``tuple``) and cheaper to merge
-  (one C-level ``map(max, ...)``) than a long pair list;
+* a delta larger than ``n // 8`` entries falls back to a full stamp —
+  one int64 array copy to build and one ``np.maximum`` to merge, both
+  cheaper than a long pair list;
 * merging a full stamp records a single ``_full_at`` watermark instead
   of per-entry stamps (a safe overapproximation: channels last served
   before the watermark get a full stamp next time) and clears the
@@ -44,11 +44,21 @@ bookkeeping — measured slower than full mode):
 bookkeeping, so every post-rollback channel starts with a full stamp and
 no receiver can depend on a delta whose base was dropped by the
 incarnation ghost-check.
+
+Sparse until dense
+------------------
+A clock starts with no array, only the entries it has written; ``tick``,
+the pair loops, ``snapshot`` and pickling work on those. The first
+whole-vector operation (a full-stamp ``merge``, a full stamp to send,
+``restore``, an outside read of ``.clock``) builds the int64 array, once.
+n clocks of n zeros each were most of a large build's memory
+(docs/SCALING.md, "Zero clocks are resident").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from collections import defaultdict
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as _np  # vectorized max: ~100x a pure-Python merge at 1024 entries
 
@@ -56,6 +66,14 @@ import numpy as _np  # vectorized max: ~100x a pure-Python merge at 1024 entries
 #: process checkpoints an all-zero clock, and N distinct N-tuples of
 #: zeros is O(N^2) memory for nothing.
 _ZERO_SNAPSHOTS: Dict[int, Tuple[int, ...]] = {}
+
+
+def spread(n: int, entries: Mapping[int, int]) -> List[int]:
+    """The ``n``-entry list that is zero except at ``entries``."""
+    values = [0] * n
+    for index, value in entries.items():
+        values[index] = value
+    return values
 
 
 class PackedInts(NamedTuple):
@@ -83,6 +101,26 @@ class PackedInts(NamedTuple):
                 values[nonzero].astype("<i8", copy=False).tobytes(),
             )
         return cls(len(values), None, values.astype("<i8", copy=False).tobytes())
+
+    @classmethod
+    def of_entries(cls, n: int, entries: Mapping[int, int]) -> "PackedInts":
+        """What :meth:`of` gives for the ``n``-vector holding ``entries``
+        (index -> value), built from them while under half are set."""
+        items = sorted(item for item in entries.items() if item[1])
+        if 2 * len(items) >= n:
+            return cls.of(_np.array(spread(n, entries), dtype=_np.int64))
+        return cls(
+            n,
+            _np.array([index for index, _ in items], dtype="<i4").tobytes(),
+            _np.array([value for _, value in items], dtype="<i8").tobytes(),
+        )
+
+    def entries(self) -> Dict[int, int]:
+        """The non-zero entries, index -> plain int."""
+        data = _np.frombuffer(self.data, dtype="<i8").tolist()
+        if self.indices is None:
+            return {index: value for index, value in enumerate(data) if value}
+        return dict(zip(_np.frombuffer(self.indices, dtype="<i4").tolist(), data))
 
     def unpack(self) -> "_np.ndarray":
         """A fresh, writable int64 array holding the vector."""
@@ -137,16 +175,22 @@ class VectorClock:
     """
 
     __slots__ = (
-        "pid", "clock", "_cells", "_delta", "_ticks", "_changed", "_ls",
+        "pid", "_n", "_array", "_cells", "_delta", "_ticks", "_changed", "_ls",
         "_full_at", "_cap",
     )
 
     def __init__(self, pid: int, n: int, delta: bool = False) -> None:
         self.pid = pid
-        # np.zeros is a calloc; below malloc's mmap threshold (8 n bytes is,
-        # at every n run here) it comes off the heap and is resident, not
-        # lazily mapped: docs/SCALING.md, "Zero clocks are resident"
-        self._attach(_np.zeros(n, dtype=_np.int64))
+        self._n = n
+        #: the int64 ndarray the whole-vector operations work on; ``None``
+        #: until the first of them (:meth:`_materialise`)
+        self._array: Optional["_np.ndarray"] = None
+        #: what one-entry reads and writes go through. While sparse, the
+        #: entries written so far (a miss reads 0 at C level; the 0 it
+        #: leaves behind is dropped on the way out). Once dense, a
+        #: memoryview of the array: it hands out plain ints where
+        #: indexing the array boxes a numpy scalar first
+        self._cells = defaultdict(int)
         self._delta = delta
         #: monotone op counter; stamps in _changed/_ls refer to it
         self._ticks = 0
@@ -158,33 +202,55 @@ class VectorClock:
         #: op stamp of the last full-stamp merge/restore — a collective
         #: change stamp covering *every* entry (safe overapproximation)
         self._full_at = 0
-        #: deltas longer than this ride as full tuple stamps instead
+        #: deltas longer than this ride as full stamps instead
         self._cap = max(8, n // 8)
 
     def _attach(self, clock: "_np.ndarray") -> None:
-        #: int64 ndarray, for the whole-vector operations; all external
-        #: observation goes through :meth:`snapshot` (plain-int tuples)
-        self.clock = clock
-        #: the same buffer as a memoryview, for the one-entry reads and
-        #: writes: it hands out plain ints where indexing the array
-        #: boxes a numpy scalar first (several times the cost per read)
+        self._n = len(clock)
+        self._array = clock
         self._cells = memoryview(clock)
 
+    def _materialise(self) -> "_np.ndarray":
+        """Go dense: the entries into a fresh array, once, for good."""
+        entries = self._cells
+        self._attach(_np.zeros(self._n, dtype=_np.int64))
+        cells = self._cells
+        for i, value in entries.items():
+            cells[i] = value
+        return self._array
+
+    @property
+    def clock(self) -> "_np.ndarray":
+        """The clock as its int64 array (materialises a sparse clock);
+        observation that should not is :meth:`snapshot`."""
+        clock = self._array
+        return self._materialise() if clock is None else clock
+
     def __getstate__(self):
-        slots = {
-            name: getattr(self, name) for name in self.__slots__ if name != "_cells"
+        clock = self._array
+        return None, {
+            "pid": self.pid,
+            "clock": PackedInts.of_entries(self._n, self._cells)
+            if clock is None else PackedInts.of(clock),
+            "_delta": self._delta, "_ticks": self._ticks,
+            "_changed": self._changed, "_ls": self._ls,
+            "_full_at": self._full_at, "_cap": self._cap,
         }
-        slots["clock"] = PackedInts.of(self.clock)
-        return None, slots
 
     def __setstate__(self, state) -> None:
         # ``(None, {slot: value})`` is also what pickle writes for a
         # ``__slots__`` class by default, so a format-1 snapshot (whose
         # ``clock`` is the array itself) restores through here too.
         for name, value in state[1].items():
-            setattr(self, name, value)
-        clock = self.clock
-        self._attach(clock.unpack() if isinstance(clock, PackedInts) else clock)
+            if name != "clock":
+                setattr(self, name, value)
+        clock = state[1]["clock"]
+        if isinstance(clock, PackedInts) and clock.indices is not None:
+            # under half full when written: sparse again
+            self._n, self._array = clock.n, None
+            self._cells = defaultdict(int, clock.entries())
+        else:
+            self._attach(clock.unpack() if isinstance(clock, PackedInts) else clock)
 
     def tick(self) -> None:
         """Advance the local component (one local event)."""
@@ -197,7 +263,9 @@ class VectorClock:
 
     def merge(self, other: Sequence[int]) -> None:
         """Componentwise max with a received full timestamp."""
-        clock = self.clock
+        clock = self._array
+        if clock is None:
+            clock = self._materialise()
         if type(other) is not _np.ndarray:
             other = _np.asarray(other, dtype=_np.int64)
         _np.maximum(clock, other, out=clock)
@@ -233,7 +301,7 @@ class VectorClock:
         Full-stamp mode: a full snapshot (the historical behaviour).
         Delta mode: the entries changed since the last send to ``dst``
         (never-sent channels count every nonzero entry as changed), as a
-        :class:`VCDelta` — or a full tuple stamp when the delta would be
+        :class:`VCDelta` — or a full stamp when the delta would be
         long, or when a full-stamp merge/restore postdates the channel's
         last send.
         """
@@ -261,11 +329,18 @@ class VectorClock:
     def _full_stamp(self):
         """A full stamp: an immutable-by-convention array copy (one C
         memcpy, merged with one vectorized max)."""
-        return self.clock.copy()
+        clock = self._array
+        if clock is None:
+            clock = self._materialise()
+        return clock.copy()
 
     def snapshot(self) -> Tuple[int, ...]:
         """An immutable plain-int tuple copy of the current clock."""
-        clock = self.clock
+        clock = self._array
+        if clock is None:
+            if not self._cells:
+                return self._zero_snapshot(self._n)
+            return tuple(spread(self._n, self._cells))
         if not clock.any():
             return self._zero_snapshot(len(clock))
         return tuple(clock.tolist())
@@ -301,7 +376,7 @@ class VectorClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "Δ" if self._delta else ""
-        return f"<VC{mode} p{self.pid} {self.clock}>"
+        return f"<VC{mode} p{self.pid} {self.snapshot()}>"
 
 
 def happened_before(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -9,8 +9,8 @@ carries one) and the O(N) scans over them dominate. These stores keep
 the exact list-like surface the protocol code (and its tests) already
 use, while changing the representation:
 
-* :class:`IntVector` — ``array('q')``-backed dense int vector. One
-  machine word per entry, no per-entry object churn.
+* :class:`IntVector` — dict-backed sparse int vector. Its size is the
+  number of non-zero entries, so an untouched csn vector is O(1).
 * :class:`BitVector` — ``bytearray``-backed bool vector. One byte per
   entry, and :meth:`BitVector.true_indices` finds set bits with
   C-level ``bytearray.find`` scans instead of a Python loop over N —
@@ -28,66 +28,75 @@ snapshots work unchanged.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator, List, Sequence, Union
 
-import numpy as _np
-
-from repro.analysis.vector_clock import PackedInts
+from repro.analysis.vector_clock import PackedInts, spread
 from repro.checkpointing.types import MREntry
 
 __all__ = ["BitVector", "IntVector", "MRVector", "true_indices"]
 
 
 class IntVector:
-    """A dense int vector with a list-like surface, backed by ``array``.
+    """An int vector with a list-like surface that stores what was written.
 
-    Accepts a size (zero-filled), an iterable of ints, or the
+    The entries that are not zero live in a dict, so a vector nobody has
+    written to costs the same at any length (n processes with two
+    n-entry vectors each were a third of a large build's memory).
+    Indices run ``0 .. len - 1``; anything else raises ``IndexError``.
+
+    Accepts a size (all zero), an iterable of ints, or the
     :class:`~repro.analysis.vector_clock.PackedInts` it pickles as.
     """
 
-    __slots__ = ("_a",)
-
-    #: 'q' (8-byte signed) keeps the surface a drop-in for Python ints
-    #: well past any csn the simulator can reach
-    typecode = "q"
-    _itemsize = array(typecode).itemsize
+    __slots__ = ("_n", "_d")
 
     def __init__(self, init: Union[int, Iterable[int], PackedInts] = 0) -> None:
         if isinstance(init, int):
-            self._a = array(self.typecode, bytes(self._itemsize * init))
+            self._n, self._d = init, {}
         elif isinstance(init, PackedInts):
-            self._a = array(self.typecode, init.unpack().tobytes())
+            self._n, self._d = init.n, init.entries()
         else:
-            self._a = array(self.typecode, init)
+            values = list(init)
+            self._n = len(values)
+            self._d = {i: value for i, value in enumerate(values) if value}
 
     def __len__(self) -> int:
-        return len(self._a)
+        return self._n
+
+    def _check(self, index: int) -> None:
+        if not 0 <= index < self._n:
+            raise IndexError(f"IntVector index {index} out of range({self._n})")
 
     def __getitem__(self, index: int) -> int:
-        return self._a[index]
+        value = self._d.get(index)
+        if value is None:
+            self._check(index)
+            return 0
+        return value
 
     def __setitem__(self, index: int, value: int) -> None:
-        self._a[index] = value
+        self._check(index)
+        if value:
+            self._d[index] = value
+        else:
+            self._d.pop(index, None)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._a)
+        return iter(self.tolist())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntVector):
-            return self._a == other._a
+            return self._n == other._n and self._d == other._d
         if isinstance(other, (list, tuple)):
-            return len(other) == len(self._a) and all(
-                a == b for a, b in zip(self._a, other)
-            )
+            return self.tolist() == list(other)
         return NotImplemented
 
     def __reduce__(self):
-        return (type(self), (PackedInts.of(_np.frombuffer(self._a, dtype=_np.int64)),))
+        return (type(self), (PackedInts.of_entries(self._n, self._d),))
 
     def copy(self) -> "IntVector":
         dup = type(self).__new__(type(self))
-        dup._a = array(self.typecode, self._a)
+        dup._n, dup._d = self._n, self._d.copy()
         return dup
 
     def __copy__(self) -> "IntVector":
@@ -97,14 +106,14 @@ class IntVector:
         return self.copy()
 
     def tolist(self) -> List[int]:
-        return self._a.tolist()
+        return spread(self._n, self._d)
 
     def clear(self) -> None:
         """Zero every entry."""
-        self._a = array(self.typecode, bytes(self._itemsize * len(self._a)))
+        self._d = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IntVector({self._a.tolist()!r})"
+        return f"IntVector({self.tolist()!r})"
 
 
 class BitVector:

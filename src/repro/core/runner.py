@@ -63,7 +63,7 @@ class ExperimentRunner:
     def _schedule_first_initiations(self) -> None:
         interval = self.system.config.checkpoint_interval
         for pid in self._timers:
-            offset = self.system.streams.stream(f"runner.stagger.{pid}").uniform(
+            offset = self.system.streams.one_shot(f"runner.stagger.{pid}").uniform(
                 0.0, interval
             )
             self._arm_timer(pid, offset)

@@ -16,6 +16,7 @@ rate drops more than ``threshold`` (default 25%) below the baseline's.
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import sys
@@ -351,6 +352,24 @@ def _snapshot_roundtrip_case(n: int) -> BenchCase:
     )
 
 
+def _build_case(n: int) -> BenchCase:
+    """Building the ``n``-process 8-cell system, nothing run: "events"
+    are builds. What a build allocates per process is what it costs."""
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        gc.collect()  # the previous repeat's system, not this build's bill
+        start = time.perf_counter()
+        if burn is not None:
+            for _ in range(n):
+                burn()
+        _mutable_p2p(2, trace_messages=False, n_processes=n, n_mss=8)
+        return 1, time.perf_counter() - start
+
+    return BenchCase(
+        f"build_{n}p", run, f"build the {n}p 8-cell system (no events)"
+    )
+
+
 def ladder_cases(
     populations: Tuple[int, ...] = (256, 1024, 4096), max_events: int = 150_000
 ) -> List[BenchCase]:
@@ -389,6 +408,9 @@ def ladder_cases(
             max_events, n_processes=1024, n_mss=8,
         ))
         cases.append(_snapshot_roundtrip_case(1024))
+    if 4096 in populations:
+        # not a per-event rate: what the top rung costs before its first event
+        cases.append(_build_case(4096))
     return cases
 
 

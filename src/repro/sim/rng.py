@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import Dict, Sequence, TypeVar
+from typing import Dict, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -64,15 +64,28 @@ class RandomStreams:
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._streams: Dict[str, random.Random] = {}
+        #: name -> its stream; ``None`` once :meth:`one_shot` has used it up
+        self._streams: Dict[str, Optional[random.Random]] = {}
+
+    def _derive(self, name: str) -> random.Random:
+        if name in self._streams:
+            raise ValueError(f"stream {name!r} is in use or was a one-shot: not derived again")
+        digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
+        return _Stream(int.from_bytes(digest[:8], "big"))
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""
         rng = self._streams.get(name)
         if rng is None:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
-            rng = _Stream(int.from_bytes(digest[:8], "big"))
-            self._streams[name] = rng
+            rng = self._streams[name] = self._derive(name)
+        return rng
+
+    def one_shot(self, name: str) -> random.Random:
+        """The stream for ``name``, same draws, for a consumer that draws
+        once: not kept (a Mersenne state is 2.5 kB, in every snapshot
+        too), and asking for the name again raises rather than restart."""
+        rng = self._derive(name)
+        self._streams[name] = None
         return rng
 
     def exponential(self, name: str, mean: float) -> float:

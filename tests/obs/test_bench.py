@@ -184,6 +184,7 @@ def test_ladder_cases_cover_the_population_rungs():
         "mutable_1024p_timeseries_1s",
         "mutable_1024p_mss8",
         "snapshot_roundtrip_1024p",
+        "build_4096p",
     ]
     # the 1024p-coupled rungs exist only when their partner does
     assert [c.name for c in ladder_cases(populations=(256,))] == [

@@ -75,9 +75,10 @@ def test_1024p_run_completes_with_invariants_and_rate_floor():
 
 #: a 1024p crash-resume image, cut where ``benchmarks/e2e`` cuts it. As
 #: pickled ints, ndarrays and peer lists it was 29.8 MB; as packed bytes
-#: with shared peer views it is 10.7 MB, nearly all of it the 3 072
-#: Mersenne states at 2.5 kB each
-MAX_IMAGE_MB = 15.0
+#: with shared peer views 10.7 MB; without the 1 024 stagger streams,
+#: each drawn from once, it is 8.1 MB, nearly all of it the 2 048
+#: Mersenne states (2.5 kB each) the workload goes on drawing from
+MAX_IMAGE_MB = 10.0
 
 
 def test_1024p_snapshot_image_stays_compact():

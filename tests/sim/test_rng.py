@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.sim.rng import RandomStreams
@@ -67,3 +69,52 @@ def test_choice_uniformity_and_errors():
     assert set(draws) == set(options)
     with pytest.raises(ValueError):
         streams.choice("c", [])
+
+
+def test_one_shot_draws_what_the_stream_would_and_is_not_kept():
+    kept, spent = RandomStreams(7), RandomStreams(7)
+    rng = spent.one_shot("runner.stagger.3")
+    assert [rng.uniform(0.0, 900.0) for _ in range(3)] == [
+        kept.stream("runner.stagger.3").uniform(0.0, 900.0) for _ in range(3)
+    ]
+    assert spent._streams == {"runner.stagger.3": None}
+    assert len(pickle.dumps(spent)) < 200 < 2500 < len(pickle.dumps(kept))
+
+
+def test_a_used_up_one_shot_is_never_restarted():
+    streams = RandomStreams(7)
+    streams.one_shot("once")
+    with pytest.raises(ValueError, match="once"):
+        streams.one_shot("once")
+    with pytest.raises(ValueError, match="once"):
+        streams.stream("once")
+    with pytest.raises(ValueError, match="once"):
+        streams.exponential("once", 1.0)
+    streams.stream("kept")
+    with pytest.raises(ValueError, match="kept"):
+        streams.one_shot("kept")  # would fork a live sequence
+    restored = pickle.loads(pickle.dumps(streams))
+    with pytest.raises(ValueError, match="once"):
+        restored.stream("once")
+
+
+def test_the_first_initiations_do_not_keep_their_streams():
+    from repro.campaign import RunPoint, build_point_runtime
+
+    system, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable", workload_params={"mean_send_interval": 1.0},
+        system_params={"n_processes": 8, "trace_messages": False},
+        run_params={"max_initiations": 2}, seed=11,
+    ))
+    runner.run()
+    stagger = {
+        name: rng for name, rng in system.streams._streams.items()
+        if name.startswith("runner.stagger.")
+    }
+    assert len(stagger) == 8 and set(stagger.values()) == {None}
+    # an image cut before this holds them as live streams: it is still a
+    # RandomStreams that unpickles and serves every name it has
+    old_shape = RandomStreams(system.streams.seed)
+    expected = [old_shape.stream(name).getstate() for name in stagger]
+    old_shape = pickle.loads(pickle.dumps(old_shape))
+    assert [old_shape.stream(name).getstate() for name in stagger] == expected

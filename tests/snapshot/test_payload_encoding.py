@@ -17,7 +17,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.vector_clock import PackedInts, VectorClock
+from repro.analysis.vector_clock import PackedInts, VCDelta, VectorClock
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.state import BitVector, IntVector
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
@@ -68,7 +68,7 @@ def test_vector_clock_round_trips(values):
     values = values or [0]
     n = len(values)
     vc = VectorClock(0, n, delta=True)
-    vc.clock[:] = values
+    vc.restore(values)
     vc.tick()
     vc.stamp_for(n - 1)
     expected = vc.snapshot()
@@ -78,14 +78,32 @@ def test_vector_clock_round_trips(values):
         assert (clone._ticks, clone._changed, clone._ls, clone._full_at, clone._cap) == (
             vc._ticks, vc._changed, vc._ls, vc._full_at, vc._cap
         )
-        # the scalar view and the array are one buffer again: a write
-        # through either is read through the other
+        # an image under half full comes back as its entries, a fuller
+        # one as the array; either way the clone ticks on from there
+        assert (clone._array is None) == (2 * sum(1 for v in expected if v) < n)
         clone.tick()
-        assert int(clone.clock[0]) == expected[0] + 1
         assert clone.snapshot()[0] == expected[0] + 1
+        # and the array, once read, is the buffer the scalar view writes
+        assert int(clone.clock[0]) == expected[0] + 1
         clone.clock[n - 1] = 12345
-        assert clone._cells[n - 1] == 12345
+        assert clone._cells[n - 1] == 12345 == clone.snapshot()[n - 1]
     assert vc.snapshot() == expected
+
+
+def test_a_clock_that_never_went_dense_round_trips_as_its_entries():
+    n = 1024
+    vc = VectorClock(5, n, delta=True)
+    vc.tick()
+    vc.merge_delta([(900, 4), (17, 2)])
+    assert vc._array is None
+    image = vc.__getstate__()[1]["clock"]
+    assert image == PackedInts(n, b"\x05\0\0\0\x11\0\0\0\x84\x03\0\0",
+                               b"".join(v.to_bytes(8, "little") for v in (1, 2, 4)))
+    assert len(pickle.dumps(VectorClock(0, n), protocol=pickle.HIGHEST_PROTOCOL)) < 300
+    for clone in _clones(vc):
+        assert clone._array is None and dict(clone._cells) == {5: 1, 17: 2, 900: 4}
+        assert clone.snapshot() == vc.snapshot()
+        assert clone.stamp_for(3) == VCDelta(((17, 2), (900, 4), (5, 1)))
 
 
 def test_sparse_and_dense_forms_are_chosen_by_fill():
