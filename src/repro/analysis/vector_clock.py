@@ -12,21 +12,21 @@ Delta stamps (Singhal-Kshemkalyani)
 -----------------------------------
 A full N-entry stamp per message is the dominant per-message cost at
 large populations (profiled: ``merge`` alone was >50% of a 1024-process
-run). In *delta mode* a clock tracks, per entry, when it last changed
-and, per destination, when it last sent; a send then carries only the
-entries changed since the previous send on that channel, as a
-:class:`VCDelta`. The technique is sound on FIFO channels: every entry
-omitted from a delta either was carried by an earlier message on the
-same channel, or has never changed from its initial zero — and a
-componentwise-max merge of an already-known (or zero) entry is a no-op.
-Receivers accept either stamp form via
-:meth:`VectorClock.merge_stamp`; the resulting clocks are equal, entry
-for entry, to full-stamp mode.
+run). A clock therefore tracks, per entry, when it last changed and, per
+destination, when it last sent; a send carries only the entries changed
+since the previous send on that channel, as a :class:`VCDelta`. The
+technique is sound on FIFO channels: every entry omitted from a delta
+either was carried by an earlier message on the same channel, or has
+never changed from its initial zero — and a componentwise-max merge of
+an already-known (or zero) entry is a no-op. Receivers accept either
+stamp form via :meth:`VectorClock.merge_stamp`; the resulting clocks are
+equal, entry for entry, to stamping every message in full (the
+full-stamp reference clock lives in ``tests/analysis/_dense_reference.py``).
 
 Three refinements keep the per-send cost proportional to the *delta*
 rather than to N (uniform traffic at 1k+ processes rarely reuses a
 channel, so the textbook scheme degenerates into full stamps with extra
-bookkeeping — measured slower than full mode):
+bookkeeping — measured slower than stamping every message in full):
 
 * the changed-entry map is kept in change order (dict insertion order,
   move-to-end on change), so building a delta walks only the suffix
@@ -136,7 +136,7 @@ class VCDelta:
     """A sparse vector-clock stamp: only the entries that changed.
 
     ``pairs`` is a tuple of ``(index, value)`` pairs. Produced by
-    :meth:`VectorClock.stamp_for` in delta mode; consumed by
+    :meth:`VectorClock.stamp_for`; consumed by
     :meth:`VectorClock.merge_stamp`. Kept as a distinct type (rather
     than a bare tuple-of-pairs) so receivers can distinguish it from a
     full stamp unambiguously.
@@ -165,21 +165,16 @@ Stamp = Union[Tuple[int, ...], VCDelta]
 
 
 class VectorClock:
-    """A mutable vector clock for one process.
-
-    With ``delta=True`` the clock additionally maintains the
-    Singhal-Kshemkalyani bookkeeping needed to emit :class:`VCDelta`
-    stamps from :meth:`stamp_for`; the default is the classic
-    full-stamp behaviour (and :meth:`stamp_for` then returns full
-    snapshots, which is the equivalence-testing reference path).
-    """
+    """A mutable vector clock for one process, with the
+    Singhal-Kshemkalyani bookkeeping :meth:`stamp_for` needs to emit
+    :class:`VCDelta` stamps."""
 
     __slots__ = (
-        "pid", "_n", "_array", "_cells", "_delta", "_ticks", "_changed", "_ls",
+        "pid", "_n", "_array", "_cells", "_ticks", "_changed", "_ls",
         "_full_at", "_cap",
     )
 
-    def __init__(self, pid: int, n: int, delta: bool = False) -> None:
+    def __init__(self, pid: int, n: int) -> None:
         self.pid = pid
         self._n = n
         #: the int64 ndarray the whole-vector operations work on; ``None``
@@ -191,13 +186,12 @@ class VectorClock:
         #: memoryview of the array: it hands out plain ints where
         #: indexing the array boxes a numpy scalar first
         self._cells = defaultdict(int)
-        self._delta = delta
         #: monotone op counter; stamps in _changed/_ls refer to it
         self._ticks = 0
         #: entry -> op stamp of its last change, in change order (the
-        #: dict is move-to-end on every change; delta mode only)
+        #: dict is move-to-end on every change)
         self._changed: Dict[int, int] = {}
-        #: destination -> op stamp of the last send to it (delta mode)
+        #: destination -> op stamp of the last send to it
         self._ls: Dict[int, int] = {}
         #: op stamp of the last full-stamp merge/restore — a collective
         #: change stamp covering *every* entry (safe overapproximation)
@@ -232,7 +226,7 @@ class VectorClock:
             "pid": self.pid,
             "clock": PackedInts.of_entries(self._n, self._cells)
             if clock is None else PackedInts.of(clock),
-            "_delta": self._delta, "_ticks": self._ticks,
+            "_ticks": self._ticks,
             "_changed": self._changed, "_ls": self._ls,
             "_full_at": self._full_at, "_cap": self._cap,
         }
@@ -241,25 +235,28 @@ class VectorClock:
         # ``(None, {slot: value})`` is also what pickle writes for a
         # ``__slots__`` class by default, so a format-1 snapshot (whose
         # ``clock`` is the array itself) restores through here too.
-        for name, value in state[1].items():
-            if name != "clock":
-                setattr(self, name, value)
-        clock = state[1]["clock"]
+        slots = dict(state[1])
+        clock = slots.pop("clock")
+        # an image of a clock that stamped every message in full says so
+        full_stamped = slots.pop("_delta", True) is False
+        for name, value in slots.items():
+            setattr(self, name, value)
         if isinstance(clock, PackedInts) and clock.indices is not None:
             # under half full when written: sparse again
             self._n, self._array = clock.n, None
             self._cells = defaultdict(int, clock.entries())
         else:
             self._attach(clock.unpack() if isinstance(clock, PackedInts) else clock)
+        if full_stamped:  # its receivers hold no delta base
+            self.restore(self.snapshot())
 
     def tick(self) -> None:
         """Advance the local component (one local event)."""
         self._cells[self.pid] += 1
-        if self._delta:
-            self._ticks += 1
-            changed = self._changed
-            changed.pop(self.pid, None)
-            changed[self.pid] = self._ticks
+        self._ticks += 1
+        changed = self._changed
+        changed.pop(self.pid, None)
+        changed[self.pid] = self._ticks
 
     def merge(self, other: Sequence[int]) -> None:
         """Componentwise max with a received full timestamp."""
@@ -269,12 +266,11 @@ class VectorClock:
         if type(other) is not _np.ndarray:
             other = _np.asarray(other, dtype=_np.int64)
         _np.maximum(clock, other, out=clock)
-        if self._delta:
-            # One watermark instead of per-entry stamps: channels whose
-            # last send predates it get a full stamp next time.
-            self._ticks += 1
-            self._full_at = self._ticks
-            self._changed.clear()
+        # One watermark instead of per-entry stamps: channels whose last
+        # send predates it get a full stamp next time.
+        self._ticks += 1
+        self._full_at = self._ticks
+        self._changed.clear()
 
     def merge_delta(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Componentwise max with a sparse (index, value) stamp."""
@@ -298,15 +294,12 @@ class VectorClock:
     def stamp_for(self, dst: int) -> Stamp:
         """The stamp to attach to a message bound for ``dst``.
 
-        Full-stamp mode: a full snapshot (the historical behaviour).
-        Delta mode: the entries changed since the last send to ``dst``
-        (never-sent channels count every nonzero entry as changed), as a
-        :class:`VCDelta` — or a full stamp when the delta would be
-        long, or when a full-stamp merge/restore postdates the channel's
-        last send.
+        The entries changed since the last send to ``dst`` (never-sent
+        channels count every nonzero entry as changed), as a
+        :class:`VCDelta` — or a full stamp when the delta would be long,
+        or when a full-stamp merge/restore postdates the channel's last
+        send.
         """
-        if not self._delta:
-            return self._full_stamp()
         ls = self._ls.get(dst, 0)
         self._ls[dst] = self._ticks
         if self._full_at > ls:
@@ -355,28 +348,19 @@ class VectorClock:
     def restore(self, snap: Sequence[int]) -> None:
         """Reset the clock to a snapshot (used by rollback).
 
-        In delta mode this also invalidates the per-destination send
-        bookkeeping: the next send on every channel carries a full
-        stamp, so no receiver depends on deltas whose base predates the
-        rollback (or was dropped by the incarnation ghost-check).
+        This also invalidates the per-destination send bookkeeping: the
+        next send on every channel carries a full stamp, so no receiver
+        depends on deltas whose base predates the rollback (or was
+        dropped by the incarnation ghost-check).
         """
         self._attach(_np.array(snap, dtype=_np.int64))
-        if self._delta:
-            self._ticks += 1
-            self._full_at = self._ticks
-            self._changed.clear()
-            self._ls.clear()
-
-    def reset_deltas(self) -> None:
-        """Force full stamps on every channel from now on."""
-        self._ls.clear()
         self._ticks += 1
         self._full_at = self._ticks
         self._changed.clear()
+        self._ls.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "Δ" if self._delta else ""
-        return f"<VC{mode} p{self.pid} {self.snapshot()}>"
+        return f"<VC p{self.pid} {self.snapshot()}>"
 
 
 def happened_before(a: Sequence[int], b: Sequence[int]) -> bool:

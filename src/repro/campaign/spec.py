@@ -24,6 +24,8 @@ from repro.core.config import (
     GroupWorkloadConfig,
     PointToPointWorkloadConfig,
     RunConfig,
+    SystemConfig,
+    build_config,
 )
 from repro.errors import ConfigurationError
 from repro.workload.base import Workload
@@ -50,7 +52,7 @@ def _check_workload(kind: str, params: Dict[str, Any]) -> None:
         )
     # Fail at spec time, not inside a worker: the config dataclasses
     # validate their own fields.
-    WORKLOAD_KINDS[kind][0](**params)
+    build_config(WORKLOAD_KINDS[kind][0], params, f"{kind} workload")
 
 
 @dataclass
@@ -81,7 +83,7 @@ class RunPoint:
 
     def __post_init__(self) -> None:
         _check_workload(self.workload, self.workload_params)
-        RunConfig(**self.run_params)
+        build_config(RunConfig, self.run_params, "run")
         if "seed" in self.system_params:
             raise ConfigurationError(
                 "put the seed in RunPoint.seed, not system_params"
@@ -93,6 +95,7 @@ class RunPoint:
             self.system_params = dict(
                 self.system_params, network=dataclasses.asdict(network)
             )
+        SystemConfig.from_params(self.system_params)
 
     def to_dict(self) -> Dict[str, Any]:
         data = {

@@ -148,6 +148,7 @@ def disconnect_process(system: "MobileSystem", pid: int) -> DisconnectRecord:
         csn=-1,
         kind=CheckpointKind.DISCONNECT,
         time_taken=system.sim.now,
+        ckpt_id=next(system.checkpoint_ids),
         state=process.capture_state(),
         trigger=None,
         vector_clock=process.vc.snapshot(),

@@ -85,6 +85,10 @@ class ProcessEnv(ABC):
         """Snapshot the runtime-maintained vector clock (verification)."""
 
     @abstractmethod
+    def next_checkpoint_id(self) -> int:
+        """A ``ckpt_id`` no other checkpoint of this run has."""
+
+    @abstractmethod
     def save_mutable(self, record: CheckpointRecord) -> None:
         """Store ``record`` in the MH-local store (2.5 ms class cost)."""
 
@@ -212,6 +216,7 @@ class ProtocolProcess(ABC):
             csn=csn,
             kind=kind,
             time_taken=self.env.now(),
+            ckpt_id=self.env.next_checkpoint_id(),
             state=self.env.capture_state(),
             trigger=trigger,
             vector_clock=self.env.capture_vector_clock(),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 
@@ -39,35 +38,14 @@ class CheckpointKind(enum.Enum):
     DISCONNECT = "disconnect"
 
 
-_checkpoint_ids = count()
-
-
-def reset_checkpoint_ids() -> None:
-    """Restart the process-wide ckpt_id counter (new-system hygiene).
-
-    Called when a :class:`~repro.core.system.MobileSystem` is built so
-    two identical runs in one interpreter produce bit-identical traces
-    (ids are only required to be unique within a run).
-    """
-    global _checkpoint_ids
-    _checkpoint_ids = count()
-
-
 def checkpoint_ids_state() -> int:
-    """The next ckpt_id the counter will hand out (without consuming it).
-
-    Snapshot capture records this so a restored run continues the id
-    sequence exactly where the original left off — the counter is a
-    module global, outside the pickled object graph.
-    """
-    # itertools.count exposes its next value via its pickle form
-    return _checkpoint_ids.__reduce__()[1][0]
+    """0. Kept for callers that saved the process-wide ckpt_id counter
+    around runs of several systems; each system numbers its own now."""
+    return 0
 
 
 def restore_checkpoint_ids(next_id: int) -> None:
-    """Reset the counter so the next ckpt_id handed out is ``next_id``."""
-    global _checkpoint_ids
-    _checkpoint_ids = count(next_id)
+    """Does nothing; see :func:`checkpoint_ids_state`."""
 
 
 @dataclass
@@ -84,6 +62,9 @@ class CheckpointRecord:
         Current lifecycle stage; mutated in place on promote/commit.
     time_taken:
         Simulated time at which the state was captured.
+    ckpt_id:
+        Unique within the run; issued by whoever owns the run (the
+        system's or the scenario harness's ``checkpoint_ids``).
     state:
         Opaque application-state snapshot (whatever the application's
         ``capture_state`` returned); used by recovery.
@@ -102,11 +83,11 @@ class CheckpointRecord:
     csn: int
     kind: CheckpointKind
     time_taken: float
+    ckpt_id: int
     state: Dict[str, Any] = field(default_factory=dict)
     trigger: Optional[Trigger] = None
     vector_clock: Tuple[int, ...] = ()
     size_bytes: int = 512 * 1024
-    ckpt_id: int = field(default_factory=lambda: next(_checkpoint_ids))
 
     @property
     def is_stable(self) -> bool:

@@ -8,11 +8,20 @@ checkpoint interval per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.params import NetworkParams
+
+
+def build_config(cls: type, params: Mapping[str, Any], what: str) -> Any:
+    """``cls(**params)``, refusing a key that names no field of ``cls``."""
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        keys = ", ".join(map(repr, unknown))
+        raise ConfigurationError(f"unknown {what} key(s): {keys}")
+    return cls(**params)
 
 
 @dataclass(frozen=True)
@@ -50,13 +59,6 @@ class SystemConfig:
         trace memory for long runs while the final waves stay fully
         explainable; implies DEBUG-level tracing regardless of
         ``trace_messages``.
-    piggyback_mode:
-        How computation messages carry the sender's vector clock:
-        ``"delta"`` (default) sends only the entries changed since the
-        last message on the same channel (Singhal-Kshemkalyani; O(changes)
-        per message), ``"full"`` sends the complete N-entry stamp (the
-        O(N) reference path kept for equivalence testing — see
-        ``tests/integration/test_scale_equivalence.py``).
     timeseries_window:
         Sim-time window (seconds) of the telemetry sampler
         (:class:`repro.obs.timeseries.TimeseriesSampler`): selected
@@ -85,15 +87,10 @@ class SystemConfig:
     network: NetworkParams = field(default_factory=NetworkParams)
     trace_messages: bool = True
     trace_debug_capacity: Optional[int] = None
-    piggyback_mode: str = "delta"
     timeseries_window: Optional[float] = None
     shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.piggyback_mode not in ("delta", "full"):
-            raise ConfigurationError(
-                "piggyback_mode must be 'delta' or 'full'"
-            )
         if self.n_processes < 1:
             raise ConfigurationError("need at least one process")
         if self.n_mss < 1:
@@ -128,10 +125,10 @@ class SystemConfig:
         params = dict(params)
         network = params.get("network")
         if isinstance(network, dict):
-            params["network"] = NetworkParams(**network)
+            params["network"] = build_config(NetworkParams, network, "network")
         if seed is not None:
             params["seed"] = seed
-        return cls(**params)
+        return build_config(cls, params, "system")
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,7 @@ class AppProcess:
         self.system = system
         self.pid = pid
         self.host = host
-        self.vc = VectorClock(
-            pid,
-            system.config.n_processes,
-            delta=(getattr(system.config, "piggyback_mode", "full") == "delta"),
-        )
+        self.vc = VectorClock(pid, system.config.n_processes)
         self.app_state: Dict[str, Any] = {
             "messages_sent": 0,
             "messages_received": 0,
@@ -295,6 +291,9 @@ class RuntimeEnv(ProcessEnv):
 
     def capture_vector_clock(self) -> Tuple[int, ...]:
         return self.process.vc.snapshot()
+
+    def next_checkpoint_id(self) -> int:
+        return next(self.system.checkpoint_ids)
 
     def save_mutable(self, record: CheckpointRecord) -> None:
         self.process.local_store.save(record)

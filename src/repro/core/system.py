@@ -12,17 +12,12 @@
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.checkpointing.protocol import CheckpointProtocol
 from repro.checkpointing.storage import StableStorage
-from repro.checkpointing.types import (
-    CheckpointKind,
-    CheckpointRecord,
-    reset_checkpoint_ids,
-)
-from itertools import count
-
+from repro.checkpointing.types import CheckpointKind, CheckpointRecord
 from repro.core.config import SystemConfig
 from repro.core.process import AppProcess
 from repro.net.message import ComputationMessage
@@ -54,12 +49,10 @@ class MobileSystem:
     ) -> None:
         self.config = config
         self.protocol = protocol
-        # Fresh id spaces per system: ids only need uniqueness within a
-        # run, and restarting them makes identical runs bit-identical
-        # even inside one interpreter (replay, digests, worker reuse).
-        # Message ids are owned by the system (no module-global reset, so
-        # two systems in one interpreter never bleed into each other).
-        reset_checkpoint_ids()
+        # Id spaces owned by the system: ids only need uniqueness within
+        # a run, and numbering each run from 0 makes identical runs
+        # bit-identical however many other systems share the interpreter.
+        self.checkpoint_ids = count()
         self.message_ids = count()
         # Message-level (DEBUG) records are the bulk of trace volume; the
         # level is fixed at build time so hot-path emitters can check one
@@ -124,6 +117,7 @@ class MobileSystem:
                 csn=0,
                 kind=CheckpointKind.PERMANENT,
                 time_taken=0.0,
+                ckpt_id=next(self.checkpoint_ids),
                 state=process.capture_state(),
                 trigger=None,
                 vector_clock=process.vc.snapshot(),

@@ -31,19 +31,16 @@ from repro.sim.trace import TraceLog
 class InFlight:
     """A message waiting for the script to deliver it."""
 
-    _ids = count()
-
     def __init__(self, message: Any, dst: int, kind: str) -> None:
         self.message = message
         self.dst = dst
         self.kind = kind  # "comp" | "system"
-        self.uid = next(InFlight._ids)
         self.delivered = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "delivered" if self.delivered else "pending"
         label = getattr(self.message, "subkind", "comp")
-        return f"<InFlight #{self.uid} {label} -> p{self.dst} {state}>"
+        return f"<InFlight #{self.message.msg_id} {label} -> p{self.dst} {state}>"
 
 
 class HarnessEnv(ProcessEnv):
@@ -59,7 +56,8 @@ class HarnessEnv(ProcessEnv):
 
     def send_system(self, dst_pid: int, subkind: str, fields: Dict[str, Any]) -> None:
         message = SystemMessage(
-            src_pid=self.pid, dst_pid=dst_pid, subkind=subkind, fields=fields
+            src_pid=self.pid, dst_pid=dst_pid, subkind=subkind, fields=fields,
+            msg_id=next(self.harness.message_ids),
         )
         self.harness.trace.record(
             self.now(), "sys_send", src=self.pid, dst=dst_pid, subkind=subkind,
@@ -81,6 +79,9 @@ class HarnessEnv(ProcessEnv):
 
     def capture_vector_clock(self) -> Tuple[int, ...]:
         return self.harness.clocks[self.pid].snapshot()
+
+    def next_checkpoint_id(self) -> int:
+        return next(self.harness.checkpoint_ids)
 
     def save_mutable(self, record: CheckpointRecord) -> None:
         self.harness.local_stores[self.pid].save(record)
@@ -143,6 +144,8 @@ class ScenarioHarness:
         self.n = n
         self.protocol = protocol
         self.clock = 0
+        self.checkpoint_ids = count()
+        self.message_ids = count()
         self.trace = TraceLog()
         self.storage = StableStorage(name="scenario-stable")
         self.local_stores = [LocalStore(name=f"local-p{i}") for i in range(n)]
@@ -169,6 +172,7 @@ class ScenarioHarness:
                 csn=0,
                 kind=CheckpointKind.PERMANENT,
                 time_taken=0.0,
+                ckpt_id=next(self.checkpoint_ids),
                 state=dict(self.app_state[pid]),
                 trigger=None,
                 vector_clock=self.clocks[pid].snapshot(),
@@ -198,7 +202,9 @@ class ScenarioHarness:
             return None
         self.tick()
         self.clocks[src].tick()
-        message = ComputationMessage(src_pid=src, dst_pid=dst, payload=payload)
+        message = ComputationMessage(
+            src_pid=src, dst_pid=dst, payload=payload, msg_id=next(self.message_ids)
+        )
         message.vc = self.clocks[src].snapshot()
         self.processes[src].on_send_computation(message)
         self.app_state[src]["messages_sent"] += 1

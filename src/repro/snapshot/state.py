@@ -6,9 +6,10 @@ experiment runner and, through it, the entire object graph — kernel
 ``MobileSystem`` (processes, protocol state machines, network channels
 and buffers, stable storage), ``RandomStreams`` generator states, the
 metrics registry, and the trace log with its counters and flight-
-recorder ring. Module-global counters that live *outside* the object
-graph (checkpoint ids, the fallback message-id space) ride alongside as
-plain ints.
+recorder ring. The checkpoint- and message-id counters are the system's
+own, so they travel with it; an image written while checkpoint ids
+came from a module global carries that counter's next value instead,
+and :func:`restore` hands it to the system.
 
 What deliberately does **not** travel:
 
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING, Optional
 
-from repro.checkpointing.types import checkpoint_ids_state, restore_checkpoint_ids
 from repro.errors import SnapshotError
-from repro.net.message import message_ids_state, restore_message_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.runner import ExperimentRunner
@@ -51,8 +51,6 @@ class SimulationImage:
     runner: "ExperimentRunner"
     driver: Optional["InjectionDriver"] = None
     snapshotter: Optional["Snapshotter"] = None
-    checkpoint_ids: int = 0
-    message_ids: int = 0
 
     @property
     def system(self) -> "MobileSystem":
@@ -75,13 +73,7 @@ def capture(
     callback). Capture mutates nothing — the run continues unperturbed
     whether or not the bytes are ever used.
     """
-    image = SimulationImage(
-        runner=runner,
-        driver=driver,
-        snapshotter=snapshotter,
-        checkpoint_ids=checkpoint_ids_state(),
-        message_ids=message_ids_state(),
-    )
+    image = SimulationImage(runner=runner, driver=driver, snapshotter=snapshotter)
     try:
         return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
@@ -91,11 +83,11 @@ def capture(
 def restore(payload: bytes) -> SimulationImage:
     """Rebuild a live simulation from :func:`capture` output.
 
-    Unpickles the image, restores the module-global id counters, and
-    re-attaches every dropped live binding: per-process message-id
-    fastpaths, the runner's trace subscription, the injection driver's
-    tap (when still armed), and the snapshotter's kernel hook (so a
-    resumed run keeps snapshotting with its original policy).
+    Unpickles the image and re-attaches every dropped live binding:
+    per-process message-id fastpaths, the runner's trace subscription,
+    the injection driver's tap (when still armed), and the snapshotter's
+    kernel hook (so a resumed run keeps snapshotting with its original
+    policy).
     """
     try:
         image = pickle.loads(payload)
@@ -105,13 +97,14 @@ def restore(payload: bytes) -> SimulationImage:
         raise SnapshotError(
             f"snapshot payload is {type(image).__name__}, not SimulationImage"
         )
-    restore_checkpoint_ids(image.checkpoint_ids)
-    restore_message_ids(image.message_ids)
-    for process in image.system.processes.values():
+    system = image.system
+    if not hasattr(system, "checkpoint_ids"):
+        # written while checkpoint ids came from a module global
+        system.checkpoint_ids = count(image.checkpoint_ids)
+    for process in system.processes.values():
         process._reattach()
         process.env._reattach()
     image.runner._reattach()
-    system = image.system
     if system.shard_plan is not None:
         # only a snapshot written by the windowed sharded kernel (deleted
         # in PR 22) lacks the network handle its partition report reads

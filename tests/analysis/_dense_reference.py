@@ -6,6 +6,12 @@ Kept verbatim (names aside) from the commit before
 array up front: an ``array('q')`` per vector and an ``np.zeros(n)`` per
 clock. ``test_sparse_vs_dense.py`` drives both through the same
 operation sequences; they must agree observation for observation.
+
+``DenseVectorClock`` with ``delta=False`` (its default) is also the
+full-stamp oracle: it stamps every message with its whole clock, the
+mode ``VectorClock`` no longer has. The equivalence matrix
+(``tests/integration/test_scale_equivalence.py``) swaps it into every
+process of a built system and requires the run to be byte-identical.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ from repro.errors import InconsistentCheckpointError
 from repro.sim.trace import TraceLog
 
 
-def ckpt(pid, csn, vc, kind=CheckpointKind.PERMANENT):
+def ckpt(pid, csn, vc, kind=CheckpointKind.PERMANENT, ckpt_id=0):
     return CheckpointRecord(
-        pid=pid, csn=csn, kind=kind, time_taken=float(csn), vector_clock=vc
+        pid=pid, csn=csn, kind=kind, time_taken=float(csn), vector_clock=vc,
+        ckpt_id=ckpt_id,
     )
 
 
@@ -72,7 +73,6 @@ class TestFindOrphans:
             0: CheckpointRecord(pid=0, csn=1, kind=CheckpointKind.PERMANENT, time_taken=0.0, ckpt_id=100),
             1: CheckpointRecord(pid=1, csn=1, kind=CheckpointKind.PERMANENT, time_taken=0.0, ckpt_id=101),
         }
-        # ckpt_id is init=False in the dataclass; set explicitly
         return log, line
 
     def test_orphan_detected(self):
@@ -109,9 +109,10 @@ class TestVectorClockChecker:
 
 class TestLatestPermanentLine:
     def test_picks_newest_across_storages(self):
+        """Newest is the higher ckpt_id: the run issues them in order."""
         s1, s2 = StableStorage("a"), StableStorage("b")
-        old = ckpt(0, 1, (1,))
-        new = ckpt(0, 2, (2,))
+        old = ckpt(0, 1, (1,), ckpt_id=10)
+        new = ckpt(0, 2, (2,), ckpt_id=11)
         s1.store(old)
         s2.store(new)
         line = latest_permanent_line([s1, s2], [0])

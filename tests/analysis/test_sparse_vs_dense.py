@@ -6,6 +6,10 @@ every operation they must show the same stamps, snapshots, ``tolist()``,
 bookkeeping and pickled state. Sequences that stay sparse to the end,
 that go dense on the first operation and that go dense half-way are all
 in the generated set, and each is also pinned by a hand-written case.
+The clock is compared with the reference's delta mode, the one stamping
+rule it has; an image of a full-stamp clock (``_delta: False``, written
+while that mode existed) must load as one whose every channel owes a
+full stamp.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ def clock_ops(n: int):
             st.tuples(st.just("merge_array"), full),
             st.tuples(st.just("stamp_for"), index),
             st.tuples(st.just("restore"), full.map(tuple)),
-            st.tuples(st.just("reset_deltas")),
+            st.tuples(st.just("full_stamp_image")),
             st.tuples(st.just("deepcopy")),
             st.tuples(st.just("pickle"), st.sampled_from([2, pickle.HIGHEST_PROTOCOL])),
             st.tuples(st.just("read_clock")),
@@ -62,8 +66,23 @@ def plain(stamp):
 def state_of(vc):
     _, slots = vc.__getstate__()
     slots = dict(slots)
+    slots.pop("_delta", None)  # the reference's mode flag
     slots["_changed"] = list(slots["_changed"].items())  # change order counts
     return slots
+
+
+def full_stamp_image(vc):
+    """``vc`` saved as a full-stamp clock and loaded again. The dense
+    reference, a delta-mode clock, loads as itself and then invalidates
+    every channel, which is what loading such an image must amount to."""
+    if type(vc) is DenseVectorClock:
+        vc = pickle.loads(pickle.dumps(vc))
+        vc.reset_deltas()
+        return vc
+    _, slots = vc.__getstate__()
+    clone = VectorClock.__new__(VectorClock)
+    clone.__setstate__((None, dict(slots, _delta=False)))
+    return clone
 
 
 def apply(vc, op):
@@ -84,8 +103,8 @@ def apply(vc, op):
         return vc, plain(stamp)
     elif name == "restore":
         vc.restore(args[0])
-    elif name == "reset_deltas":
-        vc.reset_deltas()
+    elif name == "full_stamp_image":
+        vc = full_stamp_image(vc)
     elif name == "deepcopy":
         vc = copy.deepcopy(vc)
     elif name == "pickle":
@@ -95,12 +114,10 @@ def apply(vc, op):
     return vc, None
 
 
-def run_lockstep(n, pid, delta, ops):
-    sparse, dense = VectorClock(pid, n, delta=delta), DenseVectorClock(pid, n, delta=delta)
+def run_lockstep(n, pid, ops):
+    sparse, dense = VectorClock(pid, n), DenseVectorClock(pid, n, delta=True)
     assert sparse._array is None and not sparse._cells
     for op in ops:
-        if op[0] == "merge_delta" and not delta:
-            continue  # a full-stamp clock is never sent a delta
         sparse, seen = apply(sparse, op)
         dense, expected = apply(dense, op)
         assert seen == expected, op
@@ -110,22 +127,21 @@ def run_lockstep(n, pid, delta, ops):
     return sparse, dense
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+@pytest.mark.parametrize("n", SIZES, ids=lambda n: f"delta-{n}")
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_clock_matches_the_dense_reference(n, delta, data):
+def test_clock_matches_the_dense_reference(n, data):
     pid = data.draw(st.integers(0, n - 1))
-    run_lockstep(n, pid, delta, data.draw(clock_ops(n)))
+    run_lockstep(n, pid, data.draw(clock_ops(n)))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_a_delta_only_sequence_never_builds_the_array(n):
     ops = [("tick",), ("merge_delta", ((n - 1, 7),)), ("stamp_for", n - 1)] * 5
-    sparse, _ = run_lockstep(n, 0, True, ops)
+    sparse, _ = run_lockstep(n, 0, ops)
     assert sparse._array is None and dict(sparse._cells) == {0: 5, n - 1: 7}
     sparse, _ = run_lockstep(
-        n, 0, True, ops + [("pickle", 2), ("tick",), ("deepcopy",), ("tick",)]
+        n, 0, ops + [("pickle", 2), ("tick",), ("deepcopy",), ("tick",)]
     )
     # two entries set: under half of 16 or 300, so the image is the
     # sparse one and the clone stays sparse; of 3 it is the whole vector
@@ -140,35 +156,55 @@ def test_a_delta_only_sequence_never_builds_the_array(n):
 def test_the_first_whole_vector_operation_builds_it(n, kind):
     values = [(7 * i) % 5 for i in range(n)]
     first = {
-        "merge_tuple": ("merge_tuple", tuple(values)),
-        "merge_array": ("merge_array", values),
-        "restore": ("restore", tuple(values)),
-        "read_clock": ("read_clock",),
-        # a full-stamp-mode clock answers its first send with a full stamp
-        "stamp_for": ("stamp_for", 0),
+        "merge_tuple": [("merge_tuple", tuple(values))],
+        "merge_array": [("merge_array", values)],
+        "restore": [("restore", tuple(values))],
+        "read_clock": [("read_clock",)],
+        # a clock loaded from a full-stamp image answers its first send
+        # with a full stamp
+        "stamp_for": [("full_stamp_image",), ("stamp_for", 0)],
     }[kind]
-    delta = kind != "stamp_for"
-    sparse, _ = run_lockstep(n, n - 1, delta, [first])
+    sparse, _ = run_lockstep(n, n - 1, first)
     assert sparse._array is not None and type(sparse._cells) is memoryview
-    run_lockstep(n, n - 1, delta, [first, ("tick",), ("merge_delta", ((0, 9),)),
-                                   ("stamp_for", 0), ("pickle", 2), ("tick",)])
+    run_lockstep(n, n - 1, first + [("tick",), ("merge_delta", ((0, 9),)),
+                                    ("stamp_for", 0), ("pickle", 2), ("tick",)])
 
 
 def test_a_long_delta_is_capped_to_a_full_stamp_and_densifies():
     n = 300
     cap = max(8, n // 8)
     over = tuple((i, 3) for i in range(1, cap + 2))
-    sparse, _ = run_lockstep(n, 0, True, [("merge_delta", over)])
+    sparse, _ = run_lockstep(n, 0, [("merge_delta", over)])
     assert sparse._array is None
-    sparse, _ = run_lockstep(n, 0, True, [("merge_delta", over), ("stamp_for", 5)])
+    sparse, _ = run_lockstep(n, 0, [("merge_delta", over), ("stamp_for", 5)])
     assert sparse._array is not None
     under = over[: cap - 1]
-    sparse, _ = run_lockstep(n, 0, True, [("merge_delta", under), ("stamp_for", 5)])
+    sparse, _ = run_lockstep(n, 0, [("merge_delta", under), ("stamp_for", 5)])
     assert sparse._array is None
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_a_full_stamp_image_owes_every_channel_a_full_stamp(n):
+    """An image of a full-stamp run (its receivers hold no delta base)
+    loads with every channel's next stamp full, never an empty delta;
+    the one after that is a delta again."""
+    written = DenseVectorClock(1, n)  # delta=False: the deleted mode
+    written.tick()
+    written.merge([3] * n)
+    clone = VectorClock.__new__(VectorClock)
+    clone.__setstate__(written.__getstate__())
+    assert "_delta" not in clone.__getstate__()[1]
+    assert clone.snapshot() == written.snapshot() == (3,) * n
+    for dst in range(n):
+        stamp = clone.stamp_for(dst)
+        assert type(stamp) is np.ndarray and stamp.tolist() == [3] * n
+    assert clone.stamp_for(0) == VCDelta(())
+    clone.tick()
+    assert clone.stamp_for(0) == VCDelta(((1, 4),))
 
 
 def test_a_zero_left_by_a_read_miss_is_not_written_out():
-    vc = VectorClock(0, 16, delta=True)
+    vc = VectorClock(0, 16)
     vc.merge_delta([(3, 0), (4, 2)])  # the miss on 3 leaves a 0 entry
     assert vc._array is None and vc._cells[3] == 0
     packed = vc.__getstate__()[1]["clock"]

@@ -12,6 +12,28 @@ scripted scenarios of the paper's Figs. 1-4.
 
 ``python tests/analysis/test_trace_index.py`` prints the table.
 
+The figure cases were re-pinned when checkpoint and message ids stopped
+being process-wide counters: a ``ScenarioHarness`` numbers both from 0
+now, where it used to continue whatever the process had handed out, so
+nine digests of the five figure cases moved (ids show up in verdict
+texts and renderings). Every one of the 81 values equals what commit
+ebedd78 — the last with the global counters — produces with both
+counters started at 0 before each case; at that commit, from the repo
+root::
+
+    PYTHONPATH=src:. python -c "
+    import json
+    from repro.checkpointing.types import restore_checkpoint_ids
+    from repro.net.message import restore_message_ids
+    from tests.analysis.test_trace_index import CASES
+    table = {}
+    for name in CASES:
+        restore_checkpoint_ids(0); restore_message_ids(0)
+        table[name] = CASES[name]()
+    print(json.dumps(table, indent=4))"
+
+prints ``PARITY`` exactly as pinned below.
+
 Walk counts: every reader iterates the ``TraceLog`` once, however many
 initiations it holds (the parent walked it once or twice per commit).
 
@@ -33,7 +55,6 @@ from repro.analysis.minimality import check_minimality
 from repro.analysis.trace_index import TraceIndex
 from repro.campaign.engine import build_point_runtime
 from repro.campaign.spec import RunPoint
-from repro.checkpointing.types import checkpoint_ids_state, restore_checkpoint_ids
 from repro.explore import (
     ExploreSpec,
     check_invariants,
@@ -41,7 +62,6 @@ from repro.explore import (
     run_explore_once,
     run_explore_point,
 )
-from repro.net.message import message_ids_state, restore_message_ids
 from repro.obs.forensics import build_forensics
 from repro.scenarios import figures
 from repro.scenarios.harness import ScenarioHarness
@@ -143,7 +163,8 @@ CASES = {
     "figure4": lambda: _figure("figure4"),
 }
 
-#: recorded at the parent commit; the change must pass them unedited
+#: recorded at the parent commit (figure cases: with both id counters at
+#: 0, see the module docstring); a change must pass them unedited
 PARITY = {
     "mutable-16p": {
         "invariants":
@@ -265,29 +286,29 @@ PARITY = {
     },
     "figure1": {
         "invariants":
-            "33236d9f7d944e6a08e0ef8fae7a1debd3340d3bbc32ca210b7ef97363ef9b18",
+            "298336a118167e059b502622baf4c6f4666ee458861efdc01628d316986ea3e5",
         "minimality":
             "83f02437c5031181a951f3d249a90e6383a22c6cccd9535c9d13667326d90020",
         "orphans":
-            "39ccf9fcf5c69233c4480c20ca472cff5c196c9abfd98a45df5739283f596b91",
+            "19137677e5e1350d455763aa62254cdfcc5de950bf8f07d5ffb5364ce212471f",
         "forensics":
             "978da5e01dc627ae7f40b5b65f9a4b8dac6724aa0d9803d0ceb8c303542b13e6",
         "renderings":
-            "5d6dedb7b734339ff805bd628cdbb47ce636d8b4728293ba36ed0a3f3f3c66e8",
+            "19a6355f575655cd79ad66de62764d6ea953eea08e7e096d93390d3edc92f50a",
         "stats":
             "ae13dd95894eb37598529ae243da539c15cce68b90f58f054c6da87826474a4e",
     },
     "figure2": {
         "invariants":
-            "05303388b4fb2be578033af090cbbbf2f7781e8e6b35163b51fadbe6a0118a28",
+            "47a92be6bc080609d55da8a626a6d0fccb31e626b338cc68df03a13b8e5ce691",
         "minimality":
             "e4b0ddd9cda13b84ae984a0f785e85a6e74ffd0f3342f0658be958f0376f4d92",
         "orphans":
-            "9282f2476cad09a804f0003a6ace7c9ea5b31117bca882c42c977059807ca7a5",
+            "2f6795dac9c0b84431b69f42b5d0907e5d78214ff3e989364e4b95877794f66e",
         "forensics":
             "2034dded530f5a797e0daa4648fa596c81682720570c60b57ae6efa5dfa482e4",
         "renderings":
-            "53d64c0d10b435b2e27f7f2b2929a2ff8d6d0cf856c5f41c3d63666e2bc34124",
+            "7f9acaec0060e6eaae08bb3234b9c758709d7233ac6cc5b200dba05581dfdfb3",
         "stats":
             "6628f9472a0661efc4fdad2e755380fd561780d6094bac6d6d923bf6e29dde59",
     },
@@ -301,7 +322,7 @@ PARITY = {
         "forensics":
             "76d7ae3daa6db2cbffad272524a4640571cf65feb1a6533fdd02c260fc316172",
         "renderings":
-            "451885630ae8e8f8a728f2e172d9bc6642161b8cb7ed2f01ade1c0a7f58c0147",
+            "76f5a536d86c34618300591351c11646b529ee9087a9e0c63404efe5c771dbda",
         "stats":
             "79af81aed6841db4447b3ba86c5e34d69b1c7eb67706889887121b8bf4013621",
     },
@@ -315,7 +336,7 @@ PARITY = {
         "forensics":
             "68f6607ecd1fdec84c940a721c49c9953546d0956d1251aaad8e93d2edc8a95a",
         "renderings":
-            "9297c329d7213bdde5c2d4aed8eb4b8ae7cccd8cffe0f6d65d7b842104004345",
+            "8b34b2fe916ddfc2f0b8ee12348491f5a61f1b4ca87253b378b9287b835726ec",
         "stats":
             "74ea7316d736c0089d9bfb018a95b09bd8e4452b755c99fafedc6b6bba74acd2",
     },
@@ -329,29 +350,16 @@ PARITY = {
         "forensics":
             "9bcade637fd9a8d4509235ee519321d453488bd6bcad2e7d7b69bc5ebe9b44f8",
         "renderings":
-            "5fb6c845751909238960fe4a3dab5864b817deb0f1933d17521b3eaf6401c423",
+            "37ecb7e1fd1c74d9cc821301d3e662c0a235b43c04e6383d86d548b7e68cfec0",
         "stats":
             "7fa639e93131d6f1557884e529cb9db9223131f0a1ab62897d47af6a66e057ec",
     },
 }
 
 
-def _run_case(name: str) -> dict:
-    """Checkpoint and fallback message ids are process-wide counters that
-    show up in verdict texts; start each case from the same ones."""
-    saved = checkpoint_ids_state(), message_ids_state()
-    restore_checkpoint_ids(1)
-    restore_message_ids(1)
-    try:
-        return CASES[name]()
-    finally:
-        restore_checkpoint_ids(saved[0])
-        restore_message_ids(saved[1])
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_verdicts_match_the_parent(name):
-    assert _run_case(name) == PARITY[name]
+    assert CASES[name]() == PARITY[name]
 
 
 # -- walk counts -----------------------------------------------------------
@@ -518,4 +526,4 @@ def test_a_receive_with_no_send_is_an_orphan_on_a_complete_log():
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: _run_case(name) for name in CASES}, indent=4))
+    print(json.dumps({name: CASES[name]() for name in CASES}, indent=4))

@@ -9,8 +9,10 @@ from repro.checkpointing.types import CheckpointKind, CheckpointRecord
 from repro.errors import StorageError
 
 
-def record(pid=0, csn=1, kind=CheckpointKind.TENTATIVE):
-    return CheckpointRecord(pid=pid, csn=csn, kind=kind, time_taken=0.0)
+def record(pid=0, csn=1, kind=CheckpointKind.TENTATIVE, ckpt_id=0):
+    return CheckpointRecord(
+        pid=pid, csn=csn, kind=kind, time_taken=0.0, ckpt_id=ckpt_id
+    )
 
 
 class TestStableStorage:
@@ -87,8 +89,9 @@ class TestLocalStore:
 
     def test_multiple_mutables_coexist(self):
         store = LocalStore()
-        a = record(kind=CheckpointKind.MUTABLE)
-        b = record(csn=2, kind=CheckpointKind.MUTABLE)
+        # the store is keyed by ckpt_id: two ids, two entries
+        a = record(kind=CheckpointKind.MUTABLE, ckpt_id=1)
+        b = record(csn=2, kind=CheckpointKind.MUTABLE, ckpt_id=2)
         store.save(a)
         store.save(b)
         assert len(store) == 2

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import count
+
+import pytest
+
 from repro.checkpointing.types import (
     CheckpointKind,
     CheckpointRecord,
@@ -19,8 +23,14 @@ def test_trigger_equality_and_ordering():
 
 
 def test_checkpoint_record_ids_unique_and_monotone():
-    a = CheckpointRecord(pid=0, csn=1, kind=CheckpointKind.MUTABLE, time_taken=0.0)
-    b = CheckpointRecord(pid=0, csn=2, kind=CheckpointKind.MUTABLE, time_taken=0.0)
+    """Ids are issued by the run (its ``checkpoint_ids``), not by the record."""
+    with pytest.raises(TypeError):
+        CheckpointRecord(pid=0, csn=1, kind=CheckpointKind.MUTABLE, time_taken=0.0)
+    ids = count()
+    a = CheckpointRecord(pid=0, csn=1, kind=CheckpointKind.MUTABLE, time_taken=0.0,
+                         ckpt_id=next(ids))
+    b = CheckpointRecord(pid=0, csn=2, kind=CheckpointKind.MUTABLE, time_taken=0.0,
+                         ckpt_id=next(ids))
     assert b.ckpt_id > a.ckpt_id
 
 
@@ -31,7 +41,7 @@ def test_is_stable():
         (CheckpointKind.PERMANENT, True),
         (CheckpointKind.DISCONNECT, False),
     ]:
-        r = CheckpointRecord(pid=0, csn=1, kind=kind, time_taken=0.0)
+        r = CheckpointRecord(pid=0, csn=1, kind=kind, time_taken=0.0, ckpt_id=0)
         assert r.is_stable is stable
 
 

@@ -4,15 +4,17 @@ The scaling work (sparse :class:`~repro.analysis.vector_clock.VCDelta`
 message stamps, array-backed protocol state) must be *invisible* to
 every observable of a run: same trace ``content_hash``, same metrics
 snapshot, same final vector clocks, at every population. Each cell runs
-the same (protocol, population, seed) twice — once with
-``piggyback_mode="delta"`` (the default) and once with the full-vector
-reference path — and requires byte-identical results.
+the same (protocol, population, seed) twice — once as built, and once
+with every process's clock swapped for the full-vector reference
+(:class:`tests.analysis._dense_reference.DenseVectorClock` in its
+full-stamp mode, which stamps every message with its whole clock) — and
+requires byte-identical results.
 
 The 16p cells are additionally anchored to the PR-5 golden hash: the
 fast-path witness run (config B of ``test_fastpath_determinism``) must
-reproduce its pre-overhaul golden trace hash under *both* piggyback
-modes, pinning the whole stack to a value captured before any of the
-scaling machinery existed.
+reproduce its pre-overhaul golden trace hash with *either* clock,
+pinning the whole stack to a value captured before any of the scaling
+machinery existed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from repro.core.system import MobileSystem
 from repro.errors import SimulationError
 from repro.workload.point_to_point import PointToPointWorkload
 
+from tests.analysis._dense_reference import DenseVectorClock
+
 #: pre-overhaul golden for the 16p trace-off witness run (config B of
 #: test_fastpath_determinism, captured on commit 2258971)
 GOLDEN_16P_TRACE_HASH = (
@@ -39,14 +43,19 @@ POPULATIONS = (16, 64, 256)
 SEEDS = (3, 11, 20260806)
 
 
+def full_stamped(system: MobileSystem) -> MobileSystem:
+    """``system`` with the full-stamp reference clock in every process."""
+    n = system.config.n_processes
+    for pid, process in system.processes.items():
+        process.vc = DenseVectorClock(pid, n)
+    return system
+
+
 def _run(protocol_name: str, n: int, seed: int, mode: str):
-    config = SystemConfig(
-        n_processes=n,
-        seed=seed,
-        checkpoint_interval=30.0,
-        piggyback_mode=mode,
-    )
+    config = SystemConfig(n_processes=n, seed=seed, checkpoint_interval=30.0)
     system = MobileSystem(config, build_protocol(protocol_name))
+    if mode == "full":
+        full_stamped(system)
     workload = PointToPointWorkload(
         system, PointToPointWorkloadConfig(mean_send_interval=15.0)
     )
@@ -96,10 +105,11 @@ def test_delta_mode_matches_full_reference(protocol_name, n, seed):
 
 @pytest.mark.parametrize("mode", ["delta", "full"])
 def test_16p_witness_matches_pr5_golden(mode):
-    """Both piggyback modes reproduce the pre-overhaul golden hash."""
-    config = SystemConfig(n_processes=16, seed=7, trace_messages=False,
-                          piggyback_mode=mode)
+    """Both clocks reproduce the pre-overhaul golden hash."""
+    config = SystemConfig(n_processes=16, seed=7, trace_messages=False)
     system = MobileSystem(config, build_protocol("mutable"))
+    if mode == "full":
+        full_stamped(system)
     workload = PointToPointWorkload(
         system, PointToPointWorkloadConfig(mean_send_interval=15.0)
     )

@@ -19,15 +19,19 @@ from repro.core.system import MobileSystem
 from repro.errors import SimulationError
 from repro.workload.point_to_point import PointToPointWorkload
 
+from tests.analysis._dense_reference import DenseVectorClock
+from tests.integration.test_scale_equivalence import full_stamped
+
 N = 256
 
 
 def _runner(mode: str) -> ExperimentRunner:
     config = SystemConfig(
-        n_processes=N, seed=11, checkpoint_interval=30.0, piggyback_mode=mode,
-        trace_messages=False,
+        n_processes=N, seed=11, checkpoint_interval=30.0, trace_messages=False,
     )
     system = MobileSystem(config, build_protocol("mutable"))
+    if mode == "full":
+        full_stamped(system)
     workload = PointToPointWorkload(
         system, PointToPointWorkloadConfig(mean_send_interval=15.0)
     )
@@ -67,7 +71,7 @@ def test_clocks_that_went_dense_mid_run_equal_the_full_stamp_run():
     delta, full = _drive("delta", 10_000), _drive("full", 10_000)
     dense = [p.pid for p in delta.processes.values() if p.vc._array is not None]
     assert N // 2 < len(dense)
-    assert all(p.vc._array is not None for p in full.processes.values())
+    assert all(type(p.vc) is DenseVectorClock for p in full.processes.values())
     for pid in range(N):
         mine, reference = delta.processes[pid].vc, full.processes[pid].vc
         assert mine.snapshot() == reference.snapshot()

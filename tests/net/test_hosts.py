@@ -52,7 +52,7 @@ def test_doze_mode_wakes_on_message():
 def test_checkpoint_data_stored_at_mss():
     sim, net, mss, mh, _ = build()
     record = CheckpointRecord(
-        pid=0, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0
+        pid=0, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0, ckpt_id=0
     )
     saved = []
     data = CheckpointDataMessage(src_pid=0, dst_pid=None, checkpoint_ref=record)
@@ -71,7 +71,7 @@ def test_checkpoint_transfers_serialize_on_shared_cell_medium():
     done = []
     for i, host in enumerate((mh, mh2)):
         record = CheckpointRecord(
-            pid=i, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0
+            pid=i, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0, ckpt_id=0
         )
         data = CheckpointDataMessage(src_pid=i, dst_pid=None, checkpoint_ref=record)
         data.on_stored = lambda: done.append(sim.now)
@@ -90,7 +90,7 @@ def test_checkpoint_transfers_concurrent_without_shared_medium():
     done = []
     for i, host in enumerate((mh, mh2)):
         record = CheckpointRecord(
-            pid=i, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0
+            pid=i, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0, ckpt_id=0
         )
         data = CheckpointDataMessage(src_pid=i, dst_pid=None, checkpoint_ref=record)
         data.on_stored = lambda: done.append(sim.now)
@@ -104,7 +104,7 @@ def test_demoted_checkpoint_data_dropped():
     """A record demoted while in flight (abort) is not stored."""
     sim, net, mss, mh, _ = build()
     record = CheckpointRecord(
-        pid=0, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0
+        pid=0, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0, ckpt_id=0
     )
     data = CheckpointDataMessage(src_pid=0, dst_pid=None, checkpoint_ref=record)
     stored = []
@@ -119,7 +119,7 @@ def test_demoted_checkpoint_data_dropped():
 def test_background_bytes_counted():
     sim, net, mss, mh, _ = build()
     record = CheckpointRecord(
-        pid=0, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0
+        pid=0, csn=1, kind=CheckpointKind.TENTATIVE, time_taken=0.0, ckpt_id=0
     )
     data = CheckpointDataMessage(src_pid=0, dst_pid=None, checkpoint_ref=record)
     mh.transfer_checkpoint_data(data)

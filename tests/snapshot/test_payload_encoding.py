@@ -67,7 +67,7 @@ def test_int_vector_round_trips(values):
 def test_vector_clock_round_trips(values):
     values = values or [0]
     n = len(values)
-    vc = VectorClock(0, n, delta=True)
+    vc = VectorClock(0, n)
     vc.restore(values)
     vc.tick()
     vc.stamp_for(n - 1)
@@ -92,7 +92,7 @@ def test_vector_clock_round_trips(values):
 
 def test_a_clock_that_never_went_dense_round_trips_as_its_entries():
     n = 1024
-    vc = VectorClock(5, n, delta=True)
+    vc = VectorClock(5, n)
     vc.tick()
     vc.merge_delta([(900, 4), (17, 2)])
     assert vc._array is None
