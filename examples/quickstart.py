@@ -37,7 +37,7 @@ def main() -> None:
 
     line = latest_permanent_line(system.all_stable_storages(), system.processes)
     assert_line_consistent(system.sim.trace, line)
-    print("  recovery line             : consistent (orphan scan + vector clocks)")
+    print("  recovery line             : consistent (orphan scan + channel counts)")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Verification and analysis: vector clocks, consistency, statistics."""
+"""Verification and analysis: consistency, vector clocks, statistics."""
 
 from repro.analysis.comparison import (
     AlgorithmCosts,
@@ -13,7 +13,7 @@ from repro.analysis.comparison import (
 from repro.analysis.consistency import (
     Orphan,
     assert_line_consistent,
-    check_vector_clocks,
+    check_channel_counts,
     find_orphans,
     latest_permanent_line,
 )
@@ -30,7 +30,6 @@ from repro.analysis.vector_clock import (
     VectorClock,
     concurrent,
     happened_before,
-    snapshot_consistent,
 )
 
 __all__ = [
@@ -50,7 +49,7 @@ __all__ = [
     "VectorClock",
     "analytic_table",
     "assert_line_consistent",
-    "check_vector_clocks",
+    "check_channel_counts",
     "committed_stats",
     "concurrent",
     "elnozahy_costs",
@@ -63,6 +62,5 @@ __all__ = [
     "mutable_costs",
     "per_initiation_stats",
     "required_samples",
-    "snapshot_consistent",
     "summarize",
 ]

@@ -12,9 +12,12 @@ Two independent witnesses, sharing no code with the protocols:
    captured. Positions and send/receive pairs come from
    :class:`~repro.analysis.trace_index.TraceIndex`.
 
-2. **Vector-clock test** (:func:`check_vector_clocks`): uses the clock
-   snapshots embedded in the checkpoint records
-   (:func:`repro.analysis.vector_clock.snapshot_consistent`).
+2. **Channel-count test** (:func:`check_channel_counts`): uses the
+   per-peer ``sent`` / ``received`` counts embedded in the checkpoint
+   records. Channels are FIFO, so ``ckpt_j`` recording more receives
+   from i than ``ckpt_i`` records sends to j *is* an orphan on i -> j
+   (:func:`orphan_holder`). It needs no message records, so it is
+   complete on a truncated log too.
 
 Both are applied to *recovery lines*: for each process the latest stable
 checkpoint with ``time_taken <=`` some cut criterion, or simply the
@@ -27,9 +30,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.analysis.trace_index import TraceIndex, TraceSource
-from repro.analysis.vector_clock import snapshot_consistent
 from repro.checkpointing.storage import StableStorage
-from repro.checkpointing.types import CheckpointKind, CheckpointRecord
+from repro.checkpointing.types import ChannelCounts, CheckpointKind, CheckpointRecord
 from repro.errors import InconsistentCheckpointError
 
 
@@ -90,11 +92,50 @@ def find_orphans(
     )
 
 
-def check_vector_clocks(line: Dict[int, CheckpointRecord]) -> bool:
-    """Vector-clock consistency of the global checkpoint ``line``."""
-    return snapshot_consistent(
-        (pid, record.vector_clock) for pid, record in line.items()
-    )
+def orphan_holder(line: Dict[int, CheckpointRecord]) -> Optional[int]:
+    """The first pid whose checkpoint records more receives from some
+    peer i than ``line[i]`` records sends to it, or ``None``.
+
+    Every record must carry counts. Why this is exact: channels are
+    FIFO, so the surplus receives are messages whose send ``line[i]``
+    does not record; and any causal path from after ``line[i]`` to
+    before ``line[j]`` has a first hop received inside its receiver's
+    checkpoint, whose send is outside its sender's: an orphan, found here.
+    """
+    for pid, record in line.items():
+        for peer, count in record.received.items():
+            other = line.get(peer)
+            if other is not None and count > other.sent.get(pid, 0):
+                return pid
+    return None
+
+
+def check_channel_counts(line: Dict[int, CheckpointRecord]) -> Optional[bool]:
+    """Whether the channel counts of ``line`` show no orphan; ``None``
+    (unjudged) when a record carries no counts."""
+    if any(record.sent is None for record in line.values()):
+        return None
+    return orphan_holder(line) is None
+
+
+def channel_received(line: Dict[int, CheckpointRecord], pid: int) -> ChannelCounts:
+    """``pid``'s received counts after a rollback to ``line``.
+
+    A rollback empties the channels: what is in transit across the line
+    is dropped by the incarnation check, so ``pid`` has received from
+    each peer exactly what the peer's checkpoint records as sent to it.
+    Its own record's ``received`` would leave that in-transit gap open
+    for good and hide later orphans of that size. ``None`` when a record
+    carries no counts.
+    """
+    received: Dict[int, int] = {}
+    for peer, record in line.items():
+        if record.sent is None:
+            return None
+        count = record.sent.get(pid)
+        if count:
+            received[peer] = count
+    return received
 
 
 def latest_permanent_line(
@@ -125,15 +166,16 @@ def assert_line_consistent(
     trace: TraceSource, line: Dict[int, CheckpointRecord]
 ) -> None:
     """Raise :class:`InconsistentCheckpointError` unless ``line`` passes
-    both the orphan scan and the vector-clock test (the latter needs no
-    message records, so it is complete on a truncated log too)."""
+    the orphan scan and, where its records carry counts, the
+    channel-count test."""
     orphans = find_orphans(trace, line)
     if orphans:
         raise InconsistentCheckpointError(
             "orphan messages in recovery line: "
             + "; ".join(str(o) for o in orphans[:5])
         )
-    if not check_vector_clocks(line):
+    if check_channel_counts(line) is False:
         raise InconsistentCheckpointError(
-            "vector-clock test failed for recovery line"
+            f"channel-count test failed for recovery line: p{orphan_holder(line)} "
+            "recorded receives its peers did not record as sent"
         )

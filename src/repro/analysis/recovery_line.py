@@ -7,12 +7,14 @@ the domino effect. Coordinated checkpointing exists to avoid exactly
 this.
 
 :func:`maximal_consistent_line` implements the classic fixed-point
-search over vector-clock snapshots: start from every process's newest
-checkpoint; while some checkpoint has observed more of process i than
-i's own chosen checkpoint records, roll the observer back; repeat. The
-result is the unique maximal consistent line (the lattice of consistent
-cuts guarantees the greedy fixed point is maximal), and the number of
-checkpoints skipped per process measures the domino depth.
+search over the checkpoints' channel counts: start from every process's
+newest checkpoint; while some checkpoint records more receives from a
+process i than i's chosen checkpoint records sends to it (an orphan,
+:func:`~repro.analysis.consistency.orphan_holder`), roll the receiver
+back; repeat. The result is the unique maximal consistent line (the
+lattice of consistent cuts guarantees the greedy fixed point is
+maximal), and the number of checkpoints skipped per process measures
+the domino depth.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
+from repro.analysis.consistency import orphan_holder
 from repro.checkpointing.storage import StableStorage
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord
 from repro.errors import InconsistentCheckpointError
@@ -70,27 +73,16 @@ def maximal_consistent_line(
 ) -> RecoveryLineSearch:
     """Greedy fixed-point search for the newest consistent line.
 
-    Requires every checkpoint record to carry a vector-clock snapshot.
+    Requires every checkpoint record to carry channel counts.
     Terminates because indices only decrease and the all-initial line
-    (vector clocks of zeros) is always consistent.
+    (nothing sent, nothing received) is always consistent.
     """
     index = {pid: len(records) - 1 for pid, records in histories.items()}
     iterations = 0
     while True:
         iterations += 1
         current = {pid: histories[pid][i] for pid, i in index.items()}
-        violator = None
-        for pid_j, rec_j in current.items():
-            for pid_i, rec_i in current.items():
-                if pid_i == pid_j:
-                    continue
-                # rec_j observed more of pid_i than pid_i's checkpoint
-                # records: rec_j is an orphan-holder and must roll back.
-                if rec_j.vector_clock[pid_i] > rec_i.vector_clock[pid_i]:
-                    violator = pid_j
-                    break
-            if violator is not None:
-                break
+        violator = orphan_holder(current)
         if violator is None:
             depth = {
                 pid: len(histories[pid]) - 1 - i for pid, i in index.items()

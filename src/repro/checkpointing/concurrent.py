@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.analysis.consistency import (
-    check_vector_clocks,
+    check_channel_counts,
     find_orphans,
     latest_permanent_line,
 )
@@ -68,11 +68,11 @@ class HazardReport:
     seed: int
     policy: ConcurrencyPolicy
     orphan_count: int
-    vector_clock_consistent: bool
+    channel_counts_consistent: bool
 
     @property
     def consistent(self) -> bool:
-        return self.orphan_count == 0 and self.vector_clock_consistent
+        return self.orphan_count == 0 and self.channel_counts_consistent
 
 
 def concurrent_initiation_hazard(
@@ -111,5 +111,5 @@ def concurrent_initiation_hazard(
         seed=seed,
         policy=policy,
         orphan_count=len(orphans),
-        vector_clock_consistent=check_vector_clocks(line),
+        channel_counts_consistent=check_channel_counts(line),
     )

@@ -143,6 +143,7 @@ def disconnect_process(system: "MobileSystem", pid: int) -> DisconnectRecord:
     mss = host.mss
     if mss is None:
         raise ProtocolError(f"{host.name} has no serving MSS")
+    sent, received = process.capture_channels()
     checkpoint = CheckpointRecord(
         pid=pid,
         csn=-1,
@@ -151,7 +152,8 @@ def disconnect_process(system: "MobileSystem", pid: int) -> DisconnectRecord:
         ckpt_id=next(system.checkpoint_ids),
         state=process.capture_state(),
         trigger=None,
-        vector_clock=process.vc.snapshot(),
+        sent=sent,
+        received=received,
         size_bytes=system.config.checkpoint_size_bytes,
     )
     assert mss.stable_storage is not None

@@ -37,7 +37,12 @@ import copy
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.checkpointing.types import CheckpointKind, CheckpointRecord, Trigger
+from repro.checkpointing.types import (
+    ChannelCounts,
+    CheckpointKind,
+    CheckpointRecord,
+    Trigger,
+)
 from repro.net.message import ComputationMessage, SystemMessage
 
 
@@ -81,8 +86,9 @@ class ProcessEnv(ABC):
         """Snapshot the application state for a checkpoint."""
 
     @abstractmethod
-    def capture_vector_clock(self) -> Tuple[int, ...]:
-        """Snapshot the runtime-maintained vector clock (verification)."""
+    def capture_channels(self) -> Tuple[ChannelCounts, ChannelCounts]:
+        """Copies of the runtime's per-peer ``(sent, received)`` message
+        counts (verification and rollback; ``(None, None)`` if it keeps none)."""
 
     @abstractmethod
     def next_checkpoint_id(self) -> int:
@@ -211,6 +217,7 @@ class ProtocolProcess(ABC):
         trigger: Optional[Trigger],
     ) -> CheckpointRecord:
         """Capture application state into a new checkpoint record."""
+        sent, received = self.env.capture_channels()
         return CheckpointRecord(
             pid=self.pid,
             csn=csn,
@@ -219,7 +226,8 @@ class ProtocolProcess(ABC):
             ckpt_id=self.env.next_checkpoint_id(),
             state=self.env.capture_state(),
             trigger=trigger,
-            vector_clock=self.env.capture_vector_clock(),
+            sent=sent,
+            received=received,
         )
 
 

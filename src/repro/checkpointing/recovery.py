@@ -9,7 +9,7 @@ argument).
 :class:`RecoveryManager` implements the post-failure procedure against
 the simulated system: assemble the recovery line from the MSSs' stable
 storages, verify it (belt-and-braces, using the independent checkers),
-restore every process's application state and vector clock, and report
+restore every process's application state and channel counts, and report
 how much computation was lost.
 """
 
@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
+from repro.analysis.consistency import (
+    assert_line_consistent,
+    channel_received,
+    latest_permanent_line,
+)
 from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.types import CheckpointRecord
 from repro.errors import ProtocolError
@@ -62,10 +66,11 @@ class RecoveryManager:
     def rollback(self, verify: bool = True) -> RollbackReport:
         """Roll every process back to the current recovery line.
 
-        Application state and vector clocks are restored from the
-        checkpoint snapshots. In-flight computation messages are
-        considered lost (the recovering system re-executes from the
-        line; channel state is empty after a coordinated rollback).
+        Application state and sent counts are restored from the
+        checkpoints. In-flight computation messages are considered lost
+        (the recovering system re-executes from the line; channel state
+        is empty after a coordinated rollback), so received counts are
+        what the line records as sent (:func:`channel_received`).
         """
         line = self.recovery_line()
         index = TraceIndex(self.system.sim.trace)
@@ -76,7 +81,9 @@ class RecoveryManager:
             process = self.system.processes.get(pid)
             if process is None:
                 raise ProtocolError(f"recovery line names unknown pid {pid}")
-            process.restore_state(record.state, record.vector_clock)
+            process.restore_state(
+                record.state, record.sent, channel_received(line, pid)
+            )
             rolled_back.append(pid)
         lost = self._count_lost_messages(index, line)
         report = RollbackReport(

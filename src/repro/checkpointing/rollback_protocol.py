@@ -11,7 +11,10 @@ papers assume:
 2. every process suspends its computation, restores its newest
    permanent checkpoint (which, under coordinated checkpointing, *is*
    the recovery line — no search needed), discards buffered activity,
-   adopts the incarnation, and acknowledges;
+   adopts the incarnation, and acknowledges. Its channel counts come
+   back as if every channel were empty: sends from its own checkpoint,
+   receives from what the line's other checkpoints record as sent to
+   it (:func:`~repro.analysis.consistency.channel_received`);
 3. when all acknowledgements are in, the initiator broadcasts
    ``resume``; computation restarts.
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.analysis.consistency import latest_permanent_line
+from repro.analysis.consistency import channel_received, latest_permanent_line
 from repro.errors import ProtocolError
 from repro.net.message import SystemMessage
 
@@ -137,12 +140,14 @@ class DistributedRecovery:
 
     def _roll_back_locally(self, process, incarnation: int) -> None:
         line = latest_permanent_line(
-            self.system.all_stable_storages(), [process.pid]
+            self.system.all_stable_storages(), self.system.processes
         )
         record = line[process.pid]
         process.block()
         process.discard_deferred()
-        process.restore_state(record.state, record.vector_clock)
+        process.restore_state(
+            record.state, record.sent, channel_received(line, process.pid)
+        )
         process.local_store.wipe()
         process.incarnation = incarnation
         self.system.sim.trace.record(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional
 
 
 class Trigger(NamedTuple):
@@ -48,6 +48,11 @@ def restore_checkpoint_ids(next_id: int) -> None:
     """Does nothing; see :func:`checkpoint_ids_state`."""
 
 
+#: per-peer message counts (peer pid -> messages); ``None`` where none
+#: were kept
+ChannelCounts = Optional[Dict[int, int]]
+
+
 @dataclass
 class CheckpointRecord:
     """One saved checkpoint of one process.
@@ -71,9 +76,12 @@ class CheckpointRecord:
     trigger:
         The initiation this checkpoint is associated with, or None for
         independent checkpoints (e.g. initial or disconnect checkpoints).
-    vector_clock:
-        Snapshot of the process's vector clock at capture time; consumed
-        only by the verification layer, never by protocols.
+    sent / received:
+        The process's per-peer message counts at capture time (peer pid
+        -> messages sent to it / received from it), read only by the
+        verification layer and by rollback, never by protocols. ``None``
+        on a checkpoint of a process restored from an image written
+        before processes counted: it carries no counts.
     size_bytes:
         Amount of data that must travel to stable storage to make this
         checkpoint tentative (incremental size, 512 KB by default).
@@ -86,7 +94,8 @@ class CheckpointRecord:
     ckpt_id: int
     state: Dict[str, Any] = field(default_factory=dict)
     trigger: Optional[Trigger] = None
-    vector_clock: Tuple[int, ...] = ()
+    sent: ChannelCounts = None
+    received: ChannelCounts = None
     size_bytes: int = 512 * 1024
 
     @property

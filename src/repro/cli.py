@@ -584,7 +584,7 @@ def _print_run_report(
         line = latest_permanent_line(system.all_stable_storages(), system.processes)
         assert_line_consistent(trace, line)
         coverage = (
-            f" (vector clocks in full; orphan scan on the retained window "
+            f" (channel counts in full; orphan scan on the retained window "
             f"only, {trace.debug_evicted} message records evicted)"
             if trace.debug_evicted else ""
         )

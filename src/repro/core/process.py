@@ -1,20 +1,20 @@
 """Application process runtime.
 
 An :class:`AppProcess` glues together one application process: it owns
-the (simulated) application state and vector clock, feeds incoming
-messages through the checkpointing protocol, applies blocking for
-blocking protocols, and exposes the :class:`RuntimeEnv` through which the
-protocol acts on the world.
+the (simulated) application state and per-channel message counts, feeds
+incoming messages through the checkpointing protocol, applies blocking
+for blocking protocols, and exposes the :class:`RuntimeEnv` through
+which the protocol acts on the world.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.vector_clock import VectorClock
 from repro.checkpointing.protocol import ProcessEnv
 from repro.checkpointing.storage import LocalStore
-from repro.checkpointing.types import CheckpointKind, CheckpointRecord
+from repro.checkpointing.types import ChannelCounts, CheckpointKind, CheckpointRecord
 from repro.errors import ProtocolError, StorageError
 from repro.net.message import (
     CheckpointDataMessage,
@@ -55,7 +55,10 @@ class AppProcess:
         self.system = system
         self.pid = pid
         self.host = host
-        self.vc = VectorClock(pid, system.config.n_processes)
+        #: computation messages sent to each peer / received from each
+        #: peer; ``None`` once restored from an image that kept no counts
+        self.sent: ChannelCounts = defaultdict(int)
+        self.received: ChannelCounts = defaultdict(int)
         self.app_state: Dict[str, Any] = {
             "messages_sent": 0,
             "messages_received": 0,
@@ -93,18 +96,19 @@ class AppProcess:
         self._do_send(dst_pid, payload)
 
     def _do_send(self, dst_pid: int, payload: Any) -> None:
-        self.vc.tick()
         message = ComputationMessage(
             src_pid=self.pid,
             dst_pid=dst_pid,
             payload=payload,
             msg_id=self._next_msg_id(),
         )
-        message.vc = self.vc.stamp_for(dst_pid)
         if self.incarnation:
             message.piggyback["inc"] = self.incarnation
         self.protocol_process.on_send_computation(message)
         self.app_state["messages_sent"] += 1
+        sent = self.sent
+        if sent is not None:
+            sent[dst_pid] += 1
         trace = self.system.sim.trace
         if trace.debug_on:
             trace.debug(
@@ -152,10 +156,9 @@ class AppProcess:
 
     def _deliver(self, message: ComputationMessage) -> None:
         """Hand a computation message to the application."""
-        vc_stamp = message.vc
-        if vc_stamp is not None:
-            self.vc.merge_stamp(vc_stamp)
-        self.vc.tick()
+        received = self.received
+        if received is not None:
+            received[message.src_pid] += 1
         app_state = self.app_state
         app_state["messages_received"] += 1
         app_state["steps"] += 1
@@ -204,10 +207,27 @@ class AppProcess:
         """Deep-enough copy of the application state."""
         return dict(self.app_state)
 
-    def restore_state(self, state: Dict[str, Any], vc: Tuple[int, ...]) -> None:
-        """Roll the application back to a checkpointed state."""
+    def capture_channels(self) -> Tuple[ChannelCounts, ChannelCounts]:
+        """Copies of the ``(sent, received)`` counts for a checkpoint."""
+        if self.sent is None:
+            return None, None
+        return dict(self.sent), dict(self.received)
+
+    def restore_state(
+        self,
+        state: Dict[str, Any],
+        sent: ChannelCounts,
+        received: ChannelCounts,
+    ) -> None:
+        """Roll the application and its channel counts back (rollback
+        passes ``received`` from the line, see
+        :func:`repro.analysis.consistency.channel_received`)."""
         self.app_state = dict(state)
-        self.vc.restore(vc)
+        if sent is None or received is None:
+            self.sent = self.received = None
+        else:
+            self.sent = defaultdict(int, sent)
+            self.received = defaultdict(int, received)
 
     def discard_deferred(self) -> None:
         """Drop buffered activity (a rollback invalidates it)."""
@@ -289,8 +309,8 @@ class RuntimeEnv(ProcessEnv):
     def capture_state(self) -> Dict[str, Any]:
         return self.process.capture_state()
 
-    def capture_vector_clock(self) -> Tuple[int, ...]:
-        return self.process.vc.snapshot()
+    def capture_channels(self) -> Tuple[ChannelCounts, ChannelCounts]:
+        return self.process.capture_channels()
 
     def next_checkpoint_id(self) -> int:
         return next(self.system.checkpoint_ids)

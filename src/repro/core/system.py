@@ -112,6 +112,7 @@ class MobileSystem:
                 self.processes[pid] = AppProcess(self, pid, mh)
 
         for pid, process in self.processes.items():
+            sent, received = process.capture_channels()
             initial = CheckpointRecord(
                 pid=pid,
                 csn=0,
@@ -120,7 +121,8 @@ class MobileSystem:
                 ckpt_id=next(self.checkpoint_ids),
                 state=process.capture_state(),
                 trigger=None,
-                vector_clock=process.vc.snapshot(),
+                sent=sent,
+                received=received,
                 size_bytes=config.checkpoint_size_bytes,
             )
             self.stable_storage_for(pid).store(initial)

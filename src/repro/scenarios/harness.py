@@ -15,14 +15,13 @@ log uses the same record kinds as the full simulation, so the
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import count
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, DefaultDict, Dict, List, Optional, Tuple
 
-from repro.analysis.vector_clock import VectorClock
 from repro.checkpointing.protocol import CheckpointProtocol, ProcessEnv
 from repro.checkpointing.storage import LocalStore, StableStorage
-from repro.checkpointing.types import CheckpointKind, CheckpointRecord
+from repro.checkpointing.types import ChannelCounts, CheckpointKind, CheckpointRecord
 from repro.errors import ProtocolError
 from repro.net.message import ComputationMessage, SystemMessage
 from repro.sim.trace import TraceLog
@@ -77,8 +76,8 @@ class HarnessEnv(ProcessEnv):
     def capture_state(self) -> Dict[str, Any]:
         return dict(self.harness.app_state[self.pid])
 
-    def capture_vector_clock(self) -> Tuple[int, ...]:
-        return self.harness.clocks[self.pid].snapshot()
+    def capture_channels(self) -> Tuple[ChannelCounts, ChannelCounts]:
+        return dict(self.harness.sent[self.pid]), dict(self.harness.received[self.pid])
 
     def next_checkpoint_id(self) -> int:
         return next(self.harness.checkpoint_ids)
@@ -152,7 +151,9 @@ class ScenarioHarness:
         self.app_state: List[Dict[str, Any]] = [
             {"messages_sent": 0, "messages_received": 0} for _ in range(n)
         ]
-        self.clocks = [VectorClock(i, n) for i in range(n)]
+        #: per pid: computation messages sent to / received from each peer
+        self.sent: List[DefaultDict[int, int]] = [defaultdict(int) for _ in range(n)]
+        self.received: List[DefaultDict[int, int]] = [defaultdict(int) for _ in range(n)]
         self.blocked = [False] * n
         self.pending: Deque[InFlight] = deque()
         # Blocking protocols (Koo-Toueg): a blocked process neither sends
@@ -175,7 +176,8 @@ class ScenarioHarness:
                 ckpt_id=next(self.checkpoint_ids),
                 state=dict(self.app_state[pid]),
                 trigger=None,
-                vector_clock=self.clocks[pid].snapshot(),
+                sent={},
+                received={},
             )
             self.storage.store(record)
             self.trace.record(0.0, "permanent", pid=pid, trigger=None, ckpt_id=record.ckpt_id)
@@ -201,13 +203,12 @@ class ScenarioHarness:
             self._deferred_sends[src].append((dst, payload))
             return None
         self.tick()
-        self.clocks[src].tick()
         message = ComputationMessage(
             src_pid=src, dst_pid=dst, payload=payload, msg_id=next(self.message_ids)
         )
-        message.vc = self.clocks[src].snapshot()
         self.processes[src].on_send_computation(message)
         self.app_state[src]["messages_sent"] += 1
+        self.sent[src][dst] += 1
         self.trace.record(
             float(self.clock), "comp_send", src=src, dst=dst, msg_id=message.msg_id
         )
@@ -250,10 +251,7 @@ class ScenarioHarness:
     def _consume(self, flight: InFlight) -> None:
         message = flight.message
         dst = flight.dst
-        vc = message.vc
-        if vc is not None:
-            self.clocks[dst].merge(vc)
-        self.clocks[dst].tick()
+        self.received[dst][message.src_pid] += 1
         self.app_state[dst]["messages_received"] += 1
         self.trace.record(
             float(self.clock), "comp_recv", src=message.src_pid, dst=dst,
@@ -328,6 +326,6 @@ class ScenarioHarness:
 
     def is_consistent(self) -> bool:
         """Whether the current recovery line passes both checkers."""
-        from repro.analysis.consistency import check_vector_clocks
+        from repro.analysis.consistency import check_channel_counts
 
-        return not self.find_orphans() and check_vector_clocks(self.recovery_line())
+        return not self.find_orphans() and bool(check_channel_counts(self.recovery_line()))

@@ -102,6 +102,11 @@ def restore(payload: bytes) -> SimulationImage:
         # written while checkpoint ids came from a module global
         system.checkpoint_ids = count(image.checkpoint_ids)
     for process in system.processes.values():
+        if "vc" in vars(process):
+            # written while processes kept a vector clock and no channel
+            # counts: its later checkpoints carry none (none are invented)
+            del process.vc
+            process.sent = process.received = None
         process._reattach()
         process.env._reattach()
     image.runner._reattach()

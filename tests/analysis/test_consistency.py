@@ -7,7 +7,8 @@ import pytest
 from repro.analysis.consistency import (
     Orphan,
     assert_line_consistent,
-    check_vector_clocks,
+    channel_received,
+    check_channel_counts,
     find_orphans,
     latest_permanent_line,
 )
@@ -18,10 +19,10 @@ from repro.errors import InconsistentCheckpointError
 from repro.sim.trace import TraceLog
 
 
-def ckpt(pid, csn, vc, kind=CheckpointKind.PERMANENT, ckpt_id=0):
+def ckpt(pid, csn, sent=None, received=None, kind=CheckpointKind.PERMANENT, ckpt_id=0):
     return CheckpointRecord(
-        pid=pid, csn=csn, kind=kind, time_taken=float(csn), vector_clock=vc,
-        ckpt_id=ckpt_id,
+        pid=pid, csn=csn, kind=kind, time_taken=float(csn), sent=sent,
+        received=received, ckpt_id=ckpt_id,
     )
 
 
@@ -92,27 +93,57 @@ class TestFindOrphans:
 
     def test_missing_checkpoint_raises(self):
         log = trace_with([(0.0, "comp_send", {"src": 0, "dst": 1, "msg_id": 1})])
-        line = {0: ckpt(0, 1, (1, 0))}
+        line = {0: ckpt(0, 1)}
         with pytest.raises(InconsistentCheckpointError):
             find_orphans(log, line)
 
 
-class TestVectorClockChecker:
+class TestChannelCountChecker:
     def test_consistent_line(self):
-        line = {0: ckpt(0, 1, (2, 0)), 1: ckpt(1, 1, (1, 3))}
-        assert check_vector_clocks(line)
+        """P1 recorded 2 of the 3 sends P0 recorded: one in transit."""
+        line = {0: ckpt(0, 1, {1: 3}, {1: 1}), 1: ckpt(1, 1, {0: 1}, {0: 2})}
+        assert check_channel_counts(line) is True
 
     def test_inconsistent_line(self):
-        line = {0: ckpt(0, 1, (2, 0)), 1: ckpt(1, 1, (5, 3))}
-        assert not check_vector_clocks(line)
+        """P1 recorded 4 receives from P0, P0 only 3 sends to it."""
+        line = {0: ckpt(0, 1, {1: 3}, {}), 1: ckpt(1, 1, {}, {0: 4})}
+        assert check_channel_counts(line) is False
+
+    def test_a_record_without_counts_leaves_the_line_unjudged(self):
+        line = {0: ckpt(0, 1, {1: 3}, {}), 1: ckpt(1, 1)}
+        assert check_channel_counts(line) is None
+
+    def test_it_judges_what_a_log_without_messages_cannot(self):
+        log = trace_with([
+            (0.0, "permanent", {"pid": 0, "ckpt_id": 300}),
+            (1.0, "permanent", {"pid": 1, "ckpt_id": 301}),
+        ])
+        line = {
+            0: ckpt(0, 1, {1: 3}, {}, ckpt_id=300),
+            1: ckpt(1, 1, {}, {0: 4}, ckpt_id=301),
+        }
+        with pytest.raises(InconsistentCheckpointError, match="p1 recorded receives"):
+            assert_line_consistent(log, line)
+        line[1] = ckpt(1, 1, ckpt_id=301)
+        assert_line_consistent(log, line)
+
+    def test_received_after_rollback_is_what_the_line_sent(self):
+        line = {
+            0: ckpt(0, 1, {1: 3, 2: 1}, {}),
+            1: ckpt(1, 1, {2: 5}, {0: 2}),
+            2: ckpt(2, 1, {}, {}),
+        }
+        assert channel_received(line, 1) == {0: 3}
+        assert channel_received(line, 2) == {0: 1, 1: 5}
+        assert channel_received({**line, 2: ckpt(2, 1)}, 1) is None
 
 
 class TestLatestPermanentLine:
     def test_picks_newest_across_storages(self):
         """Newest is the higher ckpt_id: the run issues them in order."""
         s1, s2 = StableStorage("a"), StableStorage("b")
-        old = ckpt(0, 1, (1,), ckpt_id=10)
-        new = ckpt(0, 2, (2,), ckpt_id=11)
+        old = ckpt(0, 1, ckpt_id=10)
+        new = ckpt(0, 2, ckpt_id=11)
         s1.store(old)
         s2.store(new)
         line = latest_permanent_line([s1, s2], [0])
@@ -120,8 +151,8 @@ class TestLatestPermanentLine:
 
     def test_ignores_tentative(self):
         s = StableStorage()
-        perm = ckpt(0, 1, (1,))
-        tent = ckpt(0, 2, (2,), kind=CheckpointKind.TENTATIVE)
+        perm = ckpt(0, 1)
+        tent = ckpt(0, 2, kind=CheckpointKind.TENTATIVE)
         s.store(perm)
         s.store(tent)
         line = latest_permanent_line([s], [0])

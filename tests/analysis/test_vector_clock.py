@@ -1,13 +1,15 @@
-"""Tests for vector clocks and the snapshot consistency test."""
+"""Tests for vector clocks and the reference snapshot consistency test."""
 
 from __future__ import annotations
 
 from repro.analysis.vector_clock import (
+    VCDelta,
     VectorClock,
     concurrent,
     happened_before,
-    snapshot_consistent,
 )
+
+from tests.analysis._dense_reference import snapshot_consistent
 
 
 def test_tick_advances_own_component():
@@ -24,13 +26,13 @@ def test_merge_componentwise_max():
     assert vc.snapshot() == (1, 5, 2)
 
 
-def test_restore():
+def test_stamps_are_whole_clocks_and_merge_in_either_form():
     vc = VectorClock(0, 3)
     vc.tick()
-    snap = vc.snapshot()
-    vc.tick()
-    vc.restore(snap)
-    assert vc.snapshot() == snap
+    assert vc.stamp_for(2) == (1, 0, 0)
+    vc.merge_stamp(VCDelta(((2, 4), (0, 0))))
+    vc.merge_stamp((0, 3, 1))
+    assert vc.snapshot() == (1, 3, 4)
 
 
 def test_happened_before_basic():

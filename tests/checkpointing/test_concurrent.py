@@ -37,4 +37,4 @@ def test_hazard_report_fields():
     assert report.seed == 1
     assert report.policy is ConcurrencyPolicy.SERIALIZED
     assert report.orphan_count == 0
-    assert report.vector_clock_consistent
+    assert report.channel_counts_consistent

@@ -16,7 +16,7 @@ def test_recovery_line_has_one_checkpoint_per_process():
     assert sorted(line) == sorted(system.processes)
 
 
-def test_rollback_restores_state_and_clock():
+def test_rollback_restores_state_and_counts():
     system, _ = run_experiment(MutableCheckpointProtocol(), initiations=3)
     manager = RecoveryManager(system)
     line = manager.recovery_line()
@@ -25,7 +25,11 @@ def test_rollback_restores_state_and_clock():
     for pid, record in line.items():
         process = system.processes[pid]
         assert process.app_state == record.state
-        assert process.vc.snapshot() == record.vector_clock
+        assert process.sent == record.sent
+        # the channels are empty: each peer's recorded sends were received
+        assert process.received == {
+            peer: other.sent[pid] for peer, other in line.items() if other.sent.get(pid)
+        }
 
 
 def test_rollback_verifies_line_by_default():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.vector_clock import snapshot_consistent
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.rollback_protocol import DistributedRecovery
 from repro.core.config import PointToPointWorkloadConfig, SystemConfig
@@ -45,8 +44,13 @@ def test_all_processes_restored_to_consistent_line():
     checkpointed_run(system, workload)
     recovery.recover(0)
     system.sim.run(until=system.sim.now + 30.0)
-    snapshots = [(pid, p.vc.snapshot()) for pid, p in system.processes.items()]
-    assert snapshot_consistent(snapshots)
+    # nobody has received more from a peer than the peer has sent it
+    processes = system.processes
+    assert all(
+        count <= processes[peer].sent[pid]
+        for pid, process in processes.items()
+        for peer, count in process.received.items()
+    )
     assert all(p.incarnation == 1 for p in system.processes.values())
 
 
@@ -104,7 +108,6 @@ def test_ghost_message_arriving_after_resume_is_discarded():
     received_before = receiver.app_state["messages_received"]
     dropped_before = system.metrics.value("stale_incarnation_dropped")
     ghost = ComputationMessage(src_pid=1, dst_pid=2, payload="late-ghost")
-    ghost.vc = system.processes[1].vc.snapshot()
     ghost.piggyback["inc"] = 0
     system.network.send_from_process(1, ghost)
     system.run_until_quiescent()
@@ -163,3 +166,43 @@ def test_system_can_checkpoint_again_after_recovery():
     system.run_until_quiescent()
     line = latest_permanent_line(system.all_stable_storages(), system.processes)
     assert_line_consistent(system.sim.trace, line)
+
+
+def test_rollback_empties_the_channels_it_cuts():
+    """A message in transit across the line is dropped by the rollback,
+    so the receiver's count must become what the sender's checkpoint
+    records as sent, not what its own checkpoint recorded as received:
+    otherwise the one-message gap stays open and hides the orphan below."""
+    from repro.analysis.consistency import (
+        check_channel_counts,
+        find_orphans,
+        latest_permanent_line,
+    )
+
+    system = MobileSystem(SystemConfig(n_processes=3, seed=5), MutableCheckpointProtocol())
+    recovery = DistributedRecovery(system)
+    sender, receiver = system.processes[0], system.processes[1]
+
+    def line():
+        return latest_permanent_line(system.all_stable_storages(), system.processes)
+
+    sender.send_computation(1)  # in flight while P0 alone checkpoints
+    assert system.protocol.processes[0].initiate()
+    system.sim.run_until_idle()
+    cut = line()
+    assert cut[0].sent == {1: 1} and cut[1].received == {}
+    recovery.recover(0)
+    system.sim.run_until_idle()
+    assert receiver.received[0] == cut[0].sent[1] == 1
+
+    # P0 checkpoints, then sends; P1 receives it, then checkpoints
+    assert system.protocol.processes[0].initiate()
+    system.sim.run_until_idle()
+    before_send = line()[0]
+    sender.send_computation(1)
+    system.sim.run_until_idle()
+    assert system.protocol.processes[1].initiate()
+    system.sim.run_until_idle()
+    orphaned = {**line(), 0: before_send}
+    assert check_channel_counts(orphaned) is False
+    assert len(find_orphans(system.sim.trace, orphaned)) == 1

@@ -57,20 +57,21 @@ class TestABRule:
 
 
 class TestConsistentLineSearch:
-    def _record(self, pid, ckpt_id, vc):
+    def _record(self, pid, ckpt_id, sent=None, received=None):
         return CheckpointRecord(
             pid=pid,
             csn=ckpt_id,
             kind=CheckpointKind.PERMANENT,
             time_taken=float(ckpt_id),
-            vector_clock=vc,
+            sent=sent or {},
+            received=received or {},
             ckpt_id=ckpt_id,
         )
 
     def test_consistent_newest_line_kept(self):
         histories = {
-            0: [self._record(0, 1, (0, 0)), self._record(0, 3, (2, 1))],
-            1: [self._record(1, 2, (0, 0)), self._record(1, 4, (1, 3))],
+            0: [self._record(0, 1), self._record(0, 3, {1: 2}, {1: 1})],
+            1: [self._record(1, 2), self._record(1, 4, {0: 1}, {0: 2})],
         }
         search = maximal_consistent_line(histories)
         assert search.rollback_depth == {0: 0, 1: 0}
@@ -78,30 +79,30 @@ class TestConsistentLineSearch:
 
     def test_orphan_forces_single_rollback(self):
         histories = {
-            0: [self._record(0, 1, (0, 0)), self._record(0, 3, (2, 0))],
-            1: [self._record(1, 2, (0, 0)), self._record(1, 4, (5, 3))],
+            0: [self._record(0, 1), self._record(0, 3, {1: 1})],
+            1: [self._record(1, 2), self._record(1, 4, {}, {0: 2})],
         }
         search = maximal_consistent_line(histories)
         assert search.rollback_depth[1] == 1
         assert search.line[1].ckpt_id == 2
 
     def test_domino_cascade(self):
-        """A chain of mutual knowledge forces cascading rollbacks."""
+        """A chain of mutual receives forces cascading rollbacks."""
         histories = {
             0: [
-                self._record(0, 1, (0, 0)),
-                self._record(0, 3, (1, 0)),
-                self._record(0, 5, (2, 2)),
+                self._record(0, 1),
+                self._record(0, 3, {1: 1}, {1: 1}),
+                self._record(0, 5, {1: 2}, {1: 2}),
             ],
             1: [
-                self._record(1, 2, (0, 0)),
-                self._record(1, 4, (2, 1)),
-                self._record(1, 6, (3, 2)),
+                self._record(1, 2),
+                self._record(1, 4, {0: 1}, {0: 2}),
+                self._record(1, 6, {0: 2}, {0: 3}),
             ],
         }
-        # 1@6 knows 3 of P0 but P0's best is 2 -> roll 1 back to 4;
-        # 1@4 knows 2 of P0, ok with 0@5... 0@5 knows 2 of P1 > 1 -> roll 0
-        # back to 3; then 1@4 knows 2 of P0 > 1 -> roll 1 back to 2; etc.
+        # 1@6 received 3 from P0, 0@5 sent 2 -> roll 1 back to 4; 0@5
+        # received 2 from P1, 1@4 sent 1 -> roll 0 back to 3; 1@4
+        # received 2, 0@3 sent 1 -> roll 1 back to 2; and 0 back to 1.
         search = maximal_consistent_line(histories)
         assert search.domino
         assert search.line[0].ckpt_id in (1, 3)
@@ -109,8 +110,8 @@ class TestConsistentLineSearch:
 
     def test_exhausted_history_raises(self):
         histories = {
-            0: [self._record(0, 1, (0, 5))],
-            1: [self._record(1, 2, (0, 0))],
+            0: [self._record(0, 1, {}, {1: 5})],
+            1: [self._record(1, 2)],
         }
         with pytest.raises(InconsistentCheckpointError):
             maximal_consistent_line(histories)

@@ -13,17 +13,16 @@ def build(n=3):
     return MobileSystem(SystemConfig(n_processes=n, seed=5), MutableCheckpointProtocol())
 
 
-def test_send_ticks_vector_clock_and_counts():
+def test_send_and_receive_count_the_channel():
     system = build()
     p0 = system.processes[0]
     p0.send_computation(1)
-    assert p0.vc.snapshot()[0] == 1
+    assert p0.sent == {1: 1}
     assert p0.app_state["messages_sent"] == 1
     system.sim.run_until_idle()
     p1 = system.processes[1]
     assert p1.app_state["messages_received"] == 1
-    assert p1.vc.snapshot()[0] == 1  # merged sender component
-    assert p1.vc.snapshot()[1] == 1  # own receive event
+    assert p1.received == {0: 1} and not p1.sent
 
 
 def test_trace_records_send_and_recv():
@@ -99,11 +98,13 @@ def test_restore_state():
     system = build()
     p0 = system.processes[0]
     snap_state = p0.capture_state()
-    snap_vc = p0.vc.snapshot()
+    sent, received = p0.capture_channels()
     p0.send_computation(1)
-    p0.restore_state(snap_state, snap_vc)
+    p0.restore_state(snap_state, sent, {2: 4})
     assert p0.app_state["messages_sent"] == 0
-    assert p0.vc.snapshot() == snap_vc
+    assert p0.sent == {} and p0.received == {2: 4}
+    p0.send_computation(1)
+    assert p0.capture_channels() == ({1: 1}, {2: 4})
 
 
 def test_system_messages_processed_while_blocked():

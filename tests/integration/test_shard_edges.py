@@ -53,7 +53,7 @@ def _signature(system, result):
         ).hexdigest(),
         result.wall_events,
         result.sim_time,
-        {pid: p.vc.snapshot() for pid, p in system.processes.items()},
+        {pid: p.capture_channels() for pid, p in system.processes.items()},
     )
 
 

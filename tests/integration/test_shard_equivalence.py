@@ -2,7 +2,7 @@
 
 ``SystemConfig(shards=N)`` must be *observably invisible*: same trace
 content hash, same metrics snapshot, same wall-event count and final
-sim time, and same final per-process vector clocks as the sequential
+sim time, and same final per-process channel counts as the sequential
 ``shards=1`` kernel — for the PR-5 golden configs (pinned byte-exact in
 ``test_fastpath_determinism.GOLDEN``) and for a multi-cell 256-process
 case where the partition is real (cross-shard envelopes flow into every
@@ -69,7 +69,7 @@ def _signature(system, result):
         ).hexdigest(),
         result.wall_events,
         result.sim_time,
-        {pid: p.vc.snapshot() for pid, p in system.processes.items()},
+        {pid: p.capture_channels() for pid, p in system.processes.items()},
     )
 
 

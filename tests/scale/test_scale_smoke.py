@@ -97,6 +97,6 @@ def test_1024p_snapshot_image_stays_compact():
 
     image = restore(payload)
     assert image.system.sim.events_processed == 10_000
-    assert [p.vc.snapshot() for p in image.system.processes.values()] == [
-        p.vc.snapshot() for p in system.processes.values()
+    assert [p.capture_channels() for p in image.system.processes.values()] == [
+        p.capture_channels() for p in system.processes.values()
     ]

@@ -88,3 +88,33 @@ def test_cold_start_imports_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "0"
+
+
+#: the runtime's layers: none of them may touch a vector clock
+_MESSAGE_PATH = ("sim", "net", "core", "checkpointing", "workload", "scenarios")
+_CLOCK_NAMES = {"VectorClock", "VCDelta", "Stamp"}
+
+
+def test_the_message_path_imports_no_clock():
+    """Messages are judged by per-channel counts; a clock imported into
+    the runtime is the first step back to stamping every message. (The
+    module stays importable: snapshot images name ``PackedInts`` there.)"""
+    offenders = {}
+    for rel, path in _python_files():
+        if rel.split(os.sep)[0] not in _MESSAGE_PATH:
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found = [
+            f"line {node.lineno}: {name}"
+            for node in ast.walk(tree)
+            for name in (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom)
+                else [node.attr] if isinstance(node, ast.Attribute) else []
+            )
+            if name in _CLOCK_NAMES
+        ]
+        if found:
+            offenders[rel] = found
+    assert not offenders, f"vector clocks imported on the message path: {offenders}"

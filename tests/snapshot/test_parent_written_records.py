@@ -5,7 +5,8 @@ class; a dataclass instance pickles as its ``__dict__``, which a slotted
 class cannot take without a ``__setstate__``. The fixture was written by
 the last commit with the dataclass (c183aab, format 2): 16p mutable,
 seed 7, the GOLDEN["B"] configuration at DEBUG, cut after 3 200 events
-with 2 118 records in the log.
+with 2 118 records in the log. Its processes kept a vector clock and
+no channel counts, so its checkpoints carry none.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from __future__ import annotations
 import os
 import pickle
 
+from repro.analysis.consistency import (
+    assert_line_consistent,
+    check_channel_counts,
+    latest_permanent_line,
+)
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import (
     PointToPointWorkloadConfig,
@@ -51,6 +57,18 @@ def test_dataclass_pickled_records_resume_into_the_uninterrupted_run():
         system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
     )
     assert resumed == _outcome(system, runner.run(max_events=10_000_000))
+
+
+def test_an_image_without_counts_is_judged_by_the_orphan_scan_alone():
+    image = resume_run(FIXTURE)
+    image.runner.resume(max_events=10_000_000)
+    system = image.system
+    assert all(p.sent is None and p.received is None for p in system.processes.values())
+    assert not any(hasattr(p, "vc") for p in system.processes.values())
+    line = latest_permanent_line(system.all_stable_storages(), system.processes)
+    assert all(record.sent is None for record in line.values())
+    assert check_channel_counts(line) is None
+    assert_line_consistent(system.sim.trace, line)
 
 
 def test_a_record_pickles_and_copies_as_itself():

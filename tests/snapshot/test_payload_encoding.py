@@ -1,8 +1,8 @@
 """What the snapshot payload stores for arrays and generators (format 2).
 
-Int vectors and vector clocks pickle as packed bytes (sparse when under
-half full), bit vectors as their bytes, random streams as their state
-words. Every shape must come back equal through ``pickle`` and through
+Int vectors pickle as packed bytes (sparse when under half full), bit
+vectors as their bytes, random streams as their state words. Every
+shape must come back equal through ``pickle`` and through
 ``copy.deepcopy``; a format-1 file, written at the commit before the
 encoding changed, must still resume into the run it was cut from.
 """
@@ -17,7 +17,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.vector_clock import PackedInts, VCDelta, VectorClock
+from repro.analysis.vector_clock import PackedInts
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.state import BitVector, IntVector
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
@@ -61,49 +61,6 @@ def test_int_vector_round_trips(values):
         if values:
             clone[0] = 99  # a live array again, detached from the original
             assert vec.tolist() == values
-
-
-@pytest.mark.parametrize("values", VECTOR_VALUES, ids=VECTOR_IDS)
-def test_vector_clock_round_trips(values):
-    values = values or [0]
-    n = len(values)
-    vc = VectorClock(0, n)
-    vc.restore(values)
-    vc.tick()
-    vc.stamp_for(n - 1)
-    expected = vc.snapshot()
-    assert list(expected[1:]) == values[1:]
-    for clone in _clones(vc):
-        assert clone.snapshot() == expected
-        assert (clone._ticks, clone._changed, clone._ls, clone._full_at, clone._cap) == (
-            vc._ticks, vc._changed, vc._ls, vc._full_at, vc._cap
-        )
-        # an image under half full comes back as its entries, a fuller
-        # one as the array; either way the clone ticks on from there
-        assert (clone._array is None) == (2 * sum(1 for v in expected if v) < n)
-        clone.tick()
-        assert clone.snapshot()[0] == expected[0] + 1
-        # and the array, once read, is the buffer the scalar view writes
-        assert int(clone.clock[0]) == expected[0] + 1
-        clone.clock[n - 1] = 12345
-        assert clone._cells[n - 1] == 12345 == clone.snapshot()[n - 1]
-    assert vc.snapshot() == expected
-
-
-def test_a_clock_that_never_went_dense_round_trips_as_its_entries():
-    n = 1024
-    vc = VectorClock(5, n)
-    vc.tick()
-    vc.merge_delta([(900, 4), (17, 2)])
-    assert vc._array is None
-    image = vc.__getstate__()[1]["clock"]
-    assert image == PackedInts(n, b"\x05\0\0\0\x11\0\0\0\x84\x03\0\0",
-                               b"".join(v.to_bytes(8, "little") for v in (1, 2, 4)))
-    assert len(pickle.dumps(VectorClock(0, n), protocol=pickle.HIGHEST_PROTOCOL)) < 300
-    for clone in _clones(vc):
-        assert clone._array is None and dict(clone._cells) == {5: 1, 17: 2, 900: 4}
-        assert clone.snapshot() == vc.snapshot()
-        assert clone.stamp_for(3) == VCDelta(((17, 2), (900, 4), (5, 1)))
 
 
 def test_sparse_and_dense_forms_are_chosen_by_fill():
@@ -194,7 +151,6 @@ def _outcome(system, result):
         hashlib.sha256(metrics).hexdigest(),
         system.sim.events_processed,
         system.sim.now,
-        [process.vc.snapshot() for process in system.processes.values()],
     )
 
 
