@@ -50,19 +50,18 @@ def run_scheme(protocol_cls):
 
 
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-def test_ablation_scheme(benchmark, name):
-    row = benchmark.pedantic(lambda: run_scheme(PROTOCOLS[name]), rounds=1, iterations=1)
-    benchmark.extra_info.update(row)
+def test_ablation_scheme(name):
+    row = run_scheme(PROTOCOLS[name])
     print(f"\nAblation {name}: {row}")
 
 
-def test_ablation_ordering(benchmark):
+def test_ablation_ordering():
     """basic >> revised >> mutable in checkpoints per message."""
 
     def run_all():
         return {name: run_scheme(cls) for name, cls in PROTOCOLS.items()}
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     print()
     for name, row in rows.items():
         print(f"  {name:12s} {row}")

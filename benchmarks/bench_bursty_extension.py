@@ -10,8 +10,6 @@ bound should still hold: the extension probes how much headroom it has.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.bench_util import run_bench, run_point_to_point
 
 AVERAGE_RATE = 0.01  # msgs/s/process, the lively region of Fig. 5
@@ -35,7 +33,7 @@ def run_bursty(seed):
     )
 
 
-def test_bursty_vs_poisson(benchmark):
+def test_bursty_vs_poisson():
     def run_both():
         seeds = (11, 12, 13)
         poisson = [run_poisson(s) for s in seeds]
@@ -53,8 +51,7 @@ def test_bursty_vs_poisson(benchmark):
             "bursty_ratio": max(r.redundant_ratio for r in bursty),
         }
 
-    row = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    benchmark.extra_info.update({k: round(v, 4) for k, v in row.items()})
+    row = run_both()
     print(f"\nmatched avg rate {AVERAGE_RATE} msg/s:")
     print(f"  poisson: tentative={row['poisson_tentative']:.2f} "
           f"redundant={row['poisson_redundant']:.4f}")

@@ -33,7 +33,7 @@ def second_phase_messages(result) -> float:
 
 @pytest.mark.parametrize("density", sorted(WORKLOADS))
 @pytest.mark.parametrize("mode", MODES)
-def test_commit_mode(benchmark, mode, density):
+def test_commit_mode(mode, density):
     def run():
         return run_point_to_point(
             MutableCheckpointProtocol(commit_mode=mode),
@@ -41,15 +41,12 @@ def test_commit_mode(benchmark, mode, density):
             initiations=10,
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run()
     msgs = second_phase_messages(result)
-    benchmark.extra_info.update(
-        {"mode": mode, "density": density, "second_phase_msgs": round(msgs, 2)}
-    )
     print(f"\ncommit-mode {mode:9s} {density:6s}: {msgs:6.2f} msgs/commit")
 
 
-def test_commit_mode_tradeoff(benchmark):
+def test_commit_mode_tradeoff():
     """The §3.3.5 claim, end to end."""
 
     def run_all():
@@ -64,7 +61,7 @@ def test_commit_mode_tradeoff(benchmark):
                 out[(density, mode)] = second_phase_messages(result)
         return out
 
-    msgs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    msgs = run_all()
     print()
     for key in sorted(msgs):
         print(f"  {key}: {msgs[key]:.2f} msgs/commit")

@@ -6,8 +6,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.bench_util import build_bench, build_system
 from repro.analysis.energy import DozeManager, EnergyModel
 from repro.campaign.spec import DEFAULT_MAX_EVENTS
@@ -24,7 +22,7 @@ def run_with_energy(protocol, mean_interval=200.0, seed=5, initiations=8):
     return system, result, EnergyModel(system).totals()
 
 
-def test_min_process_saves_wireless_energy(benchmark):
+def test_min_process_saves_wireless_energy():
     """Fewer stable checkpoints -> fewer 512 KB transfers -> less tx
     energy than the all-process baseline on the same workload."""
 
@@ -33,7 +31,7 @@ def test_min_process_saves_wireless_energy(benchmark):
         _, ejz_result, ejz = run_with_energy(ElnozahyProtocol())
         return mu_result, mu, ejz_result, ejz
 
-    mu_result, mu, ejz_result, ejz = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    mu_result, mu, ejz_result, ejz = run_both()
     print(
         f"\nwireless tx energy: mutable={mu['tx_mj']:.0f} mJ "
         f"(N_min={mu_result.tentative_summary().mean:.1f}) vs "
@@ -43,7 +41,7 @@ def test_min_process_saves_wireless_energy(benchmark):
         assert mu["tx_mj"] < ejz["tx_mj"]
 
 
-def test_checkpoint_data_dominates_message_energy(benchmark):
+def test_checkpoint_data_dominates_message_energy():
     """The §1 argument: stable-storage transfers, not control messages,
     are the wireless energy story."""
 
@@ -55,12 +53,12 @@ def test_checkpoint_data_dominates_message_energy(benchmark):
         )
         return ckpt_bytes, msg_bytes
 
-    ckpt_bytes, msg_bytes = benchmark.pedantic(run, rounds=1, iterations=1)
+    ckpt_bytes, msg_bytes = run()
     print(f"\ncheckpoint bytes={ckpt_bytes:,} vs message bytes={msg_bytes:,}")
     assert ckpt_bytes > 10 * msg_bytes
 
 
-def test_update_commit_spares_dozing_hosts(benchmark):
+def test_update_commit_spares_dozing_hosts():
     """§5.3.2's broadcast-vs-update energy argument with real dozing."""
 
     def run(mode):
@@ -81,8 +79,6 @@ def test_update_commit_spares_dozing_hosts(benchmark):
     def run_both():
         return run("broadcast"), run("update")
 
-    broadcast_wakeups, update_wakeups = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+    broadcast_wakeups, update_wakeups = run_both()
     print(f"\nwakeups: broadcast={broadcast_wakeups} update={update_wakeups}")
     assert update_wakeups < broadcast_wakeups

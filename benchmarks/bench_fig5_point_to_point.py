@@ -29,17 +29,16 @@ def rate_of(point):
 
 
 @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{rate_of(p):g}")
-def test_fig5_point_to_point(benchmark, point):
-    result = benchmark.pedantic(lambda: run_point(point), rounds=1, iterations=1)
+def test_fig5_point_to_point(point):
+    result = run_point(point)
     row = result.paper_row()
-    benchmark.extra_info.update({"rate": rate_of(point), **row})
     print(f"\nFig5 rate={rate_of(point):6.3f} msg/s: {row}")
     # shape guards (paper): tentative bounded by N, redundant far below
     assert row["tentative_mean"] <= 16.0
     assert row["redundant_ratio"] <= 0.04 + 1e-9
 
 
-def test_fig5_shape_summary(benchmark):
+def test_fig5_shape_summary():
     """One campaign over the whole sweep asserting the paper's shape:
     tentative count is (weakly) increasing in the send rate."""
 
@@ -50,7 +49,7 @@ def test_fig5_shape_summary(benchmark):
             for point, result in zip(report.points, report.results())
         ]
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print("\nFig5 sweep:")
     for rate, row in rows:
         print(f"  rate={rate:6.3f}  {row}")

@@ -29,16 +29,15 @@ def ratio_of(point):
 @pytest.mark.parametrize(
     "point", POINTS, ids=lambda p: f"{rate_of(p):g}-{ratio_of(p):g}"
 )
-def test_fig6_group(benchmark, point):
-    result = benchmark.pedantic(lambda: run_point(point), rounds=1, iterations=1)
+def test_fig6_group(point):
+    result = run_point(point)
     row = result.paper_row()
     rate, ratio = rate_of(point), ratio_of(point)
-    benchmark.extra_info.update({"rate": rate, "ratio": ratio, **row})
     print(f"\nFig6 rate={rate:6.3f} ratio=1/{int(ratio)}: {row}")
     assert row["tentative_mean"] <= 16.0
 
 
-def test_fig6_shape_summary(benchmark):
+def test_fig6_shape_summary():
     """Group counts < point-to-point counts; 10000x < 1000x."""
 
     def sweep():
@@ -54,7 +53,7 @@ def test_fig6_shape_summary(benchmark):
             rows.setdefault(ratio_of(point), []).append(result.paper_row())
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print("\nFig6 sweep (tentative means):")
     for key in (1_000.0, 10_000.0, "p2p"):
         print(f"  {key}: {[r['tentative_mean'] for r in rows[key]]}")

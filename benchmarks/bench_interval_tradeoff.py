@@ -47,19 +47,18 @@ def run_interval(interval: float, seed: int = 5):
 
 
 @pytest.mark.parametrize("interval", INTERVALS)
-def test_interval_point(benchmark, interval):
-    row = benchmark.pedantic(lambda: run_interval(interval), rounds=1, iterations=1)
-    benchmark.extra_info.update(row)
+def test_interval_point(interval):
+    row = run_interval(interval)
     print(f"\ninterval={interval:6.0f}s: {row}")
 
 
-def test_interval_tradeoff_shape(benchmark):
+def test_interval_tradeoff_shape():
     """Overhead decreases and lost work increases with the interval."""
 
     def run_all():
         return [run_interval(interval) for interval in INTERVALS]
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     print()
     for row in rows:
         print(f"  {row}")

@@ -10,14 +10,12 @@
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.bench_util import run_point_to_point
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.net.params import NetworkParams
 
 
-def test_mutable_vs_tentative_cost_ratio(benchmark):
+def test_mutable_vs_tentative_cost_ratio():
     """The paper's arithmetic: T_data / mutable_save ~ 1000x."""
     params = NetworkParams()
     tentative_cost = 512 * 1024 * 8 / params.wireless_bandwidth_bps
@@ -25,12 +23,12 @@ def test_mutable_vs_tentative_cost_ratio(benchmark):
     def compute():
         return tentative_cost / params.mutable_save_time
 
-    ratio = benchmark(compute)
+    ratio = compute()
     print(f"\ntentative/mutable cost ratio: {ratio:.0f}x")
     assert ratio > 500
 
 
-def test_checkpointing_time_strict_vs_precopy(benchmark):
+def test_checkpointing_time_strict_vs_precopy():
     """Strict mode: T_ch includes serialized transfers (paper's <= 32 s);
     precopy mode: T_ch is message-delay scale."""
 
@@ -47,17 +45,14 @@ def test_checkpointing_time_strict_vs_precopy(benchmark):
         )
         return strict.duration_summary().mean, precopy.duration_summary().mean
 
-    strict_dur, precopy_dur = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    strict_dur, precopy_dur = run_both()
     print(f"\nT_ch strict={strict_dur:.3f}s precopy={precopy_dur*1000:.1f}ms")
-    benchmark.extra_info.update(
-        {"strict_s": round(strict_dur, 3), "precopy_s": round(precopy_dur, 5)}
-    )
     assert strict_dur <= 2.2 * 16 + 1.0        # paper's 2s * N bound
     assert strict_dur > 100 * precopy_dur      # transfers dominate
     assert precopy_dur < 0.1
 
 
-def test_shared_medium_vs_concurrent_transfers(benchmark):
+def test_shared_medium_vs_concurrent_transfers():
     """The 32 s figure comes from the shared 2 Mbps cell airtime."""
 
     def run_both():
@@ -74,13 +69,13 @@ def test_shared_medium_vs_concurrent_transfers(benchmark):
         )
         return shared.duration_summary().mean, concurrent.duration_summary().mean
 
-    shared_dur, concurrent_dur = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    shared_dur, concurrent_dur = run_both()
     print(f"\nT_ch shared-medium={shared_dur:.2f}s concurrent={concurrent_dur:.2f}s")
     assert shared_dur > concurrent_dur
     assert concurrent_dur < 4.0   # one transfer time + messages
 
 
-def test_redundant_mutable_overhead_share(benchmark):
+def test_redundant_mutable_overhead_share():
     """Total time spent on redundant mutable checkpoints is a vanishing
     share of the checkpointing cost (the §5.3.1 output-commit claim)."""
 
@@ -95,7 +90,7 @@ def test_redundant_mutable_overhead_share(benchmark):
         tentative_time = tentatives * 512 * 1024 * 8 / params.wireless_bandwidth_bps
         return mutable_time, tentative_time
 
-    mutable_time, tentative_time = benchmark.pedantic(run, rounds=1, iterations=1)
+    mutable_time, tentative_time = run()
     share = mutable_time / max(tentative_time, 1e-12)
     print(f"\nredundant-mutable time share of checkpointing cost: {share:.2e}")
     assert share < 0.01

@@ -6,8 +6,6 @@ stable storage before the outside world sees the output.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.bench_util import build_system
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
@@ -30,24 +28,21 @@ def measure_delays(protocol, seed=5, outputs=4, mean_interval=200.0):
     return manager.delay_summary()
 
 
-def test_output_commit_mutable_vs_elnozahy(benchmark):
+def test_output_commit_mutable_vs_elnozahy():
     def run():
         mutable = measure_delays(MutableCheckpointProtocol())
         ejz = measure_delays(ElnozahyProtocol())
         return mutable, ejz
 
-    mutable, ejz = benchmark.pedantic(run, rounds=1, iterations=1)
+    mutable, ejz = run()
     print(f"\noutput commit delay: mutable={mutable.mean:.2f}s (n={mutable.n}) "
           f"vs elnozahy={ejz.mean:.2f}s (n={ejz.n})")
-    benchmark.extra_info.update(
-        {"mutable_s": round(mutable.mean, 2), "elnozahy_s": round(ejz.mean, 2)}
-    )
     assert mutable.n >= 3 and ejz.n >= 3
     # min-process releases output faster than all-process (N_min < N)
     assert mutable.mean < ejz.mean
 
 
-def test_output_commit_scales_with_n_min(benchmark):
+def test_output_commit_scales_with_n_min():
     """Sparser communication -> smaller N_min -> faster output commit."""
 
     def run():
@@ -55,6 +50,6 @@ def test_output_commit_scales_with_n_min(benchmark):
         dense = measure_delays(MutableCheckpointProtocol(), mean_interval=50.0)
         return sparse, dense
 
-    sparse, dense = benchmark.pedantic(run, rounds=1, iterations=1)
+    sparse, dense = run()
     print(f"\noutput commit: sparse={sparse.mean:.2f}s dense={dense.mean:.2f}s")
     assert sparse.mean < dense.mean

@@ -9,8 +9,6 @@ message cost; every baseline gives one of those up.
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.bench_util import build_bench, build_system
 from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.chandy_lamport import ChandyLamportProtocol
@@ -63,7 +61,7 @@ def _row(system, counters, rounds, blocked):
     }
 
 
-def test_related_work_landscape(benchmark):
+def test_related_work_landscape():
     def run_all():
         return {
             "timer-based": run_timer_based(),
@@ -73,7 +71,7 @@ def test_related_work_landscape(benchmark):
             "mutable": run_runner_protocol(MutableCheckpointProtocol()),
         }
 
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    rows = run_all()
     print()
     header = f"{'algorithm':<16}{'msgs/round':>12}{'blocked s':>12}{'ckpts':>8}"
     print(header)

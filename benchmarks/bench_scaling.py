@@ -45,20 +45,19 @@ def growth_exponent(xs, ys):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_scaling_point(benchmark, n):
+def test_scaling_point(n):
     def run():
         return {
             "koo-toueg": messages_per_initiation(KooTouegProtocol, n),
             "mutable": messages_per_initiation(MutableCheckpointProtocol, n),
         }
 
-    row = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info.update({"n": n, **{k: round(v, 1) for k, v in row.items()}})
+    row = run()
     print(f"\nN={n}: msgs/initiation koo-toueg={row['koo-toueg']:.1f} "
           f"mutable={row['mutable']:.1f}")
 
 
-def test_fixed_workload_advantage(benchmark):
+def test_fixed_workload_advantage():
     """On a free-running workload the advantage is a constant factor
     (N_dep saturates at the achievable dependency density)."""
 
@@ -67,7 +66,7 @@ def test_fixed_workload_advantage(benchmark):
         mu = [messages_per_initiation(MutableCheckpointProtocol, n) for n in SIZES]
         return kt, mu
 
-    kt, mu = benchmark.pedantic(run, rounds=1, iterations=1)
+    kt, mu = run()
     print(f"\n  koo-toueg msgs: {[round(v, 1) for v in kt]}")
     print(f"  mutable   msgs: {[round(v, 1) for v in mu]}")
     for a, b in zip(kt, mu):
@@ -90,7 +89,7 @@ def dense_initiation_messages(protocol_cls, n):
     return h.trace.count("sys_send")
 
 
-def test_scaling_exponents_worst_case(benchmark):
+def test_scaling_exponents_worst_case():
     """N_min = N: Koo-Toueg is O(N^2), the mutable algorithm far flatter
     (§5.3.2's 'from O(N²) to O(N)')."""
 
@@ -99,7 +98,7 @@ def test_scaling_exponents_worst_case(benchmark):
         mu = [dense_initiation_messages(MutableCheckpointProtocol, n) for n in SIZES]
         return kt, mu
 
-    kt, mu = benchmark.pedantic(run, rounds=1, iterations=1)
+    kt, mu = run()
     kt_exp = growth_exponent(SIZES, kt)
     mu_exp = growth_exponent(SIZES, mu)
     print(f"\nworst-case exponents: koo-toueg={kt_exp:.2f} mutable={mu_exp:.2f}")

@@ -28,24 +28,21 @@ from repro.campaign.spec import preset_spec
 @pytest.mark.parametrize(
     "point", preset_spec("table1").expand(), ids=lambda p: p.protocol
 )
-def test_table1_protocol(benchmark, point):
+def test_table1_protocol(point):
     """Measured Table 1 row for one protocol."""
-    result = benchmark.pedantic(lambda: run_point(point), rounds=1, iterations=1)
+    result = run_point(point)
     row = measured_row(result)
-    benchmark.extra_info.update(
-        {k: (round(v, 3) if isinstance(v, float) else v) for k, v in row.as_dict().items()}
-    )
     print(f"\nTable1 {point.protocol}: {row.as_dict()}")
 
 
-def test_table1_full_comparison(benchmark):
+def test_table1_full_comparison():
     """All three protocols on the same workload + the analytic table."""
 
     def run_all():
         report = run_preset("table1", max_initiations=14)
         return {r.protocol: measured_row(r) for r in report.results()}
 
-    measured = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    measured = run_all()
     kt, ejz, mu = measured["koo-toueg"], measured["elnozahy"], measured["mutable"]
     params = CostParameters(n=16, n_min=mu.checkpoints, n_dep=4.0)
     print()

@@ -15,8 +15,6 @@ Three regimes on the same workload:
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.bench_util import build_bench
 from repro.analysis.recovery_line import checkpoint_histories, maximal_consistent_line
 from repro.campaign.spec import DEFAULT_MAX_EVENTS
@@ -54,7 +52,7 @@ def run_regime(protocol, interval=120.0, seed=13):
     }
 
 
-def test_periodic_uncoordinated_suffers_domino(benchmark):
+def test_periodic_uncoordinated_suffers_domino():
     def run():
         # several seeds: the cascade depends on message luck
         rows = [
@@ -63,14 +61,14 @@ def test_periodic_uncoordinated_suffers_domino(benchmark):
         ]
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     worst = max(r["max_rollback_depth"] for r in rows)
     print(f"\nperiodic-only: per-seed max rollback depths = "
           f"{[r['max_rollback_depth'] for r in rows]}")
     assert worst >= 2  # cascading rollback observed
 
 
-def test_ab_rule_keeps_rollback_shallow(benchmark):
+def test_ab_rule_keeps_rollback_shallow():
     """On free-running workloads (everyone sends and receives, so
     senders checkpoint frequently) the AB rule keeps the search shallow.
     The absolute one-checkpoint folklore bound is false in general —
@@ -83,7 +81,7 @@ def test_ab_rule_keeps_rollback_shallow(benchmark):
             for seed in (13, 17, 19)
         ]
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print(f"\nAB rule: max rollback depths = "
           f"{[r['max_rollback_depth'] for r in rows]}")
     for row in rows:
@@ -91,7 +89,7 @@ def test_ab_rule_keeps_rollback_shallow(benchmark):
         assert not row["domino"]
 
 
-def test_coordinated_needs_no_search(benchmark):
+def test_coordinated_needs_no_search():
     def run():
         system, _ = run_system(initiations=6)
         histories = checkpoint_histories(
@@ -99,12 +97,12 @@ def test_coordinated_needs_no_search(benchmark):
         )
         return maximal_consistent_line(histories)
 
-    search = benchmark.pedantic(run, rounds=1, iterations=1)
+    search = run()
     print(f"\nmutable: total rollback depth = {search.total_rollback_depth}")
     assert search.total_rollback_depth == 0
 
 
-def test_storage_cost_ordering(benchmark):
+def test_storage_cost_ordering():
     """§6: uncoordinated approaches keep far more stable checkpoints."""
 
     def run():
@@ -113,6 +111,6 @@ def test_storage_cost_ordering(benchmark):
         coordinated = sum(len(s) for s in system.all_stable_storages())
         return ab["stable_checkpoints"], coordinated
 
-    ab_count, coordinated_count = benchmark.pedantic(run, rounds=1, iterations=1)
+    ab_count, coordinated_count = run()
     print(f"\nstable checkpoints: AB={ab_count} vs mutable={coordinated_count}")
     assert ab_count > 5 * coordinated_count

@@ -12,9 +12,8 @@ this module: it is how an int vector is stored in one.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
-
-import numpy as _np  # vectorized max: ~100x a pure-Python merge at 1024 entries
 
 
 def spread(n: int, entries: Mapping[int, int]) -> List[int]:
@@ -31,9 +30,9 @@ class PackedInts(NamedTuple):
     With ``indices`` ``None``, ``data`` is the whole vector
     (little-endian int64). Otherwise ``data`` holds the non-zero entries
     only and ``indices`` (little-endian int32) says where they go -
-    :meth:`of` picks that form when under half the entries are non-zero,
-    which at 1k+ processes is nearly every csn vector: pickled element
-    by element they were the bulk of a snapshot.
+    :meth:`of_entries` picks that form when under half the entries are
+    non-zero, which at 1k+ processes is nearly every csn vector: pickled
+    element by element they were the bulk of a snapshot.
     """
 
     n: int
@@ -41,44 +40,23 @@ class PackedInts(NamedTuple):
     data: bytes
 
     @classmethod
-    def of(cls, values: "_np.ndarray") -> "PackedInts":
-        nonzero = _np.flatnonzero(values)
-        if 2 * len(nonzero) < len(values):
-            return cls(
-                len(values),
-                nonzero.astype("<i4").tobytes(),
-                values[nonzero].astype("<i8", copy=False).tobytes(),
-            )
-        return cls(len(values), None, values.astype("<i8", copy=False).tobytes())
-
-    @classmethod
     def of_entries(cls, n: int, entries: Mapping[int, int]) -> "PackedInts":
-        """What :meth:`of` gives for the ``n``-vector holding ``entries``
-        (index -> value), built from them while under half are set."""
+        """The ``n``-vector holding ``entries`` (index -> value)."""
         items = sorted(item for item in entries.items() if item[1])
         if 2 * len(items) >= n:
-            return cls.of(_np.array(spread(n, entries), dtype=_np.int64))
+            return cls(n, None, struct.pack(f"<{n}q", *spread(n, entries)))
         return cls(
             n,
-            _np.array([index for index, _ in items], dtype="<i4").tobytes(),
-            _np.array([value for _, value in items], dtype="<i8").tobytes(),
+            struct.pack(f"<{len(items)}i", *[index for index, _ in items]),
+            struct.pack(f"<{len(items)}q", *[value for _, value in items]),
         )
 
     def entries(self) -> Dict[int, int]:
         """The non-zero entries, index -> plain int."""
-        data = _np.frombuffer(self.data, dtype="<i8").tolist()
+        data = struct.unpack(f"<{len(self.data) // 8}q", self.data)
         if self.indices is None:
             return {index: value for index, value in enumerate(data) if value}
-        return dict(zip(_np.frombuffer(self.indices, dtype="<i4").tolist(), data))
-
-    def unpack(self) -> "_np.ndarray":
-        """A fresh, writable int64 array holding the vector."""
-        data = _np.frombuffer(self.data, dtype="<i8")
-        if self.indices is None:
-            return data.astype(_np.int64)
-        values = _np.zeros(self.n, dtype=_np.int64)
-        values[_np.frombuffer(self.indices, dtype="<i4")] = data
-        return values
+        return dict(zip(struct.unpack(f"<{len(data)}i", self.indices), data))
 
 
 class VCDelta:
@@ -95,7 +73,7 @@ class VCDelta:
 
 
 class VectorClock:
-    """A vector clock for one process: a dense int64 array.
+    """A vector clock for one process: a dense list of ints.
 
     A plain class on purpose: an image written while processes kept a
     clock unpickles into one (its old slot names become attributes)
@@ -104,7 +82,7 @@ class VectorClock:
 
     def __init__(self, pid: int, n: int) -> None:
         self.pid = pid
-        self.clock = _np.zeros(n, dtype=_np.int64)
+        self.clock = [0] * n
 
     def tick(self) -> None:
         """Advance the local component (one local event)."""
@@ -112,9 +90,7 @@ class VectorClock:
 
     def merge(self, other: Sequence[int]) -> None:
         """Componentwise max with a full timestamp."""
-        # an explicit int64 view: letting numpy infer a tuple's dtype
-        # costs half as much again at 1024 entries
-        _np.maximum(self.clock, _np.asarray(other, dtype=_np.int64), out=self.clock)
+        self.clock = [a if a > b else b for a, b in zip(self.clock, other)]
 
     def merge_delta(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Componentwise max with a sparse ``(index, value)`` stamp."""
@@ -136,7 +112,7 @@ class VectorClock:
 
     def snapshot(self) -> Tuple[int, ...]:
         """An immutable plain-int tuple copy of the current clock."""
-        return tuple(self.clock.tolist())
+        return tuple(self.clock)
 
 
 def happened_before(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -29,6 +29,7 @@ at the between-events point where it was captured, and
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass
 from itertools import count
@@ -80,6 +81,29 @@ def capture(
         raise SnapshotError(f"simulation state is not picklable: {exc!r}") from exc
 
 
+class _Inert:
+    """What a numpy array in a format-1 image loads as: each was a
+    process's ``vc.clock``, which :func:`restore` drops unread."""
+
+    def __init__(self, *args) -> None:
+        pass
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _ImageUnpickler(pickle.Unpickler):
+    """Loads an image without numpy: the two numpy names an array is
+    rebuilt from become :class:`_Inert`, and any other is refused."""
+
+    def find_class(self, module: str, name: str):
+        if module.split(".")[0] != "numpy":
+            return super().find_class(module, name)
+        if name in ("_frombuffer", "dtype"):
+            return _Inert
+        raise pickle.UnpicklingError(f"refusing numpy global {module}.{name}")
+
+
 def restore(payload: bytes) -> SimulationImage:
     """Rebuild a live simulation from :func:`capture` output.
 
@@ -90,7 +114,7 @@ def restore(payload: bytes) -> SimulationImage:
     policy).
     """
     try:
-        image = pickle.loads(payload)
+        image = _ImageUnpickler(io.BytesIO(payload)).load()
     except Exception as exc:
         raise SnapshotError(f"cannot unpickle snapshot payload: {exc!r}") from exc
     if not isinstance(image, SimulationImage):

@@ -1,6 +1,7 @@
 """Reference implementations the production code is checked against.
 
-``DenseIntVector`` is kept verbatim (name aside) from the commit before
+``DenseIntVector`` is kept (name aside, and packed through the one
+``PackedInts`` constructor) from the commit before
 ``repro.checkpointing.state.IntVector`` went dict-backed: an
 ``array('q')`` per vector. ``test_sparse_vs_dense.py`` drives both
 through the same operation sequences; they must agree observation for
@@ -19,9 +20,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
-import numpy as _np
-
-from repro.analysis.vector_clock import PackedInts
+from repro.analysis.vector_clock import PackedInts, spread
 
 
 class DenseIntVector:
@@ -42,7 +41,7 @@ class DenseIntVector:
         if isinstance(init, int):
             self._a = array(self.typecode, bytes(self._itemsize * init))
         elif isinstance(init, PackedInts):
-            self._a = array(self.typecode, init.unpack().tobytes())
+            self._a = array(self.typecode, spread(init.n, init.entries()))
         else:
             self._a = array(self.typecode, init)
 
@@ -68,7 +67,7 @@ class DenseIntVector:
         return NotImplemented
 
     def __reduce__(self):
-        return (type(self), (PackedInts.of(_np.frombuffer(self._a, dtype=_np.int64)),))
+        return (type(self), (PackedInts.of_entries(len(self._a), dict(enumerate(self._a))),))
 
     def copy(self) -> "DenseIntVector":
         dup = type(self).__new__(type(self))
@@ -93,7 +92,7 @@ class DenseIntVector:
 
 
 class DenseVectorClock:
-    """A Mattern/Fidge vector clock on a dense int64 array: the clock the
+    """A Mattern/Fidge vector clock on a dense list of ints: the clock the
     channel-count witness is checked against. ``tests/integration/
     test_scale_equivalence.py`` replays one per process over a run's
     DEBUG trace and judges lines with :func:`snapshot_consistent`.
@@ -103,7 +102,7 @@ class DenseVectorClock:
 
     def __init__(self, pid: int, n: int) -> None:
         self.pid = pid
-        self.clock = _np.zeros(n, dtype=_np.int64)
+        self.clock = [0] * n
 
     def tick(self) -> None:
         """Advance the local component (one local event)."""
@@ -111,11 +110,11 @@ class DenseVectorClock:
 
     def merge(self, other: Sequence[int]) -> None:
         """Componentwise max with a full timestamp."""
-        _np.maximum(self.clock, other, out=self.clock)
+        self.clock = [a if a > b else b for a, b in zip(self.clock, other)]
 
     def snapshot(self) -> Tuple[int, ...]:
         """An immutable plain-int tuple copy of the current clock."""
-        return tuple(self.clock.tolist())
+        return tuple(self.clock)
 
 
 def snapshot_consistent(snapshots: Iterable[Tuple[int, Sequence[int]]]) -> bool:

@@ -4,7 +4,8 @@ Int vectors pickle as packed bytes (sparse when under half full), bit
 vectors as their bytes, random streams as their state words. Every
 shape must come back equal through ``pickle`` and through
 ``copy.deepcopy``; a format-1 file, written at the commit before the
-encoding changed, must still resume into the run it was cut from.
+encoding changed, must still resume into the run it was cut from, with
+numpy installed or not.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import hashlib
 import json
 import os
 import pickle
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -23,8 +27,10 @@ from repro.checkpointing.state import BitVector, IntVector
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
+from repro.errors import SnapshotError
 from repro.sim.rng import RandomStreams, raw_rng
 from repro.snapshot import read_meta, resume_run
+from repro.snapshot.state import restore
 from repro.workload.point_to_point import PointToPointWorkload
 
 N = 67
@@ -70,6 +76,37 @@ def test_sparse_and_dense_forms_are_chosen_by_fill():
     dense = IntVector(range(1, 1001)).__reduce__()[1][0]
     assert dense.indices is None and len(dense.data) == 8000
     assert len(pickle.dumps(IntVector(1024), protocol=pickle.HIGHEST_PROTOCOL)) < 200
+
+
+#: (id, non-zero entries, length, the vector's pickled image as written
+#: at the commit before ``struct`` packed it): the packing must not move
+#: a byte
+PINNED_IMAGES = [
+    ("sparse", {3: 7, 17: -2, 39: 2**40}, 40,
+     "8005958c000000000000008c19726570726f2e636865636b706f696e74696e672e73"
+     "74617465948c09496e74566563746f729493948c1b726570726f2e616e616c797369"
+     "732e766563746f725f636c6f636b948c0a5061636b6564496e74739493944b28430c"
+     "0300000011000000270000009443180700000000000000feffffffffffffff000000"
+     "00000100009487948194859452942e"),
+    ("dense", {0: 5, 2: -1, 3: 2**33, 4: 9}, 5,
+     "8005958e000000000000008c19726570726f2e636865636b706f696e74696e672e73"
+     "74617465948c09496e74566563746f729493948c1b726570726f2e616e616c797369"
+     "732e766563746f725f636c6f636b948c0a5061636b6564496e74739493944b054e43"
+     "2805000000000000000000000000000000ffffffffffffffff000000000200000009"
+     "000000000000009487948194859452942e"),
+]
+
+
+@pytest.mark.parametrize(
+    "entries, n, image", [case[1:] for case in PINNED_IMAGES],
+    ids=[case[0] for case in PINNED_IMAGES],
+)
+def test_int_vector_images_are_pinned(entries, n, image):
+    vec = IntVector(n)
+    for index, value in entries.items():
+        vec[index] = value
+    assert pickle.dumps(vec, protocol=5).hex() == image
+    assert pickle.loads(bytes.fromhex(image)) == vec
 
 
 @pytest.mark.parametrize(
@@ -169,3 +206,30 @@ def test_format1_snapshot_resumes_into_the_uninterrupted_run():
         system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
     )
     assert resumed == _outcome(system, runner.run(max_events=10_000_000))
+
+
+def test_format1_snapshot_resumes_without_numpy():
+    """The fixture's numpy arrays (the old per-process clocks) load inert."""
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from tests.snapshot import test_payload_encoding as t\n"
+        "t.test_format1_snapshot_resumes_into_the_uninterrupted_run()\n"
+        "print('resumed')"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=root,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(["src", "."])},
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "resumed", out.stderr
+
+
+@pytest.mark.parametrize("module, name", [
+    ("numpy", "ndarray"), ("numpy.core.multiarray", "_reconstruct"),
+])
+def test_other_numpy_globals_are_refused(module, name):
+    payload = f"\x80\x02c{module}\n{name}\n(K\x01tR.".encode("latin-1")
+    with pytest.raises(SnapshotError, match=re.escape(f"{module}.{name}")):
+        restore(payload)
