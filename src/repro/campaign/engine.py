@@ -82,15 +82,15 @@ def run_point(
     return runner.run(max_events=point.max_events)
 
 
-#: event-count period used when snapshotting is on but no period given
-DEFAULT_SNAPSHOT_EVERY = 2000
+#: wall time between two snapshots of one point: a point shorter than
+#: this writes none, a kill -9 loses at most about this much work
+SNAPSHOT_WALL_SECONDS = 10.0
 
 
 def execute_point(
     payload: Dict[str, Any],
     trace_dir: Optional[str] = None,
     snapshot_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
     snapshot_keep: Optional[int] = 2,
 ) -> Dict[str, Any]:
     """Worker entry point: run one point dict, never raise.
@@ -106,14 +106,17 @@ def execute_point(
     path). The trace file is a side output: the record itself is
     identical either way, so cached and traced runs stay comparable.
 
-    With ``snapshot_dir`` set, the run snapshots itself every
-    ``snapshot_every`` events into ``<snapshot_dir>/<point_hash>/``, and
-    — the crash-resume path — a point whose directory already holds a
-    snapshot *continues from it* instead of starting over. Resume is
-    exact (the simulation is deterministic and snapshots capture it
-    whole), so an interrupted-and-resumed point's result is
-    bit-identical to an uninterrupted one and the record's ``meta``
-    (``snapshot_dir``, ``resumed_from``) is the only visible difference.
+    With ``snapshot_dir`` set, the run snapshots itself into
+    ``<snapshot_dir>/<point_hash>/`` once per
+    :data:`SNAPSHOT_WALL_SECONDS` of wall time (a point shorter than
+    that writes nothing), and — the crash-resume path — a point whose
+    directory already holds a snapshot *continues from it* instead of
+    starting over. Resume is exact (the simulation is deterministic and
+    snapshots capture it whole), so an interrupted-and-resumed point's
+    result is bit-identical to an uninterrupted one and the record's
+    ``meta`` (``snapshot_dir``, ``resumed_from``, ``snapshots_taken`` —
+    the count this execution wrote — and ``snapshots``, the paths kept)
+    is the only visible difference.
     """
     started = time.perf_counter()
     point_dict = dict(payload)
@@ -123,6 +126,7 @@ def execute_point(
         meta: Dict[str, Any] = {}
         point_snap_dir = None
         resume_from = None
+        taken_before = 0
         if snapshot_dir is not None:
             from repro.snapshot import SnapshotStore
 
@@ -136,8 +140,10 @@ def execute_point(
             if trace_dir is not None:
                 system.sim.trace.set_level(TraceLevel.DEBUG)
             meta["resumed_from"] = resume_from.path
-            result = runner.resume(max_events=point.max_events)
             snapshotter = image.snapshotter
+            if snapshotter is not None:
+                taken_before = snapshotter.seq
+            result = runner.resume(max_events=point.max_events)
         else:
             system, _, runner = build_point_runtime(point)
             if trace_dir is not None:
@@ -151,8 +157,7 @@ def execute_point(
                 snapshotter = Snapshotter(
                     runner,
                     SnapshotPolicy(
-                        every_events=snapshot_every or DEFAULT_SNAPSHOT_EVERY,
-                        keep=snapshot_keep,
+                        wallclock_seconds=SNAPSHOT_WALL_SECONDS, keep=snapshot_keep
                     ),
                     point_snap_dir,
                     label=point_hash,
@@ -161,8 +166,10 @@ def execute_point(
             result = runner.run(max_events=point.max_events)
         if point_snap_dir is not None:
             meta["snapshot_dir"] = point_snap_dir
-            if snapshotter is not None and snapshotter.taken:
-                meta["snapshots"] = list(snapshotter.taken)
+            if snapshotter is not None:
+                meta["snapshots_taken"] = snapshotter.seq - taken_before
+                if snapshotter.taken:
+                    meta["snapshots"] = list(snapshotter.taken)
         record = {
             "point_hash": point_hash,
             "status": "ok",
@@ -205,6 +212,9 @@ class CampaignReport:
     #: report then covers only the points that finished (still in grid
     #: order), and ``total`` counts only those.
     cancelled: bool = False
+    #: the records this run executed (completion order), not those it
+    #: found in the store
+    fresh: List[PointRecord] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -281,7 +291,6 @@ class CampaignEngine:
         quiet: bool = True,
         executor: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
         snapshot_dir: Optional[str] = None,
-        snapshot_every: Optional[int] = None,
         pool: Optional[Any] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -303,11 +312,7 @@ class CampaignEngine:
                 # Crash-safe campaigns: points snapshot while running and
                 # in-progress points found on disk resume mid-run instead
                 # of restarting (completed points are skipped as before).
-                executor = functools.partial(
-                    execute_point,
-                    snapshot_dir=snapshot_dir,
-                    snapshot_every=snapshot_every,
-                )
+                executor = functools.partial(execute_point, snapshot_dir=snapshot_dir)
             else:
                 executor = execute_point
         elif snapshot_dir is not None:
@@ -359,6 +364,7 @@ class CampaignEngine:
             skipped=len(self.points) - len(pending),
             wall_time=wall_time,
             cancelled=cancelled,
+            fresh=list(outcomes.values()),
         )
         for point in self.points:
             record = outcomes.get(point.point_hash) or self.store.get(

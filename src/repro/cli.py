@@ -200,13 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="save every executed point's full trace as "
                           "DIR/<point_hash>.jsonl")
     campaign.add_argument("--snapshot-dir", metavar="DIR",
-                          help="periodically snapshot in-progress points "
-                          "under DIR/<point_hash>/; a killed campaign "
-                          "resumes them mid-run instead of restarting")
-    campaign.add_argument("--snapshot-every", type=int, metavar="N",
-                          default=None,
-                          help="events between point snapshots "
-                          "(default: 2000; needs --snapshot-dir)")
+                          help="snapshot in-progress points under "
+                          "DIR/<point_hash>/, at most once per 10 s of wall "
+                          "time (a shorter point writes none); a killed "
+                          "campaign resumes them mid-run instead of "
+                          "restarting")
 
     explore = sub.add_parser(
         "explore",
@@ -305,10 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default: 8765; 0 picks a free one)")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes shared across jobs")
-    serve.add_argument("--snapshot-every", type=int, metavar="N",
-                       default=None,
-                       help="events between in-progress point snapshots "
-                       "(default: 2000)")
     serve.add_argument("--import", dest="import_jsonl", metavar="PATH",
                        action="append", default=[],
                        help="seed the cache from a JSONL campaign store "
@@ -487,9 +481,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     store_path = None if args.no_store else (
         args.store or f"campaign-{spec.name}.jsonl"
     )
-    if args.snapshot_every is not None and not args.snapshot_dir:
-        print("error: --snapshot-every needs --snapshot-dir", file=sys.stderr)
-        return 2
     executor = None
     if args.trace_out or args.snapshot_dir:
         import functools
@@ -500,7 +491,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             execute_point,
             trace_dir=args.trace_out,
             snapshot_dir=args.snapshot_dir,
-            snapshot_every=args.snapshot_every,
         )
     with ResultStore(store_path) as store:
         engine = CampaignEngine(
@@ -830,7 +820,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             workers=args.workers,
-            snapshot_every=args.snapshot_every,
             import_jsonl=args.import_jsonl,
             verbose=args.verbose,
         )

@@ -15,7 +15,9 @@ Crash durability is layered:
   the same database, so a killed service finds its queued and running
   jobs on restart and re-enqueues them — completed points are skipped
   via the store, and the **in-progress point** resumes mid-run from its
-  ``.rsnap`` snapshot (PR-6 machinery) instead of restarting;
+  ``.rsnap`` snapshot instead of restarting (a point snapshots at most
+  once per ``SNAPSHOT_WALL_SECONDS`` of wall time, so one shorter than
+  that simply reruns);
 * results are deterministic, so an interrupted-and-resumed job's
   records are bit-identical to an uninterrupted run's.
 
@@ -34,11 +36,7 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.campaign.engine import (
-    DEFAULT_SNAPSHOT_EVERY,
-    CampaignEngine,
-    CampaignReport,
-)
+from repro.campaign.engine import CampaignEngine, CampaignReport
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, RunPoint
 from repro.obs.prom import render_prometheus
@@ -128,7 +126,12 @@ class Job:
 
 
 class JobManager:
-    """Background queue draining submitted jobs through the engine."""
+    """Background queue draining submitted jobs through the engine.
+
+    ``snapshot_every`` is accepted and ignored: a point snapshots once
+    per ``SNAPSHOT_WALL_SECONDS`` of wall time, whatever its event count.
+    It stays readable as an attribute for callers that still report it.
+    """
 
     def __init__(
         self,
@@ -137,7 +140,7 @@ class JobManager:
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
         snapshot_dir: Optional[str] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
+        snapshot_every: int = 2000,
     ) -> None:
         self.db = db
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -288,8 +291,7 @@ class JobManager:
 
         The grid is partitioned against the cache *now*: hits are
         answered from the store with zero simulation work, so an
-        all-hit job completes without ever reaching the runner thread's
-        engine invocation (its status flips straight through).
+        all-hit job is never queued and is ``done`` when this returns.
         """
         if isinstance(grid, CampaignSpec):
             points = grid.expand()
@@ -302,6 +304,7 @@ class JobManager:
             job_name = name or "adhoc"
         if not points:
             raise ValueError("cannot submit an empty grid")
+        started = time.perf_counter()
         part = self.cache.partition(points)
         with self._lock:
             self._seq += 1
@@ -312,8 +315,18 @@ class JobManager:
             job.queued = len(part.misses)
             self.jobs[job_id] = job
             self._order.append(job_id)
-            self._queue.append(job_id)
             self._persist(job, seq)
+            if part.misses:
+                self._queue.append(job_id)
+            else:
+                # the runner's bookkeeping for a job with nothing to run
+                job.progress.start(skipped=len(points))
+                job.progress.finish()
+                job.wall_time = time.perf_counter() - started
+                self.metrics.histogram("service.job.wall_seconds").observe(
+                    job.wall_time
+                )
+                self._finish(job, DONE)
             self.metrics.counter("service.jobs.submitted").inc()
             self.metrics.counter("service.points.submitted").inc(len(points))
             self.metrics.gauge("service.queue.depth").set(len(self._queue))
@@ -389,7 +402,6 @@ class JobManager:
                 workers=self.workers,
                 progress=job.progress,
                 snapshot_dir=self.snapshot_dir,
-                snapshot_every=self.snapshot_every,
                 pool=self._ensure_pool(),
                 should_stop=lambda: (
                     job.cancel_event.is_set() or self._stopping
@@ -407,6 +419,9 @@ class JobManager:
         job.failed_points = len(report.failed)
         self.metrics.counter("service.points.executed").inc(report.executed)
         self.metrics.counter("service.points.failed").inc(len(report.failed))
+        self.metrics.counter("service.points.snapshots").inc(
+            sum(r.meta.get("snapshots_taken", 0) for r in report.fresh)
+        )
         self.metrics.histogram("service.job.wall_seconds").observe(job.wall_time)
         if report.cancelled and job.cancel_event.is_set():
             # Cancellation may leave shared-pool tasks queued; terminate
@@ -442,14 +457,15 @@ class CampaignService:
     ``data_dir=None`` runs fully in memory (no durability — tests and
     throwaway services); with a directory, results land in
     ``results.sqlite`` (shared by the jobs table) and in-progress point
-    snapshots under ``snapshots/``.
+    snapshots under ``snapshots/``. ``snapshot_every`` is handed to
+    :class:`JobManager`, which ignores it.
     """
 
     def __init__(
         self,
         data_dir: Optional[str] = None,
         workers: int = 1,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
+        snapshot_every: int = 2000,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.data_dir = data_dir

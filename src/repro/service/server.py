@@ -41,7 +41,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analysis.ascii_chart import sparkline
-from repro.campaign.engine import DEFAULT_SNAPSHOT_EVERY
 from repro.campaign.spec import CampaignSpec, preset_spec
 from repro.errors import ReproError
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
@@ -288,19 +287,11 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     workers: int = 1,
-    snapshot_every: Optional[int] = None,
     import_jsonl: Optional[Sequence[str]] = None,
     verbose: bool = False,
 ) -> None:
     """Run the service until interrupted (the ``repro-sim serve`` body)."""
-    with CampaignService(
-        data_dir=data_dir,
-        workers=workers,
-        snapshot_every=(
-            snapshot_every if snapshot_every is not None
-            else DEFAULT_SNAPSHOT_EVERY
-        ),
-    ) as service:
+    with CampaignService(data_dir=data_dir, workers=workers) as service:
         for path in import_jsonl or ():
             count = service.import_jsonl(path)
             print(f"imported {count} records from {path}")

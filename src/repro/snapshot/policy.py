@@ -5,8 +5,13 @@ A :class:`SnapshotPolicy` says *when* the snapshotter fires, not *how*:
 * ``every_events`` — every N dispatched kernel events;
 * ``every_sim_seconds`` — whenever simulated time advances past the
   next multiple-of-interval mark since the last snapshot;
-* ``wallclock_seconds`` — at least this much real time since the last
-  snapshot (crash-protection for long campaigns).
+* ``wallclock_seconds`` — at least this much real time since
+  ``install()`` or the last snapshot, read every
+  :data:`DEFAULT_CHECK_EVERY` events: a run shorter than the interval
+  writes nothing, a longer one at most one snapshot per interval. This
+  is how campaign and service points are insured against a crash
+  (``repro.campaign.engine.SNAPSHOT_WALL_SECONDS``): the price is paid
+  in real seconds lost, not in events.
 
 All three are evaluated by one between-events kernel hook (see
 ``Simulator.set_between_events_hook``): no trigger ever schedules an event,

@@ -8,7 +8,12 @@ import os
 
 import pytest
 
-from repro.campaign.engine import CampaignEngine, build_point_runtime, execute_point
+from repro.campaign.engine import (
+    SNAPSHOT_WALL_SECONDS,
+    CampaignEngine,
+    build_point_runtime,
+    execute_point,
+)
 from repro.campaign.spec import RunPoint
 from repro.campaign.store import ResultStore
 from repro.snapshot import SnapshotPolicy, SnapshotStore, Snapshotter
@@ -77,7 +82,8 @@ def test_resume_continues_from_latest_snapshot(tmp_path):
     assert resumed["meta"]["resumed_from"] == latest.path
 
 
-def test_engine_snapshot_dir_wires_executor_and_store(tmp_path):
+def test_engine_snapshot_dir_wires_executor_and_store(tmp_path, wall_clock):
+    wall_clock.step = SNAPSHOT_WALL_SECONDS / 4  # a snapshot per 256 events
     point = _point()
     snapshot_root = str(tmp_path / "snaps")
     store = ResultStore(None)
@@ -86,7 +92,6 @@ def test_engine_snapshot_dir_wires_executor_and_store(tmp_path):
         store=store,
         quiet=True,
         snapshot_dir=snapshot_root,
-        snapshot_every=500,
     )
     report = engine.run()
     assert report.ok
@@ -109,14 +114,42 @@ def test_engine_rejects_snapshot_dir_with_custom_executor(tmp_path):
         )
 
 
-def test_snapshot_campaign_result_matches_plain_campaign(tmp_path):
+def test_snapshot_campaign_result_matches_plain_campaign(tmp_path, wall_clock):
     """Snapshotting a whole (tiny) campaign changes no result payload."""
+    wall_clock.step = SNAPSHOT_WALL_SECONDS / 4
     point = _point()
     plain = execute_point(point.to_dict())
-    snapped = execute_point(
-        point.to_dict(),
-        snapshot_dir=str(tmp_path / "snaps"),
-        snapshot_every=500,
-    )
+    snapped = execute_point(point.to_dict(), snapshot_dir=str(tmp_path / "snaps"))
     assert snapped["meta"]["snapshots"]
     assert _comparable(snapped) == _comparable(plain)
+
+
+def test_point_shorter_than_the_wall_interval_writes_no_snapshot(
+    tmp_path, wall_clock
+):
+    """The clock never reaches ``SNAPSHOT_WALL_SECONDS``: the point writes
+    nothing, and the record says so."""
+    snapshot_root = tmp_path / "snaps"
+    record = execute_point(_point().to_dict(), snapshot_dir=str(snapshot_root))
+    assert record["status"] == "ok"
+    assert "snapshots" not in record["meta"]
+    assert record["meta"]["snapshots_taken"] == 0
+    assert not list(snapshot_root.rglob("*.rsnap"))
+
+
+def test_snapshots_taken_counts_beyond_the_kept_paths(tmp_path, wall_clock):
+    """``snapshots`` lists the ``keep=2`` survivors; ``snapshots_taken``
+    is how many were written."""
+    wall_clock.step = SNAPSHOT_WALL_SECONDS / 4
+    record = execute_point(_point().to_dict(), snapshot_dir=str(tmp_path / "snaps"))
+    assert len(record["meta"]["snapshots"]) == 2
+    assert record["meta"]["snapshots_taken"] == 10  # events 256 ... 2560 of 2685
+
+
+def test_resumed_point_counts_only_its_own_snapshots(tmp_path):
+    point = _point()
+    snapshot_root = str(tmp_path / "snaps")
+    _interrupt(point, snapshot_root, events=1200, every=500)  # writes 500, 1000
+    resumed = execute_point(point.to_dict(), snapshot_dir=snapshot_root)
+    # the image's own every_events=500 policy goes on: 1500, 2000, 2500
+    assert resumed["meta"]["snapshots_taken"] == 3

@@ -18,6 +18,33 @@ def sim() -> Simulator:
     return Simulator()
 
 
+class FakeWallClock:
+    """Stands in for the snapshotter's ``monotonic``: frozen at 0 until
+    ``step`` is set, then every read advances it by ``step`` seconds."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.step = 0.0
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+@pytest.fixture
+def wall_clock(monkeypatch) -> FakeWallClock:
+    """The snapshotter's wall clock, under test control (no test sleeps).
+
+    Left frozen, no wall-clock trigger ever fires. The snapshotter reads
+    the clock once per 64-event check and once per snapshot, so
+    ``wall_clock.step = SNAPSHOT_WALL_SECONDS / 4`` fires one on every
+    fourth check: a snapshot per 256 events.
+    """
+    clock = FakeWallClock()
+    monkeypatch.setattr("repro.snapshot.snapshotter.monotonic", clock)
+    return clock
+
+
 @pytest.fixture
 def small_system() -> MobileSystem:
     """A 4-process single-cell system with the mutable protocol."""

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
-from repro.campaign import RunPoint
+from repro.campaign import RunPoint, build_point_runtime
 from repro.service.db import ResultDB
+from repro.snapshot import SnapshotPolicy, Snapshotter
 from repro.service.jobs import CANCELLED, DONE, QUEUED, CampaignService, JobManager
 
 
@@ -41,6 +43,15 @@ def test_resubmit_is_all_cache_hits(tiny_spec):
         first = svc.submit(tiny_spec)
         ref = canonical(svc.wait(first.job_id, timeout=60))
         again = svc.submit(tiny_spec)
+        # answered inside submit: never queued, never seen by the runner
+        assert again.status == DONE
+        doc = again.to_dict()
+        assert doc["done"] == 2
+        assert doc["progress"][-1].startswith("done: 0 run, 2 skipped")
+        assert again.wall_time > 0
+        # both jobs are timed, the all-hit one included
+        histograms = svc.metrics.snapshot()["histograms"]
+        assert histograms["service.job.wall_seconds"]["count"] == 2
         report = svc.wait(again.job_id, timeout=60)
         assert again.cache_hits == 2
         assert again.queued == 0
@@ -183,3 +194,57 @@ def test_status_document(tiny_spec):
         assert counters["service.jobs.submitted"] == 1
         assert counters["service.jobs.done"] == 1
         assert counters["service.points.executed"] == 2
+
+
+def test_default_miss_job_takes_no_snapshot(tmp_path, tiny_spec, wall_clock):
+    """Points shorter than ``SNAPSHOT_WALL_SECONDS`` write no ``.rsnap``."""
+    data_dir = tmp_path / "svc"
+    with CampaignService(data_dir=str(data_dir)) as svc:
+        job = svc.submit(tiny_spec)
+        assert svc.wait(job.job_id, timeout=60).ok
+        assert svc.status()["metrics"]["counters"]["service.points.snapshots"] == 0
+        for point in job.points:
+            assert svc.db.get(point.point_hash).meta["snapshots_taken"] == 0
+    assert not list(data_dir.rglob("*.rsnap"))
+
+
+def _seed_point_snapshots(point, snapshot_root, events=1200, every=400):
+    """What a service killed mid-point leaves on disk: the point's own
+    snapshot directory, partway through."""
+    _, workload, runner = build_point_runtime(point)
+    snapshotter = Snapshotter(
+        runner,
+        SnapshotPolicy(every_events=every, keep=2),
+        os.path.join(snapshot_root, point.point_hash),
+        label=point.point_hash,
+    )
+    snapshotter.install()
+    workload.start()
+    runner._schedule_first_initiations()
+    for _ in range(events):
+        runner.system.sim.step()
+    assert snapshotter.taken
+
+
+def test_service_resumes_a_point_mid_run_from_its_snapshot(tmp_path):
+    point = RunPoint(
+        protocol="mutable",
+        workload_params={"mean_send_interval": 20.0},
+        system_params={"n_processes": 8, "trace_messages": True},
+        run_params={"max_initiations": 3},
+        seed=5,
+    )
+    with CampaignService() as control:
+        ref = canonical(control.wait(control.submit([point]).job_id, timeout=60))
+
+    data_dir = tmp_path / "svc"
+    _seed_point_snapshots(point, str(data_dir / "snapshots"))
+    with CampaignService(data_dir=str(data_dir)) as svc:
+        report = svc.wait(svc.submit([point]).job_id, timeout=60)
+        record = svc.db.get(point.point_hash)
+        assert record.meta["resumed_from"].endswith(".rsnap")
+        assert canonical(report) == ref
+        # the resumed image keeps its every-400-events policy
+        taken = record.meta["snapshots_taken"]
+        assert taken > 0
+        assert svc.metrics.value("service.points.snapshots") == taken

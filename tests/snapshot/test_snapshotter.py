@@ -153,6 +153,44 @@ def test_store_skips_unreadable_files(tmp_path):
     assert SnapshotStore(directory).latest() is None
 
 
+def _wall_seconds_per_event(monkeypatch, runner, seconds):
+    """A wall clock that advances ``seconds`` per dispatched event."""
+    sim = runner.system.sim
+    monkeypatch.setattr(
+        "repro.snapshot.snapshotter.monotonic",
+        lambda: sim.events_processed * seconds,
+    )
+
+
+def test_wallclock_trigger_fires_once_per_interval(monkeypatch):
+    """Nothing until the interval has passed since ``install()``, then
+    one snapshot per interval, on the first 64-event check past it."""
+    _, runner = _build()
+    _wall_seconds_per_event(monkeypatch, runner, 0.01)  # 10 s = 1000 events
+    snap = Snapshotter(runner, SnapshotPolicy(wallclock_seconds=10.0))
+    snap.install()
+    runner.run(max_events=500_000)
+    assert runner.system.sim.events_processed >= 2048
+    assert [meta.events_processed for meta, _ in snap.memory] == [1024, 2048]
+    assert {meta.reason for meta, _ in snap.memory} == {"wallclock"}
+
+
+def test_event_only_policy_ignores_the_wall_clock(tmp_path, wall_clock):
+    """``repro-sim run --snapshot-every`` is a plain event period: however
+    little wall time passes, the run snapshots on every period (8 for
+    this run)."""
+    from repro.cli import main
+
+    wall_clock.step = 1e-6
+    directory = tmp_path / "snaps"
+    assert main(
+        "run --protocol mutable --processes 8 --rate 0.05 --initiations 3 "
+        f"--seed 5 --snapshot-every 300 --snapshot-dir {directory}".split()
+    ) == 0
+    events = sorted(read_meta(str(p)).events_processed for p in directory.iterdir())
+    assert events == [300 * k for k in range(1, 9)]
+
+
 def test_uninstall_disarms_the_hook():
     _, runner = _build()
     snap = Snapshotter(runner, SnapshotPolicy(every_events=300))
