@@ -209,7 +209,7 @@ class MutableCheckpointProcess(ProtocolProcess):
           genuinely fresher dependency wrongly believes P_k is covered
           and the needed checkpoint is never taken (an orphan results).
         """
-        weight = as_weight(recv_weight)
+        weight = recv_weight  # ONE, or already checked by _on_request
         send_set = [
             k
             for k in true_indices(r_vec)

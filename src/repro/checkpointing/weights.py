@@ -28,8 +28,11 @@ ONE = Fraction(1)
 
 
 def as_weight(value: WeightLike) -> Fraction:
-    """Coerce to an exact Fraction weight, validating the range."""
-    w = Fraction(value)
+    """Coerce to an exact Fraction weight, validating the range.
+
+    A ``Fraction`` comes back unchanged (the same object).
+    """
+    w = value if isinstance(value, Fraction) else Fraction(value)
     if w < 0 or w > 1:
         raise ProtocolError(f"weight out of range [0, 1]: {w}")
     return w

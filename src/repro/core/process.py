@@ -24,6 +24,7 @@ from repro.net.message import (
 )
 from repro.net.mh import MobileHost
 from repro.net.node import Host
+from repro.obs.registry import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MobileSystem
@@ -261,6 +262,8 @@ class RuntimeEnv(ProcessEnv):
         metrics = self.system.metrics
         self._m_sys_messages = metrics.counter("system_messages")
         self._m_broadcasts = metrics.counter("broadcasts")
+        #: subkind -> its ``system_messages_<subkind>`` counter, on first send
+        self._m_subkinds: Dict[str, Counter] = {}
         self._next_msg_id = self.system.message_ids.__next__
 
     def now(self) -> float:
@@ -275,7 +278,12 @@ class RuntimeEnv(ProcessEnv):
             msg_id=self._next_msg_id(),
         )
         self._m_sys_messages.inc()
-        self.system.metrics.counter(f"system_messages_{subkind}").inc()
+        counter = self._m_subkinds.get(subkind)
+        if counter is None:
+            counter = self._m_subkinds[subkind] = self.system.metrics.counter(
+                f"system_messages_{subkind}"
+            )
+        counter.value += 1
         trace = self.system.sim.trace
         if trace.debug_on:
             # The wave tag (a Trigger for request/reply/commit/abort)
@@ -380,8 +388,10 @@ class RuntimeEnv(ProcessEnv):
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state.pop("_next_msg_id", None)
+        state.pop("_m_subkinds", None)
         return state
 
     def _reattach(self) -> None:
         """Rebind hot-path handles dropped by :meth:`__getstate__`."""
         self._next_msg_id = self.system.message_ids.__next__
+        self._m_subkinds = {}

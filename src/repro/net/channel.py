@@ -135,7 +135,29 @@ class FifoChannel:
         if self._paused:
             self._pending_while_paused.append(message)
             return
-        self._transmit(message)
+        now = self.sim._now
+        size = message.size_bytes
+        self.bytes_sent += size
+        self.messages_sent += 1
+        self._c_bytes.value += size
+        self._c_msgs.value += 1
+        delay = self._tx_delay.get(size)
+        if delay is None:
+            delay = self._tx_delay[size] = size * 8.0 / self.bandwidth_bps
+        if self.contention:
+            start = max(now, self._busy_until)
+            finish = start + delay
+            self._busy_until = finish
+            arrival = finish + self.latency
+        else:
+            # Constant per-message delay, clamped to preserve FIFO order.
+            arrival = now + delay + self.latency
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+        self._last_arrival = arrival
+        # stream=self: a SchedulePolicy may jitter arrivals but the
+        # kernel keeps this channel's deliveries in order (§2.1 FIFO).
+        self.sim.schedule_at(arrival, self.deliver, message, stream=self)
 
     def pause(self) -> None:
         """Take the link down; subsequent sends queue until :meth:`resume`.
@@ -151,8 +173,9 @@ class FifoChannel:
         if not self._paused:
             return
         self._paused = False
-        while self._pending_while_paused:
-            self._transmit(self._pending_while_paused.popleft())
+        pending = self._pending_while_paused
+        while pending:
+            self.send(pending.popleft())
 
     def drain_pending(self) -> Tuple[Message, ...]:
         """Remove and return messages queued while paused (for rerouting)."""
@@ -175,31 +198,6 @@ class FifoChannel:
         self._c_bytes.inc(message.size_bytes)
         self._c_msgs.inc()
         return self._busy_until
-
-    def _transmit(self, message: Message) -> None:
-        now = self.sim._now
-        size = message.size_bytes
-        self.bytes_sent += size
-        self.messages_sent += 1
-        self._c_bytes.inc(size)
-        self._c_msgs.inc()
-        delay = self._tx_delay.get(size)
-        if delay is None:
-            delay = self._tx_delay[size] = size * 8.0 / self.bandwidth_bps
-        if self.contention:
-            start = max(now, self._busy_until)
-            finish = start + delay
-            self._busy_until = finish
-            arrival = finish + self.latency
-        else:
-            # Constant per-message delay, clamped to preserve FIFO order.
-            arrival = now + delay + self.latency
-            if arrival < self._last_arrival:
-                arrival = self._last_arrival
-        self._last_arrival = arrival
-        # stream=self: a SchedulePolicy may jitter arrivals but the
-        # kernel keeps this channel's deliveries in order (§2.1 FIFO).
-        self.sim.schedule_at(arrival, self.deliver, message, stream=self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "paused" if self._paused else "up"

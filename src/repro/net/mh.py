@@ -81,8 +81,9 @@ class MobileHost(Host):
         )
         mss.register_mh(self, downlink)
         self.network.note_mh_location(self, mss)
-        while self._outbox:
-            self.uplink.send(self._outbox.pop(0))
+        for message in self._outbox:
+            self.uplink.send(message)
+        self._outbox.clear()
 
     def detach(self) -> FifoChannel:
         """Leave the current cell; returns the old downlink for draining."""
@@ -122,7 +123,9 @@ class MobileHost(Host):
         self.last_activity = now
         self._downlink_counter += 1
         self.last_downlink_sn = self._downlink_counter
-        self.deliver_to_process(message)
+        # straight to the pid's handler; the miss path raises UnknownHostError
+        handler = self._process_handlers.get(message.dst_pid) or self.deliver_to_process
+        handler(message)
 
     def transfer_checkpoint_data(self, data: Message) -> None:
         """Ship checkpoint data to the current MSS.

@@ -11,12 +11,16 @@ Location management is a directory at the network layer (`pid -> host`,
 `MH -> MSS`), updated synchronously at handoff; the directory abstracts
 the Mobile-IP-style protocols the paper cites ([2], [26], [33]) whose
 details are orthogonal to checkpointing.
+
+Routing does not walk the directory per hop: :meth:`MobileNetwork.fill_route`
+derives a pid's route once into a table that every location update
+clears, so a hop costs one table lookup and one channel send.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Dict, ItemsView, List, Optional, Tuple
+from typing import Any, Callable, Dict, ItemsView, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, UnknownHostError
 from repro.net.channel import FifoChannel
@@ -26,6 +30,10 @@ from repro.net.mss import MobileSupportStation
 from repro.net.node import Host
 from repro.net.params import NetworkParams
 from repro.sim.kernel import Simulator
+
+#: a route table entry: the MSS where delivery finishes, and the call
+#: that finishes it there
+Route = Tuple[MobileSupportStation, Callable[[Message], None]]
 
 
 class MobileNetwork:
@@ -46,6 +54,14 @@ class MobileNetwork:
         #: by disconnect/handoff so routing to a detached MH is O(1)
         #: instead of a scan over every MSS
         self._holder_of_mh: Dict[str, MobileSupportStation] = {}
+        #: the route table (see fill_route) and the backbone links by
+        #: source then destination station; both fill lazily on the
+        #: message path, register_process and the MH location hooks clear
+        #: the table, and neither is pickled
+        self._routes: Dict[int, Route] = {}
+        self._links_from: Dict[
+            MobileSupportStation, Dict[MobileSupportStation, FifoChannel]
+        ] = {}
         #: msg_id allocator for messages the net layer itself constructs;
         #: a MobileSystem replaces this with its own counter at build time
         self.message_ids = count()
@@ -72,6 +88,7 @@ class MobileNetwork:
         """Record (or update, after migration) where ``pid`` runs."""
         self._host_of_pid[pid] = host
         self._sorted_pids = None
+        self._routes.clear()
 
     def host_of_process(self, pid: int) -> Host:
         """The host ``pid`` currently runs on."""
@@ -98,10 +115,12 @@ class MobileNetwork:
     def note_mh_location(self, mh: MobileHost, mss: MobileSupportStation) -> None:
         """Directory update on attach/handoff."""
         self._mss_of_mh[mh.name] = mss
+        self._routes.clear()
 
     def forget_mh_location(self, mh: MobileHost) -> None:
         """Directory removal on disconnect without reattachment."""
         self._mss_of_mh.pop(mh.name, None)
+        self._routes.clear()
 
     # -- wired backbone -----------------------------------------------------------
     def wired_channel(
@@ -123,6 +142,7 @@ class MobileNetwork:
                 link_class="wired",
             )
             self._wired[key] = channel
+        self._links_from.setdefault(src, {})[dst] = channel
         return channel
 
     def wired_links(self) -> ItemsView[Tuple[str, str], FifoChannel]:
@@ -136,34 +156,50 @@ class MobileNetwork:
         Called when an MSS originates a message, receives one on the
         uplink, or receives one from the backbone.
         """
-        dst_host = self.host_of_process(message.dst_pid)
-        # Where must the message go next? The MSS serving the
-        # destination. A disconnected MH has no serving MSS; its traffic
-        # is absorbed by the MSS holding its disconnect record.
+        station, finish = (
+            self._routes.get(message.dst_pid) or self.fill_route(message.dst_pid)
+        )
+        if station is mss:
+            finish(message)
+            return
+        self._c_wired_routed.value += 1
+        try:
+            link = self._links_from[mss][station]
+        except KeyError:
+            link = self.wired_channel(mss, station)
+        link.send(message)
+
+    def fill_route(self, pid: int) -> Route:
+        """Derive ``pid``'s route table entry from the directory.
+
+        The entry is the MSS where delivery finishes and the call that
+        finishes it: the downlink's ``send`` for an MH in a cell,
+        ``deliver_to_process`` for a process on an MSS. A disconnected MH
+        has no serving MSS; its traffic is absorbed by the MSS holding
+        its disconnect record, through ``deliver_local``, and that answer
+        is not cached (the record, not the directory, decides it; so the
+        holder hooks leave the table alone).
+        """
+        dst_host = self.host_of_process(pid)
         if isinstance(dst_host, MobileHost) and dst_host.name not in self._mss_of_mh:
             holder = self._find_disconnect_holder(dst_host)
             if holder is None:
-                raise UnknownHostError(
-                    f"pid {message.dst_pid} on {dst_host.name} is unreachable"
-                )
-            if holder is mss:
-                mss.deliver_local(message)
-            else:
-                self._c_wired_routed.inc()
-                self.wired_channel(mss, holder).send(message)
-            return
+                raise UnknownHostError(f"pid {pid} on {dst_host.name} is unreachable")
+            return holder, holder.deliver_local
         serving = self.mss_serving(dst_host)
-        if serving is mss:
-            mss.deliver_local(message)
+        if serving is dst_host:
+            finish = serving.deliver_to_process
         else:
-            self._c_wired_routed.inc()
-            self.wired_channel(mss, serving).send(message)
+            finish = serving.downlink_to(dst_host.name).send
+        route = self._routes[pid] = (serving, finish)
+        return route
 
     def send_from_process(self, src_pid: int, message: Message) -> None:
         """Entry point used by process runtimes to send ``message``."""
-        host = self.host_of_process(src_pid)
+        # the miss path raises UnknownHostError
+        host = self._host_of_pid.get(src_pid) or self.host_of_process(src_pid)
         if isinstance(host, MobileHost):
-            self._c_wireless_sends.inc()
+            self._c_wireless_sends.value += 1
         host.send(message)
 
     def note_disconnect_holder(self, mh_name: str, mss: MobileSupportStation) -> None:
@@ -219,3 +255,17 @@ class MobileNetwork:
         if pids is None:
             pids = self._sorted_pids = tuple(sorted(self._host_of_pid))
         return pids
+
+    # -- snapshot (pickle) support -----------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        """The route table and the link index are caches of the directory
+        and of ``_wired``: an image carries neither."""
+        state = self.__dict__.copy()
+        state.pop("_routes", None)
+        state.pop("_links_from", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._routes = {}
+        self._links_from = {}

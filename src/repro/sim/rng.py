@@ -9,12 +9,16 @@ baselines stable and experiments reproducible.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 import struct
 from typing import Dict, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
+
+#: the C Mersenne Twister seeding that ``random.Random.seed`` ends in
+_c_seed = _random.Random.seed
 
 
 class _Stream(random.Random):
@@ -71,7 +75,13 @@ class RandomStreams:
         if name in self._streams:
             raise ValueError(f"stream {name!r} is in use or was a one-shot: not derived again")
         digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
-        return _Stream(int.from_bytes(digest[:8], "big"))
+        # What _Stream(seed) does for an int seed, minus the Python
+        # __init__ / seed wrappers: one C seeding (a 4096-process run
+        # derives 12 288 streams at start).
+        stream = _Stream.__new__(_Stream)
+        _c_seed(stream, int.from_bytes(digest[:8], "big"))
+        stream.gauss_next = None
+        return stream
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it on first use."""

@@ -92,3 +92,9 @@ def test_ledger_check_fails_on_corruption():
     ledger.at_process[0] = Fraction(1, 2)  # corrupt
     with pytest.raises(ProtocolError):
         ledger.check()
+
+
+def test_as_weight_returns_a_fraction_unchanged():
+    weight = Fraction(3, 8)
+    assert as_weight(weight) is weight
+    assert as_weight(ONE) is ONE

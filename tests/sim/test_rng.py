@@ -118,3 +118,20 @@ def test_the_first_initiations_do_not_keep_their_streams():
     expected = [old_shape.stream(name).getstate() for name in stagger]
     old_shape = pickle.loads(pickle.dumps(old_shape))
     assert [old_shape.stream(name).getstate() for name in stagger] == expected
+
+
+@pytest.mark.parametrize("master", [0, 11, 2**40 + 3])
+def test_a_derived_stream_is_random_random_of_its_seed(master):
+    """``_derive`` seeds through C directly; the state is the one
+    ``random.Random(seed)`` builds, draws and ``gauss_next`` included."""
+    import hashlib
+    import random
+
+    streams = RandomStreams(master)
+    for i in range(200):
+        name = f"workload.p{i}"
+        digest = hashlib.sha256(f"{master}:{name}".encode("utf-8")).digest()
+        reference = random.Random(int.from_bytes(digest[:8], "big"))
+        stream = streams.stream(name)
+        assert stream.getstate() == reference.getstate()
+        assert stream.gauss(0, 1) == reference.gauss(0, 1)
