@@ -28,8 +28,8 @@ FAIL_AT = 3300.0
 def run_interval(interval: float, seed: int = 5):
     system, workload, runner = build_bench(
         workload_params={"mean_send_interval": 10.0}, seed=seed,
-        n_processes=8, checkpoint_interval=interval, trace_messages=True,
-        initiations=10_000, warmup=1, time_limit=HORIZON,
+        n_processes=8, checkpoint_interval=interval, initiations=10_000,
+        warmup=1, time_limit=HORIZON,
     )
     runner.run(max_events=DEFAULT_MAX_EVENTS)
     workload.stop()

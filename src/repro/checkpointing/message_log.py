@@ -9,20 +9,24 @@ standard remedy: every process logs the computation messages it sends,
 and after a rollback the logged payloads of lost messages are replayed
 to their destinations.
 
-The log is volatile (in the sender's memory) and pruned at each
-permanent checkpoint boundary: once the send is recorded in the sender's
-permanent checkpoint *and* the receive in the receiver's, the entry can
-never be needed again. For simplicity pruning here keeps everything
-since the sender's previous permanent checkpoint.
+The log is volatile (in the sender's memory) and keyed by channel and
+sequence number, the sender's ``sent[dst]`` once the message is counted.
+Channels are FIFO, so a line records the first ``line[src].sent[dst]``
+sends on a channel and the first ``line[dst].received[src]`` receives;
+those in between are in transit across it. :meth:`prune` drops entries
+whose receive the receiver's checkpoint records: they can never be
+needed again. A rollback restores ``sent[dst]``, so a re-send replaces
+the entry it undid. No trace is read, so the log works at every trace
+level; a system or line without counts is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
-from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.types import CheckpointRecord
+from repro.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MobileSystem
@@ -36,25 +40,26 @@ class LoggedMessage:
     src: int
     dst: int
     payload: Any
-    send_time: float
+    #: its sequence number on the channel src -> dst (the first is 1)
+    seq: int
 
 
 class SenderMessageLog:
     """Logs every application send; identifies and replays lost messages."""
 
     def __init__(self, system: "MobileSystem") -> None:
+        _require_counts(system.processes.values())
         self.system = system
-        self._log: Dict[int, LoggedMessage] = {}
+        self._log: Dict[Tuple[int, int, int], LoggedMessage] = {}
         self.replayed: List[LoggedMessage] = []
         system.add_send_hook(self._on_send)
 
     def _on_send(self, process, message) -> None:
-        self._log[message.msg_id] = LoggedMessage(
-            msg_id=message.msg_id,
-            src=process.pid,
-            dst=message.dst_pid,
-            payload=message.payload,
-            send_time=self.system.sim.now,
+        # the send has been counted: sent[dst] is this message's number
+        dst = message.dst_pid
+        seq = process.sent[dst]
+        self._log[process.pid, dst, seq] = LoggedMessage(
+            message.msg_id, process.pid, dst, message.payload, seq
         )
 
     def __len__(self) -> int:
@@ -66,24 +71,16 @@ class SenderMessageLog:
     ) -> List[LoggedMessage]:
         """Messages in transit across ``line``: send recorded in the
         sender's checkpoint, receive not recorded in the receiver's."""
-        index = TraceIndex(self.system.sim.trace)
-        cut = index.cut({pid: rec.ckpt_id for pid, rec in line.items()})
-        traced = index.messages.by_id
-        lost: List[LoggedMessage] = []
-        for msg_id, entry in self._log.items():
-            message = traced.get(msg_id)
-            if (
-                message is None
-                or message.send is None
-                or entry.src not in cut
-                or entry.dst not in cut
-            ):
-                continue
-            if message.send >= cut[entry.src]:
-                continue  # send not in the line: rolled back, not lost
-            if message.recv is not None and message.recv < cut[entry.dst]:
-                continue  # receive already in the line
-            lost.append(entry)
+        _require_counts(line.values())
+        lost = [
+            entry
+            for entry in self._log.values()
+            if entry.src in line
+            and entry.dst in line
+            and line[entry.dst].received.get(entry.src, 0)
+            < entry.seq
+            <= line[entry.src].sent.get(entry.dst, 0)
+        ]
         lost.sort(key=lambda e: e.msg_id)
         return lost
 
@@ -110,19 +107,24 @@ class SenderMessageLog:
         return lost
 
     def prune(self, line: Dict[int, CheckpointRecord]) -> int:
-        """Drop entries whose send predates the sender's line checkpoint
-        and whose receive is inside the receiver's; returns count."""
-        index = TraceIndex(self.system.sim.trace)
-        cut = index.cut({pid: rec.ckpt_id for pid, rec in line.items()})
-        traced = index.messages.by_id
+        """Drop entries whose receive the receiver's line checkpoint
+        records; returns count."""
+        _require_counts(line.values())
         droppable = [
-            msg_id
-            for msg_id, entry in self._log.items()
-            if entry.dst in cut
-            and msg_id in traced
-            and traced[msg_id].recv is not None
-            and traced[msg_id].recv < cut[entry.dst]
+            key
+            for key, entry in self._log.items()
+            if entry.dst in line
+            and entry.seq <= line[entry.dst].received.get(entry.src, 0)
         ]
-        for msg_id in droppable:
-            del self._log[msg_id]
+        for key in droppable:
+            del self._log[key]
         return len(droppable)
+
+
+def _require_counts(holders) -> None:
+    """Every process or checkpoint in ``holders`` must keep counts."""
+    if any(holder.sent is None for holder in holders):
+        raise ProtocolError(
+            "sender-based logging needs channel counts; an image written "
+            "before processes counted restores none"
+        )

@@ -16,16 +16,14 @@ how much computation was lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.consistency import (
     assert_line_consistent,
     channel_received,
     latest_permanent_line,
 )
-from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.types import CheckpointRecord
-from repro.errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MobileSystem
@@ -37,12 +35,13 @@ class RollbackReport:
 
     ``lost_messages`` counts application messages whose delivery is no
     longer reflected in any process state (received after the recovery
-    line) — the computation to be re-executed after restart.
+    line) — the computation to be re-executed after restart. ``None``
+    (unjudged) when a process or a record of the line keeps no counts.
     """
 
     line: Dict[int, CheckpointRecord]
     rolled_back_pids: List[int]
-    lost_messages: int
+    lost_messages: Optional[int]
     recovery_time: float
 
     @property
@@ -73,22 +72,22 @@ class RecoveryManager:
         what the line records as sent (:func:`channel_received`).
         """
         line = self.recovery_line()
-        index = TraceIndex(self.system.sim.trace)
         if verify:
-            assert_line_consistent(index, line)
-        rolled_back: List[int] = []
+            assert_line_consistent(self.system.sim.trace, line)
+        processes = self.system.processes
+        # Deliveries after the line, undone below: what the processes have
+        # received less what their checkpoints recorded.
+        received = [(processes[pid].received, r.received) for pid, r in line.items()]
+        lost = None
+        if all(now is not None and then is not None for now, then in received):
+            lost = sum(sum(now.values()) - sum(then.values()) for now, then in received)
         for pid, record in line.items():
-            process = self.system.processes.get(pid)
-            if process is None:
-                raise ProtocolError(f"recovery line names unknown pid {pid}")
-            process.restore_state(
+            processes[pid].restore_state(
                 record.state, record.sent, channel_received(line, pid)
             )
-            rolled_back.append(pid)
-        lost = self._count_lost_messages(index, line)
         report = RollbackReport(
             line=line,
-            rolled_back_pids=sorted(rolled_back),
+            rolled_back_pids=sorted(line),
             lost_messages=lost,
             recovery_time=self.system.sim.now,
         )
@@ -99,14 +98,3 @@ class RecoveryManager:
             lost_messages=lost,
         )
         return report
-
-    def _count_lost_messages(
-        self, index: TraceIndex, line: Dict[int, CheckpointRecord]
-    ) -> int:
-        """Deliveries after the recovery line, undone by the rollback."""
-        cut = index.cut({pid: rec.ckpt_id for pid, rec in line.items()})
-        return sum(
-            1
-            for message in index.messages.received
-            if message.dst in cut and message.recv > cut[message.dst]
-        )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.checkpointing.message_log import SenderMessageLog
@@ -9,11 +11,15 @@ from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.recovery import RecoveryManager
 from repro.core.config import PointToPointWorkloadConfig, SystemConfig
 from repro.core.system import MobileSystem
+from repro.errors import ProtocolError
 from repro.workload.point_to_point import PointToPointWorkload
 
 
-def build(n=6, seed=3):
-    system = MobileSystem(SystemConfig(n_processes=n, seed=seed), MutableCheckpointProtocol())
+def build(n=6, seed=3, trace_messages=True):
+    system = MobileSystem(
+        SystemConfig(n_processes=n, seed=seed, trace_messages=trace_messages),
+        MutableCheckpointProtocol(),
+    )
     return system, SenderMessageLog(system)
 
 
@@ -49,9 +55,10 @@ def test_message_after_line_is_rolled_back_not_lost():
     assert log.lost_messages(line) == []
 
 
-def test_in_transit_message_is_lost_and_replayed():
-    """Send inside the line, receive outside: exactly the lost case."""
-    system, log = build()
+def in_transit_run(trace_messages=True):
+    """P0 sends to P1 and checkpoints, then sends again and checkpoints
+    again while P1 keeps its checkpoint from the first initiation."""
+    system, log = build(trace_messages=trace_messages)
     # P0 sends to P1, then checkpoints (send recorded).
     system.processes[0].send_computation(1, payload="in-transit")
     system.sim.run_until_idle()
@@ -65,6 +72,12 @@ def test_in_transit_message_is_lost_and_replayed():
     # capture BEFORE the message reaches P1's trace: P0 checkpoints now
     assert system.protocol.processes[0].initiate() or True
     system.sim.run_until_idle()
+    return system, log
+
+
+def test_in_transit_message_is_lost_and_replayed():
+    """Send inside the line, receive outside: exactly the lost case."""
+    system, log = in_transit_run()
     line = RecoveryManager(system).recovery_line()
     lost = log.lost_messages(line)
     # 'lost-one' was sent before P0's second checkpoint; P1's line
@@ -87,8 +100,8 @@ def test_prune_drops_covered_entries():
     assert len(log) == 0
 
 
-def test_full_run_replay_count_bounded():
-    system, log = build(n=8, seed=11)
+def full_run(trace_messages=True):
+    system, log = build(n=8, seed=11, trace_messages=trace_messages)
     workload = PointToPointWorkload(system, PointToPointWorkloadConfig(5.0))
     workload.start()
     system.sim.run(until=200.0)
@@ -96,6 +109,11 @@ def test_full_run_replay_count_bounded():
     system.sim.run(until=400.0)
     workload.stop()
     system.run_until_quiescent()
+    return system, log
+
+
+def test_full_run_replay_count_bounded():
+    system, log = full_run()
     manager = RecoveryManager(system)
     line = manager.recovery_line()
     lost = log.lost_messages(line)
@@ -105,3 +123,31 @@ def test_full_run_replay_count_bounded():
     log.replay(line)
     count = len(log.replayed)
     assert count == len(lost)
+
+
+@pytest.mark.parametrize(
+    "run,payloads,undone",
+    [(in_transit_run, ["in-transit", "lost-one"], 2), (full_run, [], 297)],
+    ids=["in-transit", "8p-seed11"],
+)
+def test_tracing_off_gives_the_debug_answers(run, payloads, undone):
+    """The log and the rollback read counts, not the trace: with message
+    tracing off they name the same lost messages and undo as many."""
+    for trace_messages in (True, False):
+        system, log = run(trace_messages)
+        manager = RecoveryManager(system)
+        line = manager.recovery_line()
+        assert [e.payload for e in log.lost_messages(line)] == payloads
+        assert manager.rollback().lost_messages == undone
+
+
+def test_a_line_without_counts_is_refused():
+    system, log = build()
+    line = {
+        pid: dataclasses.replace(record, sent=None, received=None)
+        for pid, record in RecoveryManager(system).recovery_line().items()
+    }
+    with pytest.raises(ProtocolError):
+        log.lost_messages(line)
+    with pytest.raises(ProtocolError):
+        log.prune(line)

@@ -103,15 +103,22 @@ def test_cold_start_is_stdlib_only():
     assert out.stdout.strip() == "[]"
 
 
-#: the runtime's layers: none of them may touch a vector clock
+#: the runtime's layers, and the names none of them may touch: a vector
+#: clock, or a trace index (they read channel counts, not the trace)
 _MESSAGE_PATH = ("sim", "net", "core", "checkpointing", "workload", "scenarios")
-_CLOCK_NAMES = {"VectorClock", "VCDelta", "Stamp"}
+_FORBIDDEN = {
+    "clock": {"VectorClock", "VCDelta", "Stamp"},
+    "trace-index": {"TraceIndex"},
+}
 
 
-def test_the_message_path_imports_no_clock():
+@pytest.mark.parametrize("what", sorted(_FORBIDDEN))
+def test_the_message_path_imports_no(what):
     """Messages are judged by per-channel counts; a clock imported into
-    the runtime is the first step back to stamping every message. (The
-    module stays importable: snapshot images name ``PackedInts`` there.)"""
+    the runtime is the first step back to stamping every message, and an
+    index built there is the first step back to a runtime answer that is
+    silently wrong when message tracing is off. (The clock module stays
+    importable: snapshot images name ``PackedInts`` there.)"""
     offenders = {}
     for rel, path in _python_files():
         if rel.split(os.sep)[0] not in _MESSAGE_PATH:
@@ -126,8 +133,8 @@ def test_the_message_path_imports_no_clock():
                 if isinstance(node, ast.ImportFrom)
                 else [node.attr] if isinstance(node, ast.Attribute) else []
             )
-            if name in _CLOCK_NAMES
+            if name in _FORBIDDEN[what]
         ]
         if found:
             offenders[rel] = found
-    assert not offenders, f"vector clocks imported on the message path: {offenders}"
+    assert not offenders, f"{what} names used on the message path: {offenders}"

@@ -14,12 +14,16 @@ from __future__ import annotations
 import os
 import pickle
 
+import pytest
+
 from repro.analysis.consistency import (
     assert_line_consistent,
     check_channel_counts,
     latest_permanent_line,
 )
+from repro.checkpointing.message_log import SenderMessageLog
 from repro.checkpointing.mutable import MutableCheckpointProtocol
+from repro.checkpointing.recovery import RecoveryManager
 from repro.core.config import (
     PointToPointWorkloadConfig,
     RunConfig,
@@ -27,6 +31,7 @@ from repro.core.config import (
 )
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
+from repro.errors import ProtocolError
 from repro.sim.trace import TraceRecord
 from repro.snapshot import read_meta, resume_run
 from repro.workload.point_to_point import PointToPointWorkload
@@ -69,6 +74,16 @@ def test_an_image_without_counts_is_judged_by_the_orphan_scan_alone():
     assert all(record.sent is None for record in line.values())
     assert check_channel_counts(line) is None
     assert_line_consistent(system.sim.trace, line)
+
+
+def test_an_image_without_counts_leaves_recovery_unjudged():
+    """No fallback to the trace: the rollback's lost count is ``None`` and
+    the sender log refuses the system."""
+    image = resume_run(FIXTURE)
+    image.runner.resume(max_events=10_000_000)
+    with pytest.raises(ProtocolError):
+        SenderMessageLog(image.system)
+    assert RecoveryManager(image.system).rollback().lost_messages is None
 
 
 def test_a_record_pickles_and_copies_as_itself():
