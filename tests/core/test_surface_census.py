@@ -1,7 +1,7 @@
 """Surface census: every public name in ``src/repro`` has a non-test caller.
 
 The public surface is what a production entry point reaches — the CLI,
-the examples, the benchmarks, the CI heredocs. A public module-level
+the examples, the benchmarks. A public module-level
 ``def``/``class`` that only tests reference is code the tests keep alive
 for their own sake, and it is how a second result store, a message dict
 export and a ``Timer`` class each outlived their last caller. This lint
@@ -9,9 +9,9 @@ walks the ASTs and fails on any such name, so the next one is either
 given a caller, made private, deleted — or argued for in ``ALLOWED``.
 
 A reference is an identifier use (``Name``, ``Attribute`` or a
-from-import alias) in another line of ``src/repro``, in ``benchmarks/``,
-in ``examples/``, or a word in ``.github/workflows/ci.yml``. A package
-``__init__`` re-export is not a caller.
+from-import alias) in another line of ``src/repro``, in ``benchmarks/``
+or in ``examples/``. A package ``__init__`` re-export is not a caller,
+and neither is a word in a CI file.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import ast
 import glob
 import os
-import re
 
 from tests.snapshot.test_rng_lint import _package_root, _python_files
 
@@ -80,10 +79,6 @@ def _non_test_references() -> set:
         pattern = os.path.join(root, folder, "**", "*.py")
         for path in glob.glob(pattern, recursive=True):
             seen.update(_identifiers(path))
-    with open(
-        os.path.join(root, ".github", "workflows", "ci.yml"), encoding="utf-8"
-    ) as fh:
-        seen.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", fh.read()))
     return seen
 
 

@@ -1,29 +1,32 @@
-"""Self-tests for the benchmark harness and its regression detector.
+"""Self-tests for the kernel benchmark (``benchmarks/bench_kernel.py``).
 
-The planted-regression test is the harness's own acceptance check: a
-deliberate per-event slowdown must trip :func:`repro.obs.bench.compare`
-at the CI threshold, while a clean self-comparison must not.
+The planted-regression test is the gate's own acceptance check: a burn
+that doubles the per-event cost, paired against the clean run the way
+``--check`` pairs HEAD with its parent, must fail the judge, while a
+clean pairing must not.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import time
 
 import pytest
 
-from repro.obs.bench import (
+from benchmarks import bench_kernel
+from benchmarks.bench_kernel import (
     BenchCase,
-    append_history,
-    calibrate,
-    compare,
+    GateError,
     default_cases,
     experiment_case,
-    format_trends,
+    judge,
     ladder_case,
     ladder_cases,
-    load_baseline,
-    load_history,
-    run_bench_suite,
+    paired_rates,
+    resolve_parent,
 )
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import (
@@ -33,6 +36,7 @@ from repro.core.config import (
 )
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
+from repro.errors import SimulationError
 from repro.workload.point_to_point import PointToPointWorkload
 
 
@@ -57,124 +61,129 @@ def test_case_run_reports_events_and_time():
     assert seconds > 0.0
 
 
-def test_suite_shape_and_normalization():
-    report = run_bench_suite([tiny_case()], repeats=1, calibration_rate=2.0)
-    assert report["schema"] == 1
-    assert report["calibration_rate"] == 2.0
-    (row,) = report["results"]
-    assert row["name"] == "tiny"
-    assert row["normalized_rate"] == pytest.approx(row["rate"] / 2.0)
-    json.dumps(report)  # must be JSON-safe as-is
-
-
 def test_default_cases_include_trace_pair():
     names = [case.name for case in default_cases()]
     assert "mutable_16p_trace_off" in names
     assert "mutable_16p_trace_on" in names
 
 
+# -- the judge -------------------------------------------------------------
 def test_self_comparison_is_clean():
-    report = run_bench_suite([tiny_case()], repeats=1, calibration_rate=1.0)
-    assert compare(report, report) == []
+    """A/A: the same rates on both sides never fail."""
+    rates = [100.0, 96.0, 104.0]
+    assert judge(rates, list(rates)) == "ok"
+    assert judge([100.0], [100.0]) == "ok"
+
+
+def test_a_speedup_never_fails():
+    assert judge([200.0, 210.0, 190.0], [100.0, 101.0, 99.0]) == "ok"
+
+
+def test_a_drop_below_the_parents_quartile_fails():
+    assert judge([70.0, 69.0, 71.0], [100.0, 99.0, 101.0]) == "REGRESSION"
+
+
+def test_a_drop_inside_a_wide_parent_spread_passes():
+    """30 % under the parent's median, but above its lower quartile: the
+    parent's own runs disagree that much, so it is noise."""
+    assert judge([70.0, 70.0, 70.0], [40.0, 100.0, 160.0]) == "ok"
+
+
+def test_a_drop_of_at_most_the_tolerance_passes():
+    assert judge([80.0, 80.0, 80.0], [100.0, 100.0, 100.0]) == "ok"
+
+
+def test_a_case_the_parent_cannot_run_is_not_gated():
+    assert judge([50.0, 50.0, 50.0], None) == "not gated"
+
+    def parent_run():
+        raise bench_kernel.CaseError("ImportError: cannot import name 'x'")
+
+    head, parent = paired_rates(lambda: (10, 1.0), parent_run, repeats=2)
+    assert head == [10.0, 10.0]
+    assert parent is None
+    assert judge(head, parent) == "not gated"
+
+
+def test_a_head_error_propagates():
+    def head_run():
+        raise bench_kernel.CaseError("AssertionError: lookup missed")
+
+    with pytest.raises(bench_kernel.CaseError):
+        paired_rates(head_run, lambda: (10, 1.0), repeats=1)
 
 
 def test_planted_regression_is_detected():
-    """A deliberate per-event burn must trip the 25% regression gate."""
+    """A ``Simulator.set_burn`` hook as slow as one event doubles the tiny
+    case's per-event cost; paired in-process it must fail the judge, and
+    the reverse pairing (a speedup) must pass."""
     case = tiny_case()
-    baseline = run_bench_suite([case], repeats=2, calibration_rate=1.0)
+    events, seconds = min((case.run() for _ in range(3)), key=lambda r: r[1])
+    per_event = seconds / events
 
     def burn():
-        # Roughly an order of magnitude above the per-event dispatch
-        # cost, so the planted slowdown is >2x regardless of machine.
-        acc = 0
-        for i in range(5000):
-            acc += i & 3
+        end = time.perf_counter() + per_event
+        while time.perf_counter() < end:
+            pass
 
-    slowed = run_bench_suite(
-        [case], repeats=2, burn=burn, calibration_rate=1.0
+    slowed, clean = paired_rates(lambda: case.run(burn), case.run, repeats=5)
+    assert judge(slowed, clean) == "REGRESSION"
+    assert judge(clean, slowed) == "ok"
+
+
+# -- the parent commit -----------------------------------------------------
+def _git(repo, *command):
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=bench", "-c",
+         "user.email=bench@example.invalid", *command],
+        check=True, capture_output=True,
     )
-    failures = compare(baseline, slowed, threshold=0.25)
-    assert len(failures) == 1
-    assert "tiny" in failures[0]
-    # and the other direction (a speedup) is never a regression
-    assert compare(slowed, baseline, threshold=0.25) == []
 
 
-def test_compare_ignores_unknown_cases_and_zero_baselines():
-    baseline = {
-        "results": [
-            {"name": "gone", "normalized_rate": 1.0},
-            {"name": "zero", "normalized_rate": 0.0},
-        ]
-    }
-    current = {
-        "results": [
-            {"name": "new", "normalized_rate": 0.001},
-            {"name": "zero", "normalized_rate": 0.001},
-        ]
-    }
-    assert compare(baseline, current) == []
+def _commit(repo, text):
+    (repo / "src").mkdir(exist_ok=True)
+    (repo / "src" / "mod.py").write_text(text)
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", text)
 
 
-def test_compare_warns_on_missing_baseline_entries():
-    """A measured case with no committed baseline never fails the gate
-    but must be surfaced, so freshly added cases don't ride ungated."""
-    baseline = {"results": [{"name": "old", "normalized_rate": 1.0}]}
-    current = {
-        "results": [
-            {"name": "old", "normalized_rate": 1.0},
-            {"name": "brand_new", "normalized_rate": 0.5},
-        ]
-    }
-    warnings: list = []
-    assert compare(baseline, current, warnings=warnings) == []
-    assert len(warnings) == 1
-    assert "brand_new" in warnings[0]
-    assert "no baseline" in warnings[0]
-    # the warnings list is optional; omitting it keeps the old behavior
-    assert compare(baseline, current) == []
+def _rev(repo, ref):
+    return subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", ref],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
 
 
-def test_compare_warns_on_duplicate_normalized_rates():
-    """Two cases agreeing to 15 significant digits cannot both be real
-    measurements — it is a copy artifact (the committed baseline once
-    carried mutable_1024p_trace_off's rate under the timeseries twin's
-    name) and must be flagged on whichever side it appears."""
-    stale = 0.003100180248699392
-    baseline = {
-        "results": [
-            {"name": "case_a", "normalized_rate": stale},
-            {"name": "case_b", "normalized_rate": stale},
-            {"name": "case_c", "normalized_rate": 0.5},
-        ]
-    }
-    current = {
-        "results": [
-            {"name": "case_a", "normalized_rate": stale},
-            {"name": "case_b", "normalized_rate": stale * 0.99},
-            {"name": "case_c", "normalized_rate": 0.49},
-        ]
-    }
-    warnings: list = []
-    assert compare(baseline, current, warnings=warnings) == []
-    assert len(warnings) == 1
-    assert warnings[0].startswith("baseline:")
-    assert "case_a" in warnings[0] and "case_b" in warnings[0]
-    assert "copy artifact" in warnings[0]
-    # duplicates in the measured report are flagged too
-    warnings = []
-    compare(baseline, baseline, warnings=warnings)
-    assert sum(w.startswith("measured:") for w in warnings) == 1
-    # zero rates (placeholders) never collide
-    zeros = {"results": [
-        {"name": "a", "normalized_rate": 0.0},
-        {"name": "b", "normalized_rate": 0.0},
-    ]}
-    warnings = []
-    compare(zeros, zeros, warnings=warnings)
-    assert warnings == []
+needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="no git")
 
 
+@needs_git
+def test_parent_is_head_parent_when_clean_and_head_when_dirty(tmp_path):
+    _git(tmp_path, "init", "-q")
+    _commit(tmp_path, "x = 1\n")
+    _commit(tmp_path, "x = 2\n")
+    assert resolve_parent(str(tmp_path)) == _rev(tmp_path, "HEAD^")
+    (tmp_path / "src" / "mod.py").write_text("x = 3\n")
+    assert resolve_parent(str(tmp_path)) == _rev(tmp_path, "HEAD")
+
+
+@needs_git
+def test_no_parent_exits_2(tmp_path, monkeypatch, capsys):
+    _git(tmp_path, "init", "-q")
+    _commit(tmp_path, "x = 1\n")
+    with pytest.raises(GateError, match="fetch-depth"):
+        resolve_parent(str(tmp_path))
+    monkeypatch.setattr(bench_kernel, "ROOT", str(tmp_path))
+    assert bench_kernel.main(["--check", "--repeats", "1"]) == 2
+    assert "fetch-depth" in capsys.readouterr().err
+
+
+def test_outside_git_exits_2(tmp_path):
+    with pytest.raises(GateError):
+        resolve_parent(str(tmp_path / "not-a-repo"))
+
+
+# -- the ladder ------------------------------------------------------------
 def test_ladder_cases_cover_the_population_rungs():
     names = [case.name for case in ladder_cases()]
     assert names == [
@@ -191,7 +200,7 @@ def test_ladder_cases_cover_the_population_rungs():
         "mutable_256p_trace_off"
     ]
     # the 32p rung is the default suite's existing case: together they
-    # form the 32 -> 256 -> 1024 -> 4096 series in BENCH_kernel.json
+    # form the 32 -> 256 -> 1024 -> 4096 series
     assert "mutable_32p_trace_off" in [c.name for c in default_cases()]
 
 
@@ -205,94 +214,61 @@ def test_ladder_case_runs_within_its_event_budget():
     assert 0 < multicell.run()[0] <= 2_000
 
 
-def test_calibrate_is_positive():
-    assert calibrate() > 0.0
+@pytest.mark.parametrize("make_case", [
+    lambda: ladder_case("rung", max_events=50_000, n_processes=64),
+    lambda: bench_kernel._snapshot_roundtrip_case(64),
+], ids=["ladder_case", "snapshot_roundtrip"])
+def test_only_the_event_budget_ends_a_run(monkeypatch, make_case):
+    """A ``SimulationError`` that is not the budget (here one planted at
+    t = 5) fails the run instead of being reported as a measurement."""
+    build = bench_kernel._mutable_p2p
 
+    def planted(*args, **kwargs):
+        system, runner = build(*args, **kwargs)
 
-def test_load_baseline_missing_and_invalid(tmp_path):
-    assert load_baseline(str(tmp_path / "nope.json")) is None
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert load_baseline(str(bad)) is None
-    empty = tmp_path / "empty.json"
-    empty.write_text('{"results": []}')
-    assert load_baseline(str(empty)) is None
-    good = tmp_path / "good.json"
-    good.write_text('{"results": [{"name": "x", "normalized_rate": 1.0}]}')
-    assert load_baseline(str(good))["results"][0]["name"] == "x"
+        def boom():
+            raise SimulationError("planted failure at t=5")
+
+        system.sim.schedule_at(5.0, boom)
+        return system, runner
+
+    monkeypatch.setattr(bench_kernel, "_mutable_p2p", planted)
+    with pytest.raises(SimulationError, match="planted"):
+        make_case().run()
 
 
 def test_committed_baseline_parses():
-    """The repo's committed BENCH_kernel.json must stay loadable."""
-    import os
-
-    path = os.path.join(
-        os.path.dirname(__file__), "..", "..", "BENCH_kernel.json"
-    )
-    baseline = load_baseline(path)
-    assert baseline is not None
-    names = {r["name"] for r in baseline["results"]}
+    """The committed BENCH_kernel.json is a raw-rate record naming every
+    case, stamped with the host it was measured on."""
+    with open(bench_kernel.RECORD_PATH, encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert {"python", "platform", "cpu_count"} <= set(record)
+    names = set(record["rates"])
     assert {c.name for c in default_cases()} <= names
-    # the ladder rungs (including the sampler-on twin) are gated too
     assert {c.name for c in ladder_cases()} <= names
+    assert all(rate > 0 for rate in record["rates"].values())
 
 
-def _report(**rates):
-    return {
-        "calibration_rate": 1e7,
-        "python": "3.x",
-        "results": [
-            {"name": name, "normalized_rate": rate, "events": 1,
-             "seconds": 1.0, "rate": rate * 1e7}
-            for name, rate in rates.items()
-        ],
-    }
+def test_write_records_raw_rates_and_the_host(tmp_path, monkeypatch):
+    path = tmp_path / "BENCH_kernel.json"
+    monkeypatch.setattr(bench_kernel, "RECORD_PATH", str(path))
+    monkeypatch.setattr(
+        bench_kernel, "_measure", lambda cases, repeats, parent: ({"a": 5.0}, [])
+    )
+    assert bench_kernel.main(["--write", "--repeats", "2"]) == 0
+    record = json.loads(path.read_text())
+    assert record["rates"] == {"a": 5.0}
+    assert record["repeats"] == 2
+    assert record["cpu_count"] == os.cpu_count()
+    assert record["python"] and record["platform"]
 
 
-def test_history_append_and_load_round_trip(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    append_history(path, _report(a=0.5), git_sha="sha1", timestamp=100.0)
-    append_history(path, _report(a=0.6, b=0.1), git_sha="sha2", timestamp=200.0)
-    history = load_history(path)
-    assert [rec["git_sha"] for rec in history] == ["sha1", "sha2"]
-    assert history[0]["normalized_rates"] == {"a": 0.5}
-    assert history[1]["normalized_rates"] == {"a": 0.6, "b": 0.1}
-    assert history[0]["timestamp"] == 100.0
-
-
-def test_history_marks_rows_measured_on_an_uncommitted_tree(tmp_path):
-    """A bench run before the commit stamps the parent's sha; ``dirty``
-    says so. Rows from before the field existed simply lack it."""
-    path = tmp_path / "history.jsonl"
-    old_row = {"schema": 1, "timestamp": 1.0, "git_sha": "parent",
-               "normalized_rates": {"a": 0.5}}
-    path.write_text(json.dumps(old_row) + "\n")
-    append_history(str(path), _report(a=0.6), git_sha="parent", dirty=True)
-    append_history(str(path), _report(a=0.7), git_sha="child")
-    history = load_history(str(path))
-    assert [rec.get("dirty") for rec in history] == [None, True, False]
-    assert "+40.0% over 3 runs" in format_trends(history)
-
-
-def test_history_survives_a_torn_line(tmp_path):
-    path = tmp_path / "history.jsonl"
-    append_history(str(path), _report(a=0.5), git_sha="sha1")
-    with open(path, "a") as fh:
-        fh.write('{"schema": 1, "torn')  # a crashed append
-    assert len(load_history(str(path))) == 1
-
-
-def test_load_history_missing_file_is_empty():
-    assert load_history("/nonexistent/history.jsonl") == []
-
-
-def test_format_trends_one_line_per_case(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    append_history(path, _report(a=0.5, b=0.2), git_sha="s1", timestamp=1.0)
-    append_history(path, _report(a=1.0, b=0.2), git_sha="s2", timestamp=2.0)
-    text = format_trends(load_history(path))
-    lines = text.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("a ") and "+100.0%" in lines[0]
-    assert lines[1].startswith("b ") and "+0.0%" in lines[1]
-    assert format_trends([]) == "(no history)"
+# -- the child interpreter -------------------------------------------------
+def test_a_child_run_imports_its_sides_repro(tmp_path):
+    """A child measures the ``repro`` under the ``src`` it was given, or
+    fails; it never silently falls back to another checkout's."""
+    src = os.path.join(bench_kernel.ROOT, "src")
+    events, seconds = bench_kernel.child_run(src, "message_alloc")
+    assert events == 200_000 and seconds > 0.0
+    with pytest.raises((GateError, bench_kernel.CaseError)):
+        bench_kernel.child_run(str(tmp_path), "message_alloc")

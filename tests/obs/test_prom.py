@@ -1,20 +1,17 @@
-"""Prometheus text-exposition rendering and the in-repo parser.
+"""Prometheus text-exposition rendering and the test-side parser.
 
-The parser is what CI's metrics-smoke job validates scrapes with, so
-it must reject malformed expositions as readily as it accepts ours.
+The parser (``tests/obs/_prom_parser.py``) is what CI's metrics-smoke
+job validates scrapes with, so it must reject malformed expositions as
+readily as it accepts ours.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.prom import (
-    CONTENT_TYPE,
-    parse_prometheus_text,
-    render_prometheus,
-    sample_map,
-)
+from repro.obs.prom import CONTENT_TYPE, render_prometheus
 from repro.obs.registry import MetricsRegistry
+from tests.obs._prom_parser import parse_prometheus_text, sample_map
 
 
 def _snapshot() -> dict:

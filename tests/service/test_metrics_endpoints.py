@@ -7,8 +7,8 @@ import threading
 import pytest
 
 from repro.campaign.spec import CampaignSpec
-from repro.obs.prom import parse_prometheus_text, sample_map
 from repro.service import CampaignService, ServiceClient, ServiceError, make_server
+from tests.obs._prom_parser import parse_prometheus_text, sample_map
 
 
 @pytest.fixture
