@@ -9,7 +9,8 @@ Usage::
 
 Every run of a case is a fresh interpreter that runs *this file's* case
 definition with one side's ``src`` first on ``PYTHONPATH``; a case's
-rate is the median of ``--repeats`` runs (default 3). The ladder adds
+rate is the median of ``--repeats`` runs (default 3, and 5 pairs with
+``--check``). The ladder adds
 the fixed-budget rungs ``mutable_{256,1024,4096}p_trace_off``, the
 sampler-on ``mutable_1024p_timeseries_1s`` twin, the 8-cell
 ``mutable_1024p_mss8``, the 1024p snapshot round trip and the 4096p
@@ -647,9 +648,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="record HEAD's median rates in BENCH_kernel.json")
     parser.add_argument("--ladder", action="store_true",
                         help="add the 256p/1024p/4096p population rungs")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per case and side; medians are compared")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="runs per case and side; medians are compared "
+                        "(default 3, or 5 with --check)")
     args = parser.parse_args(argv)
+    if args.repeats is None:
+        args.repeats = 5 if args.check else 3
 
     cases = default_cases() + (ladder_cases() if args.ladder else [])
     try:

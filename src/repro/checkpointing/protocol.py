@@ -4,7 +4,7 @@ A checkpointing algorithm is implemented as a pair of classes:
 
 * a :class:`CheckpointProtocol` (one per system) that manufactures
   per-process instances and carries cross-process *observers* (commit /
-  abort listeners used by the experiment runner — never algorithm state);
+  abort listeners and wave observers of the runtime — never algorithm state);
 * a :class:`ProtocolProcess` (one per process) holding all algorithm
   state and reacting to exactly the events the paper's pseudocode reacts
   to: sending a computation message, receiving one, receiving a system
@@ -248,6 +248,9 @@ class CheckpointProtocol(ABC):
         self.processes: Dict[int, ProtocolProcess] = {}
         self._commit_listeners: List[Callable[[Trigger], None]] = []
         self._abort_listeners: List[Callable[[Trigger], None]] = []
+        #: ``fn(now, kind, fields)`` for every record a process traces,
+        #: at every trace level; pickled with the system
+        self.observers: List[Callable[[float, str, Dict[str, Any]], None]] = []
 
     @abstractmethod
     def _build_process(self, env: ProcessEnv) -> ProtocolProcess:

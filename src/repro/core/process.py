@@ -372,7 +372,10 @@ class RuntimeEnv(ProcessEnv):
         self.system.sim.schedule(delay, fn)
 
     def trace(self, kind: str, **fields: Any) -> None:
-        self.system.sim.trace.record(self.system.sim.now, kind, **fields)
+        now = self.system.sim.now
+        self.system.sim.trace.record(now, kind, **fields)
+        for observer in self.system.protocol.observers:
+            observer(now, kind, fields)
 
     def block_computation(self) -> None:
         self.process.block()

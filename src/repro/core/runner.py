@@ -15,14 +15,14 @@ Reproduces the paper's experimental procedure (§5.1):
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Any, Deque, Dict, Optional
 
 from repro.analysis.metrics import committed_stats
 from repro.checkpointing.types import Trigger
 from repro.core.config import RunConfig
 from repro.core.results import RunResult
 from repro.core.system import MobileSystem
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.events import Event
 from repro.workload.base import Workload
 
@@ -57,7 +57,7 @@ class ExperimentRunner:
         self._timers: Dict[int, Optional[Event]] = {pid: None for pid in initiators}
         system.protocol.add_commit_listener(self._on_commit)
         system.protocol.add_abort_listener(self._on_abort)
-        system.sim.trace.subscribe(self._on_trace)
+        system.protocol.observers.append(self._on_wave)
 
     # -- scheduling ------------------------------------------------------
     def _schedule_first_initiations(self) -> None:
@@ -76,12 +76,12 @@ class ExperimentRunner:
             old.cancel()
         self._timers[pid] = self.system.sim.schedule(delay, self._initiation_due, pid)
 
-    def _on_trace(self, record) -> None:
+    def _on_wave(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
         # Paper §5.1: a checkpoint taken early pushes the next scheduled
         # initiation one full interval past it. This also supersedes a
         # pending deferred initiation of the same process.
-        if record.kind == "tentative" and not self._done:
-            pid = record["pid"]
+        if kind == "tentative" and not self._done:
+            pid = fields["pid"]
             if pid in self._timers:
                 self._arm_timer(pid, self.system.config.checkpoint_interval)
             try:
@@ -183,19 +183,6 @@ class ExperimentRunner:
         """
         return self._drive(max_events)
 
-    def _reattach(self) -> None:
-        """Re-subscribe the trace hook after a snapshot restore.
-
-        Trace subscribers are dropped at pickling time (they are live
-        callbacks); the restore path calls this to re-establish the §5.1
-        reschedule-on-early-checkpoint behaviour. The timeseries sampler
-        rides along: its kernel hook and trace subscription are dropped
-        the same way.
-        """
-        self.system.sim.trace.subscribe(self._on_trace)
-        if getattr(self.system, "timeseries", None) is not None:
-            self.system.timeseries.reattach()
-
     def _drive(self, max_events: Optional[int]) -> RunResult:
         sim = self.system.sim
         limit = self.run_config.time_limit
@@ -229,6 +216,11 @@ class ExperimentRunner:
         return self._collect()
 
     def _collect(self) -> RunResult:
+        if not self.system.sim.trace.info_on:
+            raise ConfigurationError(
+                "per-initiation results are read from INFO trace records; "
+                "this run's trace is OFF (set TraceLevel.INFO or DEBUG)"
+            )
         stats = committed_stats(self.system.sim.trace)
         measured = stats[self.run_config.warmup_initiations :]
         total_blocked = sum(

@@ -174,17 +174,7 @@ class InjectionDriver:
             else:
                 raise ConfigurationError(f"unknown injection kind {kind!r}")
         if self._fail_pending:
-            sim.trace.subscribe(self._on_trace)
-
-    def _reattach(self) -> None:
-        """Re-subscribe the trace tap after a snapshot restore.
-
-        Mirrors the tail of :meth:`install`: the subscription exists
-        only while fail injections are still waiting for their trigger
-        initiation, and subscribers are dropped at pickling time.
-        """
-        if self._fail_pending:
-            self.system.sim.trace.subscribe(self._on_trace)
+            self.system.protocol.observers.append(self._on_wave)
 
     # -- bookkeeping -----------------------------------------------------
     def _fire(self, injection: Dict[str, Any], **extra: Any) -> None:
@@ -207,8 +197,8 @@ class InjectionDriver:
         return host if isinstance(host, MobileHost) else None
 
     # -- failures --------------------------------------------------------
-    def _on_trace(self, record) -> None:
-        if record.kind != "initiation":
+    def _on_wave(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
+        if kind != "initiation":
             return
         self._initiations_seen += 1
         due = [
@@ -219,7 +209,7 @@ class InjectionDriver:
         for injection in due:
             self._fail_pending.remove(injection)
             self.system.sim.schedule(
-                injection["delay"], self._do_fail, injection, record["pid"]
+                injection["delay"], self._do_fail, injection, fields["pid"]
             )
 
     def _do_fail(self, injection: Dict[str, Any], initiator_pid: int) -> None:

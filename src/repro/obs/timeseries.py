@@ -31,9 +31,9 @@ independent of worker count exactly like
 Wave-lifecycle instrumentation
 ------------------------------
 While a sampler is installed it also derives per-wave series from the
-trace records every protocol already emits (``initiation``/``commit``/
-``abort``/``tentative``): wave latency and per-wave blocked time
-histograms, plus ``wave.commits``/``wave.aborts``/
+lifecycle every protocol reports to its observers at any trace level
+(``initiation``/``commit``/``abort``/``tentative``): wave latency and
+per-wave blocked time histograms, plus ``wave.commits``/``wave.aborts``/
 ``wave.forced_checkpoints`` counters. These instruments exist *only*
 when sampling is enabled, so a sampler-off run's metrics snapshot — and
 therefore its ``metrics_sha256`` golden — is unchanged.
@@ -84,7 +84,8 @@ class TimeseriesSampler:
     ----------
     system:
         The :class:`~repro.core.system.MobileSystem` to observe (any
-        object with ``sim``, ``metrics``, and ``processes`` works).
+        object with ``sim``, ``metrics``, ``processes`` and ``protocol``
+        works).
     window:
         Sim seconds per row. Each row holds the *delta* of every sampled
         series over one window, keyed by the integer window index ``w``.
@@ -97,9 +98,8 @@ class TimeseriesSampler:
     check_every:
         Kernel-hook cadence in events.
 
-    The sampler pickles with the system (snapshot/resume); live hook and
-    trace subscriptions do not travel and are restored by
-    :meth:`reattach`, mirroring ``Snapshotter``.
+    The sampler pickles with the system (snapshot/resume), and so do its
+    kernel hook and its place among the protocol's observers.
     """
 
     def __init__(
@@ -124,7 +124,7 @@ class TimeseriesSampler:
         self.rows: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self.dropped = 0
         registry = system.metrics
-        # Wave-lifecycle instruments, derived from INFO trace records.
+        # Wave-lifecycle instruments, derived from the protocol's observers.
         # Created here — not in the protocols — so they only exist while
         # a sampler does and sampler-off metrics snapshots are unchanged.
         self._m_commits = registry.counter("wave.commits")
@@ -140,19 +140,16 @@ class TimeseriesSampler:
 
     # -- installation ------------------------------------------------------
     def install(self) -> None:
-        """Arm the kernel hook and subscribe to the trace."""
+        """Arm the kernel hook and observe the protocol's waves."""
         self.system.sim.set_between_events_hook(
             "timeseries", self._on_hook, self.check_every
         )
-        self.system.sim.trace.subscribe(self._on_trace)
+        self.system.protocol.observers.append(self._on_wave)
 
     def uninstall(self) -> None:
-        """Disarm the kernel hook (trace subscriptions cannot be removed)."""
+        """Disarm the kernel hook and stop observing waves."""
         self.system.sim.set_between_events_hook("timeseries", None)
-
-    def reattach(self) -> None:
-        """Re-arm after a snapshot restore (hook + subscription dropped)."""
-        self.install()
+        self.system.protocol.observers.remove(self._on_wave)
 
     # -- sampling ----------------------------------------------------------
     def _cumulative(self) -> Tuple[float, ...]:
@@ -199,20 +196,19 @@ class TimeseriesSampler:
         ):
             self._emit(int(sim.now // self.window) + 1)
 
-    # -- wave lifecycle (trace-derived) ------------------------------------
-    def _on_trace(self, record: Any) -> None:
-        kind = record.kind
+    # -- wave lifecycle ----------------------------------------------------
+    def _on_wave(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
         if kind == "tentative":
-            trigger = record.get("trigger")
-            if trigger is not None and trigger.pid != record["pid"]:
+            trigger = fields.get("trigger")
+            if trigger is not None and trigger.pid != fields["pid"]:
                 self._m_forced.inc()
         elif kind == "initiation":
-            self._initiated_at[record["trigger"]] = record.time
+            self._initiated_at[fields["trigger"]] = now
         elif kind == "commit":
             self._m_commits.inc()
-            started = self._initiated_at.pop(record.get("trigger"), None)
+            started = self._initiated_at.pop(fields.get("trigger"), None)
             if started is not None:
-                self._m_latency.observe(record.time - started)
+                self._m_latency.observe(now - started)
             blocked = sum(
                 p.total_blocked_time for p in self.system.processes.values()
             )
@@ -220,7 +216,7 @@ class TimeseriesSampler:
             self._blocked_total = blocked
         elif kind == "abort":
             self._m_aborts.inc()
-            self._initiated_at.pop(record.get("trigger"), None)
+            self._initiated_at.pop(fields.get("trigger"), None)
 
     # -- export ------------------------------------------------------------
     def export(self) -> Dict[str, Any]:

@@ -310,7 +310,8 @@ class Simulator:
         Wall-clock instrumentation (profiler, burn hook) and the
         snapshot hook hold live callbacks into harness objects; they are
         dropped here and re-attached by the restore path — see
-        ``repro.snapshot.state``. ``_running``/``_stop_requested`` reset
+        ``repro.snapshot.state``. Other keyed hooks (the timeseries
+        sampler's) travel. ``_running``/``_stop_requested`` reset
         so a simulator pickled mid-``run()`` resumes cleanly.
         """
         state = self.__dict__.copy()
@@ -318,16 +319,15 @@ class Simulator:
         state["_stop_requested"] = False
         state["_profiler"] = None
         state["_burn"] = None
-        state["_snap_hook"] = None
-        state["_snap_every"] = 0
-        state["_snap_countdown"] = 0
-        state["_hooks"] = {}
+        state["_snap_hook"] = None  # recomposed from _hooks on load
+        state["_hooks"] = {k: v for k, v in self._hooks.items() if k != "snapshot"}
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         # snapshots written before keyed hooks existed lack the registry
         self.__dict__.setdefault("_hooks", {})
+        self._recompose_hooks()
 
     def stop(self) -> None:
         """Ask the running event loop to halt after the current event.

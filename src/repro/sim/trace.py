@@ -244,20 +244,15 @@ class TraceLog:
         self.debug_capacity = None
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Pickle support: records and counters travel, subscribers don't.
-
-        Subscribers are live callbacks into harness objects (runners,
-        injection drivers, JSONL sinks, flight-recorder taps); a
-        restored log starts with none, and the snapshot restore path
-        re-attaches the ones it owns (see ``repro.snapshot.state``).
-        External sinks must be re-subscribed by their owners.
-        """
+        """Pickle support: records and counters travel, subscribers
+        (output sinks such as ``JsonlTraceSink``) don't; their owners
+        re-subscribe them."""
         state = self.__dict__.copy()
         state["_subscribers"] = []
         return state
 
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``callback`` for every subsequently recorded entry.
+        """Invoke ``callback`` (an output sink) for every later entry.
 
         Subscribers see every record at recording time — in flight-
         recorder mode that includes DEBUG records later evicted from the

@@ -90,18 +90,6 @@ class Snapshotter:
         """Disarm the kernel hook (subsequent runs pay zero cost again)."""
         self.runner.system.sim.set_between_events_hook("snapshot", None)
 
-    def reattach(
-        self,
-        runner: Optional["ExperimentRunner"] = None,
-        driver: Optional["InjectionDriver"] = None,
-    ) -> None:
-        """Re-arm after a snapshot restore (hooks are never pickled)."""
-        if runner is not None:
-            self.runner = runner
-        if driver is not None:
-            self.driver = driver
-        self.install()
-
     # -- trigger evaluation (runs between kernel events) -----------------
     def _check(self) -> None:
         policy = self.policy
@@ -180,7 +168,7 @@ class Snapshotter:
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         # prior payloads would nest quadratically; wallclock is rebased
-        # on reattach
+        # on install
         state["memory"] = []
         state["_last_wall"] = None
         return state

@@ -13,9 +13,8 @@ and :func:`restore` hands it to the system.
 
 What deliberately does **not** travel:
 
-* trace subscribers (runner hook, injection-driver tap, external JSONL
-  sinks) — live callbacks, re-attached by :func:`restore`, except
-  external sinks which their owners must re-subscribe;
+* trace subscribers (external JSONL sinks), which their owners must
+  re-subscribe;
 * the kernel profiler and bench burn hook — wall-clock instrumentation;
 * the per-process ``itertools.count.__next__`` fast bindings — rebuilt
   by each process's ``_reattach``;
@@ -108,10 +107,8 @@ def restore(payload: bytes) -> SimulationImage:
     """Rebuild a live simulation from :func:`capture` output.
 
     Unpickles the image and re-attaches every dropped live binding:
-    per-process message-id fastpaths, the runner's trace subscription,
-    the injection driver's tap (when still armed), and the snapshotter's
-    kernel hook (so a resumed run keeps snapshotting with its original
-    policy).
+    per-process message-id fastpaths and the snapshotter's kernel hook
+    (so a resumed run keeps snapshotting with its original policy).
     """
     try:
         image = _ImageUnpickler(io.BytesIO(payload)).load()
@@ -133,13 +130,20 @@ def restore(payload: bytes) -> SimulationImage:
             process.sent = process.received = None
         process._reattach()
         process.env._reattach()
-    image.runner._reattach()
+    protocol = system.protocol
+    if "observers" not in vars(protocol):
+        # written while the sampler, the runner and the driver subscribed
+        # to the trace: they observe the protocol now, in that order
+        protocol.observers = []
+        if getattr(system, "timeseries", None) is not None:
+            system.timeseries.install()
+        protocol.observers.append(image.runner._on_wave)
+        if image.driver is not None and image.driver._fail_pending:
+            protocol.observers.append(image.driver._on_wave)
     if system.shard_plan is not None:
         # only a snapshot written by the windowed sharded kernel (deleted
         # in PR 22) lacks the network handle its partition report reads
         system.sim.partition(system.shard_plan, system.network)
-    if image.driver is not None:
-        image.driver._reattach()
     if image.snapshotter is not None:
-        image.snapshotter.reattach(image.runner, driver=image.driver)
+        image.snapshotter.install()
     return image

@@ -8,6 +8,9 @@ from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
+from repro.errors import ConfigurationError
+from repro.explore.injections import InjectionDriver
+from repro.sim.trace import TraceLevel
 from repro.workload.point_to_point import PointToPointWorkload
 
 
@@ -125,3 +128,64 @@ def test_forced_checkpoint_postpones_next_initiation():
             if pid in last_tentative:
                 gap = rec.time - last_tentative[pid]
                 assert gap >= 99.0, f"p{pid} initiated {gap:.1f}s after a checkpoint"
+
+
+#: crash a host 1 s into the second wave, abort it, restart and roll back
+_FAIL = {
+    "kind": "fail_mid_coordination", "at_initiation": 2, "delay": 1.0,
+    "victim_offset": 3, "policy": "abort", "restart_after": 4.0,
+    "recover_after": 1.0,
+}
+
+
+def _run_at(level, case):
+    """The format-1 fixture's run (16p mutable, seed 7, p2p 15 s, 6
+    initiations) at ``level``: the error it ended with, if any, and what
+    the system did."""
+    window = 100.0 if case == "sampler" else None
+    config = SystemConfig(n_processes=16, seed=7, timeseries_window=window)
+    system = MobileSystem(config, MutableCheckpointProtocol())
+    system.sim.trace.set_level(level)
+    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(15.0))
+    runner = ExperimentRunner(
+        system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
+    )
+    driver = None
+    if case == "injection":
+        driver = InjectionDriver(system, runner, [_FAIL])
+        driver.install()
+    error = None
+    try:
+        runner.run(max_events=10_000_000)
+    except ConfigurationError as exc:
+        error = str(exc)
+    waves = {
+        section: {name: v for name, v in values.items() if name.startswith("wave.")}
+        for section, values in system.metrics.snapshot().items()
+    }
+    return error, (
+        system.sim.events_processed,
+        system.sim.now,
+        system.metrics.counters(),
+        waves,
+        driver.fired if driver is not None else None,
+    )
+
+
+@pytest.mark.parametrize("case", ["plain", "sampler", "injection"])
+def test_the_schedule_does_not_read_the_trace_level(case):
+    """§5.1's reschedule, the sampler's wave metrics and a fail injection
+    follow the protocol's waves, not INFO records: at ``TraceLevel.OFF``
+    the system does what it does at INFO, and the runner refuses to
+    return per-initiation results it cannot read instead of ``[]``."""
+    error, off = _run_at(TraceLevel.OFF, case)
+    assert error is not None and "INFO" in error
+    assert _run_at(TraceLevel.INFO, case) == (None, off)
+    events, _, counters, waves, fired = off
+    if case == "plain":
+        assert events == 12_675
+    if case == "sampler":
+        assert counters["wave.commits"] == 6
+        assert waves["histograms"]["wave.latency_seconds"]["count"] == 6
+    if case == "injection":
+        assert fired == [_FAIL]

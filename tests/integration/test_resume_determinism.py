@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+
+import pytest
 
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
-from repro.snapshot import SnapshotPolicy, SnapshotStore, Snapshotter, resume_run
+from repro.explore.injections import InjectionDriver
+from repro.snapshot import (
+    SnapshotPolicy,
+    SnapshotStore,
+    Snapshotter,
+    restore,
+    resume_run,
+)
 from repro.workload.point_to_point import PointToPointWorkload
 
 from tests.integration.test_fastpath_determinism import GOLDEN
@@ -87,3 +97,60 @@ def test_resume_from_every_snapshot_is_deterministic(tmp_path):
         image = resume_run(info.path)
         result = image.runner.resume(max_events=10_000_000)
         _assert_golden_b(image.system, result)
+
+
+#: fires at the 4th initiation, after the snapshot at event 2048
+_FAIL = {
+    "kind": "fail_mid_coordination", "at_initiation": 4, "delay": 1.0,
+    "victim_offset": 3, "policy": "abort", "restart_after": 4.0,
+    "recover_after": 1.0,
+}
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["image", "legacy_image"])
+def test_wave_observers_resume_into_the_uninterrupted_run(legacy):
+    """The sampler's kernel hook and the wave observers (sampler, runner,
+    a still-pending fail injection) travel with the image. An image
+    written before they did (no ``observers`` on the protocol, no keyed
+    kernel hooks) gets them back from ``restore()``, in that order."""
+    config = SystemConfig(n_processes=16, seed=7, timeseries_window=100.0)
+    system = MobileSystem(config, MutableCheckpointProtocol())
+    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(15.0))
+    runner = ExperimentRunner(
+        system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
+    )
+    driver = InjectionDriver(system, runner, [_FAIL])
+    driver.install()
+    # a multiple of the sampler's cadence (32), so a fresh hook countdown
+    # after the restore is in phase with the uninterrupted run's
+    snap = Snapshotter(
+        runner, SnapshotPolicy(every_events=2048), directory=None, driver=driver
+    )
+    snap.install()
+
+    def outcome(image_system, result, image_driver):
+        return (
+            image_system.sim.trace.content_hash(),
+            json.dumps(result.metrics, sort_keys=True),
+            json.dumps(result.timeseries, sort_keys=True),
+            image_system.sim.events_processed,
+            image_driver.fired,
+        )
+
+    expected = outcome(system, runner.run(max_events=10_000_000), driver)
+    assert driver.fired == [_FAIL]
+    payload = snap.memory[0][1]
+    if legacy:
+        old = pickle.loads(payload)
+        del old.system.protocol.observers
+        old.system.sim._hooks = {}
+        payload = pickle.dumps(old)
+    image = restore(payload)
+    assert image.driver._fail_pending == [_FAIL]
+    assert image.system.protocol.observers == [
+        image.system.timeseries._on_wave,
+        image.runner._on_wave,
+        image.driver._on_wave,
+    ]
+    result = image.runner.resume(max_events=10_000_000)
+    assert outcome(image.system, result, image.driver) == expected

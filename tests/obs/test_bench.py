@@ -8,6 +8,7 @@ clean pairing must not.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -272,3 +273,17 @@ def test_a_child_run_imports_its_sides_repro(tmp_path):
     assert events == 200_000 and seconds > 0.0
     with pytest.raises((GateError, bench_kernel.CaseError)):
         bench_kernel.child_run(str(tmp_path), "message_alloc")
+
+
+@pytest.mark.parametrize("argv, repeats", [
+    ([], 3), (["--check"], 5), (["--check", "--repeats", "2"], 2),
+])
+def test_check_runs_five_pairs_by_default(monkeypatch, argv, repeats):
+    """Host phases lasting a few runs outvote a median of 3 pairs."""
+    seen = []
+    monkeypatch.setattr(bench_kernel, "parent_src",
+                        lambda root: contextlib.nullcontext("parent/src"))
+    monkeypatch.setattr(bench_kernel, "_measure",
+                        lambda cases, n, parent: seen.append(n) or ({}, []))
+    assert bench_kernel.main(argv) == 0
+    assert seen == [repeats]

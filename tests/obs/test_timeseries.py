@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,12 +20,14 @@ from repro.sim.kernel import Simulator
 
 
 class _StubSystem:
-    """The minimal surface a sampler needs: sim + metrics + processes."""
+    """The minimal surface a sampler needs: sim + metrics + processes +
+    a protocol's wave observers."""
 
     def __init__(self) -> None:
         self.sim = Simulator()
         self.metrics = MetricsRegistry()
         self.processes: dict = {}
+        self.protocol = SimpleNamespace(observers=[])
 
 
 def _sampler(window=10.0, **kwargs) -> TimeseriesSampler:
@@ -191,6 +194,7 @@ def test_uninstall_stops_sampling():
     sim.schedule_at(0.5, counter.inc)
     sim.run_until_idle()
     sampler.uninstall()
+    assert sampler.system.protocol.observers == []
     sim.schedule_at(5.5, counter.inc)
     sim.schedule_at(9.5, counter.inc)
     sim.run_until_idle()

@@ -138,3 +138,26 @@ def test_the_message_path_imports_no(what):
         if found:
             offenders[rel] = found
     assert not offenders, f"{what} names used on the message path: {offenders}"
+
+
+def test_only_the_jsonl_sink_subscribes_to_the_trace():
+    """The trace is output, not input. The runtime follows waves through
+    ``CheckpointProtocol.observers``, which fire at every trace level and
+    pickle with the system; a trace subscriber hears nothing at
+    ``TraceLevel.OFF`` and is dropped at pickling. So the one
+    ``.subscribe`` in the package is the output sink's, in
+    ``sim/export.py``."""
+    offenders = {}
+    for rel, path in _python_files():
+        if rel == os.path.join("sim", "export.py"):
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "subscribe"
+        ]
+        if found:
+            offenders[rel] = found
+    assert not offenders, f".subscribe used outside sim/export.py: {offenders}"
