@@ -26,6 +26,7 @@ from repro.net.mss import MobileSupportStation
 from repro.net.network import MobileNetwork
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeseries import TimeseriesSampler
+from repro.sim.gcpause import _paused_collector
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceLevel, TraceLog
@@ -42,6 +43,7 @@ class MobileSystem:
     process so a recovery line exists from time zero.
     """
 
+    @_paused_collector()  # a build frees nothing the collector could find
     def __init__(
         self,
         config: SystemConfig,

@@ -35,6 +35,7 @@ from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SnapshotError
+from repro.sim.gcpause import _paused_collector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.runner import ExperimentRunner
@@ -75,7 +76,8 @@ def capture(
     """
     image = SimulationImage(runner=runner, driver=driver, snapshotter=snapshotter)
     try:
-        return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
+        with _paused_collector():
+            return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise SnapshotError(f"simulation state is not picklable: {exc!r}") from exc
 
@@ -111,7 +113,8 @@ def restore(payload: bytes) -> SimulationImage:
     (so a resumed run keeps snapshotting with its original policy).
     """
     try:
-        image = _ImageUnpickler(io.BytesIO(payload)).load()
+        with _paused_collector():
+            image = _ImageUnpickler(io.BytesIO(payload)).load()
     except Exception as exc:
         raise SnapshotError(f"cannot unpickle snapshot payload: {exc!r}") from exc
     if not isinstance(image, SimulationImage):

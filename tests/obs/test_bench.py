@@ -205,6 +205,11 @@ def test_ladder_cases_cover_the_population_rungs():
     assert "mutable_32p_trace_off" in [c.name for c in default_cases()]
 
 
+def test_the_build_case_times_three_builds():
+    events, seconds = bench_kernel._build_case(64).run()
+    assert events == 3 and seconds > 0.0
+
+
 def test_ladder_case_runs_within_its_event_budget():
     (case,) = ladder_cases(populations=(64,), max_events=5_000)
     events, seconds = case.run()

@@ -56,8 +56,9 @@ def _build_in_a_fresh_interpreter(n: int) -> dict:
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
 @pytest.mark.parametrize(
     "n, max_growth_mb, max_seconds",
-    # measured 48 MB / 0.14 s and 173 MB / 0.47 s; the dense build
-    # was 450 MB / 0.48 s and 2 535 MB / 13 s
+    # measured 48 MB / 0.10 s and 173 MB / 0.26 s with the collector
+    # paused for the build (0.13 s and 0.37 s without, same growth); the
+    # dense build was 450 MB / 0.48 s and 2 535 MB / 13 s
     [(4096, 100.0, None), (10_000, 400.0, 3.0)],
     ids=["4096p", "10000p"],
 )

@@ -161,3 +161,37 @@ def test_only_the_jsonl_sink_subscribes_to_the_trace():
         if found:
             offenders[rel] = found
     assert not offenders, f".subscribe used outside sim/export.py: {offenders}"
+
+
+#: the calls that change what the process-wide cyclic collector does
+_COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
+
+
+def test_only_the_pause_helper_switches_the_collector():
+    """The collector is process-wide: a switch left off, or a frozen
+    ``MobileSystem`` (cyclic, so never freed), outlives the call that made
+    it. ``sim/gcpause.py``'s context manager is the one place that turns
+    it off, and it puts back what it found; every other module pauses
+    through it."""
+    offenders = {}
+    for rel, path in _python_files():
+        if rel == os.path.join("sim", "gcpause.py"):
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found = [
+            f"line {node.lineno}: {name}"
+            for node in ast.walk(tree)
+            for name in (
+                [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                else [node.attr]
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "gc"
+                else []
+            )
+            if name in _COLLECTOR_SWITCHES
+        ]
+        if found:
+            offenders[rel] = found
+    assert not offenders, f"gc switched outside sim/gcpause.py: {offenders}"
