@@ -277,6 +277,46 @@ def _trace_codec_case() -> BenchCase:
     )
 
 
+#: what one ``cold_import_cli`` interpreter runs: time the CLI's import
+_COLD_IMPORT = """
+import time
+start = time.perf_counter()
+import repro.cli
+print(time.perf_counter() - start)
+"""
+
+
+def _cold_import_case(imports: int = 8) -> BenchCase:
+    """``import repro.cli`` in ``imports`` fresh interpreters, each timed
+    from inside: what every CLI call, campaign worker and service job
+    pays before its first event. A fresh interpreter compiles from source
+    whatever has no bytecode cache, so the rate falls with every module
+    the import drags in. "Events" are imports."""
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        elapsed = 0.0
+        for _ in range(imports):
+            start = time.perf_counter()
+            if burn is not None:
+                burn()
+            elapsed += time.perf_counter() - start
+            child = subprocess.run(
+                [sys.executable, "-c", _COLD_IMPORT],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, text=True, check=True,
+            )
+            elapsed += float(child.stdout)
+        return imports, elapsed
+
+    return BenchCase(
+        "cold_import_cli", run,
+        f"import repro.cli in {imports} fresh interpreters (imports/s)",
+    )
+
+
 def _run_to_budget(
     system: MobileSystem, runner: ExperimentRunner, max_events: int
 ) -> None:
@@ -439,6 +479,7 @@ def default_cases() -> List[BenchCase]:
         _message_alloc_case(),
         _snapshot_overhead_case(),
         _trace_codec_case(),
+        _cold_import_case(),
         _store_case(
             "store_jsonl_10k", "jsonl",
             "10k PointRecord appends (fsync each) + 10k hash lookups "

@@ -17,29 +17,19 @@ Quick start::
     print(result.tentative_summary(), result.redundant_mutable_summary())
 """
 
-from repro.core import (
-    AppProcess,
-    ExperimentRunner,
-    GroupWorkloadConfig,
-    MobileSystem,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    RunResult,
-    SystemConfig,
-)
-from repro.errors import ReproError
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AppProcess",
-    "ExperimentRunner",
-    "GroupWorkloadConfig",
-    "MobileSystem",
-    "PointToPointWorkloadConfig",
-    "ReproError",
-    "RunConfig",
-    "RunResult",
-    "SystemConfig",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AppProcess": "core",
+    "ExperimentRunner": "core",
+    "GroupWorkloadConfig": "core",
+    "MobileSystem": "core",
+    "PointToPointWorkloadConfig": "core",
+    "ReproError": "errors",
+    "RunConfig": "core",
+    "RunResult": "core",
+    "SystemConfig": "core",
+})
+__all__.append("__version__")

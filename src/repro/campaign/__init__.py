@@ -24,43 +24,25 @@ interrupted campaign resumes where it stopped::
         print(row)
 """
 
-from repro.campaign.cache import canonical_json, derive_seed, spec_hash
-from repro.campaign.engine import (
-    CampaignEngine,
-    CampaignReport,
-    build_point_runtime,
-    build_point_system,
-    execute_point,
-    run_point,
-    run_preset,
-)
-from repro.campaign.progress import ProgressReporter
-from repro.campaign.spec import (
-    DEFAULT_MAX_EVENTS,
-    PRESETS,
-    CampaignSpec,
-    RunPoint,
-    preset_spec,
-)
-from repro.campaign.store import PointRecord, ResultStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignEngine",
-    "CampaignReport",
-    "CampaignSpec",
-    "DEFAULT_MAX_EVENTS",
-    "PRESETS",
-    "PointRecord",
-    "ProgressReporter",
-    "ResultStore",
-    "RunPoint",
-    "build_point_runtime",
-    "build_point_system",
-    "canonical_json",
-    "derive_seed",
-    "execute_point",
-    "preset_spec",
-    "run_point",
-    "run_preset",
-    "spec_hash",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CampaignEngine": "engine",
+    "CampaignReport": "engine",
+    "CampaignSpec": "spec",
+    "DEFAULT_MAX_EVENTS": "spec",
+    "PRESETS": "spec",
+    "PointRecord": "store",
+    "ProgressReporter": "progress",
+    "ResultStore": "store",
+    "RunPoint": "spec",
+    "build_point_runtime": "engine",
+    "build_point_system": "engine",
+    "canonical_json": "cache",
+    "derive_seed": "cache",
+    "execute_point": "engine",
+    "preset_spec": "spec",
+    "run_point": "engine",
+    "run_preset": "engine",
+    "spec_hash": "cache",
+})

@@ -21,12 +21,12 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.campaign.cache import spec_hash
-from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import WORKLOAD_KINDS, CampaignSpec, RunPoint, preset_spec
-from repro.campaign.store import PointRecord, ResultStore
 from repro.checkpointing.protocol import CheckpointProtocol
 from repro.core.config import RunConfig, SystemConfig
 from repro.core.registry import build_protocol
@@ -34,9 +34,12 @@ from repro.core.results import RunResult
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeseries import merge_timeseries
 from repro.sim.trace import TraceLevel
 from repro.workload.base import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - a single point needs neither
+    from repro.campaign.progress import ProgressReporter
+    from repro.campaign.store import PointRecord, ResultStore
 
 
 def build_point_system(
@@ -252,6 +255,8 @@ class CampaignReport:
         :meth:`merged_metrics` the result is independent of worker
         count. ``{}`` when no point sampled a timeseries.
         """
+        from repro.obs.timeseries import merge_timeseries
+
         return merge_timeseries(result.timeseries for result in self.results())
 
     def rows(self) -> List[Dict[str, Any]]:
@@ -302,6 +307,9 @@ class CampaignEngine:
             self.points = list(spec)
         if workers < 1:
             raise ValueError("need at least one worker")
+        from repro.campaign.progress import ProgressReporter
+        from repro.campaign.store import ResultStore
+
         self.store = store if store is not None else ResultStore()
         self.workers = workers
         # A payload -> record callable; must pickle for worker pools
@@ -404,6 +412,8 @@ class CampaignEngine:
                 yield raw
 
     def _record_outcome(self, raw: Dict[str, Any], attempts: int) -> PointRecord:
+        from repro.campaign.store import PointRecord
+
         record = PointRecord.from_dict({**raw, "attempts": attempts})
         self.store.append(record)
         return record

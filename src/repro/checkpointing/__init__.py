@@ -5,51 +5,34 @@ the baselines used in the Table 1 comparison and the §3.1.1 ablation
 schemes live alongside it.
 """
 
-from repro.checkpointing.chandy_lamport import ChandyLamportProcess, ChandyLamportProtocol
-from repro.checkpointing.elnozahy import ElnozahyProcess, ElnozahyProtocol
-from repro.checkpointing.koo_toueg import KooTouegProcess, KooTouegProtocol
-from repro.checkpointing.mutable import MutableCheckpointProcess, MutableCheckpointProtocol
-from repro.checkpointing.protocol import CheckpointProtocol, ProcessEnv, ProtocolProcess
-from repro.checkpointing.simple_schemes import (
-    BasicCsnProtocol,
-    NoMutableVariantProtocol,
-    RevisedCsnProtocol,
-)
-from repro.checkpointing.storage import LocalStore, StableStorage
-from repro.checkpointing.types import (
-    CheckpointKind,
-    CheckpointRecord,
-    MREntry,
-    MutableCheckpointRecord,
-    Trigger,
-    fresh_mr,
-)
-from repro.checkpointing.weights import WeightLedger, as_weight, split
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BasicCsnProtocol",
-    "ChandyLamportProcess",
-    "ChandyLamportProtocol",
-    "CheckpointKind",
-    "CheckpointProtocol",
-    "CheckpointRecord",
-    "ElnozahyProcess",
-    "ElnozahyProtocol",
-    "KooTouegProcess",
-    "KooTouegProtocol",
-    "LocalStore",
-    "MREntry",
-    "MutableCheckpointProcess",
-    "MutableCheckpointProtocol",
-    "MutableCheckpointRecord",
-    "NoMutableVariantProtocol",
-    "ProcessEnv",
-    "ProtocolProcess",
-    "RevisedCsnProtocol",
-    "StableStorage",
-    "Trigger",
-    "WeightLedger",
-    "as_weight",
-    "fresh_mr",
-    "split",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BasicCsnProtocol": "simple_schemes",
+    "ChandyLamportProcess": "chandy_lamport",
+    "ChandyLamportProtocol": "chandy_lamport",
+    "CheckpointKind": "types",
+    "CheckpointProtocol": "protocol",
+    "CheckpointRecord": "types",
+    "ElnozahyProcess": "elnozahy",
+    "ElnozahyProtocol": "elnozahy",
+    "KooTouegProcess": "koo_toueg",
+    "KooTouegProtocol": "koo_toueg",
+    "LocalStore": "storage",
+    "MREntry": "types",
+    "MutableCheckpointProcess": "mutable",
+    "MutableCheckpointProtocol": "mutable",
+    "MutableCheckpointRecord": "types",
+    "NoMutableVariantProtocol": "simple_schemes",
+    "ProcessEnv": "protocol",
+    "ProtocolProcess": "protocol",
+    "RevisedCsnProtocol": "simple_schemes",
+    "StableStorage": "storage",
+    "TimerBasedProtocol": "timer_based",
+    "Trigger": "types",
+    "UncoordinatedProtocol": "uncoordinated",
+    "WeightLedger": "weights",
+    "as_weight": "weights",
+    "fresh_mr": "types",
+    "split": "weights",
+})

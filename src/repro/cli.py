@@ -24,13 +24,6 @@ import argparse
 import sys
 from typing import Any, List, Optional
 
-from repro.analysis.comparison import (
-    CostParameters,
-    analytic_table,
-    format_table,
-    measured_row,
-)
-from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
 from repro.campaign.engine import build_point_runtime, run_preset
 from repro.campaign.spec import PRESETS, WORKLOAD_KINDS, RunPoint
 from repro.core.registry import available_protocols, build_protocol
@@ -41,7 +34,6 @@ from repro.errors import (
     StoreFormatError,
     TraceFormatError,
 )
-from repro.explore.fuzz import EXPLORE_PRESETS
 from repro.workload.bursty import BurstyWorkloadConfig
 
 
@@ -50,6 +42,17 @@ def _positive_float(text: str) -> float:
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+def _explore_preset(name: str) -> str:
+    """``explore --preset``: checked here so other commands skip the import."""
+    from repro.explore.fuzz import EXPLORE_PRESETS
+
+    if name not in EXPLORE_PRESETS:
+        raise argparse.ArgumentTypeError(
+            f"unknown preset {name!r} (choose from {', '.join(sorted(EXPLORE_PRESETS))})"
+        )
+    return name
 
 
 def _point_flags() -> argparse.ArgumentParser:
@@ -211,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="adversarial schedule exploration: seeded fuzz batches with "
         "invariant checking and counterexample shrinking",
     )
-    explore.add_argument("--preset", choices=sorted(EXPLORE_PRESETS),
+    explore.add_argument("--preset", type=_explore_preset,
                          default="quick", help="a built-in explore batch")
     explore.add_argument("--seeds", type=int, default=None,
                          help="number of seeds (overrides the preset)")
@@ -571,6 +574,11 @@ def _print_run_report(
             f"{trace.debug_evicted} evicted"
         )
     if args.verify:
+        from repro.analysis.consistency import (
+            assert_line_consistent,
+            latest_permanent_line,
+        )
+
         line = latest_permanent_line(system.all_stable_storages(), system.processes)
         assert_line_consistent(trace, line)
         coverage = (
@@ -969,6 +977,13 @@ def _cmd_figures() -> int:
 
 
 def _cmd_table1() -> int:
+    from repro.analysis.comparison import (
+        CostParameters,
+        analytic_table,
+        format_table,
+        measured_row,
+    )
+
     rows = [measured_row(result) for result in run_preset("table1").results()]
     print(format_table(rows, "Table 1 (measured)"))
     n_min = rows[-1].checkpoints

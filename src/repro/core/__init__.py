@@ -1,24 +1,15 @@
 """Public experiment API: configuration, system builder, runner."""
 
-from repro.core.config import (
-    GroupWorkloadConfig,
-    PointToPointWorkloadConfig,
-    RunConfig,
-    SystemConfig,
-)
-from repro.core.process import AppProcess, RuntimeEnv
-from repro.core.results import RunResult
-from repro.core.runner import ExperimentRunner
-from repro.core.system import MobileSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppProcess",
-    "ExperimentRunner",
-    "GroupWorkloadConfig",
-    "MobileSystem",
-    "PointToPointWorkloadConfig",
-    "RunConfig",
-    "RunResult",
-    "RuntimeEnv",
-    "SystemConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AppProcess": "process",
+    "ExperimentRunner": "runner",
+    "GroupWorkloadConfig": "config",
+    "MobileSystem": "system",
+    "PointToPointWorkloadConfig": "config",
+    "RunConfig": "config",
+    "RunResult": "results",
+    "RuntimeEnv": "process",
+    "SystemConfig": "config",
+})

@@ -8,43 +8,35 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.checkpointing.chandy_lamport import ChandyLamportProtocol
-from repro.checkpointing.elnozahy import ElnozahyProtocol
-from repro.checkpointing.koo_toueg import KooTouegProtocol
-from repro.checkpointing.mutable import MutableCheckpointProtocol
+from repro import checkpointing
 from repro.checkpointing.protocol import CheckpointProtocol
-from repro.checkpointing.timer_based import TimerBasedProtocol
-from repro.checkpointing.uncoordinated import UncoordinatedProtocol
-from repro.checkpointing.simple_schemes import (
-    BasicCsnProtocol,
-    NoMutableVariantProtocol,
-    RevisedCsnProtocol,
-)
 from repro.errors import ConfigurationError
 
-_FACTORIES: Dict[str, Callable[[], CheckpointProtocol]] = {
-    "mutable": MutableCheckpointProtocol,
-    "koo-toueg": KooTouegProtocol,
-    "elnozahy": ElnozahyProtocol,
-    "chandy-lamport": ChandyLamportProtocol,
-    "csn-basic": BasicCsnProtocol,
-    "csn-revised": RevisedCsnProtocol,
-    "no-mutable": NoMutableVariantProtocol,
-    "timer-based": TimerBasedProtocol,
-    "uncoordinated": UncoordinatedProtocol,
+#: name -> the protocol class; reading it from the package imports that
+#: protocol's module only
+_CLASSES: Dict[str, Callable[[], Callable[..., CheckpointProtocol]]] = {
+    "mutable": lambda: checkpointing.MutableCheckpointProtocol,
+    "koo-toueg": lambda: checkpointing.KooTouegProtocol,
+    "elnozahy": lambda: checkpointing.ElnozahyProtocol,
+    "chandy-lamport": lambda: checkpointing.ChandyLamportProtocol,
+    "csn-basic": lambda: checkpointing.BasicCsnProtocol,
+    "csn-revised": lambda: checkpointing.RevisedCsnProtocol,
+    "no-mutable": lambda: checkpointing.NoMutableVariantProtocol,
+    "timer-based": lambda: checkpointing.TimerBasedProtocol,
+    "uncoordinated": lambda: checkpointing.UncoordinatedProtocol,
 }
 
 
 def available_protocols() -> List[str]:
     """Names accepted by :func:`build_protocol`."""
-    return sorted(_FACTORIES)
+    return sorted(_CLASSES)
 
 
 def build_protocol(name: str, **kwargs) -> CheckpointProtocol:
     """Instantiate the protocol registered under ``name``."""
-    factory = _FACTORIES.get(name)
-    if factory is None:
+    load = _CLASSES.get(name)
+    if load is None:
         raise ConfigurationError(
             f"unknown protocol {name!r}; available: {', '.join(available_protocols())}"
         )
-    return factory(**kwargs)
+    return load()(**kwargs)

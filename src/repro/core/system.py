@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.checkpointing.protocol import CheckpointProtocol
 from repro.checkpointing.storage import StableStorage
@@ -25,11 +25,13 @@ from repro.net.mh import MobileHost
 from repro.net.mss import MobileSupportStation
 from repro.net.network import MobileNetwork
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeseries import TimeseriesSampler
 from repro.sim.gcpause import _paused_collector
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceLevel, TraceLog
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only when sampling is on
+    from repro.obs.timeseries import TimeseriesSampler
 
 DeliverHook = Callable[[AppProcess, ComputationMessage], None]
 
@@ -145,6 +147,8 @@ class MobileSystem:
         # disabled no hook is armed.
         self.timeseries: Optional[TimeseriesSampler] = None
         if config.timeseries_window is not None:
+            from repro.obs.timeseries import TimeseriesSampler
+
             self.timeseries = TimeseriesSampler(self, config.timeseries_window)
             self.timeseries.install()
 

@@ -20,79 +20,38 @@ harness for the checkpointing protocols:
   of a violating run from its nearest in-memory simulator snapshot.
 """
 
-from repro.explore.fork import fork_from_counterexample, fork_meta
-from repro.explore.fuzz import (
-    EXPLORE_PRESETS,
-    ExploreReport,
-    ExploreSpec,
-    execute_explore_point,
-    explore_preset,
-    run_explore_batch,
-    run_explore_once,
-    run_explore_point,
-    trace_digest,
-)
-from repro.explore.injections import (
-    INJECTION_KINDS,
-    InjectionDriver,
-    draw_injections,
-)
-from repro.explore.invariants import (
-    DEFAULT_INVARIANTS,
-    INVARIANT_FACTORIES,
-    Invariant,
-    Violation,
-    build_invariants,
-    check_invariants,
-)
-from repro.explore.mutations import (
-    MUTATIONS,
-    available_mutations,
-    build_explore_protocol,
-)
-from repro.explore.policy import (
-    PerturbationConfig,
-    RecordingPolicy,
-    ReplayPolicy,
-    decisions_from_jsonable,
-    decisions_to_jsonable,
-)
-from repro.explore.shrink import (
-    ddmin,
-    replay_counterexample,
-    shrink_counterexample,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "fork_from_counterexample",
-    "fork_meta",
-    "EXPLORE_PRESETS",
-    "ExploreReport",
-    "ExploreSpec",
-    "execute_explore_point",
-    "explore_preset",
-    "run_explore_batch",
-    "run_explore_once",
-    "run_explore_point",
-    "trace_digest",
-    "INJECTION_KINDS",
-    "InjectionDriver",
-    "draw_injections",
-    "DEFAULT_INVARIANTS",
-    "INVARIANT_FACTORIES",
-    "Invariant",
-    "Violation",
-    "build_invariants",
-    "check_invariants",
-    "MUTATIONS",
-    "available_mutations",
-    "build_explore_protocol",
-    "PerturbationConfig",
-    "RecordingPolicy",
-    "ReplayPolicy",
-    "decisions_from_jsonable",
-    "decisions_to_jsonable",
-    "ddmin",
-    "replay_counterexample",
-    "shrink_counterexample",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "fork_from_counterexample": "fork",
+    "fork_meta": "fork",
+    "EXPLORE_PRESETS": "fuzz",
+    "ExploreReport": "fuzz",
+    "ExploreSpec": "fuzz",
+    "execute_explore_point": "fuzz",
+    "explore_preset": "fuzz",
+    "run_explore_batch": "fuzz",
+    "run_explore_once": "fuzz",
+    "run_explore_point": "fuzz",
+    "trace_digest": "fuzz",
+    "INJECTION_KINDS": "injections",
+    "InjectionDriver": "injections",
+    "draw_injections": "injections",
+    "DEFAULT_INVARIANTS": "invariants",
+    "INVARIANT_FACTORIES": "invariants",
+    "Invariant": "invariants",
+    "Violation": "invariants",
+    "build_invariants": "invariants",
+    "check_invariants": "invariants",
+    "MUTATIONS": "mutations",
+    "available_mutations": "mutations",
+    "build_explore_protocol": "mutations",
+    "PerturbationConfig": "policy",
+    "RecordingPolicy": "policy",
+    "ReplayPolicy": "policy",
+    "decisions_from_jsonable": "policy",
+    "decisions_to_jsonable": "policy",
+    "ddmin": "shrink",
+    "replay_counterexample": "shrink",
+    "shrink_counterexample": "shrink",
+})

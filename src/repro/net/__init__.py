@@ -10,41 +10,28 @@ Public surface:
 * :func:`~repro.net.disconnect.disconnect`, :func:`~repro.net.disconnect.reconnect`.
 """
 
-from repro.net.channel import FifoChannel
-from repro.net.disconnect import (
-    BufferRecord,
-    DisconnectProxy,
-    DisconnectRecord,
-    disconnect,
-    reconnect,
-)
-from repro.net.message import (
-    CheckpointDataMessage,
-    ComputationMessage,
-    Message,
-    SystemMessage,
-)
-from repro.net.mh import MobileHost
-from repro.net.mobility import RandomWalkMobility, handoff
-from repro.net.mss import MobileSupportStation
-from repro.net.network import MobileNetwork
-from repro.net.params import NetworkParams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BufferRecord",
-    "CheckpointDataMessage",
-    "ComputationMessage",
-    "DisconnectProxy",
-    "DisconnectRecord",
-    "FifoChannel",
-    "Message",
-    "MobileHost",
-    "MobileNetwork",
-    "MobileSupportStation",
-    "NetworkParams",
-    "RandomWalkMobility",
-    "SystemMessage",
-    "disconnect",
-    "handoff",
-    "reconnect",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BufferRecord": "disconnect",
+    "CheckpointDataMessage": "message",
+    "ComputationMessage": "message",
+    "DisconnectProxy": "disconnect",
+    "DisconnectRecord": "disconnect",
+    "FifoChannel": "channel",
+    "Message": "message",
+    "MobileHost": "mh",
+    "MobileNetwork": "network",
+    "MobileSupportStation": "mss",
+    "NetworkParams": "params",
+    "RandomWalkMobility": "mobility",
+    "SystemMessage": "message",
+    "disconnect": "disconnect",
+    "handoff": "mobility",
+    "reconnect": "disconnect",
+})
+
+# ``disconnect`` names both a submodule and its function. Whoever imports
+# the submodule first rebinds the name to the module, so import it now
+# and bind the function over it, as an eager ``__init__`` did.
+from repro.net.disconnect import disconnect  # noqa: E402

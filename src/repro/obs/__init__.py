@@ -34,34 +34,21 @@ historical flat names (``system_messages``, ``mutable_checkpoints``)
 because they are part of the result wire format.
 """
 
-from repro.obs.forensics import (
-    EventGraph,
-    ForensicReport,
-    WaveReport,
-    build_forensics,
-)
-from repro.obs.profiler import KernelProfiler, SpanStat
-from repro.obs.prom import render_prometheus
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.timeseries import (
-    TimeseriesSampler,
-    merge_timeseries,
-    save_timeseries,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "EventGraph",
-    "ForensicReport",
-    "Gauge",
-    "Histogram",
-    "KernelProfiler",
-    "MetricsRegistry",
-    "SpanStat",
-    "TimeseriesSampler",
-    "WaveReport",
-    "build_forensics",
-    "merge_timeseries",
-    "render_prometheus",
-    "save_timeseries",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Counter": "registry",
+    "EventGraph": "forensics",
+    "ForensicReport": "forensics",
+    "Gauge": "registry",
+    "Histogram": "registry",
+    "KernelProfiler": "profiler",
+    "MetricsRegistry": "registry",
+    "SpanStat": "profiler",
+    "TimeseriesSampler": "timeseries",
+    "WaveReport": "forensics",
+    "build_forensics": "forensics",
+    "merge_timeseries": "timeseries",
+    "render_prometheus": "prom",
+    "save_timeseries": "timeseries",
+})

@@ -1,26 +1,16 @@
 """Deterministic scenario engine and figure reproductions."""
 
-from repro.scenarios.figures import (
-    FigureResult,
-    all_figures,
-    figure1,
-    figure2,
-    figure2_with_mutable,
-    figure3,
-    figure4,
-)
-from repro.scenarios.harness import InFlight, ScenarioHarness
-from repro.scenarios.naive import NaiveProtocol
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FigureResult",
-    "InFlight",
-    "NaiveProtocol",
-    "ScenarioHarness",
-    "all_figures",
-    "figure1",
-    "figure2",
-    "figure2_with_mutable",
-    "figure3",
-    "figure4",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FigureResult": "figures",
+    "InFlight": "harness",
+    "NaiveProtocol": "naive",
+    "ScenarioHarness": "harness",
+    "all_figures": "figures",
+    "figure1": "figures",
+    "figure2": "figures",
+    "figure2_with_mutable": "figures",
+    "figure3": "figures",
+    "figure4": "figures",
+})

@@ -34,22 +34,18 @@ Quick use::
         assert svc.wait(again.job_id).executed == 0
 """
 
-from repro.service.cache import CachePartition, ResultCache
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.db import ResultDB
-from repro.service.jobs import CampaignService, Job, JobManager
-from repro.service.server import CampaignRequestHandler, make_server, serve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CachePartition",
-    "CampaignRequestHandler",
-    "CampaignService",
-    "Job",
-    "JobManager",
-    "ResultCache",
-    "ResultDB",
-    "ServiceClient",
-    "ServiceError",
-    "make_server",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CachePartition": "cache",
+    "CampaignRequestHandler": "server",
+    "CampaignService": "jobs",
+    "Job": "jobs",
+    "JobManager": "jobs",
+    "ResultCache": "cache",
+    "ResultDB": "db",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "make_server": "server",
+    "serve": "server",
+})

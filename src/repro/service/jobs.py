@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from repro.campaign.engine import CampaignEngine, CampaignReport
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, RunPoint
-from repro.obs.prom import render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.db import ResultDB
@@ -556,6 +555,8 @@ class CampaignService:
             extra.append(
                 ("service.job.cache_hits", labels, float(job.cache_hits))
             )
+        from repro.obs.prom import render_prometheus
+
         return render_prometheus(self.metrics.snapshot(), extra_gauges=extra)
 
     def close(self) -> None:

@@ -40,10 +40,8 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.analysis.ascii_chart import sparkline
 from repro.campaign.spec import CampaignSpec, preset_spec
 from repro.errors import ReproError
-from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.service.jobs import CampaignService
 
 #: largest request body accepted (a 10k-point grid is ~5 MB of JSON)
@@ -128,10 +126,12 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         elif head == "metrics":
             self._send_json(self.service.status())
         elif head == "metrics.prom":
+            from repro.obs.prom import CONTENT_TYPE
+
             self._send(
                 200,
                 self.service.prometheus_text().encode("utf-8"),
-                PROM_CONTENT_TYPE,
+                CONTENT_TYPE,
             )
         elif head == "jobs" and tail and rest == "timeseries":
             self._timeseries(tail)
@@ -211,6 +211,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     # -- dashboard -------------------------------------------------------
     def _dashboard(self) -> bytes:
+        from repro.analysis.ascii_chart import sparkline
+
         status = self.service.status()
         esc = html.escape
         rows = []

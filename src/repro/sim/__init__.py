@@ -13,18 +13,14 @@ Counters, gauges and histograms live in
 :class:`repro.obs.registry.MetricsRegistry` (``sim.metrics``).
 """
 
-from repro.sim.events import Event
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
-from repro.sim.shard import ShardPlan, ShardedSimulator
-from repro.sim.trace import TraceLog, TraceRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "RandomStreams",
-    "ShardPlan",
-    "ShardedSimulator",
-    "Simulator",
-    "TraceLog",
-    "TraceRecord",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Event": "events",
+    "RandomStreams": "rng",
+    "ShardPlan": "shard",
+    "ShardedSimulator": "shard",
+    "Simulator": "kernel",
+    "TraceLog": "trace",
+    "TraceRecord": "trace",
+})

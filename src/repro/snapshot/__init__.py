@@ -21,46 +21,25 @@ Quick use::
     result = image.runner.resume(max_events=10_000_000)
 """
 
-from repro.snapshot.format import (
-    FORMAT_VERSION,
-    SNAPSHOT_SUFFIX,
-    SnapshotMeta,
-    read_meta,
-    read_snapshot,
-    write_snapshot,
-)
-from repro.snapshot.policy import SnapshotPolicy
-from repro.snapshot.snapshotter import (
-    SnapshotInfo,
-    SnapshotStore,
-    Snapshotter,
-    resume_memory,
-    resume_run,
-)
-from repro.snapshot.state import SimulationImage, capture, restore
-from repro.snapshot.timetravel import (
-    ReplayedWindow,
-    nearest_snapshot,
-    replay_window,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReplayedWindow",
-    "nearest_snapshot",
-    "replay_window",
-    "FORMAT_VERSION",
-    "SNAPSHOT_SUFFIX",
-    "SnapshotMeta",
-    "SnapshotPolicy",
-    "SnapshotInfo",
-    "SnapshotStore",
-    "Snapshotter",
-    "SimulationImage",
-    "capture",
-    "restore",
-    "read_meta",
-    "read_snapshot",
-    "write_snapshot",
-    "resume_memory",
-    "resume_run",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ReplayedWindow": "timetravel",
+    "nearest_snapshot": "timetravel",
+    "replay_window": "timetravel",
+    "FORMAT_VERSION": "format",
+    "SNAPSHOT_SUFFIX": "format",
+    "SnapshotMeta": "format",
+    "SnapshotPolicy": "policy",
+    "SnapshotInfo": "snapshotter",
+    "SnapshotStore": "snapshotter",
+    "Snapshotter": "snapshotter",
+    "SimulationImage": "state",
+    "capture": "state",
+    "restore": "state",
+    "read_meta": "format",
+    "read_snapshot": "format",
+    "write_snapshot": "format",
+    "resume_memory": "snapshotter",
+    "resume_run": "snapshotter",
+})

@@ -1,16 +1,12 @@
 """Traffic generators driving the application layer."""
 
-from repro.workload.base import Workload
-from repro.workload.bursty import BurstyWorkload, BurstyWorkloadConfig
-from repro.workload.group import GroupWorkload
-from repro.workload.point_to_point import PointToPointWorkload
-from repro.workload.trace import ScriptedWorkload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BurstyWorkload",
-    "BurstyWorkloadConfig",
-    "GroupWorkload",
-    "PointToPointWorkload",
-    "ScriptedWorkload",
-    "Workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BurstyWorkload": "bursty",
+    "BurstyWorkloadConfig": "bursty",
+    "GroupWorkload": "group",
+    "PointToPointWorkload": "point_to_point",
+    "ScriptedWorkload": "trace",
+    "Workload": "base",
+})

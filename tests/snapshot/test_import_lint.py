@@ -13,6 +13,7 @@ checked. The list is empty, so today this is a stdlib-only lint.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -101,6 +102,85 @@ def test_cold_start_is_stdlib_only():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+#: modules a one-protocol run never calls into: a fresh ``run`` of the
+#: mutable protocol must not compile them
+_NOT_ON_A_MUTABLE_RUN = (
+    "repro.sim.shard",
+    "repro.obs.forensics",
+    "repro.obs.profiler",
+    "repro.explore.fuzz",
+    "repro.explore.shrink",
+    "repro.explore.injections",
+    "repro.analysis.comparison",
+    "repro.snapshot.timetravel",
+) + tuple(
+    f"repro.checkpointing.{name}"
+    for name in ("chandy_lamport", "elnozahy", "koo_toueg", "simple_schemes",
+                 "timer_based", "uncoordinated")
+)
+
+
+def test_a_fresh_mutable_run_loads_only_what_it_runs():
+    """Package exports and the protocol registry resolve on first use, so
+    a sequential 16-process mutable point run after ``import repro.cli``
+    leaves the shard kernel, the explorer, forensics, the profiler, the
+    cost tables, time travel and the other eight protocols unloaded."""
+    src = os.path.join(_package_root(), "..")
+    probe = (
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.campaign import RunPoint, build_point_runtime\n"
+        "_, _, runner = build_point_runtime(RunPoint(\n"
+        "    protocol='mutable', workload_params={'mean_send_interval': 20.0},\n"
+        "    system_params={'n_processes': 16},\n"
+        "    run_params={'max_initiations': 2}, seed=11))\n"
+        "runner.run()\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(out.stdout.split())
+    assert "repro.checkpointing.mutable" in loaded
+    assert sorted(loaded & set(_NOT_ON_A_MUTABLE_RUN)) == []
+
+
+def _packages():
+    root = _package_root()
+    for dirpath, _, names in os.walk(root):
+        if "__init__.py" in names:
+            rel = os.path.relpath(dirpath, os.path.dirname(root))
+            yield rel.replace(os.sep, ".")
+
+
+@pytest.mark.parametrize("package", sorted(_packages()))
+def test_every_export_resolves_inside_its_package(package):
+    """A package's exports load on first use from a table of name ->
+    submodule; an entry left behind by a move or a rename fails here."""
+    module = importlib.import_module(package)
+    names = getattr(module, "__all__", [])
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)  # noqa: S102 - the star import under test
+    assert sorted(set(names) - set(namespace)) == []
+    prefix = package + "."
+    for name in names:
+        value = getattr(module, name)
+        if name.startswith("__"):
+            continue  # the package's own, e.g. ``__version__``
+        home = getattr(value, "__module__", None)
+        if home is not None:
+            assert home == package or home.startswith(prefix), (name, home)
+        else:  # a constant: some submodule of the package defines it
+            holders = [
+                loaded for loaded, mod in list(sys.modules.items())
+                if loaded.startswith(prefix)
+                and getattr(mod, name, None) is value
+            ]
+            assert holders, name
 
 
 #: the runtime's layers, and the names none of them may touch: a vector
