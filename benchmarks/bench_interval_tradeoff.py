@@ -18,7 +18,7 @@ import pytest
 
 from benchmarks.bench_util import build_bench
 from repro.campaign.spec import DEFAULT_MAX_EVENTS
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 
 INTERVALS = [120.0, 450.0, 1800.0]
 HORIZON = 3600.0
@@ -37,7 +37,7 @@ def run_interval(interval: float, seed: int = 5):
     # overhead: checkpoint bytes shipped per simulated hour
     ckpt_bytes = sum(mh.background_bytes for mh in system.mhs)
     # lost work: messages undone by a rollback at the end of the run
-    report = RecoveryManager(system).rollback()
+    report = DistributedRecovery(system).rollback()
     return {
         "interval_s": interval,
         "ckpt_mb_per_hour": round(ckpt_bytes / 1e6 * 3600.0 / HORIZON, 1),

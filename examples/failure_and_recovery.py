@@ -16,7 +16,7 @@ Run:  python examples/failure_and_recovery.py
 from repro import MobileSystem, PointToPointWorkloadConfig, SystemConfig
 from repro.checkpointing import MutableCheckpointProtocol
 from repro.checkpointing.failures import FailureInjector, FailurePolicy
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.workload import PointToPointWorkload
 
 
@@ -86,19 +86,16 @@ def act3_rollback() -> None:
     injector.fail_process(5)
     injector.restart_process(5)
 
-    manager = RecoveryManager(system)
-    report = manager.rollback()
-    times = sorted(set(round(t, 1) for t in report.line_times.values()))
-    print(f"act 3 (rollback): {len(report.rolled_back_pids)} processes rolled back "
+    round_ = DistributedRecovery(system).rollback()
+    times = sorted(set(round(rec.time_taken, 1) for rec in round_.line.values()))
+    print(f"act 3 (rollback): {len(round_.line)} processes rolled back "
           f"to checkpoints taken at t={times}; "
-          f"{report.lost_messages} delivered message(s) will be re-executed")
+          f"{round_.lost_messages} delivered message(s) will be re-executed")
 
 
 def act4_distributed_recovery() -> None:
     """The same rollback as an actual message protocol: incarnation
     numbers, rollback_request/ack/resume, ghost filtering."""
-    from repro.checkpointing.rollback_protocol import DistributedRecovery
-
     config = SystemConfig(n_processes=8, seed=13)
     system = MobileSystem(config, MutableCheckpointProtocol())
     recovery = DistributedRecovery(system)

@@ -25,7 +25,7 @@ from repro import MobileSystem, SystemConfig
 from repro.checkpointing import MutableCheckpointProtocol
 from repro.checkpointing.failures import FailureInjector
 from repro.checkpointing.message_log import SenderMessageLog
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.output_commit import OutputCommitManager
 from repro.workload.base import Workload
 
@@ -133,13 +133,10 @@ def main() -> None:
     injector.restart_process(3)
 
     # Phase 3: rollback and lost-message replay.
-    manager = RecoveryManager(system)
-    line = manager.recovery_line()
-    lost = log.lost_messages(line)
-    report = manager.rollback()
-    log.replay(line)
-    print(f"rolled back {len(report.rolled_back_pids)} processes; "
-          f"{report.lost_messages} deliveries undone; "
+    round_ = DistributedRecovery(system).rollback()
+    lost = log.replay(round_.line)
+    print(f"rolled back {len(round_.line)} processes; "
+          f"{round_.lost_messages} deliveries undone; "
           f"{len(lost)} in-transit report(s) replayed from the sender log")
 
     restored_total = system.processes[AGGREGATOR].app_state["total"]

@@ -17,7 +17,7 @@ by either of the two policies the paper discusses:
 stops (its handler drops messages), volatile state (mutable
 checkpoints) is wiped, and — if a checkpointing is in progress — the
 configured policy runs. Recovery afterwards is
-:class:`~repro.checkpointing.recovery.RecoveryManager`'s job.
+:class:`~repro.checkpointing.recovery.DistributedRecovery`'s job.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import enum
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.checkpointing.mutable import MutableCheckpointProcess
+from repro.checkpointing.recovery import active_initiators
 from repro.checkpointing.types import Trigger
 from repro.errors import ProtocolError
 from repro.net.message import Message
@@ -72,7 +73,7 @@ class FailureInjector:
     # ------------------------------------------------------------------
     def _handle_in_progress_checkpointing(self, failed_pid: int) -> None:
         """§3.6: resolve an active coordination touched by the failure."""
-        initiator = self._active_initiator()
+        initiator = next(active_initiators(self.system), None)
         if initiator is None:
             return
         if initiator.pid == failed_pid:
@@ -90,19 +91,6 @@ class FailureInjector:
             self._force_abort(initiator)
         else:
             self._partial_commit(initiator, failed_pid)
-
-    def _active_initiator(self):
-        """Any protocol process currently coordinating an initiation.
-
-        Works for every protocol that exposes ``initiating`` and
-        ``abort_initiation`` (the mutable algorithm and Koo-Toueg).
-        """
-        for process in self.system.protocol.processes.values():
-            if getattr(process, "initiating", None) is not None and hasattr(
-                process, "abort_initiation"
-            ):
-                return process
-        return None
 
     def _force_abort(self, initiator) -> None:
         initiator.abort_initiation()
@@ -178,7 +166,7 @@ class FailureInjector:
     # ------------------------------------------------------------------
     def restart_process(self, pid: int) -> None:
         """Bring a failed process back (its state must then be rolled
-        back by the recovery manager before it resumes)."""
+        back by ``DistributedRecovery`` before it resumes)."""
         if pid not in self.failed_pids:
             raise ProtocolError(f"pid {pid} is not failed")
         self.failed_pids.discard(pid)

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.checkpointing.types import CheckpointRecord
 from repro.errors import ProtocolError
+from repro.net.message import ComputationMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MobileSystem
@@ -96,6 +97,9 @@ class SenderMessageLog:
             process = self.system.processes[entry.dst]
             process.app_state["messages_received"] += 1
             process.app_state["steps"] = process.app_state.get("steps", 0) + 1
+            self.system.workload_deliver(process, ComputationMessage(
+                entry.src, entry.dst, msg_id=entry.msg_id, payload=entry.payload
+            ))
             self.system.sim.trace.record(
                 self.system.sim.now,
                 "replayed",

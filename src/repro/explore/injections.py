@@ -39,7 +39,7 @@ from repro.checkpointing.disconnect_support import (
     reconnect_process,
 )
 from repro.checkpointing.failures import FailureInjector, FailurePolicy
-from repro.checkpointing.rollback_protocol import DistributedRecovery
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.errors import ConfigurationError
 from repro.net.mh import MobileHost
 from repro.sim.rng import raw_rng

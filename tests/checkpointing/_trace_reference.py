@@ -4,8 +4,9 @@ Before checkpoints carried per-peer counts, the runtime answered both
 recovery questions from the DEBUG trace:
 :meth:`TraceMessageLog.lost_messages` / :meth:`TraceMessageLog.prune`
 are ``SenderMessageLog``'s bodies from then (keyed by ``msg_id``), and
-:func:`count_lost_messages` is ``RecoveryManager._count_lost_messages``.
-Both pair sends with receives through
+:func:`count_lost_messages` counts the deliveries a rollback undoes,
+which ``RecoveryRound.lost_messages`` now reads from the counts. Both
+pair sends with receives through
 :class:`~repro.analysis.trace_index.TraceIndex` and read the line at its
 capture positions. ``test_lost_message_equivalence.py`` holds the count
 answers to them; like ``tests/analysis/_dense_reference.py`` this is an

@@ -6,7 +6,7 @@ import pytest
 
 from repro.checkpointing.failures import FailureInjector, FailurePolicy
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
@@ -60,7 +60,7 @@ def test_abort_policy_discards_everything():
     # nothing from the aborted initiation was committed
     assert system.sim.trace.count("permanent", trigger=trigger) == 0
     # recovery still possible from the initial checkpoints
-    report = RecoveryManager(system).rollback()
+    report = DistributedRecovery(system).rollback()
     assert report.line[0].csn == 0
 
 

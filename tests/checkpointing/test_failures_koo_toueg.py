@@ -6,7 +6,7 @@ import pytest
 
 from repro.checkpointing.failures import FailureInjector, FailurePolicy
 from repro.checkpointing.koo_toueg import KooTouegProtocol
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.config import PointToPointWorkloadConfig, SystemConfig
 from repro.core.system import MobileSystem
 from repro.workload.point_to_point import PointToPointWorkload
@@ -53,7 +53,7 @@ def test_recovery_after_koo_toueg_abort():
     system.sim.run(until=system.sim.now + 0.5)
     injector.fail_process(4)
     system.sim.run(until=system.sim.now + 60.0)
-    report = RecoveryManager(system).rollback()
+    report = DistributedRecovery(system).rollback()
     # everything rolls back to the initial checkpoints (nothing committed)
     assert all(rec.csn == 0 for rec in report.line.values())
 

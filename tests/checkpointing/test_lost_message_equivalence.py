@@ -1,15 +1,18 @@
 """Lost messages from channel counts against the trace oracle.
 
 ``SenderMessageLog`` tells the messages in transit across a line from
-its checkpoints' per-channel counts, and ``RecoveryManager.rollback``
-counts the deliveries it undoes the same way. The oracle
+its checkpoints' per-channel counts, and a ``DistributedRecovery``
+round counts the deliveries it undoes the same way. The oracle
 (``_trace_reference.py``) answers both from the DEBUG trace instead.
 Every answer must agree:
 
 * on the recovery line and 50 seeded-random lines of stored checkpoints
   per run (the draw of ``test_scale_equivalence``), for the mutable
-  protocol on five seeds and three baselines on two;
-* on the rollback's lost count of each of those runs;
+  protocol on five seeds and three baselines on two, each run driven
+  to quiescence;
+* on the lost count of each of those runs, whether the rollback runs at
+  once (``rollback``) or as the message protocol (``recover``) on an
+  identical run: both leave every process in the same state;
 * on the recovery lines committed after a ``DistributedRecovery`` round,
   where re-sends reuse the sequence numbers the rollback undid. There
   the oracle's answer is taken less the sends the rollback undid: the
@@ -21,11 +24,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.consistency import latest_permanent_line
 from repro.analysis.trace_index import TraceIndex
 from repro.checkpointing.message_log import SenderMessageLog
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.recovery import RecoveryManager
-from repro.checkpointing.rollback_protocol import DistributedRecovery
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.registry import build_protocol
 from repro.core.runner import ExperimentRunner
@@ -46,8 +49,7 @@ def _by_id(log) -> list:
     return sorted(log._log.values(), key=lambda entry: entry.msg_id)
 
 
-@pytest.mark.parametrize("protocol_name,seed", RUNS)
-def test_counts_match_the_trace_on_every_line(protocol_name, seed):
+def _quiescent_run(protocol_name, seed):
     system = MobileSystem(
         SystemConfig(n_processes=8, seed=seed, checkpoint_interval=30.0),
         build_protocol(protocol_name),
@@ -58,13 +60,42 @@ def test_counts_match_the_trace_on_every_line(protocol_name, seed):
     ExperimentRunner(
         system, workload, RunConfig(max_initiations=10_000, time_limit=120.0)
     ).run(max_events=200_000)
+    workload.stop()
+    system.run_until_quiescent()
+    return system, stored, counts, oracle
+
+
+@pytest.mark.parametrize("protocol_name,seed", RUNS)
+def test_counts_match_the_trace_on_every_line(protocol_name, seed):
+    system, stored, counts, oracle = _quiescent_run(protocol_name, seed)
     lines = _lines(system, stored, f"lost-{protocol_name}-{seed}")
     lost = [counts.lost_messages(line) for line in lines]
     assert lost == [oracle.lost_messages(line) for line in lines]
     assert any(lost), "no line had a message in transit: nothing was compared"
 
+    # The instant rollback is the message protocol at zero latency: an
+    # identical run recovered over messages ends in the same state.
+    twin = _quiescent_run(protocol_name, seed)[0]
     expected = count_lost_messages(TraceIndex(system.sim.trace), lines[0])
-    assert RecoveryManager(system).rollback().lost_messages == expected > 0
+    assert count_lost_messages(TraceIndex(twin.sim.trace), lines[0]) == expected
+    at_once = DistributedRecovery(system).rollback()
+    over_messages = DistributedRecovery(twin).recover(seed % 8)
+    twin.run_until_quiescent()
+    assert over_messages.complete
+    assert at_once.lost_messages == over_messages.lost_messages == expected > 0
+    assert {pid: r.ckpt_id for pid, r in at_once.line.items()} == {
+        pid: r.ckpt_id for pid, r in over_messages.line.items()
+    } == {pid: r.ckpt_id for pid, r in lines[0].items()}
+    for pid, process in system.processes.items():
+        other = twin.processes[pid]
+        assert process.app_state == other.app_state
+        assert process.sent == other.sent
+        assert process.received == other.received
+        assert process.incarnation == other.incarnation == 1
+        for restored in (process, other):
+            assert len(restored.local_store) == 0
+            assert restored.blocked is False
+
     assert counts.prune(lines[0]) == oracle.prune(lines[0]) > 0
     assert _by_id(counts) == _by_id(oracle)
 
@@ -85,7 +116,7 @@ def test_counts_match_the_trace_after_a_distributed_recovery(seed):
     # checkpoint, so the oracle calls one lost once its sender's line
     # checkpoint is newer than the rollback and its receiver's is not.
     # The counts know it was undone: a re-send took its number.
-    restored = RecoveryManager(system).recovery_line()
+    restored = latest_permanent_line(system.all_stable_storages(), system.processes)
     undone = {
         msg_id
         for msg_id, entry in oracle._log.items()
@@ -97,7 +128,7 @@ def test_counts_match_the_trace_after_a_distributed_recovery(seed):
         system.sim.run(until=system.sim.now + 40.0)
         system.protocol.processes[initiator].initiate()
         system.sim.run(until=system.sim.now + 20.0)
-        line = RecoveryManager(system).recovery_line()
+        line = latest_permanent_line(system.all_stable_storages(), system.processes)
         lost = counts.lost_messages(line)
         assert lost == [e for e in oracle.lost_messages(line) if e.msg_id not in undone]
         judged += bool(lost)

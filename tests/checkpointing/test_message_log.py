@@ -6,9 +6,10 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.consistency import latest_permanent_line
 from repro.checkpointing.message_log import SenderMessageLog
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.config import PointToPointWorkloadConfig, SystemConfig
 from repro.core.system import MobileSystem
 from repro.errors import ProtocolError
@@ -21,6 +22,10 @@ def build(n=6, seed=3, trace_messages=True):
         MutableCheckpointProtocol(),
     )
     return system, SenderMessageLog(system)
+
+
+def recovery_line(system):
+    return latest_permanent_line(system.all_stable_storages(), system.processes)
 
 
 def test_sends_are_logged_with_payload():
@@ -39,7 +44,7 @@ def test_received_message_before_line_is_not_lost():
     system.sim.run_until_idle()
     assert system.protocol.processes[1].initiate()  # ckpt records the receive
     system.sim.run_until_idle()
-    line = RecoveryManager(system).recovery_line()
+    line = recovery_line(system)
     assert log.lost_messages(line) == []
 
 
@@ -51,7 +56,7 @@ def test_message_after_line_is_rolled_back_not_lost():
     system.sim.run_until_idle()
     system.processes[0].send_computation(1)  # after P0's checkpoint
     system.sim.run_until_idle()
-    line = RecoveryManager(system).recovery_line()
+    line = recovery_line(system)
     assert log.lost_messages(line) == []
 
 
@@ -78,7 +83,7 @@ def in_transit_run(trace_messages=True):
 def test_in_transit_message_is_lost_and_replayed():
     """Send inside the line, receive outside: exactly the lost case."""
     system, log = in_transit_run()
-    line = RecoveryManager(system).recovery_line()
+    line = recovery_line(system)
     lost = log.lost_messages(line)
     # 'lost-one' was sent before P0's second checkpoint; P1's line
     # checkpoint (from the first initiation) predates its receive.
@@ -89,13 +94,29 @@ def test_in_transit_message_is_lost_and_replayed():
     assert system.sim.trace.count("replayed") == len(replayed)
 
 
+def test_replay_goes_through_the_delivery_hooks():
+    """A replayed payload reaches the application the way the original
+    would have: each delivery hook sees it once, in ``msg_id`` order."""
+    system, log = in_transit_run()
+    seen = []
+    system.add_deliver_hook(
+        lambda process, message: seen.append(
+            (process.pid, message.src_pid, message.msg_id, message.payload)
+        )
+    )
+    replayed = log.replay(DistributedRecovery(system).rollback().line)
+    assert [e.payload for e in replayed] == ["in-transit", "lost-one"]
+    assert seen == [(e.dst, e.src, e.msg_id, e.payload) for e in replayed]
+    assert [msg_id for _, _, msg_id, _ in seen] == sorted(e.msg_id for e in replayed)
+
+
 def test_prune_drops_covered_entries():
     system, log = build()
     system.processes[0].send_computation(1)
     system.sim.run_until_idle()
     assert system.protocol.processes[1].initiate()
     system.sim.run_until_idle()
-    line = RecoveryManager(system).recovery_line()
+    line = recovery_line(system)
     assert log.prune(line) == 1
     assert len(log) == 0
 
@@ -114,8 +135,7 @@ def full_run(trace_messages=True):
 
 def test_full_run_replay_count_bounded():
     system, log = full_run()
-    manager = RecoveryManager(system)
-    line = manager.recovery_line()
+    line = recovery_line(system)
     lost = log.lost_messages(line)
     total = system.sim.trace.count("comp_send")
     assert 0 <= len(lost) < total
@@ -135,17 +155,16 @@ def test_tracing_off_gives_the_debug_answers(run, payloads, undone):
     tracing off they name the same lost messages and undo as many."""
     for trace_messages in (True, False):
         system, log = run(trace_messages)
-        manager = RecoveryManager(system)
-        line = manager.recovery_line()
+        line = recovery_line(system)
         assert [e.payload for e in log.lost_messages(line)] == payloads
-        assert manager.rollback().lost_messages == undone
+        assert DistributedRecovery(system).rollback().lost_messages == undone
 
 
 def test_a_line_without_counts_is_refused():
     system, log = build()
     line = {
         pid: dataclasses.replace(record, sent=None, received=None)
-        for pid, record in RecoveryManager(system).recovery_line().items()
+        for pid, record in recovery_line(system).items()
     }
     with pytest.raises(ProtocolError):
         log.lost_messages(line)

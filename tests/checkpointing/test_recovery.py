@@ -4,24 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.consistency import latest_permanent_line
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from tests.conftest import run_experiment
 
 
 def test_recovery_line_has_one_checkpoint_per_process():
     system, _ = run_experiment(MutableCheckpointProtocol(), initiations=3)
-    manager = RecoveryManager(system)
-    line = manager.recovery_line()
+    line = latest_permanent_line(system.all_stable_storages(), system.processes)
     assert sorted(line) == sorted(system.processes)
 
 
 def test_rollback_restores_state_and_counts():
     system, _ = run_experiment(MutableCheckpointProtocol(), initiations=3)
-    manager = RecoveryManager(system)
-    line = manager.recovery_line()
-    report = manager.rollback()
-    assert sorted(report.rolled_back_pids) == sorted(system.processes)
+    line = latest_permanent_line(system.all_stable_storages(), system.processes)
+    round_ = DistributedRecovery(system).rollback()
+    assert sorted(round_.line) == sorted(system.processes)
     for pid, record in line.items():
         process = system.processes[pid]
         assert process.app_state == record.state
@@ -34,17 +33,16 @@ def test_rollback_restores_state_and_counts():
 
 def test_rollback_verifies_line_by_default():
     system, _ = run_experiment(MutableCheckpointProtocol(), initiations=3)
-    report = RecoveryManager(system).rollback()
-    assert report.lost_messages >= 0
-    assert system.sim.trace.count("rollback") == 1
+    round_ = DistributedRecovery(system).rollback()
+    assert round_.lost_messages >= 0
+    assert system.sim.trace.count("recovery_complete") == 1
 
 
 def test_lost_messages_counts_post_line_deliveries():
     system, _ = run_experiment(
         MutableCheckpointProtocol(), initiations=3, mean_send_interval=5.0
     )
-    manager = RecoveryManager(system)
-    report = manager.rollback()
+    report = DistributedRecovery(system).rollback()
     # messages were flowing after the last commit, so some work is lost
     assert report.lost_messages > 0
     total = system.sim.trace.count("comp_recv")
@@ -72,5 +70,5 @@ def test_rollback_after_mh_failure():
     system, _ = run_experiment(MutableCheckpointProtocol(), initiations=3)
     victim = system.processes[2]
     victim.local_store.wipe()
-    report = RecoveryManager(system).rollback()
-    assert 2 in report.rolled_back_pids
+    round_ = DistributedRecovery(system).rollback()
+    assert 2 in sorted(round_.line)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.rollback_protocol import DistributedRecovery
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.config import PointToPointWorkloadConfig, SystemConfig
 from repro.core.system import MobileSystem
 from repro.errors import ProtocolError

@@ -118,7 +118,8 @@ _NOT_ON_A_MUTABLE_RUN = (
 ) + tuple(
     f"repro.checkpointing.{name}"
     for name in ("chandy_lamport", "elnozahy", "koo_toueg", "simple_schemes",
-                 "timer_based", "uncoordinated")
+                 "timer_based", "uncoordinated", "recovery", "failures",
+                 "message_log")
 )
 
 
@@ -275,3 +276,29 @@ def test_only_the_pause_helper_switches_the_collector():
         if found:
             offenders[rel] = found
     assert not offenders, f"gc switched outside sim/gcpause.py: {offenders}"
+
+
+def test_one_body_restores_a_process():
+    """A rollback restores a process in one place,
+    ``DistributedRecovery._restore`` in ``checkpointing/recovery.py``,
+    which both the message protocol and the instant rollback run. A
+    second ``.restore_state(`` caller would be a second rollback body,
+    free to skip the incarnation, the store wipe or the deferred drop."""
+    recovery = os.path.join("checkpointing", "recovery.py")
+    calls, bodies = [], []
+    for rel, path in _python_files():
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "restore_state"
+            ):
+                calls.append((rel, node.lineno))
+            elif rel == recovery and getattr(node, "name", None) == "_restore":
+                bodies.append(range(node.lineno, node.end_lineno + 1))
+    inside = [(rel, any(line in body for body in bodies)) for rel, line in calls]
+    assert inside == [(recovery, True)], (
+        f".restore_state( called outside the one restore: {calls}"
+    )

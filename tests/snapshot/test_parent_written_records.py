@@ -23,7 +23,7 @@ from repro.analysis.consistency import (
 )
 from repro.checkpointing.message_log import SenderMessageLog
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.recovery import RecoveryManager
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.core.config import (
     PointToPointWorkloadConfig,
     RunConfig,
@@ -83,7 +83,7 @@ def test_an_image_without_counts_leaves_recovery_unjudged():
     image.runner.resume(max_events=10_000_000)
     with pytest.raises(ProtocolError):
         SenderMessageLog(image.system)
-    assert RecoveryManager(image.system).rollback().lost_messages is None
+    assert DistributedRecovery(image.system).rollback().lost_messages is None
 
 
 def test_a_record_pickles_and_copies_as_itself():
