@@ -102,7 +102,6 @@ class MutableDisconnectProxy(DisconnectProxy):
     def __init__(self, process: AppProcess, mss: MobileSupportStation) -> None:
         self.process = process
         self.mss = mss
-        self._original_env = process.protocol_process.env
         process.protocol_process.env = MssProxyEnv(process, mss)
 
     def handle_system_message(
@@ -122,10 +121,6 @@ class MutableDisconnectProxy(DisconnectProxy):
             # The MSS converted the disconnect checkpoint into a real one.
             record.checkpoint_taken_on_behalf = True
         return True
-
-    def restore(self) -> None:
-        """Reattach the process to its normal environment (reconnect)."""
-        self.process.protocol_process.env = self._original_env
 
 
 def disconnect_process(system: "MobileSystem", pid: int) -> DisconnectRecord:

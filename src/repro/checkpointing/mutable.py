@@ -28,7 +28,12 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.checkpointing.protocol import CheckpointProtocol, ProcessEnv, ProtocolProcess
+from repro.checkpointing.protocol import (
+    CheckpointProtocol,
+    ProcessEnv,
+    ProtocolProcess,
+    noop,
+)
 from repro.checkpointing.state import BitVector, IntVector, true_indices
 from repro.checkpointing.types import (
     CheckpointKind,
@@ -51,10 +56,6 @@ class _TentativeContext:
     prev_old_csn: int
     prev_r: BitVector
     prev_sent: bool
-
-
-def _noop() -> None:
-    """Callback placeholder for background transfers."""
 
 
 class MutableCheckpointProcess(ProtocolProcess):
@@ -171,7 +172,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         if self.protocol.reply_after_transfer:
             self.env.transfer_to_stable(record, fn)
         else:
-            self.env.transfer_to_stable(record, _noop)
+            self.env.transfer_to_stable(record, noop)
             save_time = self.env.mutable_save_time
             if save_time > 0:
                 self.env.schedule(save_time, fn)

@@ -15,16 +15,13 @@ harness for the checkpointing protocols:
 * :mod:`repro.explore.mutations` — deliberately broken protocol
   variants for end-to-end self-tests of the explorer;
 * :mod:`repro.explore.fuzz` — batch fan-out over the campaign engine;
-* :mod:`repro.explore.shrink` — ddmin counterexample minimization;
-* :mod:`repro.explore.fork` — fork-from-snapshot: replay only the tail
-  of a violating run from its nearest in-memory simulator snapshot.
+* :mod:`repro.explore.shrink` — ddmin counterexample minimization and
+  counterexample replay from the recorded schedule decisions.
 """
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "fork_from_counterexample": "fork",
-    "fork_meta": "fork",
     "EXPLORE_PRESETS": "fuzz",
     "ExploreReport": "fuzz",
     "ExploreSpec": "fuzz",

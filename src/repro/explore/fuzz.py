@@ -209,9 +209,6 @@ class ExploreRun:
     policy: Any
     driver: InjectionDriver
     violations: List[Violation]
-    #: set when the run was taken with ``snapshot_every`` — holds the
-    #: in-memory snapshots that fork-from-counterexample restores
-    snapshotter: Optional[Any] = None
 
     @property
     def trace(self) -> TraceLog:
@@ -226,7 +223,6 @@ def run_explore_once(
     point: RunPoint,
     decisions: Optional[Decisions] = None,
     injections: Optional[Sequence[Dict[str, Any]]] = None,
-    snapshot_every: Optional[int] = None,
 ) -> ExploreRun:
     """Execute one adversarial run and evaluate the invariant suite.
 
@@ -234,11 +230,6 @@ def run_explore_once(
     from the point's explore payload) to a :class:`ReplayPolicy` — the
     shrinker's subset experiments and counterexample replay both use it.
     ``injections`` overrides the point's injection schedule the same way.
-    ``snapshot_every`` attaches an in-memory snapshotter taking a
-    snapshot every N events; the resulting :class:`ExploreRun` then
-    supports :func:`~repro.explore.fork.fork_from_counterexample`.
-    Snapshot trigger checks run between events, so the schedule (and
-    every violation) is identical with or without them.
     """
     explore = point.explore or {}
     protocol = build_explore_protocol(
@@ -261,17 +252,6 @@ def run_explore_once(
         explore.get("injections", ()) if injections is None else injections,
     )
     driver.install()
-    snapshotter = None
-    if snapshot_every is not None:
-        from repro.snapshot import SnapshotPolicy, Snapshotter
-
-        snapshotter = Snapshotter(
-            runner,
-            SnapshotPolicy(every_events=snapshot_every),
-            directory=None,  # in-memory: forking never needs the disk
-            driver=driver,
-        )
-        snapshotter.install()
     runner.run(max_events=point.max_events)
     # Drain completely (pending injections, recovery rounds, commit
     # waves) so the termination invariant judges a finished world.
@@ -284,7 +264,6 @@ def run_explore_once(
         policy=policy,
         driver=driver,
         violations=violations,
-        snapshotter=snapshotter,
     )
 
 

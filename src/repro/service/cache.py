@@ -62,15 +62,16 @@ class ResultCache:
         part = CachePartition()
         seen = set()
         for point in points:
+            if point.point_hash in seen:
+                continue
+            seen.add(point.point_hash)
             record = self.store.get(point.point_hash)
             if record is not None and record.ok:
                 part.hits.append(point)
                 self._hits.inc()
             else:
-                if point.point_hash not in seen:
-                    part.misses.append(point)
+                part.misses.append(point)
                 self._misses.inc()
-            seen.add(point.point_hash)
         return part
 
     def stats(self) -> dict:

@@ -40,6 +40,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "read_meta": "format",
     "read_snapshot": "format",
     "write_snapshot": "format",
-    "resume_memory": "snapshotter",
     "resume_run": "snapshotter",
 })

@@ -26,7 +26,6 @@ from repro.snapshot.state import SimulationImage, capture, restore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.runner import ExperimentRunner
-    from repro.explore.injections import InjectionDriver
 
 
 class Snapshotter:
@@ -41,11 +40,7 @@ class Snapshotter:
         :meth:`take` calls snapshot.
     directory:
         Where ``.rsnap`` files go. ``None`` keeps snapshots in memory
-        (``self.memory``) — used by explore's fork-from-snapshot, which
-        never needs the disk round-trip.
-    driver:
-        Optional injection driver to include in the image (explore
-        runs), so its pending injections and taps survive a resume.
+        (``self.memory``), with no disk round-trip.
     label:
         Free-form tag stamped into each snapshot's header.
     """
@@ -55,13 +50,11 @@ class Snapshotter:
         runner: "ExperimentRunner",
         policy: Optional[SnapshotPolicy] = None,
         directory: Optional[str] = None,
-        driver: Optional["InjectionDriver"] = None,
         label: str = "",
     ) -> None:
         self.runner = runner
         self.policy = policy if policy is not None else SnapshotPolicy()
         self.directory = directory
-        self.driver = driver
         self.label = label
         self.seq = 0
         #: paths written so far, oldest first (disk mode)
@@ -122,7 +115,7 @@ class Snapshotter:
         """
         sim = self.runner.system.sim
         system = self.runner.system
-        payload = capture(self.runner, driver=self.driver, snapshotter=self)
+        payload = capture(self.runner, snapshotter=self)
         meta = SnapshotMeta(
             seq=self.seq,
             reason=reason,
@@ -228,10 +221,4 @@ def resume_run(path: str) -> SimulationImage:
     uninterrupted run's.
     """
     _, payload = read_snapshot(path)
-    return restore(payload)
-
-
-def resume_memory(snapshot: Tuple[SnapshotMeta, bytes]) -> SimulationImage:
-    """Rebuild a live simulation from an in-memory snapshot pair."""
-    _, payload = snapshot
     return restore(payload)

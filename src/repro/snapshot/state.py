@@ -40,7 +40,6 @@ from repro.sim.gcpause import _paused_collector
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.runner import ExperimentRunner
     from repro.core.system import MobileSystem
-    from repro.explore.injections import InjectionDriver
     from repro.snapshot.snapshotter import Snapshotter
     from repro.workload.base import Workload
 
@@ -50,7 +49,6 @@ class SimulationImage:
     """Everything needed to continue a run, in one picklable bundle."""
 
     runner: "ExperimentRunner"
-    driver: Optional["InjectionDriver"] = None
     snapshotter: Optional["Snapshotter"] = None
 
     @property
@@ -64,7 +62,6 @@ class SimulationImage:
 
 def capture(
     runner: "ExperimentRunner",
-    driver: Optional["InjectionDriver"] = None,
     snapshotter: Optional["Snapshotter"] = None,
 ) -> bytes:
     """Serialize the full simulation state to bytes.
@@ -74,7 +71,7 @@ def capture(
     callback). Capture mutates nothing — the run continues unperturbed
     whether or not the bytes are ever used.
     """
-    image = SimulationImage(runner=runner, driver=driver, snapshotter=snapshotter)
+    image = SimulationImage(runner=runner, snapshotter=snapshotter)
     try:
         with _paused_collector():
             return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
@@ -98,6 +95,10 @@ class _ImageUnpickler(pickle.Unpickler):
     rebuilt from become :class:`_Inert`, and any other is refused."""
 
     def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.checkpointing.mutable", "_noop"):
+            # parked on an in-flight checkpoint transfer by an image
+            # written while the protocol kept its own copy of noop
+            module, name = "repro.checkpointing.protocol", "noop"
         if module.split(".")[0] != "numpy":
             return super().find_class(module, name)
         if name in ("_frombuffer", "dtype"):
@@ -136,13 +137,15 @@ def restore(payload: bytes) -> SimulationImage:
     protocol = system.protocol
     if "observers" not in vars(protocol):
         # written while the sampler, the runner and the driver subscribed
-        # to the trace: they observe the protocol now, in that order
+        # to the trace, and the image carried the driver: they observe
+        # the protocol now, in that order
         protocol.observers = []
         if getattr(system, "timeseries", None) is not None:
             system.timeseries.install()
         protocol.observers.append(image.runner._on_wave)
-        if image.driver is not None and image.driver._fail_pending:
-            protocol.observers.append(image.driver._on_wave)
+        driver = vars(image).get("driver")
+        if driver is not None and driver._fail_pending:
+            protocol.observers.append(driver._on_wave)
     if system.shard_plan is not None:
         # only a snapshot written by the windowed sharded kernel (deleted
         # in PR 22) lacks the network handle its partition report reads

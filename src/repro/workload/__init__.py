@@ -7,6 +7,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "BurstyWorkloadConfig": "bursty",
     "GroupWorkload": "group",
     "PointToPointWorkload": "point_to_point",
-    "ScriptedWorkload": "trace",
     "Workload": "base",
 })

@@ -22,19 +22,16 @@ import os
 
 from tests.snapshot.test_rng_lint import _package_root, _python_files
 
-#: name -> why it stays without a non-test caller (at most 6; a seventh
+#: name -> why it stays without a non-test caller (at most 3; a fourth
 #: means something should be deleted instead)
 ALLOWED = {
     "RandomWalkMobility": "paper content: the §2.1 mobility model behind handoff",
     "required_samples": "paper content: the §5.2 sample-size rule for the 10 % CI bar",
     "concurrent_initiation_hazard": "paper content: the §3.5 hazard demo "
     "(why initiations are serialized)",
-    "ScriptedWorkload": "ROADMAP item 4: bounded scripted sends for repro.verify",
-    "fork_from_counterexample": "ROADMAP item 4: snapshot fork points for repro.verify",
-    "fork_meta": "ROADMAP item 4: reads the fork point back (with the line above)",
 }
 
-MAX_ALLOWED = 6
+MAX_ALLOWED = 3
 
 
 def _repo_root() -> str:

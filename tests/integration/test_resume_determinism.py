@@ -110,9 +110,11 @@ _FAIL = {
 @pytest.mark.parametrize("legacy", [False, True], ids=["image", "legacy_image"])
 def test_wave_observers_resume_into_the_uninterrupted_run(legacy):
     """The sampler's kernel hook and the wave observers (sampler, runner,
-    a still-pending fail injection) travel with the image. An image
-    written before they did (no ``observers`` on the protocol, no keyed
-    kernel hooks) gets them back from ``restore()``, in that order."""
+    a still-pending fail injection) travel with the image, the driver
+    only as the protocol's last observer. An image written before they
+    did (no ``observers`` on the protocol, no keyed kernel hooks, the
+    driver in the image's own ``driver`` slot) gets them back from
+    ``restore()``, in that order."""
     config = SystemConfig(n_processes=16, seed=7, timeseries_window=100.0)
     system = MobileSystem(config, MutableCheckpointProtocol())
     workload = PointToPointWorkload(system, PointToPointWorkloadConfig(15.0))
@@ -123,9 +125,7 @@ def test_wave_observers_resume_into_the_uninterrupted_run(legacy):
     driver.install()
     # a multiple of the sampler's cadence (32), so a fresh hook countdown
     # after the restore is in phase with the uninterrupted run's
-    snap = Snapshotter(
-        runner, SnapshotPolicy(every_events=2048), directory=None, driver=driver
-    )
+    snap = Snapshotter(runner, SnapshotPolicy(every_events=2048), directory=None)
     snap.install()
 
     def outcome(image_system, result, image_driver):
@@ -142,15 +142,18 @@ def test_wave_observers_resume_into_the_uninterrupted_run(legacy):
     payload = snap.memory[0][1]
     if legacy:
         old = pickle.loads(payload)
+        old.driver = old.system.protocol.observers[-1].__self__
         del old.system.protocol.observers
         old.system.sim._hooks = {}
         payload = pickle.dumps(old)
     image = restore(payload)
-    assert image.driver._fail_pending == [_FAIL]
+    image_driver = image.system.protocol.observers[-1].__self__
+    assert isinstance(image_driver, InjectionDriver)
+    assert image_driver._fail_pending == [_FAIL]
     assert image.system.protocol.observers == [
         image.system.timeseries._on_wave,
         image.runner._on_wave,
-        image.driver._on_wave,
+        image_driver._on_wave,
     ]
     result = image.runner.resume(max_events=10_000_000)
-    assert outcome(image.system, result, image.driver) == expected
+    assert outcome(image.system, result, image_driver) == expected

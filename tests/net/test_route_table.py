@@ -22,7 +22,7 @@ from repro.net.network import MobileNetwork
 from repro.net.params import NetworkParams
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
-from repro.snapshot import SnapshotPolicy, Snapshotter, resume_memory
+from repro.snapshot import SnapshotPolicy, Snapshotter, restore
 from repro.workload.point_to_point import PointToPointWorkload
 
 DIRECTORY_HOOKS = (
@@ -223,10 +223,10 @@ def test_an_image_carries_no_table_and_resumes_with_an_empty_one():
     snap.install()
     runner.run(max_events=500_000)
     assert system.network._routes and system.network._links_from
-    meta, payload = snap.memory[0]
+    _, payload = snap.memory[0]
     assert b"_routes" not in payload and b"_links_from" not in payload
 
-    image = resume_memory((meta, payload))
+    image = restore(payload)
     network = image.system.network
     assert network._routes == {} and network._links_from == {}
     resumed = image.runner.resume(max_events=500_000)

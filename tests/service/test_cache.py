@@ -57,9 +57,15 @@ def test_partition_splits_and_aligns():
 
 
 def test_partition_dedupes_within_submission():
-    """The same cell submitted twice in one grid is queued once."""
+    """The same cell submitted twice in one grid is queued once and
+    counted once, as a miss or as a hit."""
     db = ResultDB()
     cache = ResultCache(db)
     a, b, _ = points()
     part = cache.partition([a, a, b])
     assert [p.point_hash for p in part.misses] == [a.point_hash, b.point_hash]
+    assert cache.stats() == {"hits": 0, "misses": 2}
+    seed_store(db, b)
+    part = cache.partition([b, b])
+    assert part.hits == [b] and part.misses == []
+    assert cache.stats() == {"hits": 1, "misses": 2}

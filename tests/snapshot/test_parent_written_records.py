@@ -48,6 +48,7 @@ def test_dataclass_pickled_records_resume_into_the_uninterrupted_run():
     assert read_meta(FIXTURE).format_version == 2
     image = resume_run(FIXTURE)
     assert image.system.sim.events_processed == 3200
+    assert vars(image)["driver"] is None  # the image slot since deleted
     restored = list(image.system.sim.trace)
     assert len(restored) == 2118
     assert all(type(record) is TraceRecord for record in restored)

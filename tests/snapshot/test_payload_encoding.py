@@ -195,6 +195,7 @@ def test_format1_snapshot_resumes_into_the_uninterrupted_run():
     assert read_meta(FORMAT1_FIXTURE).format_version == 1
     image = resume_run(FORMAT1_FIXTURE)
     assert image.system.sim.events_processed == 2000
+    assert vars(image)["driver"] is None  # the image slot since deleted
     resumed = _outcome(image.system, image.runner.resume(max_events=10_000_000))
 
     config = SystemConfig(n_processes=16, seed=7, trace_messages=False)
@@ -233,3 +234,36 @@ def test_other_numpy_globals_are_refused(module, name):
     payload = f"\x80\x02c{module}\n{name}\n(K\x01tR.".encode("latin-1")
     with pytest.raises(SnapshotError, match=re.escape(f"{module}.{name}")):
         restore(payload)
+
+
+def test_an_image_parking_the_old_mutable_noop_resumes(monkeypatch):
+    """An image written while ``checkpointing.mutable`` kept its own
+    ``_noop`` parks that name on in-flight checkpoint transfers (precopy
+    mode); it loads as ``protocol.noop`` and resumes into the same run."""
+    import repro.checkpointing.mutable as mutable
+    from repro.snapshot import SnapshotPolicy, Snapshotter
+
+    def _noop() -> None:
+        pass
+
+    _noop.__module__, _noop.__qualname__ = mutable.__name__, "_noop"
+    with monkeypatch.context() as patch:
+        patch.setattr(mutable, "_noop", _noop, raising=False)
+        patch.setattr(mutable, "noop", _noop)
+        config = SystemConfig(n_processes=16, seed=7, trace_messages=False)
+        system = MobileSystem(
+            config, MutableCheckpointProtocol(reply_after_transfer=False)
+        )
+        workload = PointToPointWorkload(
+            system, PointToPointWorkloadConfig(mean_send_interval=15.0)
+        )
+        runner = ExperimentRunner(
+            system, workload, RunConfig(max_initiations=6, warmup_initiations=1)
+        )
+        snap = Snapshotter(runner, SnapshotPolicy(every_events=100))
+        snap.install()
+        expected = _outcome(system, runner.run(max_events=10_000_000))
+    payload = next(p for _, p in snap.memory if b"_noop" in p)
+    image = restore(payload)
+    resumed = image.runner.resume(max_events=10_000_000)
+    assert _outcome(image.system, resumed) == expected

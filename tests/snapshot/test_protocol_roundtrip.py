@@ -16,7 +16,7 @@ from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfi
 from repro.core.registry import available_protocols, build_protocol
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
-from repro.snapshot import SnapshotPolicy, Snapshotter, resume_memory
+from repro.snapshot import SnapshotPolicy, Snapshotter, restore
 from repro.workload.point_to_point import PointToPointWorkload
 
 #: events between in-memory snapshots; small enough to land mid-wave
@@ -67,8 +67,8 @@ def test_snapshot_midrun_resume_matches_control(protocol_name):
     )
     assert snap.memory, f"{protocol_name}: no snapshots taken"
 
-    mid = snap.memory[len(snap.memory) // 2]
-    image = resume_memory(mid)
+    _, payload = snap.memory[len(snap.memory) // 2]
+    image = restore(payload)
     assert image.system.protocol.name == control_system.protocol.name
     resumed = image.runner.resume(max_events=500_000)
     assert _observables(image.system, resumed) == control, (

@@ -13,7 +13,7 @@ from repro.snapshot import (
     SnapshotStore,
     Snapshotter,
     read_meta,
-    resume_memory,
+    restore,
 )
 
 
@@ -120,7 +120,7 @@ def test_manual_take_without_triggers():
     assert len(snap.memory) == 1
     meta, payload = snap.memory[0]
     assert meta.reason == "manual"
-    image = resume_memory(snap.memory[0])
+    image = restore(payload)
     assert image.system.sim.events_processed == (
         runner.system.sim.events_processed
     )

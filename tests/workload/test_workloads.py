@@ -14,7 +14,6 @@ from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
 from repro.workload.group import GroupWorkload
 from repro.workload.point_to_point import PointToPointWorkload
-from repro.workload.trace import ScriptedWorkload
 
 
 def build(n=8, seed=5):
@@ -126,26 +125,3 @@ class TestGroup:
         system.run_until_quiescent()
         # 8 intra senders vs 4 leaders at 1/100 rate: ~200x fewer inter
         assert len(intra) > 50 * len(inter) > 0
-
-
-class TestScripted:
-    def test_replays_in_time_order(self):
-        system = build(n=3)
-        order = []
-        system.add_deliver_hook(lambda proc, msg: order.append(msg.src_pid))
-        workload = ScriptedWorkload(
-            system, [(5.0, 1, 2), (1.0, 0, 1), (3.0, 2, 0)]
-        )
-        workload.start()
-        system.run_until_quiescent()
-        assert order == [0, 2, 1]
-        assert workload.messages_generated == 3
-
-    def test_stop_cancels_remaining(self):
-        system = build(n=3)
-        workload = ScriptedWorkload(system, [(1.0, 0, 1), (100.0, 1, 2)])
-        workload.start()
-        system.sim.run(until=10.0)
-        workload.stop()
-        system.run_until_quiescent()
-        assert workload.messages_generated == 1
