@@ -17,7 +17,9 @@ sampler-on ``mutable_1024p_timeseries_1s`` twin, the 8-cell
 build; the default suite's ``mutable_32p_trace_off`` is the 32p rung.
 Three ratios are printed from HEAD's medians: trace off vs on, the
 1024p vs 32p per-event cost (must stay under 4x) and the 1024p
-timeseries sampling overhead (acceptance: <= 3%).
+timeseries sampling overhead (acceptance: <= 3%). With the ladder, a
+fourth: the 4096p rung's per-event cost in its checkpointing-wave
+windows over the windows around them (target: <= 1.5x).
 
 How ``--check`` judges (CI's perf-smoke and scale-smoke jobs run it):
 
@@ -62,7 +64,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -78,6 +80,7 @@ from repro.core.runner import ExperimentRunner  # noqa: E402
 from repro.core.system import MobileSystem  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.net.message import ComputationMessage  # noqa: E402
+from repro.sim.kernel import Simulator  # noqa: E402
 
 #: how far HEAD's median rate may fall under the parent's before the
 #: case can fail (it must also fall under the parent's lower quartile)
@@ -101,6 +104,10 @@ class BenchCase:
     name: str
     run: Callable[..., Tuple[int, float]]
     description: str = ""
+    #: what a run measured besides its rate (a case's own figures)
+    detail: Dict[str, Any] = field(default_factory=dict)
+    #: the ``detail`` of each HEAD run :func:`_measure` made of the case
+    head_details: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def _mutable_p2p(
@@ -165,6 +172,38 @@ def _message_alloc_case(iterations: int = 200_000) -> BenchCase:
     return BenchCase(
         "message_alloc", run,
         "construct one slotted ComputationMessage and tag its csn pair",
+    )
+
+
+def _noop(*args: Any) -> None:
+    pass
+
+
+def _timer_rearm_case(timers: int = 4096, rearms: int = 25) -> BenchCase:
+    """The runner's §5.1 re-arm: ``timers`` pending initiation timers,
+    each cancelled and re-armed ``rearms`` times (a tentative checkpoint
+    pushes its process's next initiation one interval out), then the
+    heap drained. "events" are re-arms. A kernel older than ``timer()``
+    returned the handle from ``schedule``, so that is what it arms with."""
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        sim = Simulator()
+        arm = getattr(sim, "timer", sim.schedule)
+        handles = [arm(900.0 + i * 1e-3, _noop, i) for i in range(timers)]
+        start = time.perf_counter()
+        for round_ in range(1, rearms + 1):
+            for i in range(timers):
+                if burn is not None:
+                    burn()
+                handles[i].cancel()
+                handles[i] = arm(900.0 + round_ + i * 1e-3, _noop, i)
+        sim.run_until_idle()
+        return timers * rearms, time.perf_counter() - start
+
+    return BenchCase(
+        "timer_rearm", run,
+        f"cancel and re-arm each of {timers} pending timers {rearms} times, "
+        "then drain the heap",
     )
 
 
@@ -330,9 +369,13 @@ def _run_to_budget(
             raise
 
 
+#: events per window of a rung's wave-window split
+WAVE_WINDOW = 10_000
+
+
 def ladder_case(
     name: str, description: str = "", max_events: int = 150_000,
-    **system_params: Any,
+    windows: bool = False, **system_params: Any,
 ) -> BenchCase:
     """A population rung: a fixed event budget on one system shape.
 
@@ -341,17 +384,44 @@ def ladder_case(
     events through the same loop the runner uses and report the same
     events/second. ``system_params`` are :class:`SystemConfig` fields
     (``n_processes``, ``n_mss``, ``timeseries_window``).
+
+    With ``windows`` the run is cut into :data:`WAVE_WINDOW`-event
+    windows, each a *wave* window if some process took a tentative
+    checkpoint in it (requests were arriving), else *ambient*;
+    ``detail["wave_ratio"]`` is the mean per-event cost of the wave
+    windows over that of the ambient ones. The first window, which
+    carries ``workload.start()``, is left out.
     """
+    detail: Dict[str, Any] = {}
 
     def run(burn: Burn = None) -> Tuple[int, float]:
         system, runner = _mutable_p2p(2, trace_messages=False, **system_params)
         system.sim.set_burn(burn)
+        if windows:
+            costs: Dict[bool, List[float]] = {True: [], False: []}
+            state = {"wave": False, "at": 0.0}
+
+            def observe(now: float, kind: str, fields: Dict[str, Any]) -> None:
+                if kind == "tentative":
+                    state["wave"] = True
+
+            def tick() -> None:
+                now = time.perf_counter()
+                if state["at"]:
+                    costs[state["wave"]].append((now - state["at"]) / WAVE_WINDOW)
+                state["at"], state["wave"] = now, False
+
+            system.protocol.observers.append(observe)
+            system.sim.set_between_events_hook("bench.windows", tick, WAVE_WINDOW)
         start = time.perf_counter()
         _run_to_budget(system, runner, max_events)
         elapsed = time.perf_counter() - start
+        if windows and costs[True] and costs[False]:
+            detail["wave_ratio"] = statistics.mean(
+                costs[True]) / statistics.mean(costs[False])
         return system.sim.events_processed, elapsed
 
-    return BenchCase(name, run, description)
+    return BenchCase(name, run, description, detail)
 
 
 def _snapshot_roundtrip_case(n: int) -> BenchCase:
@@ -426,7 +496,7 @@ def ladder_cases(
             f"mutable_{n}p_trace_off",
             f"{n}-process mutable-checkpoint run, tracing off, "
             f"fixed {max_events // 1000}k-event budget",
-            max_events, n_processes=n,
+            max_events, windows=n == 4096, n_processes=n,
         )
         for n in populations
     ]
@@ -477,6 +547,7 @@ def default_cases() -> List[BenchCase]:
         mutable(32, 8, False, "32-process run, message tracing off"),
         mutable(32, 8, True, "32-process run with full message tracing (DEBUG)"),
         _message_alloc_case(),
+        _timer_rearm_case(),
         _snapshot_overhead_case(),
         _trace_codec_case(),
         _cold_import_case(),
@@ -520,12 +591,16 @@ def run_named(name: str) -> Dict[str, Any]:
 
     (case,) = [c for c in default_cases() + ladder_cases() if c.name == name]
     events, seconds = case.run()
-    return {"events": events, "seconds": seconds, "repro": repro.__file__}
+    return {"events": events, "seconds": seconds, "repro": repro.__file__,
+            "detail": case.detail}
 
 
-def child_run(src: str, name: str) -> Tuple[int, float]:
+def child_run(
+    src: str, name: str, details: Optional[List[Dict[str, Any]]] = None
+) -> Tuple[int, float]:
     """One run of case ``name`` in a fresh interpreter importing ``src``'s
-    ``repro``: ``(events, seconds)``, or :class:`CaseError` if it raised."""
+    ``repro``: ``(events, seconds)``, or :class:`CaseError` if it raised.
+    The run's ``detail`` is appended to ``details``, when given."""
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, os.path.abspath(__file__), name],
         env=dict(os.environ, PYTHONPATH=src), cwd=src,
@@ -538,6 +613,8 @@ def child_run(src: str, name: str) -> Tuple[int, float]:
     src, imported = os.path.realpath(src), os.path.realpath(out["repro"])
     if os.path.commonpath([src, imported]) != src:
         raise GateError(f"{name}: the run meant for {src} imported {imported}")
+    if details is not None:
+        details.append(out.get("detail", {}))
     return out["events"], out["seconds"]
 
 
@@ -641,10 +718,9 @@ def _measure(
     failures: List[str] = []
     for case in cases:
         parent_run = None if parent is None else partial(child_run, parent, case.name)
+        head_run = partial(child_run, head_src, case.name, case.head_details)
         try:
-            head, base = paired_rates(
-                partial(child_run, head_src, case.name), parent_run, repeats
-            )
+            head, base = paired_rates(head_run, parent_run, repeats)
         except CaseError as exc:
             print(f"{case.name:28s} HEAD error: {exc}", flush=True)
             failures.append(case.name)
@@ -665,7 +741,14 @@ def _measure(
     return medians, failures
 
 
-def _print_ratios(rates: Dict[str, float]) -> None:
+def _print_ratios(rates: Dict[str, float], cases: List[BenchCase]) -> None:
+    waves = [detail["wave_ratio"] for case in cases for detail in case.head_details
+             if case.name == "mutable_4096p_trace_off" and "wave_ratio" in detail]
+    if waves:
+        print(
+            "4096p wave-window per-event cost vs ambient: "
+            f"{statistics.median(waves):.2f}x (target: <= 1.5x)"
+        )
     off = rates.get("mutable_16p_trace_off")
     on = rates.get("mutable_16p_trace_on")
     if off and on:
@@ -711,7 +794,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_ratios(medians)
+    _print_ratios(medians, cases)
 
     if args.write and not failures:
         record = {

@@ -34,5 +34,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "WeightLedger": "weights",
     "as_weight": "weights",
     "fresh_mr": "types",
-    "split": "weights",
 })

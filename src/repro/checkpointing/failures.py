@@ -142,7 +142,7 @@ class FailureInjector:
             excluded_set & (set(participants) | {failed_pid})
         )
         initiator.initiating = None
-        initiator.weight = initiator.weight * 0  # zero, exact
+        initiator.weight = 0
         if initiator.protocol.ledger is not None:
             initiator.protocol.ledger.end()
         self.system.sim.trace.record(

@@ -16,15 +16,14 @@ while ``C_{1,2}`` is discarded at the other initiation's commit. With
 non-overlapping initiations the dict never holds more than one entry and
 the behaviour is exactly the pseudocode's.
 
-Termination weights are exact fractions (see
-:mod:`repro.checkpointing.weights`).
+Termination weights are exact dyadic ints: a share ``2**-k`` travels
+as ``k`` (see :mod:`repro.checkpointing.weights`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -43,7 +42,7 @@ from repro.checkpointing.types import (
     Trigger,
     fresh_mr,
 )
-from repro.checkpointing.weights import ONE, ZERO, WeightLedger, as_weight, split
+from repro.checkpointing.weights import WeightLedger, as_weight
 from repro.errors import ProtocolError
 from repro.net.message import ComputationMessage, SystemMessage
 
@@ -93,8 +92,8 @@ class MutableCheckpointProcess(ProtocolProcess):
         # computation messages to, per initiation — they may hold
         # cp_state/mutable state that a unicast commit must also clear.
         self.tagged_sent: Dict[Trigger, set] = {}
-        # initiator-side state
-        self.weight: Fraction = ZERO
+        # initiator-side state: it holds weight / 2**weight_exp
+        self.weight = self.weight_exp = 0
         self.initiating: Optional[Trigger] = None
         self._repliers: set = set()
         self._own_save_done = False
@@ -103,6 +102,15 @@ class MutableCheckpointProcess(ProtocolProcess):
         # time: a message arriving during the copy must not overtake
         # the one that triggered it (FIFO, §2.1).
         self._delivery_queue: Deque[Callable[[], None]] = deque()
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        if "weight_exp" not in state:
+            # written while weights were Fractions: the image loader made
+            # a share 2**-k the int k and left any other value a Fraction
+            w = state["weight"]
+            w = as_weight(w) if type(w) is int else w
+            state.update(weight=w.numerator, weight_exp=w.denominator.bit_length() - 1)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Block: "Actions taken when P_i sends a computation message to P_j"
@@ -133,14 +141,12 @@ class MutableCheckpointProcess(ProtocolProcess):
         self.initiating = trigger
         self._own_save_done = False
         self._repliers = set()
-        self.weight = ZERO
         if self.protocol.ledger is not None:
             self.protocol.ledger.begin(self.pid)
         self.env.trace("initiation", pid=self.pid, trigger=trigger)
         mr = fresh_mr(self.n)
         mr[self.pid] = MREntry(self.csn[self.pid], True)
-        remaining = self._prop_cp(self.r, mr, trigger, ONE)
-        self.weight = remaining
+        self.weight, self.weight_exp = 1, self._prop_cp(self.r, mr, trigger, 0)
         record = self.make_checkpoint(
             self.csn[self.pid], CheckpointKind.TENTATIVE, trigger
         )
@@ -187,11 +193,12 @@ class MutableCheckpointProcess(ProtocolProcess):
         r_vec: BitVector,
         mr,
         msg_trigger: Trigger,
-        recv_weight: Fraction,
-    ) -> Fraction:
+        recv_weight: int,
+    ) -> int:
         """Propagate checkpoint requests to uncovered dependencies.
 
-        Returns the weight retained after halving once per request sent.
+        Takes and returns share exponents (``k`` for ``2**-k``): what is
+        held is halved once per request sent, which carries the half.
 
         Two deviations from the §3.3 pseudocode, both found necessary by
         property-based testing and both consistent with the paper's
@@ -210,7 +217,7 @@ class MutableCheckpointProcess(ProtocolProcess):
           genuinely fresher dependency wrongly believes P_k is covered
           and the needed checkpoint is never taken (an orphan results).
         """
-        weight = recv_weight  # ONE, or already checked by _on_request
+        weight = recv_weight
         send_set = [
             k
             for k in true_indices(r_vec)
@@ -221,7 +228,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         for k in send_set:
             temp[k] = MREntry(max(mr[k].csn, self.csn[k]), True)
         for k in send_set:
-            weight = split(weight)
+            weight += 1
             if self.protocol.ledger is not None:
                 self.protocol.ledger.move_to_request(self.pid, weight)
             self.env.send_system(
@@ -248,7 +255,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         recv_csn: int = fields["recv_csn"]
         msg_trigger: Trigger = fields["trigger"]
         req_csn: int = fields["req_csn"]
-        recv_weight: Fraction = as_weight(fields["weight"])
+        recv_weight: int = fields["weight"]
         if self.protocol.ledger is not None:
             self.protocol.ledger.request_arrived(self.pid, recv_weight)
 
@@ -325,7 +332,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         self,
         mutable: MutableCheckpointRecord,
         msg_trigger: Trigger,
-        remaining: Fraction,
+        remaining: int,
         from_pid: int,
     ) -> None:
         """Turn a mutable checkpoint into a tentative one (stable save)."""
@@ -376,7 +383,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             )
         self.pending_tentative[trigger] = context
 
-    def _send_reply(self, trigger: Trigger, weight: Fraction) -> None:
+    def _send_reply(self, trigger: Trigger, weight: int) -> None:
         if trigger.pid == self.pid:
             # Requests can loop back to the initiator; it keeps the weight.
             self._absorb_reply_weight(weight)
@@ -475,7 +482,7 @@ class MutableCheckpointProcess(ProtocolProcess):
     # Block: second phase (initiator) + commit reception (others)
     # ------------------------------------------------------------------
     def _on_reply(self, message: SystemMessage) -> None:
-        weight = as_weight(message.fields["weight"])
+        weight: int = message.fields["weight"]
         if self.initiating is None or message.fields.get("trigger") != self.initiating:
             # A reply for an initiation this process already aborted:
             # its weight is dead, drop it.
@@ -488,16 +495,21 @@ class MutableCheckpointProcess(ProtocolProcess):
             self._repliers.add(from_pid)
         self._absorb_reply_weight(weight)
 
-    def _absorb_reply_weight(self, weight: Fraction) -> None:
-        self.weight += weight
+    def _absorb_reply_weight(self, weight: int) -> None:
+        exp = self.weight_exp
+        if weight > exp:
+            self.weight <<= weight - exp
+            self.weight_exp = exp = weight
+        self.weight += 1 << (exp - weight)
         self._maybe_commit()
 
     def _maybe_commit(self) -> None:
-        if self.initiating is None or self.weight != ONE or not self._own_save_done:
+        whole = self.weight == 1 << self.weight_exp
+        if self.initiating is None or not whole or not self._own_save_done:
             return
         trigger = self.initiating
         self.initiating = None
-        self.weight = ZERO
+        self.weight = 0
         repliers = self._repliers
         self._repliers = set()
         if self.protocol.ledger is not None:
@@ -591,7 +603,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             raise ProtocolError(f"process {self.pid} is not initiating")
         trigger = self.initiating
         self.initiating = None
-        self.weight = ZERO
+        self.weight = 0
         if self.protocol.ledger is not None:
             self.protocol.ledger.end()
         self.env.trace("abort", trigger=trigger)

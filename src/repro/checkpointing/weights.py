@@ -5,48 +5,49 @@ portion of the sender's weight and every reply returns the remainder to
 the initiator, which concludes termination when its weight is back to 1
 (Theorem 2 / Lemma 2).
 
-Weights are ``fractions.Fraction`` rather than floats: repeated halving
-produces dyadic rationals whose exponents quickly exceed what binary
-floating point can sum exactly, and an inexact ``weight == 1`` test would
-either deadlock or terminate early. With exact arithmetic Lemma 2's
-invariant — the weights at the initiator, at other processes, and in
-transit always sum to exactly 1 — is machine-checkable at any instant
-(see :meth:`WeightLedger.total`).
+Every share is a power of two — ``prop_cp`` halves what it holds once
+per request it sends, and a reply hands a share back whole — so a share
+``2**-k`` travels as the int ``k``, and the initiator sums what comes
+back as an int numerator over ``2**K``, ``K`` the deepest exponent it
+has seen. Floats would run out of mantissa after 53 halvings, and an
+inexact ``weight == 1`` test would either deadlock or terminate early;
+ints round nothing, and no rational arithmetic runs per message. Lemma
+2's invariant — the weights at the initiator, at other processes, and in
+transit always sum to exactly 1 — stays machine-checkable at any
+instant: :class:`WeightLedger` keeps its books in ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Union
+from typing import Any, Dict, Union
 
 from repro.errors import ProtocolError
-
-WeightLike = Union[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def as_weight(value: WeightLike) -> Fraction:
-    """Coerce to an exact Fraction weight, validating the range.
+def as_weight(k: int) -> Fraction:
+    """The exact value ``2**-k`` of a share that travels as ``k``."""
+    if k < 0:
+        raise ProtocolError(f"share exponent {k} < 0: weight above 1")
+    return Fraction(1, 1 << k)
 
-    A ``Fraction`` comes back unchanged (the same object).
+
+def weight_from_image(*args: Any) -> Union[int, Fraction]:
+    """What a ``Fraction`` in a snapshot image loads as.
+
+    An image written while weights were Fractions holds them in flight
+    and at the initiator: a share ``2**-k`` loads as ``k``; any other
+    dyadic value (zero, a running sum, a ledger book) stays a Fraction
+    for its owner's ``__setstate__``, and a non-dyadic one is refused.
     """
-    w = value if isinstance(value, Fraction) else Fraction(value)
-    if w < 0 or w > 1:
-        raise ProtocolError(f"weight out of range [0, 1]: {w}")
-    return w
-
-
-def split(weight: Fraction) -> Fraction:
-    """Halve a weight, as ``prop_cp`` does per outgoing request.
-
-    Returns the half that travels with the request; the caller keeps the
-    same amount.
-    """
-    if weight <= 0:
-        raise ProtocolError(f"cannot split non-positive weight {weight}")
-    return weight / 2
+    value = Fraction(*args)
+    denominator = value.denominator
+    if denominator & (denominator - 1):
+        raise ProtocolError(f"weight {value} is not dyadic")
+    return denominator.bit_length() - 1 if value.numerator == 1 else value
 
 
 class WeightLedger:
@@ -55,7 +56,8 @@ class WeightLedger:
     Protocols do not need the ledger to function — it exists so tests can
     assert Lemma 2's invariant continuously. Each unit of weight is
     tracked in one of three places: a process, in-transit requests, or
-    in-transit replies.
+    in-transit replies. Amounts come in as exponents ``k`` and are kept
+    as the exact ``2**-k``.
     """
 
     def __init__(self) -> None:
@@ -77,37 +79,41 @@ class WeightLedger:
         """Finish the initiation (after the initiator regained weight 1)."""
         self.active = False
 
-    def move_to_request(self, pid: int, amount: Fraction) -> None:
-        """Process ``pid`` put ``amount`` onto an outgoing request.
+    def move_to_request(self, pid: int, k: int) -> None:
+        """Process ``pid`` put the share ``2**-k`` onto an outgoing request.
 
         All movement methods are no-ops when no initiation is being
         tracked (weights of an aborted initiation are dead).
         """
         if not self.active:
             return
+        amount = as_weight(k)
         self._debit(pid, amount)
         self.in_requests += amount
 
-    def request_arrived(self, pid: int, amount: Fraction) -> None:
-        """A request carrying ``amount`` was received by ``pid``."""
+    def request_arrived(self, pid: int, k: int) -> None:
+        """A request carrying ``2**-k`` was received by ``pid``."""
         if not self.active:
             return
+        amount = as_weight(k)
         self.in_requests -= amount
         if self.in_requests < 0:
             raise ProtocolError("negative in-flight request weight")
         self.at_process[pid] = self.at_process.get(pid, ZERO) + amount
 
-    def move_to_reply(self, pid: int, amount: Fraction) -> None:
-        """Process ``pid`` put ``amount`` onto a reply to the initiator."""
+    def move_to_reply(self, pid: int, k: int) -> None:
+        """Process ``pid`` put ``2**-k`` onto a reply to the initiator."""
         if not self.active:
             return
+        amount = as_weight(k)
         self._debit(pid, amount)
         self.in_replies += amount
 
-    def reply_arrived(self, initiator: int, amount: Fraction) -> None:
-        """A reply carrying ``amount`` reached the initiator."""
+    def reply_arrived(self, initiator: int, k: int) -> None:
+        """A reply carrying ``2**-k`` reached the initiator."""
         if not self.active:
             return
+        amount = as_weight(k)
         self.in_replies -= amount
         if self.in_replies < 0:
             raise ProtocolError("negative in-flight reply weight")
@@ -120,6 +126,14 @@ class WeightLedger:
                 f"process {pid} tried to move weight {amount} but holds {held}"
             )
         self.at_process[pid] = held - amount
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # an image loads a book that is some 2**-k as the int k
+        books = {**state["at_process"], "requests": state["in_requests"],
+                 "replies": state["in_replies"]}
+        books = {at: as_weight(v) if type(v) is int else v for at, v in books.items()}
+        self.__dict__.update(state, in_requests=books.pop("requests"),
+                             in_replies=books.pop("replies"), at_process=books)
 
     def total(self) -> Fraction:
         """Sum over all locations; equals 1 while active (Lemma 2)."""

@@ -74,7 +74,7 @@ class ExperimentRunner:
         old = self._timers[pid]
         if old is not None:
             old.cancel()
-        self._timers[pid] = self.system.sim.schedule(delay, self._initiation_due, pid)
+        self._timers[pid] = self.system.sim.timer(delay, self._initiation_due, pid)
 
     def _on_wave(self, now: float, kind: str, fields: Dict[str, Any]) -> None:
         # Paper §5.1: a checkpoint taken early pushes the next scheduled
@@ -84,10 +84,8 @@ class ExperimentRunner:
             pid = fields["pid"]
             if pid in self._timers:
                 self._arm_timer(pid, self.system.config.checkpoint_interval)
-            try:
+            if pid in self._deferred:
                 self._deferred.remove(pid)
-            except ValueError:
-                pass
 
     def request_initiation(self, pid: int) -> None:
         """Ask for an extra initiation by ``pid`` now (fault injection).

@@ -262,7 +262,8 @@ class JobManager:
             job = Job(job_id, name, points)
             job.error = error
             job.cache_hits = int(cache_hits)
-            job.queued = max(0, len(points) - job.cache_hits)
+            distinct = len({point.point_hash for point in points})
+            job.queued = max(0, distinct - job.cache_hits)
             self._seq = max(self._seq, int(seq))
             self.jobs[job_id] = job
             self._order.append(job_id)

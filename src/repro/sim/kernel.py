@@ -1,8 +1,9 @@
 """The discrete-event simulation kernel.
 
 A :class:`Simulator` owns a virtual clock and a priority queue of
-:class:`~repro.sim.events.Event` objects. Running the simulator pops
-events in ``(time, insertion-order)`` order and invokes their callbacks.
+``(time, priority, seq, callback, args)`` entries. Running the simulator
+pops them in ``(time, insertion-order)`` order and invokes their
+callbacks.
 Everything in the reproduction — channels, hosts, protocols, workloads —
 is driven by this single queue, which makes every run deterministic and
 replayable for a given seed.
@@ -15,7 +16,6 @@ loop easy to reason about and trivially deterministic.
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -25,6 +25,7 @@ from typing import (
     Hashable,
     List,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -38,9 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: upper bound on recycled Event handles kept per simulator
-_FREELIST_MAX = 1024
 
 #: cancelled events tolerated in the heap before a compaction sweep is
 #: even considered (tiny queues are cheaper to drain lazily)
@@ -154,9 +152,10 @@ class Simulator:
         policy: Optional[SchedulePolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        # Heap entries are (time, priority, seq, event) tuples so heapq
-        # compares entirely in C; Event.__lt__ never runs on the hot path.
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        # Heap entries are (time, priority, seq, callback, args) tuples:
+        # heapq compares them in C, and seq is unique, so a comparison
+        # never reaches the callback.
+        self._queue: List[Tuple[float, int, int, Callable[..., Any], tuple]] = []
         self._seq = 0
         self._now: float = 0.0
         self._events_processed: int = 0
@@ -170,8 +169,8 @@ class Simulator:
         self._snap_countdown = 0
         self._hooks: Dict[str, Tuple[Callable[[], None], int]] = {}
         self._stream_floors: Dict[Hashable, Tuple[float, int]] = {}
-        self._free: List[Event] = []
-        self._cancelled_pending = 0
+        #: seqs of cancelled entries still in the heap
+        self._cancelled: Set[int] = set()
         self.trace: TraceLog = trace if trace is not None else TraceLog()
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else MetricsRegistry()
@@ -244,7 +243,7 @@ class Simulator:
         the heap in place, so long runs with many cancelled timers never
         pay O(dead) pop costs.
         """
-        return self._cancelled_pending
+        return len(self._cancelled)
 
     def set_burn(self, burn: Optional[Callable[[], None]]) -> None:
         """Install a per-event burn hook (benchmark self-test only).
@@ -268,9 +267,8 @@ class Simulator:
         each hook still fires at its own ``check_every``. With exactly
         one, it is installed directly. The same contract applies to
         every hook: it fires *between* event callbacks — never
-        re-entrantly inside one, and after the dispatched handle has
-        been recycled — so the heap, clock and counters are consistent
-        whenever it observes them, and it must not schedule events or
+        re-entrantly inside one — so the heap, clock and counters are
+        consistent whenever it observes them, and it must not schedule events or
         mutate kernel state, so hooks are invisible to the simulation.
         The loop notices a hook installed from inside an event callback
         on the next :meth:`run`/:meth:`step` call; a hook may clear or
@@ -327,6 +325,17 @@ class Simulator:
         self.__dict__.update(state)
         # snapshots written before keyed hooks existed lack the registry
         self.__dict__.setdefault("_hooks", {})
+        if "_free" in state:
+            # written while an entry was (time, priority, seq, Event) and
+            # fired handles went back to a freelist: each handle becomes
+            # its entry's callback, and a cancelled one's seq is noted
+            del self._free, self._cancelled_pending
+            self._cancelled = set()
+            for _, _, seq, event in self._queue:
+                if event._cancelled:
+                    self._cancelled.add(seq)
+                event.owner = None if event._cancelled else self
+            self._queue = [(*entry, ()) for entry in self._queue]
         self._recompose_hooks()
 
     def stop(self) -> None:
@@ -337,12 +346,13 @@ class Simulator:
         """
         self._stop_requested = True
 
-    # -- cancelled-event accounting (called from Event.cancel) ----------
-    def _note_cancelled(self) -> None:
-        self._cancelled_pending += 1
+    # -- cancelled-entry accounting (called from Event.cancel) ----------
+    def _cancel(self, seq: int) -> None:
+        cancelled = self._cancelled
+        cancelled.add(seq)
         if (
-            self._cancelled_pending > _COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > self.pending_events
+            len(cancelled) > _COMPACT_MIN_CANCELLED
+            and len(cancelled) * 2 > len(self._queue)
         ):
             self._compact()
 
@@ -354,20 +364,11 @@ class Simulator:
         determined by the (time, priority, seq) keys, so a rebuild never
         changes the dispatch sequence.
         """
-        free = self._free
+        cancelled = self._cancelled
         queue = self._queue
-        dead = [entry[3] for entry in queue if entry[3]._cancelled]
-        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+        queue[:] = [entry for entry in queue if entry[2] not in cancelled]
         heapq.heapify(queue)
-        for event in dead:
-            event.owner = None
-            # dead list + loop variable + getrefcount argument == 3:
-            # nobody else holds the handle, so it is safe to recycle.
-            if len(free) < _FREELIST_MAX and getrefcount(event) == 3:
-                event.callback = None
-                event.args = ()
-                free.append(event)
-        self._cancelled_pending = 0
+        cancelled.clear()
 
     def schedule(
         self,
@@ -375,18 +376,28 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         stream: Optional[Hashable] = None,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        Returns an :class:`Event` handle that may be cancelled. A zero
-        delay is allowed and fires after all previously scheduled events
-        at the current instant (FIFO within a timestamp). ``stream``
-        tags the event with a FIFO-stream key for the
-        :class:`SchedulePolicy` (ignored without a policy).
+        A zero delay is allowed and fires after all previously scheduled
+        events at the current instant (FIFO within a timestamp).
+        ``stream`` tags the event with a FIFO-stream key for the
+        :class:`SchedulePolicy` (ignored without a policy). Nothing is
+        returned: an event that may have to be cancelled is a
+        :meth:`timer`.
         """
         if delay < 0:
             raise ScheduleInPastError(self._now, self._now + delay)
-        return self.schedule_at(self._now + delay, callback, *args, stream=stream)
+        self.schedule_at(self._now + delay, callback, *args, stream=stream)
+
+    def timer(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+        """:meth:`schedule` ``callback(*args)``, and return a handle that
+        can cancel it: the :class:`Event` is the entry's callback."""
+        if delay < 0:
+            raise ScheduleInPastError(self._now, self._now + delay)
+        event = Event(self._seq, callback, args, self)
+        self.schedule_at(self._now + delay, event)
+        return event
 
     def schedule_at(
         self,
@@ -394,7 +405,7 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         stream: Optional[Hashable] = None,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
         if when < self._now:
             raise ScheduleInPastError(self._now, when)
@@ -412,23 +423,10 @@ class Simulator:
                 self._stream_floors[stream] = (when, priority)
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = when
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event._cancelled = False
-        else:
-            event = Event(when, seq, callback, args, priority=priority)
-        event.owner = self
         queue = self._queue
-        _heappush(queue, (when, priority, seq, event))
+        _heappush(queue, (when, priority, seq, callback, args))
         if self._profiler is not None:
             self._profiler.on_push(len(queue))
-        return event
 
     def step(self) -> bool:
         """Process the next non-cancelled event.
@@ -477,16 +475,14 @@ class Simulator:
         :meth:`run` and :meth:`step` (``one=True``: return after a
         single live event) both come through here, so every way of
         driving the kernel shares one dispatch order and one set of
-        books (freelist, cancelled count, hook countdown). The queue,
-        freelist, profiler, burn hook and "is a hook armed" flag are
-        bound to locals; each optional feature costs one local test per
-        event when unused.
+        books (cancelled set, hook countdown). The queue, cancelled set,
+        profiler, burn hook and "is a hook armed" flag are bound to
+        locals; each optional feature costs one local test per event
+        when unused, and so does the cancelled set while it is empty.
         """
         queue = self._queue
         pop = _heappop
-        free = self._free
-        free_append = free.append
-        refcount = getrefcount
+        cancelled = self._cancelled
         profiler = self._profiler
         burn = self._burn
         hooked = self._snap_hook is not None
@@ -495,11 +491,8 @@ class Simulator:
         )
         while queue:
             entry = pop(queue)
-            event = entry[3]
-            if event._cancelled:
-                if self._cancelled_pending > 0:
-                    self._cancelled_pending -= 1
-                event.owner = None
+            if cancelled and entry[2] in cancelled:
+                cancelled.remove(entry[2])
                 if profiler is not None:
                     profiler.on_cancelled_pop()
                 continue
@@ -513,26 +506,18 @@ class Simulator:
                     f"exceeded max_events={max_events} (runaway simulation?)"
                 )
             self._now = when
-            entry = None  # release the heap tuple: makes the refcount check exact
             self._events_processed += 1
             if burn is not None:
                 burn()
             if profiler is None:
-                event.callback(*event.args)
+                entry[3](*entry[4])
             else:
-                # captured first, so the profiler is never handed a
-                # field of a recycled handle
-                callback = event.callback
+                callback = entry[3]
                 started = perf_counter()
-                callback(*event.args)
+                callback(*entry[4])
+                if type(callback) is Event:  # a timer: report what it ran
+                    callback = callback.callback
                 profiler.on_event(callback, perf_counter() - started, len(queue))
-            # Recycle the handle iff nobody else holds it (local binding
-            # + getrefcount argument == 2).
-            if refcount(event) == 2 and len(free) < _FREELIST_MAX:
-                event.callback = None
-                event.args = ()
-                event.owner = None
-                free_append(event)
             if hooked:
                 self._snap_countdown -= 1
                 if self._snap_countdown <= 0:

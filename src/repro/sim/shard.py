@@ -113,14 +113,16 @@ class ShardedSimulator(Simulator):
         # A snapshot written by the windowed kernel holds its events in
         # per-shard heaps and an empty ``_queue``. Entries are
         # ``(time, priority, seq, event)`` with a globally unique seq, so
-        # the sorted concatenation is a valid heap with the same pop order.
+        # the sorted concatenation is a valid heap with the same pop order;
+        # ``Simulator.__setstate__`` then converts it, as for any image
+        # with a freelist.
         shard_queues = state.get("_shard_queues")
         if shard_queues is not None:
             queue = sorted(sum(shard_queues, state["_queue"]))
             # keep what this class still has: the window state goes, and
             # the network handle that kernel never had stays None until
             # ``snapshot.state.restore`` calls :meth:`partition`
-            fresh = vars(ShardedSimulator())
+            fresh = {**vars(ShardedSimulator()), "_free": [], "_cancelled_pending": 0}
             state = {key: state.get(key, fresh[key]) for key in fresh}
             state["_queue"] = queue
         super().__setstate__(state)

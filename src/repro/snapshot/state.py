@@ -2,7 +2,7 @@
 
 The payload of a snapshot is one pickled :class:`SimulationImage`: the
 experiment runner and, through it, the entire object graph — kernel
-(event heap, freelist, cancelled bookkeeping, seq/clock counters),
+(event heap, cancelled entries' seqs, seq/clock counters),
 ``MobileSystem`` (processes, protocol state machines, network channels
 and buffers, stable storage), ``RandomStreams`` generator states, the
 metrics registry, and the trace log with its counters and flight-
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import SnapshotError
+from repro.errors import ProtocolError, SnapshotError
 from repro.sim.gcpause import _paused_collector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -99,6 +99,11 @@ class _ImageUnpickler(pickle.Unpickler):
             # parked on an in-flight checkpoint transfer by an image
             # written while the protocol kept its own copy of noop
             module, name = "repro.checkpointing.protocol", "noop"
+        if (module, name) == ("fractions", "Fraction"):
+            # a termination weight: a share 2**-k loads as its int k
+            from repro.checkpointing.weights import weight_from_image
+
+            return weight_from_image
         if module.split(".")[0] != "numpy":
             return super().find_class(module, name)
         if name in ("_frombuffer", "dtype"):
@@ -116,6 +121,8 @@ def restore(payload: bytes) -> SimulationImage:
     try:
         with _paused_collector():
             image = _ImageUnpickler(io.BytesIO(payload)).load()
+    except ProtocolError:  # a weight no run of the protocol could hold
+        raise
     except Exception as exc:
         raise SnapshotError(f"cannot unpickle snapshot payload: {exc!r}") from exc
     if not isinstance(image, SimulationImage):

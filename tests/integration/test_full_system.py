@@ -11,11 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
+from repro.campaign import RunPoint, build_point_runtime
 from repro.analysis.minimality import check_minimality
 from repro.checkpointing.chandy_lamport import ChandyLamportProtocol
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.koo_toueg import KooTouegProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
+from repro.checkpointing.weights import ONE
 from tests.conftest import run_experiment
 
 ALL_PROTOCOLS = {
@@ -138,3 +140,32 @@ def test_weight_ledger_clean_across_many_initiations():
     system, result = run_experiment(protocol, seed=43, initiations=6)
     assert not protocol.ledger.active
     assert result.n_initiations == 5
+
+
+def test_a_256p_ledger_is_exactly_one_at_every_commit():
+    """Dyadic int weights keep Lemma 2 exact at scale: with the ledger on,
+    the books sum to exactly 1 at every wave record of a 256p run, each
+    commit finds all of it back at the initiator, and the deepest share
+    is finer than a float's 53-bit mantissa could hold."""
+    system, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable", protocol_params={"track_weights": True},
+        system_params={"n_processes": 256},
+        workload_params={"mean_send_interval": 5.0},
+        run_params={"max_initiations": 3}, seed=11,
+    ))
+    ledger = system.protocol.ledger
+    commits, deepest = [], []
+
+    def observe(now, kind, fields):
+        if ledger.active:
+            assert ledger.total() == ONE
+        if kind == "commit":
+            initiator = fields["trigger"].pid
+            commits.append(initiator)
+            assert ledger.at_process[initiator] == ONE
+            deepest.append(system.protocol.processes[initiator].weight_exp)
+
+    system.protocol.observers.append(observe)
+    runner.run()
+    assert len(commits) == 3
+    assert max(deepest) > 53

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.analysis.stats import summarize
 from repro.analysis.vector_clock import VectorClock, concurrent, happened_before
 from repro.checkpointing.types import MREntry
-from repro.checkpointing.weights import ONE, ZERO, split
+from repro.checkpointing.weights import ONE, ZERO, as_weight
 from repro.net.channel import FifoChannel
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
@@ -21,26 +21,24 @@ from repro.sim.kernel import Simulator
 # ---------------------------------------------------------------------------
 @given(st.lists(st.integers(0, 50), min_size=0, max_size=120))
 def test_weight_split_tree_conserves_one(choices):
-    holders = [ONE]
+    """Holders keep exponents: a request halves 2**-k into two 2**-(k+1)."""
+    holders = [0]
     for choice in choices:
         index = choice % len(holders)
-        if holders[index] > 0:
-            piece = split(holders[index])
-            holders[index] -= piece
-            holders.append(piece)
-    assert sum(holders, ZERO) == ONE
+        holders[index] += 1
+        holders.append(holders[index])
+    assert sum(map(as_weight, holders), ZERO) == ONE
 
 
 @given(st.integers(1, 400))
 def test_weight_repeated_split_exact(depth):
-    w = ONE
+    w = 0
     shipped = []
     for _ in range(depth):
-        piece = split(w)
-        w = w - piece
-        shipped.append(piece)
-    assert w + sum(shipped, ZERO) == ONE
-    assert w == Fraction(1, 2**depth)
+        w += 1
+        shipped.append(w)
+    assert as_weight(w) + sum(map(as_weight, shipped), ZERO) == ONE
+    assert as_weight(w) == Fraction(1, 2**depth)
 
 
 # ---------------------------------------------------------------------------

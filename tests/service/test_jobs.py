@@ -118,6 +118,30 @@ def test_queued_job_recovers_across_restart(tmp_path, tiny_spec):
         db2.close()
 
 
+def test_recovered_job_counts_a_repeated_cell_once(tmp_path, tiny_spec):
+    """A grid that names one cell twice queues it once at submit, and a
+    restart while the job is queued must report the same ``queued``."""
+    db_path = str(tmp_path / "results.sqlite")
+    points = tiny_spec.expand()
+    db = ResultDB(db_path)
+    manager = JobManager(db)  # no .start(): the job is still queued
+    job = manager.submit([points[0], points[1], points[0]])
+    assert (job.status, job.queued, job.cache_hits) == (QUEUED, 2, 0)
+    manager.shutdown()
+    db.close()
+
+    db2 = ResultDB(db_path)
+    manager2 = JobManager(db2).start()
+    try:
+        recovered = manager2.jobs[job.job_id]
+        assert recovered.resumed
+        assert (recovered.queued, recovered.cache_hits) == (2, 0)
+        assert manager2.wait(job.job_id, timeout=60).status == DONE
+    finally:
+        manager2.shutdown()
+        db2.close()
+
+
 def test_interrupted_job_completes_identically(tmp_path, slow_spec):
     """Shutdown mid-job requeues it; a new service completes it with
     results identical to an uninterrupted run."""

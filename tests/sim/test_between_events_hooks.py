@@ -156,15 +156,15 @@ def test_self_uninstalling_hook_keeps_the_callers_budget(make_sim):
 
 def _churn(sim: Simulator) -> None:
     """Plain events, restarted timers and a burst of cancellations."""
-    timer = [sim.schedule(0.5, lambda: None)]
+    timer = [sim.timer(0.5, lambda: None)]
 
     def rearm() -> None:
         timer[0].cancel()
-        timer[0] = sim.schedule(0.5, lambda: None)
+        timer[0] = sim.timer(0.5, lambda: None)
 
     for i in range(40):
         sim.schedule(float(i), rearm)
-    for event in [sim.schedule(100.0 + i, lambda: None) for i in range(20)]:
+    for event in [sim.timer(100.0 + i, lambda: None) for i in range(20)]:
         event.cancel()
 
 
@@ -180,11 +180,10 @@ def test_profiled_and_stepped_runs_keep_the_same_books(make_sim):
                 pass
         else:
             sim.run_until_idle()
-        return (sim.events_processed, sim.now, len(sim._free),
+        return (sim.events_processed, sim.now,
                 sim.cancelled_pending, sim.pending_events)
 
     plain = books("run")
-    assert plain[2] > 0  # handles were recycled at all
     assert books("profiler") == plain
     assert books("step") == plain
 

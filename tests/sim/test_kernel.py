@@ -53,7 +53,7 @@ def test_schedule_at_in_past_rejected(sim):
 
 def test_cancelled_event_does_not_fire(sim):
     fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
+    handle = sim.timer(1.0, fired.append, "x")
     handle.cancel()
     sim.run_until_idle()
     assert fired == []
@@ -61,7 +61,7 @@ def test_cancelled_event_does_not_fire(sim):
 
 
 def test_cancel_is_idempotent(sim):
-    handle = sim.schedule(1.0, lambda: None)
+    handle = sim.timer(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
     sim.run_until_idle()
@@ -119,7 +119,7 @@ def test_step_returns_false_when_empty(sim):
 
 
 def test_step_skips_cancelled(sim):
-    handle = sim.schedule(1.0, lambda: None)
+    handle = sim.timer(1.0, lambda: None)
     handle.cancel()
     assert sim.step() is False
 
@@ -159,7 +159,7 @@ def test_determinism_across_instances():
 def test_timer_restart_and_cancel(sim):
     """A timeout is a scheduled event; rearming is cancel + schedule."""
     fired = []
-    pending = sim.schedule(5.0, lambda: fired.append(sim.now))
+    pending = sim.timer(5.0, lambda: fired.append(sim.now))
     assert not pending.cancelled
     pending.cancel()
     sim.schedule(2.0, lambda: fired.append(sim.now))
@@ -170,7 +170,7 @@ def test_timer_restart_and_cancel(sim):
 
 def test_timer_cancel_prevents_firing(sim):
     fired = []
-    pending = sim.schedule(1.0, lambda: fired.append(1))
+    pending = sim.timer(1.0, lambda: fired.append(1))
     pending.cancel()
     sim.run_until_idle()
     assert fired == []

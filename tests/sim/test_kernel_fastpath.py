@@ -1,11 +1,11 @@
-"""Fast-path kernel internals: event pooling, cancelled-event
-accounting, heap compaction, and the burn/stop hooks.
+"""Fast-path kernel internals: cancelled-entry accounting, heap
+compaction, and the burn/stop hooks.
 
-These lock in the hot-path overhaul's safety properties: cancelled
-events no longer accumulate in the heap without bound (the timer
-restart leak), recycled Event objects are never handed back while a
-caller still holds a reference, and the instrumented loop (burn hook
-attached) dispatches identically to the fast loop.
+These lock in the hot-path safety properties: cancelled timers no
+longer accumulate in the heap without bound (the timer restart leak),
+the cancelled count is exact whatever order cancels and firings come
+in, and the instrumented loop (burn hook attached) dispatches
+identically to the fast loop.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.sim.kernel import Simulator
 
 # -- cancelled-event accounting and compaction -------------------------
 def test_cancelled_pending_tracks_cancels(sim):
-    handles = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
+    handles = [sim.timer(1.0 + i, lambda: None) for i in range(10)]
     assert sim.cancelled_pending == 0
     for handle in handles[:4]:
         handle.cancel()
@@ -26,16 +26,31 @@ def test_cancelled_pending_tracks_cancels(sim):
 
 
 def test_cancel_is_counted_once(sim):
-    handle = sim.schedule(1.0, lambda: None)
+    handle = sim.timer(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
     assert sim.cancelled_pending == 1
 
 
+def test_cancel_after_firing_is_a_no_op(sim):
+    fired = []
+    early = sim.timer(1.0, fired.append, "early")
+    late = sim.timer(5.0, fired.append, "late")
+    sim.run(until=2.0)
+    early.cancel()  # already fired: nothing is pending to cancel
+    assert sim.cancelled_pending == 0
+    late.cancel()
+    assert sim.cancelled_pending == 1
+    sim.run_until_idle()
+    assert fired == ["early"]
+    assert sim.cancelled_pending == 0
+    assert sim.pending_events == 0
+
+
 def test_popping_cancelled_events_decrements_counter(sim):
     keep = []
     for i in range(6):
-        handle = sim.schedule(1.0 + i, keep.append, i)
+        handle = sim.timer(1.0 + i, keep.append, i)
         if i % 2 == 0:
             handle.cancel()
     sim.run_until_idle()
@@ -50,10 +65,10 @@ def test_timer_restart_churn_is_bounded():
     reached. Compaction must keep both the dead count and the heap size
     bounded while restarts vastly outnumber live events."""
     sim = Simulator()
-    pending = sim.schedule(1e9, lambda: None)
+    pending = sim.timer(1e9, lambda: None)
     for _ in range(5000):
         pending.cancel()
-        pending = sim.schedule(1e9, lambda: None)
+        pending = sim.timer(1e9, lambda: None)
     assert sim.cancelled_pending < 5000  # compaction ran
     assert sim.cancelled_pending <= max(32, len(sim._queue))
     assert len(sim._queue) <= 64  # one live timer + bounded debris
@@ -66,7 +81,7 @@ def test_compaction_preserves_dispatch_order():
     for i in range(200):
         sim.schedule(float(i + 1), order.append, i)
     # cancel enough to force compaction (more than half the heap)
-    handles = [sim.schedule(1000.0 + i, order.append, -i) for i in range(300)]
+    handles = [sim.timer(1000.0 + i, order.append, -i) for i in range(300)]
     for handle in handles:
         handle.cancel()
     sim.run_until_idle()
@@ -74,35 +89,23 @@ def test_compaction_preserves_dispatch_order():
     assert sim.cancelled_pending == 0
 
 
-# -- freelist safety ---------------------------------------------------
-def test_held_event_handle_is_not_recycled():
-    """A caller that keeps the schedule() handle must be able to cancel
-    it later even after many other events fired (the pool must never
-    recycle an object the caller can still reach)."""
-    sim = Simulator()
-    fired = []
-    held = sim.schedule(50.0, fired.append, "held")
-    for i in range(100):
-        sim.schedule(float(i) / 10.0, lambda: None)
-    sim.run(until=20.0)
-    held.cancel()  # still our event, not a recycled stranger
-    sim.run_until_idle()
-    assert fired == []
-
-
-def test_freelist_reuse_keeps_order():
-    """Heavy schedule/fire churn (maximum recycling) stays FIFO."""
+def test_compaction_mid_run_keeps_the_order_of_ties():
+    """Cancels from inside a callback force compactions while the loop
+    runs; the survivors, many sharing a timestamp, still fire in
+    (time, seq) order."""
     sim = Simulator()
     order = []
+    handles = [sim.timer(1.0 + i // 8, order.append, i) for i in range(400)]
 
-    def chain(i):
-        order.append(i)
-        if i < 500:
-            sim.schedule(1.0, chain, i + 1)
+    def cancel_most():
+        for i, handle in enumerate(handles):
+            if i % 3:
+                handle.cancel()
 
-    sim.schedule(1.0, chain, 0)
+    sim.schedule(0.5, cancel_most)
     sim.run_until_idle()
-    assert order == list(range(501))
+    assert order == [i for i in range(400) if i % 3 == 0]
+    assert sim.cancelled_pending == 0
 
 
 # -- burn and stop hooks ----------------------------------------------
@@ -164,3 +167,24 @@ def test_max_events_guard_in_fast_loop():
     sim.schedule(1.0, forever)
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=50)
+
+
+def test_a_timer_consults_the_policy_as_schedule_does():
+    """``timer()`` goes through ``schedule_at``: under an explore jitter
+    policy every third event armed as a timer draws the same ``(when,
+    priority)``, in the same order, as when all are plain schedules."""
+    from repro.explore.policy import PerturbationConfig, RecordingPolicy
+
+    def dispatch(arm: str, jitter: bool = True):
+        config = PerturbationConfig(p_perturb=1.0, max_jitter=0.5)
+        sim = Simulator(policy=RecordingPolicy(7, config) if jitter else None)
+        fired = []
+        for i in range(60):
+            schedule = getattr(sim, arm if i % 3 == 0 else "schedule")
+            schedule(1.0 + (i % 5) * 0.1, lambda i=i: fired.append((i, sim.now)))
+        sim.run_until_idle()
+        return fired
+
+    jittered = dispatch("timer")
+    assert jittered == dispatch("schedule")
+    assert jittered != dispatch("timer", jitter=False)  # the policy did act

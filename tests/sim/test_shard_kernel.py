@@ -122,13 +122,17 @@ def test_windowed_kernel_snapshot_resumes_into_the_one_heap():
     for shard_keys in keys:
         heap = []
         for when, priority, seq in shard_keys:
-            event = Event(when, seq, _pickle_probe, (seq,), priority=priority)
-            event._cancelled = seq == cancelled_seq
+            # an Event as such an image unpickles it: it was the entry
+            event = Event.__new__(Event)
+            event.__setstate__((None, dict(
+                time=when, priority=priority, seq=seq, callback=_pickle_probe,
+                args=(seq,), _cancelled=seq == cancelled_seq, owner=None)))
             heap.append((when, priority, seq, event))
         heaps.append(sorted(heap))
     state = Simulator().__getstate__()  # every key the base kernel pickles
+    del state["_cancelled"]  # ... that kernel's freelist books instead
     state.update(
-        _seq=6, _cancelled_pending=1, _queue=[],
+        _seq=6, _free=[], _cancelled_pending=1, _queue=[],
         # ... and every key the windowed ShardedSimulator added
         _n_shards=2, _lookahead=0.0005, _shard_queues=heaps,
         _pid_entities={}, _plan=None, _current_shard=1, _dispatching=False,
@@ -151,7 +155,7 @@ def test_windowed_kernel_snapshot_resumes_into_the_one_heap():
     assert (report["shards"], report["lookahead"]) == (2, 0.0005)
     assert (report["windows"], report["envelopes"]) == (0, 0)
     # later schedules continue the restored sequence
-    assert sim.schedule_at(9.0, _pickle_probe, 6).seq == 6
+    assert sim.timer(4.0, _pickle_probe, 6).seq == 6
 
 
 # ---------------------------------------------------------------------------
