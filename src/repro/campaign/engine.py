@@ -341,9 +341,10 @@ class CampaignEngine:
     def run(self) -> CampaignReport:
         """Run every point not already in the store; return the report."""
         completed = self.store.completed_hashes()
-        pending = [p for p in self.points if p.point_hash not in completed]
-        self.progress.total = len(self.points)
-        self.progress.start(skipped=len(self.points) - len(pending))
+        distinct = {p.point_hash: p for p in self.points}  # a cell named twice runs once
+        pending = [p for h, p in distinct.items() if h not in completed]
+        self.progress.total = len(distinct)
+        self.progress.start(skipped=len(distinct) - len(pending))
 
         outcomes: Dict[str, PointRecord] = {}
         labels = {p.point_hash: p.label() for p in self.points}
@@ -369,7 +370,7 @@ class CampaignEngine:
         report = CampaignReport(
             name=self.name,
             executed=len(outcomes) if cancelled else len(pending),
-            skipped=len(self.points) - len(pending),
+            skipped=len(distinct) - len(pending),
             wall_time=wall_time,
             cancelled=cancelled,
             fresh=list(outcomes.values()),

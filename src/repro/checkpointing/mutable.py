@@ -46,6 +46,9 @@ from repro.checkpointing.weights import WeightLedger, as_weight
 from repro.errors import ProtocolError
 from repro.net.message import ComputationMessage, SystemMessage
 
+#: an idle process's ``aborted`` and ``_repliers`` (``frozenset()`` allocates)
+_EMPTY: frozenset = frozenset()
+
 
 @dataclass
 class _TentativeContext:
@@ -87,7 +90,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         #: tentative checkpoints awaiting commit/abort, by initiation
         self.pending_tentative: Dict[Trigger, _TentativeContext] = {}
         #: initiations known to have aborted (stale requests are refused)
-        self.aborted: set = set()
+        self.aborted: frozenset = _EMPTY
         # §3.3.5 update-mode bookkeeping: processes we sent tagged
         # computation messages to, per initiation — they may hold
         # cp_state/mutable state that a unicast commit must also clear.
@@ -95,13 +98,13 @@ class MutableCheckpointProcess(ProtocolProcess):
         # initiator-side state: it holds weight / 2**weight_exp
         self.weight = self.weight_exp = 0
         self.initiating: Optional[Trigger] = None
-        self._repliers: set = set()
+        self._repliers: frozenset = _EMPTY  # a set while initiating
         self._own_save_done = False
         # Application hand-offs held while a local mutable-checkpoint
-        # copy is in progress. The process handles messages one at a
-        # time: a message arriving during the copy must not overtake
-        # the one that triggered it (FIFO, §2.1).
-        self._delivery_queue: Deque[Callable[[], None]] = deque()
+        # copy is in progress (made when one has to wait): the process
+        # handles messages one at a time, and a message arriving during
+        # the copy must not overtake the one that triggered it (§2.1).
+        self._delivery_queue: Optional[Deque[Callable[[], None]]] = None
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         if "weight_exp" not in state:
@@ -224,7 +227,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             if k != self.pid
             and not (mr[k].r and mr[k].csn >= self.csn[k])
         ]
-        temp = mr.copy()
+        temp = mr.copy() if send_set else mr  # nothing to send: nothing to copy
         for k in send_set:
             temp[k] = MREntry(max(mr[k].csn, self.csn[k]), True)
         for k in send_set:
@@ -407,9 +410,10 @@ class MutableCheckpointProcess(ProtocolProcess):
         if not self._delivery_queue and busy_time <= 0.0:
             deliver()
             return
-        self._delivery_queue.append(deliver)
-        if len(self._delivery_queue) == 1:
+        if not self._delivery_queue:
+            self._delivery_queue = deque()
             self.env.schedule(busy_time, self._drain_delivery)
+        self._delivery_queue.append(deliver)
 
     def _drain_delivery(self) -> None:
         while self._delivery_queue:
@@ -511,7 +515,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         self.initiating = None
         self.weight = 0
         repliers = self._repliers
-        self._repliers = set()
+        self._repliers = _EMPTY
         if self.protocol.ledger is not None:
             self.protocol.ledger.check()
             self.protocol.ledger.end()
@@ -619,7 +623,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         # releases our cp_state.
         if trigger == self.own_trigger:
             self.cp_state = False
-        self.aborted.add(trigger)
+        self.aborted = self.aborted | {trigger}
         self.tagged_sent.pop(trigger, None)
         mutable = self.mutables.pop(trigger, None)
         if mutable is not None:

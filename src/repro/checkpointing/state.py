@@ -11,10 +11,10 @@ use, while changing the representation:
 
 * :class:`IntVector` — dict-backed sparse int vector. Its size is the
   number of non-zero entries, so an untouched csn vector is O(1).
-* :class:`BitVector` — ``bytearray``-backed bool vector. One byte per
-  entry, and :meth:`BitVector.true_indices` finds set bits with
-  C-level ``bytearray.find`` scans instead of a Python loop over N —
-  the scan the request-propagation path (``prop_cp``) runs per wave.
+* :class:`BitVector` — the indices of its set bits. A fresh R is O(1),
+  the copy a checkpoint keeps is O(set bits), and the scan ``prop_cp``
+  runs per request (:meth:`BitVector.true_indices`) sorts the handful
+  of peers heard from instead of scanning N entries.
 * :class:`MRVector` — sparse dict-backed MR. A fresh MR is O(1) instead
   of N ``MREntry`` allocations, and the copy taken per request hop is
   O(entries actually set). Reads of unset slots return the shared
@@ -63,19 +63,17 @@ class IntVector:
     def __len__(self) -> int:
         return self._n
 
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self._n:
-            raise IndexError(f"IntVector index {index} out of range({self._n})")
-
     def __getitem__(self, index: int) -> int:
         value = self._d.get(index)
         if value is None:
-            self._check(index)
+            if not 0 <= index < self._n:
+                raise IndexError(f"IntVector index {index} out of range({self._n})")
             return 0
         return value
 
     def __setitem__(self, index: int, value: int) -> None:
-        self._check(index)
+        if not 0 <= index < self._n:
+            raise IndexError(f"IntVector index {index} out of range({self._n})")
         if value:
             self._d[index] = value
         else:
@@ -99,8 +97,7 @@ class IntVector:
         dup._n, dup._d = self._n, self._d.copy()
         return dup
 
-    def __copy__(self) -> "IntVector":
-        return self.copy()
+    __copy__ = copy
 
     def __deepcopy__(self, memo) -> "IntVector":
         return self.copy()
@@ -117,85 +114,91 @@ class IntVector:
 
 
 class BitVector:
-    """A dense bool vector with a list-like surface, backed by ``bytearray``."""
+    """A bool vector with a list-like surface that stores its set bits.
 
-    __slots__ = ("_b",)
+    Accepts a size (true at ``ones``), an iterable of bools, or the
+    one-0/1-byte-per-entry ``bytes`` image of older snapshots (scanned
+    with C-level ``bytes.find``). Indices run ``0 .. len - 1``.
+    """
 
-    def __init__(self, init: Union[int, bytes, Iterable[bool]] = 0) -> None:
-        if isinstance(init, (int, bytes)):
-            # a size, or the one-0/1-byte-per-entry image __reduce__ writes
-            self._b = bytearray(init)
-        else:
-            self._b = bytearray(1 if v else 0 for v in init)
+    __slots__ = ("_n", "_s")
+
+    def __init__(
+        self, init: Union[int, bytes, Iterable[bool]] = 0, ones: Iterable[int] = ()
+    ) -> None:
+        if isinstance(init, bytes):
+            ones, index = [], init.find(1)
+            while index >= 0:
+                ones.append(index)
+                index = init.find(1, index + 1)
+            init = len(init)
+        elif not isinstance(init, int):
+            values = list(init)
+            init, ones = len(values), [i for i, v in enumerate(values) if v]
+        self._n, self._s = init, set(ones)
 
     def __len__(self) -> int:
-        return len(self._b)
+        return self._n
 
     def __getitem__(self, index: int) -> bool:
-        return bool(self._b[index])
+        if not 0 <= index < self._n:
+            raise IndexError(f"BitVector index {index} out of range({self._n})")
+        return index in self._s
 
     def __setitem__(self, index: int, value: bool) -> None:
-        self._b[index] = 1 if value else 0
+        if not 0 <= index < self._n:
+            raise IndexError(f"BitVector index {index} out of range({self._n})")
+        if value:
+            self._s.add(index)
+        else:
+            self._s.discard(index)
 
     def __iter__(self) -> Iterator[bool]:
-        return (bool(b) for b in self._b)
+        return iter(self.tolist())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BitVector):
-            return self._b == other._b
+            return self._n == other._n and self._s == other._s
         if isinstance(other, (list, tuple)):
-            return len(other) == len(self._b) and all(
-                bool(a) == bool(b) for a, b in zip(self._b, other)
-            )
+            return self.tolist() == [bool(v) for v in other]
         return NotImplemented
 
     def __reduce__(self):
-        return (type(self), (bytes(self._b),))
+        return (type(self), (self._n, sorted(self._s)))
 
     def copy(self) -> "BitVector":
         dup = type(self).__new__(type(self))
-        dup._b = bytearray(self._b)
+        dup._n, dup._s = self._n, self._s.copy()
         return dup
 
-    def __copy__(self) -> "BitVector":
-        return self.copy()
+    __copy__ = copy
 
     def __deepcopy__(self, memo) -> "BitVector":
         return self.copy()
 
     def tolist(self) -> List[bool]:
-        return [bool(b) for b in self._b]
+        return [i in self._s for i in range(self._n)]
 
     def any(self) -> bool:
-        """Whether any bit is set (C-level scan)."""
-        return self._b.find(1) >= 0
+        """Whether any bit is set."""
+        return bool(self._s)
 
     def true_indices(self) -> Iterator[int]:
-        """Indices of set bits, ascending — C-level ``find`` scans, so
-        the cost is O(set bits) Python operations, not O(N)."""
-        buf = self._b
-        index = buf.find(1)
-        while index >= 0:
-            yield index
-            index = buf.find(1, index + 1)
+        """Indices of set bits, ascending."""
+        return iter(sorted(self._s))
 
     def or_with(self, other: Union["BitVector", Sequence[bool]]) -> None:
         """In-place componentwise OR (the §3.3.4 give-back merge)."""
-        buf = self._b
-        if isinstance(other, BitVector):
-            for index in other.true_indices():
-                buf[index] = 1
-        else:
-            for index, value in enumerate(other):
-                if value:
-                    buf[index] = 1
+        if not isinstance(other, BitVector):
+            other = BitVector(other)
+        self._s |= other._s
 
     def clear(self) -> None:
         """Reset every bit in place."""
-        self._b = bytearray(len(self._b))
+        self._s.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BitVector({self.tolist()!r})"
+        return f"BitVector({self._n}, {sorted(self._s)!r})"
 
 
 def true_indices(vec: Union[BitVector, Sequence[bool]]) -> Iterable[int]:

@@ -19,20 +19,11 @@ it in order on resume.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.net.message import (
-    CHECKPOINT_DATA_BYTES,
-    COMPUTATION_MESSAGE_BYTES,
-    SYSTEM_MESSAGE_BYTES,
-    Message,
-)
+from repro.net.message import Message
 from repro.obs.registry import Counter
 from repro.sim.kernel import Simulator
-
-#: the fixed wire sizes of the paper's §5.1 model; per-channel delays
-#: for these are precomputed so the hot path never divides by bandwidth
-_PAPER_SIZES = (COMPUTATION_MESSAGE_BYTES, SYSTEM_MESSAGE_BYTES, CHECKPOINT_DATA_BYTES)
 
 DeliverFn = Callable[[Message], None]
 
@@ -58,6 +49,9 @@ class FifoChannel:
         counters of ``sim.metrics`` ("wired", "wireless", ...). ``None``
         leaves the channel out of the registry (per-channel
         ``bytes_sent``/``messages_sent`` still accumulate).
+    tx_delay:
+        The size -> serialization time table of this bandwidth's links
+        (:meth:`~repro.net.network.MobileNetwork.delay_table`); ``None``: a new one.
     """
 
     def __init__(
@@ -69,6 +63,7 @@ class FifoChannel:
         name: str = "channel",
         contention: bool = False,
         link_class: Optional[str] = None,
+        tx_delay: Optional[Dict[int, float]] = None,
     ) -> None:
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth_bps!r}")
@@ -83,7 +78,7 @@ class FifoChannel:
         self._busy_until = 0.0
         self._last_arrival = 0.0
         self._paused = False
-        self._pending_while_paused: Deque[Message] = deque()
+        self._pending_while_paused: Optional[Deque[Message]] = None  # made by pause()
         # Per-channel (bytes, messages) counters for energy/overhead
         # accounting (per-host granularity that the registry's link-class
         # aggregates deliberately do not carry).
@@ -96,12 +91,9 @@ class FifoChannel:
             # Unregistered sinks: same code path, not in any snapshot.
             self._c_bytes = Counter(f"{name}.bytes")
             self._c_msgs = Counter(f"{name}.msgs")
-        # Memoized size -> serialization time, seeded with the paper's
-        # three fixed message sizes (same float expression as the miss
-        # path, so cached and computed delays are bit-identical).
-        self._tx_delay = {
-            size: size * 8.0 / bandwidth_bps for size in _PAPER_SIZES
-        }
+        # Memoized size -> serialization time; a miss fills it with the
+        # float expression every link of this bandwidth would compute.
+        self._tx_delay = {} if tx_delay is None else tx_delay
 
     @property
     def paused(self) -> bool:
@@ -167,6 +159,8 @@ class FifoChannel:
         by dropping).
         """
         self._paused = True
+        if self._pending_while_paused is None:
+            self._pending_while_paused = deque()
 
     def resume(self) -> None:
         """Bring the link back up and flush queued traffic in order."""
@@ -179,8 +173,9 @@ class FifoChannel:
 
     def drain_pending(self) -> Tuple[Message, ...]:
         """Remove and return messages queued while paused (for rerouting)."""
-        pending = tuple(self._pending_while_paused)
-        self._pending_while_paused.clear()
+        pending = tuple(self._pending_while_paused or ())
+        if pending:
+            self._pending_while_paused.clear()
         return pending
 
     def occupy(self, message: Message) -> float:

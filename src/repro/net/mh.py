@@ -60,6 +60,7 @@ class MobileHost(Host):
     def attach_to(self, mss: "MobileSupportStation") -> None:
         """Join ``mss``'s cell, creating fresh wireless channels."""
         params = self.network.params
+        delays = self.network.delay_table(params.wireless_bandwidth_bps)
         self.mss = mss
         self.uplink = FifoChannel(
             self.sim,
@@ -69,6 +70,7 @@ class MobileHost(Host):
             name=f"{self.name}->{mss.name}",
             contention=params.model_contention,
             link_class="wireless",
+            tx_delay=delays,
         )
         downlink = FifoChannel(
             self.sim,
@@ -78,6 +80,7 @@ class MobileHost(Host):
             name=f"{mss.name}->{self.name}",
             contention=params.model_contention,
             link_class="wireless",
+            tx_delay=delays,
         )
         mss.register_mh(self, downlink)
         self.network.note_mh_location(self, mss)

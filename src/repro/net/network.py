@@ -62,6 +62,8 @@ class MobileNetwork:
         self._links_from: Dict[
             MobileSupportStation, Dict[MobileSupportStation, FifoChannel]
         ] = {}
+        #: bandwidth -> the size -> serialization time table its links share
+        self._tx_delays: Dict[float, Dict[int, float]] = {}
         #: msg_id allocator for messages the net layer itself constructs;
         #: a MobileSystem replaces this with its own counter at build time
         self.message_ids = count()
@@ -140,10 +142,15 @@ class MobileNetwork:
                 name=f"{src.name}=>{dst.name}",
                 contention=self.params.model_contention,
                 link_class="wired",
+                tx_delay=self.delay_table(self.params.wired_bandwidth_bps),
             )
             self._wired[key] = channel
         self._links_from.setdefault(src, {})[dst] = channel
         return channel
+
+    def delay_table(self, bandwidth_bps: float) -> Dict[int, float]:
+        """The serialization-delay table every link of ``bandwidth_bps`` shares."""
+        return self._tx_delays.setdefault(bandwidth_bps, {})
 
     def wired_links(self) -> ItemsView[Tuple[str, str], FifoChannel]:
         """Every backbone link built so far, keyed ``(src name, dst name)``."""
@@ -267,5 +274,6 @@ class MobileNetwork:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
+        self.__dict__.setdefault("_tx_delays", {})  # older images
         self._routes = {}
         self._links_from = {}

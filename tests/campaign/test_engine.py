@@ -177,3 +177,27 @@ def test_failed_points_rerun_on_resume(tmp_path):
 def test_engine_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         CampaignEngine(six_point_spec(), workers=0)
+
+
+def test_a_repeated_cell_runs_once(tmp_path):
+    """A grid that names one cell twice runs it once: ``executed``
+    counts distinct point hashes, and the report still lists the cell
+    at both of its places in the grid."""
+    cell = {"kind": "p2p", "mean_send_interval": 60.0}
+    spec = CampaignSpec(
+        name="repeat",
+        workloads=[cell, {"kind": "p2p", "mean_send_interval": 25.0}, dict(cell)],
+        configs=[{"n_processes": 4}],
+        run={"max_initiations": 2, "warmup_initiations": 1},
+    )
+    points = spec.expand()
+    distinct = {p.point_hash for p in points}
+    assert (len(points), len(distinct)) == (3, 2)
+    path = str(tmp_path / "repeat.jsonl")
+    with ResultStore(path) as store:
+        report = CampaignEngine(spec, store=store, workers=1).run()
+    assert report.executed == len(distinct)
+    assert report.skipped == 0
+    with open(path, encoding="utf-8") as handle:
+        assert len(handle.readlines()) == len(distinct)  # one record a cell
+    assert [p.point_hash for p in report.points] == [p.point_hash for p in points]

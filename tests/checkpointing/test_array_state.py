@@ -138,6 +138,84 @@ def test_mr_vector_matches_list_oracle(seed):
         assert len(vec) == N
 
 
+# -- BitVector stores its set bits ---------------------------------------------
+
+def test_bit_vector_sets_and_clears():
+    vec = BitVector(N)
+    assert not vec.any() and vec == [False] * N
+    vec[0] = vec[N - 1] = vec[5] = True
+    vec[5] = False
+    assert [vec[0], vec[5], vec[N - 1]] == [True, False, True]
+    assert vec.any()
+    vec.clear()
+    assert not vec.any() and vec == BitVector(N)
+    for bad in (-1, N):
+        with pytest.raises(IndexError):
+            vec[bad] = True
+        with pytest.raises(IndexError):
+            vec[bad]
+
+
+def test_bit_vector_yields_set_bits_ascending():
+    vec = BitVector(N)
+    for index in (64, 3, 40, 0, 66, 9):  # set out of order
+        vec[index] = True
+    assert list(vec.true_indices()) == [0, 3, 9, 40, 64, 66]
+    assert list(BitVector(N, ones=[66, 1]).true_indices()) == [1, 66]
+
+
+def test_bit_vector_equals_lists_of_its_length_only():
+    bits = [False, True, False, True]
+    vec = BitVector(bits)
+    assert vec == bits and vec == tuple(bits) and vec == [0, 1, 0, 1]
+    assert vec != bits + [False]
+    assert vec != [False, True, False, False]
+    assert vec != BitVector(5, ones=[1, 3])
+
+
+def test_bit_vector_copies_are_independent():
+    vec = BitVector(N, ones=[2, 7])
+    for dup in (vec.copy(), copy.copy(vec), copy.deepcopy(vec)):
+        dup[9] = True
+        dup[2] = False
+        assert list(vec.true_indices()) == [2, 7]
+    merged = BitVector(N, ones=[1])
+    merged.or_with(vec)
+    vec[30] = True  # the merge took the bits, not the set
+    assert list(merged.true_indices()) == [1, 2, 7]
+
+
+class _BytesImage:
+    """Pickles as a BitVector whose image is one 0/1 byte per entry,
+    the form snapshots held while R was a ``bytearray``."""
+
+    def __init__(self, bits):
+        self.image = bytes(1 if b else 0 for b in bits)
+
+    def __reduce__(self):
+        return (BitVector, (self.image,))
+
+
+def test_bit_vector_pickles_as_its_set_bits():
+    vec = BitVector(N, ones=[60, 4])
+    assert vec.__reduce__() == (BitVector, (N, [4, 60]))
+    clone = pickle.loads(pickle.dumps(vec))
+    assert clone == vec and list(clone.true_indices()) == [4, 60]
+    # a 4096-entry R with three bits set pickles small, not one byte each
+    assert len(pickle.dumps(BitVector(4096, ones=[1, 2000, 4095]))) < 100
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bit_vector_loads_the_old_bytes_image(seed):
+    rng = random.Random(seed)
+    bits = [rng.random() < 0.1 for _ in range(N)]
+    clone = pickle.loads(pickle.dumps(_BytesImage(bits)))
+    assert type(clone) is BitVector
+    assert clone == bits and len(clone) == N
+    assert list(clone.true_indices()) == [i for i, b in enumerate(bits) if b]
+    assert pickle.loads(pickle.dumps(_BytesImage([]))) == []
+
+
 def test_true_indices_accepts_plain_lists():
     bits = [False, True, False, False, True]
     assert list(true_indices(bits)) == [1, 4]

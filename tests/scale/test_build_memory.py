@@ -3,7 +3,9 @@
 Per process a build used to allocate an n-entry clock and two n-entry
 int vectors, zero-filled and resident: 472 MB at 4096p, 2.66 GB and
 14.5 s at 10 000p. Those are now the size of what has been written to
-them (nothing, at build time), which leaves ~12 kB per process. Each
+them (nothing, at build time). The R vector (one byte per process),
+empty per-link and per-process queues and a delay table per link went
+the same way, which leaves ~5 kB per process at any n. Each
 measurement runs in a fresh interpreter so that the allocator's reuse of
 an earlier test's pages cannot hide the growth.
 """
@@ -56,10 +58,11 @@ def _build_in_a_fresh_interpreter(n: int) -> dict:
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
 @pytest.mark.parametrize(
     "n, max_growth_mb, max_seconds",
-    # measured 48 MB / 0.10 s and 173 MB / 0.26 s with the collector
-    # paused for the build (0.13 s and 0.37 s without, same growth); the
-    # dense build was 450 MB / 0.48 s and 2 535 MB / 13 s
-    [(4096, 100.0, None), (10_000, 400.0, 3.0)],
+    # measured 19.6 MB / 0.15 s and 47.2 MB / 0.35 s on a shared 2-core
+    # host (48.4 MB and 173.9 MB while R held one byte per process and
+    # every link and process an empty queue); the dense build was
+    # 450 MB / 0.48 s and 2 535 MB / 13 s
+    [(4096, 35.0, None), (10_000, 90.0, 3.0)],
     ids=["4096p", "10000p"],
 )
 def test_build_rss_growth_is_per_process_not_per_pair(n, max_growth_mb, max_seconds):

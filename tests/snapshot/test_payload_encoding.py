@@ -126,12 +126,14 @@ def test_bit_vector_round_trips(bits):
 
 
 def test_bit_vector_takes_its_bytes_image_whole():
-    image = BitVector([True, False, True]).__reduce__()[1][0]
-    assert type(image) is bytes
+    # the one-0/1-byte-per-entry image snapshots held before R stored
+    # its set bits
+    image = bytes([1, 0, 1])
     vec = BitVector(image)
     assert vec.tolist() == [True, False, True]
-    vec[1] = True  # a bytearray of its own
+    vec[1] = True  # bits of its own
     assert vec.tolist() == [True, True, True]
+    assert image == bytes([1, 0, 1])
 
 
 # -- random streams -------------------------------------------------------------
