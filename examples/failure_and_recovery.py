@@ -60,7 +60,7 @@ def act2_partial_commit() -> None:
             1
             for pid, proc in system.protocol.processes.items()
             if trigger in proc.pending_tentative
-            and proc.pending_tentative[trigger].prev_r[victim]
+            and victim in proc.pending_tentative[trigger].prev_r
         )
 
     victim = min(participants, key=dependents)

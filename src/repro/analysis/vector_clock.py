@@ -6,57 +6,13 @@ line from those counts (:mod:`repro.analysis.consistency`). A clock is
 built only where a verifier replays happened-before over a trace —
 forensics' :class:`~repro.obs.forensics.EventGraph`.
 
-:class:`PackedInts` also lives here because snapshot images name it by
-this module: it is how an int vector is stored in one.
+Snapshot images written while int vectors were stored packed name
+``PackedInts`` in this module; :mod:`repro.snapshot.state` loads them.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
-
-
-def spread(n: int, entries: Mapping[int, int]) -> List[int]:
-    """The ``n``-entry list that is zero except at ``entries``."""
-    values = [0] * n
-    for index, value in entries.items():
-        values[index] = value
-    return values
-
-
-class PackedInts(NamedTuple):
-    """An int64 vector as bytes: what a snapshot stores for one.
-
-    With ``indices`` ``None``, ``data`` is the whole vector
-    (little-endian int64). Otherwise ``data`` holds the non-zero entries
-    only and ``indices`` (little-endian int32) says where they go -
-    :meth:`of_entries` picks that form when under half the entries are
-    non-zero, which at 1k+ processes is nearly every csn vector: pickled
-    element by element they were the bulk of a snapshot.
-    """
-
-    n: int
-    indices: Optional[bytes]
-    data: bytes
-
-    @classmethod
-    def of_entries(cls, n: int, entries: Mapping[int, int]) -> "PackedInts":
-        """The ``n``-vector holding ``entries`` (index -> value)."""
-        items = sorted(item for item in entries.items() if item[1])
-        if 2 * len(items) >= n:
-            return cls(n, None, struct.pack(f"<{n}q", *spread(n, entries)))
-        return cls(
-            n,
-            struct.pack(f"<{len(items)}i", *[index for index, _ in items]),
-            struct.pack(f"<{len(items)}q", *[value for _, value in items]),
-        )
-
-    def entries(self) -> Dict[int, int]:
-        """The non-zero entries, index -> plain int."""
-        data = struct.unpack(f"<{len(self.data) // 8}q", self.data)
-        if self.indices is None:
-            return {index: value for index, value in enumerate(data) if value}
-        return dict(zip(struct.unpack(f"<{len(data)}i", self.indices), data))
+from typing import Iterable, Sequence, Tuple, Union
 
 
 class VCDelta:

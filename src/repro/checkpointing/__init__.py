@@ -33,5 +33,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "UncoordinatedProtocol": "uncoordinated",
     "WeightLedger": "weights",
     "as_weight": "weights",
-    "fresh_mr": "types",
 })

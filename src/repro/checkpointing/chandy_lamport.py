@@ -47,7 +47,7 @@ class ChandyLamportProcess(ProtocolProcess):
 
     # ------------------------------------------------------------------
     def on_send_computation(self, message: ComputationMessage) -> None:
-        message.piggyback["cl_gen"] = self.generation
+        pass  # markers, not tags, separate the snapshot's channel states
 
     def on_receive_computation(self, message, deliver: Callable[[], None]) -> None:
         src = message.src_pid
@@ -161,15 +161,14 @@ class ChandyLamportProcess(ProtocolProcess):
         self._channel_state = {}
 
     # ------------------------------------------------------------------
+    #: subkind -> handler, built once per class rather than per message
+    _HANDLERS = {"marker": _on_marker, "done": _on_done, "commit": _on_commit}
+
     def on_system_message(self, message: SystemMessage) -> None:
-        handler = {
-            "marker": self._on_marker,
-            "done": self._on_done,
-            "commit": self._on_commit,
-        }.get(message.subkind)
+        handler = self._HANDLERS.get(message.subkind)
         if handler is None:
             raise ProtocolError(f"unknown subkind {message.subkind!r}")
-        handler(message)
+        handler(self, message)
 
 
 class ChandyLamportProtocol(CheckpointProtocol):

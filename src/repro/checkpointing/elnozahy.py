@@ -150,15 +150,14 @@ class ElnozahyProcess(ProtocolProcess):
         self.env.trace("permanent", pid=self.pid, trigger=trigger, ckpt_id=record.ckpt_id)
 
     # ------------------------------------------------------------------
+    #: subkind -> handler, built once per class rather than per message
+    _HANDLERS = {"request": _on_request, "reply": _on_reply, "commit": _on_commit}
+
     def on_system_message(self, message: SystemMessage) -> None:
-        handler = {
-            "request": self._on_request,
-            "reply": self._on_reply,
-            "commit": self._on_commit,
-        }.get(message.subkind)
+        handler = self._HANDLERS.get(message.subkind)
         if handler is None:
             raise ProtocolError(f"unknown subkind {message.subkind!r}")
-        handler(message)
+        handler(self, message)
 
 
 class ElnozahyProtocol(CheckpointProtocol):

@@ -131,10 +131,7 @@ class FailureInjector:
             for pid, context in participants.items():
                 if pid in excluded_set:
                     continue
-                if any(
-                    q < len(context.prev_r) and context.prev_r[q]
-                    for q in excluded_set
-                ):
+                if not context.prev_r.isdisjoint(excluded_set):
                     excluded_set.add(pid)
                     changed = True
         committed = sorted(set(participants) - excluded_set)

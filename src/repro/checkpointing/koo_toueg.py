@@ -26,10 +26,10 @@ Faithful properties reproduced here:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.checkpointing.protocol import CheckpointProtocol, ProcessEnv, ProtocolProcess
-from repro.checkpointing.state import BitVector, IntVector, true_indices
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord, Trigger
 from repro.errors import ProtocolError
 from repro.net.message import ComputationMessage, SystemMessage
@@ -41,9 +41,8 @@ class KooTouegProcess(ProtocolProcess):
     def __init__(self, env: ProcessEnv, protocol: "KooTouegProtocol") -> None:
         super().__init__(env)
         self.protocol = protocol
-        n = self.n
-        self.r = BitVector(n)
-        self.csn = IntVector(n)
+        self.r: Set[int] = set()
+        self.csn: Dict[int, int] = defaultdict(int)
         self.old_csn = 0
         self.sent = False
         #: the initiation currently participated in (None when idle)
@@ -75,7 +74,7 @@ class KooTouegProcess(ProtocolProcess):
         recv_csn, _ = message.protocol_tags()
         if recv_csn > self.csn[j]:
             self.csn[j] = recv_csn
-        self.r[j] = True
+        self.r.add(j)
         deliver()
 
     # ------------------------------------------------------------------
@@ -118,7 +117,7 @@ class KooTouegProcess(ProtocolProcess):
         self._maybe_finish()
 
     def _request_children(self, trigger: Trigger) -> None:
-        self._children = [k for k in true_indices(self.r) if k != self.pid]
+        self._children = [k for k in sorted(self.r) if k != self.pid]
         self._awaiting = set(self._children)
         for k in self._children:
             self.env.send_system(
@@ -133,7 +132,7 @@ class KooTouegProcess(ProtocolProcess):
             )
         # The dependency set is consumed by this checkpoint.
         self.sent = False
-        self.r = BitVector(self.n)
+        self.r = set()
 
     # ------------------------------------------------------------------
     def _on_request(self, message: SystemMessage) -> None:
@@ -266,7 +265,7 @@ class KooTouegProcess(ProtocolProcess):
             else:
                 assert self._prev_context is not None
                 self.old_csn, prev_r, prev_sent = self._prev_context
-                self.r.or_with(prev_r)
+                self.r |= prev_r
                 self.sent = self.sent or prev_sent
                 self._aborted.add(trigger)
                 self.env.discard_stable(record)

@@ -22,10 +22,10 @@ as ``k`` (see :mod:`repro.checkpointing.weights`).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional, Set
 
 from repro.checkpointing.protocol import (
     CheckpointProtocol,
@@ -33,14 +33,12 @@ from repro.checkpointing.protocol import (
     ProtocolProcess,
     noop,
 )
-from repro.checkpointing.state import BitVector, IntVector, true_indices
 from repro.checkpointing.types import (
     CheckpointKind,
     CheckpointRecord,
     MREntry,
     MutableCheckpointRecord,
     Trigger,
-    fresh_mr,
 )
 from repro.checkpointing.weights import WeightLedger, as_weight
 from repro.errors import ProtocolError
@@ -49,6 +47,9 @@ from repro.net.message import ComputationMessage, SystemMessage
 #: an idle process's ``aborted`` and ``_repliers`` (``frozenset()`` allocates)
 _EMPTY: frozenset = frozenset()
 
+#: what an MR slot nobody has written holds
+_MR_ZERO = MREntry()
+
 
 @dataclass
 class _TentativeContext:
@@ -56,7 +57,7 @@ class _TentativeContext:
 
     record: CheckpointRecord
     prev_old_csn: int
-    prev_r: BitVector
+    prev_r: Set[int]
     prev_sent: bool
 
 
@@ -69,17 +70,17 @@ class MutableCheckpointProcess(ProtocolProcess):
     def __init__(self, env: ProcessEnv, protocol: "MutableCheckpointProtocol") -> None:
         super().__init__(env)
         self.protocol = protocol
-        n = self.n
-        # §3.2 data structures (array-backed; see checkpointing.state)
-        self.r = BitVector(n)
-        self.csn = IntVector(n)
+        # §3.2 data structures: R is the set of pids depended on since
+        # the last checkpoint; csn reads 0 for a process never heard of
+        self.r: Set[int] = set()
+        self.csn: Dict[int, int] = defaultdict(int)
         # Highest *committed* inum known per initiator. The paper folds
         # this into csn[] (commit sets csn_j[pid] = inum), but that
         # breaks the Fig. 4 suppression: req_csn must reflect the csn at
         # which the dependency message was sent, not commit gossip, or a
         # post-commit request is no longer recognized as stale. Keeping
         # commit knowledge separate satisfies both §3.1.3 and §3.3.4.
-        self.commit_known = IntVector(n)
+        self.commit_known: Dict[int, int] = defaultdict(int)
         self.sent = False
         self.cp_state = False
         self.own_trigger = Trigger(self.pid, 0)
@@ -147,8 +148,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         if self.protocol.ledger is not None:
             self.protocol.ledger.begin(self.pid)
         self.env.trace("initiation", pid=self.pid, trigger=trigger)
-        mr = fresh_mr(self.n)
-        mr[self.pid] = MREntry(self.csn[self.pid], True)
+        mr = {self.pid: MREntry(self.csn[self.pid], True)}
         self.weight, self.weight_exp = 1, self._prop_cp(self.r, mr, trigger, 0)
         record = self.make_checkpoint(
             self.csn[self.pid], CheckpointKind.TENTATIVE, trigger
@@ -156,7 +156,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         self._register_tentative(record)
         self.old_csn = self.csn[self.pid]
         self.sent = False
-        self.r = BitVector(self.n)
+        self.r = set()
         self.env.trace(
             "tentative", pid=self.pid, trigger=trigger, csn=record.csn,
             ckpt_id=record.ckpt_id, via="initiator",
@@ -193,8 +193,8 @@ class MutableCheckpointProcess(ProtocolProcess):
     # ------------------------------------------------------------------
     def _prop_cp(
         self,
-        r_vec: BitVector,
-        mr,
+        r_vec: Set[int],
+        mr: Dict[int, MREntry],
         msg_trigger: Trigger,
         recv_weight: int,
     ) -> int:
@@ -221,15 +221,15 @@ class MutableCheckpointProcess(ProtocolProcess):
           and the needed checkpoint is never taken (an orphan results).
         """
         weight = recv_weight
-        send_set = [
-            k
-            for k in true_indices(r_vec)
-            if k != self.pid
-            and not (mr[k].r and mr[k].csn >= self.csn[k])
-        ]
+        csn = self.csn
+        send_set = []
+        for k in sorted(r_vec):  # requests leave in pid order
+            entry = mr.get(k, _MR_ZERO)
+            if k != self.pid and not (entry.r and entry.csn >= csn[k]):
+                send_set.append(k)
         temp = mr.copy() if send_set else mr  # nothing to send: nothing to copy
         for k in send_set:
-            temp[k] = MREntry(max(mr[k].csn, self.csn[k]), True)
+            temp[k] = MREntry(max(mr.get(k, _MR_ZERO).csn, csn[k]), True)
         for k in send_set:
             weight += 1
             if self.protocol.ledger is not None:
@@ -308,16 +308,10 @@ class MutableCheckpointProcess(ProtocolProcess):
             record = self.make_checkpoint(
                 self.csn[self.pid], CheckpointKind.TENTATIVE, msg_trigger
             )
-            context = _TentativeContext(
-                record=record,
-                prev_old_csn=self.old_csn,
-                prev_r=self.r.copy(),
-                prev_sent=self.sent,
-            )
-            self._register_tentative(record, context)
+            self._register_tentative(record)
             self.old_csn = self.csn[self.pid]
             self.sent = False
-            self.r = BitVector(self.n)
+            self.r = set()
             self.env.trace(
                 "tentative",
                 pid=self.pid,
@@ -378,10 +372,11 @@ class MutableCheckpointProcess(ProtocolProcess):
                 f"process {self.pid} took two tentative checkpoints for {trigger}"
             )
         if context is None:
+            # the caller starts a fresh R next: the context takes this one
             context = _TentativeContext(
                 record=record,
                 prev_old_csn=self.old_csn,
-                prev_r=self.r.copy(),
+                prev_r=self.r,
                 prev_sent=self.sent,
             )
         self.pending_tentative[trigger] = context
@@ -428,7 +423,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         j = message.src_pid
         recv_csn, msg_trigger = message.protocol_tags()
         if recv_csn <= self.csn[j]:
-            self.r[j] = True
+            self.r.add(j)
             self._hand_off(deliver)
             return
         if msg_trigger is not None and (
@@ -438,7 +433,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             # We already know about this initiation (we heard from the
             # initiator, or saw its commit): no mutable checkpoint needed.
             self.csn[j] = recv_csn
-            self.r[j] = True
+            self.r.add(j)
             self._hand_off(deliver)
             return
         self.csn[j] = recv_csn
@@ -455,7 +450,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             self.mutables[msg_trigger] = MutableCheckpointRecord(
                 checkpoint=record,
                 trigger=msg_trigger,
-                saved_r=self.r.copy(),
+                saved_r=self.r,
                 saved_sent=self.sent,
             )
             self.env.save_mutable(record)
@@ -469,13 +464,13 @@ class MutableCheckpointProcess(ProtocolProcess):
                 msg_id=message.msg_id,
             )
             self.sent = False
-            self.r = BitVector(self.n)
+            self.r = set()
             took_mutable = True
         if msg_trigger is not None and not self.cp_state:
             self.cp_state = True
             self.csn[self.pid] += 1
             self.own_trigger = msg_trigger
-        self.r[j] = True
+        self.r.add(j)
         # The message is processed after the local state copy completes;
         # protocol state above already reflects the new interval, so
         # delaying only the application hand-off is safe.
@@ -583,7 +578,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             # §3.3.4: a discarded mutable checkpoint gives back its saved
             # dependency context.
             self.sent = self.sent or mutable.saved_sent
-            self.r.or_with(mutable.saved_r)
+            self.r |= mutable.saved_r
             self.env.discard_mutable(mutable.checkpoint)
             self.env.trace(
                 "mutable_discarded",
@@ -628,7 +623,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         mutable = self.mutables.pop(trigger, None)
         if mutable is not None:
             self.sent = self.sent or mutable.saved_sent
-            self.r.or_with(mutable.saved_r)
+            self.r |= mutable.saved_r
             self.env.discard_mutable(mutable.checkpoint)
             self.env.trace(
                 "mutable_discarded",
@@ -642,7 +637,7 @@ class MutableCheckpointProcess(ProtocolProcess):
             # consumed, so the dependencies are re-requested next time.
             self.old_csn = context.prev_old_csn
             self.sent = self.sent or context.prev_sent
-            self.r.or_with(context.prev_r)
+            self.r |= context.prev_r
             self.env.discard_stable(context.record)
             self.env.trace(
                 "tentative_discarded",
@@ -652,18 +647,21 @@ class MutableCheckpointProcess(ProtocolProcess):
             )
 
     # ------------------------------------------------------------------
+    #: subkind -> handler, built once per class rather than per message
+    _HANDLERS = {
+        "request": _on_request,
+        "reply": _on_reply,
+        "commit": _on_commit,
+        "abort": _on_abort,
+    }
+
     def on_system_message(self, message: SystemMessage) -> None:
-        handler = {
-            "request": self._on_request,
-            "reply": self._on_reply,
-            "commit": self._on_commit,
-            "abort": self._on_abort,
-        }.get(message.subkind)
+        handler = self._HANDLERS.get(message.subkind)
         if handler is None:
             raise ProtocolError(
                 f"unknown system message subkind {message.subkind!r}"
             )
-        handler(message)
+        handler(self, message)
 
 
 class MutableCheckpointProtocol(CheckpointProtocol):
@@ -694,7 +692,6 @@ class MutableCheckpointProtocol(CheckpointProtocol):
         track_weights: bool = False,
         reply_after_transfer: bool = True,
         commit_mode: str = "broadcast",
-        update_threshold: Optional[int] = None,
     ) -> None:
         super().__init__()
         if commit_mode not in ("broadcast", "update", "auto"):
@@ -702,16 +699,12 @@ class MutableCheckpointProtocol(CheckpointProtocol):
         self.ledger: Optional[WeightLedger] = WeightLedger() if track_weights else None
         self.reply_after_transfer = reply_after_transfer
         self.commit_mode = commit_mode
-        #: auto mode broadcasts when more than this many processes
-        #: replied (defaults to half the system at first use)
-        self._update_threshold = update_threshold
 
     @property
     def update_threshold(self) -> int:
-        if self._update_threshold is not None:
-            return self._update_threshold
-        n = len(self.processes)
-        return max(1, n // 2)
+        """Auto mode broadcasts when more than this many processes
+        replied: half the system."""
+        return max(1, len(self.processes) // 2)
 
     def _build_process(self, env: ProcessEnv) -> MutableCheckpointProcess:
         return MutableCheckpointProcess(env, self)

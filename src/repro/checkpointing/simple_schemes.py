@@ -32,7 +32,6 @@ from typing import Callable
 
 from repro.checkpointing.mutable import MutableCheckpointProcess, MutableCheckpointProtocol
 from repro.checkpointing.protocol import ProcessEnv
-from repro.checkpointing.state import BitVector, true_indices
 from repro.checkpointing.types import CheckpointKind
 from repro.net.message import ComputationMessage
 
@@ -48,13 +47,13 @@ class CsnSchemeProcess(MutableCheckpointProcess):
         j = message.src_pid
         recv_csn, _ = message.protocol_tags()
         if recv_csn <= self.csn[j]:
-            self.r[j] = True
+            self.r.add(j)
             deliver()
             return
         self.csn[j] = recv_csn
         if not self.protocol.revised or self.sent:
             self._take_induced_checkpoint()
-        self.r[j] = True
+        self.r.add(j)
         deliver()
 
     def _take_induced_checkpoint(self) -> None:
@@ -67,13 +66,13 @@ class CsnSchemeProcess(MutableCheckpointProcess):
         checkpoints", §3.1.1).
         """
         self.csn[self.pid] += 1
-        deps = [k for k in true_indices(self.r) if k != self.pid]
+        deps = [k for k in sorted(self.r) if k != self.pid]
         record = self.make_checkpoint(
             self.csn[self.pid], CheckpointKind.TENTATIVE, None
         )
         self.old_csn = self.csn[self.pid]
         self.sent = False
-        self.r = BitVector(self.n)
+        self.r = set()
         self.env.trace(
             "tentative",
             pid=self.pid,
@@ -154,7 +153,7 @@ class NoMutableVariantProcess(MutableCheckpointProcess):
                 self.cp_state = True
                 self.csn[self.pid] += 1
                 self.own_trigger = msg_trigger
-        self.r[j] = True
+        self.r.add(j)
         deliver()
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple, Optional, Set
 
 
 class Trigger(NamedTuple):
@@ -123,9 +123,8 @@ class MutableCheckpointRecord:
 
     checkpoint: CheckpointRecord
     trigger: Trigger
-    #: the R vector stashed at capture time (a BitVector at runtime;
-    #: plain List[bool] sequences are accepted from hand-built fixtures)
-    saved_r: Any
+    #: the R set (pids depended on) stashed at capture time
+    saved_r: Set[int]
     saved_sent: bool
 
 
@@ -136,7 +135,8 @@ class MREntry:
     ``csn`` is the highest request csn known to have been sent toward the
     process; ``r`` records whether any sender of the request depended on
     the process. Together they let a receiver skip re-requesting
-    processes that have already been covered (§3.3.2).
+    processes that have already been covered (§3.3.2). MR itself is a
+    dict of the slots written; an unwritten slot reads as ``MREntry()``.
     """
 
     csn: int = 0
@@ -146,16 +146,3 @@ class MREntry:
         """Pointwise max/or merge used by ``prop_cp``."""
         return MREntry(max(self.csn, csn), self.r or r)
 
-
-def fresh_mr(n: int):
-    """An all-zero MR vector for an N-process system.
-
-    Returns a sparse :class:`~repro.checkpointing.state.MRVector`:
-    indexing behaves exactly like the historical dense
-    ``[MREntry()] * n`` list, but construction and per-hop copies cost
-    O(entries set) instead of O(N) — the piggyback that made requests
-    O(N) at large populations.
-    """
-    from repro.checkpointing.state import MRVector
-
-    return MRVector(n)

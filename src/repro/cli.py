@@ -732,7 +732,10 @@ def _cmd_snapshots(args: argparse.Namespace) -> int:
                     k if isinstance(k, str) else repr(k): jsonable(v)
                     for k, v in value.items()
                 }
-            if isinstance(value, (list, tuple, set, frozenset)):
+            if isinstance(value, (set, frozenset)):
+                # a set's iteration order is no order: list it sorted
+                return [jsonable(v) for v in sorted(value)]
+            if isinstance(value, (list, tuple)):
                 return [jsonable(v) for v in value]
             if isinstance(value, (str, int, float, bool)) or value is None:
                 return value

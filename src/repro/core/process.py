@@ -103,8 +103,7 @@ class AppProcess:
             payload=payload,
             msg_id=self._next_msg_id(),
         )
-        if self.incarnation:
-            message.piggyback["inc"] = self.incarnation
+        message.inc = self.incarnation
         self.protocol_process.on_send_computation(message)
         self.app_state["messages_sent"] += 1
         sent = self.sent
@@ -140,7 +139,7 @@ class AppProcess:
                 return
             self.protocol_process.on_system_message(message)
         elif isinstance(message, ComputationMessage):
-            if self.incarnation and message.piggyback_get("inc", 0) < self.incarnation:
+            if message.inc < self.incarnation:
                 # A ghost from a rolled-back incarnation: drop it.
                 self._m_stale_dropped.inc()
                 return

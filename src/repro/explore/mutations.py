@@ -46,7 +46,7 @@ class _SkipMutableProcess(MutableCheckpointProcess):
                 self.cp_state = True
                 self.csn[self.pid] += 1
                 self.own_trigger = msg_trigger
-        self.r[j] = True
+        self.r.add(j)
         deliver()
 
 

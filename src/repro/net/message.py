@@ -12,10 +12,10 @@ messages.
 
 Hot-path notes: messages are plain ``__slots__`` classes (one is built
 per application send, so dataclass machinery and default-dict factories
-were measurable); ``piggyback``/``fields`` are lazily materialized (None
-until first write) and the per-send csn/trigger pair the mutable
-protocol attaches rides in a dedicated tuple slot (:attr:`pb`) so the
-common path allocates no dict at all.
+were measurable); ``fields`` is lazily materialized (None until first
+write), and what a computation message carries besides its payload -
+the csn/trigger pair the mutable protocol attaches and the sender's
+incarnation - rides in slots of its own, so a send allocates no dict.
 """
 
 from __future__ import annotations
@@ -78,19 +78,15 @@ class Message:
 class ComputationMessage(Message):
     """An application-level message.
 
-    ``piggyback`` carries whatever the active checkpointing protocol
-    appends on send (csn, trigger, ...); the application never sees it.
     ``payload`` is opaque application data (the workload stores a
-    sequence number there).
-
-    A fast lane bypasses the ``piggyback`` dict entirely: :attr:`pb`,
-    the ``(csn, trigger)`` pair the mutable-checkpoint family attaches to
-    every send. Readers take it from :meth:`protocol_tags`; everything
-    else a protocol attaches goes through the dict
-    (:meth:`piggyback_get` reads it without materializing it).
+    sequence number there); the application never sees the rest.
+    :attr:`pb` is the ``(csn, trigger)`` pair the mutable-checkpoint
+    family attaches to every send (read it with :meth:`protocol_tags`),
+    and :attr:`inc` the sender's incarnation: a receiver already in a
+    later incarnation drops the message.
     """
 
-    __slots__ = ("payload", "pb", "_piggyback")
+    __slots__ = ("payload", "pb", "inc")
 
     kind = "computation"
 
@@ -102,7 +98,6 @@ class ComputationMessage(Message):
         broadcast: bool = False,
         msg_id: Optional[int] = None,
         payload: Any = None,
-        piggyback: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.src_pid = src_pid
         self.dst_pid = dst_pid
@@ -111,35 +106,19 @@ class ComputationMessage(Message):
         self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.payload = payload
         self.pb = None
-        self._piggyback = piggyback
+        self.inc = 0
 
     def __setstate__(self, state) -> None:
         # An image written while messages carried a vector-clock stamp
-        # has a ``vc`` slot; nothing reads it any more.
+        # has a ``vc`` slot, which nothing reads any more; one written
+        # while extras rode in a dict has ``_piggyback``, whose only key
+        # still read is the incarnation.
         slots = dict(state[1])
         slots.pop("vc", None)
+        extras = slots.pop("_piggyback", None) or {}
+        self.inc = extras.get("inc", 0)
         for name, value in slots.items():
             setattr(self, name, value)
-
-    @property
-    def piggyback(self) -> Dict[str, Any]:
-        """The protocol side-channel dict, materialized on first access.
-
-        Seeded from the fast slot so dict readers see the same view
-        regardless of which lane the sender used.
-        """
-        d = self._piggyback
-        if d is None:
-            d = self._piggyback = {}
-            pb = self.pb
-            if pb is not None:
-                d["csn"], d["trigger"] = pb
-        return d
-
-    def piggyback_get(self, key: str, default: Any = None) -> Any:
-        """Read a piggyback key without materializing the dict."""
-        pb = self._piggyback
-        return default if pb is None else pb.get(key, default)
 
     def protocol_tags(self) -> tuple:
         """The ``(csn, trigger)`` pair attached at send time

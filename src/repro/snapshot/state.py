@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import io
 import pickle
+import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set
 
 from repro.errors import ProtocolError, SnapshotError
 from repro.sim.gcpause import _paused_collector
@@ -90,11 +92,69 @@ class _Inert:
         pass
 
 
+class PackedInts(NamedTuple):
+    """An int64 vector as bytes, as images written while csn vectors were
+    ``IntVector`` wrappers store one.
+
+    With ``indices`` ``None``, ``data`` is the whole vector
+    (little-endian int64). Otherwise ``data`` holds the non-zero entries
+    only and ``indices`` (little-endian int32) says where they go.
+    """
+
+    n: int
+    indices: Optional[bytes]
+    data: bytes
+
+    def entries(self) -> Dict[int, int]:
+        """The non-zero entries, index -> plain int."""
+        data = struct.unpack(f"<{len(self.data) // 8}q", self.data)
+        if self.indices is None:
+            return {index: value for index, value in enumerate(data) if value}
+        return dict(zip(struct.unpack(f"<{len(data)}i", self.indices), data))
+
+
+def _int_vector(init) -> Dict[int, int]:
+    """An old ``IntVector(list)`` or ``IntVector(PackedInts)``: a csn."""
+    if isinstance(init, PackedInts):
+        return defaultdict(int, init.entries())
+    return defaultdict(int, {index: value for index, value in enumerate(init) if value})
+
+
+def _bit_vector(init, ones=()) -> Set[int]:
+    """An old ``BitVector(bytes)``, one 0/1 byte per entry (scanned with
+    C-level ``bytes.find``), or ``BitVector(n, ones)``: an R."""
+    if isinstance(init, bytes):
+        ones, index = [], init.find(1)
+        while index >= 0:
+            ones.append(index)
+            index = init.find(1, index + 1)
+    return set(ones)
+
+
+def _mr_vector(n: int, entries: dict) -> dict:
+    """An old ``MRVector(n, entries)``: the MR of a request in flight."""
+    return dict(entries)
+
+
+#: the list-like wrappers of ``repro.checkpointing.state`` that csn, R
+#: and MR were stored in, and what each image of one loads as
+_OLD_STORES = {"IntVector": _int_vector, "BitVector": _bit_vector, "MRVector": _mr_vector}
+
+
 class _ImageUnpickler(pickle.Unpickler):
-    """Loads an image without numpy: the two numpy names an array is
-    rebuilt from become :class:`_Inert`, and any other is refused."""
+    """Loads an image of any earlier commit, without numpy.
+
+    Names that have gone load as what replaced them: the old csn, R and
+    MR wrappers as the containers they wrapped, a ``Fraction`` weight as
+    its dyadic int, the protocol's old ``_noop`` as ``noop``. The two
+    numpy names an array is rebuilt from become :class:`_Inert`, and any
+    other numpy name is refused."""
 
     def find_class(self, module: str, name: str):
+        if module == "repro.checkpointing.state":
+            return _OLD_STORES[name]
+        if (module, name) == ("repro.analysis.vector_clock", "PackedInts"):
+            return PackedInts
         if (module, name) == ("repro.checkpointing.mutable", "_noop"):
             # parked on an in-flight checkpoint transfer by an image
             # written while the protocol kept its own copy of noop

@@ -75,22 +75,26 @@ class TestUpdateMode:
 
 
 class TestAutoMode:
-    def test_few_repliers_use_unicast(self):
-        h = harness("auto", update_threshold=2)
-        h.deliver(h.send(1, 0))
-        h.initiate(0)
-        h.deliver_all_system()
-        commits = h.trace.where("sys_send", subkind="commit")
-        assert sorted(r["dst"] for r in commits) == [1]
+    """At 6 processes the threshold is 3: three repliers still get a
+    unicast commit, four get a broadcast that also reaches P5."""
 
-    def test_many_repliers_use_broadcast(self):
-        h = harness("auto", update_threshold=1)
-        h.deliver(h.send(1, 0))
-        h.deliver(h.send(2, 0))
+    def test_few_repliers_use_unicast(self):
+        h = harness("auto", n=6)
+        for src in (1, 2, 3):
+            h.deliver(h.send(src, 0))
         h.initiate(0)
         h.deliver_all_system()
         commits = h.trace.where("sys_send", subkind="commit")
         assert sorted(r["dst"] for r in commits) == [1, 2, 3]
+
+    def test_many_repliers_use_broadcast(self):
+        h = harness("auto", n=6)
+        for src in (1, 2, 3, 4):
+            h.deliver(h.send(src, 0))
+        h.initiate(0)
+        h.deliver_all_system()
+        commits = h.trace.where("sys_send", subkind="commit")
+        assert sorted(r["dst"] for r in commits) == [1, 2, 3, 4, 5]
 
     def test_default_threshold_is_half_the_system(self):
         protocol = MutableCheckpointProtocol(commit_mode="auto")

@@ -51,7 +51,7 @@ class TestInitiation:
         h.send(0, 1)
         h.initiate(0)
         p = h.processes[0]
-        assert not any(p.r)
+        assert not p.r
         assert not p.sent
 
 
@@ -120,7 +120,7 @@ class TestComputationMessages:
         m = h.send(1, 0)
         h.deliver(m)
         p0 = h.processes[0]
-        assert p0.r[1]
+        assert 1 in p0.r
         assert h.app_state[0]["messages_received"] == 1
         assert len(h.local_stores[0]) == 0
 
@@ -189,9 +189,9 @@ class TestComputationMessages:
         h.deliver(h.send(1, 2))
         p2 = h.processes[2]
         (mutable,) = p2.mutables.values()
-        assert mutable.saved_r[0]
+        assert 0 in mutable.saved_r
         assert mutable.saved_sent
-        assert not any(p2.r[k] for k in (0,))  # reset; r[1] set by delivery
+        assert 0 not in p2.r  # reset; r[1] set by delivery
         assert not p2.sent
 
 
@@ -222,7 +222,7 @@ class TestPromotionAndDiscard:
         assert not p2.mutables
         assert h.trace.count("mutable_discarded", pid=2) == 1
         # context restored: R[0] and sent are back
-        assert p2.r[0]
+        assert 0 in p2.r
         assert p2.sent
 
     def test_promoted_checkpoint_becomes_permanent_on_commit(self):

@@ -108,7 +108,7 @@ def test_ghost_message_arriving_after_resume_is_discarded():
     received_before = receiver.app_state["messages_received"]
     dropped_before = system.metrics.value("stale_incarnation_dropped")
     ghost = ComputationMessage(src_pid=1, dst_pid=2, payload="late-ghost")
-    ghost.piggyback["inc"] = 0
+    ghost.inc = 0
     system.network.send_from_process(1, ghost)
     system.run_until_quiescent()
 

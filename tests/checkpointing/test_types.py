@@ -11,7 +11,6 @@ from repro.checkpointing.types import (
     CheckpointRecord,
     MREntry,
     Trigger,
-    fresh_mr,
 )
 
 
@@ -50,9 +49,3 @@ def test_mr_entry_merge():
     merged = e.merged_with(5, True)
     assert merged == MREntry(5, True)
     assert e.merged_with(1, False) == MREntry(2, False)
-
-
-def test_fresh_mr_all_zero():
-    mr = fresh_mr(4)
-    assert len(mr) == 4
-    assert all(entry == MREntry(0, False) for entry in mr)

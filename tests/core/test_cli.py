@@ -312,3 +312,31 @@ def test_profile_flamegraph(tmp_path, capsys):
         frames, value = line.rsplit(" ", 1)
         assert frames.startswith("kernel;")
         assert int(value) >= 1
+
+
+def test_snapshots_show_lists_set_members_sorted(tmp_path, capsys):
+    """``snapshots --show`` prints the protocol state; R is a set, whose
+    iteration order is no order, so every set prints sorted."""
+    import json
+
+    from repro.snapshot.snapshotter import read_snapshot
+    from repro.snapshot.state import restore
+
+    snap_dir = tmp_path / "snaps"
+    assert main(
+        ["run", "--processes", "16", "--rate", "0.5", "--initiations", "2",
+         "--seed", "11", "--snapshot-every", "2000", "--snapshot-dir", str(snap_dir)]
+    ) == 0
+
+    def unordered(path):
+        processes = restore(read_snapshot(str(path))[1]).system.protocol.processes
+        return any(list(p.r) != sorted(p.r) for p in processes.values())
+
+    path = next(p for p in sorted(snap_dir.glob("*.rsnap")) if unordered(p))
+    capsys.readouterr()
+    assert main(["snapshots", str(path), "--show"]) == 0
+    out = capsys.readouterr().out
+    state = json.loads(out[out.index("\n", out.index("kernel: ")):])
+    rs = [process["r"] for process in state["processes"].values()]
+    assert any(len(r) > 1 for r in rs)
+    assert all(r == sorted(r) for r in rs)

@@ -35,8 +35,8 @@ class TestMessageTypes:
     def test_piggyback_independent_per_message(self):
         a = ComputationMessage(src_pid=0, dst_pid=1)
         b = ComputationMessage(src_pid=0, dst_pid=1)
-        a.piggyback["csn"] = 5
-        assert "csn" not in b.piggyback
+        a.pb, a.inc = (5, None), 2
+        assert b.pb is None and b.inc == 0
 
     def test_system_message_fields_default(self):
         m = SystemMessage(src_pid=0, dst_pid=1, subkind="request")

@@ -3,9 +3,10 @@
 A snapshot pickles every in-flight message along with the event heap
 (``repro.snapshot.state.capture``), so every subclass must survive
 ``pickle.dumps`` → ``pickle.loads`` with identical fields — including
-the lazily-absent piggyback/fields dicts (absent stays absent, never
-materialized by the trip) and the fast ``pb`` slot. An image written
-while computation messages carried a ``vc`` stamp slot still loads.
+the lazily-absent fields dict (absent stays absent, never materialized
+by the trip) and the ``pb`` and ``inc`` slots. An image written while
+computation messages carried a ``vc`` stamp slot, or a piggyback dict,
+still loads.
 """
 
 from __future__ import annotations
@@ -61,27 +62,26 @@ def test_computation_message_roundtrip_with_fast_slots():
 def test_computation_message_lazy_piggyback_stays_absent():
     m = ComputationMessage(src_pid=0, dst_pid=1, msg_id=1)
     back = roundtrip(m)
-    assert back._piggyback is None
     assert back.pb is None
     assert back.protocol_tags() == (0, None)
-    assert back.piggyback_get("anything", "default") == "default"
+    assert back.inc == 0
+    m.inc = 3
+    assert roundtrip(m).inc == 3
 
 
 def test_computation_message_dict_piggyback_roundtrip():
+    """An image written while a message's extras rode in a dict: the
+    incarnation moves into its slot, the rest (Chandy-Lamport's unread
+    generation) is dropped."""
     m = ComputationMessage(src_pid=1, dst_pid=2, msg_id=9)
-    m.piggyback["csn"] = 3
-    m.piggyback["inc"] = 1
-    back = roundtrip(m)
-    assert back.piggyback == {"csn": 3, "inc": 1}
-    assert back.piggyback_get("inc") == 1
-    # the tags reader only knows the fast slot
-    assert back.protocol_tags() == (0, None)
-
-
-def test_materialized_piggyback_reflects_fast_slots():
-    m = ComputationMessage(src_pid=0, dst_pid=1, msg_id=2)
-    m.pb = (7, ("trig", 0))
-    assert m.piggyback == {"csn": 7, "trigger": ("trig", 0)}
+    m.pb = (3, None)
+    _, slots = m.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+    slots = {k: v for k, v in slots.items() if k != "inc"}
+    for extras, inc in (({"inc": 1, "cl_gen": 4}, 1), ({"cl_gen": 4}, 0), (None, 0)):
+        back = ComputationMessage.__new__(ComputationMessage)
+        back.__setstate__((None, dict(slots, _piggyback=extras)))
+        assert back.inc == inc and back.protocol_tags() == (3, None)
+        assert_base_fields_equal(m, back)
 
 
 def test_system_message_roundtrip():

@@ -1,0 +1,118 @@
+"""Writers of the images csn, R and MR had while they were wrapped.
+
+Until csn, R and MR became a ``defaultdict``, a ``set`` and a ``dict``
+they were ``IntVector``, ``BitVector`` and ``MRVector`` of the deleted
+``repro.checkpointing.state``, and an ``IntVector`` pickled its entries
+as ``repro.analysis.vector_clock.PackedInts``. Snapshots written then
+must keep loading (:class:`repro.snapshot.state._ImageUnpickler`). These
+writers emit the opcodes those classes emitted - byte for byte, as
+``test_int_vector_images_are_pinned`` checks - so a test can hand the
+loader every form an old image holds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import pickle
+import struct
+import sys
+import types
+from typing import Dict, Iterable, NamedTuple, Optional
+
+import repro.analysis.vector_clock as vector_clock
+from repro.snapshot.state import _ImageUnpickler
+
+_STATE = "repro.checkpointing.state"
+
+
+def _named(name: str):
+    def stand_in(*args):  # pragma: no cover - only its name is pickled
+        raise AssertionError(f"{name} is never called")
+
+    stand_in.__module__, stand_in.__name__, stand_in.__qualname__ = _STATE, name, name
+    return stand_in
+
+
+IntVector, BitVector, MRVector = _named("IntVector"), _named("BitVector"), _named("MRVector")
+
+
+class PackedInts(NamedTuple):
+    n: int
+    indices: Optional[bytes]
+    data: bytes
+
+
+PackedInts.__module__ = vector_clock.__name__
+
+
+class _Reduce:
+    def __init__(self, func, *args) -> None:
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return (self.func, self.args)
+
+
+def packed(n: int, entries: Dict[int, int]) -> PackedInts:
+    """What ``PackedInts.of_entries`` wrote: sparse when under half full."""
+    items = sorted(item for item in entries.items() if item[1])
+    if 2 * len(items) >= n:
+        values = [0] * n
+        for index, value in items:
+            values[index] = value
+        return PackedInts(n, None, struct.pack(f"<{n}q", *values))
+    return PackedInts(
+        n,
+        struct.pack(f"<{len(items)}i", *[index for index, _ in items]),
+        struct.pack(f"<{len(items)}q", *[value for _, value in items]),
+    )
+
+
+def int_vector(values: Iterable[int], form: str = "packed") -> _Reduce:
+    """``IntVector(PackedInts)`` (format 2) or ``IntVector(list)`` (format 1)."""
+    values = list(values)
+    if form == "list":
+        return _Reduce(IntVector, values)
+    return _Reduce(IntVector, packed(len(values), dict(enumerate(values))))
+
+
+def bit_vector(bits: Iterable[bool], form: str = "ones") -> _Reduce:
+    """``BitVector(n, ones)`` or the one-byte-per-entry ``BitVector(bytes)``."""
+    bits = [bool(b) for b in bits]
+    if form == "bytes":
+        return _Reduce(BitVector, bytes(bits))
+    return _Reduce(BitVector, len(bits), [i for i, b in enumerate(bits) if b])
+
+
+def mr_vector(n: int, entries: Dict) -> _Reduce:
+    """``MRVector(n, entries)``, the MR of a request in flight."""
+    return _Reduce(MRVector, n, dict(entries))
+
+
+@contextlib.contextmanager
+def _old_names():
+    module = types.ModuleType(_STATE)
+    module.IntVector, module.BitVector, module.MRVector = IntVector, BitVector, MRVector
+    saved = sys.modules.get(_STATE)
+    sys.modules[_STATE] = module
+    vector_clock.PackedInts = PackedInts
+    try:
+        yield
+    finally:
+        del vector_clock.PackedInts
+        if saved is None:
+            del sys.modules[_STATE]
+        else:  # pragma: no cover
+            sys.modules[_STATE] = saved
+
+
+def dumps(obj, protocol: int = pickle.HIGHEST_PROTOCOL) -> bytes:
+    """``obj`` pickled as it was while the wrappers existed."""
+    with _old_names():
+        return pickle.dumps(obj, protocol=protocol)
+
+
+def loads(data: bytes):
+    """``data`` loaded the way :func:`repro.snapshot.state.restore` loads."""
+    return _ImageUnpickler(io.BytesIO(data)).load()

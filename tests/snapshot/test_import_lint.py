@@ -198,8 +198,8 @@ def test_the_message_path_imports_no(what):
     """Messages are judged by per-channel counts; a clock imported into
     the runtime is the first step back to stamping every message, and an
     index built there is the first step back to a runtime answer that is
-    silently wrong when message tracing is off. (The clock module stays
-    importable: snapshot images name ``PackedInts`` there.)"""
+    silently wrong when message tracing is off. (The clock module stays:
+    forensics replays happened-before with it.)"""
     offenders = {}
     for rel, path in _python_files():
         if rel.split(os.sep)[0] not in _MESSAGE_PATH:

@@ -1,11 +1,13 @@
 """What the snapshot payload stores for arrays and generators (format 2).
 
-Int vectors pickle as packed bytes (sparse when under half full), bit
-vectors as their bytes, random streams as their state words. Every
-shape must come back equal through ``pickle`` and through
-``copy.deepcopy``; a format-1 file, written at the commit before the
-encoding changed, must still resume into the run it was cut from, with
-numpy installed or not.
+csn, R and MR are a ``defaultdict``, a ``set`` and a ``dict``, which
+pickle as themselves; images written while they were the ``IntVector``
+(packed bytes, sparse when under half full), ``BitVector`` and
+``MRVector`` wrappers load as those containers with the same contents.
+Random streams pickle as their state words. Every shape must come back
+equal; a format-1 file, written at the commit before the encoding
+changed, must still resume into the run it was cut from, with numpy
+installed or not.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
-from repro.analysis.vector_clock import PackedInts
 from repro.checkpointing.mutable import MutableCheckpointProtocol
-from repro.checkpointing.state import BitVector, IntVector
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
@@ -32,6 +33,7 @@ from repro.sim.rng import RandomStreams, raw_rng
 from repro.snapshot import read_meta, resume_run
 from repro.snapshot.state import restore
 from repro.workload.point_to_point import PointToPointWorkload
+from tests.snapshot import _old_images as old
 
 N = 67
 
@@ -49,6 +51,8 @@ VECTORS = [
 VECTOR_IDS = [name for name, _ in VECTORS]
 VECTOR_VALUES = [values for _, values in VECTORS]
 
+PROTOCOLS = (pickle.HIGHEST_PROTOCOL, 2)
+
 
 def _clones(obj):
     return (
@@ -58,29 +62,26 @@ def _clones(obj):
     )
 
 
+def _is_csn(loaded, entries):
+    assert type(loaded) is defaultdict and loaded.default_factory is int
+    assert loaded == entries and all(loaded.values()), "a stored zero"
+
+
 @pytest.mark.parametrize("values", VECTOR_VALUES, ids=VECTOR_IDS)
 def test_int_vector_round_trips(values):
-    vec = IntVector(values)
-    for clone in _clones(vec):
-        assert type(clone) is IntVector
-        assert clone.tolist() == values
-        if values:
-            clone[0] = 99  # a live array again, detached from the original
-            assert vec.tolist() == values
-
-
-def test_sparse_and_dense_forms_are_chosen_by_fill():
-    sparse = IntVector([0] * 1000 + [3]).__reduce__()[1][0]
-    assert isinstance(sparse, PackedInts)
-    assert sparse.n == 1001 and len(sparse.indices) == 4 and len(sparse.data) == 8
-    dense = IntVector(range(1, 1001)).__reduce__()[1][0]
-    assert dense.indices is None and len(dense.data) == 8000
-    assert len(pickle.dumps(IntVector(1024), protocol=pickle.HIGHEST_PROTOCOL)) < 200
+    """Both forms of an old ``IntVector`` image load as the csn dict."""
+    entries = {index: value for index, value in enumerate(values) if value}
+    for form in ("packed", "list"):
+        for protocol in PROTOCOLS:
+            loaded = old.loads(old.dumps(old.int_vector(values, form), protocol))
+            _is_csn(loaded, entries)
+            loaded[len(values)] += 1  # a live csn: reads 0 where unset
+            assert loaded[len(values)] == 1
 
 
 #: (id, non-zero entries, length, the vector's pickled image as written
-#: at the commit before ``struct`` packed it): the packing must not move
-#: a byte
+#: at the commit before ``struct`` packed it): the old writer must not
+#: have moved a byte, and the loader must read it
 PINNED_IMAGES = [
     ("sparse", {3: 7, 17: -2, 39: 2**40}, 40,
      "8005958c000000000000008c19726570726f2e636865636b706f696e74696e672e73"
@@ -102,11 +103,9 @@ PINNED_IMAGES = [
     ids=[case[0] for case in PINNED_IMAGES],
 )
 def test_int_vector_images_are_pinned(entries, n, image):
-    vec = IntVector(n)
-    for index, value in entries.items():
-        vec[index] = value
-    assert pickle.dumps(vec, protocol=5).hex() == image
-    assert pickle.loads(bytes.fromhex(image)) == vec
+    values = [entries.get(index, 0) for index in range(n)]
+    assert old.dumps(old.int_vector(values), protocol=5).hex() == image
+    _is_csn(old.loads(bytes.fromhex(image)), entries)
 
 
 @pytest.mark.parametrize(
@@ -115,24 +114,24 @@ def test_int_vector_images_are_pinned(entries, n, image):
     ids=["empty", "all-zero", "first", "last", "dense"],
 )
 def test_bit_vector_round_trips(bits):
-    vec = BitVector(bits)
-    for clone in _clones(vec):
-        assert type(clone) is BitVector
-        assert clone.tolist() == bits
-        assert list(clone.true_indices()) == [i for i, b in enumerate(bits) if b]
-        if bits:
-            clone[0] = not bits[0]
-            assert vec.tolist() == bits
+    """Both forms of an old ``BitVector`` image load as the R set."""
+    ones = {index for index, bit in enumerate(bits) if bit}
+    for form in ("ones", "bytes"):
+        for protocol in PROTOCOLS:
+            loaded = old.loads(old.dumps(old.bit_vector(bits, form), protocol))
+            assert type(loaded) is set and loaded == ones
+    for clone in _clones(ones):
+        assert type(clone) is set and clone == ones and clone is not ones
 
 
 def test_bit_vector_takes_its_bytes_image_whole():
     # the one-0/1-byte-per-entry image snapshots held before R stored
     # its set bits
     image = bytes([1, 0, 1])
-    vec = BitVector(image)
-    assert vec.tolist() == [True, False, True]
-    vec[1] = True  # bits of its own
-    assert vec.tolist() == [True, True, True]
+    loaded = old.loads(old.dumps(old._Reduce(old.BitVector, image)))
+    assert loaded == {0, 2}
+    loaded.add(1)  # bits of its own
+    assert loaded == {0, 1, 2}
     assert image == bytes([1, 0, 1])
 
 
