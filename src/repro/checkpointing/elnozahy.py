@@ -57,7 +57,8 @@ class ElnozahyProcess(ProtocolProcess):
         message.pb = (self.csn, None)
 
     def on_receive_computation(self, message, deliver: Callable[[], None]) -> None:
-        recv_csn, _ = message.protocol_tags()
+        pb = message.pb  # message.protocol_tags(), read in place
+        recv_csn = 0 if pb is None else pb[0]
         if recv_csn > self.csn:
             # The sender checkpointed before sending: checkpoint before
             # processing, so the message cannot become an orphan.

@@ -71,7 +71,8 @@ class KooTouegProcess(ProtocolProcess):
         # delivery if we are blocked, so here we simply account the
         # dependency and deliver.
         j = message.src_pid
-        recv_csn, _ = message.protocol_tags()
+        pb = message.pb  # message.protocol_tags(), read in place
+        recv_csn = 0 if pb is None else pb[0]
         if recv_csn > self.csn[j]:
             self.csn[j] = recv_csn
         self.r.add(j)

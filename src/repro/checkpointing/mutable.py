@@ -421,10 +421,14 @@ class MutableCheckpointProcess(ProtocolProcess):
         self, message: ComputationMessage, deliver: Callable[[], None]
     ) -> None:
         j = message.src_pid
-        recv_csn, msg_trigger = message.protocol_tags()
+        pb = message.pb  # message.protocol_tags(), read in place
+        recv_csn, msg_trigger = (0, None) if pb is None else pb
         if recv_csn <= self.csn[j]:
             self.r.add(j)
-            self._hand_off(deliver)
+            if self._delivery_queue:
+                self._hand_off(deliver)
+            else:
+                deliver()
             return
         if msg_trigger is not None and (
             self.csn[msg_trigger.pid] >= msg_trigger.inum

@@ -10,6 +10,7 @@ which the protocol acts on the world.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpointing.protocol import ProcessEnv
@@ -28,25 +29,6 @@ from repro.obs.registry import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MobileSystem
-
-
-class _DeliverCall:
-    """Zero-arg deliver thunk handed to the protocol with each message.
-
-    Blocking protocols (e.g. mutable checkpointing) retain the thunk in
-    their delivery queues across events, so it must survive snapshot
-    pickling — a plain slotted class does, a per-message lambda would
-    not.
-    """
-
-    __slots__ = ("process", "message")
-
-    def __init__(self, process: "AppProcess", message: ComputationMessage) -> None:
-        self.process = process
-        self.message = message
-
-    def __call__(self) -> None:
-        self.process._deliver(self.message)
 
 
 class AppProcess:
@@ -94,9 +76,6 @@ class AppProcess:
         if self.blocked:
             self._deferred_sends.append((dst_pid, payload))
             return
-        self._do_send(dst_pid, payload)
-
-    def _do_send(self, dst_pid: int, payload: Any) -> None:
         message = ComputationMessage(
             src_pid=self.pid,
             dst_pid=dst_pid,
@@ -118,8 +97,9 @@ class AppProcess:
                 dst=dst_pid,
                 msg_id=message.msg_id,
             )
-        self._m_comp_messages.inc()
-        self.system.workload_send(self, message)
+        self._m_comp_messages.value += 1
+        if self.system._send_hooks:
+            self.system.workload_send(self, message)
         self.system.network.send_from_process(self.pid, message)
 
     # -- message reception ----------------------------------------------------
@@ -146,8 +126,10 @@ class AppProcess:
             if self.blocked:
                 self._deferred_receives.append(message)
                 return
+            # The deliver thunk: blocking protocols keep it queued across
+            # events, so it must pickle (a partial does, a lambda not).
             self.protocol_process.on_receive_computation(
-                message, _DeliverCall(self, message)
+                message, partial(self._deliver, message)
             )
         else:
             raise ProtocolError(
@@ -171,7 +153,8 @@ class AppProcess:
                 dst=self.pid,
                 msg_id=message.msg_id,
             )
-        self.system.workload_deliver(self, message)
+        if self.system._deliver_hooks:
+            self.system.workload_deliver(self, message)
 
     # -- blocking (for blocking protocols) -----------------------------------------
     def block(self) -> None:
@@ -196,7 +179,7 @@ class AppProcess:
         receives, self._deferred_receives = self._deferred_receives, []
         for message in receives:
             self.protocol_process.on_receive_computation(
-                message, _DeliverCall(self, message)
+                message, partial(self._deliver, message)
             )
         sends, self._deferred_sends = self._deferred_sends, []
         for dst_pid, payload in sends:

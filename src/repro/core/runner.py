@@ -126,6 +126,14 @@ class ExperimentRunner:
         started = self.system.protocol.processes[pid].initiate()
         if not started:
             self._busy = False
+            # A protocol refusing every initiation past the time the whole
+            # run should take (timer-based keeps its own clock) never commits.
+            interval = self.system.config.checkpoint_interval
+            limit = (self.run_config.max_initiations + 1) * interval
+            if not self.committed and self.system.sim.now > limit:
+                raise ConfigurationError(
+                    f"protocol {self.system.protocol.name!r} refused every initiation "
+                    f"for {limit:.0f} s of simulated time: the runner cannot drive it")
             # Commit wave from the previous initiation has not reached
             # this process yet; retry shortly.
             self.system.sim.schedule(_RETRY_DELAY, self._try_initiate, pid)

@@ -33,6 +33,7 @@ import pickle
 import struct
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set
 
@@ -141,12 +142,28 @@ def _mr_vector(n: int, entries: dict) -> dict:
 _OLD_STORES = {"IntVector": _int_vector, "BitVector": _bit_vector, "MRVector": _mr_vector}
 
 
+class _DeliverCall(partial):
+    """An old image's queued ``_DeliverCall(process, message)`` thunk: loads
+    as ``partial(process._deliver, message)``, pickles as a partial."""
+
+    def __new__(cls):  # made empty, given its state later: any function
+        return super().__new__(cls, id)
+
+    def __setstate__(self, state) -> None:
+        slots = state[1]
+        super().__setstate__((slots["process"]._deliver, (slots["message"],), None, None))
+
+    def __reduce__(self):
+        return partial, (self.func, *self.args)
+
+
 class _ImageUnpickler(pickle.Unpickler):
     """Loads an image of any earlier commit, without numpy.
 
     Names that have gone load as what replaced them: the old csn, R and
     MR wrappers as the containers they wrapped, a ``Fraction`` weight as
-    its dyadic int, the protocol's old ``_noop`` as ``noop``. The two
+    its dyadic int, the protocol's old ``_noop`` as ``noop``, a deliver
+    thunk as a ``partial``. The two
     numpy names an array is rebuilt from become :class:`_Inert`, and any
     other numpy name is refused."""
 
@@ -155,6 +172,8 @@ class _ImageUnpickler(pickle.Unpickler):
             return _OLD_STORES[name]
         if (module, name) == ("repro.analysis.vector_clock", "PackedInts"):
             return PackedInts
+        if (module, name) == ("repro.core.process", "_DeliverCall"):
+            return _DeliverCall
         if (module, name) == ("repro.checkpointing.mutable", "_noop"):
             # parked on an in-flight checkpoint transfer by an image
             # written while the protocol kept its own copy of noop

@@ -10,7 +10,7 @@ the runtime itself, so workloads never need to check).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.system import MobileSystem
 
@@ -22,6 +22,8 @@ class _Others:
     draw and returns the same pid as ``choice`` over the materialised
     ``[p for p in pids if p != pids[skip]]``, but a population of n
     costs one shared list and n two-slot views, not n lists of n - 1.
+    A send makes that draw itself: ``i = rng._randbelow(len(_pids) - 1)``,
+    then ``_pids[i + (i >= _skip)]``, without ``choice``'s frames.
     """
 
     __slots__ = ("_pids", "_skip")
@@ -44,6 +46,19 @@ def _others_by_pid(pids: List[int]) -> Dict[int, _Others]:
     return {pid: _Others(pids, index) for index, pid in enumerate(pids)}
 
 
+class _Bindings(dict):
+    """pid -> what ``bind(pid)`` returns, bound on the pid's first lookup;
+    after that a send reads ``bindings[pid]`` without a Python frame."""
+
+    def __init__(self, bind: Callable[[int], Tuple[Any, ...]]) -> None:
+        super().__init__()
+        self.bind = bind
+
+    def __missing__(self, pid: int) -> Tuple[Any, ...]:
+        bound = self[pid] = self.bind(pid)
+        return bound
+
+
 class Workload(ABC):
     """Base class for traffic generators."""
 
@@ -56,7 +71,7 @@ class Workload(ABC):
     def _fresh_tables(self) -> None:
         #: pid -> what :meth:`_bind` returned for it (its named streams,
         #: looked up and bound once instead of once per send)
-        self._bound: Dict[int, Tuple[Any, ...]] = {}
+        self._bound = _Bindings(self._bind)
         #: pid -> its possible destinations: everyone else in ``_pids``,
         #: the population in pid-table order, one list shared by all the
         #: views (:meth:`_everyone_but`) - or in the list a subclass
@@ -65,10 +80,11 @@ class Workload(ABC):
         self._views: Dict[int, _Others] = {}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # A format-1 snapshot predates the per-pid tables: start them
-        # empty, as a new workload does, and let them refill on use.
-        self._fresh_tables()
+        # The per-pid tables are derived from the streams and the
+        # population: an image's (none in format 1; ``choice`` bindings
+        # in older ones) are dropped, and they refill on use.
         self.__dict__.update(state)
+        self._fresh_tables()
 
     @property
     def running(self) -> bool:
@@ -93,12 +109,6 @@ class Workload(ABC):
     def _bind(self, pid: int) -> Tuple[Any, ...]:
         """The per-send callables of ``pid`` (subclass hook)."""
         raise NotImplementedError
-
-    def _bindings(self, pid: int) -> Tuple[Any, ...]:
-        bound = self._bound.get(pid)
-        if bound is None:
-            bound = self._bound[pid] = self._bind(pid)
-        return bound
 
     def _everyone_but(self, pid: int) -> _Others:
         """Every process but ``pid``, in pid-table order; the shared

@@ -57,15 +57,17 @@ class BurstyWorkload(Workload):
         return self._on[pid]
 
     def _bind(self, pid: int):
-        # The (off, on, send, dst) streams of ``pid``; names and the draw
-        # order on each are those of per-call
-        # ``streams.exponential(name, mean)`` / ``streams.choice``.
+        # The (off, on, send) streams, the destination draw and the
+        # candidates of ``pid``; names and the draw order on each are
+        # those of per-call ``streams.exponential(name, mean)`` /
+        # ``streams.choice``.
         stream = self.system.streams.stream
         return (
             stream(f"bursty.off.{pid}"),
             stream(f"bursty.on.{pid}"),
             stream(f"bursty.send.{pid}"),
-            stream(f"bursty.dst.{pid}"),
+            stream(f"bursty.dst.{pid}")._randbelow,
+            self._everyone_but(pid),
         )
 
     def _schedule_initial(self) -> None:
@@ -75,35 +77,36 @@ class BurstyWorkload(Workload):
 
     # -- period machinery ------------------------------------------------
     def _schedule_burst_start(self, pid: int) -> None:
-        off, _, _, _ = self._bindings(pid)
+        off = self._bound[pid][0]
         delay = off.expovariate(1.0 / self.config.mean_off)
         self.system.sim.schedule(delay, self._burst_start, pid)
 
     def _burst_start(self, pid: int) -> None:
-        if not self.running:
+        if not self._running:
             return
         self._on[pid] = True
-        _, on, _, _ = self._bindings(pid)
+        on = self._bound[pid][1]
         duration = on.expovariate(1.0 / self.config.mean_on)
         self.system.sim.schedule(duration, self._burst_end, pid)
         self._schedule_send(pid)
 
     def _burst_end(self, pid: int) -> None:
         self._on[pid] = False
-        if self.running:
+        if self._running:
             self._schedule_burst_start(pid)
 
     # -- sends within a burst ------------------------------------------------
     def _schedule_send(self, pid: int) -> None:
-        _, _, send, _ = self._bindings(pid)
+        send = self._bound[pid][2]
         delay = send.expovariate(1.0 / self.config.burst_send_interval)
         self.system.sim.schedule(delay, self._fire, pid)
 
     def _fire(self, pid: int) -> None:
-        if not self.running or not self._on[pid]:
+        if not self._running or not self._on[pid]:
             return
-        others = self._everyone_but(pid)
-        if others:
-            _, _, _, dst = self._bindings(pid)
-            self._send(pid, dst.choice(others))
+        _, _, _, randbelow, others = self._bound[pid]
+        last = len(others._pids) - 1
+        if last:  # choice(others)'s one draw, without its frames
+            index = randbelow(last)
+            self._send(pid, others._pids[index + (index >= others._skip)])
         self._schedule_send(pid)

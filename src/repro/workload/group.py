@@ -44,7 +44,7 @@ class GroupWorkload(Workload):
         return pid in self.leaders
 
     def _bind(self, pid: int):
-        # (delay stream, destination stream, candidates) for intragroup
+        # (delay stream, destination draw, candidates) for intragroup
         # traffic and, when ``pid`` leads its group, for intergroup.
         # Names and per-stream draw order are those of per-call
         # ``streams.exponential(name, mean)`` / ``streams.choice``.
@@ -54,14 +54,14 @@ class GroupWorkload(Workload):
             self._views.update(_others_by_pid(self.groups[group]))
         intra = (
             stream(f"workload.group.intra.{pid}"),
-            stream(f"workload.group.intra.dst.{pid}"),
+            stream(f"workload.group.intra.dst.{pid}")._randbelow,
             self._views[pid],
         )
         if self.leaders[group] != pid:
             return intra, None
         inter = (
             stream(f"workload.group.inter.{pid}"),
-            stream(f"workload.group.inter.dst.{pid}"),
+            stream(f"workload.group.inter.dst.{pid}")._randbelow,
             _Others(self.leaders, group),
         )
         return intra, inter
@@ -74,30 +74,34 @@ class GroupWorkload(Workload):
 
     # -- intragroup ---------------------------------------------------------
     def _schedule_intra(self, pid: int) -> None:
-        stream, _, _ = self._bindings(pid)[0]
+        stream, _, _ = self._bound[pid][0]
         delay = stream.expovariate(1.0 / self.config.mean_send_interval)
         self.system.sim.schedule(delay, self._fire_intra, pid)
 
     def _fire_intra(self, pid: int) -> None:
-        if not self.running:
+        if not self._running:
             return
-        _, dst, members = self._bindings(pid)[0]
-        if members:
-            self._send(pid, dst.choice(members))
+        _, randbelow, members = self._bound[pid][0]
+        last = len(members._pids) - 1
+        if last:  # choice(members)'s one draw, without its frames
+            index = randbelow(last)
+            self._send(pid, members._pids[index + (index >= members._skip)])
         self._schedule_intra(pid)
 
     # -- intergroup (leaders only) ---------------------------------------------
     def _schedule_inter(self, leader: int) -> None:
-        stream, _, _ = self._bindings(leader)[1]
+        stream, _, _ = self._bound[leader][1]
         mean = self.config.mean_send_interval * self.config.intra_inter_ratio
         self.system.sim.schedule(
             stream.expovariate(1.0 / mean), self._fire_inter, leader
         )
 
     def _fire_inter(self, leader: int) -> None:
-        if not self.running:
+        if not self._running:
             return
-        _, dst, others = self._bindings(leader)[1]
-        if others:
-            self._send(leader, dst.choice(others))
+        _, randbelow, others = self._bound[leader][1]
+        last = len(others._pids) - 1
+        if last:  # choice(others)'s one draw, without its frames
+            index = randbelow(last)
+            self._send(leader, others._pids[index + (index >= others._skip)])
         self._schedule_inter(leader)

@@ -32,7 +32,8 @@ class PointToPointWorkload(Workload):
         stream = self.system.streams.stream
         return (
             stream(f"workload.p2p.{pid}").expovariate,
-            stream(f"workload.p2p.dst.{pid}").choice,
+            stream(f"workload.p2p.dst.{pid}")._randbelow,
+            self._everyone_but(pid),
         )
 
     def _schedule_initial(self) -> None:
@@ -40,14 +41,15 @@ class PointToPointWorkload(Workload):
             self._schedule_next(pid)
 
     def _schedule_next(self, pid: int) -> None:
-        expo, _ = self._bindings(pid)
+        expo = self._bound[pid][0]
         self.system.sim.schedule(expo(self._lambd), self._fire, pid)
 
     def _fire(self, pid: int) -> None:
-        if not self.running:
+        if not self._running:
             return
-        expo, choice = self._bindings(pid)
-        peers = self._everyone_but(pid)
-        if peers:
-            self._send(pid, choice(peers))
+        expo, randbelow, peers = self._bound[pid]
+        last = len(peers._pids) - 1
+        if last:  # choice(peers)'s one draw, without its frames
+            index = randbelow(last)
+            self._send(pid, peers._pids[index + (index >= peers._skip)])
         self.system.sim.schedule(expo(self._lambd), self._fire, pid)

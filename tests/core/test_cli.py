@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -215,6 +219,23 @@ def test_bad_input_is_an_error_line_and_exit_2(
     assert captured.out == ""
     assert "error: " in captured.err and complaint in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_run_of_a_protocol_that_never_commits_ends_with_exit_2():
+    """``timer-based`` checkpoints only on its own schedule and refuses
+    every initiation the runner asks for: the run ends with an error
+    line once it is past the time the whole run should take, not never."""
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", "--protocol", "timer-based",
+         "--processes", "8", "--rate", "0.01", "--initiations", "2"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "error: protocol 'timer-based' refused every initiation" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_verify_trace_with_nothing_to_verify_is_one_line_and_exit_1(

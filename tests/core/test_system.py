@@ -46,6 +46,38 @@ def test_deliver_hook_invoked():
     assert seen[0][0] == 1
 
 
+def test_hooks_registered_mid_run_see_every_later_message():
+    """A process calls the hooks only while some are registered; one
+    registered after ``start()`` (as ``SenderMessageLog`` is) still sees
+    every send and every delivery from then on."""
+    from repro.campaign import RunPoint, build_point_runtime
+    from repro.checkpointing.message_log import SenderMessageLog
+    from repro.errors import SimulationError
+
+    system, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable", workload_params={"mean_send_interval": 0.5},
+        system_params={"n_processes": 8, "trace_messages": False},
+        run_params={"max_initiations": 10**6}, seed=3,
+    ))
+
+    def totals():
+        processes = system.processes.values()
+        return (sum(p.app_state["messages_sent"] for p in processes),
+                sum(p.app_state["messages_received"] for p in processes))
+
+    with pytest.raises(SimulationError, match="max_events"):
+        runner.run(max_events=2000)
+    sent_before, received_before = totals()
+    log = SenderMessageLog(system)
+    delivered = []
+    system.add_deliver_hook(lambda proc, msg: delivered.append((msg.src_pid, proc.pid)))
+    with pytest.raises(SimulationError, match="max_events"):
+        runner.resume(max_events=4000)
+    sent_after, received_after = totals()
+    assert sent_after - sent_before == len(log) > 100
+    assert received_after - received_before == len(delivered) > 100
+
+
 def test_all_stable_storages():
     system = MobileSystem(
         SystemConfig(n_processes=4, n_mss=2), MutableCheckpointProtocol()

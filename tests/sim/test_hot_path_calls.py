@@ -1,0 +1,70 @@
+"""Python calls per simulated event on the computation-message path.
+
+A §5.1 point spends nearly all its time carrying computation messages:
+a workload send, the uplink, the backbone and the downlink, each a
+kernel event. Every Python frame on that path costs time whatever it
+simulates, so the count of frames per event is pinned here. It is a
+count, not a timing: ``sys.settrace`` sees one ``call`` per Python frame,
+and the same seed gives the same count on every host.
+
+Measured over events 5 000-25 000 of a mutable p2p point
+(``mean_send_interval`` 1.0, 8 MSSs, trace off, seed 11): 10.35 calls
+per event at 16p and 10.37 at 1024p while a send looked its streams and
+peers up through two methods and drew its destination through
+``random.choice`` over a view, a process called empty hook lists, a
+``Counter.inc`` and a ``_do_send``, and each delivery built a thunk
+object; 6.29 and 8.78 since (the 1024p window holds part of a
+checkpoint wave, whose control messages cost more frames).
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.campaign import RunPoint, build_point_runtime
+from repro.errors import SimulationError
+
+WARMUP_EVENTS = 5_000
+COUNTED_EVENTS = 20_000
+#: population -> the most Python calls per event it may take
+MAX_CALLS_PER_EVENT = {16: 7.5, 1024: 9.3}
+
+
+def _calls_in_window(n: int) -> int:
+    system, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable", workload="p2p",
+        workload_params={"mean_send_interval": 1.0},
+        system_params={"n_processes": n, "n_mss": 8, "trace_messages": False},
+        run_params={"max_initiations": 10**6}, seed=11,
+    ))
+    with pytest.raises(SimulationError, match="max_events"):
+        runner.run(max_events=WARMUP_EVENTS)
+    calls = 0
+
+    def count(frame, event, arg):  # the global hook sees "call" events only
+        nonlocal calls
+        calls += 1
+
+    previous = sys.gettrace()
+    sys.settrace(count)
+    try:
+        system.sim.run(max_events=COUNTED_EVENTS)
+    except SimulationError as exc:
+        assert "max_events" in str(exc)
+    finally:
+        sys.settrace(previous)
+    assert system.sim.events_processed == WARMUP_EVENTS + COUNTED_EVENTS
+    return calls
+
+
+@pytest.mark.parametrize("n", sorted(MAX_CALLS_PER_EVENT))
+def test_calls_per_event_on_the_message_path(n):
+    calls = _calls_in_window(n)
+    assert _calls_in_window(n) == calls, "a frame count must repeat exactly"
+    per_event = calls / COUNTED_EVENTS
+    assert per_event <= MAX_CALLS_PER_EVENT[n], (
+        f"{n}p: {calls} Python calls over {COUNTED_EVENTS} events: "
+        f"{per_event:.2f} per event (bound {MAX_CALLS_PER_EVENT[n]})"
+    )

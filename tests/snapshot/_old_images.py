@@ -1,12 +1,15 @@
-"""Writers of the images csn, R and MR had while they were wrapped.
+"""Writers of the images of classes that have gone.
 
 Until csn, R and MR became a ``defaultdict``, a ``set`` and a ``dict``
 they were ``IntVector``, ``BitVector`` and ``MRVector`` of the deleted
 ``repro.checkpointing.state``, and an ``IntVector`` pickled its entries
-as ``repro.analysis.vector_clock.PackedInts``. Snapshots written then
-must keep loading (:class:`repro.snapshot.state._ImageUnpickler`). These
-writers emit the opcodes those classes emitted - byte for byte, as
-``test_int_vector_images_are_pinned`` checks - so a test can hand the
+as ``repro.analysis.vector_clock.PackedInts``. Until the deliver thunk a
+mutable process queues became a ``functools.partial`` it was a
+``repro.core.process._DeliverCall``. Snapshots written then must keep
+loading (:class:`repro.snapshot.state._ImageUnpickler`). These writers
+emit the opcodes those classes emitted - byte for byte, as
+``test_int_vector_images_are_pinned`` and
+``test_deliver_call_image_is_pinned`` check - so a test can hand the
 loader every form an old image holds.
 """
 
@@ -21,6 +24,7 @@ import types
 from typing import Dict, Iterable, NamedTuple, Optional
 
 import repro.analysis.vector_clock as vector_clock
+import repro.core.process as process_module
 from repro.snapshot.state import _ImageUnpickler
 
 _STATE = "repro.checkpointing.state"
@@ -90,6 +94,18 @@ def mr_vector(n: int, entries: Dict) -> _Reduce:
     return _Reduce(MRVector, n, dict(entries))
 
 
+class _DeliverCall:
+    """The deleted deliver thunk: ``process._deliver(message)`` when called."""
+
+    __slots__ = ("process", "message")
+
+    def __init__(self, process, message) -> None:
+        self.process, self.message = process, message
+
+
+_DeliverCall.__module__ = process_module.__name__
+
+
 @contextlib.contextmanager
 def _old_names():
     module = types.ModuleType(_STATE)
@@ -97,10 +113,11 @@ def _old_names():
     saved = sys.modules.get(_STATE)
     sys.modules[_STATE] = module
     vector_clock.PackedInts = PackedInts
+    process_module._DeliverCall = _DeliverCall
     try:
         yield
     finally:
-        del vector_clock.PackedInts
+        del vector_clock.PackedInts, process_module._DeliverCall
         if saved is None:
             del sys.modules[_STATE]
         else:  # pragma: no cover

@@ -2,14 +2,17 @@
 
 A workload keeps one shared pid list and, per pid, a two-slot view of it
 with that pid skipped, instead of n lists of n - 1 pids. Two things are
-pinned here: a ``choice`` over the view is the very draw a ``choice``
-over the materialised list makes (so no simulated result moves), and
-what ``start()`` and a send allocate under ``repro/workload/`` is a
-constant per process — measured with ``tracemalloc``, no timing.
+pinned here: a ``choice`` over the view, and the pick every workload's
+send makes from it (one ``_randbelow`` draw and an index skip), are the
+very draw a ``choice`` over the materialised list makes (so no simulated
+result moves), and what ``start()`` and a send allocate under
+``repro/workload/`` is a constant per process — measured with
+``tracemalloc``, no timing.
 """
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import pytest
@@ -48,6 +51,69 @@ def test_choice_over_the_view_is_choice_over_the_list(n):
         assert [over_view.choice(view) for _ in range(200)] == [
             over_list.choice(materialised) for _ in range(200)
         ]
+
+
+def _picks(workload, fire, pid, stream_name, candidates, draws=200):
+    """What ``fire(pid)`` sends to over ``draws`` sends, and what
+    ``choice`` over the materialised candidate list draws from a twin
+    of the destination stream."""
+    workload._running = True
+    workload._bound[pid]  # derives the streams, as the first send does
+    twin = copy.deepcopy(workload.system.streams.stream(stream_name))
+    picks = []
+    workload._send = lambda src, dst: picks.append(dst)
+    for _ in range(draws):
+        fire(pid)
+    materialised = [p for p in candidates if p != pid]
+    return picks, [twin.choice(materialised) for _ in range(draws)]
+
+
+def _ends(n):
+    return sorted({0, n - 1})  # the skipped pid first and last in its list
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 257])
+def test_p2p_pick_is_choice_over_the_list(n):
+    for pid in _ends(n):
+        system = _system(n)
+        workload = PointToPointWorkload(system, PointToPointWorkloadConfig(1.0))
+        picks, expected = _picks(
+            workload, workload._fire, pid, f"workload.p2p.dst.{pid}", range(n)
+        )
+        assert picks == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 257])
+def test_group_picks_are_choice_over_the_list(n):
+    for pid in _ends(n):
+        # one group of everyone: intragroup sends pick among all others
+        system = _system(n)
+        workload = GroupWorkload(system, GroupWorkloadConfig(mean_send_interval=1.0, n_groups=1))
+        picks, expected = _picks(
+            workload, workload._fire_intra, pid,
+            f"workload.group.intra.dst.{pid}", range(n),
+        )
+        assert picks == expected
+        # groups of one: every pid leads, intergroup sends pick a leader
+        system = _system(n)
+        workload = GroupWorkload(system, GroupWorkloadConfig(mean_send_interval=1.0, n_groups=n))
+        picks, expected = _picks(
+            workload, workload._fire_inter, pid,
+            f"workload.group.inter.dst.{pid}", workload.leaders,
+        )
+        assert picks == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 257])
+def test_bursty_pick_is_choice_over_the_list(n):
+    for pid in _ends(n):
+        system = _system(n)
+        workload = BurstyWorkload(system, BurstyWorkloadConfig())
+        workload._on[pid] = True
+        picks, expected = _picks(
+            workload, workload._fire, pid, f"bursty.dst.{pid}", range(n)
+        )
+        assert picks == expected
 
 
 def test_view_refuses_what_the_list_would_misread():
