@@ -9,15 +9,13 @@ message cost; every baseline gives one of those up.
 
 from __future__ import annotations
 
-from benchmarks.bench_util import build_bench, build_system
+from benchmarks.bench_util import build_bench
 from repro.campaign.spec import DEFAULT_MAX_EVENTS
 from repro.checkpointing.chandy_lamport import ChandyLamportProtocol
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.koo_toueg import KooTouegProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.timer_based import TimerBasedProtocol
-from repro.core.config import PointToPointWorkloadConfig
-from repro.workload.point_to_point import PointToPointWorkload
 
 N = 16
 SEED = 21
@@ -33,19 +31,6 @@ def run_runner_protocol(protocol):
     result = runner.run(max_events=DEFAULT_MAX_EVENTS)
     # counters and trace cover every committed round, warmup included
     return _row(system, result.counters, runner.committed, result.total_blocked_time)
-
-
-def run_timer_based():
-    protocol = TimerBasedProtocol(interval=400.0, max_skew=1.0, detection_time=2.0)
-    system = build_system(protocol, seed=SEED, n_processes=N)
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(MEAN_INTERVAL))
-    workload.start()
-    protocol.start(rounds=ROUNDS - 1)
-    system.sim.run(until=400.0 * ROUNDS)
-    workload.stop()
-    system.run_until_quiescent()
-    blocked = sum(p.total_blocked_time for p in system.processes.values())
-    return _row(system, system.metrics.counters(), ROUNDS - 1, blocked)
 
 
 def _row(system, counters, rounds, blocked):
@@ -64,7 +49,7 @@ def _row(system, counters, rounds, blocked):
 def test_related_work_landscape():
     def run_all():
         return {
-            "timer-based": run_timer_based(),
+            "timer-based": run_runner_protocol(TimerBasedProtocol()),
             "chandy-lamport": run_runner_protocol(ChandyLamportProtocol()),
             "elnozahy": run_runner_protocol(ElnozahyProtocol()),
             "koo-toueg": run_runner_protocol(KooTouegProtocol()),

@@ -49,8 +49,8 @@ def build_point_system(
 
     An :class:`ExperimentRunner` hooks the protocol's commit listeners
     and re-arms initiation timers from the moment it is built, so
-    scripted scenarios (scheduled output commits, timer-based rounds)
-    take the system without one.
+    scripted scenarios (scheduled output commits) take the system
+    without one.
     """
     if protocol is None:
         protocol = build_protocol(point.protocol, **point.protocol_params)

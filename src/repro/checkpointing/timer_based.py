@@ -1,7 +1,7 @@
 """Checkpointing from loosely synchronized clocks ([10], [29]; paper §6).
 
-No coordination messages at all: every process takes its round-k
-checkpoint when its own clock reaches ``k * interval``, and clocks are
+No coordination messages at all: every process takes round k's
+checkpoint when its own clock reads the round's time, and clocks are
 assumed synchronized within ``max_skew``. The §6 catch: "a process
 taking a checkpoint needs to wait for a period that equals the sum of
 the maximum deviation between clocks and the maximum time to detect a
@@ -10,24 +10,22 @@ failure in another process" — i.e. the computation blocks for
 process could receive (and record) a message a slow-clock process sends
 after its own checkpoint, creating an orphan.
 
-Rounds are self-scheduled (there is no initiator); the experiment-runner
-initiation pattern does not apply — call :meth:`TimerBasedProtocol.start`
-after building the system and drive the simulation directly. Round
-commits are reported through the usual listener interface (by the
-lowest pid) so metrics extraction works unchanged.
+A round starts when the experiment runner's §5.1 timer makes a process
+initiate: the round's time is agreed through the synchronized clocks,
+not by message, so the initiator arms it on every process at once.
+Every record of the round carries the initiator's trigger, and the round
+commits once every process has waited and stored its checkpoint.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
 from functools import partial
+from typing import Callable, Dict
 
 from repro.checkpointing.protocol import (
     CheckpointProtocol,
     ProcessEnv,
     ProtocolProcess,
-    noop,
 )
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord, Trigger
 from repro.errors import ProtocolError
@@ -45,7 +43,6 @@ class TimerBasedProcess(ProtocolProcess):
         span = protocol.max_skew
         fraction = ((self.pid * 2654435761) % 997) / 996.0
         self.skew = (2.0 * fraction - 1.0) * span
-        self._pending: Optional[CheckpointRecord] = None
 
     # -- the protocol has no message behaviour at all -----------------------
     def on_send_computation(self, message: ComputationMessage) -> None:
@@ -58,48 +55,53 @@ class TimerBasedProcess(ProtocolProcess):
         raise ProtocolError("timer-based checkpointing exchanges no messages")
 
     def initiate(self) -> bool:
-        # There is no on-demand initiation: checkpoints come from clocks
-        # only. (One of the §6 limitations: no output-commit on demand.)
-        return False
+        """Arm one round on every process: each takes its checkpoint when
+        its own clock reaches ``now + max_skew``, which is within
+        ``[now, now + 2 * max_skew]`` of true time."""
+        protocol = self.protocol
+        protocol.rounds += 1
+        trigger = Trigger(self.pid, protocol.rounds)
+        self.env.trace("initiation", pid=self.pid, trigger=trigger)
+        # Two steps per process: its §6 wait ends, its data is stable.
+        protocol.unfinished[trigger] = 2 * len(protocol.processes)
+        for process in protocol.processes.values():
+            process.env.schedule(
+                protocol.max_skew + process.skew, partial(process._take_round, trigger)
+            )
+        return True
 
     # -- round machinery ------------------------------------------------------
-    def schedule_round(self, round_index: int, fire_at: float) -> None:
-        """Arm round ``round_index`` at global time (plus local skew)."""
-        local_fire = max(fire_at + self.skew - self.env.now(), 0.0)
-        self.env.schedule(local_fire, partial(self._take_round, round_index))
-
-    def _take_round(self, round_index: int) -> None:
-        self.round = round_index
-        trigger = Trigger(self.pid, round_index)
+    def _take_round(self, trigger: Trigger) -> None:
+        self.round = trigger.inum
         self.env.block_computation()
-        record = self.make_checkpoint(
-            round_index, CheckpointKind.TENTATIVE, trigger
-        )
-        self._pending = record
+        record = self.make_checkpoint(trigger.inum, CheckpointKind.TENTATIVE, trigger)
         self.env.trace(
             "tentative",
             pid=self.pid,
             trigger=trigger,
-            csn=round_index,
+            csn=trigger.inum,
             ckpt_id=record.ckpt_id,
         )
-        self.env.transfer_to_stable(record, noop)
+        self.env.transfer_to_stable(record, partial(self._round_step, trigger))
         # The §6 wait: cover every other clock plus failure detection.
         wait = 2.0 * self.protocol.max_skew + self.protocol.detection_time
-        self.env.schedule(wait, partial(self._finish_round, trigger))
+        self.env.schedule(wait, partial(self._finish_wait, trigger, record))
 
-    def _finish_round(self, trigger: Trigger) -> None:
-        record = self._pending
-        if record is not None:
-            self.env.make_permanent(record)
-            self.env.trace(
-                "permanent", pid=self.pid, trigger=trigger, ckpt_id=record.ckpt_id
-            )
-            self._pending = None
+    def _finish_wait(self, trigger: Trigger, record: CheckpointRecord) -> None:
+        self.env.make_permanent(record)
+        self.env.trace("permanent", pid=self.pid, trigger=trigger, ckpt_id=record.ckpt_id)
         self.env.unblock_computation()
-        if self.pid == 0:
-            self.env.trace("commit", trigger=Trigger(0, trigger.inum))
-            self.protocol.notify_commit(Trigger(0, trigger.inum))
+        self._round_step(trigger)
+
+    def _round_step(self, trigger: Trigger) -> None:
+        # The round commits once every process has waited and every
+        # checkpoint is on stable storage.
+        unfinished = self.protocol.unfinished
+        unfinished[trigger] -= 1
+        if not unfinished[trigger]:
+            del unfinished[trigger]
+            self.env.trace("commit", trigger=trigger)
+            self.protocol.notify_commit(trigger)
 
 
 class TimerBasedProtocol(CheckpointProtocol):
@@ -107,8 +109,6 @@ class TimerBasedProtocol(CheckpointProtocol):
 
     Parameters
     ----------
-    interval:
-        Round period in seconds.
     max_skew:
         Bound on any clock's deviation from true time.
     detection_time:
@@ -120,30 +120,17 @@ class TimerBasedProtocol(CheckpointProtocol):
     blocking = True
     distributed = True
 
-    def __init__(
-        self,
-        interval: float = 900.0,
-        max_skew: float = 1.0,
-        detection_time: float = 2.0,
-    ) -> None:
+    def __init__(self, max_skew: float = 1.0, detection_time: float = 2.0) -> None:
         super().__init__()
-        if max_skew < 0 or detection_time < 0 or interval <= 0:
+        if max_skew < 0 or detection_time < 0:
             raise ProtocolError("invalid timer-based parameters")
-        self.interval = interval
         self.max_skew = max_skew
         self.detection_time = detection_time
-        self._rounds_scheduled = 0
+        #: rounds started so far: round k's trigger is (initiator, k)
+        self.rounds = 0
+        #: trigger -> that round's steps still to come (a wait and a
+        #: stable save per process)
+        self.unfinished: Dict[Trigger, int] = {}
 
     def _build_process(self, env: ProcessEnv) -> TimerBasedProcess:
         return TimerBasedProcess(env, self)
-
-    def start(self, rounds: int, first_at: Optional[float] = None) -> None:
-        """Schedule ``rounds`` checkpoint rounds on every process."""
-        if not self.processes:
-            raise ProtocolError("start() before any process exists")
-        base = first_at if first_at is not None else self.interval
-        for k in range(1, rounds + 1):
-            fire_at = base + (k - 1) * self.interval
-            for process in self.processes.values():
-                process.schedule_round(self._rounds_scheduled + k, fire_at)
-        self._rounds_scheduled += rounds

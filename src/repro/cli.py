@@ -110,7 +110,6 @@ def _point_from_args(args: argparse.Namespace, **system_params: Any) -> RunPoint
         },
         run_params={"max_initiations": args.initiations},
         seed=args.seed,
-        max_events=None,  # a hand-launched run is unbounded
     )
 
 

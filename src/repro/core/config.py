@@ -183,11 +183,18 @@ class RunConfig:
     ``max_initiations`` counts *committed* checkpointing processes; the
     run stops once that many have committed (or ``time_limit`` elapses,
     whichever is first).
+
+    ``serialize_initiations`` is §3.3's presentation assumption: at most
+    one checkpointing is in progress, and an initiation falling due
+    meanwhile waits for it to end. ``False`` lets initiations overlap,
+    which §3.5 says the algorithm alone does not survive: recovery lines
+    can then hold orphan messages.
     """
 
     max_initiations: int = 10
     time_limit: Optional[float] = None
     warmup_initiations: int = 1
+    serialize_initiations: bool = True
 
     def __post_init__(self) -> None:
         if self.max_initiations < 1:

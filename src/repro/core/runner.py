@@ -9,7 +9,12 @@ Reproduces the paper's experimental procedure (§5.1):
   after that checkpoint;
 * at most one checkpointing is in progress at a time (§3.3's
   presentation assumption): initiations falling due while one is active
-  are deferred and fired right after the active one commits.
+  are deferred and fired right after the active one commits
+  (``RunConfig.serialize_initiations=False`` lifts it, for §3.5's hazard).
+
+A run without a time limit ends by committing, or in a
+``ConfigurationError`` once no commit has come for
+``(max_initiations + 1) * checkpoint_interval`` of simulated time.
 """
 
 from __future__ import annotations
@@ -34,17 +39,19 @@ _RETRY_DELAY = 0.1
 class ExperimentRunner:
     """Drives one simulation run to a target number of initiations."""
 
+    #: sim time of the last commit (0.0, the start, until the first);
+    #: a class default, so images written before it existed resume
+    _last_commit = 0.0
+
     def __init__(
         self,
         system: MobileSystem,
         workload: Workload,
         run_config: RunConfig,
-        serialize_initiations: bool = True,
     ) -> None:
         self.system = system
         self.workload = workload
         self.run_config = run_config
-        self.serialize_initiations = serialize_initiations
         self.committed: int = 0
         self._busy = False
         self._done = False
@@ -81,6 +88,7 @@ class ExperimentRunner:
         # initiation one full interval past it. This also supersedes a
         # pending deferred initiation of the same process.
         if kind == "tentative" and not self._done:
+            self._check_progress(now)
             pid = fields["pid"]
             if pid in self._timers:
                 self._arm_timer(pid, self.system.config.checkpoint_interval)
@@ -100,7 +108,7 @@ class ExperimentRunner:
         # Unlike _initiation_due this leaves the pid's regular timer
         # armed: the injection is an *extra* initiation, not an early
         # firing of the scheduled one.
-        if self.serialize_initiations and self._busy:
+        if self.run_config.serialize_initiations and self._busy:
             if pid not in self._deferred:
                 self._deferred.append(pid)
             return
@@ -110,7 +118,7 @@ class ExperimentRunner:
         self._timers[pid] = None
         if self._done:
             return
-        if self.serialize_initiations and self._busy:
+        if self.run_config.serialize_initiations and self._busy:
             if pid not in self._deferred:
                 self._deferred.append(pid)
             return
@@ -126,21 +134,29 @@ class ExperimentRunner:
         started = self.system.protocol.processes[pid].initiate()
         if not started:
             self._busy = False
-            # A protocol refusing every initiation past the time the whole
-            # run should take (timer-based keeps its own clock) never commits.
-            interval = self.system.config.checkpoint_interval
-            limit = (self.run_config.max_initiations + 1) * interval
-            if not self.committed and self.system.sim.now > limit:
-                raise ConfigurationError(
-                    f"protocol {self.system.protocol.name!r} refused every initiation "
-                    f"for {limit:.0f} s of simulated time: the runner cannot drive it")
+            self._check_progress(self.system.sim.now)
             # Commit wave from the previous initiation has not reached
             # this process yet; retry shortly.
             self.system.sim.schedule(_RETRY_DELAY, self._try_initiate, pid)
 
+    def _check_progress(self, now: float) -> None:
+        # A run with no time limit ends only by committing: a protocol
+        # that refuses every initiation, or whose induced checkpoints keep
+        # pushing every timer back (§5.1's re-arm rule), would run forever.
+        if self.run_config.time_limit is not None:
+            return
+        interval = self.system.config.checkpoint_interval
+        window = (self.run_config.max_initiations + 1) * interval
+        if now - self._last_commit > window:
+            raise ConfigurationError(
+                f"protocol {self.system.protocol.name!r} made no progress: no "
+                f"commit in {window:.0f} s of simulated time, so the runner "
+                "cannot drive it")
+
     # -- protocol callbacks ------------------------------------------------
     def _on_commit(self, trigger: Trigger) -> None:
         self.committed += 1
+        self._last_commit = self.system.sim.now
         self._busy = False
         if self.committed >= self.run_config.max_initiations:
             self._finish()

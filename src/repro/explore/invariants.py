@@ -147,9 +147,10 @@ class MinProcessMinimality(Invariant):
 class NoAvalanche(Invariant):
     """At most one new checkpoint per process per initiation.
 
-    A checkpoint with no trigger (a unilateral one, as the timer-based,
-    uncoordinated and csn schemes take) is itself a violation: the
-    min-process protocols explore targets never take one.
+    A checkpoint with no trigger (a unilateral one, as the uncoordinated
+    and csn schemes take) is itself a violation: the min-process
+    protocols explore targets never take one. A timer-based round is one
+    wave: its n checkpoints carry the initiator's trigger, one each.
     """
 
     name = "no-avalanche"

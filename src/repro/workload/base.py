@@ -16,14 +16,12 @@ from repro.core.system import MobileSystem
 
 
 class _Others:
-    """``pids`` minus the entry at index ``skip``, as an O(1) sequence view.
-
-    ``rng.choice(view)`` makes the same ``_randbelow(len(pids) - 1)``
-    draw and returns the same pid as ``choice`` over the materialised
-    ``[p for p in pids if p != pids[skip]]``, but a population of n
+    """``pids`` minus the entry at index ``skip``: a population of n
     costs one shared list and n two-slot views, not n lists of n - 1.
-    A send makes that draw itself: ``i = rng._randbelow(len(_pids) - 1)``,
-    then ``_pids[i + (i >= _skip)]``, without ``choice``'s frames.
+
+    A send draws from it what ``rng.choice`` over the materialised
+    ``[p for p in pids if p != pids[skip]]`` would:
+    ``i = rng._randbelow(len(_pids) - 1)``, then ``_pids[i + (i >= _skip)]``.
     """
 
     __slots__ = ("_pids", "_skip")
@@ -31,14 +29,6 @@ class _Others:
     def __init__(self, pids: List[int], skip: int) -> None:
         self._pids = pids
         self._skip = skip
-
-    def __len__(self) -> int:
-        return len(self._pids) - 1
-
-    def __getitem__(self, index: int) -> int:
-        if index < 0:
-            raise IndexError(index)
-        return self._pids[index if index < self._skip else index + 1]
 
 
 def _others_by_pid(pids: List[int]) -> Dict[int, _Others]:
@@ -112,10 +102,9 @@ class Workload(ABC):
 
     def _everyone_but(self, pid: int) -> _Others:
         """Every process but ``pid``, in pid-table order; the shared
-        list is rebuilt when the population's size has changed."""
-        processes = self.system.processes
-        if len(self._pids) != len(processes):
-            self._pids = list(processes)
+        list and the views are built on the first call."""
+        if not self._pids:
+            self._pids = list(self.system.processes)
             self._views = _others_by_pid(self._pids)
         return self._views[pid]
 

@@ -19,13 +19,8 @@ from tests.snapshot.test_rng_lint import _package_root, _python_files
 
 CONSTRUCTORS = {"MobileSystem", "ExperimentRunner"}
 
-#: the builder itself, and the §3.5 hazard demo: it needs
-#: ``serialize_initiations=False``, which RunPoint deliberately does not
-#: expose, and ``checkpointing`` must not import ``campaign``
-ALLOWED = {
-    os.path.join("campaign", "engine.py"),
-    os.path.join("checkpointing", "concurrent.py"),
-}
+#: the builder itself
+ALLOWED = {os.path.join("campaign", "engine.py")}
 
 
 def _constructor_calls(path: str):

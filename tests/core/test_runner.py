@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import RunPoint, build_point_runtime
 from repro.checkpointing.mutable import MutableCheckpointProtocol
+from repro.checkpointing.protocol import CheckpointProtocol, ProtocolProcess
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
@@ -14,7 +16,7 @@ from repro.sim.trace import TraceLevel
 from repro.workload.point_to_point import PointToPointWorkload
 
 
-def build_runner(seed=3, n=6, initiations=4, warmup=1, interval=900.0, **runner_kwargs):
+def build_runner(seed=3, n=6, initiations=4, warmup=1, interval=900.0):
     config = SystemConfig(n_processes=n, seed=seed, checkpoint_interval=interval)
     system = MobileSystem(config, MutableCheckpointProtocol())
     workload = PointToPointWorkload(system, PointToPointWorkloadConfig(30.0))
@@ -22,7 +24,6 @@ def build_runner(seed=3, n=6, initiations=4, warmup=1, interval=900.0, **runner_
         system,
         workload,
         RunConfig(max_initiations=initiations, warmup_initiations=warmup),
-        **runner_kwargs,
     )
     return system, runner
 
@@ -128,6 +129,73 @@ def test_forced_checkpoint_postpones_next_initiation():
             if pid in last_tentative:
                 gap = rec.time - last_tentative[pid]
                 assert gap >= 99.0, f"p{pid} initiated {gap:.1f}s after a checkpoint"
+
+
+class _Stalled(ProtocolProcess):
+    """Never commits: refuses every initiation, or (``started``) accepts
+    one and then only takes untriggered checkpoints, one per receive."""
+
+    def __init__(self, env, started):
+        super().__init__(env)
+        self.started = started
+
+    def on_send_computation(self, message):
+        pass
+
+    def on_receive_computation(self, message, deliver):
+        if self.started:
+            self.env.trace("tentative", pid=self.pid, trigger=None)
+        deliver()
+
+    def on_system_message(self, message):
+        pass
+
+    def initiate(self):
+        return self.started
+
+
+class _StalledProtocol(CheckpointProtocol):
+    name = "stalled"
+
+    def __init__(self, started):
+        super().__init__()
+        self.started = started
+
+    def _build_process(self, env):
+        return _Stalled(env, self.started)
+
+
+def _stalled_run(started, **run_params):
+    point = RunPoint(
+        protocol="mutable",
+        workload_params={"mean_send_interval": 5.0},
+        system_params={"n_processes": 4, "checkpoint_interval": 100.0},
+        run_params={"max_initiations": 2, "warmup_initiations": 0, **run_params},
+        seed=3,
+    )
+    system, _, runner = build_point_runtime(point, protocol=_StalledProtocol(started))
+    return system, runner
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["refused", "no-commit"])
+def test_a_run_that_makes_no_progress_ends_with_a_typed_error(started):
+    """No commit for (max_initiations + 1) intervals since the start (or
+    the last commit) ends the run, whether the protocol refuses every
+    initiation or its untriggered checkpoints keep re-arming the timers."""
+    system, runner = _stalled_run(started)
+    with pytest.raises(
+        ConfigurationError,
+        match="'stalled' made no progress: no commit in 300 s of simulated time",
+    ):
+        runner.run(max_events=1_000_000)
+    assert 300.0 < system.sim.now < 320.0
+
+
+def test_a_time_limit_bounds_a_stalled_run_instead():
+    system, runner = _stalled_run(False, time_limit=500.0)
+    result = runner.run(max_events=1_000_000)
+    assert result.initiations == []
+    assert 500.0 <= system.sim.now < 510.0
 
 
 #: crash a host 1 s into the second wave, abort it, restart and roll back

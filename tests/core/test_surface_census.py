@@ -22,16 +22,14 @@ import os
 
 from tests.snapshot.test_rng_lint import _package_root, _python_files
 
-#: name -> why it stays without a non-test caller (at most 3; a fourth
+#: name -> why it stays without a non-test caller (at most 2; a third
 #: means something should be deleted instead)
 ALLOWED = {
     "RandomWalkMobility": "paper content: the §2.1 mobility model behind handoff",
     "required_samples": "paper content: the §5.2 sample-size rule for the 10 % CI bar",
-    "concurrent_initiation_hazard": "paper content: the §3.5 hazard demo "
-    "(why initiations are serialized)",
 }
 
-MAX_ALLOWED = 3
+MAX_ALLOWED = 2
 
 
 def _repo_root() -> str:

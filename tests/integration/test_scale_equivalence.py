@@ -37,8 +37,7 @@ from repro.analysis.consistency import (
     latest_permanent_line,
 )
 from repro.analysis.trace_index import TraceIndex
-from repro.checkpointing.concurrent import ConcurrencyPolicy, make_runner
-from repro.checkpointing.mutable import MutableCheckpointProtocol
+from repro.campaign import build_point_runtime
 from repro.core.config import PointToPointWorkloadConfig, RunConfig, SystemConfig
 from repro.core.registry import available_protocols, build_protocol
 from repro.core.runner import ExperimentRunner
@@ -49,6 +48,7 @@ from repro.explore.fuzz import run_explore_once
 from repro.workload.point_to_point import PointToPointWorkload
 
 from tests.analysis._dense_reference import DenseVectorClock, snapshot_consistent
+from tests.checkpointing.test_concurrent import hazard_point
 
 #: pre-overhaul golden for the 16p trace-off witness run (config B of
 #: test_fastpath_determinism, captured on commit 2258971)
@@ -205,17 +205,11 @@ def _mutated(mutation: str, seed_index: int):
 
 
 def _unrestricted(seed: int):
-    """The §3.5 hazard's run (``concurrent_initiation_hazard``)."""
-    system = MobileSystem(
-        SystemConfig(n_processes=16, seed=seed, checkpoint_interval=60.0),
-        MutableCheckpointProtocol(),
-    )
+    """The §3.5 hazard's run: initiations allowed to overlap."""
+    point = hazard_point(seed, serialize=False)
+    system, _, runner = build_point_runtime(point)
     kept = _keep_stored(system)
-    workload = PointToPointWorkload(system, PointToPointWorkloadConfig(10.0))
-    make_runner(
-        system, workload, RunConfig(max_initiations=10, warmup_initiations=1),
-        ConcurrencyPolicy.UNRESTRICTED,
-    ).run(max_events=5_000_000)
+    runner.run(max_events=point.max_events)
     return system, kept
 
 
