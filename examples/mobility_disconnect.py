@@ -46,7 +46,7 @@ def main() -> None:
 
     # 2. disconnect: process 2 leaves; a checkpointing completes without it
     record = disconnect_process(system, 2)
-    print(f"disconnect: mh2 left its checkpoint with {system.mss_for(0).name}")
+    print(f"disconnect: mh2 left its checkpoint with {system.mss_for(2).name}")
     sim.run(until=180.0)
     assert system.protocol.processes[0].initiate()
     sim.run(until=300.0)

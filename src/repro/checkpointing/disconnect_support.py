@@ -9,19 +9,21 @@ data is already at the MSS) and propagates requests using the saved
 dependency vector.
 
 Implementation: the per-process protocol instance keeps running inside
-the simulator, but while the MH is disconnected its environment is
-swapped for :class:`MssProxyEnv`, which originates traffic at the MSS
-and stores checkpoints directly (zero wireless cost). Because no local
-events occur at a disconnected MH, the process state captured by the MSS
-equals the disconnect checkpoint — the equivalence §2.2 relies on.
+the simulator with its one :class:`~repro.core.process.RuntimeEnv`,
+which acts from wherever the host is. While the MH is disconnected that
+is the MSS holding its disconnect record: system messages leave from
+there, and checkpoints are stored there the way an on-MSS process's are
+(no wireless transfer). Because no local events occur at a disconnected
+MH, the process state captured by the MSS equals the disconnect
+checkpoint — the equivalence §2.2 relies on.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.checkpointing.types import CheckpointKind, CheckpointRecord
-from repro.core.process import AppProcess, RuntimeEnv
+from repro.core.process import AppProcess
 from repro.errors import ProtocolError
 from repro.net.disconnect import DisconnectProxy, DisconnectRecord
 from repro.net.disconnect import disconnect as net_disconnect
@@ -34,75 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import MobileSystem
 
 
-class MssProxyEnv(RuntimeEnv):
-    """Environment that originates protocol actions at the serving MSS."""
-
-    def __init__(self, process: AppProcess, mss: MobileSupportStation) -> None:
-        super().__init__(process)
-        self.mss = mss
-
-    def send_system(self, dst_pid: int, subkind: str, fields: Dict[str, Any]) -> None:
-        message = SystemMessage(
-            src_pid=self.pid,
-            dst_pid=dst_pid,
-            subkind=subkind,
-            fields=fields,
-            msg_id=self._next_msg_id(),
-        )
-        self._m_sys_messages.inc()
-        self.system.metrics.counter(f"system_messages_{subkind}").inc()
-        trace = self.system.sim.trace
-        if trace.debug_on:
-            trace.debug(
-                self.system.sim.now,
-                "sys_send",
-                src=self.pid,
-                dst=dst_pid,
-                subkind=subkind,
-                via_mss=True,
-            )
-        self.mss.send(message)
-
-    def broadcast_system(self, subkind: str, fields: Dict[str, Any]) -> int:
-        self._m_broadcasts.inc()
-        sent = 0
-        for pid in self.system.network.process_ids:
-            if pid == self.pid:
-                continue
-            message = SystemMessage(
-                src_pid=self.pid,
-                dst_pid=pid,
-                subkind=subkind,
-                fields=dict(fields),
-                msg_id=self._next_msg_id(),
-            )
-            message.broadcast = True
-            self.mss.send(message)
-            sent += 1
-        return sent
-
-    def transfer_to_stable(
-        self, record: CheckpointRecord, on_saved: Callable[[], None]
-    ) -> None:
-        # The disconnect checkpoint already lives at this MSS: converting
-        # it costs no wireless transfer, only the disk write.
-        record.size_bytes = self.system.config.checkpoint_size_bytes
-        assert self.mss.stable_storage is not None
-        self.mss.stable_storage.store(record)
-        delay = self.system.config.network.stable_write_time
-        if delay > 0:
-            self.system.sim.schedule(delay, on_saved)
-        else:
-            on_saved()
-
-
 class MutableDisconnectProxy(DisconnectProxy):
     """The MSS-side agent for a disconnected process (mutable protocol)."""
 
-    def __init__(self, process: AppProcess, mss: MobileSupportStation) -> None:
+    def __init__(self, process: AppProcess) -> None:
         self.process = process
-        self.mss = mss
-        process.protocol_process.env = MssProxyEnv(process, mss)
 
     def handle_system_message(
         self,
@@ -127,7 +65,7 @@ def disconnect_process(system: "MobileSystem", pid: int) -> DisconnectRecord:
     """Voluntarily disconnect the MH hosting ``pid`` (§2.2 procedure).
 
     Takes the disconnect checkpoint, stores it at the serving MSS,
-    installs the protocol proxy, and drops the wireless link. The
+    hands the protocol proxy to it, and drops the wireless link. The
     workload must not send from this process until reconnection (no send
     events occur while disconnected).
     """
@@ -153,34 +91,22 @@ def disconnect_process(system: "MobileSystem", pid: int) -> DisconnectRecord:
     )
     assert mss.stable_storage is not None
     mss.stable_storage.store(checkpoint)
-    proxy = MutableDisconnectProxy(process, mss)
-    record = net_disconnect(
+    return net_disconnect(
         system.network,
         host,
         checkpoint,
-        proxy,
+        MutableDisconnectProxy(process),
         checkpoint_bytes=system.config.checkpoint_size_bytes,
     )
-    return record
 
 
 def reconnect_process(
     system: "MobileSystem", pid: int, new_mss: Optional[MobileSupportStation] = None
 ) -> DisconnectRecord:
-    """Reconnect ``pid``'s MH (possibly at a different MSS).
-
-    Restores the normal environment before the buffered messages replay,
-    so they are handled by the process itself, not the proxy.
-    """
-    process = system.processes[pid]
-    host = process.host
+    """Reconnect ``pid``'s MH (by default at the first MSS) and replay
+    the traffic buffered for it."""
+    host = system.processes[pid].host
     if not isinstance(host, MobileHost):
         raise ProtocolError(f"pid {pid} does not run on a mobile host")
     target = new_mss if new_mss is not None else system.mss_list[0]
-    # Swap the env back *before* replay so buffered traffic is processed
-    # by the reconnected process.
-    env = process.protocol_process.env
-    if isinstance(env, MssProxyEnv):
-        process.protocol_process.env = RuntimeEnv(process)
-    record = net_reconnect(system.network, host, target)
-    return record
+    return net_reconnect(system.network, host, target)

@@ -20,7 +20,7 @@ commits once every process has waited and stored its checkpoint.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict
+from typing import Callable, Dict, Set
 
 from repro.checkpointing.protocol import (
     CheckpointProtocol,
@@ -39,6 +39,8 @@ class TimerBasedProcess(ProtocolProcess):
         super().__init__(env)
         self.protocol = protocol
         self.round = 0
+        #: rounds whose checkpoint has done one of its two steps
+        self.half_done: Set[Trigger] = set()
         # Deterministic skew in [-max_skew, +max_skew], spread across pids.
         span = protocol.max_skew
         fraction = ((self.pid * 2654435761) % 997) / 996.0
@@ -62,8 +64,7 @@ class TimerBasedProcess(ProtocolProcess):
         protocol.rounds += 1
         trigger = Trigger(self.pid, protocol.rounds)
         self.env.trace("initiation", pid=self.pid, trigger=trigger)
-        # Two steps per process: its §6 wait ends, its data is stable.
-        protocol.unfinished[trigger] = 2 * len(protocol.processes)
+        protocol.unfinished[trigger] = len(protocol.processes)
         for process in protocol.processes.values():
             process.env.schedule(
                 protocol.max_skew + process.skew, partial(process._take_round, trigger)
@@ -82,20 +83,25 @@ class TimerBasedProcess(ProtocolProcess):
             csn=trigger.inum,
             ckpt_id=record.ckpt_id,
         )
-        self.env.transfer_to_stable(record, partial(self._round_step, trigger))
+        self.env.transfer_to_stable(record, partial(self._round_step, trigger, record))
         # The §6 wait: cover every other clock plus failure detection.
         wait = 2.0 * self.protocol.max_skew + self.protocol.detection_time
         self.env.schedule(wait, partial(self._finish_wait, trigger, record))
 
     def _finish_wait(self, trigger: Trigger, record: CheckpointRecord) -> None:
+        self.env.unblock_computation()
+        self._round_step(trigger, record)
+
+    def _round_step(self, trigger: Trigger, record: CheckpointRecord) -> None:
+        # Two steps per checkpoint, in either order: the §6 wait ends and
+        # the data lands on stable storage. After both it is permanent,
+        # and the round commits once every process's is.
+        if trigger not in self.half_done:
+            self.half_done.add(trigger)
+            return
+        self.half_done.remove(trigger)
         self.env.make_permanent(record)
         self.env.trace("permanent", pid=self.pid, trigger=trigger, ckpt_id=record.ckpt_id)
-        self.env.unblock_computation()
-        self._round_step(trigger)
-
-    def _round_step(self, trigger: Trigger) -> None:
-        # The round commits once every process has waited and every
-        # checkpoint is on stable storage.
         unfinished = self.protocol.unfinished
         unfinished[trigger] -= 1
         if not unfinished[trigger]:
@@ -128,8 +134,8 @@ class TimerBasedProtocol(CheckpointProtocol):
         self.detection_time = detection_time
         #: rounds started so far: round k's trigger is (initiator, k)
         self.rounds = 0
-        #: trigger -> that round's steps still to come (a wait and a
-        #: stable save per process)
+        #: trigger -> the processes whose checkpoint of that round is
+        #: not permanent yet
         self.unfinished: Dict[Trigger, int] = {}
 
     def _build_process(self, env: ProcessEnv) -> TimerBasedProcess:

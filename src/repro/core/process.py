@@ -315,7 +315,7 @@ class RuntimeEnv(ProcessEnv):
         record.size_bytes = self.system.config.checkpoint_size_bytes
         self.system.metrics.counter("stable_transfers").inc()
         host = self.process.host
-        if isinstance(host, MobileHost):
+        if isinstance(host, MobileHost) and not host.disconnected:
             data = CheckpointDataMessage(
                 src_pid=self.pid,
                 dst_pid=None,
@@ -326,11 +326,12 @@ class RuntimeEnv(ProcessEnv):
             data.on_stored = on_saved  # consumed by the MSS, see mss hook
             host.transfer_checkpoint_data(data)
         else:
-            # Process runs on an MSS: only the disk write is charged.
-            storage = self.system.stable_storage_for(self.pid)
-            storage.store(record)
-            delay = self.system.config.network.stable_write_time
-            self.system.sim.schedule(delay, on_saved)
+            # The process runs on an MSS, or its MH is disconnected and the
+            # MSS holding the disconnect checkpoint takes this one on its
+            # behalf (§2.2): no transfer, and the save completes in an event
+            # of its own, so it never re-enters the handler that started it.
+            self.system.stable_storage_for(self.pid).store(record)
+            self.system.sim.schedule(0.0, on_saved)
 
     def discard_mutable(self, record: CheckpointRecord) -> None:
         self.process.local_store.remove(record)

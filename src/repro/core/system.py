@@ -154,12 +154,15 @@ class MobileSystem:
 
     # -- lookups ---------------------------------------------------------
     def mss_for(self, pid: int) -> MobileSupportStation:
-        """The MSS currently serving ``pid``'s host."""
+        """The MSS currently serving ``pid``'s host (see
+        :meth:`~repro.net.network.MobileNetwork.mss_serving`)."""
         host = self.network.host_of_process(pid)
         return self.network.mss_serving(host)
 
     def stable_storage_for(self, pid: int) -> StableStorage:
-        """The stable storage where ``pid``'s checkpoints land.
+        """The stable storage where ``pid``'s checkpoints land: its serving
+        MSS's, and while its MH is disconnected the storage of the MSS
+        holding the disconnect record (§2.2).
 
         With a single cell this is unambiguous; with mobility a process's
         checkpoints may be spread over several MSSs, so recovery-oriented

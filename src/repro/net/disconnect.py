@@ -10,7 +10,10 @@ Protocol recap:
   ``disconnect_checkpoint`` into the MH's new checkpoint and propagates
   the request using the saved dependency information — this is delegated
   to a protocol-supplied :class:`DisconnectProxy` so the network layer
-  stays protocol-agnostic.
+  stays protocol-agnostic. The proxy drives the process's own protocol
+  instance; what it sends leaves from this MSS, because
+  :meth:`~repro.net.network.MobileNetwork.mss_serving` resolves a
+  disconnected MH to the MSS holding its record.
 * On reconnection (possibly at a different MSS) the support information
   is transferred, the MH processes the buffered messages, and — if the
   proxy took a checkpoint on its behalf — clears its dependency state

@@ -12,10 +12,10 @@ messages.
 
 Hot-path notes: messages are plain ``__slots__`` classes (one is built
 per application send, so dataclass machinery and default-dict factories
-were measurable); ``fields`` is lazily materialized (None until first
-write), and what a computation message carries besides its payload -
-the csn/trigger pair the mutable protocol attaches and the sender's
-incarnation - rides in slots of its own, so a send allocates no dict.
+were measurable), and what a computation message carries besides its
+payload - the csn/trigger pair the mutable protocol attaches and the
+sender's incarnation - rides in slots of its own, so a send allocates
+no dict.
 """
 
 from __future__ import annotations
@@ -131,11 +131,10 @@ class SystemMessage(Message):
     """A checkpointing-protocol control message (request/reply/commit/...).
 
     ``subkind`` names the protocol message type; ``fields`` carries the
-    protocol payload (lazily materialized — a bare control message
-    allocates no dict). Defaults to the paper's 50-byte control size.
+    protocol payload. Defaults to the paper's 50-byte control size.
     """
 
-    __slots__ = ("subkind", "_fields")
+    __slots__ = ("subkind", "fields")
 
     kind = "system"
 
@@ -155,15 +154,16 @@ class SystemMessage(Message):
         self.broadcast = broadcast
         self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.subkind = subkind
-        self._fields = fields
+        self.fields = {} if fields is None else fields
 
-    @property
-    def fields(self) -> Dict[str, Any]:
-        """The protocol payload dict, materialized on first access."""
-        fields = self._fields
-        if fields is None:
-            fields = self._fields = {}
-        return fields
+    def __setstate__(self, state) -> None:
+        # An image written while the payload was materialized lazily has
+        # a ``_fields`` slot, ``None`` for a message that never had one.
+        slots = dict(state[1])
+        if "_fields" in slots:
+            slots["fields"] = slots.pop("_fields") or {}
+        for name, value in slots.items():
+            setattr(self, name, value)
 
 
 class CheckpointDataMessage(Message):

@@ -102,13 +102,19 @@ class MobileHost(Host):
         """Transmit over the uplink toward the current MSS.
 
         During a handoff gap the message queues in the outbox and is
-        flushed on reattachment. During voluntary disconnection sending
-        is an error (no send events occur while disconnected, §2.2).
+        flushed on reattachment. During voluntary disconnection (§2.2)
+        the MSS holding the disconnect record sends a system message on
+        the host's behalf, and a computation send is an error (no send
+        events occur while disconnected).
         """
         if self.disconnected:
-            raise NotConnectedError(
-                f"{self.name} is disconnected and cannot send message {message.msg_id}"
-            )
+            if message.kind != "system":
+                raise NotConnectedError(
+                    f"{self.name} is disconnected and cannot send message {message.msg_id}"
+                )
+            self.network.mss_serving(self).send(message)
+            return
+        self.network._c_wireless_sends.value += 1
         if self.uplink is None or self.mss is None:
             self._outbox.append(message)
             return

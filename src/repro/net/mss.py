@@ -61,7 +61,8 @@ class MobileSupportStation(Host):
 
     # -- traffic -----------------------------------------------------------
     def send(self, message: Message) -> None:
-        """Route a message originated by a process running on this MSS."""
+        """Route a message originated by a process running on this MSS, or
+        on behalf of a disconnected MH whose record it holds (§2.2)."""
         self.network.route_from_mss(self, message)
 
     def on_wireless_arrival(self, message: Message) -> None:
@@ -83,11 +84,7 @@ class MobileSupportStation(Host):
                 self.stable_storage.store(record)
             callback = getattr(message, "on_stored", None)
             if callback is not None:
-                write_time = self.network.params.stable_write_time
-                if write_time > 0:
-                    self.sim.schedule(write_time, callback)
-                else:
-                    callback()
+                callback()
 
     def on_wired_arrival(self, message: Message) -> None:
         """Delivery from another MSS over the backbone: continue routing."""

@@ -105,13 +105,17 @@ class MobileNetwork:
         return host if isinstance(host, MobileHost) else None
 
     def mss_serving(self, host: Host) -> MobileSupportStation:
-        """The MSS responsible for ``host`` (itself if it is an MSS)."""
+        """The MSS responsible for ``host``: itself if it is an MSS, and
+        for a disconnected MH the MSS holding its disconnect record, which
+        acts on its behalf (§2.2)."""
         if isinstance(host, MobileSupportStation):
             return host
         assert isinstance(host, MobileHost)
         mss = self._mss_of_mh.get(host.name)
+        if mss is None and host.disconnected:
+            mss = self._find_disconnect_holder(host)
         if mss is None:
-            raise UnknownHostError(f"{host.name} has no serving MSS (disconnected?)")
+            raise UnknownHostError(f"{host.name} has no serving MSS")
         return mss
 
     def note_mh_location(self, mh: MobileHost, mss: MobileSupportStation) -> None:
@@ -204,10 +208,7 @@ class MobileNetwork:
     def send_from_process(self, src_pid: int, message: Message) -> None:
         """Entry point used by process runtimes to send ``message``."""
         # the miss path raises UnknownHostError
-        host = self._host_of_pid.get(src_pid) or self.host_of_process(src_pid)
-        if isinstance(host, MobileHost):
-            self._c_wireless_sends.value += 1
-        host.send(message)
+        (self._host_of_pid.get(src_pid) or self.host_of_process(src_pid)).send(message)
 
     def note_disconnect_holder(self, mh_name: str, mss: MobileSupportStation) -> None:
         """Index update when ``mss`` takes custody of a detached MH."""

@@ -163,7 +163,8 @@ class _ImageUnpickler(pickle.Unpickler):
     Names that have gone load as what replaced them: the old csn, R and
     MR wrappers as the containers they wrapped, a ``Fraction`` weight as
     its dyadic int, the protocol's old ``_noop`` as ``noop``, a deliver
-    thunk as a ``partial``. The two
+    thunk as a ``partial``, a disconnected host's ``MssProxyEnv`` as a
+    ``RuntimeEnv``. The two
     numpy names an array is rebuilt from become :class:`_Inert`, and any
     other numpy name is refused."""
 
@@ -174,6 +175,10 @@ class _ImageUnpickler(pickle.Unpickler):
             return PackedInts
         if (module, name) == ("repro.core.process", "_DeliverCall"):
             return _DeliverCall
+        if (module, name) == ("repro.checkpointing.disconnect_support", "MssProxyEnv"):
+            # the env a disconnected host's protocol process was given while
+            # the MSS acted through a second one; restore drops it
+            module, name = "repro.core.process", "RuntimeEnv"
         if (module, name) == ("repro.checkpointing.mutable", "_noop"):
             # parked on an in-flight checkpoint transfer by an image
             # written while the protocol kept its own copy of noop
@@ -220,6 +225,8 @@ def restore(payload: bytes) -> SimulationImage:
             process.sent = process.received = None
         process._reattach()
         process.env._reattach()
+        # one env per process: an old image's MSS proxy env goes
+        process.protocol_process.env = process.env
     protocol = system.protocol
     if "observers" not in vars(protocol):
         # written while the sampler, the runner and the driver subscribed

@@ -34,6 +34,15 @@ root::
 
 prints ``PARITY`` exactly as pinned below.
 
+Three digests of ``explore-19-handoff-disconnect`` (forensics, renderings,
+stats) were re-pinned when a disconnected host's MSS began to act through
+the host's own env. Its replies now carry their wave's trigger, its
+broadcasts are recorded, and a checkpoint it takes completes in a
+zero-delay event. That event is one more call to the schedule policy, so
+every later perturbation of the seed lands one event further on. Replayed
+with the old decisions shifted past those calls, the run has the same
+INFO records as before.
+
 Walk counts: every reader iterates the ``TraceLog`` once, however many
 initiations it holds (the parent walked it once or twice per commit).
 
@@ -250,11 +259,11 @@ PARITY = {
         "orphans":
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
         "forensics":
-            "3ab6e47bdf2cbae5a7ffb04f66583262d508867a5b1d3ed91ca9ecdbfa3cab51",
+            "bd02f9f4fcf717365518cbe9ba6222a3029e3cbba5a5fe9a6c0cc69e940d0ccb",
         "renderings":
-            "6acfa65a4bc7585a9268c0ef0f7367dc2e9f2f1648b112433dad7b5ef949fc64",
+            "ca842386c5a88466dba08070c42ed263edc2a049839ebbd3aa76b69edaba5ce3",
         "stats":
-            "14a8053b62f45df7cbfacb2d3bf453f0bcc19d2c13269da364b2685143084a1d",
+            "930900754fcd5b5ad11e1fa9679344878e78bb713a11a6bde390da09ce8c9281",
     },
     "skip-mutable-16-shrunk": {
         "invariants":

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
 from repro.analysis.metrics import committed_stats
 from repro.campaign import RunPoint, build_point_runtime
+from repro.checkpointing.storage import StableStorage
 from repro.checkpointing.timer_based import TimerBasedProtocol
 from repro.checkpointing.types import Trigger
 from repro.errors import ProtocolError
@@ -123,3 +124,27 @@ def test_commit_reported_once_per_round():
     _, _, commits = run(rounds=3)
     assert len(commits) == 3
     assert len(set(commits)) == 3
+
+
+def test_a_checkpoint_becomes_permanent_only_once_stored(monkeypatch):
+    """A round's checkpoint is permanent once its process has waited and
+    its data has landed: eight 512 KB saves share one cell's airtime for
+    ~17 s, far longer than the 4 s wait, so the two steps come apart."""
+    system, runner = build(n=8, rounds=2)
+    stored_at = {}
+    store = StableStorage.store
+
+    def recording_store(self, record):
+        stored_at.setdefault(record.ckpt_id, len(system.sim.trace))
+        store(self, record)
+
+    monkeypatch.setattr(StableStorage, "store", recording_store)
+    runner.run()
+    permanents = [
+        (position, record)
+        for position, record in enumerate(system.sim.trace)
+        if record.kind == "permanent" and record["trigger"] is not None
+    ]
+    assert len(permanents) == 2 * 8
+    for position, record in permanents:
+        assert position >= stored_at[record["ckpt_id"]]

@@ -3,10 +3,9 @@
 A snapshot pickles every in-flight message along with the event heap
 (``repro.snapshot.state.capture``), so every subclass must survive
 ``pickle.dumps`` → ``pickle.loads`` with identical fields — including
-the lazily-absent fields dict (absent stays absent, never materialized
-by the trip) and the ``pb`` and ``inc`` slots. An image written while
-computation messages carried a ``vc`` stamp slot, or a piggyback dict,
-still loads.
+the ``pb`` and ``inc`` slots. An image written while computation
+messages carried a ``vc`` stamp slot, or a piggyback dict, or while a
+system message's fields dict was materialized lazily, still loads.
 """
 
 from __future__ import annotations
@@ -97,11 +96,21 @@ def test_system_message_roundtrip():
     assert "x" not in m.fields
 
 
-def test_system_message_lazy_fields_stay_absent():
+def test_system_message_without_fields_carries_an_empty_dict():
     m = SystemMessage(src_pid=0, dst_pid=1, subkind="commit", msg_id=3)
     back = roundtrip(m)
-    assert back._fields is None
-    assert back.fields == {}  # materializes empty on first read
+    assert back.fields == {}
+
+
+def test_system_message_from_an_image_with_lazy_fields():
+    """An image written while ``fields`` was a lazy property stores a
+    ``_fields`` slot: ``None`` loads as an empty dict, a dict as itself."""
+    for old, fields in ((None, {}), ({"trigger": ("t", 1)}, {"trigger": ("t", 1)})):
+        back = SystemMessage.__new__(SystemMessage)
+        back.__setstate__((None, {"src_pid": 1, "dst_pid": 2, "size_bytes": 50,
+                                  "broadcast": False, "msg_id": 7,
+                                  "subkind": "request", "_fields": old}))
+        assert back.fields == fields and back.subkind == "request"
 
 
 def test_checkpoint_data_message_roundtrip():

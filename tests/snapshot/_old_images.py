@@ -5,7 +5,10 @@ they were ``IntVector``, ``BitVector`` and ``MRVector`` of the deleted
 ``repro.checkpointing.state``, and an ``IntVector`` pickled its entries
 as ``repro.analysis.vector_clock.PackedInts``. Until the deliver thunk a
 mutable process queues became a ``functools.partial`` it was a
-``repro.core.process._DeliverCall``. Snapshots written then must keep
+``repro.core.process._DeliverCall``. Until a disconnected host's MSS
+acted through the process's own env, its protocol process held a
+``repro.checkpointing.disconnect_support.MssProxyEnv``. Snapshots
+written then must keep
 loading (:class:`repro.snapshot.state._ImageUnpickler`). These writers
 emit the opcodes those classes emitted - byte for byte, as
 ``test_int_vector_images_are_pinned`` and
@@ -24,6 +27,7 @@ import types
 from typing import Dict, Iterable, NamedTuple, Optional
 
 import repro.analysis.vector_clock as vector_clock
+import repro.checkpointing.disconnect_support as disconnect_support
 import repro.core.process as process_module
 from repro.snapshot.state import _ImageUnpickler
 
@@ -106,6 +110,17 @@ class _DeliverCall:
 _DeliverCall.__module__ = process_module.__name__
 
 
+class MssProxyEnv(process_module.RuntimeEnv):
+    """The deleted second env: the MSS ``mss`` acting for ``process``."""
+
+    def __init__(self, process, mss) -> None:
+        super().__init__(process)
+        self.mss = mss
+
+
+MssProxyEnv.__module__ = disconnect_support.__name__
+
+
 @contextlib.contextmanager
 def _old_names():
     module = types.ModuleType(_STATE)
@@ -114,10 +129,12 @@ def _old_names():
     sys.modules[_STATE] = module
     vector_clock.PackedInts = PackedInts
     process_module._DeliverCall = _DeliverCall
+    disconnect_support.MssProxyEnv = MssProxyEnv
     try:
         yield
     finally:
         del vector_clock.PackedInts, process_module._DeliverCall
+        del disconnect_support.MssProxyEnv
         if saved is None:
             del sys.modules[_STATE]
         else:  # pragma: no cover
