@@ -316,6 +316,39 @@ def _trace_codec_case() -> BenchCase:
     )
 
 
+def _trace_verify_case() -> BenchCase:
+    """The verifiers on one re-read 16p DEBUG trace (built, saved and
+    re-read untimed): the six invariants, which index it, then the
+    recovery-line check. Reported "events" are records x 2, one per
+    step."""
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        from repro.analysis.consistency import assert_line_consistent, latest_permanent_line
+        from repro.explore import check_invariants
+        from repro.sim.export import read_trace, save_trace
+
+        system, runner = _mutable_p2p(2, n_processes=16, trace_messages=True)
+        runner.run()
+        line = latest_permanent_line(system.all_stable_storages(), system.processes)
+        with tempfile.TemporaryDirectory(prefix="bench-verify-") as workdir:
+            save_trace(system.sim.trace, workdir + "/trace.jsonl")
+            loaded = read_trace(workdir + "/trace.jsonl")
+        start = time.perf_counter()
+        for _ in range(2 * len(loaded) if burn is not None else 0):
+            burn()
+        violations = check_invariants(loaded)
+        assert_line_consistent(loaded, line)
+        elapsed = time.perf_counter() - start
+        if violations:
+            raise AssertionError(f"invariant violations: {violations[:3]}")
+        return 2 * len(loaded), elapsed
+
+    return BenchCase(
+        "trace_verify_16p", run,
+        "check_invariants + assert_line_consistent on one re-read 16-process DEBUG trace",
+    )
+
+
 #: what one ``cold_import_cli`` interpreter runs: time the CLI's import
 _COLD_IMPORT = """
 import time
@@ -550,6 +583,7 @@ def default_cases() -> List[BenchCase]:
         _timer_rearm_case(),
         _snapshot_overhead_case(),
         _trace_codec_case(),
+        _trace_verify_case(),
         _cold_import_case(),
         _store_case(
             "store_jsonl_10k", "jsonl",

@@ -7,11 +7,11 @@ checkpoint if some process P that must checkpoint recorded (in its new
 checkpoint) the receipt of a message that Q sent after Q's previous
 stable checkpoint — otherwise that message would be an orphan.
 
-:func:`must_checkpoint_set` computes this closure purely from the trace
-log (no protocol state; positions and message pairs come from
-:class:`~repro.analysis.trace_index.TraceIndex`), and
-:func:`check_minimality` compares it with the processes that actually
-took tentative checkpoints:
+:func:`check_minimality` computes this closure for every committed
+initiation purely from the trace log, in one pass over the receives (no
+protocol state; positions and message pairs come from
+:class:`~repro.analysis.trace_index.TraceIndex`), and compares it with
+the processes that actually took tentative checkpoints:
 
 * a member of the closure missing from the participants ⇒ the algorithm
   took *too few* checkpoints (consistency is in danger);
@@ -25,6 +25,7 @@ capture points, so the comparison is exact rather than approximate.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
@@ -99,68 +100,85 @@ def _reachable(adjacency: Dict[int, Set[int]], root: int) -> Set[int]:
     return seen
 
 
-def must_checkpoint_set(trace: TraceSource, trigger: Trigger) -> MinimalityReport:
-    """Compute the z-dependency closure for ``trigger`` and compare it
-    with the actual participant set."""
-    index = TraceIndex.of(trace)
-    participants: Set[int] = set()
+def _window(stable: Dict[int, list], trigger: Trigger) -> Tuple[Set[int], dict, dict]:
+    """Participants of ``trigger``, pid -> its capture for it and pid ->
+    its previous stable capture: the newest one strictly before this
+    initiation's checkpoint (or the newest overall for outsiders)."""
     ckpt_pos: Dict[int, int] = {}
     prev_pos: Dict[int, int] = {}
-    for pid, entries in index.captures.stable.items():
+    for pid, entries in stable.items():
         for position, trig, _ in entries:
             if trig == trigger:
-                participants.add(pid)
                 ckpt_pos[pid] = position
-        # previous stable capture: the newest one strictly before this
-        # initiation's checkpoint (or the newest overall for outsiders)
         bound = ckpt_pos.get(pid)
-        candidates = [
-            position
-            for position, trig, _ in entries
-            if trig != trigger and (bound is None or position < bound)
-        ]
-        prev_pos[pid] = max(candidates) if candidates else -1
+        prev_pos[pid] = max((position for position, trig, _ in entries if trig != trigger
+                             and (bound is None or position < bound)), default=-1)
+    return set(ckpt_pos), ckpt_pos, prev_pos
 
-    # Build the z-dependency graph: edge Q -> P when P, if it checkpoints
-    # for this trigger, records a receive whose send is after Q's
-    # previous checkpoint (so Q is dragged in). The justified graph
-    # keeps the edge even when the send is already covered — that is
-    # the information the protocol's R bit actually carries.
-    graph: Dict[int, Set[int]] = {}
-    justified_graph: Dict[int, Set[int]] = {}
-    must_edges: List[Tuple[int, int]] = []
-    horizon = max(ckpt_pos.values(), default=0)
+
+def _closures(index: TraceIndex, triggers: List[Trigger]) -> List[MinimalityReport]:
+    """The reports of ``triggers``, from one pass over the receives.
+
+    The z-dependency graph has an edge Q -> P when P, if it checkpoints
+    for the trigger, records a receive whose send is after Q's previous
+    checkpoint (so Q is dragged in). The justified graph keeps the edge
+    even when the send is already covered: what the protocol's R bit
+    carries. A receive is recorded in the windows whose capture at dst
+    follows it; only the first can justify it (a later one's previous
+    capture at dst follows the receive).
+    """
+    asked, triggers = triggers, list(dict.fromkeys(triggers))  # a trigger may commit twice
+    stable = index.captures.stable
+    windows = [_window(stable, trigger) for trigger in triggers]
+    #: per window: its must graph, justified graph and must edges
+    found = [(defaultdict(set), defaultdict(set), []) for _ in triggers]
+    #: pid -> (capture, previous captures, *found) of each window it is
+    #: in, latest first: a stack the receives pop as they pass the captures
+    pending: Dict[int, list] = {}
+    for (_, cut, prev_pos), graphs in zip(windows, found):
+        for pid, position in cut.items():
+            pending.setdefault(pid, []).append((position, prev_pos, *graphs))
+    for stack in pending.values():
+        stack.sort(key=lambda entry: entry[0], reverse=True)
+    evicted = index.evicted
     for _, src, dst, send, recv in index.messages.received:
-        if recv >= horizon:
-            break  # in receive order: nothing later is in any checkpoint
-        cut = ckpt_pos.get(dst)
-        if cut is None or recv >= cut:
-            continue  # receive not recorded in dst's trigger checkpoint
-        if send is None and not index.evicted:
+        stack = pending.get(dst)
+        while stack and stack[-1][0] <= recv:
+            stack.pop()
+        if not stack:
+            continue  # not recorded in any of dst's checkpoints
+        if send is None and not evicted:
             continue  # no send record on a complete log: find_orphans' case
-        if recv > prev_pos.get(dst, -1):
-            justified_graph.setdefault(dst, set()).add(src)
-        if send is None or send <= prev_pos.get(src, -1):
-            continue  # send evicted, or covered by src's previous checkpoint
-        graph.setdefault(dst, set()).add(src)
-        must_edges.append((src, dst))
-
-    required = _reachable(graph, trigger.pid)
-    justified = _reachable(justified_graph, trigger.pid) | required
-    return MinimalityReport(
-        trigger=trigger,
-        participants=participants,
-        required=required,
-        dependency_edges=must_edges,
-        justified=justified,
-        # Evicted records can only add edges: a closure that already
-        # covers the participants stands, one that does not is open.
-        judged=participants <= justified
-        or all(index.retained_since(prev_pos[pid]) for pid in participants),
-    )
+        _, prev_pos, _, justified, _ = stack[-1]
+        if recv > prev_pos[dst]:
+            justified[dst].add(src)
+        if send is None:
+            continue  # evicted: no must edge
+        for _, prev_pos, graph, _, edges in stack:
+            if send > prev_pos.get(src, -1):
+                graph[dst].add(src)
+                edges.append((src, dst))
+    reports = {}
+    for trigger, (participants, _, prev_pos), (graph, justified_graph, edges) in zip(
+        triggers, windows, found
+    ):
+        required = _reachable(graph, trigger.pid)
+        justified = _reachable(justified_graph, trigger.pid) | required
+        reports[trigger] = MinimalityReport(
+            trigger=trigger,
+            participants=participants,
+            required=required,
+            dependency_edges=edges,
+            justified=justified,
+            # Evicted records can only add edges: a closure that already
+            # covers the participants stands, one that does not is open.
+            judged=participants <= justified
+            or all(index.retained_since(prev_pos[pid]) for pid in participants),
+        )
+    return [reports[trigger] for trigger in asked]
 
 
 def check_minimality(trace: TraceSource) -> List[MinimalityReport]:
     """Reports for every committed initiation in the trace."""
     index = TraceIndex.of(trace)
-    return [must_checkpoint_set(index, trigger) for _, trigger in index.commits()]
+    return _closures(index, [trigger for _, trigger in index.commits()])

@@ -169,9 +169,12 @@ class TraceIndex:
         line: Dict[int, int] = {}
         seen_stable: Set[int] = set()
         for index, record in enumerate(self.records):
-            kind, fields = record.kind, record.fields
+            kind = record.kind
+            if kind not in ("mutable", "tentative", "permanent"):
+                continue
+            fields = record.fields
             ckpt_id = fields.get("ckpt_id")
-            if kind not in ("mutable", "tentative", "permanent") or ckpt_id is None:
+            if ckpt_id is None:
                 continue
             captured_at = position.setdefault(ckpt_id, index)
             pid = fields.get("pid")
@@ -203,22 +206,23 @@ class TraceIndex:
     def messages(self) -> Messages:
         by_id: Dict[int, Message] = {}
         received: List[Message] = []
+        new = tuple.__new__  # Message's own __new__ is a Python frame
         for position, record in enumerate(self.records):
             kind = record.kind
             if kind == "comp_send":
                 fields = record.fields
                 msg_id = fields["msg_id"]
-                by_id[msg_id] = Message(
-                    msg_id, fields["src"], fields["dst"], position, None
+                by_id[msg_id] = new(
+                    Message, (msg_id, fields["src"], fields["dst"], position, None)
                 )
             elif kind == "comp_recv":
                 fields = record.fields
                 msg_id = fields["msg_id"]
                 sent = by_id.get(msg_id)
-                by_id[msg_id] = message = Message(
+                by_id[msg_id] = message = new(Message, (
                     msg_id, fields["src"], fields["dst"],
                     None if sent is None else sent.send, position,
-                )
+                ))
                 received.append(message)
         return Messages(by_id, received)
 

@@ -249,7 +249,7 @@ class RuntimeEnv(ProcessEnv):
         self._next_msg_id = self.system.message_ids.__next__
 
     def now(self) -> float:
-        return self.system.sim.now
+        return self.system.sim._now
 
     def send_system(self, dst_pid: int, subkind: str, fields: Dict[str, Any]) -> None:
         message = SystemMessage(
@@ -259,11 +259,12 @@ class RuntimeEnv(ProcessEnv):
             fields=fields,
             msg_id=self._next_msg_id(),
         )
-        self._m_sys_messages.inc()
+        self._m_sys_messages.value += 1
         counter = self._m_subkinds.get(subkind)
-        if counter is None:
-            counter = self._m_subkinds[subkind] = self.system.metrics.counter(
-                f"system_messages_{subkind}"
+        if counter is None:  # another process may have listed it already
+            name, metrics = f"system_messages_{subkind}", self.system.metrics
+            counter = self._m_subkinds[subkind] = (
+                metrics._counters.get(name) or metrics.counter(name)
             )
         counter.value += 1
         trace = self.system.sim.trace
@@ -278,7 +279,7 @@ class RuntimeEnv(ProcessEnv):
         self.system.network.send_from_process(self.pid, message)
 
     def broadcast_system(self, subkind: str, fields: Dict[str, Any]) -> int:
-        self._m_broadcasts.inc()
+        self._m_broadcasts.value += 1
         trace = self.system.sim.trace
         if trace.debug_on:
             trace.debug(
@@ -307,13 +308,17 @@ class RuntimeEnv(ProcessEnv):
 
     def save_mutable(self, record: CheckpointRecord) -> None:
         self.process.local_store.save(record)
-        self.system.metrics.counter("mutable_checkpoints").inc()
+        metrics = self.system.metrics  # the counter is listed from its first use
+        (metrics._counters.get("mutable_checkpoints")
+         or metrics.counter("mutable_checkpoints")).value += 1
 
     def transfer_to_stable(
         self, record: CheckpointRecord, on_saved: Callable[[], None]
     ) -> None:
         record.size_bytes = self.system.config.checkpoint_size_bytes
-        self.system.metrics.counter("stable_transfers").inc()
+        metrics = self.system.metrics
+        (metrics._counters.get("stable_transfers")
+         or metrics.counter("stable_transfers")).value += 1
         host = self.process.host
         if isinstance(host, MobileHost) and not host.disconnected:
             data = CheckpointDataMessage(
@@ -355,7 +360,7 @@ class RuntimeEnv(ProcessEnv):
         self.system.sim.schedule(delay, fn)
 
     def trace(self, kind: str, **fields: Any) -> None:
-        now = self.system.sim.now
+        now = self.system.sim._now
         self.system.sim.trace.record(now, kind, **fields)
         for observer in self.system.protocol.observers:
             observer(now, kind, fields)

@@ -24,6 +24,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.cache import derive_seed, spec_hash
@@ -43,7 +44,7 @@ from repro.explore.policy import (
     ReplayPolicy,
     decisions_to_jsonable,
 )
-from repro.sim.export import dumps_trace
+from repro.sim.export import dump_trace
 from repro.sim.trace import TraceLog
 
 #: runaway guard for explore points — small systems, short horizons
@@ -54,9 +55,13 @@ def trace_digest(trace: TraceLog) -> str:
     """Content hash of a trace's canonical JSONL export.
 
     Two runs with the same digest produced bit-identical schedules —
-    this is what the determinism acceptance tests compare.
+    this is what the determinism acceptance tests compare. The export is
+    hashed block by block as it is written, never held whole.
     """
-    return hashlib.sha256(dumps_trace(trace).encode("utf-8")).hexdigest()[:32]
+    digest = hashlib.sha256()
+    blocks = SimpleNamespace(write=lambda text: digest.update(text.encode("utf-8")))
+    dump_trace(trace, blocks)  # type: ignore[arg-type]
+    return digest.hexdigest()[:32]
 
 
 @dataclass

@@ -46,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.minimality import must_checkpoint_set
+from repro.analysis.minimality import check_minimality
 from repro.analysis.offline import verify_archived_trace
-from repro.analysis.trace_index import TraceIndex, TraceSource, owner_pid
+from repro.analysis.trace_index import Message, TraceIndex, TraceSource, owner_pid
 from repro.errors import ConfigurationError, InconsistentCheckpointError
 
 
@@ -114,10 +114,9 @@ class MinProcessMinimality(Invariant):
         index = TraceIndex.of(trace)
         disturbed_at = index.waves.disturbed_at
         violations: List[Violation] = []
-        for position, trigger in index.commits():
+        for (position, trigger), report in zip(index.commits(), check_minimality(index)):
             if disturbed_at is not None and position > disturbed_at:
                 continue  # §3.6/§2.2 paths legitimately alter the set
-            report = must_checkpoint_set(index, trigger)
             if report.missing:
                 violations.append(
                     self.violation(
@@ -203,37 +202,40 @@ class FifoChannelOrder(Invariant):
             for record in index.records
             if record.kind in ("handoff_start", "disconnect")
         }
+        # Within a channel, send positions are in send order: receives are
+        # compared by position, and ordinals are counted for the text only.
+        last_received: Dict[Tuple[int, int], Message] = {}
+        late: List[Tuple[Message, Message]] = []
+        for message in index.messages.received:
+            send = message.send
+            if send is None or message.src in rerouted or message.dst in rerouted:
+                continue  # send not traced (pre-trace or system path)
+            pair = (message.src, message.dst)
+            previous = last_received.get(pair)
+            if previous is None or send > previous.send:
+                last_received[pair] = message
+            elif send < previous.send:
+                late.append((message, previous))
+        if not late:
+            return []
         sent: Dict[Tuple[int, int], int] = {}
         send_order: Dict[int, int] = {}  # msg_id -> ordinal on its channel
         for message in index.messages.by_id.values():
             if message.send is not None:
                 pair = (message.src, message.dst)
                 send_order[message.msg_id] = sent[pair] = sent.get(pair, -1) + 1
-        last_received: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        violations: List[Violation] = []
-        for message in index.messages.received:
-            pair = (message.src, message.dst)
-            if pair[0] in rerouted or pair[1] in rerouted:
-                continue
-            position = send_order.get(message.msg_id)
-            if position is None:
-                continue  # send not traced (pre-trace or system path)
-            previous = last_received.get(pair)
-            if previous is not None and position < previous[0]:
-                violations.append(
-                    self.violation(
-                        f"channel {pair[0]}->{pair[1]} delivered message "
-                        f"{message.msg_id} (send #{position}) after "
-                        f"message {previous[1]} (send #{previous[0]})",
-                        src=pair[0],
-                        dst=pair[1],
-                        msg_id=message.msg_id,
-                        after_msg_id=previous[1],
-                    )
-                )
-            if previous is None or position > previous[0]:
-                last_received[pair] = (position, message.msg_id)
-        return violations
+        return [
+            self.violation(
+                f"channel {message.src}->{message.dst} delivered message "
+                f"{message.msg_id} (send #{send_order[message.msg_id]}) after "
+                f"message {previous.msg_id} (send #{send_order[previous.msg_id]})",
+                src=message.src,
+                dst=message.dst,
+                msg_id=message.msg_id,
+                after_msg_id=previous.msg_id,
+            )
+            for message, previous in late
+        ]
 
 
 class CoordinationTermination(Invariant):

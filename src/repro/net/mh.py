@@ -159,10 +159,12 @@ class MobileHost(Host):
         if params.shared_cell_medium:
             # Concurrent bulk transfers in one cell serialize on the
             # shared 802.11 airtime (the paper's 32 s worst case).
-            start = max(self.sim.now, mss.bulk_busy_until)
+            start = max(self.sim._now, mss.bulk_busy_until)
             finish = start + tx_time
             mss.bulk_busy_until = finish
-            self.sim.metrics.counter("net.bulk_bytes").inc(data.size_bytes)
+            metrics = self.sim.metrics  # listed from the first bulk transfer
+            (metrics._counters.get("net.bulk_bytes")
+             or metrics.counter("net.bulk_bytes")).value += data.size_bytes
             self.sim.schedule_at(
                 finish + params.wireless_latency,
                 mss.on_wireless_arrival,

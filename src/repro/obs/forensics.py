@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.minimality import MinimalityReport, must_checkpoint_set
+from repro.analysis.minimality import MinimalityReport, check_minimality
 from repro.analysis.trace_index import (
     TraceIndex,
     TraceSource,
@@ -687,13 +687,13 @@ def build_forensics(
     if n_processes is None:
         n_processes = _infer_n_processes(index)
     has_debug = index.first_message is not None
+    closures = {r.trigger: r for r in check_minimality(index)} if has_debug else {}
     waves: List[WaveReport] = []
     for wave in index.waves.by_trigger.values():
         if wave.initiator is None or not isinstance(wave.trigger, Trigger):
             continue
         report = WaveReport(**vars(wave), index=len(waves))
-        if has_debug and wave.last_time("commit") is not None:
-            report.minimality = must_checkpoint_set(index, wave.trigger)
+        report.minimality = closures.get(wave.trigger)
         waves.append(report)
     return ForensicReport(
         waves=waves,

@@ -4,7 +4,9 @@ Design constraints, in order:
 
 * **Cheap on the hot path.** Instruments are plain objects with
   ``__slots__``; emitters look them up once (at construction) and then
-  pay one attribute access plus a float add per update.
+  pay one attribute access plus a float add per update. One whose
+  counter is listed only from its first update reads ``_counters``
+  before it calls :meth:`MetricsRegistry.counter`.
 * **Deterministic.** Snapshots are sorted dicts of JSON-safe values, so
   two runs that performed the same updates produce byte-identical
   serialized snapshots.

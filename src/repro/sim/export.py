@@ -34,7 +34,7 @@ import io
 import json
 from itertools import islice
 from math import isfinite
-from typing import IO, Any, Iterable, List, Optional, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.checkpointing.types import Trigger
 from repro.errors import TraceFormatError
@@ -125,27 +125,41 @@ def _text(value: Any) -> str:
     return scalar(value) if scalar else _encode(_encode_value(value))
 
 
-def _record_line(record: TraceRecord) -> str:
-    fields = ",".join([_quote(k) + ":" + _text(v) for k, v in record.fields.items()])
-    head = '{"t":' + _text(record.time) + ',"k":' + _text(record.kind)
-    return head + ',"f":{' + fields + "}}"
+def _lines(records: Iterable[TraceRecord], formats: Dict[tuple, Tuple[str, bool]]) -> List[str]:
+    """The JSON lines of ``records``, from one ``%`` format per record
+    shape (kind, field names, value types) kept in ``formats``. A float
+    time and int values are written by ``%s`` itself, as ``_encode``
+    writes them while the time is finite; any other shape's values go
+    through ``_text`` first. A kind that is not a str is not kept: 1 and
+    True would share an entry."""
+    lines = []
+    for record in records:
+        fields = record.fields
+        args = (record.time, *fields.values())
+        shape = (record.kind, *fields, *map(type, args))
+        entry = formats.get(shape) if type(record.kind) is str else None
+        if entry is None:
+            keys = ",".join([_quote(key).replace("%", "%%") + ":%s" for key in fields])
+            entry = (
+                '{"t":%s,"k":' + _text(record.kind).replace("%", "%%") + ',"f":{' + keys + "}}",
+                type(args[0]) is float and all(type(v) is int for v in args[1:]),
+            )
+            if type(record.kind) is str:
+                formats[shape] = entry
+        line, numbers = entry
+        lines.append(line % (args if numbers and isfinite(args[0]) else tuple(map(_text, args))))
+    return lines
 
 
 def dump_trace(trace: Iterable[TraceRecord], stream: IO[str]) -> int:
     """Write the trace as JSON lines; returns the record count."""
     count = 0
     records = iter(trace)
-    while block := list(map(_record_line, islice(records, _BLOCK))):
+    formats: Dict[tuple, Tuple[str, bool]] = {}
+    while block := _lines(islice(records, _BLOCK), formats):
         stream.write("\n".join(block) + "\n")
         count += len(block)
     return count
-
-
-def dumps_trace(trace: Iterable[TraceRecord]) -> str:
-    """The trace as one JSON-lines string."""
-    buffer = io.StringIO()
-    dump_trace(trace, buffer)
-    return buffer.getvalue()
 
 
 #: what a line that is not a record raises: not JSON, not an object, a
@@ -236,11 +250,12 @@ class JsonlTraceSink:
         self.path = path
         self.records_written = 0
         self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
+        self._formats: Dict[tuple, Tuple[str, bool]] = {}
 
     def __call__(self, record: TraceRecord) -> None:
         if self._handle is None:
             raise ValueError(f"sink {self.path} is closed")
-        self._handle.write(_record_line(record) + "\n")
+        self._handle.write(_lines((record,), self._formats)[0] + "\n")
         self.records_written += 1
 
     def attach(self, trace: TraceLog) -> "JsonlTraceSink":

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -291,14 +292,23 @@ class TraceLog:
         byte-level witness that two runs traced identically.
         """
         digest = hashlib.sha256()
-        orders: Dict[Tuple[str, ...], List[str]] = {}  # a key tuple, sorted once
+        #: field names -> the line's % format and what picks the values in
+        #: sorted name order (None: in it); names not all str are not kept
+        formats: Dict[Tuple[Any, ...], Tuple[str, Any]] = {}
         lines: List[str] = []
         for r in self:
             fields = r.fields
             keys = tuple(fields)
-            order = orders.get(keys) or orders.setdefault(keys, sorted(keys))
-            body = ",".join([f"{k}={fields[k]!r}" for k in order])
-            lines.append(f"{r.time!r}|{r.kind}|{body}\n")
+            entry = formats.get(keys)
+            if entry is None:
+                order = sorted(keys)
+                body = ",".join([f"{k}".replace("%", "%%") + "=%r" for k in order])
+                pick = itemgetter(*order) if order != list(keys) else None
+                entry = ("%r|%s|" + body + "\n", pick)
+                if all(type(k) is str for k in keys):
+                    formats[keys] = entry
+            line, pick = entry
+            lines.append(line % (r.time, r.kind, *(pick(fields) if pick else fields.values())))
             if len(lines) == 4096:  # one digest update per chunk, not per record
                 digest.update("".join(lines).encode())
                 lines.clear()

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.minimality import (
-    check_minimality,
-    must_checkpoint_set,
-)
+from repro.analysis.minimality import check_minimality
 from repro.checkpointing.elnozahy import ElnozahyProtocol
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.types import Trigger
@@ -15,12 +12,16 @@ from repro.scenarios.harness import ScenarioHarness
 from tests.conftest import run_experiment
 
 
+def _report(trace, trigger):
+    return next(r for r in check_minimality(trace) if r.trigger == trigger)
+
+
 class TestClosureOnScriptedScenarios:
     def test_lone_initiator(self):
         h = ScenarioHarness(3, MutableCheckpointProtocol())
         h.initiate(0)
         h.deliver_all_system()
-        report = must_checkpoint_set(h.trace, Trigger(0, 1))
+        report = _report(h.trace, Trigger(0, 1))
         assert report.required == {0}
         assert report.participants == {0}
         assert report.minimal
@@ -30,7 +31,7 @@ class TestClosureOnScriptedScenarios:
         h.deliver(h.send(1, 0))
         h.initiate(0)
         h.deliver_all_system()
-        report = must_checkpoint_set(h.trace, Trigger(0, 1))
+        report = _report(h.trace, Trigger(0, 1))
         assert report.required == {0, 1}
         assert report.minimal
 
@@ -40,7 +41,7 @@ class TestClosureOnScriptedScenarios:
         h.deliver(h.send(1, 0))
         h.initiate(0)
         h.deliver_all_system()
-        report = must_checkpoint_set(h.trace, Trigger(0, 1))
+        report = _report(h.trace, Trigger(0, 1))
         assert report.required == {0, 1, 2}
         assert report.minimal
 
@@ -53,7 +54,7 @@ class TestClosureOnScriptedScenarios:
         h.deliver_all_system()
         h.initiate(0)
         h.deliver_all_system()
-        report = must_checkpoint_set(h.trace, Trigger(0, 1))
+        report = _report(h.trace, Trigger(0, 1))
         assert report.required == {0}
         assert report.minimal
 

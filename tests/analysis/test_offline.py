@@ -10,8 +10,9 @@ from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.errors import InconsistentCheckpointError
 from repro.scenarios.figures import figure1
 from repro.scenarios.harness import ScenarioHarness
-from repro.sim.export import dumps_trace, load_trace, save_trace
+from repro.sim.export import load_trace, save_trace
 from repro.sim.trace import TraceLog
+from tests.sim.test_export import dumps_trace
 
 
 def consistent_harness():

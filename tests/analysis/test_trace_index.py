@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -64,6 +65,7 @@ from repro.analysis.minimality import check_minimality
 from repro.analysis.trace_index import TraceIndex
 from repro.campaign.engine import build_point_runtime
 from repro.campaign.spec import RunPoint
+from repro.checkpointing.types import Trigger
 from repro.explore import (
     ExploreSpec,
     check_invariants,
@@ -75,6 +77,7 @@ from repro.obs.forensics import build_forensics
 from repro.scenarios import figures
 from repro.scenarios.harness import ScenarioHarness
 from repro.sim.trace import TraceLog
+from tests.analysis._minimality_reference import must_checkpoint_set
 
 
 def _sha(document) -> str:
@@ -112,7 +115,7 @@ def _line(system):
     return latest_permanent_line(system.all_stable_storages(), system.processes)
 
 
-def _simulated(protocol: str, n: int, seed: int, initiations: int) -> dict:
+def _simulated(protocol: str, n: int, seed: int, initiations: int) -> tuple:
     system, _, runner = build_point_runtime(RunPoint(
         protocol=protocol, workload="p2p",
         workload_params={"mean_send_interval": 15.0},
@@ -121,23 +124,23 @@ def _simulated(protocol: str, n: int, seed: int, initiations: int) -> dict:
         seed=seed,
     ))
     result = runner.run(max_events=10_000_000)
-    return _digests(system.sim.trace, _line(system), result)
+    return system.sim.trace, _line(system), result
 
 
-def _explored(seed_index: int) -> dict:
+def _explored(seed_index: int) -> tuple:
     run = run_explore_once(ExploreSpec(name="quick").expand()[seed_index])
-    return _digests(run.trace, _line(run.system))
+    return run.trace, _line(run.system)
 
 
-def _counterexample(mutation: str, seed_index: int) -> dict:
+def _counterexample(mutation: str, seed_index: int) -> tuple:
     point = ExploreSpec(name="quick", mutation=mutation).expand()[seed_index]
     found = run_explore_point(point)
     run = replay_counterexample(found["counterexample"])
     assert run.violations, "the planted mutation must still be caught"
-    return _digests(run.trace, _line(run.system))
+    return run.trace, _line(run.system)
 
 
-def _figure(name: str) -> dict:
+def _figure(name: str) -> tuple:
     made = []
     original = ScenarioHarness.__init__
 
@@ -151,10 +154,11 @@ def _figure(name: str) -> dict:
     finally:
         ScenarioHarness.__init__ = original
     harness = made[-1]
-    return _digests(harness.trace, harness.recovery_line())
+    return harness.trace, harness.recovery_line()
 
 
-CASES = {
+#: name -> (trace, recovery line[, run result]) of each case
+SOURCES = {
     "mutable-16p": lambda: _simulated("mutable", 16, 7, 6),
     "koo-toueg-8p": lambda: _simulated("koo-toueg", 8, 42, 4),
     "elnozahy-8p": lambda: _simulated("elnozahy", 8, 42, 4),
@@ -171,6 +175,7 @@ CASES = {
     "figure3": lambda: _figure("figure3"),
     "figure4": lambda: _figure("figure4"),
 }
+CASES = {name: (lambda source=source: _digests(*source())) for name, source in SOURCES.items()}
 
 #: recorded at the parent commit (figure cases: with both id counters at
 #: 0, see the module docstring); a change must pass them unedited
@@ -369,6 +374,66 @@ PARITY = {
 @pytest.mark.parametrize("name", CASES)
 def test_verdicts_match_the_parent(name):
     assert CASES[name]() == PARITY[name]
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_minimality_sweep_matches_the_per_commit_closure(name):
+    index = TraceIndex(SOURCES[name]()[0])
+    reports = check_minimality(index)
+    assert reports, "every case commits"
+    for (_, trigger), report in zip(index.commits(), reports):
+        reference = must_checkpoint_set(index, trigger)
+        assert report.trigger == trigger
+        assert (report.participants, report.required, report.justified,
+                report.dependency_edges, report.judged) == (
+            reference.participants, reference.required, reference.justified,
+            reference.dependency_edges, reference.judged)
+
+
+def _random_log(rng) -> TraceLog:
+    """Sends, receives in any order and captures of random waves, some
+    of them never committed or committed twice, on a complete or a
+    bounded log: every branch of the sweep, none of it a real run."""
+    n = rng.randint(2, 5)
+    log = TraceLog(debug_capacity=rng.choice([None, None, None, 5, 20]))
+    triggers = [Trigger(rng.randrange(n), inum) for inum in range(1, rng.randint(2, 5))]
+    ckpt_ids = iter(range(1, 1000))
+    for pid in range(n):
+        log.record(0.0, "permanent", pid=pid, trigger=None, ckpt_id=next(ckpt_ids))
+    pending, msg_ids = [], iter(range(1, 1000))
+    for time in range(1, rng.randint(6, 60)):
+        draw = rng.random()
+        if draw < 0.4:
+            pending.append((rng.randrange(n), rng.randrange(n), next(msg_ids)))
+            src, dst, msg_id = pending[-1]
+            if rng.random() < 0.9:  # else the send is not traced
+                log.debug(time, "comp_send", src=src, dst=dst, msg_id=msg_id)
+        elif draw < 0.75 and pending:
+            src, dst, msg_id = pending.pop(rng.randrange(len(pending)))
+            log.debug(time, "comp_recv", src=src, dst=dst, msg_id=msg_id)
+        else:
+            log.record(time, rng.choice(["tentative", "permanent", "mutable"]),
+                       pid=rng.randrange(n), trigger=rng.choice(triggers + [None]),
+                       ckpt_id=next(ckpt_ids))
+    for trigger in triggers:
+        for _ in range(rng.choice([0, 1, 1, 1, 2])):
+            log.record(1e3, "commit", trigger=trigger)
+    return log
+
+
+def test_minimality_sweep_matches_the_per_commit_closure_on_random_logs():
+    rng = random.Random(44)
+    compared = 0
+    for _ in range(400):
+        index = TraceIndex(_random_log(rng))
+        for (_, trigger), report in zip(index.commits(), check_minimality(index)):
+            reference = must_checkpoint_set(index, trigger)
+            assert (report.trigger, report.participants, report.required,
+                    report.justified, report.dependency_edges, report.judged) == (
+                trigger, reference.participants, reference.required,
+                reference.justified, reference.dependency_edges, reference.judged)
+            compared += 1
+    assert compared > 500
 
 
 # -- walk counts -----------------------------------------------------------

@@ -10,6 +10,7 @@ file the same ``name:line`` (or be accepted by both).
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import io
 import json
@@ -25,14 +26,13 @@ from repro.sim.export import (
     JsonlTraceSink,
     _decode_value,
     _encode_value,
-    dumps_trace,
     load_trace,
     read_trace,
     save_trace,
 )
 from repro.sim.trace import TraceLog, TraceRecord
 
-from tests.sim.test_export import debug_trace, flight_trace, sample_trace
+from tests.sim.test_export import debug_trace, dumps_trace, flight_trace, sample_trace
 
 
 # -- the per-record codec, as it was ---------------------------------------------
@@ -108,6 +108,37 @@ def _scalars() -> TraceLog:
     return log
 
 
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+def _shapes() -> TraceLog:
+    """Records of every shape the per-shape formats write whole (a float
+    time and int values) and of every value they leave to the encoder:
+    a non-finite or int time, bool, None, IntEnum and float values,
+    containers, ``%`` and non-ASCII in kinds, names and strings, no
+    fields, one name order after another, kinds that are not str (1 and
+    True hash alike; a list does not hash)."""
+    message = {"src": 0, "dst": 1, "msg_id": 2**70}
+    log = TraceLog()
+    log.extend([
+        TraceRecord(1.5, "comp_send", message),
+        TraceRecord(1.75, "comp_send", {"dst": 1, "src": -3, "msg_id": 7}),
+        TraceRecord(2.0, "comp_send", dict(message, msg_id=8)),
+        *(TraceRecord(time, "comp_recv", message)
+          for time in (3, -0.0, math.nan, math.inf, -math.inf, 4.25)),
+        TraceRecord(5.0, "comp_recv", {"src": True, "dst": None, "msg_id": _Level.LOW}),
+        TraceRecord(5.25, "comp_recv", {"src": True, "dst": _Level.LOW, "msg_id": 2}),
+        TraceRecord(5.5, "comp_recv", {"src": 1.5, "dst": -0.0, "msg_id": math.nan}),
+        TraceRecord(6.0, "100% kïnd %s", {"%d": 1, "ké%y": -2, "s": '9% "q" \\ é %s'}),
+        TraceRecord(7.0, "empty"),
+        TraceRecord(7.5, "empty"),
+        TraceRecord(8.0, "commit", {"trigger": Trigger(0, 1), "pids": (1, 2), "ids": {3, 1}}),
+        *(TraceRecord(9.0, kind, {"x": 1}) for kind in (None, 1, True, 1.0, [1], "1")),
+    ])
+    return log
+
+
 def _export_cases():
     """The traces of ``tests/sim/test_export.py``, by name."""
     long_pids, gappy, scattered, floats = TraceLog(), TraceLog(), TraceLog(), TraceLog()
@@ -122,6 +153,7 @@ def _export_cases():
         "sample": sample_trace(), "debug": debug_trace(), "flight-3": flight_trace(3),
         "long-pids": long_pids, "gappy-pids": gappy, "scattered": scattered,
         "float-tuples": floats, "empty": TraceLog(), "scalars": _scalars(),
+        "shapes": _shapes(),
     }
 
 
@@ -148,7 +180,7 @@ def test_both_codecs_agree_on_a_well_formed_trace(name, tmp_path):
 
     live_hash = trace.content_hash()
     assert live_hash == reference_content_hash(trace)
-    if name == "scalars":  # nan != nan, so compare by what was read, as text
+    if name in ("scalars", "shapes"):  # nan != nan: compare what was read, as text
         assert dumps_trace(load_trace(text)) == text
         return
     loaded, reference = read_trace(path), reference_load_trace(text)
@@ -170,6 +202,21 @@ def test_the_streaming_sink_writes_what_save_trace_writes(tmp_path):
     assert save_trace(system.sim.trace, saved) == before + sink.records_written
     with open(streamed, encoding="utf-8") as a, open(saved, encoding="utf-8") as b:
         assert a.read() == "".join(b.readlines()[before:])
+
+
+def test_the_streaming_sink_writes_the_reference_lines(tmp_path):
+    path = str(tmp_path / "streamed.jsonl")
+    with JsonlTraceSink(path) as sink:
+        for record in _shapes():
+            sink(record)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == reference_dumps(_shapes())
+
+
+def test_the_hash_writes_field_names_that_are_not_str_as_the_reference_does():
+    log = TraceLog()
+    log.extend(TraceRecord(1.0, "k", {key: "a"}) for key in (1, True, 1.0, "1"))
+    assert log.content_hash() == reference_content_hash(log)
 
 
 def test_one_record_round_trips():

@@ -6,8 +6,15 @@ import io
 
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.checkpointing.types import Trigger
-from repro.sim.export import dumps_trace, load_trace, read_trace, save_trace
+from repro.sim.export import dump_trace, load_trace, read_trace, save_trace
 from repro.sim.trace import TraceLog
+
+
+def dumps_trace(trace) -> str:
+    """The trace as one JSON-lines string."""
+    buffer = io.StringIO()
+    dump_trace(trace, buffer)
+    return buffer.getvalue()
 
 
 def sample_trace() -> TraceLog:

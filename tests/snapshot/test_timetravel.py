@@ -19,7 +19,6 @@ from repro.core.registry import build_protocol
 from repro.core.runner import ExperimentRunner
 from repro.core.system import MobileSystem
 from repro.errors import SnapshotError
-from repro.sim.export import _record_line
 from repro.sim.trace import TraceLog
 from repro.snapshot import (
     SnapshotPolicy,
@@ -28,6 +27,7 @@ from repro.snapshot import (
     replay_window,
 )
 from repro.workload.point_to_point import PointToPointWorkload
+from tests.sim.test_export import dumps_trace
 
 
 def build_run(debug_capacity=None):
@@ -63,13 +63,13 @@ def test_replayed_window_is_byte_identical(snapshotted_run):
     replayed = replay_window(directory, start_time=mid_time)
     assert replayed.start_time <= mid_time
     want = [
-        _record_line(r) for r in full_trace if r.time >= replayed.start_time
+        dumps_trace([r]) for r in full_trace if r.time >= replayed.start_time
     ]
-    got = [_record_line(r) for r in replayed.window()]
+    got = [dumps_trace([r]) for r in replayed.window()]
     assert want == got
     # end-bounded windows clip the same records
     end = full_trace[-1].time / 2
-    bounded = [_record_line(r) for r in replayed.window(end_time=end)]
+    bounded = [dumps_trace([r]) for r in replayed.window(end_time=end)]
     assert bounded == [
         line
         for line, r in zip(want, (r for r in full_trace
@@ -89,8 +89,8 @@ def test_replay_recovers_flight_recorder_evictions(snapshotted_run, tmp_path):
     # ...yet the replay regenerates the full suffix, unbounded.
     replayed = replay_window(directory)
     assert replayed.trace.debug_capacity is None
-    full = [_record_line(r) for r in full_trace]
-    regenerated = [_record_line(r) for r in replayed.trace]
+    full = [dumps_trace([r]) for r in full_trace]
+    regenerated = [dumps_trace([r]) for r in replayed.trace]
     assert regenerated == full
 
 
