@@ -79,12 +79,7 @@ class EnergyModel:
         process = self.system.processes[pid]
         mh = process.host
         uplink_bytes = mh.uplink.bytes_sent if getattr(mh, "uplink", None) else 0
-        downlink = None
-        if getattr(mh, "mss", None) is not None:
-            try:
-                downlink = mh.mss.downlink_to(mh.name)
-            except Exception:
-                downlink = None
+        downlink = getattr(mh, "downlink", None)
         rx_bytes = downlink.bytes_sent if downlink is not None else 0
         now = self.system.sim.now
         doze_time = getattr(mh, "doze_time", 0.0)

@@ -50,7 +50,9 @@ class MutableDisconnectProxy(DisconnectProxy):
     ) -> bool:
         protocol_process = self.process.protocol_process
         old_csn_before = getattr(protocol_process, "old_csn", None)
-        protocol_process.on_system_message(message)
+        # the process's own entry point: recovery subkinds (rollback
+        # requests) reach their handlers as at a connected host
+        self.process.on_message(message)
         if (
             message.subkind == "request"
             and old_csn_before is not None

@@ -143,11 +143,6 @@ class ProcessEnv(ABC):
     def mutable_save_time(self) -> float:
         """Local-memory checkpoint copy time (paper: 2.5 ms)."""
 
-    @property
-    def all_pids(self) -> Tuple[int, ...]:
-        """All process ids in the system, sorted."""
-        return tuple(range(self.n))
-
 
 class ProtocolProcess(ABC):
     """Per-process half of a checkpointing algorithm."""

@@ -29,6 +29,7 @@ from repro.campaign.spec import PRESETS, WORKLOAD_KINDS, RunPoint
 from repro.core.registry import available_protocols, build_protocol
 from repro.errors import (
     ConfigurationError,
+    EventBudgetExceeded,
     InconsistentCheckpointError,
     SnapshotError,
     StoreFormatError,
@@ -628,6 +629,13 @@ def _cmd_run_resume(args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget_stop(system: Any, runner: Any) -> int:
+    """A run its event budget stopped: one line on stderr, exit 2."""
+    print(f"stopped after {system.sim.events_processed} events: {runner.committed} "
+          f"of {runner.run_config.max_initiations} initiations committed", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume_from:
         return _cmd_run_resume(args)
@@ -667,7 +675,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.snapshot_dir,
         )
         snapshotter.install()
-    result = runner.run(max_events=point.max_events)
+    try:
+        result = runner.run(max_events=point.max_events)
+    except EventBudgetExceeded:
+        return _budget_stop(system, runner)
     _print_run_report(args, system, result, snapshotter, sink)
     return 0
 
@@ -752,8 +763,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     system, _, runner = build_point_runtime(point)
     profiler = KernelProfiler()
     system.sim.set_profiler(profiler)
-    with profiler.span("run"):
-        runner.run(max_events=point.max_events)
+    try:
+        with profiler.span("run"):
+            runner.run(max_events=point.max_events)
+    except EventBudgetExceeded:
+        return _budget_stop(system, runner)
     system.sim.flush_metrics()
     print(profiler.table(limit=args.top))
     print()
@@ -1004,8 +1018,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Bad input is a configuration the system refuses, an unreadable or
     corrupt snapshot, store or trace, or a file that cannot be opened.
-    ``ProtocolError`` / ``SimulationError`` mean a bug in the simulated
-    system and keep their traceback.
+    A ``run`` / ``profile`` stopped by its event budget exits 2 with one
+    ``stopped after N events`` line. Any other ``ProtocolError`` /
+    ``SimulationError`` means a bug in the simulated system and keeps
+    its traceback.
     """
     args = _build_parser().parse_args(argv)
     try:

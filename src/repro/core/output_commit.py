@@ -57,7 +57,6 @@ class OutputCommitManager:
         self.system = system
         self.pending: List[OutputRequest] = []
         self.released: List[OutputRequest] = []
-        self._awaiting_initiation: List[OutputRequest] = []
         system.protocol.add_commit_listener(self._on_commit)
         system.protocol.add_abort_listener(self._on_abort)
 

@@ -27,7 +27,7 @@ from repro.checkpointing.types import Trigger
 from repro.core.config import RunConfig
 from repro.core.results import RunResult
 from repro.core.system import MobileSystem
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, EventBudgetExceeded, SimulationError
 from repro.sim.events import Event
 from repro.workload.base import Workload
 
@@ -226,7 +226,7 @@ class ExperimentRunner:
                     self._finish()
                     break
                 if max_events is not None and processed >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
+                    raise EventBudgetExceeded(f"exceeded max_events={max_events}")
                 if not sim.step():
                     raise SimulationError(
                         "event queue drained before reaching the initiation target"

@@ -161,17 +161,20 @@ class MobileSystem:
 
     def stable_storage_for(self, pid: int) -> StableStorage:
         """The stable storage where ``pid``'s checkpoints land: its serving
-        MSS's, and while its MH is disconnected the storage of the MSS
-        holding the disconnect record (§2.2).
+        MSS's, while its MH is disconnected the storage of the MSS
+        holding the disconnect record (§2.2), and while it hands off
+        between cells the first MSS's. An unknown ``pid`` raises
+        :class:`~repro.errors.UnknownHostError`.
 
         With a single cell this is unambiguous; with mobility a process's
         checkpoints may be spread over several MSSs, so recovery-oriented
         callers should use :meth:`all_stable_storages` instead.
         """
-        try:
-            mss = self.mss_for(pid)
-        except Exception:
-            mss = self.mss_list[0]
+        host = self.network.host_of_process(pid)
+        if isinstance(host, MobileHost) and host.mss is None and not host.disconnected:
+            mss = self.mss_list[0]  # between cells: no MSS serves it
+        else:
+            mss = self.network.mss_serving(host)
         assert mss.stable_storage is not None
         return mss.stable_storage
 

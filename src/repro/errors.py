@@ -15,6 +15,10 @@ class SimulationError(ReproError):
     """An error in the discrete-event simulation kernel."""
 
 
+class EventBudgetExceeded(SimulationError):
+    """A run reached its ``max_events`` budget before it ended."""
+
+
 class ScheduleInPastError(SimulationError):
     """An event was scheduled at a time earlier than the current clock."""
 

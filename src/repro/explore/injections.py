@@ -250,8 +250,10 @@ class InjectionDriver:
         ):
             # Another rollback is running, another host is still down
             # (its handlers would drop the rollback_request and stall the
-            # round), or a host is voluntarily disconnected (§2.2 forbids
-            # it sending, so it could never ack): try again shortly.
+            # round), or a host is voluntarily disconnected: try again
+            # shortly. (The MSS holding a disconnected host's record would
+            # roll it back and ack for it, but waiting for its return is
+            # the rule the explore schedules were recorded under.)
             # Restarts and reconnections are always scheduled, so this
             # terminates.
             self.system.sim.schedule(_RECOVER_RETRY, self._do_recover, victim)

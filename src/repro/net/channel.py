@@ -11,15 +11,15 @@ Two timing models are supported:
   link: a message begins transmitting only after the previous one
   finished. Strictly FIFO as well, but bulk transfers back up the queue.
 
-Channels can be paused (used to model an MH's wireless link going down
-during handoff or disconnection); paused channels queue traffic and flush
-it in order on resume.
+An MH that leaves a cell drops its wireless pair (messages already on
+the air still arrive); traffic addressed to it while it is away is held
+by the MSS that has its custody (:mod:`repro.net.mobility`,
+:mod:`repro.net.disconnect`), not queued on a link.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.net.message import Message
 from repro.obs.registry import Counter
@@ -77,8 +77,6 @@ class FifoChannel:
         self.contention = contention
         self._busy_until = 0.0
         self._last_arrival = 0.0
-        self._paused = False
-        self._pending_while_paused: Optional[Deque[Message]] = None  # made by pause()
         # Per-channel (bytes, messages) counters for energy/overhead
         # accounting (per-host granularity that the registry's link-class
         # aggregates deliberately do not carry).
@@ -96,16 +94,11 @@ class FifoChannel:
         self._tx_delay = {} if tx_delay is None else tx_delay
 
     @property
-    def paused(self) -> bool:
-        """Whether the channel is currently paused (link down)."""
-        return self._paused
-
-    @property
     def min_delay(self) -> float:
         """Per-link lookahead: a static lower bound on send→arrival time.
 
         Propagation latency alone — transmission time (``size > 0``),
-        contention queueing, a pause and a schedule policy's jitter only
+        contention queueing and a schedule policy's jitter only
         delay arrivals further, under both the constant-delay and
         serialized link models (``tests/net/test_channel.py`` holds the
         bound). :meth:`repro.sim.shard.ShardedSimulator.shard_report`
@@ -124,9 +117,6 @@ class FifoChannel:
 
     def send(self, message: Message) -> None:
         """Enqueue ``message`` for FIFO delivery."""
-        if self._paused:
-            self._pending_while_paused.append(message)
-            return
         now = self.sim._now
         size = message.size_bytes
         self.bytes_sent += size
@@ -151,33 +141,6 @@ class FifoChannel:
         # kernel keeps this channel's deliveries in order (§2.1 FIFO).
         self.sim.schedule_at(arrival, self.deliver, message, stream=self)
 
-    def pause(self) -> None:
-        """Take the link down; subsequent sends queue until :meth:`resume`.
-
-        Messages already transmitting are considered in flight and still
-        arrive (the paper's handoff model reroutes at the MSS layer, not
-        by dropping).
-        """
-        self._paused = True
-        if self._pending_while_paused is None:
-            self._pending_while_paused = deque()
-
-    def resume(self) -> None:
-        """Bring the link back up and flush queued traffic in order."""
-        if not self._paused:
-            return
-        self._paused = False
-        pending = self._pending_while_paused
-        while pending:
-            self.send(pending.popleft())
-
-    def drain_pending(self) -> Tuple[Message, ...]:
-        """Remove and return messages queued while paused (for rerouting)."""
-        pending = tuple(self._pending_while_paused or ())
-        if pending:
-            self._pending_while_paused.clear()
-        return pending
-
     def occupy(self, message: Message) -> float:
         """Charge ``message``'s transmission time to the link without
         delivering it to the far end.
@@ -195,5 +158,4 @@ class FifoChannel:
         return self._busy_until
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "paused" if self._paused else "up"
-        return f"<FifoChannel {self.name} {state} busy_until={self._busy_until:.6f}>"
+        return f"<FifoChannel {self.name} busy_until={self._busy_until:.6f}>"

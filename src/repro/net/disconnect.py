@@ -62,13 +62,15 @@ class DisconnectProxy(ABC):
 
 
 class BufferRecord:
-    """Buffers every message addressed to an absent MH (handoff gap)."""
+    """Buffers every message addressed to an absent MH (handoff gap) at
+    ``holder``, the MSS that has the MH's custody."""
 
-    def __init__(self, mh_name: str) -> None:
+    def __init__(self, mh_name: str, holder: "MobileSupportStation") -> None:
         self.mh_name = mh_name
+        self.holder = holder
         self.buffered: List[Message] = []
 
-    def absorb(self, mss: "MobileSupportStation", message: Message) -> None:
+    def absorb(self, message: Message) -> None:
         """Store ``message`` for later flushing."""
         self.buffered.append(message)
 
@@ -79,11 +81,12 @@ class DisconnectRecord(BufferRecord):
     def __init__(
         self,
         mh_name: str,
+        holder: "MobileSupportStation",
         disconnect_checkpoint: Any,
         proxy: Optional[DisconnectProxy],
         last_recv_sn: int,
     ) -> None:
-        super().__init__(mh_name)
+        super().__init__(mh_name, holder)
         self.disconnect_checkpoint = disconnect_checkpoint
         self.proxy = proxy
         self.last_recv_sn = last_recv_sn
@@ -91,10 +94,10 @@ class DisconnectRecord(BufferRecord):
         #: into a real checkpoint while the MH was away
         self.checkpoint_taken_on_behalf = False
 
-    def absorb(self, mss: "MobileSupportStation", message: Message) -> None:
+    def absorb(self, message: Message) -> None:
         """Buffer computation traffic; offer system traffic to the proxy."""
         if isinstance(message, SystemMessage) and self.proxy is not None:
-            if self.proxy.handle_system_message(mss, self, message):
+            if self.proxy.handle_system_message(self.holder, self, message):
                 return
         self.buffered.append(message)
 
@@ -131,14 +134,13 @@ def disconnect(
     mh.uplink.occupy(data)
     record = DisconnectRecord(
         mh.name,
+        mss,
         disconnect_checkpoint,
         proxy,
         last_recv_sn=mh.last_downlink_sn,
     )
-    mss.disconnect_records[mh.name] = record
-    network.note_disconnect_holder(mh.name, mss)
+    network.take_custody(record)
     mh.detach()
-    network.forget_mh_location(mh)
     mh.disconnected = True
     network.sim.metrics.counter("net.disconnects").inc()
     network.sim.trace.record(
@@ -154,18 +156,15 @@ def reconnect(
 ) -> DisconnectRecord:
     """Reconnect ``mh`` at ``new_mss`` and replay buffered traffic.
 
-    The old MSS is located through the network (the broadcast fallback of
-    §2.2 when the MH lost its last MSS's identity); support information is
-    transferred and buffered messages are routed to the MH in order.
+    The old MSS is the one the network's custody map names (standing in
+    for §2.2's broadcast search when the MH lost its last MSS's
+    identity); support information is transferred and buffered messages
+    are routed to the MH in order.
     """
     if not mh.disconnected:
         raise NetworkError(f"{mh.name} is not disconnected")
-    old_mss = network._find_disconnect_holder(mh)
-    if old_mss is None:
-        raise NetworkError(f"no disconnect record found for {mh.name}")
-    record = old_mss.disconnect_records[mh.name]
-    del old_mss.disconnect_records[mh.name]
-    network.forget_disconnect_holder(mh.name)
+    record = network.release_custody(mh.name)
+    old_mss = record.holder
     mh.disconnected = False
     mh.attach_to(new_mss)
     # Transfer support information and replay buffered messages in order.

@@ -25,12 +25,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class MobileHost(Host):
-    """A mobile host attached to at most one MSS at a time."""
+    """A mobile host attached to at most one MSS at a time.
+
+    ``mss``, ``uplink`` and ``downlink`` are the network's one record of
+    where the host is: all three are set while it is in a cell and all
+    three are ``None`` while it hands off or is disconnected.
+    """
 
     def __init__(self, network: "MobileNetwork", name: str) -> None:
         super().__init__(network, name)
         self.mss: Optional["MobileSupportStation"] = None
         self.uplink: Optional[FifoChannel] = None
+        self.downlink: Optional[FifoChannel] = None
         self.dozing = False
         self.wakeups = 0
         # Sequence number of the last message received on the downlink;
@@ -51,11 +57,6 @@ class MobileHost(Host):
         self.doze_time = 0.0
         self._doze_started = 0.0
 
-    @property
-    def connected(self) -> bool:
-        """Whether the MH currently has a live wireless link."""
-        return self.mss is not None and self.uplink is not None and not self.uplink.paused
-
     # -- attachment ---------------------------------------------------------
     def attach_to(self, mss: "MobileSupportStation") -> None:
         """Join ``mss``'s cell, creating fresh wireless channels."""
@@ -72,7 +73,7 @@ class MobileHost(Host):
             link_class="wireless",
             tx_delay=delays,
         )
-        downlink = FifoChannel(
+        self.downlink = FifoChannel(
             self.sim,
             params.wireless_bandwidth_bps,
             params.wireless_latency,
@@ -82,20 +83,17 @@ class MobileHost(Host):
             link_class="wireless",
             tx_delay=delays,
         )
-        mss.register_mh(self, downlink)
-        self.network.note_mh_location(self, mss)
+        self.network.location_changed()
         for message in self._outbox:
             self.uplink.send(message)
         self._outbox.clear()
 
-    def detach(self) -> FifoChannel:
-        """Leave the current cell; returns the old downlink for draining."""
+    def detach(self) -> None:
+        """Leave the current cell; messages already on the air still arrive."""
         if self.mss is None:
             raise NotConnectedError(f"{self.name} is not attached to any MSS")
-        downlink = self.mss.unregister_mh(self)
-        self.mss = None
-        self.uplink = None
-        return downlink
+        self.mss = self.uplink = self.downlink = None
+        self.network.location_changed()
 
     # -- traffic -------------------------------------------------------------
     def send(self, message: Message) -> None:

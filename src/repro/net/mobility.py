@@ -1,11 +1,13 @@
 """Handoff and mobility models (paper §2.2, correctness proof Case 2).
 
 A handoff moves an MH from its current cell to another. During the gap
-the MH has no wireless link: its own sends queue in an outbox, and
-traffic addressed to it is buffered by the *old* MSS, which flushes the
-buffer over the wired backbone once the MH reattaches — this is the
-MSS-to-MSS forwarding the correctness proof relies on, so a checkpoint
-request issued mid-handoff still reaches the process.
+the MH has no wireless link: its own sends queue in an outbox, and the
+*old* MSS has its custody (one :class:`~repro.net.disconnect.BufferRecord`
+in the network's ``custody`` map): traffic addressed to the MH is
+buffered there and flushed over the wired backbone once the MH
+reattaches — this is the MSS-to-MSS forwarding the correctness proof
+relies on, so a checkpoint request issued mid-handoff still reaches the
+process.
 
 :class:`RandomWalkMobility` is a workload-style driver that performs
 handoffs at exponentially distributed intervals, for stress tests and
@@ -35,10 +37,10 @@ def handoff(
     """Move ``mh`` from its current cell into ``new_mss``'s cell.
 
     The link is down for ``delay`` seconds (default
-    ``network.params.handoff_delay``). All traffic that would have used
-    the old downlink during the gap — including messages already queued
-    on it — is buffered at the old MSS and forwarded to the new MSS when
-    the MH reattaches.
+    ``network.params.handoff_delay``). The old MSS takes custody of the
+    MH for the gap: traffic addressed to it is buffered there and
+    forwarded to the new MSS when the MH reattaches. Messages already on
+    the air over the old downlink still arrive.
     """
     if mh.disconnected:
         raise NetworkError(f"{mh.name} is disconnected; reconnect instead of handoff")
@@ -49,40 +51,35 @@ def handoff(
         return
     gap = network.params.handoff_delay if delay is None else delay
 
-    old_downlink = mh.detach()
-    network.forget_mh_location(mh)
-    # Anything not yet on the air stays with the old MSS for forwarding.
-    old_downlink.pause()
-    stranded = old_downlink.drain_pending()
-    buffer = BufferRecord(mh.name)
-    buffer.buffered.extend(stranded)
-    old_mss.disconnect_records[mh.name] = buffer
-    network.note_disconnect_holder(mh.name, old_mss)
+    mh.detach()
+    network.take_custody(BufferRecord(mh.name, old_mss))
     network.sim.metrics.counter("net.handoffs").inc()
     network.sim.trace.record(
         network.sim.now, "handoff_start", mh=mh.name, src=old_mss.name, dst=new_mss.name
     )
+    network.sim.schedule(gap, _complete_handoff, network, mh, new_mss)
 
-    def complete() -> None:
-        del old_mss.disconnect_records[mh.name]
-        network.forget_disconnect_holder(mh.name)
-        mh.attach_to(new_mss)
-        if buffer.buffered:
-            network.sim.metrics.counter("net.handoff_forwarded").inc(
-                len(buffer.buffered)
-            )
-        for message in buffer.buffered:
-            network.route_from_mss(old_mss, message)
-        network.sim.trace.record(
-            network.sim.now,
-            "handoff_complete",
-            mh=mh.name,
-            src=old_mss.name,
-            dst=new_mss.name,
-            forwarded=len(buffer.buffered),
-        )
 
-    network.sim.schedule(gap, complete)
+def _complete_handoff(
+    network: "MobileNetwork", mh: "MobileHost", new_mss: "MobileSupportStation"
+) -> None:
+    """End ``mh``'s gap: attach it at ``new_mss`` and forward what its old
+    MSS buffered. A module function, so an image taken mid-handoff pickles."""
+    buffer = network.release_custody(mh.name)
+    old_mss = buffer.holder
+    mh.attach_to(new_mss)
+    if buffer.buffered:
+        network.sim.metrics.counter("net.handoff_forwarded").inc(len(buffer.buffered))
+    for message in buffer.buffered:
+        network.route_from_mss(old_mss, message)
+    network.sim.trace.record(
+        network.sim.now,
+        "handoff_complete",
+        mh=mh.name,
+        src=old_mss.name,
+        dst=new_mss.name,
+        forwarded=len(buffer.buffered),
+    )
 
 
 class RandomWalkMobility:

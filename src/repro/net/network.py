@@ -7,10 +7,13 @@ process-to-process message follows the paper's model:
 * MSS -> (if destination elsewhere) wired FIFO link to the destination MSS
 * destination MSS -> wireless downlink to the destination MH
 
-Location management is a directory at the network layer (`pid -> host`,
-`MH -> MSS`), updated synchronously at handoff; the directory abstracts
-the Mobile-IP-style protocols the paper cites ([2], [26], [33]) whose
-details are orthogonal to checkpointing.
+Location management is a directory at the network layer, updated
+synchronously at handoff; it keeps each fact once: `pid -> host` here,
+an MH's cell and wireless links on the MH itself (``mh.mss``,
+``mh.uplink``, ``mh.downlink``), and, for an MH between cells or
+disconnected, the record of the MSS holding its traffic in ``custody``.
+The directory abstracts the Mobile-IP-style protocols the paper cites
+([2], [26], [33]) whose details are orthogonal to checkpointing.
 
 Routing does not walk the directory per hop: :meth:`MobileNetwork.fill_route`
 derives a pid's route once into a table that every location update
@@ -22,8 +25,9 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Callable, Dict, ItemsView, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, UnknownHostError
+from repro.errors import ConfigurationError, NetworkError, UnknownHostError
 from repro.net.channel import FifoChannel
+from repro.net.disconnect import BufferRecord
 from repro.net.message import Message, SystemMessage
 from repro.net.mh import MobileHost
 from repro.net.mss import MobileSupportStation
@@ -45,19 +49,18 @@ class MobileNetwork:
         self.mss_list: List[MobileSupportStation] = []
         self.mh_list: List[MobileHost] = []
         self._host_of_pid: Dict[int, Host] = {}
-        self._mss_of_mh: Dict[str, MobileSupportStation] = {}
+        #: MH name -> the record of the MSS holding its traffic while it
+        #: is between cells (a BufferRecord) or disconnected (a
+        #: DisconnectRecord); ``record.holder`` is that MSS
+        self.custody: Dict[str, BufferRecord] = {}
         self._wired: Dict[Tuple[str, str], FifoChannel] = {}
         #: sorted pid tuple, rebuilt lazily after registration changes —
         #: broadcast fan-out must not pay an O(N log N) sort per call
         self._sorted_pids: Optional[Tuple[int, ...]] = None
-        #: which MSS holds the disconnect record of a detached MH; kept
-        #: by disconnect/handoff so routing to a detached MH is O(1)
-        #: instead of a scan over every MSS
-        self._holder_of_mh: Dict[str, MobileSupportStation] = {}
         #: the route table (see fill_route) and the backbone links by
         #: source then destination station; both fill lazily on the
-        #: message path, register_process and the MH location hooks clear
-        #: the table, and neither is pickled
+        #: message path, register_process and location_changed clear the
+        #: table, and neither is pickled
         self._routes: Dict[int, Route] = {}
         self._links_from: Dict[
             MobileSupportStation, Dict[MobileSupportStation, FifoChannel]
@@ -99,11 +102,6 @@ class MobileNetwork:
         except KeyError:
             raise UnknownHostError(f"no host registered for pid {pid}") from None
 
-    def mh_of_process(self, pid: int) -> Optional[MobileHost]:
-        """The MH hosting ``pid``, or None if it runs on an MSS."""
-        host = self._host_of_pid.get(pid)
-        return host if isinstance(host, MobileHost) else None
-
     def mss_serving(self, host: Host) -> MobileSupportStation:
         """The MSS responsible for ``host``: itself if it is an MSS, and
         for a disconnected MH the MSS holding its disconnect record, which
@@ -111,22 +109,28 @@ class MobileNetwork:
         if isinstance(host, MobileSupportStation):
             return host
         assert isinstance(host, MobileHost)
-        mss = self._mss_of_mh.get(host.name)
+        mss = host.mss
         if mss is None and host.disconnected:
-            mss = self._find_disconnect_holder(host)
+            mss = self.custody[host.name].holder
         if mss is None:
             raise UnknownHostError(f"{host.name} has no serving MSS")
         return mss
 
-    def note_mh_location(self, mh: MobileHost, mss: MobileSupportStation) -> None:
-        """Directory update on attach/handoff."""
-        self._mss_of_mh[mh.name] = mss
+    def location_changed(self) -> None:
+        """Directory hook: an MH joined or left a cell."""
         self._routes.clear()
 
-    def forget_mh_location(self, mh: MobileHost) -> None:
-        """Directory removal on disconnect without reattachment."""
-        self._mss_of_mh.pop(mh.name, None)
-        self._routes.clear()
+    def take_custody(self, record: BufferRecord) -> None:
+        """Give ``record.holder`` the custody of the MH that just left its
+        cell (handoff gap or disconnection)."""
+        self.custody[record.mh_name] = record
+
+    def release_custody(self, mh_name: str) -> BufferRecord:
+        """Hand back the custody of a returning MH: its record."""
+        try:
+            return self.custody.pop(mh_name)
+        except KeyError:
+            raise NetworkError(f"no MSS holds the traffic of {mh_name}") from None
 
     # -- wired backbone -----------------------------------------------------------
     def wired_channel(
@@ -184,53 +188,30 @@ class MobileNetwork:
         """Derive ``pid``'s route table entry from the directory.
 
         The entry is the MSS where delivery finishes and the call that
-        finishes it: the downlink's ``send`` for an MH in a cell,
-        ``deliver_to_process`` for a process on an MSS. A disconnected MH
-        has no serving MSS; its traffic is absorbed by the MSS holding
-        its disconnect record, through ``deliver_local``, and that answer
-        is not cached (the record, not the directory, decides it; so the
-        holder hooks leave the table alone).
+        finishes it: ``mh.downlink.send`` for an MH in a cell,
+        ``deliver_to_process`` for a process on an MSS. An MH out of any
+        cell has no downlink; its traffic finishes at the MSS holding its
+        custody, in the record's ``absorb``, and that answer is not cached
+        (the record, not the cell, decides it; so the custody hooks leave
+        the table alone).
         """
         dst_host = self.host_of_process(pid)
-        if isinstance(dst_host, MobileHost) and dst_host.name not in self._mss_of_mh:
-            holder = self._find_disconnect_holder(dst_host)
-            if holder is None:
-                raise UnknownHostError(f"pid {pid} on {dst_host.name} is unreachable")
-            return holder, holder.deliver_local
-        serving = self.mss_serving(dst_host)
-        if serving is dst_host:
-            finish = serving.deliver_to_process
+        if isinstance(dst_host, MobileSupportStation):
+            route = (dst_host, dst_host.deliver_to_process)
+        elif dst_host.mss is not None:
+            route = (dst_host.mss, dst_host.downlink.send)
         else:
-            finish = serving.downlink_to(dst_host.name).send
-        route = self._routes[pid] = (serving, finish)
+            record = self.custody.get(dst_host.name)
+            if record is None:
+                raise UnknownHostError(f"pid {pid} on {dst_host.name} is unreachable")
+            return record.holder, record.absorb
+        self._routes[pid] = route
         return route
 
     def send_from_process(self, src_pid: int, message: Message) -> None:
         """Entry point used by process runtimes to send ``message``."""
         # the miss path raises UnknownHostError
         (self._host_of_pid.get(src_pid) or self.host_of_process(src_pid)).send(message)
-
-    def note_disconnect_holder(self, mh_name: str, mss: MobileSupportStation) -> None:
-        """Index update when ``mss`` takes custody of a detached MH."""
-        self._holder_of_mh[mh_name] = mss
-
-    def forget_disconnect_holder(self, mh_name: str) -> None:
-        """Index removal when the MH reattaches (record handed over)."""
-        self._holder_of_mh.pop(mh_name, None)
-
-    def _find_disconnect_holder(
-        self, mh: MobileHost
-    ) -> Optional[MobileSupportStation]:
-        holder = self._holder_of_mh.get(mh.name)
-        if holder is not None and holder.disconnect_record_for(mh.name) is not None:
-            return holder
-        # Fallback scan (§2.2 broadcast search) covers records written
-        # without going through the index; repair the index on a hit.
-        for mss in self.mss_list:
-            if mss.disconnect_record_for(mh.name) is not None:
-                self._holder_of_mh[mh.name] = mss
-                return mss
-        return None
 
     # -- broadcast ----------------------------------------------------------------------
     def broadcast_system(

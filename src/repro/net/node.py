@@ -52,10 +52,6 @@ class Host:
             )
         handler(message)
 
-    def hosts_process(self, pid: int) -> bool:
-        """Whether ``pid`` currently runs on this host."""
-        return pid in self._process_handlers
-
     def send(self, message: Message) -> None:
         """Route an outbound message from a local process. Overridden."""
         raise NotImplementedError

@@ -29,7 +29,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ScheduleInPastError, SimulationError
+from repro.errors import EventBudgetExceeded, ScheduleInPastError, SimulationError
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import Event
 from repro.sim.trace import TraceLog
@@ -452,7 +452,8 @@ class Simulator:
             even if the queue drained earlier, so periodic measurements
             spanning the full horizon are well defined.
         max_events:
-            Safety valve: raise :class:`SimulationError` if more than this
+            Safety valve: raise :class:`~repro.errors.EventBudgetExceeded`
+            (a :class:`SimulationError`) if more than this
             many events are processed (catches runaway feedback loops in
             protocol code).
         """
@@ -502,7 +503,7 @@ class Simulator:
                 break
             if budget is not None and self._events_processed >= budget:
                 _heappush(queue, entry)
-                raise SimulationError(
+                raise EventBudgetExceeded(
                     f"exceeded max_events={max_events} (runaway simulation?)"
                 )
             self._now = when

@@ -37,6 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "SimulationImage": "state",
     "capture": "state",
     "restore": "state",
+    "open_snapshot": "format",
     "read_meta": "format",
     "read_snapshot": "format",
     "write_snapshot": "format",

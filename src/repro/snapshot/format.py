@@ -12,7 +12,8 @@ unpickling anything. Writes are atomic (a tmp file of the writer's own
 beside the target + ``os.replace``), so neither a crash nor a failed
 write leaves a torn ``.rsnap`` behind or damages the snapshot already at
 that path; readers verify the digest before handing the payload to the
-restore path.
+restore path. Neither the snapshotter nor ``resume_run`` holds a payload
+whole: it is written and read one pickle frame at a time.
 
 Version policy: the u16 is bumped whenever the header schema or payload
 encoding changes incompatibly. Readers refuse newer versions outright
@@ -32,7 +33,7 @@ import os
 import struct
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Any, BinaryIO, Dict, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Tuple, Union
 
 from repro.errors import SnapshotError
 
@@ -43,6 +44,8 @@ _FIXED = struct.Struct(">4sHI")  # magic, version, header length
 
 #: canonical suffix for snapshot files
 SNAPSHOT_SUFFIX = ".rsnap"
+#: a payload as bytes, or as the chunks a streamed capture appended
+Payload = Union[bytes, List[bytes]]
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,22 @@ class SnapshotMeta:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-def write_snapshot(path: str, meta: SnapshotMeta, payload: bytes) -> SnapshotMeta:
-    """Atomically write ``payload`` under ``meta`` to ``path``.
+def write_snapshot(path: str, meta: SnapshotMeta, payload: Payload) -> SnapshotMeta:
+    """Atomically write ``payload`` (bytes, or its chunks) under ``meta`` to ``path``.
 
     The payload digest and length are stamped into the header here (the
     caller's values are overwritten). Returns the stamped meta.
     """
+    chunks = [payload] if isinstance(payload, (bytes, bytearray)) else payload
+    sha256 = hashlib.sha256()
+    for chunk in chunks:
+        sha256.update(chunk)
     stamped = SnapshotMeta.from_dict(
         {
             **meta.to_dict(),
             "format_version": FORMAT_VERSION,
-            "payload_sha256": hashlib.sha256(payload).hexdigest(),
-            "payload_len": len(payload),
+            "payload_sha256": sha256.hexdigest(),
+            "payload_len": sum(map(len, chunks)),
         }
     )
     header = json.dumps(stamped.to_dict(), sort_keys=True).encode("utf-8")
@@ -96,7 +103,7 @@ def write_snapshot(path: str, meta: SnapshotMeta, payload: bytes) -> SnapshotMet
         with open(tmp_path, "wb") as fh:
             fh.write(_FIXED.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
-            fh.write(payload)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)
@@ -140,23 +147,35 @@ def read_meta(path: str) -> SnapshotMeta:
         raise SnapshotError(f"{path}: {exc}") from exc
 
 
-def read_snapshot(path: str) -> Tuple[SnapshotMeta, bytes]:
-    """Read and integrity-check a snapshot; return (meta, payload)."""
+@contextlib.contextmanager
+def open_snapshot(path: str) -> Iterator[Tuple[SnapshotMeta, BinaryIO]]:
+    """Integrity-check a snapshot in place, then yield (meta, the open
+    file at the payload's first byte). An ``OSError`` while the file is
+    open, the caller's reads included, raises ``SnapshotError``."""
     try:
         with open(path, "rb") as fh:
             meta = _read_header(fh, path)
-            payload = fh.read()
+            start, sha256 = fh.tell(), hashlib.sha256()
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                sha256.update(chunk)
+            length, digest = fh.tell() - start, sha256.hexdigest()
+            if length != meta.payload_len:
+                raise SnapshotError(
+                    f"{path}: payload is {length} bytes, header says "
+                    f"{meta.payload_len} (truncated file?)"
+                )
+            if digest != meta.payload_sha256:
+                raise SnapshotError(
+                    f"{path}: payload sha256 mismatch (file corrupted): "
+                    f"{digest} != {meta.payload_sha256}"
+                )
+            fh.seek(start)
+            yield meta, fh
     except OSError as exc:
         raise SnapshotError(f"{path}: {exc}") from exc
-    if len(payload) != meta.payload_len:
-        raise SnapshotError(
-            f"{path}: payload is {len(payload)} bytes, header says "
-            f"{meta.payload_len} (truncated file?)"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != meta.payload_sha256:
-        raise SnapshotError(
-            f"{path}: payload sha256 mismatch (file corrupted): "
-            f"{digest} != {meta.payload_sha256}"
-        )
-    return meta, payload
+
+
+def read_snapshot(path: str) -> Tuple[SnapshotMeta, bytes]:
+    """Read and integrity-check a snapshot; return (meta, payload)."""
+    with open_snapshot(path) as (meta, fh):
+        return meta, fh.read()

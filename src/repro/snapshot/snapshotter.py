@@ -17,8 +17,9 @@ from repro.errors import SnapshotError
 from repro.snapshot.format import (
     SNAPSHOT_SUFFIX,
     SnapshotMeta,
+    open_snapshot,
     read_meta,
-    read_snapshot,
+    read_snapshot,  # noqa: F401 - imported from here by callers
     write_snapshot,
 )
 from repro.snapshot.policy import SnapshotPolicy
@@ -115,7 +116,11 @@ class Snapshotter:
         """
         sim = self.runner.system.sim
         system = self.runner.system
-        payload = capture(self.runner, snapshotter=self)
+        if self.directory is None:
+            payload = capture(self.runner, snapshotter=self)
+        else:  # written frame by frame: no payload-sized buffer
+            payload = []
+            capture(self.runner, snapshotter=self, chunks=payload)
         meta = SnapshotMeta(
             seq=self.seq,
             reason=reason,
@@ -220,5 +225,5 @@ def resume_run(path: str) -> SimulationImage:
     result it returns is byte-identical (trace hash, metrics) to the
     uninterrupted run's.
     """
-    _, payload = read_snapshot(path)
-    return restore(payload)
+    with open_snapshot(path) as (_, fh):
+        return restore(fh)

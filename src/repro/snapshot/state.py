@@ -35,7 +35,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, Dict, List, NamedTuple, Optional, Set, Union
 
 from repro.errors import ProtocolError, SnapshotError
 from repro.sim.gcpause import _paused_collector
@@ -66,8 +67,11 @@ class SimulationImage:
 def capture(
     runner: "ExperimentRunner",
     snapshotter: Optional["Snapshotter"] = None,
-) -> bytes:
-    """Serialize the full simulation state to bytes.
+    chunks: Optional[List[bytes]] = None,
+) -> Optional[bytes]:
+    """Serialize the full simulation state to bytes, or append the same
+    bytes to ``chunks`` one pickle frame (~64 KiB) at a time, never
+    holding them whole, and return ``None``.
 
     Must be called between kernel events (the snapshot hook guarantees
     this; callers doing it by hand must not be inside an event
@@ -77,7 +81,10 @@ def capture(
     image = SimulationImage(runner=runner, snapshotter=snapshotter)
     try:
         with _paused_collector():
-            return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
+            if chunks is None:
+                return pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
+            sink = SimpleNamespace(write=chunks.append)
+            pickle.dump(image, sink, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise SnapshotError(f"simulation state is not picklable: {exc!r}") from exc
 
@@ -164,7 +171,9 @@ class _ImageUnpickler(pickle.Unpickler):
     MR wrappers as the containers they wrapped, a ``Fraction`` weight as
     its dyadic int, the protocol's old ``_noop`` as ``noop``, a deliver
     thunk as a ``partial``, a disconnected host's ``MssProxyEnv`` as a
-    ``RuntimeEnv``. The two
+    ``RuntimeEnv``. (State that moved inside a class that stayed, such
+    as the net layer's location directory, is moved by :func:`restore`.)
+    The two
     numpy names an array is rebuilt from become :class:`_Inert`, and any
     other numpy name is refused."""
 
@@ -195,16 +204,50 @@ class _ImageUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"refusing numpy global {module}.{name}")
 
 
-def restore(payload: bytes) -> SimulationImage:
-    """Rebuild a live simulation from :func:`capture` output.
+def _one_location_directory(network) -> None:
+    """An image written while the net layer kept each location fact twice:
+    each MH's cell also in ``network._mss_of_mh``, its downlink and
+    itself in its MSS's ``_downlinks`` / ``attached_mhs``, and the record
+    of an absent MH in its holder's ``disconnect_records``, indexed by
+    ``network._holder_of_mh``. Each fact moves to its one place: the
+    downlink onto the MH, the records into ``network.custody``."""
+    state = vars(network)
+    if "_mss_of_mh" not in state:
+        return
+    del state["_mss_of_mh"]
+    state.pop("_holder_of_mh", None)
+    network.custody = {}
+    for mss in network.mss_list:
+        old = vars(mss)
+        downlinks = old.pop("_downlinks")
+        for name, mh in old.pop("attached_mhs").items():
+            mh.downlink = downlinks[name]
+        for name, record in old.pop("disconnect_records").items():
+            record.holder = mss
+            network.custody[name] = record
+    channels = list(state["_wired"].values())
+    for mh in network.mh_list:
+        vars(mh).setdefault("downlink", None)
+        channels += (mh.uplink, mh.downlink)
+    for channel in channels:
+        if channel is not None:  # the links lost their pause queue
+            vars(channel).pop("_paused", None)
+            vars(channel).pop("_pending_while_paused", None)
+
+
+def restore(payload: Union[bytes, BinaryIO]) -> SimulationImage:
+    """Rebuild a live simulation from :func:`capture` output: its bytes,
+    or a file open at them (unpickled one frame at a time).
 
     Unpickles the image and re-attaches every dropped live binding:
     per-process message-id fastpaths and the snapshotter's kernel hook
     (so a resumed run keeps snapshotting with its original policy).
     """
+    if isinstance(payload, (bytes, bytearray)):
+        payload = io.BytesIO(payload)
     try:
         with _paused_collector():
-            image = _ImageUnpickler(io.BytesIO(payload)).load()
+            image = _ImageUnpickler(payload).load()
     except ProtocolError:  # a weight no run of the protocol could hold
         raise
     except Exception as exc:
@@ -217,6 +260,7 @@ def restore(payload: bytes) -> SimulationImage:
     if not hasattr(system, "checkpoint_ids"):
         # written while checkpoint ids came from a module global
         system.checkpoint_ids = count(image.checkpoint_ids)
+    _one_location_directory(system.network)
     for process in system.processes.values():
         if "vc" in vars(process):
             # written while processes kept a vector clock and no channel

@@ -9,6 +9,7 @@ from repro.campaign.spec import CampaignSpec, RunPoint
 from repro.campaign.store import ResultStore
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.results import RunResult
+from repro.errors import EventBudgetExceeded, SimulationError
 
 
 def six_point_spec(name="six"):
@@ -70,7 +71,9 @@ def test_execute_point_never_raises():
     record = execute_point(bad.to_dict())
     assert record["status"] == "failed"
     assert "max_events=10" in record["error"]
-    assert "SimulationError" in record["meta"]["traceback"]
+    # the kernel's runaway guard: its budget error, a SimulationError
+    assert "EventBudgetExceeded" in record["meta"]["traceback"]
+    assert issubclass(EventBudgetExceeded, SimulationError)
     assert record["point_hash"] == bad.point_hash
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.campaign import RunPoint, build_point_runtime
 from repro.checkpointing.disconnect_support import disconnect_process
+from repro.checkpointing.recovery import DistributedRecovery
 from repro.checkpointing.types import CheckpointKind
 from repro.core.process import RuntimeEnv
 from repro.obs.forensics import build_forensics
@@ -36,7 +37,8 @@ def build(trace_messages=False):
     settle(system)
     record = disconnect_process(system, ABSENT)
     holder = system.mss_list[1]
-    assert holder.disconnect_record_for(f"mh{ABSENT}") is record
+    assert system.network.custody[f"mh{ABSENT}"] is record
+    assert record.holder is holder
     return system, runner, record, holder
 
 
@@ -54,7 +56,7 @@ def test_an_image_taken_while_disconnected_resumes_and_acts_for_the_host():
     system, runner, _, _ = build()
     image = restore(capture(runner))
     system = image.system
-    record = system.mss_list[1].disconnect_record_for(f"mh{ABSENT}")
+    record = system.network.custody[f"mh{ABSENT}"]
     assert system.protocol.processes[0].initiate()
     settle(system)
     assert record.checkpoint_taken_on_behalf
@@ -78,7 +80,7 @@ def test_an_image_holding_the_old_proxy_env_resumes_with_one_env():
     app = system.processes[ABSENT]
     assert app.protocol_process.env is app.env
     assert type(app.env) is RuntimeEnv
-    record = system.mss_list[1].disconnect_record_for(f"mh{ABSENT}")
+    record = system.network.custody[f"mh{ABSENT}"]
     assert system.protocol.processes[0].initiate()
     settle(system)
     assert record.checkpoint_taken_on_behalf
@@ -124,3 +126,17 @@ def test_control_messages_sent_on_behalf_carry_their_wave():
     assert wave.control_messages.get("reply") == len(
         system.sim.trace.where("sys_send", subkind="reply")
     )
+
+
+def test_a_recovery_round_completes_while_a_host_is_disconnected():
+    """The holder hands a rollback request to the absent process's own
+    entry point, where the recovery handlers are: the process rolls
+    back, its ack leaves from the holder, and the round completes."""
+    system, _, record, _ = build()
+    round_ = DistributedRecovery(system).recover(0)
+    settle(system)
+    assert round_.complete and round_.acked == set(system.processes)
+    absent = system.processes[ABSENT]
+    assert absent.incarnation == round_.incarnation and not absent.blocked
+    assert system.sim.trace.count("rolled_back", pid=ABSENT) == 1
+    assert not record.buffered  # request and resume were both consumed

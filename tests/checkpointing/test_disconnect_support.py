@@ -30,7 +30,7 @@ def test_disconnect_stores_checkpoint_at_mss():
     system = build()
     record = disconnect_process(system, 0)
     mss = system.mss_list[0]
-    assert mss.disconnect_record_for("mh0") is record
+    assert system.network.custody["mh0"] is record and record.holder is mss
     from repro.checkpointing.types import CheckpointKind
 
     stored = mss.stable_storage.checkpoints_of(0)

@@ -364,3 +364,26 @@ def test_snapshots_show_lists_set_members_sorted(tmp_path, capsys):
     rs = [process["r"] for process in state["processes"].values()]
     assert any(len(r) > 1 for r in rs)
     assert all(r == sorted(r) for r in rs)
+
+
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_a_run_stopped_by_its_event_budget_is_one_line_and_exit_2(
+    command, monkeypatch, capsys
+):
+    """The budget ends a run that has not finished with a summary line,
+    not a traceback; any other SimulationError keeps its traceback."""
+    import dataclasses
+
+    import repro.cli as cli
+
+    point_from_args = cli._point_from_args
+    monkeypatch.setattr(
+        cli, "_point_from_args",
+        lambda args, **params: dataclasses.replace(
+            point_from_args(args, **params), max_events=3000),
+    )
+    code = main([command, "--processes", "8", "--rate", "0.05",
+                 "--initiations", "4", "--seed", "11"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "stopped after 3000 events: 3 of 4 initiations committed\n"

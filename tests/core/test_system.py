@@ -27,6 +27,27 @@ def test_round_robin_cell_assignment():
     assert system.mss_for(2) is system.mss_list[0]
 
 
+def test_stable_storage_for_answers_for_known_hosts_only():
+    """A host between cells lands at the first MSS's storage, a
+    disconnected one at its holder's; a pid no host runs is refused, not
+    handed the first MSS's storage."""
+    from repro.checkpointing.disconnect_support import disconnect_process
+    from repro.errors import UnknownHostError
+    from repro.net.mobility import handoff
+
+    system = MobileSystem(
+        SystemConfig(n_processes=4, n_mss=2), MutableCheckpointProtocol()
+    )
+    first, second = system.mss_list
+    assert system.stable_storage_for(1) is second.stable_storage
+    handoff(system.network, system.processes[1].host, first)
+    assert system.stable_storage_for(1) is first.stable_storage  # between cells
+    disconnect_process(system, 3)
+    assert system.stable_storage_for(3) is second.stable_storage
+    with pytest.raises(UnknownHostError):
+        system.stable_storage_for(99)
+
+
 def test_initial_permanent_checkpoints_exist():
     system = MobileSystem(SystemConfig(n_processes=4), MutableCheckpointProtocol())
     for pid in system.processes:

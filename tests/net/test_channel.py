@@ -79,35 +79,6 @@ def test_latency_added():
     assert arrived[0][0] == pytest.approx(0.5002)
 
 
-def test_pause_queues_and_resume_flushes_in_order():
-    sim = Simulator()
-    arrived = []
-    ch = make_channel(sim, arrived)
-    ch.pause()
-    a, b = sysmsg(), sysmsg()
-    ch.send(a)
-    ch.send(b)
-    sim.run_until_idle()
-    assert arrived == []
-    ch.resume()
-    sim.run_until_idle()
-    assert [m.msg_id for _, m in arrived] == [a.msg_id, b.msg_id]
-
-
-def test_drain_pending_removes_queued():
-    sim = Simulator()
-    arrived = []
-    ch = make_channel(sim, arrived)
-    ch.pause()
-    a = sysmsg()
-    ch.send(a)
-    drained = ch.drain_pending()
-    assert [m.msg_id for m in drained] == [a.msg_id]
-    ch.resume()
-    sim.run_until_idle()
-    assert arrived == []
-
-
 def test_counters():
     sim = Simulator()
     arrived = []
@@ -161,9 +132,9 @@ class _RecordingSimulator(Simulator):
 @pytest.mark.parametrize("size", [0, 50, 1_024, 524_288])
 def test_no_delivery_undercuts_min_delay(size, contention, jitter):
     """``min_delay`` is the bound a ``shards > 1`` run reports links
-    against: whatever the size, the link model, a pause or a schedule
-    policy do, a message sent at ``now`` arrives at ``now + min_delay``
-    or later."""
+    against: whatever the size, the link model or a schedule policy
+    do, a message sent at ``now`` arrives at ``now + min_delay`` or
+    later."""
     from repro.explore.policy import PerturbationConfig, RecordingPolicy
 
     policy = (
@@ -179,19 +150,11 @@ def test_no_delivery_undercuts_min_delay(size, contention, jitter):
     def send():
         ch.send(ComputationMessage(src_pid=0, dst_pid=1, size_bytes=size))
 
-    for when in (0.0, 0.0, 0.0001, 0.01):
+    for when in (0.0, 0.0, 0.0001, 0.01, 0.03, 0.04, 0.3):
         sim.schedule_at(when, send)
-    # down at 0.02 with two sends queued behind it, back up at 0.3
-    sim.schedule_at(0.02, ch.pause)
-    sim.schedule_at(0.03, send)
-    sim.schedule_at(0.04, send)
-    sim.schedule_at(0.3, ch.resume)
-    sim.schedule_at(0.3, send)
     sim.run_until_idle()
 
     assert len(sim.deliveries) == 7
-    # the queued pair went out at the resume, not when it was sent
-    assert all(now >= 0.3 for now, _, _ in sim.deliveries[4:])
     for now, handed, fires in sim.deliveries:
         assert handed >= now + ch.min_delay
         assert fires >= handed  # a policy only ever adds delay

@@ -29,7 +29,8 @@ def test_disconnect_creates_record_at_mss():
     sim, net, _ = build()
     mh = net.mh_list[0]
     record = disconnect(net, mh, disconnect_checkpoint={"state": 1})
-    assert net.mss_list[0].disconnect_record_for(mh.name) is record
+    assert net.custody[mh.name] is record
+    assert record.holder is net.mss_list[0]
     assert mh.disconnected
     assert record.disconnect_checkpoint == {"state": 1}
 

@@ -58,12 +58,11 @@ class TestRoutingEdgeCases:
         mh_b.attach_process(1, lambda m: None)
         # b vanishes without a disconnect record (e.g. stolen device)
         mh_b.detach()
-        net.forget_mh_location(mh_b)
         with pytest.raises(UnknownHostError):
             net.send_from_process(0, ComputationMessage(src_pid=0, dst_pid=1))
             sim.run_until_idle()
 
-    def test_mss_deliver_local_rejects_foreign_pid(self):
+    def test_mss_rejects_a_message_for_an_unregistered_pid(self):
         from repro.net.network import MobileNetwork
         from repro.sim.kernel import Simulator
 
@@ -73,4 +72,4 @@ class TestRoutingEdgeCases:
         mh = net.add_mh(mss_b)
         mh.attach_process(0, lambda m: None)
         with pytest.raises(UnknownHostError):
-            mss_a.deliver_local(ComputationMessage(src_pid=9, dst_pid=0))
+            mss_a.on_wired_arrival(ComputationMessage(src_pid=0, dst_pid=9))

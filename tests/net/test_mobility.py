@@ -32,8 +32,8 @@ def test_handoff_moves_cell():
     handoff(net, mh, net.mss_list[1])
     sim.run_until_idle()
     assert mh.mss is net.mss_list[1]
-    assert mh.name in net.mss_list[1].attached_mhs
-    assert mh.name not in net.mss_list[0].attached_mhs
+    assert net.fill_route(0) == (net.mss_list[1], mh.downlink.send)
+    assert mh.name not in net.custody
 
 
 def test_handoff_to_same_cell_is_noop():

@@ -27,10 +27,9 @@ from repro.workload.point_to_point import PointToPointWorkload
 
 DIRECTORY_HOOKS = (
     "register_process",
-    "note_mh_location",
-    "forget_mh_location",
-    "note_disconnect_holder",
-    "forget_disconnect_holder",
+    "location_changed",
+    "take_custody",
+    "release_custody",
 )
 
 
@@ -62,9 +61,10 @@ def audit(net):
 
     def after(name, hook):
         def checked(*args):
-            hook(*args)
+            result = hook(*args)
             changes.append(name)
             assert_table_fresh(net)
+            return result
         return checked
 
     for name in DIRECTORY_HOOKS:
@@ -93,7 +93,7 @@ def test_one_entry_per_destination_and_the_links_it_crossed():
     assert set(net._routes) == {1, 3}
     station, finish = net._routes[3]
     assert station is net.mss_list[1]
-    assert finish == net.mss_list[1].downlink_to(net.mh_list[3].name).send
+    assert finish == net.mh_list[3].downlink.send
     a, b = net.mss_list
     assert net._links_from == {a: {b: net.wired_channel(a, b)}}
     assert dict(net.wired_links()) == {("mss0", "mss1"): net.wired_channel(a, b)}
@@ -113,7 +113,7 @@ def test_handoff_with_messages_in_flight():
     assert sorted(m.msg_id for m in inboxes[0]) == sorted(sent)
     assert [m.msg_id for m in inboxes[0] if m.src_pid == 3] == sent[:3]
     assert net._routes[0][0] is net.mss_list[1]
-    assert "note_mh_location" in changes and "forget_disconnect_holder" in changes
+    assert "location_changed" in changes and "release_custody" in changes
 
 
 def test_disconnect_buffers_then_reconnect_delivers():
@@ -157,11 +157,11 @@ def test_a_bare_reattach_is_routed_to_the_new_cell():
     sim.run_until_idle()
     mh, new_cell = net.mh_list[0], net.mss_list[1]
     mh.detach()
-    mh.attach_to(new_cell)  # note_mh_location clears, nothing else does
+    mh.attach_to(new_cell)  # location_changed clears, nothing else does
     send(net, 3, 0)
     sim.run_until_idle()
     assert len(inboxes[0]) == 2
-    assert net._routes[0] == (new_cell, new_cell.downlink_to(mh.name).send)
+    assert net._routes[0] == (new_cell, mh.downlink.send)
 
 
 def test_seeded_mobility_and_disconnects_never_route_on_a_stale_entry():

@@ -7,10 +7,13 @@ as ``repro.analysis.vector_clock.PackedInts``. Until the deliver thunk a
 mutable process queues became a ``functools.partial`` it was a
 ``repro.core.process._DeliverCall``. Until a disconnected host's MSS
 acted through the process's own env, its protocol process held a
-``repro.checkpointing.disconnect_support.MssProxyEnv``. Snapshots
-written then must keep
-loading (:class:`repro.snapshot.state._ImageUnpickler`). These writers
-emit the opcodes those classes emitted - byte for byte, as
+``repro.checkpointing.disconnect_support.MssProxyEnv``. Until the net
+layer kept each location fact once, the network, its stations, hosts,
+channels and custody records held the doubled directory
+:func:`dumps_doubled_directory` writes. Snapshots written then must keep
+loading (:class:`repro.snapshot.state._ImageUnpickler` and
+:func:`repro.snapshot.state.restore`). These writers emit the opcodes
+those classes emitted - byte for byte, as
 ``test_int_vector_images_are_pinned`` and
 ``test_deliver_call_image_is_pinned`` check - so a test can hand the
 loader every form an old image holds.
@@ -19,6 +22,7 @@ loader every form an old image holds.
 from __future__ import annotations
 
 import contextlib
+import copyreg
 import io
 import pickle
 import struct
@@ -29,6 +33,11 @@ from typing import Dict, Iterable, NamedTuple, Optional
 import repro.analysis.vector_clock as vector_clock
 import repro.checkpointing.disconnect_support as disconnect_support
 import repro.core.process as process_module
+from repro.net.channel import FifoChannel
+from repro.net.disconnect import BufferRecord
+from repro.net.mh import MobileHost
+from repro.net.mss import MobileSupportStation
+from repro.net.network import MobileNetwork
 from repro.snapshot.state import _ImageUnpickler
 
 _STATE = "repro.checkpointing.state"
@@ -145,6 +154,50 @@ def dumps(obj, protocol: int = pickle.HIGHEST_PROTOCOL) -> bytes:
     """``obj`` pickled as it was while the wrappers existed."""
     with _old_names():
         return pickle.dumps(obj, protocol=protocol)
+
+
+class _DoubledDirectoryPickler(pickle.Pickler):
+    """Pickles the net layer's location facts where they were kept twice:
+    each MH's cell also in ``MobileNetwork._mss_of_mh``, its downlink only
+    in its MSS's ``_downlinks`` (beside ``attached_mhs``), each custody
+    record in its holder's ``disconnect_records`` (indexed by
+    ``_holder_of_mh``) and not naming the holder, and every channel with
+    its pause queue fields."""
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if cls is MobileNetwork:
+            state = obj.__getstate__()
+            custody = state.pop("custody")
+            state["_mss_of_mh"] = {mh.name: mh.mss for mh in obj.mh_list if mh.mss}
+            state["_holder_of_mh"] = {name: r.holder for name, r in custody.items()}
+        elif cls is MobileSupportStation:
+            network = obj.network
+            cell = [mh for mh in network.mh_list if mh.mss is obj]
+            state = dict(
+                vars(obj),
+                attached_mhs={mh.name: mh for mh in cell},
+                _downlinks={mh.name: mh.downlink for mh in cell},
+                disconnect_records={
+                    name: r for name, r in network.custody.items() if r.holder is obj
+                },
+            )
+        elif cls is FifoChannel:
+            state = dict(vars(obj), _paused=False, _pending_while_paused=None)
+        elif cls is MobileHost or isinstance(obj, BufferRecord):
+            state = dict(vars(obj))
+            del state["downlink" if cls is MobileHost else "holder"]
+        else:
+            return NotImplemented
+        return copyreg.__newobj__, (cls,), state
+
+
+def dumps_doubled_directory(obj) -> bytes:
+    """``obj`` pickled as it was while the net layer kept each location
+    fact twice."""
+    buffer = io.BytesIO()
+    _DoubledDirectoryPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
 
 
 def loads(data: bytes):

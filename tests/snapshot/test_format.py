@@ -14,6 +14,7 @@ from repro.snapshot import format as snapshot_format
 from repro.snapshot import (
     FORMAT_VERSION,
     SnapshotMeta,
+    open_snapshot,
     read_meta,
     read_snapshot,
     write_snapshot,
@@ -98,6 +99,36 @@ def test_truncated_payload_detected(tmp_path):
         fh.truncate(os.path.getsize(path) - 200)
     with pytest.raises(SnapshotError):
         read_snapshot(path)
+
+
+def test_streamed_payload_round_trip(tmp_path):
+    """A payload written as its chunks is the same file as one written
+    whole, and open_snapshot hands it back from the file."""
+    parts = [b"abc" * 1000, b"", b"xyz" * 5000]
+    streamed, whole = str(tmp_path / "s.rsnap"), str(tmp_path / "w.rsnap")
+    meta = write_snapshot(streamed, _meta(), parts)
+    write_snapshot(whole, _meta(), b"".join(parts))
+    with open(streamed, "rb") as a, open(whole, "rb") as b:
+        assert a.read() == b.read()
+    assert meta.payload_len == sum(map(len, parts))
+    with open_snapshot(streamed) as (read_back, fh):
+        assert read_back == meta
+        assert fh.read() == b"".join(parts)
+
+
+@pytest.mark.parametrize("damage", ["corrupt", "truncate"])
+def test_open_snapshot_refuses_a_damaged_payload_before_yielding(tmp_path, damage):
+    path = str(tmp_path / "a.rsnap")
+    write_snapshot(path, _meta(), b"p" * 3_000_000)  # three check chunks
+    with open(path, "r+b") as fh:
+        if damage == "corrupt":
+            fh.seek(-10, os.SEEK_END)
+            fh.write(b"XXXX")
+        else:
+            fh.truncate(os.path.getsize(path) - 200)
+    with pytest.raises(SnapshotError, match="sha256" if damage == "corrupt" else "truncated"):
+        with open_snapshot(path):
+            pytest.fail("a damaged payload reached the reader")
 
 
 def test_bad_magic_rejected(tmp_path):

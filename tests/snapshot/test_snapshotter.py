@@ -12,8 +12,11 @@ from repro.snapshot import (
     SnapshotPolicy,
     SnapshotStore,
     Snapshotter,
+    capture,
     read_meta,
+    read_snapshot,
     restore,
+    resume_run,
 )
 
 
@@ -124,6 +127,25 @@ def test_manual_take_without_triggers():
     assert image.system.sim.events_processed == (
         runner.system.sim.events_processed
     )
+
+
+def test_directory_snapshot_streams_the_bytes_capture_writes(tmp_path):
+    """A snapshot to disk is pickled frame by frame, never held whole,
+    yet is byte for byte an in-memory capture; resume_run unpickles it
+    from the open file."""
+    system, runner = _build()
+    runner.run(max_events=500_000)
+    snap = Snapshotter(runner, directory=str(tmp_path / "snaps"))
+    whole = capture(runner, snapshotter=snap)
+    chunks = []
+    assert capture(runner, snapshotter=snap, chunks=chunks) is None
+    assert len(chunks) > 1 and max(map(len, chunks)) < len(whole) // 2
+    assert b"".join(chunks) == whole
+    path = snap.take()
+    assert read_snapshot(path)[1] == whole
+    image = resume_run(path)
+    assert image.system.sim.trace.content_hash() == system.sim.trace.content_hash()
+    assert image.system.sim.events_processed == system.sim.events_processed
 
 
 def test_store_lists_and_picks_latest(tmp_path):
