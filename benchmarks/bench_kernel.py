@@ -349,6 +349,66 @@ def _trace_verify_case() -> BenchCase:
     )
 
 
+def _service_hit_case(round_trips: int = 40) -> BenchCase:
+    """All-hit round trips of the §5.1 grid (3 protocols x 4 p2p + 2
+    group rates, 16 processes) through one ``ServiceClient`` against an
+    in-memory ``CampaignService`` on a loopback port: submit, wait,
+    results, the way ``repro-sim submit`` does it. The miss that fills
+    the cache is untimed. "Events" are round trips."""
+
+    def run(burn: Burn = None) -> Tuple[int, float]:
+        import threading
+
+        from repro.campaign.spec import CampaignSpec
+        from repro.service import CampaignService, ServiceClient, make_server
+
+        workloads: List[Dict[str, Any]] = [
+            {"kind": "p2p", "mean_send_interval": 1.0 / rate}
+            for rate in (0.01, 0.02, 0.05, 0.1)
+        ] + [
+            {"kind": "group", "mean_send_interval": 1.0 / rate, "n_groups": 4,
+             "intra_inter_ratio": 1000.0}
+            for rate in (0.02, 0.05)
+        ]
+        spec = CampaignSpec(
+            name="paper16", protocols=["mutable", "koo-toueg", "elnozahy"],
+            workloads=workloads, configs=[{"n_processes": 16}], seed=7,
+            run={"max_initiations": 2},
+        ).to_dict()
+        with CampaignService() as service:
+            server = make_server(service)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            client = ServiceClient("http://%s:%d" % server.server_address[:2])
+
+            def round_trip() -> Dict[str, Any]:
+                job = client.submit(spec=spec)
+                client.wait(job["job_id"], timeout=120)
+                return client.results(job["job_id"])
+
+            try:
+                if round_trip()["executed"] != 18:
+                    raise AssertionError("the filling job was not all-miss")
+                start = time.perf_counter()
+                for _ in range(round_trips):
+                    if burn is not None:
+                        burn()
+                    if round_trip()["cache_hits"] != 18:
+                        raise AssertionError("a resubmission missed the cache")
+                elapsed = time.perf_counter() - start
+            finally:
+                client.close()
+                server.shutdown()
+                server.server_close()
+        return round_trips, elapsed
+
+    return BenchCase(
+        "service_hit_18p", run,
+        "all-hit submit/wait/results round trips of the 18-point §5.1 grid "
+        "through one ServiceClient (round trips/s)",
+    )
+
+
 #: what one ``cold_import_cli`` interpreter runs: time the CLI's import
 _COLD_IMPORT = """
 import time
@@ -585,6 +645,7 @@ def default_cases() -> List[BenchCase]:
         _trace_codec_case(),
         _trace_verify_case(),
         _cold_import_case(),
+        _service_hit_case(),
         _store_case(
             "store_jsonl_10k", "jsonl",
             "10k PointRecord appends (fsync each) + 10k hash lookups "

@@ -78,9 +78,10 @@ class EnergyModel:
         """Energy breakdown for ``pid``'s mobile host."""
         process = self.system.processes[pid]
         mh = process.host
-        uplink_bytes = mh.uplink.bytes_sent if getattr(mh, "uplink", None) else 0
-        downlink = getattr(mh, "downlink", None)
-        rx_bytes = downlink.bytes_sent if downlink is not None else 0
+        # every link a mobile host used: the cells it left, then its live pair
+        uplink, downlink = getattr(mh, "uplink", None), getattr(mh, "downlink", None)
+        uplink_bytes = getattr(mh, "left_tx_bytes", 0) + (uplink.bytes_sent if uplink else 0)
+        rx_bytes = getattr(mh, "left_rx_bytes", 0) + (downlink.bytes_sent if downlink else 0)
         now = self.system.sim.now
         doze_time = getattr(mh, "doze_time", 0.0)
         if getattr(mh, "dozing", False):

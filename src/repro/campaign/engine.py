@@ -235,6 +235,11 @@ class CampaignReport:
         """Rehydrated results of the successful points, in grid order."""
         return [r.run_result() for r in self.records if r.ok]
 
+    def _stored(self, section: str) -> List[Dict[str, Any]]:
+        """One section of every successful point's stored result, in grid
+        order, read without rehydrating (:meth:`rows` is what rehydrates)."""
+        return [r.result.get(section) or {} for r in self.records if r.ok]
+
     def merged_metrics(self) -> MetricsRegistry:
         """Campaign-level aggregate of every successful point's metrics.
 
@@ -243,9 +248,7 @@ class CampaignReport:
         aggregate independent of the worker count (``workers=N`` folds
         to the same registry as ``workers=1``).
         """
-        return MetricsRegistry.merged(
-            result.metrics for result in self.results() if result.metrics
-        )
+        return MetricsRegistry.merged(m for m in self._stored("metrics") if m)
 
     def merged_timeseries(self) -> Dict[str, Any]:
         """Campaign-level windowed telemetry, merged in grid order.
@@ -257,7 +260,7 @@ class CampaignReport:
         """
         from repro.obs.timeseries import merge_timeseries
 
-        return merge_timeseries(result.timeseries for result in self.results())
+        return merge_timeseries(self._stored("timeseries"))
 
     def rows(self) -> List[Dict[str, Any]]:
         """One flat dict per point: identity + the paper's metrics."""

@@ -853,11 +853,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.service import ServiceClient
+
+    with ServiceClient(args.url) as client:
+        return _submit_and_wait(client, args)
+
+
+def _submit_and_wait(client: Any, args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import ServiceClient, ServiceError
+    from repro.service import ServiceError
 
-    client = ServiceClient(args.url)
     try:
         if args.spec:
             with open(args.spec, encoding="utf-8") as fh:

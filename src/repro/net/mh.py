@@ -32,6 +32,12 @@ class MobileHost(Host):
     three are ``None`` while it hands off or is disconnected.
     """
 
+    #: bytes sent on the uplinks / downlinks of cells this host has left
+    #: (per-cell channels are dropped at :meth:`detach`); class defaults,
+    #: so images from before these totals load as 0
+    left_tx_bytes = 0
+    left_rx_bytes = 0
+
     def __init__(self, network: "MobileNetwork", name: str) -> None:
         super().__init__(network, name)
         self.mss: Optional["MobileSupportStation"] = None
@@ -92,6 +98,8 @@ class MobileHost(Host):
         """Leave the current cell; messages already on the air still arrive."""
         if self.mss is None:
             raise NotConnectedError(f"{self.name} is not attached to any MSS")
+        self.left_tx_bytes += self.uplink.bytes_sent
+        self.left_rx_bytes += self.downlink.bytes_sent
         self.mss = self.uplink = self.downlink = None
         self.network.location_changed()
 

@@ -10,14 +10,14 @@ client's grid can be served to any other grid containing the same cell,
 forever, with no coherence protocol. (See DESIGN.md "Cache-key
 semantics" for what is deliberately *outside* the key.)
 
-:class:`ResultCache` is that policy over any record store (JSONL
-:class:`~repro.campaign.store.ResultStore` or SQLite
-:class:`~repro.service.db.ResultDB`): :meth:`partition` splits a
+:class:`ResultCache` is that policy over the service's
+:class:`~repro.service.db.ResultDB`: :meth:`partition` splits a
 submitted grid into hits (served immediately from the store) and misses
 (to be queued), and counts both in a service-level
 :class:`~repro.obs.registry.MetricsRegistry`. Only successful records
 are hits — a failed record means the compute never happened, so the
-point must re-run.
+point must re-run. A partition asks the database once, for the whole
+grid, and decodes no record.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.spec import RunPoint
 from repro.obs.registry import MetricsRegistry
+from repro.service.db import ResultDB
 
 
 @dataclass
@@ -41,10 +42,10 @@ class CachePartition:
 
 
 class ResultCache:
-    """Cache-hit policy + metrics over a point-record store."""
+    """Cache-hit policy + metrics over the service's result database."""
 
     def __init__(
-        self, store, metrics: Optional[MetricsRegistry] = None
+        self, store: ResultDB, metrics: Optional[MetricsRegistry] = None
     ) -> None:
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -61,12 +62,13 @@ class ResultCache:
         """
         part = CachePartition()
         seen = set()
-        for point in points:
-            if point.point_hash in seen:
+        hashes = [point.point_hash for point in points]
+        ok = self.store.ok_records(hashes, decode=False)
+        for point, point_hash in zip(points, hashes):
+            if point_hash in seen:
                 continue
-            seen.add(point.point_hash)
-            record = self.store.get(point.point_hash)
-            if record is not None and record.ok:
+            seen.add(point_hash)
+            if point_hash in ok:
                 part.hits.append(point)
                 self._hits.inc()
             else:

@@ -1,29 +1,41 @@
-"""A small client for the campaign service (stdlib ``urllib`` only).
+"""A small client for the campaign service (stdlib ``http.client`` only).
 
 ``repro-sim submit`` is built on this; it is also the programmatic way
 to drive a remote service::
 
     from repro.service import ServiceClient
 
-    client = ServiceClient("http://127.0.0.1:8765")
-    job = client.submit(preset="smoke")
-    done = client.wait(job["job_id"])
-    results = client.results(job["job_id"])
+    with ServiceClient("http://127.0.0.1:8765") as client:
+        job = client.submit(preset="smoke")
+        done = client.wait(job["job_id"])
+        results = client.results(job["job_id"])
+
+A client keeps one HTTP/1.1 connection open across its calls and sends
+one request at a time on it, so use one client per thread.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional
+from urllib.parse import urlsplit
 
 from repro.errors import ReproError
 
+#: longest single ``/status?wait=`` the client asks for (the server caps it too)
+LONG_POLL_SECONDS = 30.0
+
 
 class ServiceError(ReproError):
-    """An HTTP-level or service-level failure, with the server's message."""
+    """An HTTP-level or service-level failure, with the server's message;
+    ``code`` is the HTTP status of a refusal (None: no response)."""
+
+    def __init__(self, message: str, code: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class ServiceClient:
@@ -32,41 +44,67 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        address = urlsplit(self.base_url)
+        self._prefix = address.path  # a service mounted under a path
+        self._conn = http.client.HTTPConnection(address.netloc, timeout=timeout)
+
+    def close(self) -> None:
+        """Close the kept-alive connection (the next call reopens one)."""
+        self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # -- plumbing --------------------------------------------------------
-    def _request(
-        self, path: str, body: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
-        url = f"{self.base_url}{path}"
-        data = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                message = json.loads(exc.read().decode("utf-8"))["error"]
-            except Exception:  # noqa: BLE001 - fall back to the status line
-                message = str(exc)
-            raise ServiceError(f"{url}: {message}") from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(f"cannot reach {url}: {exc.reason}") from exc
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes] = None, wait: float = 0.0
+    ) -> bytes:
+        """One request on the kept-alive connection; the response body.
 
-    def _request_text(self, path: str) -> str:
-        """GET a non-JSON endpoint (the Prometheus exposition) as text."""
-        url = f"{self.base_url}{path}"
-        request = urllib.request.Request(url)
+        Only a request that never left goes out again: once, when the
+        reused connection turns out closed before it was sent. A lost
+        response is a :class:`ServiceError`, never a second POST.
+        """
+        conn, url = self._conn, f"{self.base_url}{path}"
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.timeout = self.timeout + wait
+        for retry in (True, False):
+            reused = conn.sock is not None
+            if reused and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()  # readable while idle: the server closed it
+                reused = False
+            try:
+                if conn.sock is not None:
+                    conn.sock.settimeout(conn.timeout)
+                conn.request(method, self._prefix + path, body, headers)
+                break
+            except OSError as exc:
+                conn.close()
+                if not (retry and reused):
+                    raise ServiceError(f"cannot reach {url}: {exc}") from exc
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(f"{url}: {exc}") from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(f"cannot reach {url}: {exc.reason}") from exc
+            response = conn.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise ServiceError(f"{url}: no response ({exc!r})") from exc
+        if response.status >= 400:
+            try:
+                message = json.loads(payload.decode("utf-8"))["error"]
+            except Exception:  # noqa: BLE001 - fall back to the status line
+                message = f"HTTP {response.status} {response.reason}"
+            raise ServiceError(f"{url}: {message}", code=response.status)
+        return payload
+
+    def _request(
+        self, path: str, body: Optional[Dict[str, Any]] = None, wait: float = 0.0
+    ) -> Dict[str, Any]:
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        method = "GET" if body is None else "POST"
+        return json.loads(self._exchange(method, path, data, wait).decode("utf-8"))
 
     # -- endpoints -------------------------------------------------------
     def submit(
@@ -104,7 +142,7 @@ class ServiceClient:
 
     def metrics_prom(self) -> str:
         """The raw Prometheus text exposition (``GET /metrics.prom``)."""
-        return self._request_text("/metrics.prom")
+        return self._exchange("GET", "/metrics.prom").decode("utf-8")
 
     def timeseries(self, job_id: str) -> Dict[str, Any]:
         """The job's merged windowed telemetry (live for running jobs)."""
@@ -126,7 +164,14 @@ class ServiceClient:
         poll_seconds: float = 0.5,
         tolerate_outages: bool = False,
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns it.
+        """Block until the job reaches a terminal state; returns it.
+
+        The wait is a chain of long-polls (``GET /status/<job>?wait=S``):
+        the server answers the moment the job ends, so nothing is polled
+        while the job runs. ``timeout`` bounds the whole wait and each
+        long-poll within it, and raises :class:`TimeoutError` when it
+        runs out. ``poll_seconds`` is the pause before the next attempt
+        after a failed one.
 
         With ``tolerate_outages`` the wait survives a service restart
         (connection errors are retried until ``timeout``) — the client
@@ -135,13 +180,16 @@ class ServiceClient:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            left = LONG_POLL_SECONDS if deadline is None else max(
+                0.0, deadline - time.monotonic())
             try:
-                status = self.status(job_id)
+                wait = min(LONG_POLL_SECONDS, left)
+                status = self._request(f"/status/{job_id}?wait={wait:.3f}", wait=wait)
                 if status["status"] in ("done", "failed", "cancelled"):
                     return status
             except ServiceError:
                 if not tolerate_outages:
                     raise
+                time.sleep(min(poll_seconds, left))
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(f"{job_id} not finished after {timeout}s")
-            time.sleep(poll_seconds)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from typing import Any, Dict, Iterator, Optional, Set
+from typing import Any, Dict, Iterable, Iterator, Optional, Set
 
 from repro.campaign.store import PointRecord, ResultStore, load_jsonl
 
@@ -129,6 +129,21 @@ class ResultDB:
             blobs = [row[0] for row in cur.fetchall()]
         for blob in blobs:
             yield PointRecord.from_dict(json.loads(blob))
+
+    def ok_records(
+        self, hashes: Iterable[str], decode: bool = True
+    ) -> Dict[str, Optional[PointRecord]]:
+        """The successful records among ``hashes``, by hash, in one query.
+        With ``decode=False`` the values are None and no JSON is read."""
+        # "+status": look each hash up by its primary key, never scan the
+        # status index; rows are decoded one at a time as they are read
+        with self._lock:
+            rows = self._conn.execute(
+                f"SELECT point_hash, {'record' if decode else 'NULL'} FROM points "
+                "WHERE +status = 'ok' AND point_hash IN (SELECT value FROM json_each(?))",
+                (json.dumps(list(hashes)),),
+            )
+            return {h: blob and PointRecord.from_dict(json.loads(blob)) for h, blob in rows}
 
     def completed_hashes(self) -> Set[str]:
         """Hashes with a successful result (what resume/cache skips)."""

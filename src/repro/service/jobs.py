@@ -34,7 +34,7 @@ import sqlite3
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.campaign.engine import CampaignEngine, CampaignReport
 from repro.campaign.progress import ProgressReporter
@@ -155,6 +155,8 @@ class JobManager:
         self._seq = 0
         self._lock = threading.RLock()
         self._wake = threading.Event()
+        # notified when a job ends and at shutdown: what long-polls wait on
+        self._changed = threading.Condition()
         self._stopping = False
         self._thread: Optional[threading.Thread] = None
         self._pool = None
@@ -199,6 +201,7 @@ class JobManager:
         """Stop after the current point; queued jobs stay persisted."""
         self._stopping = True
         self._wake.set()
+        self.wake()
         if self._thread is not None and wait:
             self._thread.join(timeout=timeout)
         if self._pool is not None:
@@ -353,6 +356,18 @@ class JobManager:
             raise TimeoutError(f"{job_id} still {job.status} after {timeout}s")
         return job
 
+    def await_job(self, job: Job, timeout: float, closing: Callable[[], bool]) -> bool:
+        """Block until ``job`` ends or ``timeout`` runs out; False when a
+        shutdown or ``closing()`` (checked at each :meth:`wake`) cut it short."""
+        stopped = lambda: self._stopping or closing()  # noqa: E731
+        with self._changed:
+            self._changed.wait_for(lambda: job.finished or stopped(), timeout)
+        return job.finished or not stopped()
+
+    def wake(self) -> None:
+        with self._changed:
+            self._changed.notify_all()
+
     def job_list(self) -> List[Job]:
         """Every known job, oldest first."""
         return [self.jobs[job_id] for job_id in self._order]
@@ -368,9 +383,11 @@ class JobManager:
         """
         job = self.jobs[job_id]
         report = CampaignReport(name=job.name, cancelled=job.status == CANCELLED)
-        for point in job.points:
-            record = self.db.get(point.point_hash)
-            if record is not None and record.ok:
+        hashes = [point.point_hash for point in job.points]
+        records = self.db.ok_records(hashes)
+        for point, point_hash in zip(job.points, hashes):
+            record = records.get(point_hash)
+            if record is not None:
                 report.points.append(point)
                 report.records.append(record)
         report.executed = job.executed
@@ -449,6 +466,7 @@ class JobManager:
         self._update_status(job)
         self.metrics.counter(f"service.jobs.{status}").inc()
         job.done_event.set()
+        self.wake()
 
 
 class CampaignService:

@@ -9,7 +9,10 @@ thread executes jobs. Endpoints:
                           {...}}`` or ``{"points": [...]}``); returns the job
                           document with its cache partition counts
 ``GET  /jobs``            every job, oldest first
-``GET  /status/<job>``    one job: state, done/total, ETA, progress tail
+``GET  /status/<job>``    one job: state, done/total, ETA, progress tail;
+                          ``?wait=S`` holds the answer until the job ends,
+                          ``S`` seconds pass (capped at ``MAX_WAIT_SECONDS``)
+                          or the service shuts down (then 503)
 ``GET  /results/<job>``   rows + merged metrics snapshot (grid order,
                           deterministic)
 ``POST /cancel/<job>``    cancel a queued or running job
@@ -27,18 +30,25 @@ thread executes jobs. Endpoints:
                           activity sparklines)
 ========================  =====================================================
 
-All request/response bodies are JSON except the dashboard. Responses
-are canonically ordered (sorted keys), so resubmitting an identical
-grid returns byte-identical ``/results`` documents — the property CI's
-serve-smoke job asserts with ``cmp``.
+All request/response bodies are JSON except the dashboard. Connections
+are kept alive, a request runs on a thread of its own, and
+``server_close`` ends every connection and long-poll, so no thread
+outlives the server. Responses are canonically ordered
+(sorted keys), so resubmitting an identical grid returns byte-identical
+``/results`` documents — the property CI's serve-smoke job asserts with
+``cmp``.
 """
 
 from __future__ import annotations
 
 import html
 import json
+import selectors
+import socket
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.campaign.spec import CampaignSpec, preset_spec
 from repro.errors import ReproError
@@ -46,6 +56,12 @@ from repro.service.jobs import CampaignService
 
 #: largest request body accepted (a 10k-point grid is ~5 MB of JSON)
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: longest ``GET /status/<job>?wait=`` the server holds a request
+MAX_WAIT_SECONDS = 30.0
+#: how long a request's thread waits for the connection's next request
+#: (a round trip's submit, wait and results come back to back) before it
+#: hands the connection to the idle selector and ends
+LINGER_SECONDS = 0.002
 
 
 def _json_bytes(document: Any) -> bytes:
@@ -59,10 +75,34 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-sim-serve/1"
     protocol_version = "HTTP/1.1"
+    # A kept-alive exchange must not wait out the peer's delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> CampaignService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def handle(self) -> None:
+        """Serve requests while the client sends them back to back; a
+        connection kept alive then waits in the server's idle selector."""
+        self.close_connection = True
+        self.handle_one_request()
+        while not self.close_connection and self._next_request():
+            self.handle_one_request()
+        if not self.close_connection:
+            self.server._keep[self.connection] = self.client_address
+
+    def _next_request(self) -> bool:
+        """Whether a next request is buffered or arrives within
+        :data:`LINGER_SECONDS`. A timed-out ``rfile`` reads no more, so
+        the connection then goes on with a new handler."""
+        self.connection.settimeout(LINGER_SECONDS)
+        try:
+            return bool(self.rfile.peek(1))
+        except OSError:
+            return False
+        finally:
+            self.connection.settimeout(self.timeout)
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):
@@ -73,6 +113,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -109,7 +151,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         return document
 
     def _split(self) -> Tuple[str, Optional[str], Optional[str]]:
-        parts = self.path.rstrip("/").split("/")
+        parts = urlsplit(self.path).path.rstrip("/").split("/")
         # "/jobs/job-000001/timeseries" -> ("jobs", "job-000001", "timeseries")
         head = parts[1] if len(parts) > 1 else ""
         tail = parts[2] if len(parts) > 2 else None
@@ -140,15 +182,29 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 {"jobs": [j.to_dict() for j in self.service.manager.job_list()]}
             )
         elif head == "status" and tail:
-            job = self.service.manager.jobs.get(tail)
-            if job is None:
-                self._error(404, f"unknown job {tail!r}")
-            else:
-                self._send_json(job.to_dict())
+            self._status(tail)
         elif head == "results" and tail:
             self._results(tail)
         else:
             self._error(404, f"no such endpoint: {self.path}")
+
+    def _status(self, job_id: str) -> None:
+        manager = self.service.manager
+        job = manager.jobs.get(job_id)
+        query = parse_qs(urlsplit(self.path).query, keep_blank_values=True)
+        wait = query.get("wait", ["0"])[-1]
+        try:
+            seconds = min(float(wait), MAX_WAIT_SECONDS)
+        except ValueError:
+            seconds = -1.0
+        if job is None:
+            self._error(404, f"unknown job {job_id!r}")
+        elif not seconds >= 0.0:  # refuses nan too
+            self._error(400, f"bad wait {wait!r}: need seconds >= 0")
+        elif seconds and not manager.await_job(job, seconds, lambda: self.server.closing):
+            self._error(503, "service shutting down")
+        else:
+            self._send_json(job.to_dict())
 
     def _results(self, job_id: str) -> None:
         manager = self.service.manager
@@ -274,14 +330,80 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         return page.encode("utf-8")
 
 
+class CampaignHTTPServer(ThreadingHTTPServer):
+    """A thread per request, not per connection: between requests a
+    kept-alive connection waits in one selector that one watcher thread
+    serves, so an idle connection holds no thread. :meth:`server_close`
+    ends every connection and long-poll and joins every thread."""
+
+    daemon_threads = True
+    verbose = False
+
+    def __init__(self, address: Tuple[str, int], service: CampaignService) -> None:
+        super().__init__(address, CampaignRequestHandler)
+        self.service = service
+        self.closing = False
+        self._open: Set[socket.socket] = set()  # add/discard/copy are atomic
+        self._keep: Dict[socket.socket, Any] = {}  # to park: its client address
+        self._idle = selectors.DefaultSelector()
+        self._bell, self._rung = socket.socketpair()
+        self._idle.register(self._rung, selectors.EVENT_READ)
+        self._watcher = threading.Thread(
+            target=self._watch, name="idle-connections", daemon=True
+        )
+        self._watcher.start()
+
+    def process_request(self, request, client_address) -> None:
+        self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        address = self._keep.pop(request, None)
+        if address is not None and not self.closing:
+            self._idle.register(request, selectors.EVENT_READ, address)
+            self._bell.send(b"\0")  # the watcher selects again, with it
+            return
+        self._open.discard(request)
+        super().shutdown_request(request)
+
+    def _watch(self) -> None:
+        while not self.closing:
+            for key, _ in self._idle.select():
+                if key.fileobj is self._rung:
+                    self._rung.recv(4096)
+                elif not self.closing:  # the next request: a new thread
+                    self._idle.unregister(key.fileobj)
+                    ThreadingHTTPServer.process_request(self, key.fileobj, key.data)
+
+    def server_close(self) -> None:
+        """Answer open long-polls 503, end idle connections (a reader
+        blocked on a request sees end of file, a response being written
+        still goes out), then join every thread."""
+        if self.closing:
+            return
+        self.closing = True
+        self.service.manager.wake()
+        self._bell.send(b"\0")
+        self._watcher.join()
+        for request in list(self._open):
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        super().server_close()
+        self._idle.unregister(self._rung)
+        for key in list(self._idle.get_map().values()):
+            self.shutdown_request(key.fileobj)
+        self._idle.close()
+        self._bell.close()
+        self._rung.close()
+
+
 def make_server(
     service: CampaignService, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
+) -> CampaignHTTPServer:
     """Bind a server to the service; ``port=0`` picks a free port."""
-    server = ThreadingHTTPServer((host, port), CampaignRequestHandler)
-    server.service = service  # type: ignore[attr-defined]
-    server.daemon_threads = True
-    return server
+    return CampaignHTTPServer((host, port), service)
 
 
 def serve(
@@ -298,7 +420,7 @@ def serve(
             count = service.import_jsonl(path)
             print(f"imported {count} records from {path}")
         server = make_server(service, host=host, port=port)
-        server.verbose = verbose  # type: ignore[attr-defined]
+        server.verbose = verbose
         bound = server.server_address
         print(f"campaign service on http://{bound[0]}:{bound[1]}/ "
               f"(data: {data_dir or 'in-memory'}, {workers} worker(s))")

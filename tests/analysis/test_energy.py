@@ -5,14 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.energy import DozeManager, EnergyModel, EnergyParams
+from repro.campaign import RunPoint, build_point_runtime
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import PointToPointWorkloadConfig, SystemConfig
 from repro.core.system import MobileSystem
+from repro.net.mobility import handoff
+from repro.snapshot.state import SimulationImage, restore
 from repro.workload.point_to_point import PointToPointWorkload
+from tests.snapshot import _old_images as old
 
 
-def build(n=4, seed=3):
-    return MobileSystem(SystemConfig(n_processes=n, seed=seed), MutableCheckpointProtocol())
+def build(n=4, seed=3, n_mss=1):
+    return MobileSystem(
+        SystemConfig(n_processes=n, seed=seed, n_mss=n_mss), MutableCheckpointProtocol()
+    )
 
 
 def test_tx_rx_bytes_counted():
@@ -107,3 +113,55 @@ def test_energy_params_configurable():
     expensive = EnergyModel(system, EnergyParams(tx_uj_per_byte=100.0))
     cheap = EnergyModel(system, EnergyParams(tx_uj_per_byte=0.1))
     assert expensive.host_report(0).tx_mj > cheap.host_report(0).tx_mj
+
+
+def _exchange(system, rounds=5):
+    for _ in range(rounds):
+        system.processes[0].send_computation(1)
+        system.processes[1].send_computation(0)
+    system.sim.run_until_idle()
+
+
+def test_handoffs_keep_a_hosts_radio_bytes():
+    """Every attach builds fresh wireless channels; the bytes sent on the
+    ones a host left stay in its report (2 cells, 4 processes, seed 5)."""
+    system = build(n=4, seed=5, n_mss=2)
+    mh = system.processes[0].host
+    model = EnergyModel(system)
+    links, readings = [], []
+    for target in (1, 0, None):
+        _exchange(system)
+        report = model.host_report(0)
+        readings.append((report.tx_bytes, report.rx_bytes))
+        links.append((mh.uplink, mh.downlink))
+        if target is not None:
+            handoff(system.network, mh, system.mss_list[target])
+            report = model.host_report(0)
+            readings.append((report.tx_bytes, report.rx_bytes))
+            system.sim.run_until_idle()
+    assert len({id(up) for up, _ in links}) == 3
+    for earlier, later in zip(readings, readings[1:]):
+        assert earlier[0] <= later[0] and earlier[1] <= later[1]
+    assert readings[0] == (5 * 1024, 5 * 1024)
+    assert readings[-1] == (
+        sum(up.bytes_sent for up, _ in links),
+        sum(down.bytes_sent for _, down in links),
+    )
+    assert readings[-1] == (15 * 1024, 15 * 1024)
+
+
+def test_an_image_without_link_totals_reads_them_as_zero():
+    system, _, runner = build_point_runtime(RunPoint(
+        protocol="mutable", system_params={"n_processes": 4, "n_mss": 2}, seed=5,
+    ))
+    _exchange(system)
+    handoff(system.network, system.processes[0].host, system.mss_list[1])
+    system.sim.run_until_idle()
+    assert EnergyModel(system).host_report(0).tx_bytes == 5 * 1024
+
+    image = restore(old.dumps_without_link_totals(SimulationImage(runner)))
+    mh = image.system.processes[0].host
+    assert "left_tx_bytes" not in vars(mh) and mh.left_tx_bytes == 0
+    assert EnergyModel(image.system).host_report(0).tx_bytes == 0
+    _exchange(image.system, rounds=1)
+    assert EnergyModel(image.system).host_report(0).tx_bytes == 1024

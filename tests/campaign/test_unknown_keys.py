@@ -78,7 +78,7 @@ def test_submit_is_400_naming_the_key(executed, override, key):
             client = ServiceClient(f"http://{host}:{port}", timeout=30.0)
             with pytest.raises(ServiceError, match=f"ConfigurationError: .*{key}") as refused:
                 client.submit(spec=_spec(override))
-            assert refused.value.__cause__.code == 400
+            assert refused.value.code == 400
             assert client.jobs() == []
         finally:
             server.shutdown()

@@ -10,7 +10,9 @@ acted through the process's own env, its protocol process held a
 ``repro.checkpointing.disconnect_support.MssProxyEnv``. Until the net
 layer kept each location fact once, the network, its stations, hosts,
 channels and custody records held the doubled directory
-:func:`dumps_doubled_directory` writes. Snapshots written then must keep
+:func:`dumps_doubled_directory` writes. Until a mobile host kept the
+bytes of the cells it left, it had no ``left_tx_bytes`` /
+``left_rx_bytes`` (:func:`dumps_without_link_totals`). Snapshots written then must keep
 loading (:class:`repro.snapshot.state._ImageUnpickler` and
 :func:`repro.snapshot.state.restore`). These writers emit the opcodes
 those classes emitted - byte for byte, as
@@ -185,11 +187,34 @@ class _DoubledDirectoryPickler(pickle.Pickler):
         elif cls is FifoChannel:
             state = dict(vars(obj), _paused=False, _pending_while_paused=None)
         elif cls is MobileHost or isinstance(obj, BufferRecord):
-            state = dict(vars(obj))
+            state = _without_link_totals(obj)
             del state["downlink" if cls is MobileHost else "holder"]
         else:
             return NotImplemented
         return copyreg.__newobj__, (cls,), state
+
+
+def _without_link_totals(obj) -> dict:
+    state = dict(vars(obj))
+    state.pop("left_tx_bytes", None)
+    state.pop("left_rx_bytes", None)
+    return state
+
+
+class _NoLinkTotalsPickler(pickle.Pickler):
+    """Pickles each mobile host without the byte totals of cells it left."""
+
+    def reducer_override(self, obj):
+        if type(obj) is MobileHost:
+            return copyreg.__newobj__, (MobileHost,), _without_link_totals(obj)
+        return NotImplemented
+
+
+def dumps_without_link_totals(obj) -> bytes:
+    """``obj`` pickled as it was before hosts kept their left cells' bytes."""
+    buffer = io.BytesIO()
+    _NoLinkTotalsPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
 
 
 def dumps_doubled_directory(obj) -> bytes:
