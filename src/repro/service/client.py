@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import http.client
 import json
-import select
+import socket
 import time
 from typing import Any, Dict, List, Optional
 from urllib.parse import urlsplit
@@ -36,6 +36,20 @@ class ServiceError(ReproError):
     def __init__(self, message: str, code: Optional[int] = None) -> None:
         super().__init__(message)
         self.code = code
+
+
+def _closed_while_idle(sock: socket.socket) -> bool:
+    """Whether the server closed an idle kept-alive connection: a
+    non-blocking peek reads its end of file (or anything unasked for)
+    instead of finding nothing to read."""
+    sock.setblocking(False)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        pass
+    return True
 
 
 class ServiceClient:
@@ -73,8 +87,8 @@ class ServiceClient:
         conn.timeout = self.timeout + wait
         for retry in (True, False):
             reused = conn.sock is not None
-            if reused and select.select([conn.sock], [], [], 0)[0]:
-                conn.close()  # readable while idle: the server closed it
+            if reused and _closed_while_idle(conn.sock):
+                conn.close()
                 reused = False
             try:
                 if conn.sock is not None:

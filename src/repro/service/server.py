@@ -45,7 +45,6 @@ import html
 import json
 import selectors
 import socket
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -58,10 +57,6 @@ from repro.service.jobs import CampaignService
 MAX_BODY_BYTES = 16 * 1024 * 1024
 #: longest ``GET /status/<job>?wait=`` the server holds a request
 MAX_WAIT_SECONDS = 30.0
-#: how long a request's thread waits for the connection's next request
-#: (a round trip's submit, wait and results come back to back) before it
-#: hands the connection to the idle selector and ends
-LINGER_SECONDS = 0.002
 
 
 def _json_bytes(document: Any) -> bytes:
@@ -83,20 +78,21 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def handle(self) -> None:
-        """Serve requests while the client sends them back to back; a
-        connection kept alive then waits in the server's idle selector."""
+        """Serve the requests already read ahead into ``rfile`` (it ends
+        with this handler); a connection kept alive then waits for its
+        next request in the server's selector."""
         self.close_connection = True
         self.handle_one_request()
-        while not self.close_connection and self._next_request():
+        while not self.close_connection and self._read_ahead():
             self.handle_one_request()
         if not self.close_connection:
             self.server._keep[self.connection] = self.client_address
 
-    def _next_request(self) -> bool:
-        """Whether a next request is buffered or arrives within
-        :data:`LINGER_SECONDS`. A timed-out ``rfile`` reads no more, so
-        the connection then goes on with a new handler."""
-        self.connection.settimeout(LINGER_SECONDS)
+    def _read_ahead(self) -> bool:
+        """Whether a next request is buffered or on the socket, without
+        waiting: a non-blocking peek finds nothing and leaves ``rfile``
+        usable."""
+        self.connection.setblocking(False)
         try:
             return bool(self.rfile.peek(1))
         except OSError:
@@ -233,9 +229,14 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     # -- POST ------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        # Every body is read before the answer: an unread one would be
+        # parsed as this connection's next request.
+        body = self._read_body()
+        if body is None:
+            return
         head, tail, _ = self._split()
         if head == "submit":
-            self._submit()
+            self._submit(body)
         elif head == "cancel" and tail:
             if self.service.manager.cancel(tail):
                 self._send_json({"job_id": tail, "cancelled": True})
@@ -246,10 +247,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         else:
             self._error(404, f"no such endpoint: {self.path}")
 
-    def _submit(self) -> None:
-        body = self._read_body()
-        if body is None:
-            return
+    def _submit(self, body: Dict[str, Any]) -> None:
         try:
             if "preset" in body:
                 grid: Any = preset_spec(body["preset"])
@@ -331,9 +329,11 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
 
 class CampaignHTTPServer(ThreadingHTTPServer):
-    """A thread per request, not per connection: between requests a
-    kept-alive connection waits in one selector that one watcher thread
-    serves, so an idle connection holds no thread. :meth:`server_close`
+    """A thread per request, not per connection. The listening socket and
+    every idle kept-alive connection wait in one selector, and the
+    selector's own descriptor (epoll, kqueue) is what :meth:`serve_forever`
+    polls: a new connection and a parked one's next request are dispatched
+    alike, and an idle connection holds no thread. :meth:`server_close`
     ends every connection and long-poll and joins every thread."""
 
     daemon_threads = True
@@ -346,12 +346,19 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self._open: Set[socket.socket] = set()  # add/discard/copy are atomic
         self._keep: Dict[socket.socket, Any] = {}  # to park: its client address
         self._idle = selectors.DefaultSelector()
-        self._bell, self._rung = socket.socketpair()
-        self._idle.register(self._rung, selectors.EVENT_READ)
-        self._watcher = threading.Thread(
-            target=self._watch, name="idle-connections", daemon=True
-        )
-        self._watcher.start()
+        self._idle.register(self.socket, selectors.EVENT_READ)
+
+    def fileno(self) -> int:
+        return self._idle.fileno()
+
+    def get_request(self) -> Tuple[socket.socket, Any]:
+        """A new connection, or a parked one whose next request came."""
+        for key, _ in self._idle.select(0):
+            if key.fileobj is self.socket:
+                return self.socket.accept()
+            self._idle.unregister(key.fileobj)
+            return key.fileobj, key.data
+        raise BlockingIOError("nothing ready")  # readiness gone since the poll
 
     def process_request(self, request, client_address) -> None:
         self._open.add(request)
@@ -361,19 +368,9 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         address = self._keep.pop(request, None)
         if address is not None and not self.closing:
             self._idle.register(request, selectors.EVENT_READ, address)
-            self._bell.send(b"\0")  # the watcher selects again, with it
             return
         self._open.discard(request)
         super().shutdown_request(request)
-
-    def _watch(self) -> None:
-        while not self.closing:
-            for key, _ in self._idle.select():
-                if key.fileobj is self._rung:
-                    self._rung.recv(4096)
-                elif not self.closing:  # the next request: a new thread
-                    self._idle.unregister(key.fileobj)
-                    ThreadingHTTPServer.process_request(self, key.fileobj, key.data)
 
     def server_close(self) -> None:
         """Answer open long-polls 503, end idle connections (a reader
@@ -383,20 +380,16 @@ class CampaignHTTPServer(ThreadingHTTPServer):
             return
         self.closing = True
         self.service.manager.wake()
-        self._bell.send(b"\0")
-        self._watcher.join()
         for request in list(self._open):
             try:
                 request.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
+        self._idle.unregister(self.socket)
         super().server_close()
-        self._idle.unregister(self._rung)
         for key in list(self._idle.get_map().values()):
             self.shutdown_request(key.fileobj)
         self._idle.close()
-        self._bell.close()
-        self._rung.close()
 
 
 def make_server(

@@ -174,7 +174,7 @@ def test_a_refusal_that_closes_the_connection_is_followed_by_a_good_call(
 def test_a_post_whose_response_is_lost_is_not_sent_again(live, monkeypatch, tiny_spec):
     service, _, client = live
 
-    def submit_then_hang_up(self):
+    def submit_then_hang_up(self, body):
         self.service.submit(tiny_spec)
         self.close_connection = True
 
@@ -185,6 +185,72 @@ def test_a_post_whose_response_is_lost_is_not_sent_again(live, monkeypatch, tiny
     assert lost.value.code is None
     assert len(service.manager.jobs) == 1
     assert client.healthy()
+
+
+def test_a_cancel_leaves_the_connection_ready_for_the_next_call(live, gate, tiny_spec):
+    """Every POST body is read, so a cancel's ``{}`` (or a refused
+    cancel's) is not taken for the start of the next request."""
+    _, _, client = live
+    job = client.submit(spec=tiny_spec.to_dict())["job_id"]
+    assert client.cancel(job)["cancelled"] is True
+    assert client.status(job)["status"] in ("queued", "cancelled")  # taken, held
+    gate.set()
+    assert client.wait(job, timeout=10)["status"] == "cancelled"
+    for unknown_or_done, code in (("job-999999", 404), (job, 409)):
+        with pytest.raises(ServiceError) as refused:
+            client.cancel(unknown_or_done)
+        assert refused.value.code == code
+        assert client.status(job)["status"] == "cancelled"
+
+
+def test_a_failed_dispatch_of_a_parked_connection_costs_that_connection_only(
+    live, monkeypatch, capsys
+):
+    """A thread that cannot start for a parked connection's next request
+    closes that connection; the server goes on serving the others."""
+    _, server, client = live
+    dispatch = server_module.ThreadingHTTPServer.process_request
+    armed = []
+
+    def fails_once_armed(self, request, address):
+        if armed:
+            armed.pop()
+            raise RuntimeError("can't start new thread")
+        dispatch(self, request, address)
+
+    monkeypatch.setattr(server_module.ThreadingHTTPServer, "process_request", fails_once_armed)
+    assert client.healthy()
+    deadline = time.monotonic() + 5
+    while _handler_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    armed.append(True)
+    assert not client.healthy()  # the request went out; its connection was closed
+    assert "can't start new thread" in capsys.readouterr().err
+    _wait_closed(server)
+    assert client.healthy()  # a new connection, dispatched from the accept path
+    assert client.healthy()  # ... then parked and dispatched from the selector
+    assert client.jobs() == []
+
+
+def test_a_client_whose_socket_is_past_fd_1024_reuses_it(live):
+    """The idle check on a reused connection has no FD_SETSIZE limit."""
+    resource = pytest.importorskip("resource")
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft != resource.RLIM_INFINITY and soft < 1100:
+        pytest.skip(f"open-file limit {soft} too low")
+    _, _, client = live
+    client.close()
+    fillers = []
+    try:
+        while not fillers or fillers[-1] < 1024:
+            fillers.append(os.open(os.devnull, os.O_RDONLY))
+        assert client.healthy()
+        assert client._conn.sock.fileno() > 1024
+        assert client.healthy() and client.jobs() == []
+    finally:
+        client.close()
+        for fd in fillers:
+            os.close(fd)
 
 
 def test_one_connection_serves_every_call_and_idles_without_a_thread(live, tiny_spec):
