@@ -125,6 +125,30 @@ def _mutable_p2p(
     return system, runner
 
 
+def _group_case(max_initiations: int = 100) -> BenchCase:
+    """The §5.1 group workload at 16 processes: rate 0.05, 4 groups,
+    intra:inter ratio 1000, mutable checkpoints, trace off, seed 7. The
+    p2p cases never run its intragroup and intergroup send paths."""
+
+    def build() -> Tuple[MobileSystem, ExperimentRunner]:
+        system, _, runner = build_point_runtime(RunPoint(
+            protocol="mutable",
+            workload="group",
+            workload_params={"mean_send_interval": 1.0 / 0.05, "n_groups": 4,
+                             "intra_inter_ratio": 1000.0},
+            system_params={"n_processes": 16, "trace_messages": False},
+            run_params={"max_initiations": max_initiations},
+            seed=7,
+        ))
+        return system, runner
+
+    return experiment_case(
+        "group_16p_trace_off", build,
+        "16-process mutable run under the §5.1 group workload (rate 0.05, "
+        "4 groups, ratio 1000), message tracing off",
+    )
+
+
 def experiment_case(
     name: str,
     build: Callable[[], Tuple[MobileSystem, ExperimentRunner]],
@@ -639,6 +663,7 @@ def default_cases() -> List[BenchCase]:
         mutable(16, 12, True, "same run with full message tracing (DEBUG)"),
         mutable(32, 8, False, "32-process run, message tracing off"),
         mutable(32, 8, True, "32-process run with full message tracing (DEBUG)"),
+        _group_case(),
         _message_alloc_case(),
         _timer_rearm_case(),
         _snapshot_overhead_case(),

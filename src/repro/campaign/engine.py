@@ -344,13 +344,14 @@ class CampaignEngine:
     def run(self) -> CampaignReport:
         """Run every point not already in the store; return the report."""
         completed = self.store.completed_hashes()
-        distinct = {p.point_hash: p for p in self.points}  # a cell named twice runs once
+        hashes = [p.point_hash for p in self.points]  # each a serialise + sha256
+        distinct = dict(zip(hashes, self.points))  # a cell named twice runs once
         pending = [p for h, p in distinct.items() if h not in completed]
         self.progress.total = len(distinct)
         self.progress.start(skipped=len(distinct) - len(pending))
 
         outcomes: Dict[str, PointRecord] = {}
-        labels = {p.point_hash: p.label() for p in self.points}
+        labels = {h: p.label() for h, p in distinct.items()}
         cancelled = self.should_stop is not None and self.should_stop()
         if not cancelled:
             for raw in self._execute(pending):
@@ -378,14 +379,12 @@ class CampaignEngine:
             cancelled=cancelled,
             fresh=list(outcomes.values()),
         )
-        for point in self.points:
-            record = outcomes.get(point.point_hash) or self.store.get(
-                point.point_hash
-            )
+        for point, point_hash in zip(self.points, hashes):
+            record = outcomes.get(point_hash) or self.store.get(point_hash)
             if record is None:
                 # Only possible on cancellation; a completed run has a
                 # record (fresh or resumed) for every point.
-                assert cancelled, f"point {point.point_hash} vanished"
+                assert cancelled, f"point {point_hash} vanished"
                 continue
             report.points.append(point)
             report.records.append(record)

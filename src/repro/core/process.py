@@ -18,6 +18,7 @@ from repro.checkpointing.storage import LocalStore
 from repro.checkpointing.types import ChannelCounts, CheckpointKind, CheckpointRecord
 from repro.errors import ProtocolError, StorageError
 from repro.net.message import (
+    COMPUTATION_MESSAGE_BYTES,
     CheckpointDataMessage,
     ComputationMessage,
     Message,
@@ -76,12 +77,16 @@ class AppProcess:
         if self.blocked:
             self._deferred_sends.append((dst_pid, payload))
             return
-        message = ComputationMessage(
-            src_pid=self.pid,
-            dst_pid=dst_pid,
-            payload=payload,
-            msg_id=self._next_msg_id(),
-        )
+        # ComputationMessage(src_pid=..., dst_pid=..., payload=...,
+        # msg_id=...) with the sender's incarnation, without the frame
+        message = ComputationMessage.__new__(ComputationMessage)
+        message.src_pid = self.pid
+        message.dst_pid = dst_pid
+        message.size_bytes = COMPUTATION_MESSAGE_BYTES
+        message.broadcast = False
+        message.msg_id = self._next_msg_id()
+        message.payload = payload
+        message.pb = None
         message.inc = self.incarnation
         self.protocol_process.on_send_computation(message)
         self.app_state["messages_sent"] += 1
@@ -100,7 +105,7 @@ class AppProcess:
         self._m_comp_messages.value += 1
         if self.system._send_hooks:
             self.system.workload_send(self, message)
-        self.system.network.send_from_process(self.pid, message)
+        self.host.send(message)  # the pid's host in the network's directory
 
     # -- message reception ----------------------------------------------------
     def register_system_handler(
@@ -276,7 +281,7 @@ class RuntimeEnv(ProcessEnv):
                 src=self.pid, dst=dst_pid, subkind=subkind,
                 trigger=fields.get("trigger"),
             )
-        self.system.network.send_from_process(self.pid, message)
+        self.process.host.send(message)
 
     def broadcast_system(self, subkind: str, fields: Dict[str, Any]) -> int:
         self._m_broadcasts.value += 1

@@ -22,6 +22,13 @@ class _Others:
     A send draws from it what ``rng.choice`` over the materialised
     ``[p for p in pids if p != pids[skip]]`` would:
     ``i = rng._randbelow(len(_pids) - 1)``, then ``_pids[i + (i >= _skip)]``.
+
+    The workloads make their draws from a stream's C methods alone, with
+    what ``random.Random`` itself computes on every supported Python:
+    ``_randbelow(n)`` for n > 0 is ``r = getrandbits(n.bit_length())``,
+    drawn again while ``r >= n``, and ``expovariate(lambd)`` is
+    ``-log(1.0 - random()) / lambd``; a next send is scheduled at
+    ``sim._now + delay``, what ``sim.schedule(delay, ...)`` computes.
     """
 
     __slots__ = ("_pids", "_skip")
@@ -114,4 +121,4 @@ class Workload(ABC):
         if process.host.disconnected:
             return
         self.messages_generated += 1
-        process.send_computation(dst_pid, payload=self.messages_generated)
+        process.send_computation(dst_pid, self.messages_generated)

@@ -13,6 +13,7 @@ redundant-mutable curve is livelier than under §5.1's smooth traffic
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log as _log
 
 from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
@@ -57,16 +58,17 @@ class BurstyWorkload(Workload):
         return self._on[pid]
 
     def _bind(self, pid: int):
-        # The (off, on, send) streams, the destination draw and the
-        # candidates of ``pid``; names and the draw order on each are
-        # those of per-call ``streams.exponential(name, mean)`` /
+        # The (off, on, send) delay draws, the destination draw and the
+        # candidates of ``pid``: C draws of the streams (see
+        # ``workload.base``) whose names and draw order on each are those
+        # of per-call ``streams.exponential(name, mean)`` /
         # ``streams.choice``.
         stream = self.system.streams.stream
         return (
-            stream(f"bursty.off.{pid}"),
-            stream(f"bursty.on.{pid}"),
-            stream(f"bursty.send.{pid}"),
-            stream(f"bursty.dst.{pid}")._randbelow,
+            stream(f"bursty.off.{pid}").random,
+            stream(f"bursty.on.{pid}").random,
+            stream(f"bursty.send.{pid}").random,
+            stream(f"bursty.dst.{pid}").getrandbits,
             self._everyone_but(pid),
         )
 
@@ -78,16 +80,18 @@ class BurstyWorkload(Workload):
     # -- period machinery ------------------------------------------------
     def _schedule_burst_start(self, pid: int) -> None:
         off = self._bound[pid][0]
-        delay = off.expovariate(1.0 / self.config.mean_off)
-        self.system.sim.schedule(delay, self._burst_start, pid)
+        delay = -_log(1.0 - off()) / (1.0 / self.config.mean_off)
+        sim = self.system.sim
+        sim.schedule_at(sim._now + delay, self._burst_start, pid)
 
     def _burst_start(self, pid: int) -> None:
         if not self._running:
             return
         self._on[pid] = True
         on = self._bound[pid][1]
-        duration = on.expovariate(1.0 / self.config.mean_on)
-        self.system.sim.schedule(duration, self._burst_end, pid)
+        duration = -_log(1.0 - on()) / (1.0 / self.config.mean_on)
+        sim = self.system.sim
+        sim.schedule_at(sim._now + duration, self._burst_end, pid)
         self._schedule_send(pid)
 
     def _burst_end(self, pid: int) -> None:
@@ -98,15 +102,19 @@ class BurstyWorkload(Workload):
     # -- sends within a burst ------------------------------------------------
     def _schedule_send(self, pid: int) -> None:
         send = self._bound[pid][2]
-        delay = send.expovariate(1.0 / self.config.burst_send_interval)
-        self.system.sim.schedule(delay, self._fire, pid)
+        delay = -_log(1.0 - send()) / (1.0 / self.config.burst_send_interval)
+        sim = self.system.sim
+        sim.schedule_at(sim._now + delay, self._fire, pid)
 
     def _fire(self, pid: int) -> None:
         if not self._running or not self._on[pid]:
             return
-        _, _, _, randbelow, others = self._bound[pid]
+        _, _, _, getrandbits, others = self._bound[pid]
         last = len(others._pids) - 1
-        if last:  # choice(others)'s one draw, without its frames
-            index = randbelow(last)
+        if last:  # _randbelow(last), without its frame
+            k = last.bit_length()
+            index = getrandbits(k)
+            while index >= last:
+                index = getrandbits(k)
             self._send(pid, others._pids[index + (index >= others._skip)])
         self._schedule_send(pid)

@@ -9,6 +9,7 @@ ratios of 1 000 and 10 000).
 
 from __future__ import annotations
 
+from math import log as _log
 from typing import Dict, List
 
 from repro.core.config import GroupWorkloadConfig
@@ -44,24 +45,25 @@ class GroupWorkload(Workload):
         return pid in self.leaders
 
     def _bind(self, pid: int):
-        # (delay stream, destination draw, candidates) for intragroup
-        # traffic and, when ``pid`` leads its group, for intergroup.
-        # Names and per-stream draw order are those of per-call
+        # (delay draw, destination draw, candidates) for intragroup
+        # traffic and, when ``pid`` leads its group, for intergroup: C
+        # draws of the streams (see ``workload.base``) whose names and
+        # per-stream draw order are those of per-call
         # ``streams.exponential(name, mean)`` / ``streams.choice``.
         stream = self.system.streams.stream
         group = self.group_of[pid]
         if pid not in self._views:
             self._views.update(_others_by_pid(self.groups[group]))
         intra = (
-            stream(f"workload.group.intra.{pid}"),
-            stream(f"workload.group.intra.dst.{pid}")._randbelow,
+            stream(f"workload.group.intra.{pid}").random,
+            stream(f"workload.group.intra.dst.{pid}").getrandbits,
             self._views[pid],
         )
         if self.leaders[group] != pid:
             return intra, None
         inter = (
-            stream(f"workload.group.inter.{pid}"),
-            stream(f"workload.group.inter.dst.{pid}")._randbelow,
+            stream(f"workload.group.inter.{pid}").random,
+            stream(f"workload.group.inter.dst.{pid}").getrandbits,
             _Others(self.leaders, group),
         )
         return intra, inter
@@ -74,34 +76,41 @@ class GroupWorkload(Workload):
 
     # -- intragroup ---------------------------------------------------------
     def _schedule_intra(self, pid: int) -> None:
-        stream, _, _ = self._bound[pid][0]
-        delay = stream.expovariate(1.0 / self.config.mean_send_interval)
-        self.system.sim.schedule(delay, self._fire_intra, pid)
+        random = self._bound[pid][0][0]
+        delay = -_log(1.0 - random()) / (1.0 / self.config.mean_send_interval)
+        sim = self.system.sim
+        sim.schedule_at(sim._now + delay, self._fire_intra, pid)
 
     def _fire_intra(self, pid: int) -> None:
         if not self._running:
             return
-        _, randbelow, members = self._bound[pid][0]
+        _, getrandbits, members = self._bound[pid][0]
         last = len(members._pids) - 1
-        if last:  # choice(members)'s one draw, without its frames
-            index = randbelow(last)
+        if last:  # _randbelow(last), without its frame
+            k = last.bit_length()
+            index = getrandbits(k)
+            while index >= last:
+                index = getrandbits(k)
             self._send(pid, members._pids[index + (index >= members._skip)])
         self._schedule_intra(pid)
 
     # -- intergroup (leaders only) ---------------------------------------------
     def _schedule_inter(self, leader: int) -> None:
-        stream, _, _ = self._bound[leader][1]
+        random = self._bound[leader][1][0]
         mean = self.config.mean_send_interval * self.config.intra_inter_ratio
-        self.system.sim.schedule(
-            stream.expovariate(1.0 / mean), self._fire_inter, leader
-        )
+        delay = -_log(1.0 - random()) / (1.0 / mean)
+        sim = self.system.sim
+        sim.schedule_at(sim._now + delay, self._fire_inter, leader)
 
     def _fire_inter(self, leader: int) -> None:
         if not self._running:
             return
-        _, randbelow, others = self._bound[leader][1]
+        _, getrandbits, others = self._bound[leader][1]
         last = len(others._pids) - 1
-        if last:  # choice(others)'s one draw, without its frames
-            index = randbelow(last)
+        if last:  # _randbelow(last), without its frame
+            k = last.bit_length()
+            index = getrandbits(k)
+            while index >= last:
+                index = getrandbits(k)
             self._send(leader, others._pids[index + (index >= others._skip)])
         self._schedule_inter(leader)

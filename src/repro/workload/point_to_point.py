@@ -7,6 +7,8 @@ distributed over all other processes.
 
 from __future__ import annotations
 
+from math import log as _log
+
 from repro.core.config import PointToPointWorkloadConfig
 from repro.core.system import MobileSystem
 from repro.workload.base import Workload
@@ -27,12 +29,12 @@ class PointToPointWorkload(Workload):
         self._lambd = 1.0 / config.mean_send_interval
 
     def _bind(self, pid: int):
-        # The draws come from the same named streams in the same order as
-        # per-call lookups would make them, so sequences are identical.
+        # The C draws of the same named streams, in the same order as
+        # per-call lookups would make them (see ``workload.base``).
         stream = self.system.streams.stream
         return (
-            stream(f"workload.p2p.{pid}").expovariate,
-            stream(f"workload.p2p.dst.{pid}")._randbelow,
+            stream(f"workload.p2p.{pid}").random,
+            stream(f"workload.p2p.dst.{pid}").getrandbits,
             self._everyone_but(pid),
         )
 
@@ -41,15 +43,21 @@ class PointToPointWorkload(Workload):
             self._schedule_next(pid)
 
     def _schedule_next(self, pid: int) -> None:
-        expo = self._bound[pid][0]
-        self.system.sim.schedule(expo(self._lambd), self._fire, pid)
+        sim = self.system.sim
+        delay = -_log(1.0 - self._bound[pid][0]()) / self._lambd
+        sim.schedule_at(sim._now + delay, self._fire, pid)
 
     def _fire(self, pid: int) -> None:
         if not self._running:
             return
-        expo, randbelow, peers = self._bound[pid]
+        random, getrandbits, peers = self._bound[pid]
         last = len(peers._pids) - 1
-        if last:  # choice(peers)'s one draw, without its frames
-            index = randbelow(last)
+        if last:  # _randbelow(last), without its frame
+            k = last.bit_length()
+            index = getrandbits(k)
+            while index >= last:
+                index = getrandbits(k)
             self._send(pid, peers._pids[index + (index >= peers._skip)])
-        self.system.sim.schedule(expo(self._lambd), self._fire, pid)
+        sim = self.system.sim
+        delay = -_log(1.0 - random()) / self._lambd
+        sim.schedule_at(sim._now + delay, self._fire, pid)

@@ -204,3 +204,39 @@ def test_a_repeated_cell_runs_once(tmp_path):
     with open(path, encoding="utf-8") as handle:
         assert len(handle.readlines()) == len(distinct)  # one record a cell
     assert [p.point_hash for p in report.points] == [p.point_hash for p in points]
+
+
+def test_a_run_hashes_each_point_once(monkeypatch):
+    """``RunPoint.point_hash`` serialises and hashes the whole point on
+    every read, so a run reads it once per point of the grid: the
+    §5.1 grid, 3 protocols x (4 p2p rates + 2 group rates) at 16 MHs."""
+    workloads = [
+        {"kind": "p2p", "mean_send_interval": 1.0 / rate}
+        for rate in (0.01, 0.02, 0.05, 0.1)
+    ] + [
+        {"kind": "group", "mean_send_interval": 1.0 / rate, "n_groups": 4,
+         "intra_inter_ratio": 1000.0}
+        for rate in (0.02, 0.05)
+    ]
+    spec = CampaignSpec(
+        name="paper16",
+        protocols=["mutable", "koo-toueg", "elnozahy"],
+        workloads=workloads,
+        configs=[{"n_processes": 16, "trace_messages": False}],
+        seed=11,
+        run={"max_initiations": 2, "warmup_initiations": 1},
+    )
+    engine = CampaignEngine(spec, workers=1)
+    assert len(engine.points) == 18
+    reads = {}
+    point_hash = RunPoint.point_hash.fget
+
+    def counted(point):
+        reads[id(point)] = reads.get(id(point), 0) + 1
+        return point_hash(point)
+
+    monkeypatch.setattr(RunPoint, "point_hash", property(counted))
+    report = engine.run()
+    assert len(report.failed) == 0 and len(report.records) == 18
+    assert sorted(reads) == sorted(id(p) for p in engine.points)
+    assert set(reads.values()) == {1}

@@ -2,9 +2,10 @@
 
 A workload keeps one shared pid list and, per pid, a two-slot view of it
 with that pid skipped, instead of n lists of n - 1 pids. Two things are
-pinned here: the pick every workload's send makes from a view (one
-``_randbelow`` draw and an index skip) is the very draw a ``choice``
-over the materialised list makes (so no simulated result moves), and
+pinned here: the pick every workload's send makes from a view (the
+``getrandbits`` rejection loop of one ``_randbelow`` draw, and an index
+skip) is the very draw a ``choice`` over the materialised list makes (so
+no simulated result moves), and
 what ``start()`` and a send allocate under ``repro/workload/`` is a
 constant per process — measured with ``tracemalloc``, no timing.
 """
@@ -39,8 +40,9 @@ def _system(n: int) -> MobileSystem:
 
 @pytest.mark.parametrize("n", [2, 3, 16, 257])
 def test_choice_over_the_view_is_choice_over_the_list(n):
-    """A send's draw over a view, one ``_randbelow`` and an index skip,
-    is ``choice`` over the materialised list."""
+    """A send's draw over a view, ``_randbelow``'s ``getrandbits``
+    rejection loop made inline and an index skip, is ``choice`` over the
+    materialised list."""
     pids = list(range(100, 100 + n))  # pids need not be their own index
     views = _others_by_pid(pids)
     for pid in pids:
@@ -48,8 +50,12 @@ def test_choice_over_the_view_is_choice_over_the_list(n):
         view = views[pid]
         over_view, over_list = raw_rng(pid), raw_rng(pid)
         drawn = []
+        last = len(view._pids) - 1
+        k = last.bit_length()
         for _ in range(200):
-            i = over_view._randbelow(len(view._pids) - 1)
+            i = over_view.getrandbits(k)
+            while i >= last:
+                i = over_view.getrandbits(k)
             drawn.append(view._pids[i + (i >= view._skip)])
         assert drawn == [over_list.choice(materialised) for _ in range(200)]
 
