@@ -209,8 +209,7 @@ class MobileNetwork:
         return route
 
     def send_from_process(self, src_pid: int, message: Message) -> None:
-        """Send ``message`` from the host of ``src_pid`` (a process runtime
-        holds that host and sends through it directly)."""
+        """Send ``message`` from ``src_pid``'s host (broadcasts, recovery)."""
         # the miss path raises UnknownHostError
         (self._host_of_pid.get(src_pid) or self.host_of_process(src_pid)).send(message)
 

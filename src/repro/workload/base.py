@@ -5,6 +5,13 @@ sends computation messages and to whom. Workloads are event-driven —
 each process's next send is scheduled on the kernel — and respect the
 process runtime's blocking (a blocked process's sends are deferred by
 the runtime itself, so workloads never need to check).
+
+A send makes its draws from its streams' C methods alone, computing what
+``random.Random`` itself does on every supported Python:
+``_randbelow(n)`` for n > 0 is ``r = getrandbits(n.bit_length())``,
+drawn again while ``r >= n``, and ``expovariate(lambd)`` is
+``-log(1.0 - random()) / lambd``. The next send is scheduled at
+``sim._now + delay``, what ``sim.schedule(delay, ...)`` computes.
 """
 
 from __future__ import annotations
@@ -22,13 +29,6 @@ class _Others:
     A send draws from it what ``rng.choice`` over the materialised
     ``[p for p in pids if p != pids[skip]]`` would:
     ``i = rng._randbelow(len(_pids) - 1)``, then ``_pids[i + (i >= _skip)]``.
-
-    The workloads make their draws from a stream's C methods alone, with
-    what ``random.Random`` itself computes on every supported Python:
-    ``_randbelow(n)`` for n > 0 is ``r = getrandbits(n.bit_length())``,
-    drawn again while ``r >= n``, and ``expovariate(lambd)`` is
-    ``-log(1.0 - random()) / lambd``; a next send is scheduled at
-    ``sim._now + delay``, what ``sim.schedule(delay, ...)`` computes.
     """
 
     __slots__ = ("_pids", "_skip")

@@ -7,6 +7,7 @@ import pytest
 from repro.checkpointing.mutable import MutableCheckpointProtocol
 from repro.core.config import SystemConfig
 from repro.core.system import MobileSystem
+from repro.net.message import ComputationMessage
 
 
 def build(n=3):
@@ -23,6 +24,30 @@ def test_send_and_receive_count_the_channel():
     p1 = system.processes[1]
     assert p1.app_state["messages_received"] == 1
     assert p1.received == {0: 1} and not p1.sent
+
+
+def test_a_sent_message_is_what_the_constructor_builds():
+    """``send_computation`` fills a new message's slots by hand: every
+    slot is set, each to what ``ComputationMessage(...)`` would set it
+    to, and the sender's incarnation rides along."""
+    system = build()
+    p0 = system.processes[0]
+    p0.incarnation = 2
+    sent = []
+    system.add_send_hook(lambda process, message: sent.append(message))
+    p0.send_computation(1, "payload")
+    (message,) = sent
+    expected = ComputationMessage(
+        src_pid=0, dst_pid=1, payload="payload", msg_id=message.msg_id
+    )
+    expected.inc = 2
+    expected.pb = message.pb  # the protocol tags it on the send
+    slots = [name for cls in type(expected).__mro__
+             for name in getattr(cls, "__slots__", ())]
+    assert type(message) is ComputationMessage
+    assert {name: getattr(message, name) for name in slots} == {
+        name: getattr(expected, name) for name in slots
+    }
 
 
 def test_trace_records_send_and_recv():
