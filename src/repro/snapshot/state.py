@@ -90,8 +90,9 @@ def capture(
 
 
 class _Inert:
-    """What a numpy array in a format-1 image loads as: each was a
-    process's ``vc.clock``, which :func:`restore` drops unread."""
+    """What a numpy array in a format-1 image loads as (each was a
+    process's ``vc.clock``, which :func:`restore` drops unread), and a
+    workload's old ``_Others`` peer view (its ``__setstate__`` drops it)."""
 
     def __init__(self, *args) -> None:
         pass
@@ -171,9 +172,9 @@ class _ImageUnpickler(pickle.Unpickler):
     MR wrappers as the containers they wrapped, a ``Fraction`` weight as
     its dyadic int, the protocol's old ``_noop`` as ``noop``, a deliver
     thunk as a ``partial``, a disconnected host's ``MssProxyEnv`` as a
-    ``RuntimeEnv``. (State that moved inside a class that stayed, such
-    as the net layer's location directory, is moved by :func:`restore`.)
-    The two
+    ``RuntimeEnv``, a workload's ``_Others`` view as :class:`_Inert`.
+    (State that moved inside a class that stayed, such as the net layer's
+    location directory, is moved by :func:`restore`.) The two
     numpy names an array is rebuilt from become :class:`_Inert`, and any
     other numpy name is refused."""
 
@@ -184,6 +185,8 @@ class _ImageUnpickler(pickle.Unpickler):
             return PackedInts
         if (module, name) == ("repro.core.process", "_DeliverCall"):
             return _DeliverCall
+        if (module, name) == ("repro.workload.base", "_Others"):
+            return _Inert
         if (module, name) == ("repro.checkpointing.disconnect_support", "MssProxyEnv"):
             # the env a disconnected host's protocol process was given while
             # the MSS acted through a second one; restore drops it

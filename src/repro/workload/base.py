@@ -6,6 +6,10 @@ each process's next send is scheduled on the kernel — and respect the
 process runtime's blocking (a blocked process's sends are deferred by
 the runtime itself, so workloads never need to check).
 
+Every send runs through one pair, :meth:`Workload._arm` and
+:meth:`Workload._fire`, over a table of numbered slots: a slot is one
+stream of sends (its sender, its two named random streams, its peers and
+its rate), and a subclass only names its slots (:meth:`Workload._bind`).
 A send makes its draws from its streams' C methods alone, computing what
 ``random.Random`` itself does on every supported Python:
 ``_randbelow(n)`` for n > 0 is ``r = getrandbits(n.bit_length())``,
@@ -17,42 +21,49 @@ drawn again while ``r >= n``, and ``expovariate(lambd)`` is
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Tuple
+from math import log as _log
+from typing import Any, Callable, Dict, List
 
 from repro.core.system import MobileSystem
 
+#: what is rebuilt on use, never pickled: the slot table and the shared
+#: population list (and an older image's ``_bound``, ``_views``, ``_lambd``)
+_DERIVED = ("_slots", "_pids", "_bound", "_views", "_lambd")
 
-class _Others:
-    """``pids`` minus the entry at index ``skip``: a population of n
-    costs one shared list and n two-slot views, not n lists of n - 1.
 
-    A send draws from it what ``rng.choice`` over the materialised
-    ``[p for p in pids if p != pids[skip]]`` would:
-    ``i = rng._randbelow(len(_pids) - 1)``, then ``_pids[i + (i >= _skip)]``.
+class _Slot:
+    """One stream of sends: from ``pid`` to ``peers`` minus the entry at
+    index ``skip``, with exponential gaps of rate ``lambd``.
+
+    ``random`` and ``getrandbits`` are the C methods of the slot's delay
+    and destination streams. ``peers`` is shared by every slot drawing
+    from the same population: n slots cost one list, not n lists of n - 1.
     """
 
-    __slots__ = ("_pids", "_skip")
+    __slots__ = ("pid", "random", "getrandbits", "peers", "skip", "lambd")
 
-    def __init__(self, pids: List[int], skip: int) -> None:
-        self._pids = pids
-        self._skip = skip
-
-
-def _others_by_pid(pids: List[int]) -> Dict[int, _Others]:
-    """For every member of ``pids``, the view of everyone else in it."""
-    return {pid: _Others(pids, index) for index, pid in enumerate(pids)}
+    def __init__(self, pid: int, random: Callable[[], float],
+                 getrandbits: Callable[[int], int], peers: List[int],
+                 skip: int, lambd: float) -> None:
+        self.pid = pid
+        self.random = random
+        self.getrandbits = getrandbits
+        self.peers = peers
+        self.skip = skip
+        self.lambd = lambd
 
 
 class _Bindings(dict):
-    """pid -> what ``bind(pid)`` returns, bound on the pid's first lookup;
-    after that a send reads ``bindings[pid]`` without a Python frame."""
+    """slot -> what ``bind(slot)`` returns, bound on the slot's first
+    lookup; after that a send reads ``bindings[slot]`` without a Python
+    frame."""
 
-    def __init__(self, bind: Callable[[int], Tuple[Any, ...]]) -> None:
+    def __init__(self, bind: Callable[[int], _Slot]) -> None:
         super().__init__()
         self.bind = bind
 
-    def __missing__(self, pid: int) -> Tuple[Any, ...]:
-        bound = self[pid] = self.bind(pid)
+    def __missing__(self, slot: int) -> _Slot:
+        bound = self[slot] = self.bind(slot)
         return bound
 
 
@@ -66,21 +77,24 @@ class Workload(ABC):
         self._fresh_tables()
 
     def _fresh_tables(self) -> None:
-        #: pid -> what :meth:`_bind` returned for it (its named streams,
-        #: looked up and bound once instead of once per send)
-        self._bound = _Bindings(self._bind)
-        #: pid -> its possible destinations: everyone else in ``_pids``,
-        #: the population in pid-table order, one list shared by all the
-        #: views (:meth:`_everyone_but`) - or in the list a subclass
-        #: with a narrower notion of peer filled the table from
+        #: slot -> its :class:`_Slot`, from :meth:`_bind` on first use
+        self._slots = _Bindings(self._bind)
+        #: every pid in pid-table order, built by :meth:`_everyone`
         self._pids: List[int] = []
-        self._views: Dict[int, _Others] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        for name in _DERIVED:
+            state.pop(name, None)
+        return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # The per-pid tables are derived from the streams and the
-        # population: an image's (none in format 1; ``choice`` bindings
-        # in older ones) are dropped, and they refill on use.
+        # An older image's tables (none in format 1; ``choice``
+        # bindings, ``_Others`` views or stream tuples later) are
+        # dropped, and the slots refill on use.
         self.__dict__.update(state)
+        for name in _DERIVED:
+            self.__dict__.pop(name, None)
         self._fresh_tables()
 
     @property
@@ -101,24 +115,54 @@ class Workload(ABC):
 
     @abstractmethod
     def _schedule_initial(self) -> None:
-        """Schedule the first send of every process (subclass hook)."""
+        """Arm the first send of every slot (subclass hook)."""
 
-    def _bind(self, pid: int) -> Tuple[Any, ...]:
-        """The per-send callables of ``pid`` (subclass hook)."""
+    def _bind(self, slot: int) -> _Slot:
+        """The :class:`_Slot` numbered ``slot`` (subclass hook)."""
         raise NotImplementedError
 
-    def _everyone_but(self, pid: int) -> _Others:
-        """Every process but ``pid``, in pid-table order; the shared
-        list and the views are built on the first call."""
+    def _make_slot(self, pid: int, delays: str, destinations: str,
+                   peers: List[int], skip: int, mean: float) -> _Slot:
+        """A slot sending from ``pid`` with gaps of mean ``mean`` drawn
+        from stream ``delays`` and destinations drawn from stream
+        ``destinations``: the names and per-stream draw order of per-call
+        ``streams.exponential`` / ``streams.choice``."""
+        stream = self.system.streams.stream
+        return _Slot(pid, stream(delays).random, stream(destinations).getrandbits,
+                     peers, skip, 1.0 / mean)
+
+    def _everyone(self) -> List[int]:
+        """Every pid, in pid-table order (``0 .. n - 1``, so a pid is its
+        own index); one list shared by every slot that uses it."""
         if not self._pids:
             self._pids = list(self.system.processes)
-            self._views = _others_by_pid(self._pids)
-        return self._views[pid]
+        return self._pids
 
-    def _send(self, pid: int, dst_pid: int) -> None:
-        """Emit one application message (skipped while disconnected)."""
-        process = self.system.processes[pid]
-        if process.host.disconnected:
+    def _arm(self, slot: int) -> None:
+        """Schedule ``slot``'s next send, ``expovariate(lambd)`` from now."""
+        bound = self._slots[slot]
+        delay = -_log(1.0 - bound.random()) / bound.lambd
+        sim = self.system.sim
+        sim.schedule_at(sim._now + delay, self._fire, slot)
+
+    def _fire(self, slot: int) -> None:
+        """Send one message of ``slot`` to a uniform peer (skipped while
+        the sender is disconnected) and arm its next send."""
+        if not self._running:
             return
-        self.messages_generated += 1
-        process.send_computation(dst_pid, self.messages_generated)
+        bound = self._slots[slot]
+        peers = bound.peers
+        last = len(peers) - 1
+        if last:  # _randbelow(last), without its frame
+            k = last.bit_length()
+            getrandbits = bound.getrandbits
+            index = getrandbits(k)
+            while index >= last:
+                index = getrandbits(k)
+            process = self.system.processes[bound.pid]
+            if not process.host.disconnected:
+                self.messages_generated += 1
+                process.send_computation(
+                    peers[index + (index >= bound.skip)], self.messages_generated
+                )
+        self._arm(slot)

@@ -13,11 +13,10 @@ redundant-mutable curve is livelier than under §5.1's smooth traffic
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log as _log
 
 from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
-from repro.workload.base import Workload
+from repro.workload.base import Workload, _Slot
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,8 @@ class BurstyWorkloadConfig:
 
 
 class BurstyWorkload(Workload):
-    """ON/OFF point-to-point traffic with uniform destinations."""
+    """ON/OFF point-to-point traffic with uniform destinations: slot =
+    pid, sending only while ``pid`` is in a burst."""
 
     def __init__(self, system: MobileSystem, config: BurstyWorkloadConfig) -> None:
         super().__init__(system)
@@ -57,20 +57,9 @@ class BurstyWorkload(Workload):
         """Whether ``pid`` is currently in a burst."""
         return self._on[pid]
 
-    def _bind(self, pid: int):
-        # The (off, on, send) delay draws, the destination draw and the
-        # candidates of ``pid``: C draws of the streams (see
-        # ``workload.base``) whose names and draw order on each are those
-        # of per-call ``streams.exponential(name, mean)`` /
-        # ``streams.choice``.
-        stream = self.system.streams.stream
-        return (
-            stream(f"bursty.off.{pid}").random,
-            stream(f"bursty.on.{pid}").random,
-            stream(f"bursty.send.{pid}").random,
-            stream(f"bursty.dst.{pid}").getrandbits,
-            self._everyone_but(pid),
-        )
+    def _bind(self, pid: int) -> _Slot:
+        return self._make_slot(pid, f"bursty.send.{pid}", f"bursty.dst.{pid}",
+                               self._everyone(), pid, self.config.burst_send_interval)
 
     def _schedule_initial(self) -> None:
         for pid in self.system.processes:
@@ -79,42 +68,23 @@ class BurstyWorkload(Workload):
 
     # -- period machinery ------------------------------------------------
     def _schedule_burst_start(self, pid: int) -> None:
-        off = self._bound[pid][0]
-        delay = -_log(1.0 - off()) / (1.0 / self.config.mean_off)
-        sim = self.system.sim
-        sim.schedule_at(sim._now + delay, self._burst_start, pid)
+        off = self.system.streams.exponential(f"bursty.off.{pid}", self.config.mean_off)
+        self.system.sim.schedule(off, self._burst_start, pid)
 
     def _burst_start(self, pid: int) -> None:
         if not self._running:
             return
         self._on[pid] = True
-        on = self._bound[pid][1]
-        duration = -_log(1.0 - on()) / (1.0 / self.config.mean_on)
-        sim = self.system.sim
-        sim.schedule_at(sim._now + duration, self._burst_end, pid)
-        self._schedule_send(pid)
+        on = self.system.streams.exponential(f"bursty.on.{pid}", self.config.mean_on)
+        self.system.sim.schedule(on, self._burst_end, pid)
+        self._arm(pid)
 
     def _burst_end(self, pid: int) -> None:
         self._on[pid] = False
         if self._running:
             self._schedule_burst_start(pid)
 
-    # -- sends within a burst ------------------------------------------------
-    def _schedule_send(self, pid: int) -> None:
-        send = self._bound[pid][2]
-        delay = -_log(1.0 - send()) / (1.0 / self.config.burst_send_interval)
-        sim = self.system.sim
-        sim.schedule_at(sim._now + delay, self._fire, pid)
-
     def _fire(self, pid: int) -> None:
-        if not self._running or not self._on[pid]:
-            return
-        _, _, _, getrandbits, others = self._bound[pid]
-        last = len(others._pids) - 1
-        if last:  # _randbelow(last), without its frame
-            k = last.bit_length()
-            index = getrandbits(k)
-            while index >= last:
-                index = getrandbits(k)
-            self._send(pid, others._pids[index + (index >= others._skip)])
-        self._schedule_send(pid)
+        # a send still queued when its burst ended is dropped, unarmed
+        if self._on[pid]:
+            Workload._fire(self, pid)

@@ -9,17 +9,17 @@ ratios of 1 000 and 10 000).
 
 from __future__ import annotations
 
-from math import log as _log
 from typing import Dict, List
 
 from repro.core.config import GroupWorkloadConfig
 from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
-from repro.workload.base import Workload, _Others, _others_by_pid
+from repro.workload.base import Workload, _Slot
 
 
 class GroupWorkload(Workload):
-    """Four-group (by default) leader-mediated traffic."""
+    """Four-group (by default) leader-mediated traffic: slot = pid for a
+    process's intragroup sends, n + g for leader g's intergroup sends."""
 
     def __init__(self, system: MobileSystem, config: GroupWorkloadConfig) -> None:
         super().__init__(system)
@@ -44,73 +44,28 @@ class GroupWorkload(Workload):
         """Whether ``pid`` is its group's leader."""
         return pid in self.leaders
 
-    def _bind(self, pid: int):
-        # (delay draw, destination draw, candidates) for intragroup
-        # traffic and, when ``pid`` leads its group, for intergroup: C
-        # draws of the streams (see ``workload.base``) whose names and
-        # per-stream draw order are those of per-call
-        # ``streams.exponential(name, mean)`` / ``streams.choice``.
-        stream = self.system.streams.stream
-        group = self.group_of[pid]
-        if pid not in self._views:
-            self._views.update(_others_by_pid(self.groups[group]))
-        intra = (
-            stream(f"workload.group.intra.{pid}").random,
-            stream(f"workload.group.intra.dst.{pid}").getrandbits,
-            self._views[pid],
-        )
-        if self.leaders[group] != pid:
-            return intra, None
-        inter = (
-            stream(f"workload.group.inter.{pid}").random,
-            stream(f"workload.group.inter.dst.{pid}").getrandbits,
-            _Others(self.leaders, group),
-        )
-        return intra, inter
+    def _bind(self, slot: int) -> _Slot:
+        n = len(self.group_of)
+        mean = self.config.mean_send_interval
+        if slot < n:  # intragroup: every process, to its own group
+            members = self.groups[self.group_of[slot]]
+            return self._make_slot(slot, f"workload.group.intra.{slot}",
+                                   f"workload.group.intra.dst.{slot}",
+                                   members, slot - members[0], mean)
+        group = slot - n  # intergroup: group's leader, to the other leaders
+        leader = self.leaders[group]
+        return self._make_slot(leader, f"workload.group.inter.{leader}",
+                               f"workload.group.inter.dst.{leader}",
+                               self.leaders, group, mean * self.config.intra_inter_ratio)
 
     def _schedule_initial(self) -> None:
         for pid in self.system.processes:
-            self._schedule_intra(pid)
-        for leader in self.leaders:
-            self._schedule_inter(leader)
+            self._arm(pid)
+        for group in range(len(self.leaders)):
+            self._arm(len(self.group_of) + group)
 
-    # -- intragroup ---------------------------------------------------------
-    def _schedule_intra(self, pid: int) -> None:
-        random = self._bound[pid][0][0]
-        delay = -_log(1.0 - random()) / (1.0 / self.config.mean_send_interval)
-        sim = self.system.sim
-        sim.schedule_at(sim._now + delay, self._fire_intra, pid)
-
-    def _fire_intra(self, pid: int) -> None:
-        if not self._running:
-            return
-        _, getrandbits, members = self._bound[pid][0]
-        last = len(members._pids) - 1
-        if last:  # _randbelow(last), without its frame
-            k = last.bit_length()
-            index = getrandbits(k)
-            while index >= last:
-                index = getrandbits(k)
-            self._send(pid, members._pids[index + (index >= members._skip)])
-        self._schedule_intra(pid)
-
-    # -- intergroup (leaders only) ---------------------------------------------
-    def _schedule_inter(self, leader: int) -> None:
-        random = self._bound[leader][1][0]
-        mean = self.config.mean_send_interval * self.config.intra_inter_ratio
-        delay = -_log(1.0 - random()) / (1.0 / mean)
-        sim = self.system.sim
-        sim.schedule_at(sim._now + delay, self._fire_inter, leader)
+    # the send callbacks an image pickled before sends had slots
+    _fire_intra = Workload._fire
 
     def _fire_inter(self, leader: int) -> None:
-        if not self._running:
-            return
-        _, getrandbits, others = self._bound[leader][1]
-        last = len(others._pids) - 1
-        if last:  # _randbelow(last), without its frame
-            k = last.bit_length()
-            index = getrandbits(k)
-            while index >= last:
-                index = getrandbits(k)
-            self._send(leader, others._pids[index + (index >= others._skip)])
-        self._schedule_inter(leader)
+        self._fire(len(self.group_of) + self.group_of[leader])

@@ -12,7 +12,11 @@ layer kept each location fact once, the network, its stations, hosts,
 channels and custody records held the doubled directory
 :func:`dumps_doubled_directory` writes. Until a mobile host kept the
 bytes of the cells it left, it had no ``left_tx_bytes`` /
-``left_rx_bytes`` (:func:`dumps_without_link_totals`). Snapshots written then must keep
+``left_rx_bytes`` (:func:`dumps_without_link_totals`). Until every
+workload sent through numbered slots, a workload pickled its per-pid
+stream tuples and ``repro.workload.base._Others`` peer views, and a group
+workload's sends were ``_fire_intra`` / ``_fire_inter`` events
+(:func:`dumps_per_pid_workload`). Snapshots written then must keep
 loading (:class:`repro.snapshot.state._ImageUnpickler` and
 :func:`repro.snapshot.state.restore`). These writers emit the opcodes
 those classes emitted - byte for byte, as
@@ -35,12 +39,18 @@ from typing import Dict, Iterable, NamedTuple, Optional
 import repro.analysis.vector_clock as vector_clock
 import repro.checkpointing.disconnect_support as disconnect_support
 import repro.core.process as process_module
+import repro.workload.base as workload_base
 from repro.net.channel import FifoChannel
 from repro.net.disconnect import BufferRecord
 from repro.net.mh import MobileHost
 from repro.net.mss import MobileSupportStation
 from repro.net.network import MobileNetwork
+from repro.sim.kernel import Simulator
 from repro.snapshot.state import _ImageUnpickler
+from repro.workload.base import Workload, _Bindings
+from repro.workload.bursty import BurstyWorkload
+from repro.workload.group import GroupWorkload
+from repro.workload.point_to_point import PointToPointWorkload
 
 _STATE = "repro.checkpointing.state"
 
@@ -132,6 +142,18 @@ class MssProxyEnv(process_module.RuntimeEnv):
 MssProxyEnv.__module__ = disconnect_support.__name__
 
 
+class _Others:
+    """The deleted peer view: ``_pids`` minus the entry at index ``_skip``."""
+
+    __slots__ = ("_pids", "_skip")
+
+    def __init__(self, pids, skip) -> None:
+        self._pids, self._skip = pids, skip
+
+
+_Others.__module__ = workload_base.__name__
+
+
 @contextlib.contextmanager
 def _old_names():
     module = types.ModuleType(_STATE)
@@ -141,11 +163,12 @@ def _old_names():
     vector_clock.PackedInts = PackedInts
     process_module._DeliverCall = _DeliverCall
     disconnect_support.MssProxyEnv = MssProxyEnv
+    workload_base._Others = _Others
     try:
         yield
     finally:
         del vector_clock.PackedInts, process_module._DeliverCall
-        del disconnect_support.MssProxyEnv
+        del disconnect_support.MssProxyEnv, workload_base._Others
         if saved is None:
             del sys.modules[_STATE]
         else:  # pragma: no cover
@@ -214,6 +237,80 @@ def dumps_without_link_totals(obj) -> bytes:
     """``obj`` pickled as it was before hosts kept their left cells' bytes."""
     buffer = io.BytesIO()
     _NoLinkTotalsPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
+
+
+def _per_pid_tables(workload: Workload) -> dict:
+    """The tables a workload kept per pid before it had slots: ``_bound``
+    (pid -> a tuple of its streams' C draws and its view), ``_views``
+    (pid -> its view: of the shared ``_pids`` list, or for group of its
+    own group, when ``_pids`` stayed empty), and p2p's ``_lambd``."""
+    stream = workload.system.streams.stream
+    pids = list(workload.system.processes)
+    bound = _Bindings(workload._bind)
+    if isinstance(workload, GroupWorkload):
+        views = {pid: _Others(members, index) for members in workload.groups
+                 for index, pid in enumerate(members)}
+        tables = {"_bound": bound, "_pids": [], "_views": views}
+    else:
+        views = {pid: _Others(pids, index) for index, pid in enumerate(pids)}
+        tables = {"_bound": bound, "_pids": pids, "_views": views}
+    for pid in pids:
+        if isinstance(workload, PointToPointWorkload):
+            bound[pid] = (stream(f"workload.p2p.{pid}").random,
+                          stream(f"workload.p2p.dst.{pid}").getrandbits, views[pid])
+        elif isinstance(workload, BurstyWorkload):
+            bound[pid] = (*(stream(f"bursty.{kind}.{pid}").random
+                            for kind in ("off", "on", "send")),
+                          stream(f"bursty.dst.{pid}").getrandbits, views[pid])
+        else:
+            group = workload.group_of[pid]
+            intra = (stream(f"workload.group.intra.{pid}").random,
+                     stream(f"workload.group.intra.dst.{pid}").getrandbits, views[pid])
+            inter = None
+            if workload.leaders[group] == pid:
+                inter = (stream(f"workload.group.inter.{pid}").random,
+                         stream(f"workload.group.inter.dst.{pid}").getrandbits,
+                         _Others(workload.leaders, group))
+            bound[pid] = (intra, inter)
+    if isinstance(workload, PointToPointWorkload):
+        tables["_lambd"] = 1.0 / workload.config.mean_send_interval
+    return tables
+
+
+class _PerPidWorkloadPickler(pickle.Pickler):
+    """Pickles a workload with the per-pid tables it kept before slots,
+    and a group workload's queued sends as ``_fire_intra(pid)`` /
+    ``_fire_inter(leader)``."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Workload):
+            return copyreg.__newobj__, (type(obj),), dict(
+                obj.__getstate__(), **_per_pid_tables(obj))
+        if isinstance(obj, Simulator):
+            state = obj.__getstate__()
+            state["_queue"] = [_per_pid_entry(entry) for entry in state["_queue"]]
+            return copyreg.__newobj__, (type(obj),), state
+        return NotImplemented
+
+
+def _per_pid_entry(entry):
+    *head, callback, args = entry
+    workload = getattr(callback, "__self__", None)
+    if not isinstance(workload, GroupWorkload) or callback.__name__ != "_fire":
+        return entry
+    (slot,) = args
+    n = len(workload.group_of)
+    if slot < n:
+        return (*head, _Reduce(getattr, workload, "_fire_intra"), (slot,))
+    return (*head, _Reduce(getattr, workload, "_fire_inter"), (workload.leaders[slot - n],))
+
+
+def dumps_per_pid_workload(obj) -> bytes:
+    """``obj`` pickled as it was while workloads kept per-pid tables."""
+    buffer = io.BytesIO()
+    with _old_names():
+        _PerPidWorkloadPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     return buffer.getvalue()
 
 

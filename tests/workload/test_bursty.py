@@ -76,6 +76,23 @@ def test_on_off_state_tracking():
     assert workload.messages_generated > 0
 
 
+def test_a_send_queued_past_its_burst_neither_sends_nor_rearms():
+    """A send armed in a burst that has since ended is dropped, so each
+    burst runs one chain of sends, not one more per burst."""
+    system = build(n=2)
+    workload = BurstyWorkload(system, BurstyWorkloadConfig())
+    workload._running = True
+
+    def armed():
+        return [entry[4] for entry in system.sim._queue if entry[3] == workload._fire]
+
+    workload._fire(0)  # pid 0 is between bursts
+    assert workload.messages_generated == 0 and armed() == []
+    workload._on[0] = True
+    workload._fire(0)
+    assert workload.messages_generated == 1 and armed() == [(0,)]
+
+
 def test_checkpointing_under_bursts_stays_consistent():
     system = build(seed=11)
     config = BurstyWorkloadConfig(burst_send_interval=0.3, mean_on=10.0, mean_off=40.0)

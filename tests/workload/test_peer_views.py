@@ -1,8 +1,8 @@
-"""The "everyone but me" destination views and the O(n) start they buy.
+"""The "everyone but me" destination draw and the O(n) start it buys.
 
-A workload keeps one shared pid list and, per pid, a two-slot view of it
-with that pid skipped, instead of n lists of n - 1 pids. Two things are
-pinned here: the pick every workload's send makes from a view (the
+A workload's send slots share one peer list and each skips its sender's
+index in it, instead of n lists of n - 1 pids. Two things are pinned
+here: the pick every workload's send makes from a slot (the
 ``getrandbits`` rejection loop of one ``_randbelow`` draw, and an index
 skip) is the very draw a ``choice`` over the materialised list makes (so
 no simulated result moves), and
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.core.config import (
 )
 from repro.core.system import MobileSystem
 from repro.sim.rng import raw_rng
-from repro.workload.base import _others_by_pid
+from repro.workload.base import _Slot
 from repro.workload.bursty import BurstyWorkload, BurstyWorkloadConfig
 from repro.workload.group import GroupWorkload
 from repro.workload.point_to_point import PointToPointWorkload
@@ -36,41 +37,50 @@ def _system(n: int) -> MobileSystem:
     return MobileSystem(config, MutableCheckpointProtocol())
 
 
+def _record_sends(workload, pid, send=None):
+    """Put a connected stand-in in place of process ``pid``; what the
+    workload sends from it goes to ``send(dst)``, or into the list
+    returned."""
+    picks = []
+    workload.system.processes[pid] = SimpleNamespace(
+        host=SimpleNamespace(disconnected=False),
+        send_computation=lambda dst, payload: (send or picks.append)(dst),
+    )
+    return picks
+
+
 # -- (a) draw parity -----------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, 16, 257])
 def test_choice_over_the_view_is_choice_over_the_list(n):
-    """A send's draw over a view, ``_randbelow``'s ``getrandbits``
-    rejection loop made inline and an index skip, is ``choice`` over the
-    materialised list."""
+    """A send's draw over a slot's view of its peers, ``_randbelow``'s
+    ``getrandbits`` rejection loop made inline and an index skip, is
+    ``choice`` over the materialised list."""
     pids = list(range(100, 100 + n))  # pids need not be their own index
-    views = _others_by_pid(pids)
-    for pid in pids:
-        materialised = [p for p in pids if p != pid]
-        view = views[pid]
-        over_view, over_list = raw_rng(pid), raw_rng(pid)
-        drawn = []
-        last = len(view._pids) - 1
-        k = last.bit_length()
+    workload = PointToPointWorkload(_system(2), PointToPointWorkloadConfig(1.0))
+    workload._running = True
+    for skip, pid in enumerate(pids):
+        over_slot, over_list = raw_rng(pid), raw_rng(pid)
+        workload._slots[pid] = _Slot(
+            pid, raw_rng(pid + n).random, over_slot.getrandbits, pids, skip, 1.0
+        )
+        picks = _record_sends(workload, pid)
         for _ in range(200):
-            i = over_view.getrandbits(k)
-            while i >= last:
-                i = over_view.getrandbits(k)
-            drawn.append(view._pids[i + (i >= view._skip)])
-        assert drawn == [over_list.choice(materialised) for _ in range(200)]
+            workload._fire(pid)
+        materialised = [p for p in pids if p != pid]
+        assert picks == [over_list.choice(materialised) for _ in range(200)]
 
 
-def _picks(workload, fire, pid, stream_name, candidates, draws=200):
-    """What ``fire(pid)`` sends to over ``draws`` sends, and what
+def _picks(workload, slot, pid, stream_name, candidates, draws=200):
+    """What ``pid`` sends to over ``draws`` sends of ``slot``, and what
     ``choice`` over the materialised candidate list draws from a twin
     of the destination stream."""
     workload._running = True
-    workload._bound[pid]  # derives the streams, as the first send does
+    workload._slots[slot]  # derives the streams, as the first send does
     twin = copy.deepcopy(workload.system.streams.stream(stream_name))
-    picks = []
-    workload._send = lambda src, dst: picks.append(dst)
+    picks = _record_sends(workload, pid)
     for _ in range(draws):
-        fire(pid)
+        workload._fire(slot)
     materialised = [p for p in candidates if p != pid]
     return picks, [twin.choice(materialised) for _ in range(draws)]
 
@@ -85,7 +95,7 @@ def test_p2p_pick_is_choice_over_the_list(n):
         system = _system(n)
         workload = PointToPointWorkload(system, PointToPointWorkloadConfig(1.0))
         picks, expected = _picks(
-            workload, workload._fire, pid, f"workload.p2p.dst.{pid}", range(n)
+            workload, pid, pid, f"workload.p2p.dst.{pid}", range(n)
         )
         assert picks == expected
 
@@ -97,15 +107,15 @@ def test_group_picks_are_choice_over_the_list(n):
         system = _system(n)
         workload = GroupWorkload(system, GroupWorkloadConfig(mean_send_interval=1.0, n_groups=1))
         picks, expected = _picks(
-            workload, workload._fire_intra, pid,
-            f"workload.group.intra.dst.{pid}", range(n),
+            workload, pid, pid, f"workload.group.intra.dst.{pid}", range(n),
         )
         assert picks == expected
-        # groups of one: every pid leads, intergroup sends pick a leader
+        # groups of one: every pid leads, intergroup sends (slot n + its
+        # group) pick a leader
         system = _system(n)
         workload = GroupWorkload(system, GroupWorkloadConfig(mean_send_interval=1.0, n_groups=n))
         picks, expected = _picks(
-            workload, workload._fire_inter, pid,
+            workload, n + workload.group_of[pid], pid,
             f"workload.group.inter.dst.{pid}", workload.leaders,
         )
         assert picks == expected
@@ -118,7 +128,7 @@ def test_bursty_pick_is_choice_over_the_list(n):
         workload = BurstyWorkload(system, BurstyWorkloadConfig())
         workload._on[pid] = True
         picks, expected = _picks(
-            workload, workload._fire, pid, f"bursty.dst.{pid}", range(n)
+            workload, pid, pid, f"bursty.dst.{pid}", range(n)
         )
         assert picks == expected
 
@@ -127,7 +137,7 @@ def test_bursty_pick_is_choice_over_the_list(n):
 
 N_BIG = 2048
 #: bytes a workload may keep per process from its own frames: stream
-#: names, bound draws, one view, table slots (~0.45 kB; a materialised
+#: names, bound draws, one slot record, table entries (~0.45 kB; a materialised
 #: peer list alone is 16 kB per process at this size)
 PER_PROCESS_BUDGET = 1024
 
@@ -170,12 +180,12 @@ def test_a_bursty_send_allocates_no_peer_list():
     workload._on[7] = True
     during_send = []
 
-    def send(pid, dst):
+    def send(dst):
         # what _fire holds while the message goes out, seen from inside it
         if tracemalloc.is_tracing():
             during_send.append(tracemalloc.take_snapshot())
 
-    workload._send = send
+    _record_sends(workload, 7, send)
     workload._fire(7)  # the first send builds the shared table, once
     tracemalloc.start()
     try:

@@ -35,17 +35,18 @@ def _system(n: int) -> MobileSystem:
 
 
 def _check_schedule_times(system, workload, draws):
-    """Run ``workload`` until each callback named in ``draws`` has been
+    """Run ``workload`` until each kind of draw in ``draws`` has been
     scheduled ``SENDS`` times, checking every time against a twin.
 
-    ``draws`` maps a callback name to ``(stream name of a pid, lambd,
-    pids that schedule it)``.
+    ``draws`` maps a kind of draw to ``(callback name, lambd, {argument
+    the callback is scheduled with: stream name})``: a send's argument is
+    its slot, a bursty period's its pid.
     """
     streams = system.streams
     twins = {
-        (name, pid): copy.deepcopy(streams.stream(stream_of(pid)))
-        for name, (stream_of, _, pids) in draws.items()
-        for pid in pids
+        (name, arg): (kind, lambd, copy.deepcopy(streams.stream(stream_name)))
+        for kind, (name, lambd, stream_of) in draws.items()
+        for arg, stream_name in stream_of.items()
     }
     counts = dict.fromkeys(draws, 0)
     sim = system.sim
@@ -53,10 +54,10 @@ def _check_schedule_times(system, workload, draws):
 
     def spy(when, callback, *args, **kwargs):
         if getattr(callback, "__self__", None) is workload:
-            name, (pid,) = callback.__name__, args
-            twin, lambd = twins[name, pid], draws[name][1]
-            assert when == sim._now + twin.expovariate(lambd), (name, pid)
-            counts[name] += 1
+            key = (callback.__name__, *args)
+            kind, lambd, twin = twins[key]
+            assert when == sim._now + twin.expovariate(lambd), key
+            counts[kind] += 1
         schedule_at(when, callback, *args, **kwargs)
 
     sim.schedule_at = spy
@@ -72,8 +73,8 @@ def test_p2p_send_times(n):
     config = PointToPointWorkloadConfig(1.0)
     workload = PointToPointWorkload(system, config)
     _check_schedule_times(system, workload, {
-        "_fire": (lambda pid: f"workload.p2p.{pid}",
-                  1.0 / config.mean_send_interval, range(n)),
+        "send": ("_fire", 1.0 / config.mean_send_interval,
+                 {pid: f"workload.p2p.{pid}" for pid in range(n)}),
     })
 
 
@@ -88,10 +89,11 @@ def test_group_send_times(n):
     workload = GroupWorkload(system, config)
     inter_mean = config.mean_send_interval * config.intra_inter_ratio
     _check_schedule_times(system, workload, {
-        "_fire_intra": (lambda pid: f"workload.group.intra.{pid}",
-                        1.0 / config.mean_send_interval, range(n)),
-        "_fire_inter": (lambda pid: f"workload.group.inter.{pid}",
-                        1.0 / inter_mean, workload.leaders),
+        "intra": ("_fire", 1.0 / config.mean_send_interval,
+                  {pid: f"workload.group.intra.{pid}" for pid in range(n)}),
+        "inter": ("_fire", 1.0 / inter_mean,
+                  {n + group: f"workload.group.inter.{leader}"
+                   for group, leader in enumerate(workload.leaders)}),
     })
 
 
@@ -101,10 +103,10 @@ def test_bursty_period_and_send_times(n):
     config = BurstyWorkloadConfig(burst_send_interval=0.5, mean_on=5.0, mean_off=5.0)
     workload = BurstyWorkload(system, config)
     _check_schedule_times(system, workload, {
-        "_burst_start": (lambda pid: f"bursty.off.{pid}",
-                         1.0 / config.mean_off, range(n)),
-        "_burst_end": (lambda pid: f"bursty.on.{pid}",
-                       1.0 / config.mean_on, range(n)),
-        "_fire": (lambda pid: f"bursty.send.{pid}",
-                  1.0 / config.burst_send_interval, range(n)),
+        "off": ("_burst_start", 1.0 / config.mean_off,
+                {pid: f"bursty.off.{pid}" for pid in range(n)}),
+        "on": ("_burst_end", 1.0 / config.mean_on,
+               {pid: f"bursty.on.{pid}" for pid in range(n)}),
+        "send": ("_fire", 1.0 / config.burst_send_interval,
+                 {pid: f"bursty.send.{pid}" for pid in range(n)}),
     })
