@@ -120,12 +120,25 @@ def execute_point(
     ``meta`` (``snapshot_dir``, ``resumed_from``, ``snapshots_taken`` —
     the count this execution wrote — and ``snapshots``, the paths kept)
     is the only visible difference.
+
+    A point with an ``explore`` payload runs ``run_explore_point`` of
+    :mod:`repro.explore.fuzz` instead; its verdict is the record's result.
     """
     started = time.perf_counter()
     point_dict = dict(payload)
     point_hash = spec_hash(point_dict)
     try:
         point = RunPoint.from_dict(point_dict)
+        if point.explore is not None:
+            from repro.explore.fuzz import run_explore_point
+
+            return {
+                "point_hash": point_hash,
+                "status": "ok",
+                "point": point.to_dict(),
+                "result": run_explore_point(point),
+                "wall_time": time.perf_counter() - started,
+            }
         meta: Dict[str, Any] = {}
         point_snap_dir = None
         resume_from = None
@@ -297,7 +310,7 @@ class CampaignEngine:
         workers: int = 1,
         progress: Optional[ProgressReporter] = None,
         quiet: bool = True,
-        executor: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
+        trace_dir: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
         pool: Optional[Any] = None,
         should_stop: Optional[Callable[[], bool]] = None,
@@ -315,20 +328,14 @@ class CampaignEngine:
 
         self.store = store if store is not None else ResultStore()
         self.workers = workers
-        # A payload -> record callable; must pickle for worker pools
-        # (module-level function or functools.partial of one). This is
-        # how repro.explore reuses the engine with its own run shape.
-        if executor is None:
-            if snapshot_dir is not None:
-                # Crash-safe campaigns: points snapshot while running and
-                # in-progress points found on disk resume mid-run instead
-                # of restarting (completed points are skipped as before).
-                executor = functools.partial(execute_point, snapshot_dir=snapshot_dir)
-            else:
-                executor = execute_point
-        elif snapshot_dir is not None:
-            raise ValueError("snapshot_dir requires the default executor")
-        self.executor = executor
+        if (trace_dir is not None or snapshot_dir is not None) and any(
+            p.explore is not None for p in self.points
+        ):
+            raise ValueError("trace_dir and snapshot_dir do not apply to explore points")
+        # pickles into worker pools; see execute_point for the two dirs
+        self.executor = functools.partial(
+            execute_point, trace_dir=trace_dir, snapshot_dir=snapshot_dir
+        )
         # An externally owned multiprocessing pool: the campaign service
         # keeps one pool alive across many jobs so workers fork once,
         # not once per submission. The engine never closes it.

@@ -579,23 +579,26 @@ class MutableCheckpointProcess(ProtocolProcess):
             self.cp_state = False
         mutable = self.mutables.pop(trigger, None)
         if mutable is not None:
-            # §3.3.4: a discarded mutable checkpoint gives back its saved
-            # dependency context.
-            self.sent = self.sent or mutable.saved_sent
-            self.r |= mutable.saved_r
-            self.env.discard_mutable(mutable.checkpoint)
-            self.env.trace(
-                "mutable_discarded",
-                pid=self.pid,
-                trigger=trigger,
-                ckpt_id=mutable.checkpoint.ckpt_id,
-            )
+            self._give_back(trigger, mutable)
         context = self.pending_tentative.pop(trigger, None)
         if context is not None:
             self.env.make_permanent(context.record)
             self.env.trace(
                 "permanent", pid=self.pid, trigger=trigger, ckpt_id=context.record.ckpt_id
             )
+
+    def _give_back(self, trigger: Trigger, mutable: MutableCheckpointRecord) -> None:
+        """§3.3.4: a discarded mutable checkpoint gives back its saved
+        dependency context."""
+        self.sent = self.sent or mutable.saved_sent
+        self.r |= mutable.saved_r
+        self.env.discard_mutable(mutable.checkpoint)
+        self.env.trace(
+            "mutable_discarded",
+            pid=self.pid,
+            trigger=trigger,
+            ckpt_id=mutable.checkpoint.ckpt_id,
+        )
 
     # ------------------------------------------------------------------
     # Abort (failures during checkpointing, §3.6)
@@ -626,15 +629,7 @@ class MutableCheckpointProcess(ProtocolProcess):
         self.tagged_sent.pop(trigger, None)
         mutable = self.mutables.pop(trigger, None)
         if mutable is not None:
-            self.sent = self.sent or mutable.saved_sent
-            self.r |= mutable.saved_r
-            self.env.discard_mutable(mutable.checkpoint)
-            self.env.trace(
-                "mutable_discarded",
-                pid=self.pid,
-                trigger=trigger,
-                ckpt_id=mutable.checkpoint.ckpt_id,
-            )
+            self._give_back(trigger, mutable)
         context = self.pending_tentative.pop(trigger, None)
         if context is not None:
             # Restore the dependency context the tentative checkpoint

@@ -484,21 +484,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     store_path = None if args.no_store else (
         args.store or f"campaign-{spec.name}.jsonl"
     )
-    executor = None
-    if args.trace_out or args.snapshot_dir:
-        import functools
-
-        from repro.campaign.engine import execute_point
-
-        executor = functools.partial(
-            execute_point,
-            trace_dir=args.trace_out,
-            snapshot_dir=args.snapshot_dir,
-        )
     with ResultStore(store_path) as store:
         engine = CampaignEngine(
             spec, store=store, workers=args.workers, quiet=args.quiet,
-            executor=executor,
+            trace_dir=args.trace_out, snapshot_dir=args.snapshot_dir,
         )
         report = engine.run()
 
@@ -620,6 +609,10 @@ def _cmd_run_resume(args: argparse.Namespace) -> int:
         path = latest.path
     meta = read_meta(path)
     image = resume_run(path)
+    if (args.export_trace or args.verify) and not image.system.sim.trace.debug_on:
+        print("error: the snapshot's run traced no messages; start it with "
+              "--export-trace, --verify or --flight-recorder", file=sys.stderr)
+        return 2
     print(
         f"resumed from            : {path} "
         f"(event {meta.events_processed}, t={meta.sim_time:.1f}s)"

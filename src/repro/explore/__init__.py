@@ -25,7 +25,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "EXPLORE_PRESETS": "fuzz",
     "ExploreReport": "fuzz",
     "ExploreSpec": "fuzz",
-    "execute_explore_point": "fuzz",
     "explore_preset": "fuzz",
     "run_explore_batch": "fuzz",
     "run_explore_once": "fuzz",

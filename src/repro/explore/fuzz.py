@@ -10,7 +10,8 @@ schedule in its ``explore`` payload — so the batch rides the existing
 :class:`~repro.campaign.engine.CampaignEngine` and fans out over
 workers bit-identically (every point is hermetic).
 
-:func:`execute_explore_point` is the worker entry point; it builds the
+The engine's worker entry point, :func:`~repro.campaign.engine.execute_point`,
+sees the payload and calls :func:`run_explore_point`: it builds the
 system, installs the :class:`~repro.explore.policy.RecordingPolicy` and
 the :class:`~repro.explore.injections.InjectionDriver`, runs to
 quiescence, evaluates the invariant suite, and — on violation — runs
@@ -21,20 +22,18 @@ contains a minimized, replayable counterexample.
 from __future__ import annotations
 
 import hashlib
-import time
-import traceback
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.cache import derive_seed, spec_hash
+from repro.campaign.cache import derive_seed
 from repro.campaign.engine import CampaignEngine, CampaignReport, build_point_runtime
 from repro.campaign.spec import WORKLOAD_KINDS, RunPoint
 from repro.campaign.store import PointRecord, ResultStore
 from repro.core.config import RunConfig
 from repro.core.system import MobileSystem
 from repro.errors import ConfigurationError
-from repro.explore.injections import INJECTION_KINDS, InjectionDriver, draw_injections
+from repro.explore.injections import InjectionDriver, draw_injections
 from repro.explore.invariants import Violation, build_invariants, check_invariants
 from repro.explore.mutations import MUTATIONS, build_explore_protocol
 from repro.explore.policy import (
@@ -42,7 +41,6 @@ from repro.explore.policy import (
     PerturbationConfig,
     RecordingPolicy,
     ReplayPolicy,
-    decisions_to_jsonable,
 )
 from repro.sim.export import dump_trace
 from repro.sim.trace import TraceLog
@@ -293,38 +291,6 @@ def run_explore_point(point: RunPoint) -> Dict[str, Any]:
     return result
 
 
-def execute_explore_point(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point for explore points (pluggable engine executor).
-
-    Mirrors :func:`repro.campaign.engine.execute_point`: never raises,
-    returns a :class:`~repro.campaign.store.PointRecord`-shaped dict.
-    An invariant violation is still ``status="ok"`` — the *point* ran
-    fine; the verdict lives in the result payload.
-    """
-    started = time.perf_counter()
-    point_dict = dict(payload)
-    point_hash = spec_hash(point_dict)
-    try:
-        point = RunPoint.from_dict(point_dict)
-        result = run_explore_point(point)
-        return {
-            "point_hash": point_hash,
-            "status": "ok",
-            "point": point.to_dict(),
-            "result": result,
-            "wall_time": time.perf_counter() - started,
-        }
-    except Exception as exc:  # noqa: BLE001 — failures become records
-        return {
-            "point_hash": point_hash,
-            "status": "failed",
-            "point": point_dict,
-            "error": f"{type(exc).__name__}: {exc}",
-            "meta": {"traceback": traceback.format_exc()},
-            "wall_time": time.perf_counter() - started,
-        }
-
-
 @dataclass
 class ExploreReport:
     """Batch outcome: per-seed verdicts plus the campaign bookkeeping."""
@@ -394,7 +360,6 @@ def run_explore_batch(
         store=store,
         workers=workers,
         quiet=quiet,
-        executor=execute_explore_point,
     )
     engine.name = spec.name
     return ExploreReport(spec=spec, campaign=engine.run())

@@ -8,9 +8,11 @@ it finds the violation and shrinks it to a replayable counterexample.
 
 Mutations wrap :class:`~repro.checkpointing.mutable.MutableCheckpointProtocol`
 (the only protocol explore mutates), overriding ``_build_process`` with
-a subtly broken process subclass. They are *not* registered in the
-protocol registry: you opt in via ``--mutation`` / the explore spec, so
-no production path can pick one up by accident.
+a subtly broken process subclass; ``skip-mutable`` is the ``no-mutable``
+ablation of :mod:`repro.checkpointing.simple_schemes` under its own name.
+They are *not* registered in the protocol registry: you opt in via
+``--mutation`` / the explore spec, so no production path can pick one
+up by accident.
 """
 
 from __future__ import annotations
@@ -22,32 +24,9 @@ from repro.checkpointing.mutable import (
     MutableCheckpointProtocol,
 )
 from repro.checkpointing.protocol import CheckpointProtocol, ProcessEnv
+from repro.checkpointing.simple_schemes import NoMutableVariantProtocol
 from repro.errors import ConfigurationError
 from repro.net.message import ComputationMessage
-
-
-class _SkipMutableProcess(MutableCheckpointProcess):
-    """Mutation: the receiver never takes a mutable checkpoint.
-
-    The csn bookkeeping and cp_state propagation survive, so the run
-    *looks* healthy — but a message received from a checkpointing peer
-    after we sent in the current interval is no longer protected, and
-    the committed line can orphan it (the §2.4 z-dependency race).
-    """
-
-    def on_receive_computation(
-        self, message: ComputationMessage, deliver: Callable[[], None]
-    ) -> None:
-        j = message.src_pid
-        recv_csn, msg_trigger = message.protocol_tags()
-        if recv_csn > self.csn[j]:
-            self.csn[j] = recv_csn
-            if msg_trigger is not None and not self.cp_state:
-                self.cp_state = True
-                self.csn[self.pid] += 1
-                self.own_trigger = msg_trigger
-        self.r.add(j)
-        deliver()
 
 
 class _ForgetSentProcess(MutableCheckpointProcess):
@@ -56,7 +35,7 @@ class _ForgetSentProcess(MutableCheckpointProcess):
     §3.3's mutable-checkpoint condition is "have I *sent* since my last
     checkpoint"; forgetting the flag makes the condition almost always
     false, so mutable checkpoints are skipped precisely in the schedules
-    where they matter. Rarer than :class:`_SkipMutableProcess` — a good
+    where they matter. Rarer than ``skip-mutable`` — a good
     target for schedule fuzzing rather than plain runs.
     """
 
@@ -67,13 +46,10 @@ class _ForgetSentProcess(MutableCheckpointProcess):
         super().on_receive_computation(message, deliver)
 
 
-class SkipMutableMutation(MutableCheckpointProtocol):
+class SkipMutableMutation(NoMutableVariantProtocol):
     """``skip-mutable``: receivers never take mutable checkpoints."""
 
     name = "mutable[skip-mutable]"
-
-    def _build_process(self, env: ProcessEnv) -> MutableCheckpointProcess:
-        return _SkipMutableProcess(env, self)
 
 
 class ForgetSentMutation(MutableCheckpointProtocol):

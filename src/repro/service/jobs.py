@@ -307,6 +307,8 @@ class JobManager:
             job_name = name or "adhoc"
         if not points:
             raise ValueError("cannot submit an empty grid")
+        if any(p.explore is not None for p in points):
+            raise ValueError("explore points have no paper row; run them with repro-sim explore")
         started = time.perf_counter()
         part = self.cache.partition(points)
         with self._lock:

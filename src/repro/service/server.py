@@ -369,8 +369,8 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         if address is not None and not self.closing:
             self._idle.register(request, selectors.EVENT_READ, address)
             return
-        self._open.discard(request)
         super().shutdown_request(request)
+        self._open.discard(request)  # once closed: an empty _open means every FIN is out
 
     def server_close(self) -> None:
         """Answer open long-polls 503, end idle connections (a reader

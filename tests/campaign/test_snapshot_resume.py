@@ -105,13 +105,14 @@ def test_engine_snapshot_dir_wires_executor_and_store(tmp_path, wall_clock):
         assert os.path.exists(path)
 
 
-def test_engine_rejects_snapshot_dir_with_custom_executor(tmp_path):
-    with pytest.raises(ValueError, match="snapshot_dir"):
-        CampaignEngine(
-            [_point()],
-            executor=lambda payload: payload,
-            snapshot_dir=str(tmp_path / "snaps"),
-        )
+@pytest.mark.parametrize("option", ["trace_dir", "snapshot_dir"])
+def test_engine_rejects_side_outputs_for_explore_points(tmp_path, option):
+    from repro.explore.fuzz import ExploreSpec
+
+    points = [_point(), ExploreSpec(n_seeds=1).expand()[0]]
+    with pytest.raises(ValueError, match="explore points"):
+        CampaignEngine(points, **{option: str(tmp_path / "out")})
+    CampaignEngine(points[:1], **{option: str(tmp_path / "out")})
 
 
 def test_snapshot_campaign_result_matches_plain_campaign(tmp_path, wall_clock):

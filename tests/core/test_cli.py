@@ -366,6 +366,27 @@ def test_snapshots_show_lists_set_members_sorted(tmp_path, capsys):
     assert all(r == sorted(r) for r in rs)
 
 
+@pytest.mark.parametrize("flags", [["--verify"], ["--export-trace", "out.jsonl"]])
+def test_resuming_an_untraced_image_refuses_trace_flags(
+    flags, tmp_path, monkeypatch, capsys
+):
+    """An image of a run below DEBUG holds no message records: exporting
+    or verifying its resumed run would judge nothing, so it exits 2."""
+    monkeypatch.chdir(tmp_path)
+    assert main(
+        ["run", "--processes", "8", "--rate", "0.05", "--initiations", "3",
+         "--snapshot-every", "1000", "--snapshot-dir", "snaps"]
+    ) == 0
+    capsys.readouterr()
+    assert main(["run", "--resume-from", "snaps", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "--export-trace, --verify or --flight-recorder" in err
+    assert not (tmp_path / "out.jsonl").exists()
+    assert main(["run", "--resume-from", "snaps"]) == 0
+
+
 @pytest.mark.parametrize("command", ["run", "profile"])
 def test_a_run_stopped_by_its_event_budget_is_one_line_and_exit_2(
     command, monkeypatch, capsys

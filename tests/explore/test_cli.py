@@ -89,7 +89,11 @@ def test_campaign_trace_out_writes_per_point_traces(tmp_path, capsys):
     )
     assert code == 0
     files = list(trace_dir.glob("*.jsonl"))
-    assert len(files) == 4  # one per smoke-preset point
+    from repro.campaign import preset_spec
+
+    hashes = {point.point_hash for point in preset_spec("smoke").expand()}
+    assert len(hashes) == 4
+    assert {f.name for f in files} == {f"{h}.jsonl" for h in hashes}
     from repro.sim.export import read_trace
 
     assert all(len(list(read_trace(str(f)))) > 0 for f in files)

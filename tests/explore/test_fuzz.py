@@ -101,6 +101,16 @@ def test_run_explore_point_result_shape():
     json.dumps(result)  # record must be JSON-serializable for the store
 
 
+def test_execute_point_runs_an_explore_point_to_its_verdict():
+    from repro.campaign.engine import execute_point
+
+    point = small_spec(mutation="skip-mutable").expand()[0]
+    record = execute_point(point.to_dict())
+    assert record["status"] == "ok"
+    assert record["point_hash"] == point.point_hash
+    assert record["result"] == run_explore_point(point)
+
+
 # -- batches -------------------------------------------------------------
 
 

@@ -75,6 +75,17 @@ def test_submit_validation(service_client):
         client.submit(points=[])
 
 
+def test_submit_refuses_explore_points(service_client):
+    """An explore point's result is a verdict, not a paper row."""
+    from repro.explore.fuzz import ExploreSpec
+
+    _, client = service_client
+    point = ExploreSpec(n_seeds=1).expand()[0].to_dict()
+    with pytest.raises(ServiceError, match="explore points") as refused:
+        client.submit(points=[point])
+    assert refused.value.code == 400
+
+
 @pytest.mark.parametrize(
     "content_length, body, expected",
     [
