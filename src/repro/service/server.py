@@ -72,6 +72,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # A kept-alive exchange must not wait out the peer's delayed ACK.
     disable_nagle_algorithm = True
+    # A socket read or write gives up after this long: a client that
+    # stops reading cannot hold its thread, nor so ``server_close``.
+    timeout = 30.0
 
     @property
     def service(self) -> CampaignService:
@@ -334,9 +337,10 @@ class CampaignHTTPServer(ThreadingHTTPServer):
     selector's own descriptor (epoll, kqueue) is what :meth:`serve_forever`
     polls: a new connection and a parked one's next request are dispatched
     alike, and an idle connection holds no thread. :meth:`server_close`
-    ends every connection and long-poll and joins every thread."""
+    ends every connection and long-poll and joins every request thread
+    (``ThreadingMixIn`` keeps only non-daemon ones to join)."""
 
-    daemon_threads = True
+    daemon_threads = False
     verbose = False
 
     def __init__(self, address: Tuple[str, int], service: CampaignService) -> None:

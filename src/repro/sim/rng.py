@@ -17,24 +17,40 @@ from typing import Dict, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
-#: the C Mersenne Twister seeding that ``random.Random.seed`` ends in
-_c_seed = _random.Random.seed
 
-
-class _Stream(random.Random):
-    """``random.Random`` with a compact pickle; draws are unchanged.
-
-    The inherited reduce writes the Mersenne state as 625 Python ints
-    (3.8 kB, and a 1024-process image holds 3 072 of them) and restores
-    through ``Random()``, which seeds from ``os.urandom`` only for
-    ``setstate`` to overwrite it. This one writes the words as bytes and
-    restores into a bare ``__new__`` instance.
+class _Stream(_random.Random):
+    """``random.Random``'s draws with no instance ``__dict__`` (it held
+    only ``gauss_next``, now a slot: ~340 bytes a stream) and a compact
+    pickle: the state's 625 words as bytes, not 3.8 kB of Python ints,
+    restored into a bare ``__new__`` instance. Draws are unchanged.
     """
+
+    __slots__ = ("gauss_next",)
+
+    def seed(self, a: int) -> None:  # random.Random.seed for an int seed
+        _random.Random.seed(self, a)
+        self.gauss_next = None
+
+    __init__ = seed
+
+    def getstate(self):
+        return self.VERSION, _random.Random.getstate(self), self.gauss_next
+
+    def setstate(self, state) -> None:
+        _, words, self.gauss_next = state
+        _random.Random.setstate(self, words)
 
     def __reduce__(self):
         version, words, gauss_next = self.getstate()
         packed = struct.pack(f"<{len(words)}I", *words)
         return _restore_stream, (version, packed, gauss_next)
+
+
+# The draws (choice, expovariate, gauss, ...); random.Random's seed,
+# getstate and setstate reach C through super(), hence the three above.
+for _name, _member in vars(random.Random).items():
+    if not _name.startswith("__") and _name not in vars(_Stream):
+        setattr(_Stream, _name, _member)
 
 
 def _restore_stream(version: int, packed: bytes, gauss_next) -> _Stream:
@@ -44,22 +60,22 @@ def _restore_stream(version: int, packed: bytes, gauss_next) -> _Stream:
     return stream
 
 
-def raw_rng(seed: int) -> random.Random:
+def raw_rng(seed: int) -> _Stream:
     """A bare seeded generator for consumers that manage their own seed.
 
-    This is the single sanctioned constructor for ``random.Random``
-    outside this module: everything stochastic either draws from a
+    This is the single sanctioned constructor for a generator outside
+    this module: everything stochastic either draws from a
     :class:`RandomStreams` stream or builds its generator here, so
     snapshot capture can account for every generator in the simulation
     (a lint test enforces this). Seed semantics are exactly
-    ``random.Random(seed)`` — callers that switched from a direct
-    constructor keep byte-identical draw sequences.
+    ``random.Random(seed)`` for an int seed — callers that switched from
+    a direct constructor keep byte-identical draw sequences.
     """
     return _Stream(seed)
 
 
 class RandomStreams:
-    """A factory of independent ``random.Random`` streams.
+    """A factory of independent streams, each drawing as ``random.Random``.
 
     Each stream is identified by a string name; its seed is derived by
     hashing the master seed together with the name, so streams are stable
@@ -69,28 +85,22 @@ class RandomStreams:
     def __init__(self, seed: int) -> None:
         self.seed = seed
         #: name -> its stream; ``None`` once :meth:`one_shot` has used it up
-        self._streams: Dict[str, Optional[random.Random]] = {}
+        self._streams: Dict[str, Optional[_Stream]] = {}
 
-    def _derive(self, name: str) -> random.Random:
+    def _derive(self, name: str) -> _Stream:
         if name in self._streams:
             raise ValueError(f"stream {name!r} is in use or was a one-shot: not derived again")
         digest = hashlib.sha256(f"{self.seed}:{name}".encode("utf-8")).digest()
-        # What _Stream(seed) does for an int seed, minus the Python
-        # __init__ / seed wrappers: one C seeding (a 4096-process run
-        # derives 12 288 streams at start).
-        stream = _Stream.__new__(_Stream)
-        _c_seed(stream, int.from_bytes(digest[:8], "big"))
-        stream.gauss_next = None
-        return stream
+        return _Stream(int.from_bytes(digest[:8], "big"))
 
-    def stream(self, name: str) -> random.Random:
+    def stream(self, name: str) -> _Stream:
         """Return the stream for ``name``, creating it on first use."""
         rng = self._streams.get(name)
         if rng is None:
             rng = self._streams[name] = self._derive(name)
         return rng
 
-    def one_shot(self, name: str) -> random.Random:
+    def one_shot(self, name: str) -> _Stream:
         """The stream for ``name``, same draws, for a consumer that draws
         once: not kept (a Mersenne state is 2.5 kB, in every snapshot
         too), and asking for the name again raises rather than restart."""

@@ -25,6 +25,7 @@ from math import log as _log
 from typing import Any, Callable, Dict, List
 
 from repro.core.system import MobileSystem
+from repro.sim.rng import RandomStreams
 
 #: what is rebuilt on use, never pickled: the slot table and the shared
 #: population list (and an older image's ``_bound``, ``_views``, ``_lambd``)
@@ -36,8 +37,9 @@ class _Slot:
     index ``skip``, with exponential gaps of rate ``lambd``.
 
     ``random`` and ``getrandbits`` are the C methods of the slot's delay
-    and destination streams. ``peers`` is shared by every slot drawing
-    from the same population: n slots cost one list, not n lists of n - 1.
+    and destination streams (``getrandbits`` a :class:`_FirstDraw` until
+    the first send). ``peers`` is shared by every slot drawing from the
+    same population: n slots cost one list, not n lists of n - 1.
     """
 
     __slots__ = ("pid", "random", "getrandbits", "peers", "skip", "lambd")
@@ -51,6 +53,20 @@ class _Slot:
         self.peers = peers
         self.skip = skip
         self.lambd = lambd
+
+
+class _FirstDraw:
+    """A slot's ``getrandbits`` until its first send derives the slot's
+    destination stream (2.5 kB of state) and puts its C method here."""
+
+    __slots__ = ("slot", "streams", "name")
+
+    def __init__(self, slot: _Slot, streams: RandomStreams, name: str) -> None:
+        self.slot, self.streams, self.name = slot, streams, name
+
+    def __call__(self, k: int) -> int:
+        getrandbits = self.slot.getrandbits = self.streams.stream(self.name).getrandbits
+        return getrandbits(k)
 
 
 class _Bindings(dict):
@@ -127,9 +143,10 @@ class Workload(ABC):
         from stream ``delays`` and destinations drawn from stream
         ``destinations``: the names and per-stream draw order of per-call
         ``streams.exponential`` / ``streams.choice``."""
-        stream = self.system.streams.stream
-        return _Slot(pid, stream(delays).random, stream(destinations).getrandbits,
-                     peers, skip, 1.0 / mean)
+        streams = self.system.streams
+        slot = _Slot(pid, streams.stream(delays).random, None, peers, skip, 1.0 / mean)
+        slot.getrandbits = _FirstDraw(slot, streams, destinations)
+        return slot
 
     def _everyone(self) -> List[int]:
         """Every pid, in pid-table order (``0 .. n - 1``, so a pid is its

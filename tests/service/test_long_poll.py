@@ -304,6 +304,34 @@ def test_nothing_outlives_the_client_and_the_server(tiny_spec):
     assert _open_sockets() == sockets_before
 
 
+def test_a_client_that_stops_reading_cannot_hold_server_close(monkeypatch):
+    """A response stalled on a client that no longer reads gives up after
+    the socket timeout, so ``server_close`` joins its thread in time."""
+    handler = server_module.CampaignRequestHandler
+    monkeypatch.setattr(handler, "timeout", 0.5)
+    body = b"x" * (16 << 20)  # past the server's send and the client's receive buffer
+    monkeypatch.setattr(handler, "_dashboard", lambda self: body)
+    with CampaignService() as service:
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            stalled.connect(server.server_address)
+            stalled.sendall(b"GET / HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert stalled.recv(12) == b"HTTP/1.1 200"  # then reads no more
+            server.shutdown()
+            started = time.monotonic()
+            server.server_close()
+            assert time.monotonic() - started < 5.0
+            assert _handler_threads() == []
+        finally:
+            stalled.close()
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 def test_cli_submit_closes_its_client(live, tiny_spec, tmp_path, capsys):
     _, server, client = live
     path = tmp_path / "spec.json"

@@ -24,7 +24,10 @@ through its property (1024p bound 9.3 -> 8.75, the same 0.9 margin).
 scheduled its next send with ``schedule_at``, and a process built its
 ``ComputationMessage`` in place and sent it through its own host, not
 ``MobileNetwork.send_from_process`` (bounds 7.5 -> 5.92 and 8.75 ->
-8.05, each the count plus 0.9).
+8.05, each the count plus 0.9). 7.20 at 1024p once a slot bound its
+destination stream at its first send: the window holds the first
+sends of the hosts that had not sent by event 5 000, and each binds
+through four frames once (16p unchanged; bounds unchanged).
 
 A 16p group point (ratio 1000, the same window and seed) is pinned
 beside them: 5.30 calls per event while a group send ended in a call to

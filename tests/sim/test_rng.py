@@ -135,3 +135,21 @@ def test_a_derived_stream_is_random_random_of_its_seed(master):
         stream = streams.stream(name)
         assert stream.getstate() == reference.getstate()
         assert stream.gauss(0, 1) == reference.gauss(0, 1)
+
+
+def test_a_stream_carries_no_instance_dict():
+    """``gauss_next`` is a slot: no stream holds a ``__dict__``, however
+    it was made and whatever it has drawn."""
+    from repro.sim.rng import raw_rng
+
+    streams = RandomStreams(7)
+    made = [streams.stream("x"), streams.one_shot("y"), raw_rng(99)]
+    for rng in made:
+        rng.random(), rng.expovariate(2.0), rng.choice(range(10)), rng.randint(0, 5)
+        rng.gauss(0.0, 1.0)  # leaves gauss_next set
+    made += [pickle.loads(pickle.dumps(rng)) for rng in made]
+    for rng in made:
+        assert not hasattr(rng, "__dict__")
+        with pytest.raises(AttributeError):
+            rng.anything_else = 1
+    assert [rng.gauss(0.0, 1.0) for rng in made[:3]] == [rng.gauss(0.0, 1.0) for rng in made[3:]]

@@ -76,7 +76,7 @@ def _picks(workload, slot, pid, stream_name, candidates, draws=200):
     ``choice`` over the materialised candidate list draws from a twin
     of the destination stream."""
     workload._running = True
-    workload._slots[slot]  # derives the streams, as the first send does
+    workload._slots[slot]  # binds the slot; its first send draws from the stream twinned here
     twin = copy.deepcopy(workload.system.streams.stream(stream_name))
     picks = _record_sends(workload, pid)
     for _ in range(draws):
